@@ -36,11 +36,9 @@ from .evolution import (
     bisect_visibility,
     evolve,
     evolve_density,
-    multi_step_operator,
     origin_probability_series,
-    shift_operator,
+    propagator_blocks,
     step,
-    step_operator,
 )
 from .analysis import (
     RevivalReport,
@@ -92,10 +90,10 @@ __all__ = [
     "initial_state",
     "is_revival_operator",
     "load_reference_catalog",
-    "multi_step_operator",
     "origin_probability_series",
     "polya_number",
     "position_distribution",
+    "propagator_blocks",
     "purity",
     "rationalize",
     "reduced_coin_state",
@@ -103,9 +101,7 @@ __all__ = [
     "rx",
     "ry",
     "scan",
-    "shift_operator",
     "step",
-    "step_operator",
     "tv_distance",
     "tv_from_origin_probability",
     "unitarity_defect",

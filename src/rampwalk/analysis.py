@@ -1,10 +1,12 @@
 """Revival diagnostics: distances, return probabilities, effective coins.
 
-A schedule exhibits a revival after T steps when the combined operator
-acts as identity on position times a fixed coin rotation, so any state
-that starts at the origin returns there with certainty. The revival is
-complete when that residual coin rotation is the identity up to a
-global phase, making the full initial state recur.
+A schedule exhibits a revival after T steps when the T-step walk acts
+as identity on position times a fixed coin rotation, so any state that
+starts at the origin returns there with certainty. The walk is
+translation invariant, so this holds exactly when every propagator
+block ``W_T[d]`` with d != 0 vanishes; ``W_T[0]`` is then the effective
+coin. The revival is complete when that residual coin rotation is the
+identity up to a global phase, making the full initial state recur.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .coins import equal_up_to_global_phase
-from .evolution import WalkSchedule, evolve, evolve_density, multi_step_operator
+from .evolution import WalkSchedule, evolve, evolve_density, propagator_blocks
 from .states import (
     CoinVector,
     Lattice,
@@ -115,60 +117,30 @@ def effective_coin_balanced_strings(schedule: WalkSchedule) -> NDArray[np.comple
     return products.sum(axis=0)
 
 
-def effective_coin_from_operator(
-    schedule: WalkSchedule, lattice: Lattice | None = None
-) -> NDArray[np.complex128]:
-    """Origin-to-origin 2x2 block of the dense multi-step operator."""
+def effective_coin_from_operator(schedule: WalkSchedule) -> NDArray[np.complex128]:
+    """Origin-to-origin 2x2 block ``W_T[0]`` of the T-step walk."""
     if schedule.steps % 2 != 0:
         raise ValueError(
             f"origin block vanishes after an odd number of steps, got {schedule.steps}"
         )
-    if lattice is None:
-        lattice = Lattice.for_steps(schedule.steps)
-    total = multi_step_operator(schedule, lattice)
-    row = 2 * lattice.index(0)
-    return total[row : row + 2, row : row + 2].copy()
+    return propagator_blocks(schedule)[schedule.steps].copy()
 
 
-def is_revival_operator(
-    schedule: WalkSchedule,
-    window: int = 3,
-    tol: float = REVIVAL_TOL,
-    lattice: Lattice | None = None,
-) -> bool:
-    """True when the multi-step operator is identity-on-position times a coin.
+def _is_revival(blocks: NDArray[np.complex128], tol: float) -> bool:
+    """No entry of any block off the origin exceeds tol in magnitude."""
+    origin = blocks.shape[0] // 2
+    off_origin = np.delete(blocks, origin, axis=0)
+    return float(np.abs(off_origin).max(initial=0.0)) <= tol
 
-    Checks all source sites within `window` of the origin: the operator
-    must keep each one in place and apply the same 2x2 coin block as at
-    the origin. The default lattice leaves enough guard sites that the
-    checked columns cannot reach the cyclic edge.
+
+def is_revival_operator(schedule: WalkSchedule, tol: float = REVIVAL_TOL) -> bool:
+    """True when the T-step walk is identity-on-position times a coin.
+
+    The walk is translation invariant, so it suffices that every block
+    ``W_T[d]`` with d != 0 vanishes to within tol, entry by entry: every
+    site then keeps its amplitude and applies the common coin ``W_T[0]``.
     """
-    if window < 0:
-        raise ValueError(f"window must be non-negative, got {window}")
-    if lattice is None:
-        lattice = Lattice.for_steps(schedule.steps, margin=window + 2)
-    reach = window + schedule.steps
-    if reach > lattice.max_site - 1 or -reach < lattice.min_site + 1:
-        raise ValueError(
-            f"window {window} plus {schedule.steps} steps reaches the edge of "
-            f"lattice [{lattice.min_site}, {lattice.max_site}]"
-        )
-    total = multi_step_operator(schedule, lattice)
-    n = lattice.size
-    blocks = total.reshape(n, 2, n, 2).transpose(0, 2, 1, 3)
-    origin = lattice.index(0)
-    reference = blocks[origin, origin]
-    for offset in range(-window, window + 1):
-        col = origin + offset
-        column = blocks[:, col]
-        stay = column[col]
-        leak = np.abs(column).max(axis=(1, 2))
-        leak[col] = 0.0
-        if float(leak.max()) > tol:
-            return False
-        if float(np.max(np.abs(stay - reference))) > tol:
-            return False
-    return True
+    return _is_revival(propagator_blocks(schedule), tol)
 
 
 @dataclass(frozen=True)
@@ -197,7 +169,6 @@ class RevivalReport:
 def classify(
     schedule: WalkSchedule,
     initial_coin: CoinVector | None = None,
-    window: int = 3,
     revival_tol: float = REVIVAL_TOL,
     completeness_tol: float = COMPLETENESS_TOL,
 ) -> RevivalReport:
@@ -231,10 +202,10 @@ def classify(
     distance = tv_distance(final_distribution, start_distribution)
     polya = polya_number(p0_series)
 
-    unitary = schedule.with_visibility(1.0)
+    blocks = propagator_blocks(schedule)
     even = schedule.steps % 2 == 0
-    effective = effective_coin_from_operator(unitary) if even else None
-    revival = is_revival_operator(unitary, window=window, tol=revival_tol)
+    effective = blocks[schedule.steps].copy() if even else None
+    revival = _is_revival(blocks, revival_tol)
     complete = (
         revival
         and effective is not None

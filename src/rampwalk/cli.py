@@ -34,6 +34,7 @@ from .search import (
     RevivalCandidate,
     SearchConfig,
     angle_fraction,
+    json_records,
     load_reference_catalog,
     parse_catalog,
     scan,
@@ -42,6 +43,7 @@ from .search import (
 from .states import (
     CoinVector,
     Lattice,
+    coin_overlap,
     density_from_pure,
     initial_state,
     position_distribution,
@@ -183,6 +185,9 @@ def _candidate_doc(candidate: RevivalCandidate) -> dict:
 
 
 def _candidate_from_doc(raw: dict) -> RevivalCandidate:
+    theta, omega, residual = (float(raw[key]) for key in ("theta", "omega", "residual"))
+    if not all(math.isfinite(value) for value in (theta, omega, residual)):
+        raise ValueError(f"candidate has a non-finite theta, omega or residual: {raw!r}")
     omega_pi = raw.get("omega_pi")
     if omega_pi is not None:
         frac = Fraction(omega_pi)
@@ -191,11 +196,11 @@ def _candidate_from_doc(raw: dict) -> RevivalCandidate:
         rational = None
     return RevivalCandidate(
         steps=int(raw["steps"]),
-        theta=float(raw["theta"]),
-        omega=float(raw["omega"]),
+        theta=theta,
+        omega=omega,
         omega_rational=rational,
         complete=bool(raw["complete"]),
-        residual=float(raw["residual"]),
+        residual=residual,
     )
 
 
@@ -206,8 +211,7 @@ def cmd_verify_table(
 ) -> int:
     """Diff a candidates file against the reference catalog."""
     text = Path(candidates_path).read_text(encoding="utf-8")
-    doc = json.loads(text)
-    candidates = [_candidate_from_doc(raw) for raw in doc["candidates"]]
+    candidates = json_records(text, "candidates", _candidate_from_doc)
     if catalog_path is not None:
         reference = parse_catalog(Path(catalog_path).read_text(encoding="utf-8"))
     else:
@@ -240,8 +244,7 @@ def cmd_noise_sweep(
         states = evolve_density(start, schedule)
         final = states[-1]
         distribution = position_distribution(final)
-        coin_rho = reduced_coin_state(final)
-        overlap = float(np.real(start_coin.as_array().conj() @ coin_rho @ start_coin.as_array()))
+        overlap = coin_overlap(reduced_coin_state(final), start_coin)
         rows.append(
             {
                 "visibility": float(visibility),

@@ -1,14 +1,18 @@
-"""Step operators and time evolution for the ramped-coin walk.
+"""Coin-and-shift walk for the ramped-coin walk, pure and dephased.
 
 One step applies the step-dependent coin and then the conditional
 shift: the plus component moves one site up, the minus component one
-site down. A walk of T steps applies steps in increasing index order,
-so the combined operator is ``U(T) @ ... @ U(1)`` under one-based
-indexing.
+site down. A walk of T steps applies steps in increasing index order.
+The coin is the same on every site, so the T-step walk is translation
+invariant: one column of 2x2 blocks ``W_T[d]``, the map from the coin
+at any site x to the coin at x + d, describes it completely (see
+:func:`propagator_blocks`).
 
-Pure states evolve through :func:`evolve`. Mixed states evolve through
-:func:`evolve_density`, which follows each unitary step with a coin
-dephasing channel of strength set by the schedule visibility:
+Every walk in the package runs through one batched step routine,
+:func:`_coin_and_shift`. Pure states evolve through :func:`evolve`.
+Mixed states evolve through :func:`evolve_density`, which follows each
+unitary step with a coin dephasing channel of strength set by the
+schedule visibility:
 
     rho -> (1 + v)/2 * rho + (1 - v)/2 * (I x Z) rho (I x Z)
 
@@ -72,95 +76,91 @@ class WalkSchedule:
         return replace(self, visibility=visibility)
 
 
-def shift_operator(lattice: Lattice) -> NDArray[np.complex128]:
-    """Dense conditional shift on (site x coin): plus up, minus down.
+def _coin_and_shift(
+    coins: NDArray[np.complex128], amps: NDArray[np.complex128]
+) -> NDArray[np.complex128]:
+    """One walk step on a batch: coin ``coins[g]`` on walk ``amps[g]``, then the shift.
 
-    Edge sites wrap cyclically so the matrix stays exactly unitary.
-    Callers are responsible for keeping support away from the edges;
-    the state-level routines below enforce this and raise
-    :class:`BoundaryOverflowError` instead of wrapping.
+    ``coins`` has shape (G, 2, 2) and ``amps`` shape (G, n, 2). The plus
+    component moves one site up and the minus component one site down;
+    amplitude shifted past either edge is dropped, so callers keep the
+    support one site inside the lattice (see :func:`_check_reach`).
     """
-    n = lattice.size
-    dim = 2 * n
-    op = np.zeros((dim, dim), dtype=np.complex128)
-    idx = np.arange(n)
-    op[2 * ((idx + 1) % n), 2 * idx] = 1.0
-    op[2 * ((idx - 1) % n) + 1, 2 * idx + 1] = 1.0
-    return op
+    coined = np.einsum("gij,gxj->gxi", coins, amps)
+    shifted = np.zeros_like(coined)
+    shifted[:, 1:, 0] = coined[:, :-1, 0]
+    shifted[:, :-1, 1] = coined[:, 1:, 1]
+    return shifted
 
 
-def step_operator(schedule: WalkSchedule, lattice: Lattice, t: int) -> NDArray[np.complex128]:
-    """Dense single-step operator shift @ (I x coin(t)) on the lattice."""
-    coin = schedule.coin(t)
-    return shift_operator(lattice) @ np.kron(np.eye(lattice.size), coin)
-
-
-def _shifted(coined: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    top = abs(coined[-1, 0])
-    bottom = abs(coined[0, 1])
-    if top >= BOUNDARY_LEAK_TOL or bottom >= BOUNDARY_LEAK_TOL:
+def _check_reach(lattice: Lattice, populations: NDArray[np.float64], steps: int) -> None:
+    """Raise unless the occupied sites plus `steps` stay one site inside the lattice."""
+    occupied = np.nonzero(populations > BOUNDARY_LEAK_TOL)[0]
+    lowest = highest = 0
+    if occupied.size:
+        sites = lattice.sites()
+        lowest, highest = int(sites[occupied[0]]), int(sites[occupied[-1]])
+    if highest + steps > lattice.max_site - 1 or lowest - steps < lattice.min_site + 1:
         raise BoundaryOverflowError(
-            f"amplitude {max(top, bottom):.3e} would leave the lattice"
+            f"support [{lowest}, {highest}] plus {steps} steps exceeds "
+            f"lattice [{lattice.min_site}, {lattice.max_site}]"
         )
-    out = np.zeros_like(coined)
-    out[1:, 0] = coined[:-1, 0]
-    out[:-1, 1] = coined[1:, 1]
-    return out
 
 
 def step(state: WalkerCoinPureState, schedule: WalkSchedule, t: int) -> WalkerCoinPureState:
-    """Apply the coin for step index t, then the conditional shift."""
+    """Apply the coin for step index t, then the conditional shift.
+
+    The lattice must hold the support plus one site on each side;
+    otherwise a :class:`BoundaryOverflowError` is raised.
+    """
     if t not in schedule.step_indices():
         raise ValueError(
             f"step index {t} outside schedule range "
             f"{schedule.step_indices()} ({schedule.convention.value})"
         )
-    coined = state.amplitudes @ schedule.coin(t).T
-    return WalkerCoinPureState(state.lattice, _shifted(coined))
+    _check_reach(state.lattice, position_distribution(state).probabilities, 1)
+    amps = _coin_and_shift(schedule.coin(t)[None], state.amplitudes[None])
+    return WalkerCoinPureState(state.lattice, amps[0])
 
 
 def evolve(state: WalkerCoinPureState, schedule: WalkSchedule) -> list[WalkerCoinPureState]:
     """All intermediate pure states, one per step, in step order.
 
     Requires visibility 1; dephased walks go through :func:`evolve_density`.
+    The lattice must hold the initial support plus one site per step;
+    otherwise a :class:`BoundaryOverflowError` is raised before any
+    evolution.
     """
     if schedule.visibility != 1.0:
         raise ValueError(
             "pure-state evolution requires visibility 1; use evolve_density"
         )
+    _check_reach(state.lattice, position_distribution(state).probabilities, schedule.steps)
     out: list[WalkerCoinPureState] = []
-    current = state
+    amps = state.amplitudes[None]
     for t in schedule.step_indices():
-        current = step(current, schedule, t)
-        out.append(current)
+        amps = _coin_and_shift(schedule.coin(t)[None], amps)
+        out.append(WalkerCoinPureState(state.lattice, amps[0]))
     return out
 
 
-def multi_step_operator(
-    schedule: WalkSchedule, lattice: Lattice | None = None
-) -> NDArray[np.complex128]:
-    """Dense product of all step operators, later steps multiplied on the left.
+def propagator_blocks(schedule: WalkSchedule) -> NDArray[np.complex128]:
+    """The blocks ``W_T[d]`` of the noiseless T-step walk, shape (2T + 1, 2, 2).
 
-    With zero steps this is the identity. The default lattice is
-    ``Lattice.for_steps(schedule.steps)``.
+    Entry ``d + T`` is the 2x2 map from the coin at any site x to the
+    coin at site x + d after all T steps, for d in [-T, T]. The walk is
+    a revival when every block but ``W_T[0]`` vanishes, and ``W_T[0]``
+    is then its effective coin. With zero steps the single block is the
+    identity. The schedule visibility is ignored.
     """
-    if lattice is None:
-        lattice = Lattice.for_steps(schedule.steps)
-    eye_sites = np.eye(lattice.size)
-    shift = shift_operator(lattice)
-    total = np.eye(2 * lattice.size, dtype=np.complex128)
+    reach = schedule.steps + 1
+    amps = np.zeros((2, 2 * reach + 1, 2), dtype=np.complex128)
+    amps[0, reach, 0] = 1.0
+    amps[1, reach, 1] = 1.0
     for t in schedule.step_indices():
-        total = shift @ np.kron(eye_sites, schedule.coin(t)) @ total
-    return total
-
-
-def _support_reach(rho: WalkerCoinDensityMatrix) -> tuple[int, int]:
-    populations = np.real(np.diag(rho.matrix)).reshape(-1, 2).sum(axis=1)
-    occupied = np.nonzero(populations > BOUNDARY_LEAK_TOL)[0]
-    if occupied.size == 0:
-        return 0, 0
-    sites = rho.lattice.sites()
-    return int(sites[occupied[0]]), int(sites[occupied[-1]])
+        amps = _coin_and_shift(np.broadcast_to(schedule.coin(t), (2, 2, 2)), amps)
+    # amps[j, x, i] is entry (i, j) of the block at site x
+    return amps[:, 1:-1, :].transpose(1, 2, 0)
 
 
 def evolve_density(
@@ -174,24 +174,21 @@ def evolve_density(
     :class:`BoundaryOverflowError` is raised before any evolution.
     """
     lattice = rho.lattice
-    lowest, highest = _support_reach(rho)
-    if highest + schedule.steps > lattice.max_site - 1 or (
-        lowest - schedule.steps < lattice.min_site + 1
-    ):
-        raise BoundaryOverflowError(
-            f"support [{lowest}, {highest}] plus {schedule.steps} steps exceeds "
-            f"lattice [{lattice.min_site}, {lattice.max_site}]"
-        )
-    eye_sites = np.eye(lattice.size)
-    shift = shift_operator(lattice)
+    _check_reach(lattice, position_distribution(rho).probabilities, schedule.steps)
+    n = lattice.size
+    dim = 2 * n
     v = schedule.visibility
-    signs = np.tile(np.array([1.0, -1.0]), lattice.size)
+    signs = np.tile(np.array([1.0, -1.0]), n)
     dephase_mask = np.outer(signs, signs)
     out: list[WalkerCoinDensityMatrix] = []
     matrix = rho.matrix
     for t in schedule.step_indices():
-        u = shift @ np.kron(eye_sites, schedule.coin(t))
-        matrix = u @ matrix @ u.conj().T
+        coins = np.broadcast_to(schedule.coin(t), (dim, 2, 2))
+        # Each row of a batch is one column stepped by U. `half` is
+        # (U rho^dagger)^T; the rows of conj(half).T are the columns of
+        # rho U^dagger, and stepping them gives the columns of U rho U^dagger.
+        half = _coin_and_shift(coins, matrix.conj().reshape(dim, n, 2)).reshape(dim, dim)
+        matrix = _coin_and_shift(coins, half.conj().T.reshape(dim, n, 2)).reshape(dim, dim).T
         matrix = 0.5 * (1.0 + v) * matrix + 0.5 * (1.0 - v) * (dephase_mask * matrix)
         out.append(WalkerCoinDensityMatrix(lattice, matrix))
     return out

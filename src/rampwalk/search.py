@@ -5,7 +5,7 @@ probability of a walk started from the symmetric coin state on a dense
 ramp-rate grid, brackets the local minima of ``1 - p0``, refines each
 bracket by golden-section search, snaps the minimizer to a nearby
 rational multiple of pi when one exists, and keeps only parameters
-whose multi-step operator passes the operator-level revival check.
+whose propagator blocks pass the revival check.
 """
 
 from __future__ import annotations
@@ -16,12 +16,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from typing import Callable, TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .coins import StepConvention, ry
-from .evolution import WalkSchedule
+from .evolution import WalkSchedule, _coin_and_shift
 from .analysis import classify, is_revival_operator
 
 BRACKET_THRESHOLD = 1e-3
@@ -32,6 +33,7 @@ OPERATOR_ACCEPT_TOL = 1e-8
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 _CATALOG_RESOURCE = "data/revival_catalog.json"
+_Record = TypeVar("_Record")
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,7 @@ def rationalize(
     return None
 
 
-def _origin_probabilities(
+def _final_origin_probability(
     steps: int,
     theta: float,
     omegas: NDArray[np.float64],
@@ -138,12 +140,7 @@ def _origin_probabilities(
         ramp[:, 0, 1] = 1j * s
         ramp[:, 1, 0] = 1j * s
         ramp[:, 1, 1] = c
-        coin = ramp @ bias
-        amps = np.einsum("gij,gxj->gxi", coin, amps)
-        shifted = np.zeros_like(amps)
-        shifted[:, 1:, 0] = amps[:, :-1, 0]
-        shifted[:, :-1, 1] = amps[:, 1:, 1]
-        amps = shifted
+        amps = _coin_and_shift(ramp @ bias, amps)
     return np.abs(amps[:, origin, 0]) ** 2 + np.abs(amps[:, origin, 1]) ** 2
 
 
@@ -175,10 +172,10 @@ def _scan_row(args: tuple) -> list[RevivalCandidate]:
     steps, theta, omega_grid, refine_tol, max_denominator, convention = args
     lo, hi, count = omega_grid
     grid = np.linspace(lo, hi, count)
-    residuals = 1.0 - _origin_probabilities(steps, theta, grid, convention)
+    residuals = 1.0 - _final_origin_probability(steps, theta, grid, convention)
 
     def objective(omega: float) -> float:
-        value = _origin_probabilities(
+        value = _final_origin_probability(
             steps, theta, np.array([omega]), convention
         )[0]
         return float(1.0 - value)
@@ -297,18 +294,33 @@ def load_reference_catalog() -> tuple[CatalogEntry, ...]:
 
 def parse_catalog(text: str) -> tuple[CatalogEntry, ...]:
     """Parse catalog JSON: {"entries": [{steps, theta_pi, omega_pi, complete}]}."""
-    doc = json.loads(text)
-    entries = []
-    for raw in doc["entries"]:
-        entries.append(
-            CatalogEntry(
-                steps=int(raw["steps"]),
-                theta_pi=Fraction(raw["theta_pi"]),
-                omega_pi=Fraction(raw["omega_pi"]),
-                complete=bool(raw["complete"]),
-            )
+
+    def entry(raw: dict) -> CatalogEntry:
+        return CatalogEntry(
+            steps=int(raw["steps"]),
+            theta_pi=Fraction(raw["theta_pi"]),
+            omega_pi=Fraction(raw["omega_pi"]),
+            complete=bool(raw["complete"]),
         )
-    return tuple(entries)
+
+    return tuple(json_records(text, "entries", entry))
+
+
+def json_records(text: str, field: str, parse: Callable[[dict], _Record]) -> list[_Record]:
+    """Parse each object of the list under `field` in a JSON object document.
+
+    Every malformed document or record raises ValueError: a top level
+    that is not an object, a field that is not a list of objects, or a
+    record whose values have the wrong type or are out of range.
+    """
+    doc = json.loads(text)
+    records = doc.get(field) if isinstance(doc, dict) else None
+    if not isinstance(records, list) or not all(isinstance(raw, dict) for raw in records):
+        raise ValueError(f"expected a JSON object whose {field!r} field is a list of objects")
+    try:
+        return [parse(raw) for raw in records]
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed {field!r} record: {exc}") from exc
 
 
 def angle_fraction(value: float, max_denominator: int = 360) -> Fraction | None:

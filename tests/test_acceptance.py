@@ -22,7 +22,7 @@ from rampwalk.evolution import (
     bisect_visibility,
     evolve,
     evolve_density,
-    multi_step_operator,
+    propagator_blocks,
 )
 from rampwalk.search import SearchConfig, load_reference_catalog, scan, verify_table
 from rampwalk.states import (
@@ -237,9 +237,13 @@ def test_criterion_7_module_invariants_on_random_cases():
                 evolution_ok = False
             if abs(final.amplitudes[index, 1] - minus) > 1e-10:
                 evolution_ok = False
-        total = multi_step_operator(schedule, lattice)
-        if float(np.max(np.abs(total.conj().T @ total - np.eye(total.shape[0])))) > 1e-10:
-            evolution_ok = False
+        # the T-step operator on the line, sum_d W_T[d] exp(-i k d), is unitary at every k
+        blocks = propagator_blocks(schedule)
+        displacements = np.arange(-steps, steps + 1)
+        for k in np.linspace(-math.pi, math.pi, 7):
+            symbol = np.tensordot(np.exp(-1j * k * displacements), blocks, axes=1)
+            if float(np.max(np.abs(symbol.conj().T @ symbol - np.eye(2)))) > 1e-10:
+                evolution_ok = False
         if not evolution_ok:
             break
 

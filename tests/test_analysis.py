@@ -159,6 +159,18 @@ def test_is_revival_operator_known_points():
     assert is_revival_operator(WalkSchedule(math.pi / 4, 0.0, 4))
     assert not is_revival_operator(WalkSchedule(0.0, math.pi / 7, 2))
     assert not is_revival_operator(WalkSchedule(0.0, math.pi / 8, 3))
+    # family points at large T, checked against five start sites walked by the oracle
+    for theta, omega, steps, expected in [
+        (math.pi / 4, math.pi / 12, 24, True),  # complete, k pi / T
+        (math.pi / 4, math.pi / 13, 24, True),  # incomplete, k pi / (T + 2)
+        (math.pi / 4, math.pi / 12 + 1e-3, 24, False),
+        (math.pi / 4, math.pi / 8, 16, True),
+        (0.0, math.pi / 36, 16, True),  # incomplete, (2k + 1) pi / (2 (T + 2))
+        (0.0, math.pi / 36 + 1e-3, 16, False),
+    ]:
+        ours = is_revival_operator(WalkSchedule(theta, omega, steps), tol=1e-8)
+        reference = oracles.is_revival_state_route(theta, omega, steps, tol=1e-8)
+        assert ours == reference == expected
 
 
 @given(angle, angle, st.sampled_from([2, 4, 6]))
@@ -167,14 +179,6 @@ def test_is_revival_operator_matches_state_route(theta, omega, steps):
     ours = is_revival_operator(WalkSchedule(theta, omega, steps), tol=1e-8)
     reference = oracles.is_revival_state_route(theta, omega, steps, tol=1e-8)
     assert ours == reference
-
-
-def test_is_revival_operator_rejects_undersized_lattice():
-    sched = WalkSchedule(0.0, math.pi / 8, 4)
-    with pytest.raises(ValueError):
-        is_revival_operator(sched, window=3, lattice=Lattice(-5, 5))
-    with pytest.raises(ValueError):
-        is_revival_operator(sched, window=-1)
 
 
 def test_classify_complete_revivals():

@@ -189,6 +189,25 @@ def test_verify_table_io_and_parse_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     assert run_cli("verify-table", str(bad)).returncode == 2
+    listed = tmp_path / "list.json"
+    listed.write_text("[]", encoding="utf-8")
+    good = tmp_path / "good.json"
+    good.write_text('{"candidates": []}', encoding="utf-8")
+    huge = tmp_path / "huge.json"
+    huge.write_text(
+        '{"candidates": [{"steps": 2, "theta": 1e400, "omega": 0.39269908169872414,'
+        ' "omega_pi": "1/8", "complete": false, "residual": 0.0}]}',
+        encoding="utf-8",
+    )
+    for args in (
+        (str(listed),),
+        (str(good), "--catalog", str(listed)),
+        (str(huge),),
+    ):
+        result = run_cli("verify-table", *args)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("rampwalk: error:")
+        assert len(result.stderr.splitlines()) == 1
 
 
 def test_search_rejects_odd_step_counts():

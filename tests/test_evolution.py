@@ -11,11 +11,9 @@ from rampwalk.evolution import (
     bisect_visibility,
     evolve,
     evolve_density,
-    multi_step_operator,
     origin_probability_series,
-    shift_operator,
+    propagator_blocks,
     step,
-    step_operator,
 )
 from rampwalk.states import (
     CoinVector,
@@ -63,20 +61,6 @@ def test_schedule_step_indices_by_convention():
     zero = WalkSchedule(0.0, 0.1, 3, convention=StepConvention.ZERO_BASED)
     assert list(one.step_indices()) == [1, 2, 3]
     assert list(zero.step_indices()) == [0, 1, 2]
-
-
-def test_shift_operator_moves_plus_up_minus_down():
-    lat = Lattice(-2, 2)
-    op = shift_operator(lat)
-    assert np.max(np.abs(op.conj().T @ op - np.eye(2 * lat.size))) < 1e-15
-    vec = np.zeros(2 * lat.size, dtype=complex)
-    vec[2 * lat.index(0)] = 1.0  # (site 0, plus)
-    moved = op @ vec
-    assert moved[2 * lat.index(1)] == 1.0
-    vec = np.zeros(2 * lat.size, dtype=complex)
-    vec[2 * lat.index(0) + 1] = 1.0  # (site 0, minus)
-    moved = op @ vec
-    assert moved[2 * lat.index(-1) + 1] == 1.0
 
 
 def test_step_rejects_out_of_schedule_index():
@@ -149,6 +133,13 @@ def test_boundary_overflow_raises_instead_of_wrapping():
     sched = WalkSchedule(0.3, 0.2, 4)
     with pytest.raises(BoundaryOverflowError):
         evolve(state, sched)
+    # the support plus the steps must stay one site inside the lattice, on each side
+    for lopsided in (Lattice(-3, 1), Lattice(-1, 3)):
+        with pytest.raises(BoundaryOverflowError):
+            evolve(initial_state(lopsided, CoinVector.symmetric()), WalkSchedule(0.3, 0.2, 1))
+    moved = evolve(state, WalkSchedule(0.3, 0.2, 1))[-1]
+    with pytest.raises(BoundaryOverflowError):
+        step(moved, WalkSchedule(0.3, 0.2, 2), 2)
 
 
 def test_guard_sites_stay_empty_over_long_walk():
@@ -175,32 +166,22 @@ def test_translation_covariance():
 
 
 def test_multi_step_operator_zero_steps_is_identity():
-    sched = WalkSchedule(0.3, 0.1, 0)
-    lat = Lattice(-2, 2)
-    assert np.array_equal(multi_step_operator(sched, lat), np.eye(2 * lat.size))
+    blocks = propagator_blocks(WalkSchedule(0.3, 0.1, 0))
+    assert np.array_equal(blocks, np.eye(2)[None])
 
 
 @given(angle, angle, st.integers(min_value=1, max_value=5))
 @settings(max_examples=60)
 def test_multi_step_operator_matches_evolve(theta, omega, steps):
-    sched = WalkSchedule(theta, omega, steps)
-    start = symmetric_start(steps)
-    total = multi_step_operator(sched, start.lattice)
-    assert np.max(np.abs(total.conj().T @ total - np.eye(total.shape[0]))) < 1e-12
-    via_operator = total @ start.amplitudes.reshape(-1)
-    via_steps = evolve(start, sched)[-1].amplitudes.reshape(-1)
-    assert np.max(np.abs(via_operator - via_steps)) < 1e-10
-
-
-def test_multi_step_operator_is_ordered_product_of_steps():
-    sched = WalkSchedule(0.2, 0.5, 3)
-    lat = Lattice.for_steps(3)
-    expected = (
-        step_operator(sched, lat, 3)
-        @ step_operator(sched, lat, 2)
-        @ step_operator(sched, lat, 1)
-    )
-    assert np.max(np.abs(multi_step_operator(sched, lat) - expected)) < 1e-12
+    # column j of the block at displacement d is the walk of basis coin j from the origin
+    blocks = propagator_blocks(WalkSchedule(theta, omega, steps))
+    assert blocks.shape == (2 * steps + 1, 2, 2)
+    for column, basis in enumerate(((1.0, 0.0), (0.0, 1.0))):
+        final = oracles.walk_states(theta, omega, steps, basis)[-1]
+        for d in range(-steps, steps + 1):
+            plus, minus = final.get(d, (0.0, 0.0))
+            assert abs(blocks[d + steps, 0, column] - plus) < 1e-10
+            assert abs(blocks[d + steps, 1, column] - minus) < 1e-10
 
 
 def test_density_at_unit_visibility_matches_pure():
