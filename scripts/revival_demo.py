@@ -12,23 +12,15 @@ import sys
 import numpy as np
 
 from rampwalk.analysis import classify
-from rampwalk.evolution import WalkSchedule, bisect_visibility, evolve, evolve_density
-from rampwalk.states import (
-    CoinVector,
-    Lattice,
-    density_from_pure,
-    initial_state,
-    position_distribution,
-)
+from rampwalk.evolution import WalkSchedule, bisect_visibility, run_walk
+from rampwalk.states import CoinVector, Lattice, density_from_pure, initial_state
 
 
 def p0_series(schedule: WalkSchedule) -> list[float]:
     lattice = Lattice.for_steps(schedule.steps)
     start = initial_state(lattice, CoinVector.symmetric())
-    return [
-        position_distribution(state).at_site(0)
-        for state in evolve(start, schedule)
-    ]
+    distributions, _ = run_walk(start, schedule)
+    return [distribution.at_site(0) for distribution in distributions]
 
 
 def main() -> int:
@@ -43,7 +35,7 @@ def main() -> int:
     report = classify(schedule)
     lattice = Lattice.for_steps(8)
     start = initial_state(lattice, CoinVector.symmetric())
-    final = evolve(start, schedule)[-1]
+    _, final = run_walk(start, schedule)
     plus, minus = final.amplitudes[lattice.index(0)]
     print(f"  revival: {report.is_revival}, complete: {report.is_complete}")
     print(f"  final coin state: ({plus:.6f}) |plus> + ({minus:.6f}) |minus>")
@@ -54,8 +46,8 @@ def main() -> int:
     schedule = WalkSchedule(0.0, math.pi / 8, 8)
     rho0 = density_from_pure(initial_state(Lattice.for_steps(8), CoinVector.symmetric()))
     for visibility in (1.0, 0.996, 0.99, 0.95, 0.9):
-        final = evolve_density(rho0, schedule.with_visibility(visibility))[-1]
-        p0 = position_distribution(final).at_site(0)
+        distributions, _ = run_walk(rho0, schedule.with_visibility(visibility))
+        p0 = distributions[-1].at_site(0)
         print(f"  visibility {visibility:5.3f}  ->  p0(8) = {p0:.6f}")
     target = 0.918
     visibility, achieved = bisect_visibility(schedule, rho0, target)

@@ -38,6 +38,7 @@ from .evolution import (
     evolve_density,
     origin_probability_series,
     propagator_blocks,
+    run_walk,
     step,
 )
 from .analysis import (
@@ -100,6 +101,7 @@ __all__ = [
     "reduced_walker_state",
     "rx",
     "ry",
+    "run_walk",
     "scan",
     "step",
     "tv_distance",

@@ -19,15 +19,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .coins import equal_up_to_global_phase
-from .evolution import WalkSchedule, evolve, evolve_density, propagator_blocks
+from .evolution import WalkSchedule, propagator_blocks, run_walk
 from .states import (
     CoinVector,
     Lattice,
     PositionDistribution,
-    WalkerCoinDensityMatrix,
-    WalkerCoinPureState,
     coin_overlap,
-    density_from_pure,
     initial_state,
     position_distribution,
     reduced_coin_state,
@@ -183,20 +180,8 @@ def classify(
     lattice = Lattice.for_steps(schedule.steps)
     start = initial_state(lattice, initial_coin)
     start_distribution = position_distribution(start)
-
-    if schedule.visibility == 1.0:
-        trajectory: list[WalkerCoinPureState | WalkerCoinDensityMatrix] = list(
-            evolve(start, schedule)
-        )
-        final: WalkerCoinPureState | WalkerCoinDensityMatrix = (
-            trajectory[-1] if trajectory else start
-        )
-    else:
-        rho0 = density_from_pure(start)
-        trajectory = list(evolve_density(rho0, schedule))
-        final = trajectory[-1] if trajectory else rho0
-
-    p0_series = [position_distribution(state).at_site(0) for state in trajectory]
+    distributions, final = run_walk(start, schedule)
+    p0_series = [distribution.at_site(0) for distribution in distributions]
     final_distribution = position_distribution(final)
     origin_probability = final_distribution.at_site(0)
     distance = tv_distance(final_distribution, start_distribution)

@@ -15,7 +15,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,12 +23,7 @@ import numpy as np
 from .analysis import polya_number, tv_distance
 from .analysis import effective_coin_balanced_strings, effective_coin_from_operator
 from .coins import StepConvention, equal_up_to_global_phase
-from .evolution import (
-    WalkSchedule,
-    bisect_visibility,
-    evolve,
-    evolve_density,
-)
+from .evolution import WalkSchedule, bisect_visibility, run_walk
 from .search import (
     RevivalCandidate,
     SearchConfig,
@@ -51,23 +45,14 @@ from .states import (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Settings for one `walk` invocation."""
-
-    theta: float
-    omega: float
-    steps: int
-    visibility: float = 1.0
-    convention: StepConvention = StepConvention.ONE_BASED
-    csv_out: str | None = None
-    json_out: str | None = None
-
-
 def _parse_angle(text: str, radians: bool) -> float:
-    if radians:
-        return float(text)
-    return float(Fraction(text)) * math.pi
+    try:
+        value = float(text) if radians else float(Fraction(text)) * math.pi
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"angle {text!r} is not a finite number")
+    return value
 
 
 def _angle_doc(value: float) -> dict:
@@ -94,29 +79,20 @@ def _dump_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def cmd_walk(config: RunConfig) -> int:
+def cmd_walk(
+    schedule: WalkSchedule, csv_out: str | None = None, json_out: str | None = None
+) -> int:
     """Run one walk and emit per-step distributions and summaries."""
-    schedule = WalkSchedule(
-        theta=config.theta,
-        omega=config.omega,
-        steps=config.steps,
-        convention=config.convention,
-        visibility=config.visibility,
-    )
-    lattice = Lattice.for_steps(config.steps)
+    lattice = Lattice.for_steps(schedule.steps)
     start = initial_state(lattice, CoinVector.symmetric())
     start_distribution = position_distribution(start)
-    if config.visibility == 1.0:
-        states = evolve(start, schedule)
-    else:
-        states = evolve_density(density_from_pure(start), schedule)
-    distributions = [position_distribution(state) for state in states]
+    distributions, final = run_walk(start, schedule)
     p0_series = [dist.at_site(0) for dist in distributions]
     tv_series = [tv_distance(dist, start_distribution) for dist in distributions]
     polya = polya_number(p0_series)
-    final_coin = reduced_coin_state(states[-1])
+    final_coin = reduced_coin_state(final)
 
-    if config.csv_out is not None:
+    if csv_out is not None:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["step", "site", "probability"])
@@ -124,16 +100,16 @@ def cmd_walk(config: RunConfig) -> int:
         for step_number, dist in enumerate(distributions, start=1):
             for site, probability in zip(sites, dist.probabilities):
                 writer.writerow([step_number, int(site), float(probability)])
-        _write_text(config.csv_out, buffer.getvalue())
+        _write_text(csv_out, buffer.getvalue())
 
-    if config.json_out is not None:
+    if json_out is not None:
         doc = {
             "schedule": {
-                "theta": _angle_doc(config.theta),
-                "omega": _angle_doc(config.omega),
-                "steps": config.steps,
-                "visibility": float(config.visibility),
-                "convention": config.convention.value,
+                "theta": _angle_doc(schedule.theta),
+                "omega": _angle_doc(schedule.omega),
+                "steps": schedule.steps,
+                "visibility": float(schedule.visibility),
+                "convention": schedule.convention.value,
             },
             "sites": [int(site) for site in lattice.sites()],
             "probabilities": [
@@ -144,7 +120,7 @@ def cmd_walk(config: RunConfig) -> int:
             "polya_truncated": float(polya),
             "reduced_coin": _matrix_doc(final_coin),
         }
-        _write_text(config.json_out, _dump_json(doc))
+        _write_text(json_out, _dump_json(doc))
     return 0
 
 
@@ -235,14 +211,10 @@ def cmd_noise_sweep(
     start_coin = CoinVector.symmetric()
     start = density_from_pure(initial_state(lattice, start_coin))
     start_distribution = position_distribution(start)
+    schedule = WalkSchedule(theta=theta, omega=omega, steps=steps, convention=convention)
     rows = []
     for visibility in visibilities:
-        schedule = WalkSchedule(
-            theta=theta, omega=omega, steps=steps,
-            convention=convention, visibility=visibility,
-        )
-        states = evolve_density(start, schedule)
-        final = states[-1]
+        _, final = run_walk(start, schedule.with_visibility(visibility))
         distribution = position_distribution(final)
         overlap = coin_overlap(reduced_coin_state(final), start_coin)
         rows.append(
@@ -261,7 +233,6 @@ def cmd_noise_sweep(
         "rows": rows,
     }
     if target_p0 is not None:
-        schedule = WalkSchedule(theta=theta, omega=omega, steps=steps, convention=convention)
         visibility, achieved = bisect_visibility(schedule, start, target_p0)
         doc["calibration"] = {
             "target_origin_probability": float(target_p0),
@@ -366,18 +337,16 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "walk":
         if args.steps < 1:
             raise ValueError(f"steps must be at least 1, got {args.steps}")
-        config = RunConfig(
+        if args.csv_out is None and args.json_out is None:
+            raise ValueError("nothing to do: pass --csv-out and/or --json-out")
+        schedule = WalkSchedule(
             theta=_parse_angle(args.theta, args.radians),
             omega=_parse_angle(args.omega, args.radians),
             steps=args.steps,
-            visibility=args.visibility,
             convention=_convention(args),
-            csv_out=args.csv_out,
-            json_out=args.json_out,
+            visibility=args.visibility,
         )
-        if config.csv_out is None and config.json_out is None:
-            raise ValueError("nothing to do: pass --csv-out and/or --json-out")
-        return cmd_walk(config)
+        return cmd_walk(schedule, args.csv_out, args.json_out)
 
     if args.command == "search":
         step_counts = tuple(int(part) for part in args.steps.split(","))

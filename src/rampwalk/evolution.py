@@ -18,11 +18,14 @@ schedule visibility:
 
 with Z diagonal on the coin. Visibility 1 reproduces unitary evolution;
 visibility 0 removes all coin coherence after every step.
+:func:`run_walk` returns only the distribution after each step and the
+final state, so it keeps no trajectory.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,8 +34,12 @@ from numpy.typing import NDArray
 from .coins import CoinOperator, StepConvention, coin_at_step
 from .states import (
     Lattice,
+    PositionDistribution,
     WalkerCoinDensityMatrix,
     WalkerCoinPureState,
+    WalkerState,
+    _site_distribution,
+    density_from_pure,
     position_distribution,
 )
 
@@ -135,13 +142,7 @@ def evolve(state: WalkerCoinPureState, schedule: WalkSchedule) -> list[WalkerCoi
         raise ValueError(
             "pure-state evolution requires visibility 1; use evolve_density"
         )
-    _check_reach(state.lattice, position_distribution(state).probabilities, schedule.steps)
-    out: list[WalkerCoinPureState] = []
-    amps = state.amplitudes[None]
-    for t in schedule.step_indices():
-        amps = _coin_and_shift(schedule.coin(t)[None], amps)
-        out.append(WalkerCoinPureState(state.lattice, amps[0]))
-    return out
+    return [WalkerCoinPureState(state.lattice, amps) for amps in _trajectory(state, schedule)]
 
 
 def propagator_blocks(schedule: WalkSchedule) -> NDArray[np.complex128]:
@@ -173,15 +174,29 @@ def evolve_density(
     to hold the initial support plus one site per step; otherwise a
     :class:`BoundaryOverflowError` is raised before any evolution.
     """
-    lattice = rho.lattice
-    _check_reach(lattice, position_distribution(rho).probabilities, schedule.steps)
+    return [WalkerCoinDensityMatrix(rho.lattice, matrix) for matrix in _trajectory(rho, schedule)]
+
+
+def _trajectory(start: WalkerState, schedule: WalkSchedule) -> Iterator[NDArray[np.complex128]]:
+    """Unvalidated amplitudes (pure start) or density matrix after each step.
+
+    The boundary check runs before the first step, even with no steps.
+    A pure start ignores the schedule visibility.
+    """
+    lattice = start.lattice
+    _check_reach(lattice, position_distribution(start).probabilities, schedule.steps)
+    if isinstance(start, WalkerCoinPureState):
+        amps = start.amplitudes[None]
+        for t in schedule.step_indices():
+            amps = _coin_and_shift(schedule.coin(t)[None], amps)
+            yield amps[0]
+        return
     n = lattice.size
     dim = 2 * n
     v = schedule.visibility
     signs = np.tile(np.array([1.0, -1.0]), n)
     dephase_mask = np.outer(signs, signs)
-    out: list[WalkerCoinDensityMatrix] = []
-    matrix = rho.matrix
+    matrix = start.matrix
     for t in schedule.step_indices():
         coins = np.broadcast_to(schedule.coin(t), (dim, 2, 2))
         # Each row of a batch is one column stepped by U. `half` is
@@ -190,18 +205,36 @@ def evolve_density(
         half = _coin_and_shift(coins, matrix.conj().reshape(dim, n, 2)).reshape(dim, dim)
         matrix = _coin_and_shift(coins, half.conj().T.reshape(dim, n, 2)).reshape(dim, dim).T
         matrix = 0.5 * (1.0 + v) * matrix + 0.5 * (1.0 - v) * (dephase_mask * matrix)
-        out.append(WalkerCoinDensityMatrix(lattice, matrix))
-    return out
+        yield matrix
+
+
+def run_walk(
+    start: WalkerState, schedule: WalkSchedule
+) -> tuple[list[PositionDistribution], WalkerState]:
+    """The position distribution after each step, and the final state.
+
+    A pure start becomes its density matrix when the visibility is
+    below 1. Only the returned objects are built and validated, so no
+    intermediate state is kept. With zero steps the final state is the
+    start. Raises :class:`BoundaryOverflowError` before any step.
+    """
+    if isinstance(start, WalkerCoinPureState) and schedule.visibility != 1.0:
+        start = density_from_pure(start)
+    pure = isinstance(start, WalkerCoinPureState)
+    distributions = []
+    raw = None
+    for raw in _trajectory(start, schedule):
+        distributions.append(_site_distribution(start.lattice, raw, pure))
+    final = start if raw is None else type(start)(start.lattice, raw)
+    return distributions, final
 
 
 def origin_probability_series(
     rho: WalkerCoinDensityMatrix, schedule: WalkSchedule
 ) -> list[float]:
     """Probability of finding the walker at the origin after each step."""
-    series = []
-    for state in evolve_density(rho, schedule):
-        series.append(position_distribution(state).at_site(0))
-    return series
+    distributions, _ = run_walk(rho, schedule)
+    return [distribution.at_site(0) for distribution in distributions]
 
 
 def bisect_visibility(

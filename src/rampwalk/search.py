@@ -258,7 +258,7 @@ def scan(config: SearchConfig, workers: int = 1) -> list[RevivalCandidate]:
     if workers == 1 or len(rows) <= 1:
         row_results = [_scan_row(row) for row in rows]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(rows))) as pool:
             row_results = list(pool.map(_scan_row, rows))
     merged = [candidate for row in row_results for candidate in row]
     merged.sort(key=lambda c: (c.steps, c.theta, c.omega))

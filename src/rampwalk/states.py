@@ -126,6 +126,9 @@ class WalkerCoinDensityMatrix:
             raise ValueError(f"matrix has negative eigenvalue {lowest:.3e}")
 
 
+WalkerState = WalkerCoinPureState | WalkerCoinDensityMatrix
+
+
 @dataclass(frozen=True)
 class PositionDistribution:
     """Probability of finding the walker at each lattice site."""
@@ -162,21 +165,26 @@ def density_from_pure(state: WalkerCoinPureState) -> WalkerCoinDensityMatrix:
     return WalkerCoinDensityMatrix(state.lattice, np.outer(vec, vec.conj()))
 
 
-def position_distribution(
-    state: WalkerCoinPureState | WalkerCoinDensityMatrix,
-) -> PositionDistribution:
+def position_distribution(state: WalkerState) -> PositionDistribution:
     """Marginal distribution over sites, tracing out the coin."""
     if isinstance(state, WalkerCoinPureState):
-        probs = np.sum(np.abs(state.amplitudes) ** 2, axis=1)
+        return _site_distribution(state.lattice, state.amplitudes, pure=True)
+    return _site_distribution(state.lattice, state.matrix, pure=False)
+
+
+def _site_distribution(
+    lattice: Lattice, raw: NDArray[np.complex128], pure: bool
+) -> PositionDistribution:
+    """Site marginals of raw amplitudes (n, 2) when `pure`, else of a (2n, 2n) density matrix."""
+    if pure:
+        probs = np.sum(np.abs(raw) ** 2, axis=1)
     else:
-        diag = np.real(np.diag(state.matrix))
+        diag = np.real(np.diag(raw))
         probs = diag.reshape(-1, 2).sum(axis=1)
-    return PositionDistribution(state.lattice, probs)
+    return PositionDistribution(lattice, probs)
 
 
-def reduced_coin_state(
-    state: WalkerCoinPureState | WalkerCoinDensityMatrix,
-) -> NDArray[np.complex128]:
+def reduced_coin_state(state: WalkerState) -> NDArray[np.complex128]:
     """2x2 coin density matrix after tracing out the walker position."""
     if isinstance(state, WalkerCoinPureState):
         amps = state.amplitudes
@@ -189,9 +197,7 @@ def reduced_coin_state(
     return rho
 
 
-def reduced_walker_state(
-    state: WalkerCoinPureState | WalkerCoinDensityMatrix,
-) -> NDArray[np.complex128]:
+def reduced_walker_state(state: WalkerState) -> NDArray[np.complex128]:
     """Position density matrix after tracing out the coin."""
     if isinstance(state, WalkerCoinPureState):
         amps = state.amplitudes

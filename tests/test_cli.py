@@ -128,6 +128,12 @@ def test_walk_usage_errors(tmp_path):
     # no output requested
     assert run_cli("walk", "--theta", "0", "--omega", "1/8",
                    "--steps", "2").returncode == 2
+    # an angle too large for a float
+    result = run_cli("walk", "--theta", "1e400", "--omega", "1/8", "--steps", "2",
+                     "--json-out", "-")
+    assert result.returncode == 2
+    assert result.stderr.startswith("rampwalk: error:")
+    assert len(result.stderr.splitlines()) == 1
 
 
 def test_walk_io_error_exit_code(tmp_path):
@@ -214,6 +220,10 @@ def test_search_rejects_odd_step_counts():
     result = run_cli("search", "--steps", "3")
     assert result.returncode == 2
     assert "even" in result.stderr
+    result = run_cli("search", "--theta", "1e400", "--steps", "2")
+    assert result.returncode == 2
+    assert result.stderr.startswith("rampwalk: error:")
+    assert len(result.stderr.splitlines()) == 1
 
 
 def test_search_narrow_window(tmp_path):
@@ -284,3 +294,7 @@ def test_effective_coin_command(tmp_path):
 def test_effective_coin_rejects_odd_steps():
     result = run_cli("effective-coin", "--theta", "0", "--omega", "1/8", "--steps", "3")
     assert result.returncode == 2
+    result = run_cli("effective-coin", "--theta", "0", "--omega", "1e400", "--steps", "2")
+    assert result.returncode == 2
+    assert result.stderr.startswith("rampwalk: error:")
+    assert len(result.stderr.splitlines()) == 1

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rampwalk import evolution
 from rampwalk.coins import StepConvention
 from rampwalk.evolution import (
     BoundaryOverflowError,
@@ -13,11 +15,13 @@ from rampwalk.evolution import (
     evolve_density,
     origin_probability_series,
     propagator_blocks,
+    run_walk,
     step,
 )
 from rampwalk.states import (
     CoinVector,
     Lattice,
+    WalkerCoinDensityMatrix,
     WalkerCoinPureState,
     density_from_pure,
     initial_state,
@@ -281,3 +285,85 @@ def test_bisect_visibility_rejects_unbracketed_target():
         bisect_visibility(sched, start, 0.1)
     with pytest.raises(ValueError):
         bisect_visibility(sched, start, 0.95, lo=0.9, hi=0.8)
+
+
+def assert_same_walk(distributions, final, states):
+    assert len(distributions) == len(states)
+    for distribution, state in zip(distributions, states):
+        assert np.array_equal(
+            distribution.probabilities, position_distribution(state).probabilities
+        )
+    assert type(final) is type(states[-1])
+    if isinstance(final, WalkerCoinPureState):
+        assert np.array_equal(final.amplitudes, states[-1].amplitudes)
+    else:
+        assert np.array_equal(final.matrix, states[-1].matrix)
+
+
+@pytest.mark.parametrize(
+    "sched",
+    [
+        WalkSchedule(math.pi / 4, math.pi / 10, 8),
+        WalkSchedule(0.3, 0.2, 5, StepConvention.ZERO_BASED),
+    ],
+)
+def test_run_walk_matches_evolve_and_evolve_density(sched):
+    start = symmetric_start(sched.steps)
+    rho = density_from_pure(start)
+    # a pure start at visibility 1 takes the pure walk
+    assert_same_walk(*run_walk(start, sched), evolve(start, sched))
+    # below visibility 1 it takes the dephased walk of its density matrix
+    dephased = sched.with_visibility(0.9)
+    assert_same_walk(*run_walk(start, dephased), evolve_density(rho, dephased))
+    # a density start takes the dephased walk at every visibility
+    for visibility in (1.0, 0.9):
+        noisy = sched.with_visibility(visibility)
+        assert_same_walk(*run_walk(rho, noisy), evolve_density(rho, noisy))
+
+
+def test_run_walk_without_steps_returns_start():
+    start = symmetric_start(0)
+    rho = density_from_pure(start)
+    sched = WalkSchedule(0.3, 0.2, 0)
+    distributions, final = run_walk(start, sched)
+    assert distributions == [] and final is start
+    distributions, final = run_walk(rho, sched.with_visibility(0.9))
+    assert distributions == [] and final is rho
+    distributions, final = run_walk(start, sched.with_visibility(0.9))
+    assert distributions == []
+    assert isinstance(final, WalkerCoinDensityMatrix)
+    assert np.array_equal(final.matrix, rho.matrix)
+
+
+def test_run_walk_boundary_overflow_raises_before_any_step(monkeypatch):
+    steps_taken = []
+    kernel = evolution._coin_and_shift
+
+    def counting(coins, amps):
+        steps_taken.append(1)
+        return kernel(coins, amps)
+
+    monkeypatch.setattr(evolution, "_coin_and_shift", counting)
+    start = initial_state(Lattice(-3, 3), CoinVector.symmetric())
+    for visibility in (1.0, 0.9):
+        sched = WalkSchedule(0.3, 0.2, 3, visibility=visibility)
+        for state in (start, density_from_pure(start)):
+            with pytest.raises(BoundaryOverflowError):
+                run_walk(state, sched)
+    assert steps_taken == []
+    run_walk(start, WalkSchedule(0.3, 0.2, 2))
+    assert len(steps_taken) == 2
+
+
+def test_origin_probability_series_memory_does_not_grow_with_trajectory():
+    # keeping all 64 density matrices of this walk takes about 73 MB
+    sched = WalkSchedule(0.0, math.pi / 8, 64, visibility=0.95)
+    start = density_from_pure(symmetric_start(64))
+    tracemalloc.start()
+    try:
+        series = origin_probability_series(start, sched)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(series) == 64
+    assert peak < 16e6

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from rampwalk import search
 from rampwalk.search import (
     CatalogEntry,
     RevivalCandidate,
@@ -128,6 +129,34 @@ def test_scan_worker_count_does_not_change_results():
     assert serial == parallel
     with pytest.raises(ValueError):
         scan(config, workers=0)
+
+
+def test_scan_pool_never_exceeds_row_count(monkeypatch):
+    # the pool forks all of its workers at once, so it is sized to the rows
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+    config = SearchConfig(
+        step_counts=(2, 4),
+        theta_values=(0.0, math.pi / 4),
+        omega_grid=(0.0, math.pi / 2, 401),
+    )
+    assert scan(config, workers=64) == scan(config, workers=1)
+    scan(config, workers=3)
+    assert sizes == [4, 3]
 
 
 def test_reference_catalog_shape():
