@@ -130,6 +130,20 @@ def _is_revival(blocks: NDArray[np.complex128], tol: float) -> bool:
     return float(np.abs(off_origin).max(initial=0.0)) <= tol
 
 
+def _is_complete(
+    blocks: NDArray[np.complex128],
+    revival_tol: float = REVIVAL_TOL,
+    completeness_tol: float = COMPLETENESS_TOL,
+) -> bool:
+    """A revival whose effective coin ``W_T[0]`` is the identity up to a global phase."""
+    steps = blocks.shape[0] // 2
+    return (
+        steps % 2 == 0
+        and _is_revival(blocks, revival_tol)
+        and equal_up_to_global_phase(blocks[steps], np.eye(2), completeness_tol)
+    )
+
+
 def is_revival_operator(schedule: WalkSchedule, tol: float = REVIVAL_TOL) -> bool:
     """True when the T-step walk is identity-on-position times a coin.
 
@@ -191,11 +205,7 @@ def classify(
     even = schedule.steps % 2 == 0
     effective = blocks[schedule.steps].copy() if even else None
     revival = _is_revival(blocks, revival_tol)
-    complete = (
-        revival
-        and effective is not None
-        and equal_up_to_global_phase(effective, np.eye(2), completeness_tol)
-    )
+    complete = _is_complete(blocks, revival_tol, completeness_tol)
 
     coin_rho = reduced_coin_state(final)
     overlap_initial = coin_overlap(coin_rho, initial_coin)

@@ -289,9 +289,10 @@ def _build_parser() -> argparse.ArgumentParser:
     search_p = sub.add_parser("search", help="scan for revival parameters")
     search_p.add_argument("--steps", "--T", dest="steps", default="2,4,6,8",
                           help="comma separated even step counts")
-    search_p.add_argument("--theta", default="0,1/4", help="comma separated bias angles")
-    search_p.add_argument("--omega-min", default="0")
-    search_p.add_argument("--omega-max", default="1/2")
+    search_p.add_argument("--theta", default=None,
+                          help="comma separated bias angles (default 0,1/4)")
+    search_p.add_argument("--omega-min", default=None, help="default 0")
+    search_p.add_argument("--omega-max", default=None, help="default 1/2 (pi/2 radians)")
     search_p.add_argument("--omega-count", type=int, default=4001)
     search_p.add_argument("--max-denominator", type=int, default=64)
     search_p.add_argument("--refine-tol", type=float, default=1e-12)
@@ -350,17 +351,19 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "search":
         step_counts = tuple(int(part) for part in args.steps.split(","))
-        thetas = tuple(
-            _parse_angle(part, args.radians) for part in args.theta.split(",")
-        )
+        defaults = SearchConfig()
+        thetas = defaults.theta_values
+        if args.theta is not None:
+            thetas = tuple(_parse_angle(part, args.radians) for part in args.theta.split(","))
+        omega_min, omega_max, _ = defaults.omega_grid
+        if args.omega_min is not None:
+            omega_min = _parse_angle(args.omega_min, args.radians)
+        if args.omega_max is not None:
+            omega_max = _parse_angle(args.omega_max, args.radians)
         config = SearchConfig(
             step_counts=step_counts,
             theta_values=thetas,
-            omega_grid=(
-                _parse_angle(args.omega_min, args.radians),
-                _parse_angle(args.omega_max, args.radians),
-                args.omega_count,
-            ),
+            omega_grid=(omega_min, omega_max, args.omega_count),
             refine_tol=args.refine_tol,
             rational_max_denominator=args.max_denominator,
             convention=_convention(args),

@@ -2,10 +2,12 @@
 
 For each (steps, theta) pair the scan evaluates the final origin
 probability of a walk started from the symmetric coin state on a dense
-ramp-rate grid, brackets the local minima of ``1 - p0``, refines each
-bracket by golden-section search, snaps the minimizer to a nearby
-rational multiple of pi when one exists, and keeps only parameters
-whose propagator blocks pass the revival check.
+ramp-rate grid, brackets the local minima of ``1 - p0``, refines all
+brackets by golden-section search in lockstep (one batched walk per
+round), snaps each minimizer to a nearby rational multiple of pi when
+one exists, and keeps only parameters whose propagator blocks pass the
+revival check. The batched walk steps only the sites inside the light
+cone of the origin: those the walker can reach and still return from.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .coins import StepConvention, ry
-from .evolution import WalkSchedule, _coin_and_shift
-from .analysis import classify, is_revival_operator
+from .evolution import WalkSchedule, _coin_and_shift, propagator_blocks
+from .analysis import _is_complete, _is_revival
 
 BRACKET_THRESHOLD = 1e-3
 GOLDEN_WIDTH_TOL = 1e-11
@@ -118,20 +120,22 @@ def _final_origin_probability(
 ) -> NDArray[np.float64]:
     """Final origin probability for each ramp rate, evaluated in one batch.
 
-    The walk starts from the symmetric coin at the origin. The lattice
-    carries two guard sites per side, so no amplitude can reach the
-    edges within `steps` steps.
+    The walk starts from the symmetric coin at the origin and moves one
+    site per step, so step k (k = 1..steps) updates only the light cone
+    |x| <= min(k, steps - k + 1). Sites farther out are either still
+    empty or can no longer reach the origin in the steps left, and the
+    window edge, which misses the amplitude flowing in from outside, is
+    never read again. The result for one ramp rate does not depend on
+    the rest of the batch.
     """
     omegas = np.asarray(omegas, dtype=np.float64)
-    reach = steps + 2
-    n = 2 * reach + 1
-    origin = reach
+    origin = (steps + 1) // 2
     bias = ry(theta)
-    amps = np.zeros((omegas.size, n, 2), dtype=np.complex128)
+    amps = np.zeros((omegas.size, 2 * origin + 1, 2), dtype=np.complex128)
     inv = 1.0 / math.sqrt(2.0)
     amps[:, origin, 0] = inv
     amps[:, origin, 1] = 1j * inv
-    for t in convention.step_indices(steps):
+    for k, t in enumerate(convention.step_indices(steps), start=1):
         angles = 2.0 * omegas * t
         c = np.cos(angles)
         s = np.sin(angles)
@@ -140,84 +144,112 @@ def _final_origin_probability(
         ramp[:, 0, 1] = 1j * s
         ramp[:, 1, 0] = 1j * s
         ramp[:, 1, 1] = c
-        amps = _coin_and_shift(ramp @ bias, amps)
+        radius = min(k, steps - k + 1)
+        cone = slice(origin - radius, origin + radius + 1)
+        amps[:, cone] = _coin_and_shift(ramp @ bias, amps[:, cone])
     return np.abs(amps[:, origin, 0]) ** 2 + np.abs(amps[:, origin, 1]) ** 2
 
 
-def _golden_minimize(func, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal function, endpoints included."""
-    evaluated = [(lo, func(lo)), (hi, func(hi))]
-    a, b = lo, hi
+def _golden_minimize(
+    objective: Callable[[NDArray[np.float64]], NDArray[np.float64]],
+    lo: NDArray[np.float64],
+    hi: NDArray[np.float64],
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Golden-section minima of a unimodal objective on brackets [lo[i], hi[i]].
+
+    All brackets advance together, and each round makes one batched
+    call of `objective` on the next point of every bracket still wider
+    than ``GOLDEN_WIDTH_TOL``. A bracket evaluates its endpoints, then
+    its two interior points, then one point per round, and returns the
+    first of its equal minima, so its result does not depend on the
+    other brackets.
+    """
+    a, b = lo.copy(), hi.copy()
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc = func(c)
-    fd = func(d)
-    evaluated.append((c, fc))
-    evaluated.append((d, fd))
-    while (b - a) > GOLDEN_WIDTH_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = func(c)
-            evaluated.append((c, fc))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = func(d)
-            evaluated.append((d, fd))
-    return min(evaluated, key=lambda pair: pair[1])
+    f_lo, f_hi, fc, fd = np.split(objective(np.concatenate([a, b, c, d])), 4)
+    best_x, best_f = a.copy(), f_lo.copy()
+
+    def keep(x: NDArray[np.float64], fx: NDArray[np.float64]) -> None:
+        # strictly lower only, so the first of equal minima stays
+        better = fx < best_f
+        best_x[better] = x[better]
+        best_f[better] = fx[better]
+
+    keep(b, f_hi)
+    keep(c, fc)
+    keep(d, fd)
+    active = (b - a) > GOLDEN_WIDTH_TOL
+    while active.any():
+        left = active & (fc < fd)
+        right = active & ~left
+        b[left], d[left], fd[left] = d[left], c[left], fc[left]
+        c[left] = b[left] - _INV_PHI * (b[left] - a[left])
+        a[right], c[right], fc[right] = c[right], d[right], fd[right]
+        d[right] = a[right] + _INV_PHI * (b[right] - a[right])
+        x = np.where(left, c, d)
+        fx = np.full(a.size, np.nan)
+        fx[active] = objective(x[active])
+        fc[left] = fx[left]
+        fd[right] = fx[right]
+        keep(x, fx)  # NaN where closed, which never wins
+        active &= (b - a) > GOLDEN_WIDTH_TOL
+    return best_x, best_f
 
 
 def _scan_row(args: tuple) -> list[RevivalCandidate]:
     steps, theta, omega_grid, refine_tol, max_denominator, convention = args
     lo, hi, count = omega_grid
     grid = np.linspace(lo, hi, count)
-    residuals = 1.0 - _final_origin_probability(steps, theta, grid, convention)
 
-    def objective(omega: float) -> float:
-        value = _final_origin_probability(
-            steps, theta, np.array([omega]), convention
-        )[0]
-        return float(1.0 - value)
+    def objective(omegas: NDArray[np.float64]) -> NDArray[np.float64]:
+        return 1.0 - _final_origin_probability(steps, theta, omegas, convention)
+
+    residuals = objective(grid)
+    # local minima of the grid residual below the bracketing threshold
+    is_minimum = ~(residuals >= BRACKET_THRESHOLD)
+    is_minimum[1:] &= ~(residuals[1:] > residuals[:-1])
+    is_minimum[:-1] &= ~(residuals[:-1] > residuals[1:])
+    minima = np.flatnonzero(is_minimum)
+    omegas, refined = _golden_minimize(
+        objective,
+        grid[np.maximum(minima - 1, 0)],
+        grid[np.minimum(minima + 1, count - 1)],
+    )
+    # The golden point can sit a few nanoradians off an exact minimum
+    # because the objective bottoms out at machine noise there, so a
+    # nearby rational that itself meets the acceptance bar wins
+    # unconditionally.
+    rationals = [rationalize(float(omega), max_denominator) for omega in omegas]
+    snapped = {
+        i: math.pi * rational[0] / rational[1]
+        for i, rational in enumerate(rationals)
+        if rational is not None
+    }
+    inside = [i for i, omega in snapped.items() if lo <= omega <= hi]
+    snapped_residuals = objective(np.array([snapped[i] for i in inside]))
+    snapped_residual = dict(zip(inside, snapped_residuals.tolist()))
 
     found: list[RevivalCandidate] = []
-    for i in range(count):
-        if residuals[i] >= BRACKET_THRESHOLD:
-            continue
-        if i > 0 and residuals[i] > residuals[i - 1]:
-            continue
-        if i < count - 1 and residuals[i] > residuals[i + 1]:
-            continue
-        bracket_lo = grid[max(i - 1, 0)]
-        bracket_hi = grid[min(i + 1, count - 1)]
-        omega_best, residual_best = _golden_minimize(objective, bracket_lo, bracket_hi)
-        # The golden point can sit a few nanoradians off an exact minimum
-        # because the objective bottoms out at machine noise there, so a
-        # nearby rational that itself meets the acceptance bar wins
-        # unconditionally.
-        rational = rationalize(omega_best, max_denominator)
+    for i, rational in enumerate(rationals):
+        omega_best, residual_best = float(omegas[i]), float(refined[i])
         if rational is not None:
-            snapped = math.pi * rational[0] / rational[1]
-            residual_snapped = (
-                objective(snapped) if lo <= snapped <= hi else math.inf
-            )
-            if residual_snapped <= refine_tol:
-                omega_best, residual_best = snapped, residual_snapped
+            if snapped_residual.get(i, math.inf) <= refine_tol:
+                omega_best, residual_best = snapped[i], snapped_residual[i]
             else:
                 rational = None
         if residual_best > refine_tol:
             continue
-        schedule = WalkSchedule(theta, omega_best, steps, convention)
-        if not is_revival_operator(schedule, tol=OPERATOR_ACCEPT_TOL):
+        blocks = propagator_blocks(WalkSchedule(theta, omega_best, steps, convention))
+        if not _is_revival(blocks, OPERATOR_ACCEPT_TOL):
             continue
-        complete = classify(schedule).is_complete
         found.append(
             RevivalCandidate(
                 steps=steps,
                 theta=theta,
                 omega=omega_best,
                 omega_rational=rational,
-                complete=complete,
+                complete=_is_complete(blocks),
                 residual=residual_best,
             )
         )

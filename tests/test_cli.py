@@ -226,6 +226,17 @@ def test_search_rejects_odd_step_counts():
     assert len(result.stderr.splitlines()) == 1
 
 
+def test_search_radians_keeps_the_default_domain(tmp_path):
+    by_fraction = tmp_path / "fraction.json"
+    by_radians = tmp_path / "radians.json"
+    for args in (("--steps", "2", "--theta", "0"), ("--steps", "2")):
+        result = run_cli("search", *args, "--json-out", str(by_fraction))
+        assert result.returncode == 0, result.stderr
+        result = run_cli("search", "--radians", *args, "--json-out", str(by_radians))
+        assert result.returncode == 0, result.stderr
+        assert read_json(by_radians) == read_json(by_fraction)
+
+
 def test_search_narrow_window(tmp_path):
     out = tmp_path / "narrow.json"
     result = run_cli(

@@ -1,9 +1,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import oracles
 from rampwalk import search
+from rampwalk.coins import StepConvention
 from rampwalk.search import (
     CatalogEntry,
     RevivalCandidate,
@@ -82,6 +85,101 @@ def test_angle_fraction():
     assert angle_fraction(math.pi / 4) == Fraction(1, 4)
     assert angle_fraction(0.0) == Fraction(0)
     assert angle_fraction(0.3) is None
+
+
+@pytest.mark.parametrize("convention", list(StepConvention))
+@pytest.mark.parametrize("theta", [0.0, math.pi / 4, 0.37])
+@pytest.mark.parametrize("steps", [2, 8, 16, 24])
+def test_final_origin_probability_does_not_depend_on_the_batch(steps, theta, convention):
+    # the lockstep refinement batches unrelated ramp rates into one call
+    omegas = np.concatenate([np.linspace(0.0, math.pi / 2, 17), [0.1234, 1.0e-3, 1.4]])
+    batch = search._final_origin_probability(steps, theta, omegas, convention)
+    alone = [
+        search._final_origin_probability(steps, theta, np.array([omega]), convention)[0]
+        for omega in omegas
+    ]
+    assert np.array_equal(batch, alone)
+
+
+@pytest.mark.parametrize("convention", list(StepConvention))
+@pytest.mark.parametrize("steps", range(1, 11))
+def test_final_origin_probability_matches_dict_oracle(steps, convention):
+    # odd steps and both parities of the light-cone radius min(k, T - k + 1)
+    omegas = np.array([0.0, math.pi / 8, math.pi / 10, 0.3, 1.1])
+    one_based = convention is StepConvention.ONE_BASED
+    for theta in (0.0, math.pi / 4, 0.37):
+        got = search._final_origin_probability(steps, theta, omegas, convention)
+        for omega, p0 in zip(omegas, got):
+            expected = oracles.p0_series(theta, float(omega), steps, one_based=one_based)[-1]
+            assert abs(p0 - expected) <= 1e-12
+
+
+def test_golden_minimize_refines_brackets_in_lockstep():
+    # distance to the nearest multiple of 1/8: minima at k/8, exact in binary
+    calls = []
+
+    def objective(x):
+        calls.append(x.size)
+        return np.abs(x - np.round(x * 8.0) / 8.0)
+
+    step = 0.01
+    minima = np.array([0.0, 0.125, 0.25, 0.375, 0.5])
+    lo = np.array([0.0, 0.125 - 0.007, 0.25 - 2 * step + 1e-3, 0.375 - step, 0.5 - step])
+    hi = np.array([step, 0.125 + 0.013, 0.25 + 1e-3, 0.375 + step, 0.5])
+    x, f = search._golden_minimize(objective, lo, hi)
+    assert np.all(np.abs(x - minima) <= search.GOLDEN_WIDTH_TOL)
+    assert np.all(f <= search.GOLDEN_WIDTH_TOL)
+    rounds = len(calls)
+    longest = 0
+    for i in range(minima.size):
+        calls.clear()
+        x_alone, f_alone = search._golden_minimize(objective, lo[i : i + 1], hi[i : i + 1])
+        assert (x_alone[0], f_alone[0]) == (x[i], f[i])
+        longest = max(longest, len(calls))
+    # one batched call per round, however many brackets share it
+    assert rounds == longest
+    x_none, f_none = search._golden_minimize(objective, np.array([]), np.array([]))
+    assert x_none.size == f_none.size == 0
+
+
+def test_golden_minimize_keeps_the_first_of_equal_minima():
+    # constant objective: the lower endpoint is evaluated first and wins
+    x, f = search._golden_minimize(
+        lambda x: np.zeros_like(x), np.array([0.2, 0.7]), np.array([0.3, 0.8])
+    )
+    assert x.tolist() == [0.2, 0.7]
+    assert f.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "theta, expected",
+    [
+        (
+            0.0,
+            [
+                ((1, 36), False), ((1, 16), True), ((1, 12), False), ((1, 8), True),
+                ((5, 36), False), ((3, 16), True), ((7, 36), False), ((1, 4), True),
+                ((11, 36), False), ((5, 16), True), ((13, 36), False), ((3, 8), True),
+                ((5, 12), False), ((7, 16), True), ((17, 36), False),
+            ],
+        ),
+        (
+            math.pi / 4,
+            [
+                ((0, 1), True), ((1, 18), False), ((1, 16), True), ((1, 9), False),
+                ((1, 8), True), ((1, 6), False), ((3, 16), True), ((2, 9), False),
+                ((1, 4), True), ((5, 18), False), ((5, 16), True), ((1, 3), False),
+                ((3, 8), True), ((7, 18), False), ((7, 16), True), ((4, 9), False),
+                ((1, 2), True),
+            ],
+        ),
+    ],
+)
+def test_scan_at_sixteen_steps(theta, expected):
+    # beyond the T <= 8 catalog, whose walks never open a light cone this wide
+    config = SearchConfig(step_counts=(16,), theta_values=(theta,))
+    found = [(c.omega_rational, c.complete) for c in scan(config)]
+    assert found == expected
 
 
 def test_scan_single_row_without_bias():
