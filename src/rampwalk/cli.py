@@ -412,6 +412,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, ZeroDivisionError, json.JSONDecodeError) as exc:
         print(f"rampwalk: error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"rampwalk: error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -17,7 +17,11 @@ schedule visibility:
     rho -> (1 + v)/2 * rho + (1 - v)/2 * (I x Z) rho (I x Z)
 
 with Z diagonal on the coin. Visibility 1 reproduces unitary evolution;
-visibility 0 removes all coin coherence after every step.
+visibility 0 removes all coin coherence after every step. Step k of a
+dephased walk updates only the block of rho on the sites within k of
+the start's exact non-zero support (its forward light cone); a
+thresholded support would drop tiny entries that the full-lattice walk
+keeps, and the result would no longer match that walk bit for bit.
 :func:`run_walk` returns only the distribution after each step and the
 final state, so it keeps no trajectory.
 """
@@ -182,6 +186,15 @@ def _trajectory(start: WalkerState, schedule: WalkSchedule) -> Iterator[NDArray[
 
     The boundary check runs before the first step, even with no steps.
     A pure start ignores the schedule visibility.
+
+    A density start is stepped only inside its forward light cone: step
+    k updates the block of rho on the sites within k of the start's
+    support, clipped to the lattice, and places it in a zeroed
+    full-size matrix. Outside the block the full-lattice walk is
+    exactly zero, and inside it computes the same products in the same
+    order, so the result is bit-identical. The support is exact (every
+    site with a non-zero entry in its rows or columns), not thresholded
+    as in :func:`_check_reach`, whose cut would drop tiny entries.
     """
     lattice = start.lattice
     _check_reach(lattice, position_distribution(start).probabilities, schedule.steps)
@@ -192,19 +205,24 @@ def _trajectory(start: WalkerState, schedule: WalkSchedule) -> Iterator[NDArray[
             yield amps[0]
         return
     n = lattice.size
-    dim = 2 * n
     v = schedule.visibility
     signs = np.tile(np.array([1.0, -1.0]), n)
     dephase_mask = np.outer(signs, signs)
     matrix = start.matrix
-    for t in schedule.step_indices():
+    rows, cols = np.nonzero(matrix)
+    occupied = np.concatenate((rows, cols)) // 2
+    lo, hi = int(occupied.min()), int(occupied.max())
+    for k, t in enumerate(schedule.step_indices(), start=1):
+        w = slice(2 * max(lo - k, 0), 2 * min(hi + k + 1, n))
+        dim = w.stop - w.start
         coins = np.broadcast_to(schedule.coin(t), (dim, 2, 2))
         # Each row of a batch is one column stepped by U. `half` is
         # (U rho^dagger)^T; the rows of conj(half).T are the columns of
         # rho U^dagger, and stepping them gives the columns of U rho U^dagger.
-        half = _coin_and_shift(coins, matrix.conj().reshape(dim, n, 2)).reshape(dim, dim)
-        matrix = _coin_and_shift(coins, half.conj().T.reshape(dim, n, 2)).reshape(dim, dim).T
-        matrix = 0.5 * (1.0 + v) * matrix + 0.5 * (1.0 - v) * (dephase_mask * matrix)
+        half = _coin_and_shift(coins, matrix[w, w].conj().reshape(dim, -1, 2)).reshape(dim, dim)
+        block = _coin_and_shift(coins, half.conj().T.reshape(dim, -1, 2)).reshape(dim, dim).T
+        matrix = np.zeros_like(start.matrix)
+        matrix[w, w] = 0.5 * (1.0 + v) * block + 0.5 * (1.0 - v) * (dephase_mask[w, w] * block)
         yield matrix
 
 

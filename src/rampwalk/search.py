@@ -105,10 +105,21 @@ def rationalize(
         raise ValueError(f"omega {omega!r} outside [0, pi/2]")
     if max_denominator < 2:
         raise ValueError(f"max_denominator must be at least 2, got {max_denominator}")
-    ratio = omega / math.pi
+    frac = angle_fraction(omega, max_denominator, tol)
+    return None if frac is None else (frac.numerator, frac.denominator)
+
+
+def angle_fraction(
+    value: float, max_denominator: int = 360, tol: float = 1e-9
+) -> Fraction | None:
+    """Best fraction of pi for an angle with denominator <= max_denominator.
+
+    Returns None when no such fraction lies within tol of value / pi.
+    """
+    ratio = value / math.pi
     frac = Fraction(ratio).limit_denominator(max_denominator)
     if abs(ratio - float(frac)) <= tol:
-        return frac.numerator, frac.denominator
+        return frac
     return None
 
 
@@ -353,15 +364,6 @@ def json_records(text: str, field: str, parse: Callable[[dict], _Record]) -> lis
         return [parse(raw) for raw in records]
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed {field!r} record: {exc}") from exc
-
-
-def angle_fraction(value: float, max_denominator: int = 360) -> Fraction | None:
-    """Exact fraction of pi for an angle, or None if it is not one."""
-    ratio = value / math.pi
-    frac = Fraction(ratio).limit_denominator(max_denominator)
-    if abs(ratio - float(frac)) <= 1e-9:
-        return frac
-    return None
 
 
 @dataclass(frozen=True)

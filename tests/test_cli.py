@@ -128,12 +128,15 @@ def test_walk_usage_errors(tmp_path):
     # no output requested
     assert run_cli("walk", "--theta", "0", "--omega", "1/8",
                    "--steps", "2").returncode == 2
-    # an angle too large for a float
-    result = run_cli("walk", "--theta", "1e400", "--omega", "1/8", "--steps", "2",
-                     "--json-out", "-")
-    assert result.returncode == 2
-    assert result.stderr.startswith("rampwalk: error:")
-    assert len(result.stderr.splitlines()) == 1
+    # an angle too large for a float, and a walk too large for memory
+    for args in (
+        ("--theta", "1e400", "--omega", "1/8", "--steps", "2"),
+        ("--theta", "0", "--omega", "1/8", "--steps", "1000000000000000"),
+    ):
+        result = run_cli("walk", *args, "--json-out", "-")
+        assert result.returncode == 2
+        assert result.stderr.startswith("rampwalk: error:")
+        assert len(result.stderr.splitlines()) == 1
 
 
 def test_walk_io_error_exit_code(tmp_path):
@@ -220,10 +223,16 @@ def test_search_rejects_odd_step_counts():
     result = run_cli("search", "--steps", "3")
     assert result.returncode == 2
     assert "even" in result.stderr
-    result = run_cli("search", "--theta", "1e400", "--steps", "2")
-    assert result.returncode == 2
-    assert result.stderr.startswith("rampwalk: error:")
-    assert len(result.stderr.splitlines()) == 1
+    # an angle too large for a float, and scans too large for memory
+    for args in (
+        ("--theta", "1e400", "--steps", "2"),
+        ("--steps", "1000000000000000", "--theta", "0", "--omega-count", "2"),
+        ("--steps", "2", "--theta", "0", "--omega-count", "1000000000000000"),
+    ):
+        result = run_cli("search", *args)
+        assert result.returncode == 2
+        assert result.stderr.startswith("rampwalk: error:")
+        assert len(result.stderr.splitlines()) == 1
 
 
 def test_search_radians_keeps_the_default_domain(tmp_path):
@@ -279,6 +288,14 @@ def test_noise_sweep_usage_error():
         "--visibilities", "1.2",
     )
     assert result.returncode == 2
+    # a walk too large for memory
+    result = run_cli(
+        "noise-sweep", "--theta", "0", "--omega", "1/8", "--steps", "1000000000000000",
+        "--visibilities", "1",
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("rampwalk: error:")
+    assert len(result.stderr.splitlines()) == 1
 
 
 def test_effective_coin_command(tmp_path):

@@ -367,3 +367,91 @@ def test_origin_probability_series_memory_does_not_grow_with_trajectory():
         tracemalloc.stop()
     assert len(series) == 64
     assert peak < 16e6
+
+
+def full_lattice_density_walk(rho, schedule):
+    """The dephased walk stepped on all of rho, which the light cone must match bit for bit."""
+    n = rho.lattice.size
+    dim = 2 * n
+    v = schedule.visibility
+    signs = np.tile(np.array([1.0, -1.0]), n)
+    dephase_mask = np.outer(signs, signs)
+    matrix = rho.matrix
+    for t in schedule.step_indices():
+        coins = np.broadcast_to(schedule.coin(t), (dim, 2, 2))
+        half = evolution._coin_and_shift(coins, matrix.conj().reshape(dim, n, 2)).reshape(dim, dim)
+        matrix = evolution._coin_and_shift(coins, half.conj().T.reshape(dim, n, 2)).reshape(dim, dim).T
+        matrix = 0.5 * (1.0 + v) * matrix + 0.5 * (1.0 - v) * (dephase_mask * matrix)
+        yield matrix
+
+
+def mixture(lattice, components):
+    """Density matrix sum_i w_i |site_i, coin_i><site_i, coin_i| from (w, site, coin) triples."""
+    matrix = np.zeros((2 * lattice.size, 2 * lattice.size), dtype=np.complex128)
+    for weight, site, coin in components:
+        vec = np.zeros((lattice.size, 2), dtype=np.complex128)
+        vec[lattice.index(site)] = coin
+        matrix += weight * np.outer(vec.reshape(-1), vec.reshape(-1).conj())
+    return matrix
+
+
+def window_parity_starts(steps):
+    symmetric = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
+    origin = density_from_pure(symmetric_start(steps))
+    wide = Lattice(-steps - 6, steps + 6)
+    off_centre = WalkerCoinDensityMatrix(
+        wide, mixture(wide, [(0.7, -3, (1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0))),
+                             (0.3, 2, (0.6, 0.8))])
+    )
+    # lowest - steps and highest + steps sit one site inside the lattice
+    tight = Lattice(-steps - 3, steps + 5)
+    at_limit = WalkerCoinDensityMatrix(
+        tight, mixture(tight, [(0.5, -2, symmetric), (0.5, 4, (0.0, 1.0))])
+    )
+    # 1e-16 populations next to both edges, and their coherences, lie outside
+    # the support that _check_reach thresholds at 1e-14
+    lattice = origin.lattice
+    tiny = origin.matrix.copy()
+    low = 2 * lattice.index(lattice.min_site + 1) + 1
+    high = 2 * lattice.index(lattice.max_site - 1)
+    near = 2 * lattice.index(0)
+    for i, j in ((low, low), (high, high), (near, high), (low, high)):
+        tiny[i, j] = tiny[j, i] = 1e-16
+    return {
+        "origin": origin,
+        "off_centre": off_centre,
+        "at_limit": at_limit,
+        "tiny": WalkerCoinDensityMatrix(lattice, tiny),
+    }
+
+
+@pytest.mark.parametrize("name", ["origin", "off_centre", "at_limit", "tiny"])
+@pytest.mark.parametrize("convention", list(StepConvention))
+@pytest.mark.parametrize("visibility", [0.0, 0.5, 1.0])
+def test_light_cone_density_walk_matches_full_lattice(name, convention, visibility):
+    steps = 6
+    start = window_parity_starts(steps)[name]
+    sched = WalkSchedule(0.3, 0.2, steps, convention, visibility)
+    expected = list(full_lattice_density_walk(start, sched))
+    states = evolve_density(start, sched)
+    assert len(states) == len(expected) == steps
+    for state, matrix in zip(states, expected):
+        assert np.array_equal(state.matrix, matrix)
+    if name == "at_limit":
+        with pytest.raises(BoundaryOverflowError):
+            evolve_density(start, WalkSchedule(0.3, 0.2, steps + 1, convention, visibility))
+
+
+def test_density_walk_steps_only_the_light_cone(monkeypatch):
+    batches = []
+    kernel = evolution._coin_and_shift
+
+    def recording(coins, amps):
+        batches.append(amps.shape[0])
+        return kernel(coins, amps)
+
+    monkeypatch.setattr(evolution, "_coin_and_shift", recording)
+    steps = 12
+    start = density_from_pure(symmetric_start(steps))
+    run_walk(start, WalkSchedule(0.3, 0.2, steps, visibility=0.9))
+    assert batches == [2 * (2 * k + 1) for k in range(1, steps + 1) for _ in range(2)]

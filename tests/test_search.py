@@ -85,6 +85,9 @@ def test_angle_fraction():
     assert angle_fraction(math.pi / 4) == Fraction(1, 4)
     assert angle_fraction(0.0) == Fraction(0)
     assert angle_fraction(0.3) is None
+    assert angle_fraction(math.pi / 8 + 1e-8) is None
+    assert angle_fraction(math.pi / 8 + 1e-8, tol=1e-7) == Fraction(1, 8)
+    assert angle_fraction(math.pi / 100, 64) is None
 
 
 @pytest.mark.parametrize("convention", list(StepConvention))
