@@ -1,49 +1,36 @@
 #!/usr/bin/env python3
 """Rediscover the revival catalog by direct numerical search.
 
-Runs the grid scan over walk lengths 2 to 8 and both bias angles,
+Runs the default grid scan (walk lengths 2 to 8, both bias angles),
 prints every accepted ramp rate with its completeness marker, and
-diffs the result against the catalog bundled with the package.
+diffs the result against the catalog bundled with the package. Takes
+no options; for other domains run `rampwalk search`, then
+`rampwalk verify-table` on its output.
 """
 
 import argparse
 import json
-import math
 import sys
 import time
 from fractions import Fraction
 
-from rampwalk.search import SearchConfig, scan, verify_table
+from rampwalk.search import SearchConfig, angle_fraction, scan, verify_table
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--omega-count", type=int, default=4001,
-                        help="grid points on [0, pi/2]")
-    parser.add_argument("--max-denominator", type=int, default=64)
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--json-out", default=None,
-                        help="also dump the candidate list to this path")
-    args = parser.parse_args()
-
-    config = SearchConfig(
-        omega_grid=(0.0, math.pi / 2, args.omega_count),
-        rational_max_denominator=args.max_denominator,
-    )
+    argparse.ArgumentParser(description=__doc__).parse_args()
     started = time.perf_counter()
-    candidates = scan(config, workers=args.workers)
+    candidates = scan(SearchConfig())
     elapsed = time.perf_counter() - started
 
     current_row = None
     for candidate in candidates:
         row = (candidate.steps, candidate.theta)
         if row != current_row:
-            theta_pi = Fraction(candidate.theta / math.pi).limit_denominator(64)
-            print(f"\nT = {candidate.steps}, theta = {theta_pi} pi")
+            print(f"\nT = {candidate.steps}, theta = {angle_fraction(candidate.theta)} pi")
             current_row = row
         if candidate.omega_rational is not None:
-            p, q = candidate.omega_rational
-            omega_text = f"{Fraction(p, q)} pi"
+            omega_text = f"{Fraction(*candidate.omega_rational)} pi"
         else:
             omega_text = f"{candidate.omega:.12f} rad"
         marker = "complete" if candidate.complete else "incomplete"
@@ -54,16 +41,6 @@ def main() -> int:
     print("catalog match:", "exact" if diff.ok else "MISMATCH")
     if not diff.ok:
         print(json.dumps(diff.to_dict(), indent=2, sort_keys=True))
-
-    if args.json_out:
-        from rampwalk.cli import _candidate_doc
-
-        doc = {"candidates": [_candidate_doc(c) for c in candidates]}
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print("candidates written to", args.json_out)
-
     return 0 if diff.ok else 1
 
 

@@ -31,7 +31,6 @@ from .states import (
 )
 
 REVIVAL_TOL = 1e-10
-COMPLETENESS_TOL = 1e-8
 MAX_STRING_STEPS = 20
 PREDICTED_STATE_NORM_TOL = 1e-12
 
@@ -130,17 +129,13 @@ def _is_revival(blocks: NDArray[np.complex128], tol: float) -> bool:
     return float(np.abs(off_origin).max(initial=0.0)) <= tol
 
 
-def _is_complete(
-    blocks: NDArray[np.complex128],
-    revival_tol: float = REVIVAL_TOL,
-    completeness_tol: float = COMPLETENESS_TOL,
-) -> bool:
+def _is_complete(blocks: NDArray[np.complex128]) -> bool:
     """A revival whose effective coin ``W_T[0]`` is the identity up to a global phase."""
     steps = blocks.shape[0] // 2
     return (
         steps % 2 == 0
-        and _is_revival(blocks, revival_tol)
-        and equal_up_to_global_phase(blocks[steps], np.eye(2), completeness_tol)
+        and _is_revival(blocks, REVIVAL_TOL)
+        and equal_up_to_global_phase(blocks[steps], np.eye(2))
     )
 
 
@@ -177,20 +172,16 @@ class RevivalReport:
     overlap_predicted: float
 
 
-def classify(
-    schedule: WalkSchedule,
-    initial_coin: CoinVector | None = None,
-    revival_tol: float = REVIVAL_TOL,
-    completeness_tol: float = COMPLETENESS_TOL,
-) -> RevivalReport:
-    """Run the walk and assemble the full revival diagnosis.
+def classify(schedule: WalkSchedule) -> RevivalReport:
+    """Walk from the symmetric coin at the origin and assemble the revival diagnosis.
 
     State-dependent quantities follow the schedule visibility (pure
     evolution at visibility 1, dephased otherwise); the revival and
-    completeness verdicts always refer to the noiseless operator.
+    completeness verdicts always refer to the noiseless operator, at
+    ``REVIVAL_TOL`` and the default tolerance of
+    :func:`equal_up_to_global_phase`.
     """
-    if initial_coin is None:
-        initial_coin = CoinVector.symmetric()
+    initial_coin = CoinVector.symmetric()
     lattice = Lattice.for_steps(schedule.steps)
     start = initial_state(lattice, initial_coin)
     start_distribution = position_distribution(start)
@@ -204,8 +195,8 @@ def classify(
     blocks = propagator_blocks(schedule)
     even = schedule.steps % 2 == 0
     effective = blocks[schedule.steps].copy() if even else None
-    revival = _is_revival(blocks, revival_tol)
-    complete = _is_complete(blocks, revival_tol, completeness_tol)
+    revival = _is_revival(blocks, REVIVAL_TOL)
+    complete = _is_complete(blocks)
 
     coin_rho = reduced_coin_state(final)
     overlap_initial = coin_overlap(coin_rho, initial_coin)

@@ -48,7 +48,7 @@ from .states import (
 def _parse_angle(text: str, radians: bool) -> float:
     try:
         value = float(text) if radians else float(Fraction(text)) * math.pi
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         value = math.inf
     if not math.isfinite(value):
         raise ValueError(f"angle {text!r} is not a finite number")
@@ -58,6 +58,15 @@ def _parse_angle(text: str, radians: bool) -> float:
 def _angle_doc(value: float) -> dict:
     frac = angle_fraction(value)
     return {"radians": float(value), "of_pi": str(frac) if frac is not None else None}
+
+
+def _schedule_doc(schedule: WalkSchedule) -> dict:
+    return {
+        "theta": _angle_doc(schedule.theta),
+        "omega": _angle_doc(schedule.omega),
+        "steps": int(schedule.steps),
+        "convention": schedule.convention.value,
+    }
 
 
 def _complex_doc(value: complex) -> dict:
@@ -104,13 +113,7 @@ def cmd_walk(
 
     if json_out is not None:
         doc = {
-            "schedule": {
-                "theta": _angle_doc(schedule.theta),
-                "omega": _angle_doc(schedule.omega),
-                "steps": schedule.steps,
-                "visibility": float(schedule.visibility),
-                "convention": schedule.convention.value,
-            },
+            "schedule": {**_schedule_doc(schedule), "visibility": float(schedule.visibility)},
             "sites": [int(site) for site in lattice.sites()],
             "probabilities": [
                 [float(p) for p in dist.probabilities] for dist in distributions
@@ -124,9 +127,9 @@ def cmd_walk(
     return 0
 
 
-def cmd_search(config: SearchConfig, workers: int = 1, json_out: str | None = "-") -> int:
+def cmd_search(config: SearchConfig, json_out: str | None = "-") -> int:
     """Scan for revivals and emit the candidate list as JSON."""
-    candidates = scan(config, workers=workers)
+    candidates = scan(config)
     lo, hi, count = config.omega_grid
     doc = {
         "config": {
@@ -198,20 +201,16 @@ def cmd_verify_table(
 
 
 def cmd_noise_sweep(
-    theta: float,
-    omega: float,
-    steps: int,
+    schedule: WalkSchedule,
     visibilities: list[float],
     target_p0: float | None = None,
     json_out: str | None = "-",
-    convention: StepConvention = StepConvention.ONE_BASED,
 ) -> int:
     """Evaluate the walk under coin dephasing at several visibilities."""
-    lattice = Lattice.for_steps(steps)
+    lattice = Lattice.for_steps(schedule.steps)
     start_coin = CoinVector.symmetric()
     start = density_from_pure(initial_state(lattice, start_coin))
     start_distribution = position_distribution(start)
-    schedule = WalkSchedule(theta=theta, omega=omega, steps=steps, convention=convention)
     rows = []
     for visibility in visibilities:
         _, final = run_walk(start, schedule.with_visibility(visibility))
@@ -225,13 +224,7 @@ def cmd_noise_sweep(
                 "overlap_initial": overlap,
             }
         )
-    doc: dict = {
-        "theta": _angle_doc(theta),
-        "omega": _angle_doc(omega),
-        "steps": int(steps),
-        "convention": convention.value,
-        "rows": rows,
-    }
+    doc = {**_schedule_doc(schedule), "rows": rows}
     if target_p0 is not None:
         visibility, achieved = bisect_visibility(schedule, start, target_p0)
         doc["calibration"] = {
@@ -243,23 +236,13 @@ def cmd_noise_sweep(
     return 0
 
 
-def cmd_effective_coin(
-    theta: float,
-    omega: float,
-    steps: int,
-    json_out: str | None = "-",
-    convention: StepConvention = StepConvention.ONE_BASED,
-) -> int:
+def cmd_effective_coin(schedule: WalkSchedule, json_out: str | None = "-") -> int:
     """Compute the effective coin by both constructions and compare them."""
-    schedule = WalkSchedule(theta=theta, omega=omega, steps=steps, convention=convention)
     from_strings = effective_coin_balanced_strings(schedule)
     from_operator = effective_coin_from_operator(schedule)
     difference = float(np.max(np.abs(from_strings - from_operator)))
     doc = {
-        "theta": _angle_doc(theta),
-        "omega": _angle_doc(omega),
-        "steps": int(steps),
-        "convention": convention.value,
+        **_schedule_doc(schedule),
         "balanced_strings": _matrix_doc(from_strings),
         "operator_block": _matrix_doc(from_operator),
         "max_abs_difference": difference,
@@ -276,13 +259,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    walk = sub.add_parser("walk", help="run one walk and write distributions")
-    walk.add_argument("--theta", required=True, help="bias angle (fraction of pi)")
-    walk.add_argument("--omega", required=True, help="ramp rate (fraction of pi)")
-    walk.add_argument("--steps", "--T", dest="steps", type=int, required=True)
+    schedule = argparse.ArgumentParser(add_help=False)
+    schedule.add_argument("--theta", required=True, help="bias angle (fraction of pi)")
+    schedule.add_argument("--omega", required=True, help="ramp rate (fraction of pi)")
+    schedule.add_argument("--steps", "--T", dest="steps", type=int, required=True)
+    schedule.add_argument("--zero-based", action="store_true", help="ramp steps from t = 0")
+    schedule.add_argument("--radians", action="store_true", help="angles are raw radians")
+
+    walk = sub.add_parser("walk", parents=[schedule], help="run one walk and write distributions")
     walk.add_argument("--visibility", type=float, default=1.0)
-    walk.add_argument("--zero-based", action="store_true", help="ramp steps from t = 0")
-    walk.add_argument("--radians", action="store_true", help="angles are raw radians")
     walk.add_argument("--csv-out", default=None, help="CSV path or - for stdout")
     walk.add_argument("--json-out", default=None, help="JSON path or - for stdout")
 
@@ -296,7 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
     search_p.add_argument("--omega-count", type=int, default=4001)
     search_p.add_argument("--max-denominator", type=int, default=64)
     search_p.add_argument("--refine-tol", type=float, default=1e-12)
-    search_p.add_argument("--workers", type=int, default=1)
     search_p.add_argument("--zero-based", action="store_true")
     search_p.add_argument("--radians", action="store_true")
     search_p.add_argument("--json-out", default="-")
@@ -306,48 +290,44 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--catalog", default=None, help="override the bundled catalog")
     verify.add_argument("--json-out", default="-")
 
-    noise = sub.add_parser("noise-sweep", help="walk under coin dephasing")
-    noise.add_argument("--theta", required=True)
-    noise.add_argument("--omega", required=True)
-    noise.add_argument("--steps", "--T", dest="steps", type=int, required=True)
+    noise = sub.add_parser("noise-sweep", parents=[schedule], help="walk under coin dephasing")
     noise.add_argument("--visibilities", default="1,0.996,0.99,0.95,0.9")
     noise.add_argument("--target-p0", type=float, default=None,
                        help="calibrate visibility to this final origin probability")
-    noise.add_argument("--zero-based", action="store_true")
-    noise.add_argument("--radians", action="store_true")
     noise.add_argument("--json-out", default="-")
 
-    effective = sub.add_parser("effective-coin", help="effective coin, both constructions")
-    effective.add_argument("--theta", required=True)
-    effective.add_argument("--omega", required=True)
-    effective.add_argument("--steps", "--T", dest="steps", type=int, required=True)
-    effective.add_argument("--zero-based", action="store_true")
-    effective.add_argument("--radians", action="store_true")
+    effective = sub.add_parser(
+        "effective-coin", parents=[schedule], help="effective coin, both constructions"
+    )
     effective.add_argument("--json-out", default="-")
 
     return parser
 
 
 def _convention(args: argparse.Namespace) -> StepConvention:
-    if getattr(args, "zero_based", False):
+    if args.zero_based:
         return StepConvention.ZERO_BASED
     return StepConvention.ONE_BASED
 
 
+def _schedule(args: argparse.Namespace, visibility: float = 1.0) -> WalkSchedule:
+    return WalkSchedule(
+        theta=_parse_angle(args.theta, args.radians),
+        omega=_parse_angle(args.omega, args.radians),
+        steps=args.steps,
+        convention=_convention(args),
+        visibility=visibility,
+    )
+
+
 def _dispatch(args: argparse.Namespace) -> int:
+    if args.command in ("walk", "noise-sweep") and args.steps < 1:
+        raise ValueError(f"steps must be at least 1, got {args.steps}")
+
     if args.command == "walk":
-        if args.steps < 1:
-            raise ValueError(f"steps must be at least 1, got {args.steps}")
         if args.csv_out is None and args.json_out is None:
             raise ValueError("nothing to do: pass --csv-out and/or --json-out")
-        schedule = WalkSchedule(
-            theta=_parse_angle(args.theta, args.radians),
-            omega=_parse_angle(args.omega, args.radians),
-            steps=args.steps,
-            convention=_convention(args),
-            visibility=args.visibility,
-        )
-        return cmd_walk(schedule, args.csv_out, args.json_out)
+        return cmd_walk(_schedule(args, args.visibility), args.csv_out, args.json_out)
 
     if args.command == "search":
         step_counts = tuple(int(part) for part in args.steps.split(","))
@@ -368,35 +348,19 @@ def _dispatch(args: argparse.Namespace) -> int:
             rational_max_denominator=args.max_denominator,
             convention=_convention(args),
         )
-        return cmd_search(config, workers=args.workers, json_out=args.json_out)
+        return cmd_search(config, json_out=args.json_out)
 
     if args.command == "verify-table":
         return cmd_verify_table(args.candidates, args.catalog, args.json_out)
 
     if args.command == "noise-sweep":
-        if args.steps < 1:
-            raise ValueError(f"steps must be at least 1, got {args.steps}")
         visibilities = [float(part) for part in args.visibilities.split(",") if part]
         if not visibilities and args.target_p0 is None:
             raise ValueError("need --visibilities and/or --target-p0")
-        return cmd_noise_sweep(
-            theta=_parse_angle(args.theta, args.radians),
-            omega=_parse_angle(args.omega, args.radians),
-            steps=args.steps,
-            visibilities=visibilities,
-            target_p0=args.target_p0,
-            json_out=args.json_out,
-            convention=_convention(args),
-        )
+        return cmd_noise_sweep(_schedule(args), visibilities, args.target_p0, args.json_out)
 
     if args.command == "effective-coin":
-        return cmd_effective_coin(
-            theta=_parse_angle(args.theta, args.radians),
-            omega=_parse_angle(args.omega, args.radians),
-            steps=args.steps,
-            json_out=args.json_out,
-            convention=_convention(args),
-        )
+        return cmd_effective_coin(_schedule(args), args.json_out)
 
     raise ValueError(f"unknown command {args.command!r}")
 

@@ -48,6 +48,7 @@ from .states import (
 )
 
 BOUNDARY_LEAK_TOL = 1e-14
+BISECT_MAX_ROUNDS = 200
 
 
 class BoundaryOverflowError(RuntimeError):
@@ -259,19 +260,16 @@ def bisect_visibility(
     schedule: WalkSchedule,
     initial: WalkerCoinDensityMatrix,
     target_origin_probability: float,
-    lo: float = 0.0,
-    hi: float = 1.0,
     tol: float = 1e-4,
-    max_iter: int = 200,
 ) -> tuple[float, float]:
-    """Visibility whose final origin probability matches the target.
+    """Visibility whose final origin probability matches the target within tol.
 
-    Bisects on the visibility interval [lo, hi]; the origin probability
-    after the last step must be monotone between the bracket endpoints
-    and straddle the target. Returns (visibility, origin probability).
+    Bisects on the visibility interval [0, 1] for at most
+    ``BISECT_MAX_ROUNDS`` rounds; the origin probability after the last
+    step must be monotone in the visibility and straddle the target
+    between 0 and 1. Returns (visibility, origin probability).
     """
-    if not 0.0 <= lo < hi <= 1.0:
-        raise ValueError(f"need 0 <= lo < hi <= 1, got [{lo}, {hi}]")
+    lo, hi = 0.0, 1.0
 
     def p0_at(v: float) -> float:
         return origin_probability_series(initial, schedule.with_visibility(v))[-1]
@@ -288,7 +286,7 @@ def bisect_visibility(
             f"p0({lo}) = {p_lo:.6f}, p0({hi}) = {p_hi:.6f}"
         )
     increasing = p_hi > p_lo
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ROUNDS):
         mid = 0.5 * (lo + hi)
         p_mid = p0_at(mid)
         if abs(p_mid - target_origin_probability) <= tol:
@@ -297,4 +295,4 @@ def bisect_visibility(
             lo = mid
         else:
             hi = mid
-    raise RuntimeError(f"bisection did not converge within {max_iter} iterations")
+    raise RuntimeError(f"bisection did not converge within {BISECT_MAX_ROUNDS} iterations")

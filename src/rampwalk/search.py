@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -94,18 +93,17 @@ class RevivalCandidate:
     residual: float
 
 
-def rationalize(
-    omega: float, max_denominator: int, tol: float = RATIONALIZE_TOL
-) -> tuple[int, int] | None:
+def rationalize(omega: float, max_denominator: int) -> tuple[int, int] | None:
     """Best fraction p/q for omega / pi with q <= max_denominator.
 
-    Returns None when no such fraction lies within tol of omega / pi.
+    Returns None when no such fraction lies within ``RATIONALIZE_TOL`` of
+    omega / pi.
     """
     if not 0.0 <= omega <= math.pi / 2 + 1e-9:
         raise ValueError(f"omega {omega!r} outside [0, pi/2]")
     if max_denominator < 2:
         raise ValueError(f"max_denominator must be at least 2, got {max_denominator}")
-    frac = angle_fraction(omega, max_denominator, tol)
+    frac = angle_fraction(omega, max_denominator, RATIONALIZE_TOL)
     return None if frac is None else (frac.numerator, frac.denominator)
 
 
@@ -208,13 +206,12 @@ def _golden_minimize(
     return best_x, best_f
 
 
-def _scan_row(args: tuple) -> list[RevivalCandidate]:
-    steps, theta, omega_grid, refine_tol, max_denominator, convention = args
-    lo, hi, count = omega_grid
+def _scan_row(config: SearchConfig, steps: int, theta: float) -> list[RevivalCandidate]:
+    lo, hi, count = config.omega_grid
     grid = np.linspace(lo, hi, count)
 
     def objective(omegas: NDArray[np.float64]) -> NDArray[np.float64]:
-        return 1.0 - _final_origin_probability(steps, theta, omegas, convention)
+        return 1.0 - _final_origin_probability(steps, theta, omegas, config.convention)
 
     residuals = objective(grid)
     # local minima of the grid residual below the bracketing threshold
@@ -231,7 +228,7 @@ def _scan_row(args: tuple) -> list[RevivalCandidate]:
     # because the objective bottoms out at machine noise there, so a
     # nearby rational that itself meets the acceptance bar wins
     # unconditionally.
-    rationals = [rationalize(float(omega), max_denominator) for omega in omegas]
+    rationals = [rationalize(float(omega), config.rational_max_denominator) for omega in omegas]
     snapped = {
         i: math.pi * rational[0] / rational[1]
         for i, rational in enumerate(rationals)
@@ -245,13 +242,13 @@ def _scan_row(args: tuple) -> list[RevivalCandidate]:
     for i, rational in enumerate(rationals):
         omega_best, residual_best = float(omegas[i]), float(refined[i])
         if rational is not None:
-            if snapped_residual.get(i, math.inf) <= refine_tol:
+            if snapped_residual.get(i, math.inf) <= config.refine_tol:
                 omega_best, residual_best = snapped[i], snapped_residual[i]
             else:
                 rational = None
-        if residual_best > refine_tol:
+        if residual_best > config.refine_tol:
             continue
-        blocks = propagator_blocks(WalkSchedule(theta, omega_best, steps, convention))
+        blocks = propagator_blocks(WalkSchedule(theta, omega_best, steps, config.convention))
         if not _is_revival(blocks, OPERATOR_ACCEPT_TOL):
             continue
         found.append(
@@ -278,34 +275,20 @@ def _dedupe(candidates: list[RevivalCandidate]) -> list[RevivalCandidate]:
     return kept
 
 
-def scan(config: SearchConfig, workers: int = 1) -> list[RevivalCandidate]:
+def scan(config: SearchConfig) -> list[RevivalCandidate]:
     """All accepted revival candidates over the configured domain.
 
-    Results are deterministic and sorted by (steps, theta, omega)
-    regardless of the worker count.
+    Each (steps, theta) row is scanned on its own, one after another;
+    the result is sorted by (steps, theta, omega).
     """
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
-    rows = [
-        (
-            steps,
-            theta,
-            config.omega_grid,
-            config.refine_tol,
-            config.rational_max_denominator,
-            config.convention,
-        )
+    found = [
+        candidate
         for steps in config.step_counts
         for theta in config.theta_values
+        for candidate in _scan_row(config, steps, theta)
     ]
-    if workers == 1 or len(rows) <= 1:
-        row_results = [_scan_row(row) for row in rows]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(rows))) as pool:
-            row_results = list(pool.map(_scan_row, rows))
-    merged = [candidate for row in row_results for candidate in row]
-    merged.sort(key=lambda c: (c.steps, c.theta, c.omega))
-    return merged
+    found.sort(key=lambda c: (c.steps, c.theta, c.omega))
+    return found
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from numpy.typing import NDArray
 STATE_NORM_TOL = 1e-10
 COIN_NORM_TOL = 1e-12
 DENSITY_TOL = 1e-10
+GUARD_BAND = 2
 
 
 @dataclass(frozen=True)
@@ -33,17 +34,15 @@ class Lattice:
             )
 
     @classmethod
-    def for_steps(cls, steps: int, margin: int = 2) -> "Lattice":
-        """Symmetric lattice wide enough for `steps` steps from the origin.
+    def for_steps(cls, steps: int) -> "Lattice":
+        """Symmetric lattice [-(steps + 2), steps + 2] for `steps` steps from the origin.
 
-        The extra `margin` sites on each side stay empty and act as a
-        guard band for the boundary checks in the evolution routines.
+        The ``GUARD_BAND`` of 2 extra sites on each side stays empty; the
+        boundary checks in the evolution routines need at least one.
         """
         if steps < 0:
             raise ValueError(f"steps must be non-negative, got {steps}")
-        if margin < 1:
-            raise ValueError(f"margin must be at least 1, got {margin}")
-        reach = steps + margin
+        reach = steps + GUARD_BAND
         return cls(-reach, reach)
 
     @property
@@ -175,7 +174,7 @@ def position_distribution(state: WalkerState) -> PositionDistribution:
 def _site_distribution(
     lattice: Lattice, raw: NDArray[np.complex128], pure: bool
 ) -> PositionDistribution:
-    """Site marginals of raw amplitudes (n, 2) when `pure`, else of a (2n, 2n) density matrix."""
+    """Site probabilities of raw amplitudes (n, 2) when `pure`, else of a (2n, 2n) density matrix."""
     if pure:
         probs = np.sum(np.abs(raw) ** 2, axis=1)
     else:

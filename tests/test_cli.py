@@ -137,6 +137,10 @@ def test_walk_usage_errors(tmp_path):
         assert result.returncode == 2
         assert result.stderr.startswith("rampwalk: error:")
         assert len(result.stderr.splitlines()) == 1
+    # a zero denominator names the angle
+    result = run_cli("walk", "--theta", "0", "--omega", "1/0", "--steps", "2", "--json-out", "-")
+    assert result.returncode == 2
+    assert result.stderr == "rampwalk: error: angle '1/0' is not a finite number\n"
 
 
 def test_walk_io_error_exit_code(tmp_path):

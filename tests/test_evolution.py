@@ -283,8 +283,6 @@ def test_bisect_visibility_rejects_unbracketed_target():
     start = density_from_pure(symmetric_start(8))
     with pytest.raises(ValueError):
         bisect_visibility(sched, start, 0.1)
-    with pytest.raises(ValueError):
-        bisect_visibility(sched, start, 0.95, lo=0.9, hi=0.8)
 
 
 def assert_same_walk(distributions, final, states):

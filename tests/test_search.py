@@ -219,45 +219,23 @@ def test_scan_is_sorted_and_deduplicated():
             assert second.omega - first.omega > 1e-9
 
 
-def test_scan_worker_count_does_not_change_results():
+def test_scan_equals_union_of_one_row_scans():
+    # each (steps, theta) row is scanned on its own, so one search over a
+    # domain equals the sorted union of one-row searches over its rows
+    grid = (0.0, math.pi / 2, 401)
     config = SearchConfig(
-        step_counts=(2, 4),
-        theta_values=(0.0, math.pi / 4),
-        omega_grid=(0.0, math.pi / 2, 401),
+        step_counts=(2, 4), theta_values=(0.0, math.pi / 4), omega_grid=grid
     )
-    serial = scan(config, workers=1)
-    parallel = scan(config, workers=2)
-    assert serial == parallel
-    with pytest.raises(ValueError):
-        scan(config, workers=0)
-
-
-def test_scan_pool_never_exceeds_row_count(monkeypatch):
-    # the pool forks all of its workers at once, so it is sized to the rows
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
-    config = SearchConfig(
-        step_counts=(2, 4),
-        theta_values=(0.0, math.pi / 4),
-        omega_grid=(0.0, math.pi / 2, 401),
-    )
-    assert scan(config, workers=64) == scan(config, workers=1)
-    scan(config, workers=3)
-    assert sizes == [4, 3]
+    rows = [
+        candidate
+        for steps in config.step_counts
+        for theta in config.theta_values
+        for candidate in scan(
+            SearchConfig(step_counts=(steps,), theta_values=(theta,), omega_grid=grid)
+        )
+    ]
+    assert rows
+    assert scan(config) == sorted(rows, key=lambda c: (c.steps, c.theta, c.omega))
 
 
 def test_reference_catalog_shape():

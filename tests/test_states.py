@@ -55,8 +55,6 @@ def test_lattice_for_steps_leaves_guard_band():
     assert (lat.min_site, lat.max_site) == (-6, 6)
     with pytest.raises(ValueError):
         Lattice.for_steps(-1)
-    with pytest.raises(ValueError):
-        Lattice.for_steps(4, margin=0)
 
 
 def test_coin_vector_norm_enforced():
