@@ -9,34 +9,22 @@ pi/10, and the return-probability ladder under coin dephasing.
 import math
 import sys
 
-import numpy as np
-
 from rampwalk.analysis import classify
-from rampwalk.evolution import WalkSchedule, bisect_visibility, run_walk
+from rampwalk.evolution import WalkSchedule, bisect_visibility
 from rampwalk.states import CoinVector, Lattice, density_from_pure, initial_state
-
-
-def p0_series(schedule: WalkSchedule) -> list[float]:
-    lattice = Lattice.for_steps(schedule.steps)
-    start = initial_state(lattice, CoinVector.symmetric())
-    distributions, _ = run_walk(start, schedule)
-    return [distribution.at_site(0) for distribution in distributions]
 
 
 def main() -> int:
     print("unbiased walk, ramp pi/8, 16 steps")
-    series = p0_series(WalkSchedule(0.0, math.pi / 8, 16))
-    for t, p0 in enumerate(series, start=1):
+    report = classify(WalkSchedule(0.0, math.pi / 8, 16))
+    for t, distribution in enumerate(report.distributions, start=1):
+        p0 = distribution.at_site(0)
         bar = "#" * round(40 * p0)
         print(f"  t = {t:2d}  p0 = {p0:8.6f}  {bar}")
 
     print("\nbiased walk (theta pi/4), ramp pi/10, 8 steps")
-    schedule = WalkSchedule(math.pi / 4, math.pi / 10, 8)
-    report = classify(schedule)
-    lattice = Lattice.for_steps(8)
-    start = initial_state(lattice, CoinVector.symmetric())
-    _, final = run_walk(start, schedule)
-    plus, minus = final.amplitudes[lattice.index(0)]
+    report = classify(WalkSchedule(math.pi / 4, math.pi / 10, 8))
+    plus, minus = report.final.amplitudes[report.final.lattice.index(0)]
     print(f"  revival: {report.is_revival}, complete: {report.is_complete}")
     print(f"  final coin state: ({plus:.6f}) |plus> + ({minus:.6f}) |minus>")
     print(f"  overlap with initial coin:   {report.overlap_initial:.6f}")
@@ -44,11 +32,10 @@ def main() -> int:
 
     print("\ncoin dephasing at the 8-step unbiased revival (ramp pi/8)")
     schedule = WalkSchedule(0.0, math.pi / 8, 8)
-    rho0 = density_from_pure(initial_state(Lattice.for_steps(8), CoinVector.symmetric()))
     for visibility in (1.0, 0.996, 0.99, 0.95, 0.9):
-        distributions, _ = run_walk(rho0, schedule.with_visibility(visibility))
-        p0 = distributions[-1].at_site(0)
+        p0 = classify(schedule.with_visibility(visibility)).origin_probability
         print(f"  visibility {visibility:5.3f}  ->  p0(8) = {p0:.6f}")
+    rho0 = density_from_pure(initial_state(Lattice.for_steps(8), CoinVector.symmetric()))
     target = 0.918
     visibility, achieved = bisect_visibility(schedule, rho0, target)
     print(f"  visibility {visibility:.5f} reproduces p0(8) = {achieved:.5f} "

@@ -24,6 +24,7 @@ from .states import (
     CoinVector,
     Lattice,
     PositionDistribution,
+    WalkerState,
     coin_overlap,
     initial_state,
     position_distribution,
@@ -91,9 +92,9 @@ def effective_coin_balanced_strings(schedule: WalkSchedule) -> NDArray[np.comple
         raise ValueError(
             f"string enumeration supports at most {MAX_STRING_STEPS} steps, got {total_steps}"
         )
-    if total_steps == 0:
-        return np.eye(2, dtype=np.complex128)
-    coins = [schedule.coin(t) for t in schedule.step_indices()]
+    coins = schedule.coins()
+    plus_branch = np.where([[True], [False]], coins, 0)
+    minus_branch = np.where([[False], [True]], coins, 0)
     half = total_steps // 2
     strings = list(itertools.combinations(range(total_steps), half))
     n_strings = len(strings)
@@ -103,12 +104,8 @@ def effective_coin_balanced_strings(schedule: WalkSchedule) -> NDArray[np.comple
     products = np.broadcast_to(
         np.eye(2, dtype=np.complex128), (n_strings, 2, 2)
     ).copy()
-    for k, coin in enumerate(coins):
-        plus_branch = np.zeros((2, 2), dtype=np.complex128)
-        plus_branch[0] = coin[0]
-        minus_branch = np.zeros((2, 2), dtype=np.complex128)
-        minus_branch[1] = coin[1]
-        chosen = np.where(up_mask[:, k][:, None, None], plus_branch, minus_branch)
+    for k in range(total_steps):
+        chosen = np.where(up_mask[:, k][:, None, None], plus_branch[k], minus_branch[k])
         products = chosen @ products
     return products.sum(axis=0)
 
@@ -130,13 +127,9 @@ def _is_revival(blocks: NDArray[np.complex128], tol: float) -> bool:
 
 
 def _is_complete(blocks: NDArray[np.complex128]) -> bool:
-    """A revival whose effective coin ``W_T[0]`` is the identity up to a global phase."""
+    """T is even and ``W_T[0]`` is the identity up to a global phase; callers test revival first."""
     steps = blocks.shape[0] // 2
-    return (
-        steps % 2 == 0
-        and _is_revival(blocks, REVIVAL_TOL)
-        and equal_up_to_global_phase(blocks[steps], np.eye(2))
-    )
+    return steps % 2 == 0 and equal_up_to_global_phase(blocks[steps], np.eye(2))
 
 
 def is_revival_operator(schedule: WalkSchedule, tol: float = REVIVAL_TOL) -> bool:
@@ -153,10 +146,11 @@ def is_revival_operator(schedule: WalkSchedule, tol: float = REVIVAL_TOL) -> boo
 class RevivalReport:
     """Diagnostics for one schedule started from a localized state.
 
-    ``overlap_initial`` is the overlap of the final reduced coin state
-    with the initial coin; ``overlap_predicted`` uses the coin predicted
-    by the effective coin map and is NaN when that prediction has
-    vanishing norm. Operator-level fields describe the noiseless walk
+    ``distributions`` holds the position distribution after each step and
+    ``final`` the last state. ``overlap_initial`` is the overlap of the final
+    reduced coin state with the initial coin; ``overlap_predicted`` uses the
+    coin predicted by the effective coin map and is NaN when that prediction
+    has vanishing norm. Operator-level fields describe the noiseless walk
     even when the schedule carries a visibility below 1.
     """
 
@@ -170,6 +164,8 @@ class RevivalReport:
     is_complete: bool
     overlap_initial: float
     overlap_predicted: float
+    distributions: tuple[PositionDistribution, ...]
+    final: WalkerState
 
 
 def classify(schedule: WalkSchedule) -> RevivalReport:
@@ -177,9 +173,9 @@ def classify(schedule: WalkSchedule) -> RevivalReport:
 
     State-dependent quantities follow the schedule visibility (pure
     evolution at visibility 1, dephased otherwise); the revival and
-    completeness verdicts always refer to the noiseless operator, at
-    ``REVIVAL_TOL`` and the default tolerance of
-    :func:`equal_up_to_global_phase`.
+    completeness verdicts always refer to the noiseless operator: a revival
+    at ``REVIVAL_TOL`` that is also :func:`_is_complete`. The CLI and the
+    demo script format this report rather than walk themselves.
     """
     initial_coin = CoinVector.symmetric()
     lattice = Lattice.for_steps(schedule.steps)
@@ -188,15 +184,11 @@ def classify(schedule: WalkSchedule) -> RevivalReport:
     distributions, final = run_walk(start, schedule)
     p0_series = [distribution.at_site(0) for distribution in distributions]
     final_distribution = position_distribution(final)
-    origin_probability = final_distribution.at_site(0)
-    distance = tv_distance(final_distribution, start_distribution)
-    polya = polya_number(p0_series)
 
     blocks = propagator_blocks(schedule)
-    even = schedule.steps % 2 == 0
-    effective = blocks[schedule.steps].copy() if even else None
+    effective = blocks[schedule.steps].copy() if schedule.steps % 2 == 0 else None
     revival = _is_revival(blocks, REVIVAL_TOL)
-    complete = _is_complete(blocks)
+    complete = revival and _is_complete(blocks)
 
     coin_rho = reduced_coin_state(final)
     overlap_initial = coin_overlap(coin_rho, initial_coin)
@@ -213,12 +205,14 @@ def classify(schedule: WalkSchedule) -> RevivalReport:
     return RevivalReport(
         schedule=schedule,
         initial_coin=initial_coin,
-        origin_probability=origin_probability,
-        tv_distance=distance,
-        polya_truncated=polya,
+        origin_probability=final_distribution.at_site(0),
+        tv_distance=tv_distance(final_distribution, start_distribution),
+        polya_truncated=polya_number(p0_series),
         effective_coin=effective,
         is_revival=revival,
         is_complete=complete,
         overlap_initial=overlap_initial,
         overlap_predicted=overlap_predicted,
+        distributions=tuple(distributions),
+        final=final,
     )

@@ -20,10 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import polya_number, tv_distance
-from .analysis import effective_coin_balanced_strings, effective_coin_from_operator
-from .coins import StepConvention, equal_up_to_global_phase
-from .evolution import WalkSchedule, bisect_visibility, run_walk
+from .analysis import classify, effective_coin_balanced_strings, tv_distance
+from .coins import StepConvention
+from .evolution import WalkSchedule, bisect_visibility
 from .search import (
     RevivalCandidate,
     SearchConfig,
@@ -31,13 +30,13 @@ from .search import (
     json_records,
     load_reference_catalog,
     parse_catalog,
+    parse_fraction,
     scan,
     verify_table,
 )
 from .states import (
     CoinVector,
     Lattice,
-    coin_overlap,
     density_from_pure,
     initial_state,
     position_distribution,
@@ -47,7 +46,7 @@ from .states import (
 
 def _parse_angle(text: str, radians: bool) -> float:
     try:
-        value = float(text) if radians else float(Fraction(text)) * math.pi
+        value = float(text) if radians else float(parse_fraction(text)) * math.pi
     except (OverflowError, ZeroDivisionError):
         value = math.inf
     if not math.isfinite(value):
@@ -92,14 +91,10 @@ def cmd_walk(
     schedule: WalkSchedule, csv_out: str | None = None, json_out: str | None = None
 ) -> int:
     """Run one walk and emit per-step distributions and summaries."""
-    lattice = Lattice.for_steps(schedule.steps)
-    start = initial_state(lattice, CoinVector.symmetric())
-    start_distribution = position_distribution(start)
-    distributions, final = run_walk(start, schedule)
-    p0_series = [dist.at_site(0) for dist in distributions]
-    tv_series = [tv_distance(dist, start_distribution) for dist in distributions]
-    polya = polya_number(p0_series)
-    final_coin = reduced_coin_state(final)
+    report = classify(schedule)
+    lattice = report.final.lattice
+    distributions = report.distributions
+    start_distribution = position_distribution(initial_state(lattice, report.initial_coin))
 
     if csv_out is not None:
         buffer = io.StringIO()
@@ -118,10 +113,10 @@ def cmd_walk(
             "probabilities": [
                 [float(p) for p in dist.probabilities] for dist in distributions
             ],
-            "origin_probability": [float(p) for p in p0_series],
-            "tv_distance": [float(d) for d in tv_series],
-            "polya_truncated": float(polya),
-            "reduced_coin": _matrix_doc(final_coin),
+            "origin_probability": [dist.at_site(0) for dist in distributions],
+            "tv_distance": [tv_distance(dist, start_distribution) for dist in distributions],
+            "polya_truncated": float(report.polya_truncated),
+            "reduced_coin": _matrix_doc(reduced_coin_state(report.final)),
         }
         _write_text(json_out, _dump_json(doc))
     return 0
@@ -147,10 +142,8 @@ def cmd_search(config: SearchConfig, json_out: str | None = "-") -> int:
 
 
 def _candidate_doc(candidate: RevivalCandidate) -> dict:
-    if candidate.omega_rational is not None:
-        omega_pi = str(Fraction(candidate.omega_rational[0], candidate.omega_rational[1]))
-    else:
-        omega_pi = None
+    rational = candidate.omega_rational
+    omega_pi = None if rational is None else str(Fraction(*rational))
     theta_frac = angle_fraction(candidate.theta)
     return {
         "steps": int(candidate.steps),
@@ -168,11 +161,7 @@ def _candidate_from_doc(raw: dict) -> RevivalCandidate:
     if not all(math.isfinite(value) for value in (theta, omega, residual)):
         raise ValueError(f"candidate has a non-finite theta, omega or residual: {raw!r}")
     omega_pi = raw.get("omega_pi")
-    if omega_pi is not None:
-        frac = Fraction(omega_pi)
-        rational: tuple[int, int] | None = (frac.numerator, frac.denominator)
-    else:
-        rational = None
+    rational = None if omega_pi is None else parse_fraction(omega_pi).as_integer_ratio()
     return RevivalCandidate(
         steps=int(raw["steps"]),
         theta=theta,
@@ -207,25 +196,21 @@ def cmd_noise_sweep(
     json_out: str | None = "-",
 ) -> int:
     """Evaluate the walk under coin dephasing at several visibilities."""
-    lattice = Lattice.for_steps(schedule.steps)
-    start_coin = CoinVector.symmetric()
-    start = density_from_pure(initial_state(lattice, start_coin))
-    start_distribution = position_distribution(start)
     rows = []
     for visibility in visibilities:
-        _, final = run_walk(start, schedule.with_visibility(visibility))
-        distribution = position_distribution(final)
-        overlap = coin_overlap(reduced_coin_state(final), start_coin)
+        report = classify(schedule.with_visibility(visibility))
         rows.append(
             {
                 "visibility": float(visibility),
-                "origin_probability": float(distribution.at_site(0)),
-                "tv_distance": float(tv_distance(distribution, start_distribution)),
-                "overlap_initial": overlap,
+                "origin_probability": float(report.origin_probability),
+                "tv_distance": float(report.tv_distance),
+                "overlap_initial": report.overlap_initial,
             }
         )
     doc = {**_schedule_doc(schedule), "rows": rows}
     if target_p0 is not None:
+        lattice = Lattice.for_steps(schedule.steps)
+        start = density_from_pure(initial_state(lattice, CoinVector.symmetric()))
         visibility, achieved = bisect_visibility(schedule, start, target_p0)
         doc["calibration"] = {
             "target_origin_probability": float(target_p0),
@@ -239,14 +224,14 @@ def cmd_noise_sweep(
 def cmd_effective_coin(schedule: WalkSchedule, json_out: str | None = "-") -> int:
     """Compute the effective coin by both constructions and compare them."""
     from_strings = effective_coin_balanced_strings(schedule)
-    from_operator = effective_coin_from_operator(schedule)
-    difference = float(np.max(np.abs(from_strings - from_operator)))
+    report = classify(schedule)
+    difference = float(np.max(np.abs(from_strings - report.effective_coin)))
     doc = {
         **_schedule_doc(schedule),
         "balanced_strings": _matrix_doc(from_strings),
-        "operator_block": _matrix_doc(from_operator),
+        "operator_block": _matrix_doc(report.effective_coin),
         "max_abs_difference": difference,
-        "complete": bool(equal_up_to_global_phase(from_operator, np.eye(2))),
+        "complete": report.is_complete,
     }
     _write_text(json_out, _dump_json(doc))
     return 0

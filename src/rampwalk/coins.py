@@ -8,6 +8,9 @@ contain twice the nominal angle.
 
 Coin basis ordering is ``[plus, minus]``: the plus component moves the
 walker up, the minus component moves it down.
+
+The coin is written only here. :func:`coin_at_step` also takes arrays
+of step indices or of ramp rates and returns their ``(..., 2, 2)`` stack.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ CoinOperator = NDArray[np.complex128]
 
 UNITARITY_TOL = 1e-12
 PHASE_EQUAL_TOL = 1e-8
+_MAX_HALF_ANGLE = np.finfo(np.float64).max / 2
 
 
 class StepConvention(Enum):
@@ -31,25 +35,28 @@ class StepConvention(Enum):
     ZERO_BASED = "zero-based"  # t = 0..T-1; first coin has no ramp
 
     def step_indices(self, steps: int) -> range:
-        if self is StepConvention.ONE_BASED:
-            return range(1, steps + 1)
-        return range(0, steps)
+        return range(self.first_step, self.first_step + steps)
 
     @property
     def first_step(self) -> int:
         return 1 if self is StepConvention.ONE_BASED else 0
 
 
-def rx(phi: float) -> CoinOperator:
-    """Rotation about x by nominal angle phi.
+def rx(phi) -> CoinOperator:
+    """Rotation about x by nominal angle phi; an array of angles gives a (..., 2, 2) stack.
 
     Returns ``[[cos 2phi, i sin 2phi], [i sin 2phi, cos 2phi]]``.
     """
-    if not math.isfinite(phi):
-        raise ValueError(f"rotation angle must be finite, got {phi!r}")
-    c = math.cos(2.0 * phi)
-    s = math.sin(2.0 * phi)
-    return np.array([[c, 1j * s], [1j * s, c]], dtype=np.complex128)
+    half = np.asarray(phi, dtype=np.float64)
+    finite = np.abs(half) <= _MAX_HALF_ANGLE  # false for NaN, infinities and overflow of 2 phi
+    if not finite.all():
+        raise ValueError(f"rotation angle must be finite, got {float(half[~finite][0])!r}")
+    angle = 2.0 * half
+    c, s = np.cos(angle), np.sin(angle)
+    out = np.empty(c.shape + (2, 2), dtype=np.complex128)
+    out[..., 0, 0] = out[..., 1, 1] = c
+    out[..., 0, 1] = out[..., 1, 0] = 1j * s
+    return out
 
 
 def ry(theta: float) -> CoinOperator:
@@ -66,16 +73,18 @@ def ry(theta: float) -> CoinOperator:
 
 def coin_at_step(
     theta: float,
-    omega: float,
-    t: int,
+    omega,
+    t,
     convention: StepConvention = StepConvention.ONE_BASED,
 ) -> CoinOperator:
-    """Coin operator for step t: ``rx(omega * t) @ ry(theta)``."""
-    if t < convention.first_step:
+    """Coin ``rx(omega * t) @ ry(theta)``; arrays of steps or ramp rates give their stack."""
+    if np.asarray(t).min(initial=convention.first_step) < convention.first_step:
         raise ValueError(
             f"step index {t} is not valid under {convention.value} indexing"
         )
-    return rx(omega * t) @ ry(theta)
+    with np.errstate(over="ignore"):
+        phi = np.multiply(omega, t, dtype=np.float64)
+    return rx(phi) @ ry(theta)
 
 
 def unitarity_defect(matrix: NDArray[np.complex128]) -> float:

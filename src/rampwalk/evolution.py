@@ -9,7 +9,8 @@ at any site x to the coin at x + d, describes it completely (see
 :func:`propagator_blocks`).
 
 Every walk in the package runs through one batched step routine,
-:func:`_coin_and_shift`. Pure states evolve through :func:`evolve`.
+:func:`_coin_and_shift`, under the coin stack of :meth:`WalkSchedule.coins`,
+built once per walk. Pure states evolve through :func:`evolve`.
 Mixed states evolve through :func:`evolve_density`, which follows each
 unitary step with a coin dephasing channel of strength set by the
 schedule visibility:
@@ -35,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.typing import NDArray
 
-from .coins import CoinOperator, StepConvention, coin_at_step
+from .coins import StepConvention, coin_at_step
 from .states import (
     Lattice,
     PositionDistribution,
@@ -80,9 +81,9 @@ class WalkSchedule:
     def step_indices(self) -> range:
         return self.convention.step_indices(self.steps)
 
-    def coin(self, t: int) -> CoinOperator:
-        """Coin operator applied at step index t."""
-        return coin_at_step(self.theta, self.omega, t, self.convention)
+    def coins(self) -> NDArray[np.complex128]:
+        """The coins of all steps in step order, shape (steps, 2, 2)."""
+        return coin_at_step(self.theta, self.omega, np.array(self.step_indices()), self.convention)
 
     def with_visibility(self, visibility: float) -> "WalkSchedule":
         return replace(self, visibility=visibility)
@@ -131,7 +132,8 @@ def step(state: WalkerCoinPureState, schedule: WalkSchedule, t: int) -> WalkerCo
             f"{schedule.step_indices()} ({schedule.convention.value})"
         )
     _check_reach(state.lattice, position_distribution(state).probabilities, 1)
-    amps = _coin_and_shift(schedule.coin(t)[None], state.amplitudes[None])
+    coin = coin_at_step(schedule.theta, schedule.omega, t, schedule.convention)
+    amps = _coin_and_shift(coin[None], state.amplitudes[None])
     return WalkerCoinPureState(state.lattice, amps[0])
 
 
@@ -163,8 +165,8 @@ def propagator_blocks(schedule: WalkSchedule) -> NDArray[np.complex128]:
     amps = np.zeros((2, 2 * reach + 1, 2), dtype=np.complex128)
     amps[0, reach, 0] = 1.0
     amps[1, reach, 1] = 1.0
-    for t in schedule.step_indices():
-        amps = _coin_and_shift(np.broadcast_to(schedule.coin(t), (2, 2, 2)), amps)
+    for coin in schedule.coins():
+        amps = _coin_and_shift(np.broadcast_to(coin, (2, 2, 2)), amps)
     # amps[j, x, i] is entry (i, j) of the block at site x
     return amps[:, 1:-1, :].transpose(1, 2, 0)
 
@@ -201,8 +203,8 @@ def _trajectory(start: WalkerState, schedule: WalkSchedule) -> Iterator[NDArray[
     _check_reach(lattice, position_distribution(start).probabilities, schedule.steps)
     if isinstance(start, WalkerCoinPureState):
         amps = start.amplitudes[None]
-        for t in schedule.step_indices():
-            amps = _coin_and_shift(schedule.coin(t)[None], amps)
+        for coin in schedule.coins():
+            amps = _coin_and_shift(coin[None], amps)
             yield amps[0]
         return
     n = lattice.size
@@ -213,10 +215,10 @@ def _trajectory(start: WalkerState, schedule: WalkSchedule) -> Iterator[NDArray[
     rows, cols = np.nonzero(matrix)
     occupied = np.concatenate((rows, cols)) // 2
     lo, hi = int(occupied.min()), int(occupied.max())
-    for k, t in enumerate(schedule.step_indices(), start=1):
+    for k, coin in enumerate(schedule.coins(), start=1):
         w = slice(2 * max(lo - k, 0), 2 * min(hi + k + 1, n))
         dim = w.stop - w.start
-        coins = np.broadcast_to(schedule.coin(t), (dim, 2, 2))
+        coins = np.broadcast_to(coin, (dim, 2, 2))
         # Each row of a batch is one column stepped by U. `half` is
         # (U rho^dagger)^T; the rows of conj(half).T are the columns of
         # rho U^dagger, and stepping them gives the columns of U rho U^dagger.

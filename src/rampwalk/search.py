@@ -6,14 +6,17 @@ ramp-rate grid, brackets the local minima of ``1 - p0``, refines all
 brackets by golden-section search in lockstep (one batched walk per
 round), snaps each minimizer to a nearby rational multiple of pi when
 one exists, and keeps only parameters whose propagator blocks pass the
-revival check. The batched walk steps only the sites inside the light
-cone of the origin: those the walker can reach and still return from.
+revival check at ``OPERATOR_ACCEPT_TOL``; ``analysis._is_complete`` then
+says whether each kept revival is complete. The batched walk takes each
+step's coins from ``coin_at_step`` and steps only the sites inside the
+light cone of the origin: those the walker can reach and still return from.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -22,18 +25,21 @@ from typing import Callable, TypeVar
 import numpy as np
 from numpy.typing import NDArray
 
-from .coins import StepConvention, ry
+from .coins import StepConvention, coin_at_step
 from .evolution import WalkSchedule, _coin_and_shift, propagator_blocks
 from .analysis import _is_complete, _is_revival
+from .states import CoinVector
 
 BRACKET_THRESHOLD = 1e-3
 GOLDEN_WIDTH_TOL = 1e-11
 DEDUPE_TOL = 1e-9
 RATIONALIZE_TOL = 1e-7
 OPERATOR_ACCEPT_TOL = 1e-8
+MAX_FRACTION_EXPONENT = 1000
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 _CATALOG_RESOURCE = "data/revival_catalog.json"
+_EXPONENT = re.compile(r"e([-+]?\d[\d_]*)\s*\Z", re.IGNORECASE)
 _Record = TypeVar("_Record")
 
 
@@ -121,6 +127,18 @@ def angle_fraction(
     return None
 
 
+def parse_fraction(value) -> Fraction:
+    """``Fraction(value)``; a text whose decimal exponent exceeds ``MAX_FRACTION_EXPONENT`` raises.
+
+    Fraction would expand such an exponent into an integer of that many
+    digits, which for a text like ``"1e10000000"`` takes seconds.
+    """
+    match = isinstance(value, str) and _EXPONENT.search(value)
+    if match and abs(int(match[1])) > MAX_FRACTION_EXPONENT:
+        raise ValueError(f"{value!r} has a decimal exponent beyond +-{MAX_FRACTION_EXPONENT}")
+    return Fraction(value)
+
+
 def _final_origin_probability(
     steps: int,
     theta: float,
@@ -139,23 +157,14 @@ def _final_origin_probability(
     """
     omegas = np.asarray(omegas, dtype=np.float64)
     origin = (steps + 1) // 2
-    bias = ry(theta)
     amps = np.zeros((omegas.size, 2 * origin + 1, 2), dtype=np.complex128)
-    inv = 1.0 / math.sqrt(2.0)
-    amps[:, origin, 0] = inv
-    amps[:, origin, 1] = 1j * inv
+    amps[:, origin] = CoinVector.symmetric().as_array()
     for k, t in enumerate(convention.step_indices(steps), start=1):
-        angles = 2.0 * omegas * t
-        c = np.cos(angles)
-        s = np.sin(angles)
-        ramp = np.empty((omegas.size, 2, 2), dtype=np.complex128)
-        ramp[:, 0, 0] = c
-        ramp[:, 0, 1] = 1j * s
-        ramp[:, 1, 0] = 1j * s
-        ramp[:, 1, 1] = c
+        # per step: all steps' coins would take steps * G * 64 bytes (6 MB at T = 24)
+        coins = coin_at_step(theta, omegas, t, convention)
         radius = min(k, steps - k + 1)
         cone = slice(origin - radius, origin + radius + 1)
-        amps[:, cone] = _coin_and_shift(ramp @ bias, amps[:, cone])
+        amps[:, cone] = _coin_and_shift(coins, amps[:, cone])
     return np.abs(amps[:, origin, 0]) ** 2 + np.abs(amps[:, origin, 1]) ** 2
 
 
@@ -324,8 +333,8 @@ def parse_catalog(text: str) -> tuple[CatalogEntry, ...]:
     def entry(raw: dict) -> CatalogEntry:
         return CatalogEntry(
             steps=int(raw["steps"]),
-            theta_pi=Fraction(raw["theta_pi"]),
-            omega_pi=Fraction(raw["omega_pi"]),
+            theta_pi=parse_fraction(raw["theta_pi"]),
+            omega_pi=parse_fraction(raw["omega_pi"]),
             complete=bool(raw["complete"]),
         )
 

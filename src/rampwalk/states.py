@@ -114,15 +114,7 @@ class WalkerCoinDensityMatrix:
         dim = 2 * self.lattice.size
         if m.shape != (dim, dim):
             raise ValueError(f"matrix shape {m.shape} != {(dim, dim)}")
-        herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > DENSITY_TOL:
-            raise ValueError(f"matrix not Hermitian (defect {herm:.3e})")
-        trace = complex(np.trace(m))
-        if abs(trace - 1.0) > DENSITY_TOL:
-            raise ValueError(f"trace deviates from 1 by {abs(trace - 1.0):.3e}")
-        lowest = float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
-        if lowest < -1e-8:
-            raise ValueError(f"matrix has negative eigenvalue {lowest:.3e}")
+        _check_density(m, "matrix")
 
 
 WalkerState = WalkerCoinPureState | WalkerCoinDensityMatrix

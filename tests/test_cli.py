@@ -3,9 +3,15 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
+
+from rampwalk import cli
+from rampwalk.analysis import classify
+from rampwalk.evolution import WalkSchedule
+from rampwalk.search import load_reference_catalog
 
 
 def run_cli(*args):
@@ -330,3 +336,50 @@ def test_effective_coin_rejects_odd_steps():
     assert result.returncode == 2
     assert result.stderr.startswith("rampwalk: error:")
     assert len(result.stderr.splitlines()) == 1
+
+
+def test_huge_decimal_exponents_are_refused_quickly(tmp_path, capsys):
+    candidates = tmp_path / "candidates.json"
+    candidates.write_text(
+        '{"candidates": [{"steps": 2, "theta": 0.0, "omega": 0.39269908169872414,'
+        ' "omega_pi": "1e10000000", "complete": false, "residual": 0.0}]}',
+        encoding="utf-8",
+    )
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"candidates": []}', encoding="utf-8")
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(
+        '{"entries": [{"steps": 2, "theta_pi": "1e-10000000", "omega_pi": "1/8",'
+        ' "complete": true}]}',
+        encoding="utf-8",
+    )
+    for argv in (
+        ["walk", "--theta", "0", "--omega", "1e10000000", "--steps", "2", "--json-out", "-"],
+        ["verify-table", str(candidates)],
+        ["verify-table", str(empty), "--catalog", str(catalog)],
+    ):
+        start = time.perf_counter()
+        code = cli.main(argv)
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert elapsed < 1.0
+        assert err.startswith("rampwalk: error:")
+        assert len(err.splitlines()) == 1
+    argv = ["walk", "--theta", "0", "--omega", "1e400", "--steps", "2", "--json-out", "-"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "rampwalk: error: angle '1e400' is not a finite number\n"
+
+
+def test_effective_coin_completeness_is_the_classify_verdict(capsys):
+    catalog = load_reference_catalog()
+    assert len(catalog) == 40
+    for entry in catalog:
+        argv = ["effective-coin", f"--theta={entry.theta_pi}", f"--omega={entry.omega_pi}",
+                "--steps", str(entry.steps)]
+        assert cli.main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        schedule = WalkSchedule(
+            float(entry.theta_pi) * math.pi, float(entry.omega_pi) * math.pi, entry.steps
+        )
+        assert doc["complete"] is classify(schedule).is_complete is entry.complete

@@ -15,7 +15,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from rampwalk import cli
 
 TMP = "<tmp>"
-ANGLES = ("0", "1/8", "-3/7", "1/4", "0.3", "1/0", "1e400", "-1e400", "nan", "inf", "x", "")
+ANGLES = ("0", "1/8", "-3/7", "1/4", "0.3", "1/0", "1e400", "-1e400", "nan", "inf", "x", "",
+          "1e10000000", "-1e-10000000", "2E+3000000")
 NUMBERS = ("0", "0.5", "0.918", "1", "1.2", "-1", "nan", "inf", "1e400", "x", "")
 OUTPUTS = ("-", f"{TMP}/out.json", f"{TMP}/missing/out.json")
 UNKNOWN_OPTION = "--workers"

@@ -13,6 +13,7 @@ from rampwalk.coins import (
     ry,
     unitarity_defect,
 )
+from rampwalk.evolution import WalkSchedule
 
 from oracles import coin_matrix
 
@@ -134,3 +135,40 @@ def test_equal_up_to_global_phase_respects_tolerance():
     nudged = base + np.array([[5e-9, 0.0], [0.0, 0.0]])
     assert equal_up_to_global_phase(base, nudged, tol=1e-8)
     assert not equal_up_to_global_phase(base, nudged, tol=1e-10)
+
+
+def assert_bitwise_equal(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a.view(np.float64)), np.signbit(b.view(np.float64)))
+
+
+@pytest.mark.parametrize("convention", list(StepConvention))
+def test_coin_stacks_equal_the_scalar_coins(convention):
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        theta, omega = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 2)
+        steps = np.arange(convention.first_step, convention.first_step + rng.integers(1, 65))
+        stack = coin_at_step(theta, omega, steps, convention)
+        assert_bitwise_equal(
+            stack, np.array([coin_at_step(theta, omega, int(t), convention) for t in steps])
+        )
+        omegas = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 17)
+        t = int(steps[-1])
+        assert_bitwise_equal(
+            coin_at_step(theta, omegas, t, convention),
+            np.array([coin_at_step(theta, float(o), t, convention) for o in omegas]),
+        )
+
+
+def test_coin_stack_shape_and_validation():
+    assert WalkSchedule(0.3, 0.2, steps=0).coins().shape == (0, 2, 2)
+    assert WalkSchedule(0.3, 0.2, steps=5).coins().shape == (5, 2, 2)
+    with pytest.raises(ValueError):
+        coin_at_step(0.3, np.array([0.1, math.nan]), 2)
+    with pytest.raises(ValueError):
+        coin_at_step(0.3, np.array([0.1, math.inf]), 2)
+    with pytest.raises(ValueError):
+        coin_at_step(0.3, 0.2, np.array([1, 2, 0]), StepConvention.ONE_BASED)
+    with pytest.raises(ValueError):
+        coin_at_step(0.3, 0.2, np.array([0, -1]), StepConvention.ZERO_BASED)

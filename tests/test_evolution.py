@@ -375,8 +375,8 @@ def full_lattice_density_walk(rho, schedule):
     signs = np.tile(np.array([1.0, -1.0]), n)
     dephase_mask = np.outer(signs, signs)
     matrix = rho.matrix
-    for t in schedule.step_indices():
-        coins = np.broadcast_to(schedule.coin(t), (dim, 2, 2))
+    for coin in schedule.coins():
+        coins = np.broadcast_to(coin, (dim, 2, 2))
         half = evolution._coin_and_shift(coins, matrix.conj().reshape(dim, n, 2)).reshape(dim, dim)
         matrix = evolution._coin_and_shift(coins, half.conj().T.reshape(dim, n, 2)).reshape(dim, dim).T
         matrix = 0.5 * (1.0 + v) * matrix + 0.5 * (1.0 - v) * (dephase_mask * matrix)

@@ -1,9 +1,13 @@
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from rampwalk.analysis import classify
+from rampwalk.evolution import WalkSchedule
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -20,3 +24,22 @@ def test_script_runs_to_success(script):
         timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_demo_shows_the_two_periodic_revivals():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "revival_demo.py")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "unbiased walk, ramp pi/8, 16 steps"
+    for t, line in enumerate(lines[1:17], start=1):
+        p0 = "1.000000" if t in (2, 8, 10, 16) else "0.000000"
+        assert line.startswith(f"  t = {t:2d}  p0 = {p0}  "), line
+    # revivals at 2, 8, 10 and 16 steps; only those at 8 and 16 are complete
+    for t in (2, 8, 10, 16):
+        report = classify(WalkSchedule(0.0, math.pi / 8, t))
+        assert report.is_revival
+        assert report.is_complete is (t in (8, 16))

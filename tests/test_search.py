@@ -328,3 +328,30 @@ def test_verify_table_flags_unrationalized_candidates_as_extra():
     assert len(diff.extra) == 1
     assert diff.extra[0]["omega_pi"] == repr(0.40)
     assert len(diff.missing) == 1
+
+
+def test_unsnapped_candidates_carry_the_catalog_completeness():
+    # The scan accepts at OPERATOR_ACCEPT_TOL; its completeness verdict must
+    # not test the revival again at a tighter tolerance.
+    catalog = load_reference_catalog()
+    candidates = scan(SearchConfig(step_counts=(4, 6, 8), rational_max_denominator=3))
+    compared = []
+    for candidate in candidates:
+        if candidate.omega_rational is not None:
+            continue
+        for entry in catalog:
+            if (
+                entry.steps == candidate.steps
+                and math.isclose(float(entry.theta_pi) * math.pi, candidate.theta)
+                and abs(float(entry.omega_pi) * math.pi - candidate.omega) <= 1e-6
+            ):
+                compared.append((entry.key(), candidate.complete, entry.complete))
+    complete = {key for key, _, expected in compared if expected}
+    assert complete == {
+        (4, Fraction(1, 4), Fraction(1, 4)),
+        (6, Fraction(1, 4), Fraction(1, 6)),
+        (8, Fraction(0), Fraction(1, 8)),
+        (8, Fraction(1, 4), Fraction(1, 8)),
+        (8, Fraction(1, 4), Fraction(3, 8)),
+    }
+    assert [c for c in compared if c[1] != c[2]] == []
