@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Rediscover the revival catalog by direct numerical search.
 
-Runs the default grid scan (walk lengths 2 to 8, both bias angles),
-prints every accepted ramp rate with its completeness marker, and
-diffs the result against the catalog bundled with the package. Takes
-no options; for other domains run `rampwalk search`, then
-`rampwalk verify-table` on its output.
+Runs the default scan (walk lengths 2 to 8, both bias angles), which
+tests each row's rational family of ramp rates and refines only the
+grid minima that no family point explains. Prints every accepted ramp
+rate with its completeness marker and diffs the result against the
+catalog bundled with the package. Takes no options; for other domains
+run `rampwalk search`, then `rampwalk verify-table` on its output.
 """
 
 import argparse

@@ -57,7 +57,6 @@ from .search import (
     SearchConfig,
     TableDiff,
     load_reference_catalog,
-    rationalize,
     scan,
     verify_table,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "position_distribution",
     "propagator_blocks",
     "purity",
-    "rationalize",
     "reduced_coin_state",
     "reduced_walker_state",
     "rx",

@@ -132,7 +132,6 @@ def cmd_search(config: SearchConfig, json_out: str | None = "-") -> int:
             "theta": [_angle_doc(theta) for theta in config.theta_values],
             "omega_grid": {"min": float(lo), "max": float(hi), "count": int(count)},
             "refine_tol": float(config.refine_tol),
-            "rational_max_denominator": int(config.rational_max_denominator),
             "convention": config.convention.value,
         },
         "candidates": [_candidate_doc(candidate) for candidate in candidates],
@@ -256,16 +255,17 @@ def _build_parser() -> argparse.ArgumentParser:
     walk.add_argument("--csv-out", default=None, help="CSV path or - for stdout")
     walk.add_argument("--json-out", default=None, help="JSON path or - for stdout")
 
+    defaults = SearchConfig()
     search_p = sub.add_parser("search", help="scan for revival parameters")
-    search_p.add_argument("--steps", "--T", dest="steps", default="2,4,6,8",
+    search_p.add_argument("--steps", "--T", dest="steps",
+                          default=",".join(str(steps) for steps in defaults.step_counts),
                           help="comma separated even step counts")
     search_p.add_argument("--theta", default=None,
                           help="comma separated bias angles (default 0,1/4)")
     search_p.add_argument("--omega-min", default=None, help="default 0")
     search_p.add_argument("--omega-max", default=None, help="default 1/2 (pi/2 radians)")
-    search_p.add_argument("--omega-count", type=int, default=4001)
-    search_p.add_argument("--max-denominator", type=int, default=64)
-    search_p.add_argument("--refine-tol", type=float, default=1e-12)
+    search_p.add_argument("--omega-count", type=int, default=defaults.omega_grid[2])
+    search_p.add_argument("--refine-tol", type=float, default=defaults.refine_tol)
     search_p.add_argument("--zero-based", action="store_true")
     search_p.add_argument("--radians", action="store_true")
     search_p.add_argument("--json-out", default="-")
@@ -330,7 +330,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             theta_values=thetas,
             omega_grid=(omega_min, omega_max, args.omega_count),
             refine_tol=args.refine_tol,
-            rational_max_denominator=args.max_denominator,
             convention=_convention(args),
         )
         return cmd_search(config, json_out=args.json_out)

@@ -2,11 +2,14 @@
 
 For each (steps, theta) pair the scan evaluates the final origin
 probability of a walk started from the symmetric coin state on a dense
-ramp-rate grid, brackets the local minima of ``1 - p0``, refines all
-brackets by golden-section search in lockstep (one batched walk per
-round), snaps each minimizer to a nearby rational multiple of pi when
-one exists, and keeps only parameters whose propagator blocks pass the
-revival check at ``OPERATOR_ACCEPT_TOL``; ``analysis._is_complete`` then
+ramp-rate grid, then on the exact rational family of the row (see
+``_family``), where every known revival sits. A family point is kept
+with its exact p/q when its residual ``1 - p0`` is at most ``refine_tol``
+and its propagator blocks pass the revival check at
+``OPERATOR_ACCEPT_TOL``. As a guard, the local minima of the grid
+residual whose bracket holds no kept family point are refined by
+golden-section search in lockstep (one batched walk per round) and kept,
+without a fraction, under the same two tests. ``analysis._is_complete``
 says whether each kept revival is complete. The batched walk takes each
 step's coins from ``coin_at_step`` and steps only the sites inside the
 light cone of the origin: those the walker can reach and still return from.
@@ -33,7 +36,8 @@ from .states import CoinVector
 BRACKET_THRESHOLD = 1e-3
 GOLDEN_WIDTH_TOL = 1e-11
 DEDUPE_TOL = 1e-9
-RATIONALIZE_TOL = 1e-7
+ANGLE_MAX_DENOMINATOR = 360
+ANGLE_TOL = 1e-9
 OPERATOR_ACCEPT_TOL = 1e-8
 MAX_FRACTION_EXPONENT = 1000
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -57,7 +61,6 @@ class SearchConfig:
     theta_values: tuple[float, ...] = (0.0, math.pi / 4)
     omega_grid: tuple[float, float, int] = (0.0, math.pi / 2, 4001)
     refine_tol: float = 1e-12
-    rational_max_denominator: int = 64
     convention: StepConvention = StepConvention.ONE_BASED
 
     def __post_init__(self) -> None:
@@ -76,10 +79,6 @@ class SearchConfig:
             raise ValueError(f"omega grid needs at least 2 points, got {count}")
         if not 0.0 < self.refine_tol < 1.0:
             raise ValueError(f"refine_tol must lie in (0, 1), got {self.refine_tol}")
-        if self.rational_max_denominator < 2:
-            raise ValueError(
-                f"rational_max_denominator must be at least 2, got {self.rational_max_denominator}"
-            )
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,8 @@ class RevivalCandidate:
     """One accepted revival point.
 
     ``omega_rational`` holds (numerator, denominator) of omega / pi when
-    the ramp rate is a recognized rational multiple of pi, else None.
+    the ramp rate is a point of the row's rational family, else None
+    (a revival found only by golden refinement).
     ``residual`` is ``1 - p0`` at the accepted parameters.
     """
 
@@ -99,30 +99,14 @@ class RevivalCandidate:
     residual: float
 
 
-def rationalize(omega: float, max_denominator: int) -> tuple[int, int] | None:
-    """Best fraction p/q for omega / pi with q <= max_denominator.
+def angle_fraction(value: float) -> Fraction | None:
+    """Best fraction of pi for an angle with denominator <= ``ANGLE_MAX_DENOMINATOR``.
 
-    Returns None when no such fraction lies within ``RATIONALIZE_TOL`` of
-    omega / pi.
-    """
-    if not 0.0 <= omega <= math.pi / 2 + 1e-9:
-        raise ValueError(f"omega {omega!r} outside [0, pi/2]")
-    if max_denominator < 2:
-        raise ValueError(f"max_denominator must be at least 2, got {max_denominator}")
-    frac = angle_fraction(omega, max_denominator, RATIONALIZE_TOL)
-    return None if frac is None else (frac.numerator, frac.denominator)
-
-
-def angle_fraction(
-    value: float, max_denominator: int = 360, tol: float = 1e-9
-) -> Fraction | None:
-    """Best fraction of pi for an angle with denominator <= max_denominator.
-
-    Returns None when no such fraction lies within tol of value / pi.
+    Returns None when no such fraction lies within ``ANGLE_TOL`` of value / pi.
     """
     ratio = value / math.pi
-    frac = Fraction(ratio).limit_denominator(max_denominator)
-    if abs(ratio - float(frac)) <= tol:
+    frac = Fraction(ratio).limit_denominator(ANGLE_MAX_DENOMINATOR)
+    if abs(ratio - float(frac)) <= ANGLE_TOL:
         return frac
     return None
 
@@ -215,6 +199,22 @@ def _golden_minimize(
     return best_x, best_f
 
 
+def _family(steps: int, convention: StepConvention, lo: float, hi: float) -> list[Fraction]:
+    """Sorted fractions p/q = omega / pi in [0, 1/2] of the row's revival family.
+
+    Every revival found so far has q | T or q | 2(T + 2) in the one-based
+    convention and q | 2T in the zero-based one, so the family is k/m
+    for those m. A point is kept when its ramp rate ``pi * p / q`` lies
+    in [lo, hi].
+    """
+    if convention is StepConvention.ONE_BASED:
+        moduli = (steps, 2 * (steps + 2))
+    else:
+        moduli = (2 * steps,)
+    points = {Fraction(k, m) for m in moduli for k in range(m // 2 + 1)}
+    return sorted(p for p in points if lo <= math.pi * p.numerator / p.denominator <= hi)
+
+
 def _scan_row(config: SearchConfig, steps: int, theta: float) -> list[RevivalCandidate]:
     lo, hi, count = config.omega_grid
     grid = np.linspace(lo, hi, count)
@@ -222,54 +222,38 @@ def _scan_row(config: SearchConfig, steps: int, theta: float) -> list[RevivalCan
     def objective(omegas: NDArray[np.float64]) -> NDArray[np.float64]:
         return 1.0 - _final_origin_probability(steps, theta, omegas, config.convention)
 
+    def accept(
+        omegas: list[float], residuals: list[float], rationals: list[tuple[int, int] | None]
+    ) -> list[RevivalCandidate]:
+        found = []
+        for omega, residual, rational in zip(omegas, residuals, rationals):
+            if residual > config.refine_tol:
+                continue
+            blocks = propagator_blocks(WalkSchedule(theta, omega, steps, config.convention))
+            if _is_revival(blocks, OPERATOR_ACCEPT_TOL):
+                found.append(
+                    RevivalCandidate(steps, theta, omega, rational, _is_complete(blocks), residual)
+                )
+        return found
+
+    # The grid goes first: a row too large to walk fails here at once,
+    # before the family of its step count is enumerated.
     residuals = objective(grid)
+    family = [(p.numerator, p.denominator) for p in _family(steps, config.convention, lo, hi)]
+    family_omegas = [math.pi * p / q for p, q in family]
+    found = accept(family_omegas, objective(np.array(family_omegas)).tolist(), family)
     # local minima of the grid residual below the bracketing threshold
     is_minimum = ~(residuals >= BRACKET_THRESHOLD)
     is_minimum[1:] &= ~(residuals[1:] > residuals[:-1])
     is_minimum[:-1] &= ~(residuals[:-1] > residuals[1:])
     minima = np.flatnonzero(is_minimum)
-    omegas, refined = _golden_minimize(
-        objective,
-        grid[np.maximum(minima - 1, 0)],
-        grid[np.minimum(minima + 1, count - 1)],
-    )
-    # The golden point can sit a few nanoradians off an exact minimum
-    # because the objective bottoms out at machine noise there, so a
-    # nearby rational that itself meets the acceptance bar wins
-    # unconditionally.
-    rationals = [rationalize(float(omega), config.rational_max_denominator) for omega in omegas]
-    snapped = {
-        i: math.pi * rational[0] / rational[1]
-        for i, rational in enumerate(rationals)
-        if rational is not None
-    }
-    inside = [i for i, omega in snapped.items() if lo <= omega <= hi]
-    snapped_residuals = objective(np.array([snapped[i] for i in inside]))
-    snapped_residual = dict(zip(inside, snapped_residuals.tolist()))
-
-    found: list[RevivalCandidate] = []
-    for i, rational in enumerate(rationals):
-        omega_best, residual_best = float(omegas[i]), float(refined[i])
-        if rational is not None:
-            if snapped_residual.get(i, math.inf) <= config.refine_tol:
-                omega_best, residual_best = snapped[i], snapped_residual[i]
-            else:
-                rational = None
-        if residual_best > config.refine_tol:
-            continue
-        blocks = propagator_blocks(WalkSchedule(theta, omega_best, steps, config.convention))
-        if not _is_revival(blocks, OPERATOR_ACCEPT_TOL):
-            continue
-        found.append(
-            RevivalCandidate(
-                steps=steps,
-                theta=theta,
-                omega=omega_best,
-                omega_rational=rational,
-                complete=_is_complete(blocks),
-                residual=residual_best,
-            )
-        )
+    a = grid[np.maximum(minima - 1, 0)]
+    b = grid[np.minimum(minima + 1, count - 1)]
+    # only minima that no kept family point explains go to golden refinement
+    hits = np.array([candidate.omega for candidate in found])
+    unexplained = ~((a[:, None] <= hits) & (hits <= b[:, None])).any(axis=1)
+    omegas, refined = _golden_minimize(objective, a[unexplained], b[unexplained])
+    found += accept(omegas.tolist(), refined.tolist(), [None] * omegas.size)
     return _dedupe(found)
 
 

@@ -14,7 +14,6 @@ from rampwalk.search import (
     angle_fraction,
     load_reference_catalog,
     parse_catalog,
-    rationalize,
     scan,
     verify_table,
 )
@@ -49,36 +48,7 @@ def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(omega_grid=(0.0, 1.0, 1))
     with pytest.raises(ValueError):
-        SearchConfig(rational_max_denominator=1)
-    with pytest.raises(ValueError):
         SearchConfig(refine_tol=0.0)
-
-
-def test_rationalize_known_fractions():
-    assert rationalize(math.pi / 8, 64) == (1, 8)
-    assert rationalize(3.0 * math.pi / 8, 64) == (3, 8)
-    assert rationalize(0.0, 64) == (0, 1)
-    assert rationalize(math.pi / 2, 64) == (1, 2)
-    assert rationalize(9.0 * math.pi / 20, 64) == (9, 20)
-
-
-def test_rationalize_rejects_non_fractions():
-    assert rationalize(0.4, 64) is None
-    assert rationalize(math.pi / 100, 64) is None
-    assert rationalize(math.pi / 8 + 1e-5, 64) is None
-
-
-def test_rationalize_near_miss_within_tolerance():
-    assert rationalize(math.pi / 8 + 1e-9, 64) == (1, 8)
-
-
-def test_rationalize_domain_checks():
-    with pytest.raises(ValueError):
-        rationalize(-0.1, 64)
-    with pytest.raises(ValueError):
-        rationalize(2.0, 64)
-    with pytest.raises(ValueError):
-        rationalize(0.1, 1)
 
 
 def test_angle_fraction():
@@ -86,8 +56,6 @@ def test_angle_fraction():
     assert angle_fraction(0.0) == Fraction(0)
     assert angle_fraction(0.3) is None
     assert angle_fraction(math.pi / 8 + 1e-8) is None
-    assert angle_fraction(math.pi / 8 + 1e-8, tol=1e-7) == Fraction(1, 8)
-    assert angle_fraction(math.pi / 100, 64) is None
 
 
 @pytest.mark.parametrize("convention", list(StepConvention))
@@ -330,15 +298,17 @@ def test_verify_table_flags_unrationalized_candidates_as_extra():
     assert len(diff.missing) == 1
 
 
-def test_unsnapped_candidates_carry_the_catalog_completeness():
+def test_unsnapped_candidates_carry_the_catalog_completeness(monkeypatch):
     # The scan accepts at OPERATOR_ACCEPT_TOL; its completeness verdict must
-    # not test the revival again at a tighter tolerance.
+    # not test the revival again at a tighter tolerance. With no family
+    # points every revival comes from the golden guard, unsnapped.
+    monkeypatch.setattr(search, "_family", lambda *args: [])
     catalog = load_reference_catalog()
-    candidates = scan(SearchConfig(step_counts=(4, 6, 8), rational_max_denominator=3))
+    candidates = scan(SearchConfig(step_counts=(4, 6, 8)))
+    assert candidates
     compared = []
     for candidate in candidates:
-        if candidate.omega_rational is not None:
-            continue
+        assert candidate.omega_rational is None
         for entry in catalog:
             if (
                 entry.steps == candidate.steps
@@ -346,12 +316,56 @@ def test_unsnapped_candidates_carry_the_catalog_completeness():
                 and abs(float(entry.omega_pi) * math.pi - candidate.omega) <= 1e-6
             ):
                 compared.append((entry.key(), candidate.complete, entry.complete))
+    assert len(compared) == len(candidates)
     complete = {key for key, _, expected in compared if expected}
     assert complete == {
         (4, Fraction(1, 4), Fraction(1, 4)),
+        (4, Fraction(1, 4), Fraction(1, 2)),
         (6, Fraction(1, 4), Fraction(1, 6)),
+        (6, Fraction(1, 4), Fraction(1, 3)),
+        (6, Fraction(1, 4), Fraction(1, 2)),
         (8, Fraction(0), Fraction(1, 8)),
         (8, Fraction(1, 4), Fraction(1, 8)),
         (8, Fraction(1, 4), Fraction(3, 8)),
     }
     assert [c for c in compared if c[1] != c[2]] == []
+
+
+@pytest.mark.parametrize("step_counts", [(2, 4, 6, 8), (16, 24)])
+def test_family_points_explain_every_grid_minimum(monkeypatch, step_counts):
+    # golden refinement is only the guard: on these rows every bracketed
+    # grid minimum holds a revival of the rational family
+    brackets = []
+    golden = search._golden_minimize
+
+    def counting(objective, lo, hi):
+        brackets.append(lo.size)
+        return golden(objective, lo, hi)
+
+    monkeypatch.setattr(search, "_golden_minimize", counting)
+    assert scan(SearchConfig(step_counts=step_counts))
+    assert len(brackets) == 2 * len(step_counts)
+    assert sum(brackets) == 0
+
+
+def _oracle_truth_set(steps, theta, one_based):
+    """Every reduced p/q in [0, 1/2] with q <= 4(T + 2) that revives, by the oracles alone."""
+    points = {Fraction(p, q) for q in range(1, 4 * (steps + 2) + 1) for p in range(q // 2 + 1)}
+    return {
+        point
+        for point in points
+        if oracles.p0_series(theta, math.pi * point, steps, one_based=one_based)[-1] > 1 - 1e-9
+        and oracles.is_revival_state_route(theta, math.pi * point, steps, one_based=one_based)
+    }
+
+
+@pytest.mark.parametrize("convention", list(StepConvention))
+@pytest.mark.parametrize("theta", [0.0, math.pi / 4])
+@pytest.mark.parametrize("steps", [8, 16, 24])
+def test_scan_equals_the_oracle_truth_set(steps, theta, convention):
+    one_based = convention is StepConvention.ONE_BASED
+    config = SearchConfig(step_counts=(steps,), theta_values=(theta,), convention=convention)
+    candidates = scan(config)
+    assert all(c.omega_rational is not None for c in candidates)
+    found = {Fraction(*c.omega_rational) for c in candidates}
+    assert found == _oracle_truth_set(steps, theta, one_based)
