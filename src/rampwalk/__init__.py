@@ -36,20 +36,16 @@ from .evolution import (
     bisect_visibility,
     evolve,
     evolve_density,
-    origin_probability_series,
     propagator_blocks,
     run_walk,
-    step,
 )
 from .analysis import (
     RevivalReport,
     classify,
     effective_coin_balanced_strings,
     effective_coin_from_operator,
-    is_revival_operator,
     polya_number,
     tv_distance,
-    tv_from_origin_probability,
 )
 from .search import (
     CatalogEntry,
@@ -88,9 +84,7 @@ __all__ = [
     "evolve",
     "evolve_density",
     "initial_state",
-    "is_revival_operator",
     "load_reference_catalog",
-    "origin_probability_series",
     "polya_number",
     "position_distribution",
     "propagator_blocks",
@@ -101,9 +95,7 @@ __all__ = [
     "ry",
     "run_walk",
     "scan",
-    "step",
     "tv_distance",
-    "tv_from_origin_probability",
     "unitarity_defect",
     "verify_table",
 ]

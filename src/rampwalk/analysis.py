@@ -43,16 +43,6 @@ def tv_distance(p: PositionDistribution, q: PositionDistribution) -> float:
     return float(0.5 * np.sum(np.abs(p.probabilities - q.probabilities)))
 
 
-def tv_from_origin_probability(origin_probability: float) -> float:
-    """Distance to a point mass at the origin: 1 - p0.
-
-    Valid whenever the reference distribution is entirely at the origin.
-    """
-    if not 0.0 <= origin_probability <= 1.0:
-        raise ValueError(f"probability outside [0, 1]: {origin_probability!r}")
-    return 1.0 - origin_probability
-
-
 def polya_number(p0_series, horizon: int | None = None) -> float:
     """Probability of at least one return to the origin within the horizon.
 
@@ -130,16 +120,6 @@ def _is_complete(blocks: NDArray[np.complex128]) -> bool:
     """T is even and ``W_T[0]`` is the identity up to a global phase; callers test revival first."""
     steps = blocks.shape[0] // 2
     return steps % 2 == 0 and equal_up_to_global_phase(blocks[steps], np.eye(2))
-
-
-def is_revival_operator(schedule: WalkSchedule, tol: float = REVIVAL_TOL) -> bool:
-    """True when the T-step walk is identity-on-position times a coin.
-
-    The walk is translation invariant, so it suffices that every block
-    ``W_T[d]`` with d != 0 vanishes to within tol, entry by entry: every
-    site then keeps its amplitude and applies the common coin ``W_T[0]``.
-    """
-    return _is_revival(propagator_blocks(schedule), tol)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from .search import (
     parse_catalog,
     parse_fraction,
     scan,
+    typed_field,
     verify_table,
 )
 from .states import (
@@ -162,11 +163,11 @@ def _candidate_from_doc(raw: dict) -> RevivalCandidate:
     omega_pi = raw.get("omega_pi")
     rational = None if omega_pi is None else parse_fraction(omega_pi).as_integer_ratio()
     return RevivalCandidate(
-        steps=int(raw["steps"]),
+        steps=typed_field(raw, "steps", int),
         theta=theta,
         omega=omega,
         omega_rational=rational,
-        complete=bool(raw["complete"]),
+        complete=typed_field(raw, "complete", bool),
         residual=residual,
     )
 

@@ -120,23 +120,6 @@ def _check_reach(lattice: Lattice, populations: NDArray[np.float64], steps: int)
         )
 
 
-def step(state: WalkerCoinPureState, schedule: WalkSchedule, t: int) -> WalkerCoinPureState:
-    """Apply the coin for step index t, then the conditional shift.
-
-    The lattice must hold the support plus one site on each side;
-    otherwise a :class:`BoundaryOverflowError` is raised.
-    """
-    if t not in schedule.step_indices():
-        raise ValueError(
-            f"step index {t} outside schedule range "
-            f"{schedule.step_indices()} ({schedule.convention.value})"
-        )
-    _check_reach(state.lattice, position_distribution(state).probabilities, 1)
-    coin = coin_at_step(schedule.theta, schedule.omega, t, schedule.convention)
-    amps = _coin_and_shift(coin[None], state.amplitudes[None])
-    return WalkerCoinPureState(state.lattice, amps[0])
-
-
 def evolve(state: WalkerCoinPureState, schedule: WalkSchedule) -> list[WalkerCoinPureState]:
     """All intermediate pure states, one per step, in step order.
 
@@ -181,7 +164,7 @@ def evolve_density(
     to hold the initial support plus one site per step; otherwise a
     :class:`BoundaryOverflowError` is raised before any evolution.
     """
-    return [WalkerCoinDensityMatrix(rho.lattice, matrix) for matrix in _trajectory(rho, schedule)]
+    return [WalkerCoinDensityMatrix(rho.lattice, m.copy()) for m in _trajectory(rho, schedule)]
 
 
 def _trajectory(start: WalkerState, schedule: WalkSchedule) -> Iterator[NDArray[np.complex128]]:
@@ -192,12 +175,12 @@ def _trajectory(start: WalkerState, schedule: WalkSchedule) -> Iterator[NDArray[
 
     A density start is stepped only inside its forward light cone: step
     k updates the block of rho on the sites within k of the start's
-    support, clipped to the lattice, and places it in a zeroed
-    full-size matrix. Outside the block the full-lattice walk is
-    exactly zero, and inside it computes the same products in the same
-    order, so the result is bit-identical. The support is exact (every
-    site with a non-zero entry in its rows or columns), not thresholded
-    as in :func:`_check_reach`, whose cut would drop tiny entries.
+    support, clipped to the lattice, in place in one copy of the start
+    that every step yields. The block only grows, so outside it the
+    copy stays zero, as the full-lattice walk is; inside it the same
+    products run in the same order, so the result is bit-identical.
+    The support is exact (every site with a non-zero entry in its rows
+    or columns), not thresholded as in :func:`_check_reach`.
     """
     lattice = start.lattice
     _check_reach(lattice, position_distribution(start).probabilities, schedule.steps)
@@ -211,7 +194,7 @@ def _trajectory(start: WalkerState, schedule: WalkSchedule) -> Iterator[NDArray[
     v = schedule.visibility
     signs = np.tile(np.array([1.0, -1.0]), n)
     dephase_mask = np.outer(signs, signs)
-    matrix = start.matrix
+    matrix = start.matrix.copy()
     rows, cols = np.nonzero(matrix)
     occupied = np.concatenate((rows, cols)) // 2
     lo, hi = int(occupied.min()), int(occupied.max())
@@ -224,7 +207,6 @@ def _trajectory(start: WalkerState, schedule: WalkSchedule) -> Iterator[NDArray[
         # rho U^dagger, and stepping them gives the columns of U rho U^dagger.
         half = _coin_and_shift(coins, matrix[w, w].conj().reshape(dim, -1, 2)).reshape(dim, dim)
         block = _coin_and_shift(coins, half.conj().T.reshape(dim, -1, 2)).reshape(dim, dim).T
-        matrix = np.zeros_like(start.matrix)
         matrix[w, w] = 0.5 * (1.0 + v) * block + 0.5 * (1.0 - v) * (dephase_mask[w, w] * block)
         yield matrix
 
@@ -250,14 +232,6 @@ def run_walk(
     return distributions, final
 
 
-def origin_probability_series(
-    rho: WalkerCoinDensityMatrix, schedule: WalkSchedule
-) -> list[float]:
-    """Probability of finding the walker at the origin after each step."""
-    distributions, _ = run_walk(rho, schedule)
-    return [distribution.at_site(0) for distribution in distributions]
-
-
 def bisect_visibility(
     schedule: WalkSchedule,
     initial: WalkerCoinDensityMatrix,
@@ -274,7 +248,7 @@ def bisect_visibility(
     lo, hi = 0.0, 1.0
 
     def p0_at(v: float) -> float:
-        return origin_probability_series(initial, schedule.with_visibility(v))[-1]
+        return run_walk(initial, schedule.with_visibility(v))[0][-1].at_site(0)
 
     p_lo = p0_at(lo)
     p_hi = p0_at(hi)

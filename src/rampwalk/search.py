@@ -45,6 +45,7 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _CATALOG_RESOURCE = "data/revival_catalog.json"
 _EXPONENT = re.compile(r"e([-+]?\d[\d_]*)\s*\Z", re.IGNORECASE)
 _Record = TypeVar("_Record")
+_Field = TypeVar("_Field", int, bool)
 
 
 @dataclass(frozen=True)
@@ -316,10 +317,10 @@ def parse_catalog(text: str) -> tuple[CatalogEntry, ...]:
 
     def entry(raw: dict) -> CatalogEntry:
         return CatalogEntry(
-            steps=int(raw["steps"]),
+            steps=typed_field(raw, "steps", int),
             theta_pi=parse_fraction(raw["theta_pi"]),
             omega_pi=parse_fraction(raw["omega_pi"]),
-            complete=bool(raw["complete"]),
+            complete=typed_field(raw, "complete", bool),
         )
 
     return tuple(json_records(text, "entries", entry))
@@ -340,6 +341,17 @@ def json_records(text: str, field: str, parse: Callable[[dict], _Record]) -> lis
         return [parse(raw) for raw in records]
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed {field!r} record: {exc}") from exc
+
+
+def typed_field(raw: dict, key: str, kind: type[_Field]) -> _Field:
+    """``raw[key]`` when its JSON type is exactly `kind`: int for an integer, bool for a boolean.
+
+    Anything else raises ValueError; 2.9 and true are no integers, "false" is no boolean.
+    """
+    value = raw[key]
+    if type(value) is not kind:
+        raise ValueError(f"{key!r} must be a JSON {kind.__name__}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -370,8 +382,8 @@ def verify_table(
     """Compare scan output against the reference catalog entry by entry.
 
     Candidates match reference entries on exact (steps, theta / pi,
-    omega / pi) triples; matched entries must also agree on the
-    completeness flag.
+    omega / pi) triples, each entry at most once (a repeat is extra);
+    matched entries must also agree on the completeness flag.
     """
     if reference is None:
         reference = load_reference_catalog()
@@ -397,7 +409,7 @@ def verify_table(
             continue
         key = (candidate.steps, theta_frac, omega_frac)
         entry = by_key.get(key)
-        if entry is None:
+        if entry is None or key in seen:
             extra.append(described)
             continue
         seen.add(key)

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rampwalk.analysis import (
+    _is_revival,
     classify,
     effective_coin_balanced_strings,
     effective_coin_from_operator,
-    is_revival_operator,
     polya_number,
     tv_distance,
-    tv_from_origin_probability,
 )
 from rampwalk.coins import equal_up_to_global_phase, unitarity_defect
-from rampwalk.evolution import WalkSchedule, evolve
+from rampwalk.evolution import WalkSchedule, evolve, propagator_blocks
+from rampwalk.search import OPERATOR_ACCEPT_TOL
 from rampwalk.states import (
     CoinVector,
     Lattice,
@@ -50,15 +50,6 @@ def test_tv_distance_requires_same_lattice():
         tv_distance(p, q)
 
 
-def test_tv_from_origin_probability():
-    assert tv_from_origin_probability(1.0) == 0.0
-    assert tv_from_origin_probability(0.25) == pytest.approx(0.75, abs=1e-15)
-    with pytest.raises(ValueError):
-        tv_from_origin_probability(1.5)
-    with pytest.raises(ValueError):
-        tv_from_origin_probability(-0.1)
-
-
 @given(angle, angle, st.integers(min_value=1, max_value=8))
 @settings(max_examples=60)
 def test_tv_against_point_mass_equals_one_minus_p0(theta, omega, steps):
@@ -69,7 +60,7 @@ def test_tv_against_point_mass_equals_one_minus_p0(theta, omega, steps):
     for state in evolve(start, sched):
         dist = position_distribution(state)
         direct = tv_distance(dist, reference)
-        shortcut = tv_from_origin_probability(dist.at_site(0))
+        shortcut = 1.0 - dist.at_site(0)
         assert abs(direct - shortcut) <= 1e-12
 
 
@@ -154,11 +145,11 @@ def test_effective_coin_unitary_only_at_revivals():
 
 
 def test_is_revival_operator_known_points():
-    assert is_revival_operator(WalkSchedule(0.0, math.pi / 8, 2))
-    assert is_revival_operator(WalkSchedule(0.0, math.pi / 8, 16))
-    assert is_revival_operator(WalkSchedule(math.pi / 4, 0.0, 4))
-    assert not is_revival_operator(WalkSchedule(0.0, math.pi / 7, 2))
-    assert not is_revival_operator(WalkSchedule(0.0, math.pi / 8, 3))
+    assert classify(WalkSchedule(0.0, math.pi / 8, 2)).is_revival
+    assert classify(WalkSchedule(0.0, math.pi / 8, 16)).is_revival
+    assert classify(WalkSchedule(math.pi / 4, 0.0, 4)).is_revival
+    assert not classify(WalkSchedule(0.0, math.pi / 7, 2)).is_revival
+    assert not classify(WalkSchedule(0.0, math.pi / 8, 3)).is_revival
     # family points at large T, checked against five start sites walked by the oracle
     for theta, omega, steps, expected in [
         (math.pi / 4, math.pi / 12, 24, True),  # complete, k pi / T
@@ -168,7 +159,8 @@ def test_is_revival_operator_known_points():
         (0.0, math.pi / 36, 16, True),  # incomplete, (2k + 1) pi / (2 (T + 2))
         (0.0, math.pi / 36 + 1e-3, 16, False),
     ]:
-        ours = is_revival_operator(WalkSchedule(theta, omega, steps), tol=1e-8)
+        blocks = propagator_blocks(WalkSchedule(theta, omega, steps))
+        ours = _is_revival(blocks, OPERATOR_ACCEPT_TOL)
         reference = oracles.is_revival_state_route(theta, omega, steps, tol=1e-8)
         assert ours == reference == expected
 
@@ -176,7 +168,8 @@ def test_is_revival_operator_known_points():
 @given(angle, angle, st.sampled_from([2, 4, 6]))
 @settings(max_examples=40)
 def test_is_revival_operator_matches_state_route(theta, omega, steps):
-    ours = is_revival_operator(WalkSchedule(theta, omega, steps), tol=1e-8)
+    blocks = propagator_blocks(WalkSchedule(theta, omega, steps))
+    ours = _is_revival(blocks, OPERATOR_ACCEPT_TOL)
     reference = oracles.is_revival_state_route(theta, omega, steps, tol=1e-8)
     assert ours == reference
 

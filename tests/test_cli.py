@@ -218,10 +218,23 @@ def test_verify_table_io_and_parse_errors(tmp_path):
         ' "omega_pi": "1/8", "complete": false, "residual": 0.0}]}',
         encoding="utf-8",
     )
+    # steps must be a JSON integer and complete a JSON boolean, in both documents
+    candidate = {"steps": 2, "theta": 0.0, "omega": 0.39269908169872414, "omega_pi": "1/8",
+                 "complete": False, "residual": 0.0}
+    entry = {"steps": 2, "theta_pi": "0", "omega_pi": "1/8", "complete": False}
+    mistyped = []
+    wrong_types = ({"complete": "false"}, {"complete": 0}, {"steps": 2.9}, {"steps": True})
+    for i, changes in enumerate(wrong_types):
+        candidates = tmp_path / f"candidates{i}.json"
+        candidates.write_text(json.dumps({"candidates": [{**candidate, **changes}]}))
+        catalog = tmp_path / f"catalog{i}.json"
+        catalog.write_text(json.dumps({"entries": [{**entry, **changes}]}))
+        mistyped += [(str(candidates),), (str(good), "--catalog", str(catalog))]
     for args in (
         (str(listed),),
         (str(good), "--catalog", str(listed)),
         (str(huge),),
+        *mistyped,
     ):
         result = run_cli("verify-table", *args)
         assert result.returncode == 2, result.stderr

@@ -13,10 +13,8 @@ from rampwalk.evolution import (
     bisect_visibility,
     evolve,
     evolve_density,
-    origin_probability_series,
     propagator_blocks,
     run_walk,
-    step,
 )
 from rampwalk.states import (
     CoinVector,
@@ -65,15 +63,6 @@ def test_schedule_step_indices_by_convention():
     zero = WalkSchedule(0.0, 0.1, 3, convention=StepConvention.ZERO_BASED)
     assert list(one.step_indices()) == [1, 2, 3]
     assert list(zero.step_indices()) == [0, 1, 2]
-
-
-def test_step_rejects_out_of_schedule_index():
-    sched = WalkSchedule(0.0, math.pi / 8, 2)
-    state = symmetric_start(2)
-    with pytest.raises(ValueError):
-        step(state, sched, 0)
-    with pytest.raises(ValueError):
-        step(state, sched, 3)
 
 
 def test_evolve_requires_unit_visibility():
@@ -143,7 +132,7 @@ def test_boundary_overflow_raises_instead_of_wrapping():
             evolve(initial_state(lopsided, CoinVector.symmetric()), WalkSchedule(0.3, 0.2, 1))
     moved = evolve(state, WalkSchedule(0.3, 0.2, 1))[-1]
     with pytest.raises(BoundaryOverflowError):
-        step(moved, WalkSchedule(0.3, 0.2, 2), 2)
+        evolve(moved, WalkSchedule(0.3, 0.2, 1))
 
 
 def test_guard_sites_stay_empty_over_long_walk():
@@ -212,7 +201,7 @@ def test_density_at_unit_visibility_matches_pure():
 def test_density_walk_matches_dict_oracle(theta, omega, visibility, steps):
     sched = WalkSchedule(theta, omega, steps, visibility=visibility)
     start = density_from_pure(symmetric_start(steps))
-    ours = origin_probability_series(start, sched)
+    ours = [distribution.at_site(0) for distribution in run_walk(start, sched)[0]]
     reference = oracles.density_p0_series(theta, omega, steps, visibility)
     assert np.max(np.abs(np.array(ours) - np.array(reference))) < 1e-10
 
@@ -240,7 +229,7 @@ def test_full_dephasing_return_probability_formula():
     for omega in (math.pi / 8, math.pi / 10, 3.0 * math.pi / 16):
         sched = WalkSchedule(0.0, omega, 2, visibility=0.0)
         start = density_from_pure(symmetric_start(2))
-        p0 = origin_probability_series(start, sched)[-1]
+        p0 = run_walk(start, sched)[0][-1].at_site(0)
         assert p0 == pytest.approx(math.sin(4.0 * omega) ** 2, abs=1e-12)
 
 
@@ -272,7 +261,7 @@ def test_reduced_coin_purity_strictly_between_half_and_one():
 def test_bisect_visibility_recovers_known_value():
     sched = WalkSchedule(0.0, math.pi / 8, 8)
     start = density_from_pure(symmetric_start(8))
-    target = origin_probability_series(start, sched.with_visibility(0.93))[-1]
+    target = run_walk(start, sched.with_visibility(0.93))[0][-1].at_site(0)
     visibility, achieved = bisect_visibility(sched, start, target, tol=1e-6)
     assert abs(achieved - target) <= 1e-6
     assert abs(visibility - 0.93) < 1e-3
@@ -353,13 +342,13 @@ def test_run_walk_boundary_overflow_raises_before_any_step(monkeypatch):
     assert len(steps_taken) == 2
 
 
-def test_origin_probability_series_memory_does_not_grow_with_trajectory():
+def test_run_walk_memory_does_not_grow_with_trajectory():
     # keeping all 64 density matrices of this walk takes about 73 MB
     sched = WalkSchedule(0.0, math.pi / 8, 64, visibility=0.95)
     start = density_from_pure(symmetric_start(64))
     tracemalloc.start()
     try:
-        series = origin_probability_series(start, sched)
+        series, _ = run_walk(start, sched)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

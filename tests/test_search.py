@@ -261,6 +261,7 @@ def test_verify_table_reports_missing_extra_and_misclassified():
     candidates = [
         make_candidate(2, "0", "1/8", True),  # wrong flag
         make_candidate(2, "0", "1/6", False),  # not in the reference
+        make_candidate(2, "0", "1/8", True),  # a repeat of a matched entry
         # (2, 0, 3/8) and (4, 1/4, 1/2) never found
     ]
     diff = verify_table(candidates, reference)
@@ -269,7 +270,7 @@ def test_verify_table_reports_missing_extra_and_misclassified():
         (2, "3/8"),
         (4, "1/2"),
     }
-    assert [e["omega_pi"] for e in diff.extra] == ["1/6"]
+    assert [e["omega_pi"] for e in diff.extra] == ["1/6", "1/8"]
     assert diff.misclassified == (
         {
             "steps": 2,
