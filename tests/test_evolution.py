@@ -442,3 +442,27 @@ def test_density_walk_steps_only_the_light_cone(monkeypatch):
     start = density_from_pure(symmetric_start(steps))
     run_walk(start, WalkSchedule(0.3, 0.2, steps, visibility=0.9))
     assert batches == [2 * (2 * k + 1) for k in range(1, steps + 1) for _ in range(2)]
+
+
+def test_evolve_density_keeps_a_separate_matrix_per_step():
+    sched = WalkSchedule(0.3, 0.2, 5, visibility=0.7)
+    start = density_from_pure(symmetric_start(5))
+    states = evolve_density(start, sched)
+    for i, earlier in enumerate(states):
+        for later in states[i + 1 :]:
+            assert not np.shares_memory(earlier.matrix, later.matrix)
+            assert not np.array_equal(earlier.matrix, later.matrix)
+    distributions, _ = run_walk(start, sched)
+    for state, distribution in zip(states, distributions, strict=True):
+        assert np.array_equal(position_distribution(state).probabilities, distribution.probabilities)
+
+
+def test_density_walk_leaves_the_start_unchanged():
+    sched = WalkSchedule(0.3, 0.2, 4, visibility=0.6)
+    start = density_from_pure(symmetric_start(4))
+    before = start.matrix.copy()
+    _, final = run_walk(start, sched)
+    evolve_density(start, sched)
+    assert np.array_equal(start.matrix, before)
+    assert not np.shares_memory(final.matrix, start.matrix)
+    assert np.array_equal(final.matrix, evolve_density(start, sched)[-1].matrix)

@@ -15,6 +15,7 @@ from rampwalk.search import (
     load_reference_catalog,
     parse_catalog,
     scan,
+    typed_field,
     verify_table,
 )
 
@@ -231,6 +232,23 @@ def test_parse_catalog_roundtrip():
         "omega_pi": "1/2",
         "complete": True,
     }
+
+
+def test_typed_field_requires_the_exact_json_type():
+    raw = {"steps": 4, "complete": False, "bad_steps": 2.9, "flag_steps": True,
+           "text_complete": "false", "int_complete": 0}
+    assert typed_field(raw, "steps", int) == 4
+    assert typed_field(raw, "complete", bool) is False
+    for key, kind in (
+        ("bad_steps", int),
+        ("flag_steps", int),
+        ("text_complete", bool),
+        ("int_complete", bool),
+    ):
+        with pytest.raises(ValueError, match=key):
+            typed_field(raw, key, kind)
+    with pytest.raises(KeyError):
+        typed_field(raw, "missing", int)
 
 
 def test_verify_table_accepts_exact_match():
