@@ -2,11 +2,12 @@
 """Rediscover the revival catalog by direct numerical search.
 
 Runs the default scan (walk lengths 2 to 8, both bias angles), which
-tests each row's rational family of ramp rates and refines only the
-grid minima that no family point explains. Prints every accepted ramp
-rate with its completeness marker and diffs the result against the
-catalog bundled with the package. Takes no options; for other domains
-run `rampwalk search`, then `rampwalk verify-table` on its output.
+tests each row's rational family of ramp rates; grid minima that no
+family revival explains would be reported on stderr. Prints every
+accepted ramp rate as an exact fraction of pi with its completeness
+marker and diffs the result against the catalog bundled with the
+package. Takes no options; for other domains run `rampwalk search`,
+then `rampwalk verify-table` on its output.
 """
 
 import argparse
@@ -30,10 +31,7 @@ def main() -> int:
         if row != current_row:
             print(f"\nT = {candidate.steps}, theta = {angle_fraction(candidate.theta)} pi")
             current_row = row
-        if candidate.omega_rational is not None:
-            omega_text = f"{Fraction(*candidate.omega_rational)} pi"
-        else:
-            omega_text = f"{candidate.omega:.12f} rad"
+        omega_text = f"{Fraction(*candidate.omega_rational)} pi"
         marker = "complete" if candidate.complete else "incomplete"
         print(f"  omega = {omega_text:>8}   {marker}   residual {candidate.residual:.2e}")
 

@@ -142,15 +142,13 @@ def cmd_search(config: SearchConfig, json_out: str | None = "-") -> int:
 
 
 def _candidate_doc(candidate: RevivalCandidate) -> dict:
-    rational = candidate.omega_rational
-    omega_pi = None if rational is None else str(Fraction(*rational))
     theta_frac = angle_fraction(candidate.theta)
     return {
         "steps": int(candidate.steps),
         "theta": float(candidate.theta),
         "theta_pi": str(theta_frac) if theta_frac is not None else None,
         "omega": float(candidate.omega),
-        "omega_pi": omega_pi,
+        "omega_pi": str(Fraction(*candidate.omega_rational)),
         "complete": bool(candidate.complete),
         "residual": float(candidate.residual),
     }
@@ -160,13 +158,11 @@ def _candidate_from_doc(raw: dict) -> RevivalCandidate:
     theta, omega, residual = (float(raw[key]) for key in ("theta", "omega", "residual"))
     if not all(math.isfinite(value) for value in (theta, omega, residual)):
         raise ValueError(f"candidate has a non-finite theta, omega or residual: {raw!r}")
-    omega_pi = raw.get("omega_pi")
-    rational = None if omega_pi is None else parse_fraction(omega_pi).as_integer_ratio()
     return RevivalCandidate(
         steps=typed_field(raw, "steps", int),
         theta=theta,
         omega=omega,
-        omega_rational=rational,
+        omega_rational=parse_fraction(raw["omega_pi"]).as_integer_ratio(),
         complete=typed_field(raw, "complete", bool),
         residual=residual,
     )

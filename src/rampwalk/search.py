@@ -1,18 +1,18 @@
-"""Grid search that rediscovers the revival parameter catalog.
+"""Scan that rediscovers the revival parameter catalog.
 
 For each (steps, theta) pair the scan evaluates the final origin
-probability of a walk started from the symmetric coin state on a dense
-ramp-rate grid, then on the exact rational family of the row (see
-``_family``), where every known revival sits. A family point is kept
-with its exact p/q when its residual ``1 - p0`` is at most ``refine_tol``
-and its propagator blocks pass the revival check at
-``OPERATOR_ACCEPT_TOL``. As a guard, the local minima of the grid
-residual whose bracket holds no kept family point are refined by
-golden-section search in lockstep (one batched walk per round) and kept,
-without a fraction, under the same two tests. ``analysis._is_complete``
-says whether each kept revival is complete. The batched walk takes each
-step's coins from ``coin_at_step`` and steps only the sites inside the
-light cone of the origin: those the walker can reach and still return from.
+probability of a walk started from the symmetric coin state on the
+exact rational family of the row (see ``_family``), where every
+revival sits. A family point is kept with its exact p/q when its
+residual ``1 - p0`` is at most ``refine_tol`` and its propagator blocks
+pass the revival check at ``OPERATOR_ACCEPT_TOL``;
+``analysis._is_complete`` says whether it is complete. Every candidate
+is such a point. A dense ramp-rate grid serves only as a detector: a
+local minimum of its residual below ``BRACKET_THRESHOLD`` whose bracket
+holds no kept family point is reported in one logged warning per row,
+never turned into a candidate. The batched walk takes each step's coins
+from ``coin_at_step`` and steps only the sites inside the light cone of
+the origin: those the walker can reach and still return from.
 """
 
 from __future__ import annotations
@@ -34,13 +34,10 @@ from .analysis import _is_complete, _is_revival
 from .states import CoinVector
 
 BRACKET_THRESHOLD = 1e-3
-GOLDEN_WIDTH_TOL = 1e-11
-DEDUPE_TOL = 1e-9
 ANGLE_MAX_DENOMINATOR = 360
 ANGLE_TOL = 1e-9
 OPERATOR_ACCEPT_TOL = 1e-8
 MAX_FRACTION_EXPONENT = 1000
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 _CATALOG_RESOURCE = "data/revival_catalog.json"
 _EXPONENT = re.compile(r"e([-+]?\d[\d_]*)\s*\Z", re.IGNORECASE)
@@ -53,9 +50,11 @@ class SearchConfig:
     """Scan domain and acceptance thresholds.
 
     ``omega_grid`` is (min, max, count) in radians with the range inside
-    [0, pi/2]; both endpoints are included in the grid. Step counts must
-    be even since the walker can only revive at the origin after an even
-    number of steps.
+    [0, pi/2]; both endpoints are included in the detector grid, and
+    the family points scanned are those inside the range. ``refine_tol``
+    is the largest residual ``1 - p0`` at which a family point is kept.
+    Step counts must be even since the walker can only revive at the
+    origin after an even number of steps.
     """
 
     step_counts: tuple[int, ...] = (2, 4, 6, 8)
@@ -86,16 +85,15 @@ class SearchConfig:
 class RevivalCandidate:
     """One accepted revival point.
 
-    ``omega_rational`` holds (numerator, denominator) of omega / pi when
-    the ramp rate is a point of the row's rational family, else None
-    (a revival found only by golden refinement).
-    ``residual`` is ``1 - p0`` at the accepted parameters.
+    ``omega_rational`` holds (numerator, denominator) of omega / pi, the
+    exact point of the row's rational family whose ramp rate is
+    ``omega``. ``residual`` is ``1 - p0`` at the accepted parameters.
     """
 
     steps: int
     theta: float
     omega: float
-    omega_rational: tuple[int, int] | None
+    omega_rational: tuple[int, int]
     complete: bool
     residual: float
 
@@ -153,60 +151,15 @@ def _final_origin_probability(
     return np.abs(amps[:, origin, 0]) ** 2 + np.abs(amps[:, origin, 1]) ** 2
 
 
-def _golden_minimize(
-    objective: Callable[[NDArray[np.float64]], NDArray[np.float64]],
-    lo: NDArray[np.float64],
-    hi: NDArray[np.float64],
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Golden-section minima of a unimodal objective on brackets [lo[i], hi[i]].
-
-    All brackets advance together, and each round makes one batched
-    call of `objective` on the next point of every bracket still wider
-    than ``GOLDEN_WIDTH_TOL``. A bracket evaluates its endpoints, then
-    its two interior points, then one point per round, and returns the
-    first of its equal minima, so its result does not depend on the
-    other brackets.
-    """
-    a, b = lo.copy(), hi.copy()
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    f_lo, f_hi, fc, fd = np.split(objective(np.concatenate([a, b, c, d])), 4)
-    best_x, best_f = a.copy(), f_lo.copy()
-
-    def keep(x: NDArray[np.float64], fx: NDArray[np.float64]) -> None:
-        # strictly lower only, so the first of equal minima stays
-        better = fx < best_f
-        best_x[better] = x[better]
-        best_f[better] = fx[better]
-
-    keep(b, f_hi)
-    keep(c, fc)
-    keep(d, fd)
-    active = (b - a) > GOLDEN_WIDTH_TOL
-    while active.any():
-        left = active & (fc < fd)
-        right = active & ~left
-        b[left], d[left], fd[left] = d[left], c[left], fc[left]
-        c[left] = b[left] - _INV_PHI * (b[left] - a[left])
-        a[right], c[right], fc[right] = c[right], d[right], fd[right]
-        d[right] = a[right] + _INV_PHI * (b[right] - a[right])
-        x = np.where(left, c, d)
-        fx = np.full(a.size, np.nan)
-        fx[active] = objective(x[active])
-        fc[left] = fx[left]
-        fd[right] = fx[right]
-        keep(x, fx)  # NaN where closed, which never wins
-        active &= (b - a) > GOLDEN_WIDTH_TOL
-    return best_x, best_f
-
-
 def _family(steps: int, convention: StepConvention, lo: float, hi: float) -> list[Fraction]:
     """Sorted fractions p/q = omega / pi in [0, 1/2] of the row's revival family.
 
     Every revival found so far has q | T or q | 2(T + 2) in the one-based
     convention and q | 2T in the zero-based one, so the family is k/m
-    for those m. A point is kept when its ramp rate ``pi * p / q`` lies
-    in [lo, hi].
+    for those m. For theta / pi in Z/4 and T <= 24 the revivals of the
+    family are the row's whole revival set on [0, pi/2], as the integer
+    polynomial certificate in ``tests/exact.py`` proves. A point is kept
+    when its ramp rate ``pi * p / q`` lies in [lo, hi].
     """
     if convention is StepConvention.ONE_BASED:
         moduli = (steps, 2 * (steps + 2))
@@ -223,50 +176,48 @@ def _scan_row(config: SearchConfig, steps: int, theta: float) -> list[RevivalCan
     def objective(omegas: NDArray[np.float64]) -> NDArray[np.float64]:
         return 1.0 - _final_origin_probability(steps, theta, omegas, config.convention)
 
-    def accept(
-        omegas: list[float], residuals: list[float], rationals: list[tuple[int, int] | None]
-    ) -> list[RevivalCandidate]:
-        found = []
-        for omega, residual, rational in zip(omegas, residuals, rationals):
-            if residual > config.refine_tol:
-                continue
-            blocks = propagator_blocks(WalkSchedule(theta, omega, steps, config.convention))
-            if _is_revival(blocks, OPERATOR_ACCEPT_TOL):
-                found.append(
-                    RevivalCandidate(steps, theta, omega, rational, _is_complete(blocks), residual)
-                )
-        return found
-
     # The grid goes first: a row too large to walk fails here at once,
     # before the family of its step count is enumerated.
     residuals = objective(grid)
-    family = [(p.numerator, p.denominator) for p in _family(steps, config.convention, lo, hi)]
-    family_omegas = [math.pi * p / q for p, q in family]
-    found = accept(family_omegas, objective(np.array(family_omegas)).tolist(), family)
-    # local minima of the grid residual below the bracketing threshold
+    family = _family(steps, config.convention, lo, hi)
+    family_omegas = np.array([math.pi * p.numerator / p.denominator for p in family])
+    found = []
+    for point, omega, residual in zip(
+        family, family_omegas.tolist(), objective(family_omegas).tolist()
+    ):
+        if residual > config.refine_tol:
+            continue
+        blocks = propagator_blocks(WalkSchedule(theta, omega, steps, config.convention))
+        if _is_revival(blocks, OPERATOR_ACCEPT_TOL):
+            rational = point.as_integer_ratio()
+            found.append(
+                RevivalCandidate(steps, theta, omega, rational, _is_complete(blocks), residual)
+            )
+    # The detector: local minima of the grid residual below the threshold
+    # whose bracket (the grid points beside them) holds no kept family point.
     is_minimum = ~(residuals >= BRACKET_THRESHOLD)
     is_minimum[1:] &= ~(residuals[1:] > residuals[:-1])
     is_minimum[:-1] &= ~(residuals[:-1] > residuals[1:])
     minima = np.flatnonzero(is_minimum)
     a = grid[np.maximum(minima - 1, 0)]
     b = grid[np.minimum(minima + 1, count - 1)]
-    # only minima that no kept family point explains go to golden refinement
     hits = np.array([candidate.omega for candidate in found])
-    unexplained = ~((a[:, None] <= hits) & (hits <= b[:, None])).any(axis=1)
-    omegas, refined = _golden_minimize(objective, a[unexplained], b[unexplained])
-    found += accept(omegas.tolist(), refined.tolist(), [None] * omegas.size)
-    return _dedupe(found)
+    unexplained = minima[~((a[:, None] <= hits) & (hits <= b[:, None])).any(axis=1)]
+    if unexplained.size:
+        import logging  # here, not at the top: the import adds about 0.4 MB to every process
 
-
-def _dedupe(candidates: list[RevivalCandidate]) -> list[RevivalCandidate]:
-    kept: list[RevivalCandidate] = []
-    for candidate in sorted(candidates, key=lambda c: (c.omega, c.residual)):
-        if kept and abs(candidate.omega - kept[-1].omega) <= DEDUPE_TOL:
-            if candidate.residual < kept[-1].residual:
-                kept[-1] = candidate
-            continue
-        kept.append(candidate)
-    return kept
+        theta_pi = angle_fraction(theta)
+        logging.getLogger(__name__).warning(
+            "T = %d, theta = %s, %s: no family revival explains the grid minima at %s",
+            steps,
+            f"{theta_pi} pi" if theta_pi is not None else f"{theta!r} rad",
+            config.convention.value,
+            ", ".join(
+                f"omega/pi = {grid[i] / math.pi:.6f} (1 - p0 = {residuals[i]:.1e})"
+                for i in unexplained
+            ),
+        )
+    return found
 
 
 def scan(config: SearchConfig) -> list[RevivalCandidate]:
@@ -393,20 +344,14 @@ def verify_table(
     misclassified: list[dict] = []
     for candidate in candidates:
         theta_frac = angle_fraction(candidate.theta)
-        omega_frac = (
-            Fraction(candidate.omega_rational[0], candidate.omega_rational[1])
-            if candidate.omega_rational is not None
-            else None
-        )
+        omega_frac = Fraction(*candidate.omega_rational)
         described = {
             "steps": candidate.steps,
             "theta_pi": str(theta_frac) if theta_frac is not None else repr(candidate.theta),
-            "omega_pi": str(omega_frac) if omega_frac is not None else repr(candidate.omega),
+            "omega_pi": str(omega_frac),
             "complete": candidate.complete,
         }
-        if theta_frac is None or omega_frac is None:
-            extra.append(described)
-            continue
+        # a theta that is no fraction of pi matches no entry
         key = (candidate.steps, theta_frac, omega_frac)
         entry = by_key.get(key)
         if entry is None or key in seen:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rampwalk.analysis import (
+    _is_complete,
     _is_revival,
     classify,
     effective_coin_balanced_strings,
@@ -172,6 +173,20 @@ def test_is_revival_operator_matches_state_route(theta, omega, steps):
     ours = _is_revival(blocks, OPERATOR_ACCEPT_TOL)
     reference = oracles.is_revival_state_route(theta, omega, steps, tol=1e-8)
     assert ours == reference
+
+
+def test_is_complete_reads_only_the_origin_block():
+    # completeness never tests the revival again: off-origin entries of 5e-9,
+    # accepted at OPERATOR_ACCEPT_TOL, leave a complete W_T[0] complete
+    steps = 4
+    blocks = np.full((2 * steps + 1, 2, 2), 5e-9, dtype=np.complex128)
+    blocks[steps] = np.exp(0.7j) * np.eye(2)
+    assert _is_complete(blocks)
+    blocks[steps] = np.diag([1.0, 1j])
+    assert not _is_complete(blocks)
+    odd = np.zeros((2 * 3 + 1, 2, 2), dtype=np.complex128)
+    odd[3] = np.eye(2)
+    assert not _is_complete(odd)
 
 
 def test_classify_complete_revivals():

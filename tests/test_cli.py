@@ -218,12 +218,15 @@ def test_verify_table_io_and_parse_errors(tmp_path):
         ' "omega_pi": "1/8", "complete": false, "residual": 0.0}]}',
         encoding="utf-8",
     )
-    # steps must be a JSON integer and complete a JSON boolean, in both documents
+    # steps must be a JSON integer, complete a JSON boolean and omega_pi a
+    # fraction text, in both documents
     candidate = {"steps": 2, "theta": 0.0, "omega": 0.39269908169872414, "omega_pi": "1/8",
                  "complete": False, "residual": 0.0}
     entry = {"steps": 2, "theta_pi": "0", "omega_pi": "1/8", "complete": False}
     mistyped = []
-    wrong_types = ({"complete": "false"}, {"complete": 0}, {"steps": 2.9}, {"steps": True})
+    wrong_types = (
+        {"complete": "false"}, {"complete": 0}, {"steps": 2.9}, {"steps": True}, {"omega_pi": None}
+    )
     for i, changes in enumerate(wrong_types):
         candidates = tmp_path / f"candidates{i}.json"
         candidates.write_text(json.dumps({"candidates": [{**candidate, **changes}]}))

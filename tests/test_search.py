@@ -1,9 +1,11 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import exact
 import oracles
 from rampwalk import search
 from rampwalk.coins import StepConvention
@@ -63,7 +65,7 @@ def test_angle_fraction():
 @pytest.mark.parametrize("theta", [0.0, math.pi / 4, 0.37])
 @pytest.mark.parametrize("steps", [2, 8, 16, 24])
 def test_final_origin_probability_does_not_depend_on_the_batch(steps, theta, convention):
-    # the lockstep refinement batches unrelated ramp rates into one call
+    # the scan walks a row's whole grid, and then its family points, as one batch
     omegas = np.concatenate([np.linspace(0.0, math.pi / 2, 17), [0.1234, 1.0e-3, 1.4]])
     batch = search._final_origin_probability(steps, theta, omegas, convention)
     alone = [
@@ -84,43 +86,6 @@ def test_final_origin_probability_matches_dict_oracle(steps, convention):
         for omega, p0 in zip(omegas, got):
             expected = oracles.p0_series(theta, float(omega), steps, one_based=one_based)[-1]
             assert abs(p0 - expected) <= 1e-12
-
-
-def test_golden_minimize_refines_brackets_in_lockstep():
-    # distance to the nearest multiple of 1/8: minima at k/8, exact in binary
-    calls = []
-
-    def objective(x):
-        calls.append(x.size)
-        return np.abs(x - np.round(x * 8.0) / 8.0)
-
-    step = 0.01
-    minima = np.array([0.0, 0.125, 0.25, 0.375, 0.5])
-    lo = np.array([0.0, 0.125 - 0.007, 0.25 - 2 * step + 1e-3, 0.375 - step, 0.5 - step])
-    hi = np.array([step, 0.125 + 0.013, 0.25 + 1e-3, 0.375 + step, 0.5])
-    x, f = search._golden_minimize(objective, lo, hi)
-    assert np.all(np.abs(x - minima) <= search.GOLDEN_WIDTH_TOL)
-    assert np.all(f <= search.GOLDEN_WIDTH_TOL)
-    rounds = len(calls)
-    longest = 0
-    for i in range(minima.size):
-        calls.clear()
-        x_alone, f_alone = search._golden_minimize(objective, lo[i : i + 1], hi[i : i + 1])
-        assert (x_alone[0], f_alone[0]) == (x[i], f[i])
-        longest = max(longest, len(calls))
-    # one batched call per round, however many brackets share it
-    assert rounds == longest
-    x_none, f_none = search._golden_minimize(objective, np.array([]), np.array([]))
-    assert x_none.size == f_none.size == 0
-
-
-def test_golden_minimize_keeps_the_first_of_equal_minima():
-    # constant objective: the lower endpoint is evaluated first and wins
-    x, f = search._golden_minimize(
-        lambda x: np.zeros_like(x), np.array([0.2, 0.7]), np.array([0.3, 0.8])
-    )
-    assert x.tolist() == [0.2, 0.7]
-    assert f.tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize(
@@ -162,7 +127,6 @@ def test_scan_single_row_without_bias():
     assert [c.omega_rational for c in candidates] == [(1, 8), (3, 8)]
     assert all(not c.complete for c in candidates)
     assert all(c.residual <= 1e-12 for c in candidates)
-    assert all(c.omega_rational is not None for c in candidates)
 
 
 def test_scan_finds_endpoint_revivals():
@@ -301,70 +265,66 @@ def test_verify_table_reports_missing_extra_and_misclassified():
 
 
 def test_verify_table_flags_unrationalized_candidates_as_extra():
+    # a bias angle that is no fraction of pi can match no catalog entry
     reference = (CatalogEntry(2, Fraction(0), Fraction(1, 8), False),)
     stray = RevivalCandidate(
         steps=2,
-        theta=0.0,
-        omega=0.40,
-        omega_rational=None,
+        theta=0.3,
+        omega=math.pi / 8,
+        omega_rational=(1, 8),
         complete=False,
         residual=0.0,
     )
     diff = verify_table([stray], reference)
     assert not diff.ok
-    assert len(diff.extra) == 1
-    assert diff.extra[0]["omega_pi"] == repr(0.40)
+    assert diff.extra == (
+        {"steps": 2, "theta_pi": repr(0.3), "omega_pi": "1/8", "complete": False},
+    )
     assert len(diff.missing) == 1
 
 
-def test_unsnapped_candidates_carry_the_catalog_completeness(monkeypatch):
-    # The scan accepts at OPERATOR_ACCEPT_TOL; its completeness verdict must
-    # not test the revival again at a tighter tolerance. With no family
-    # points every revival comes from the golden guard, unsnapped.
-    monkeypatch.setattr(search, "_family", lambda *args: [])
-    catalog = load_reference_catalog()
-    candidates = scan(SearchConfig(step_counts=(4, 6, 8)))
-    assert candidates
-    compared = []
-    for candidate in candidates:
-        assert candidate.omega_rational is None
-        for entry in catalog:
-            if (
-                entry.steps == candidate.steps
-                and math.isclose(float(entry.theta_pi) * math.pi, candidate.theta)
-                and abs(float(entry.omega_pi) * math.pi - candidate.omega) <= 1e-6
-            ):
-                compared.append((entry.key(), candidate.complete, entry.complete))
-    assert len(compared) == len(candidates)
-    complete = {key for key, _, expected in compared if expected}
-    assert complete == {
-        (4, Fraction(1, 4), Fraction(1, 4)),
-        (4, Fraction(1, 4), Fraction(1, 2)),
-        (6, Fraction(1, 4), Fraction(1, 6)),
-        (6, Fraction(1, 4), Fraction(1, 3)),
-        (6, Fraction(1, 4), Fraction(1, 2)),
-        (8, Fraction(0), Fraction(1, 8)),
-        (8, Fraction(1, 4), Fraction(1, 8)),
-        (8, Fraction(1, 4), Fraction(3, 8)),
-    }
-    assert [c for c in compared if c[1] != c[2]] == []
+def _warnings(caplog):
+    return [r.getMessage() for r in caplog.records if r.name == search.__name__]
 
 
 @pytest.mark.parametrize("step_counts", [(2, 4, 6, 8), (16, 24)])
-def test_family_points_explain_every_grid_minimum(monkeypatch, step_counts):
-    # golden refinement is only the guard: on these rows every bracketed
-    # grid minimum holds a revival of the rational family
-    brackets = []
-    golden = search._golden_minimize
-
-    def counting(objective, lo, hi):
-        brackets.append(lo.size)
-        return golden(objective, lo, hi)
-
-    monkeypatch.setattr(search, "_golden_minimize", counting)
+def test_family_points_explain_every_grid_minimum(caplog, step_counts):
+    # on these rows every grid minimum below the threshold holds a family revival
     assert scan(SearchConfig(step_counts=step_counts))
-    assert len(brackets) == 2 * len(step_counts)
-    assert sum(brackets) == 0
+    assert _warnings(caplog) == []
+
+
+def test_near_misses_off_the_family_are_reported(caplog):
+    # theta = pi/8 is outside Z/4: the grid dips to 1 - p0 of about 5e-4 near
+    # omega/pi = 1/24, 5/24, 7/24 and 11/24, where no family point revives
+    assert scan(SearchConfig(step_counts=(24,), theta_values=(math.pi / 8,))) == []
+    (message,) = _warnings(caplog)
+    assert message.startswith("T = 24, theta = 1/8 pi, one-based:")
+    named = [float(x) for x in re.findall(r"omega/pi = ([0-9.]+)", message)]
+    assert np.allclose(named, [1 / 24, 5 / 24, 7 / 24, 11 / 24], atol=1e-3)
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 4])
+@pytest.mark.parametrize("steps", [4, 6, 8])
+def test_unexplained_grid_minima_name_every_revival(caplog, monkeypatch, steps, theta):
+    # with no family points the scan keeps nothing, and its one warning for
+    # the row names a grid minimum next to each revival of the catalog
+    monkeypatch.setattr(search, "_family", lambda *args: [])
+    config = SearchConfig(step_counts=(steps,), theta_values=(theta,))
+    assert scan(config) == []
+    (message,) = _warnings(caplog)
+    assert message.startswith(f"T = {steps}, theta = {angle_fraction(theta)} pi, one-based:")
+    named = np.array([float(x) for x in re.findall(r"omega/pi = ([0-9.]+)", message)])
+    lo, hi, count = config.omega_grid
+    spacing = (hi - lo) / (count - 1) / math.pi
+    revivals = [
+        entry.omega_pi
+        for entry in load_reference_catalog()
+        if entry.steps == steps and float(entry.theta_pi) * math.pi == theta
+    ]
+    assert revivals
+    for omega_pi in revivals:
+        assert np.abs(named - float(omega_pi)).min() <= spacing
 
 
 def _oracle_truth_set(steps, theta, one_based):
@@ -384,7 +344,19 @@ def _oracle_truth_set(steps, theta, one_based):
 def test_scan_equals_the_oracle_truth_set(steps, theta, convention):
     one_based = convention is StepConvention.ONE_BASED
     config = SearchConfig(step_counts=(steps,), theta_values=(theta,), convention=convention)
-    candidates = scan(config)
-    assert all(c.omega_rational is not None for c in candidates)
-    found = {Fraction(*c.omega_rational) for c in candidates}
+    found = {Fraction(*c.omega_rational) for c in scan(config)}
     assert found == _oracle_truth_set(steps, theta, one_based)
+
+
+@pytest.mark.parametrize("convention", list(StepConvention))
+@pytest.mark.parametrize("theta_quarters", [0, 1])
+@pytest.mark.parametrize("steps", [8, 16, 24])
+def test_scan_equals_the_certified_revival_set(steps, theta_quarters, convention):
+    # the integer certificate proves the scanned points are the row's whole
+    # revival set on [0, pi/2], with exact completeness flags
+    config = SearchConfig(
+        step_counts=(steps,), theta_values=(theta_quarters * math.pi / 4,), convention=convention
+    )
+    found = {Fraction(*c.omega_rational): c.complete for c in scan(config)}
+    one_based = convention is StepConvention.ONE_BASED
+    assert exact.certify(steps, theta_quarters, one_based, found) == found
