@@ -42,17 +42,22 @@ class StepConvention(Enum):
         return 1 if self is StepConvention.ONE_BASED else 0
 
 
-def rx(phi) -> CoinOperator:
-    """Rotation about x by nominal angle phi; an array of angles gives a (..., 2, 2) stack.
-
-    Returns ``[[cos 2phi, i sin 2phi], [i sin 2phi, cos 2phi]]``.
-    """
+def _cos_sin_double(phi) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """``cos 2phi`` and ``sin 2phi`` of an angle or array of angles; raises unless 2 phi is finite."""
     half = np.asarray(phi, dtype=np.float64)
     finite = np.abs(half) <= _MAX_HALF_ANGLE  # false for NaN, infinities and overflow of 2 phi
     if not finite.all():
         raise ValueError(f"rotation angle must be finite, got {float(half[~finite][0])!r}")
     angle = 2.0 * half
-    c, s = np.cos(angle), np.sin(angle)
+    return np.cos(angle), np.sin(angle)
+
+
+def rx(phi) -> CoinOperator:
+    """Rotation about x by nominal angle phi; an array of angles gives a (..., 2, 2) stack.
+
+    Returns ``[[cos 2phi, i sin 2phi], [i sin 2phi, cos 2phi]]``.
+    """
+    c, s = _cos_sin_double(phi)
     out = np.empty(c.shape + (2, 2), dtype=np.complex128)
     out[..., 0, 0] = out[..., 1, 1] = c
     out[..., 0, 1] = out[..., 1, 0] = 1j * s
@@ -77,14 +82,40 @@ def coin_at_step(
     t,
     convention: StepConvention = StepConvention.ONE_BASED,
 ) -> CoinOperator:
-    """Coin ``rx(omega * t) @ ry(theta)``; arrays of steps or ramp rates give their stack."""
-    if np.asarray(t).min(initial=convention.first_step) < convention.first_step:
+    """Coin ``rx(omega * t) @ ry(theta)``; arrays of steps or ramp rates give their stack.
+
+    The ``(..., 2, 2)`` stack is written entry by entry from ``c, s = cos,
+    sin(2 omega t)`` and ``cy, sy = cos, sin(2 theta)``, computed as
+    :func:`rx` and :func:`ry` compute them:
+
+        [[c cy + i s sy,  -c sy + i s cy],
+         [c sy + i s cy,   c cy - i s sy]]
+
+    Each real and imaginary part is one rounded product, as in the
+    complex matrix product, whose other terms are exact zeros; so the
+    stack equals ``rx(omega * t) @ ry(theta)`` up to the signs of zeros.
+    Raises on a step index before the convention's first step and on a
+    non-finite angle.
+    """
+    t = np.asarray(t)
+    early = t < convention.first_step
+    if early.any():
         raise ValueError(
-            f"step index {t} is not valid under {convention.value} indexing"
+            f"step index {t[early].flat[0]} is not valid under {convention.value} indexing"
         )
     with np.errstate(over="ignore"):
         phi = np.multiply(omega, t, dtype=np.float64)
-    return rx(phi) @ ry(theta)
+    c, s = _cos_sin_double(phi)
+    (cy, minus_sy), (sy, _) = ry(theta).real
+    out = np.empty(c.shape + (2, 2), dtype=np.complex128)
+    re, im = out.real, out.imag
+    re[..., 0, 0] = re[..., 1, 1] = c * cy
+    re[..., 0, 1] = c * minus_sy
+    re[..., 1, 0] = c * sy
+    im[..., 0, 0] = s * sy
+    im[..., 0, 1] = im[..., 1, 0] = s * cy
+    im[..., 1, 1] = s * minus_sy
+    return out
 
 
 def unitarity_defect(matrix: NDArray[np.complex128]) -> float:

@@ -24,7 +24,10 @@ the start's exact non-zero support (its forward light cone); a
 thresholded support would drop tiny entries that the full-lattice walk
 keeps, and the result would no longer match that walk bit for bit.
 :func:`run_walk` returns only the distribution after each step and the
-final state, so it keeps no trajectory.
+final state, so it keeps no trajectory. The probes of
+:func:`bisect_visibility` need only the final origin probability, so
+they step the same density step on the smaller part of the light cone
+that can still reach the origin.
 """
 
 from __future__ import annotations
@@ -94,16 +97,23 @@ def _coin_and_shift(
 ) -> NDArray[np.complex128]:
     """One walk step on a batch: coin ``coins[g]`` on walk ``amps[g]``, then the shift.
 
-    ``coins`` has shape (G, 2, 2) and ``amps`` shape (G, n, 2). The plus
-    component moves one site up and the minus component one site down;
-    amplitude shifted past either edge is dropped, so callers keep the
-    support one site inside the lattice (see :func:`_check_reach`).
+    ``amps`` has shape (G, n, 2). ``coins`` is a (G, 2, 2) stack, one
+    coin per walk, or a single (2, 2) coin for the whole batch. Coin and
+    shift are fused: the plus component of site x is written straight
+    from the coined amplitudes of site x - 1, and the minus component
+    from those of site x + 1, each as ``c0 * plus + c1 * minus`` with
+    ``c0, c1`` one row of the coin. Amplitude shifted past either edge
+    is dropped, and the two entries nothing shifts into (plus at the
+    first site, minus at the last) are zero, so callers keep the support
+    one site inside the lattice (see :func:`_check_reach`).
     """
-    coined = np.einsum("gij,gxj->gxi", coins, amps)
-    shifted = np.zeros_like(coined)
-    shifted[:, 1:, 0] = coined[:, :-1, 0]
-    shifted[:, :-1, 1] = coined[:, 1:, 1]
-    return shifted
+    c = coins[..., None, :, :]  # (G, 1, 2, 2) or (1, 2, 2): broadcasts over the sites
+    below, above = amps[:, :-1], amps[:, 1:]
+    out = np.empty_like(amps)
+    out[:, 1:, 0] = c[..., 0, 0] * below[..., 0] + c[..., 0, 1] * below[..., 1]
+    out[:, :-1, 1] = c[..., 1, 0] * above[..., 0] + c[..., 1, 1] * above[..., 1]
+    out[:, 0, 0] = out[:, -1, 1] = 0.0
+    return out
 
 
 def _check_reach(lattice: Lattice, populations: NDArray[np.float64], steps: int) -> None:
@@ -149,7 +159,7 @@ def propagator_blocks(schedule: WalkSchedule) -> NDArray[np.complex128]:
     amps[0, reach, 0] = 1.0
     amps[1, reach, 1] = 1.0
     for coin in schedule.coins():
-        amps = _coin_and_shift(np.broadcast_to(coin, (2, 2, 2)), amps)
+        amps = _coin_and_shift(coin, amps)
     # amps[j, x, i] is entry (i, j) of the block at site x
     return amps[:, 1:-1, :].transpose(1, 2, 0)
 
@@ -171,44 +181,94 @@ def _trajectory(start: WalkerState, schedule: WalkSchedule) -> Iterator[NDArray[
     """Unvalidated amplitudes (pure start) or density matrix after each step.
 
     The boundary check runs before the first step, even with no steps.
-    A pure start ignores the schedule visibility.
-
-    A density start is stepped only inside its forward light cone: step
-    k updates the block of rho on the sites within k of the start's
-    support, clipped to the lattice, in place in one copy of the start
-    that every step yields. The block only grows, so outside it the
-    copy stays zero, as the full-lattice walk is; inside it the same
-    products run in the same order, so the result is bit-identical.
-    The support is exact (every site with a non-zero entry in its rows
-    or columns), not thresholded as in :func:`_check_reach`.
+    A pure start ignores the schedule visibility. A density start is
+    stepped only inside its forward light cone (see :func:`_light_cone`
+    and :func:`_density_steps`).
     """
-    lattice = start.lattice
-    _check_reach(lattice, position_distribution(start).probabilities, schedule.steps)
+    _check_reach(start.lattice, position_distribution(start).probabilities, schedule.steps)
     if isinstance(start, WalkerCoinPureState):
         amps = start.amplitudes[None]
         for coin in schedule.coins():
-            amps = _coin_and_shift(coin[None], amps)
+            amps = _coin_and_shift(coin, amps)
             yield amps[0]
         return
-    n = lattice.size
-    v = schedule.visibility
-    signs = np.tile(np.array([1.0, -1.0]), n)
-    dephase_mask = np.outer(signs, signs)
-    matrix = start.matrix.copy()
-    rows, cols = np.nonzero(matrix)
+    yield from _density_steps(start, schedule, _light_cone(start, schedule.steps))
+
+
+def _light_cone(rho: WalkerCoinDensityMatrix, steps: int) -> list[tuple[int, int]]:
+    """Site indices [a, b) of the forward light cone of rho after each of its steps.
+
+    Step k reaches the sites within k of rho's support, clipped to the
+    lattice. The support is exact (every site with a non-zero entry in
+    its rows or columns), not thresholded as in :func:`_check_reach`;
+    a thresholded support would drop tiny entries that the full-lattice
+    walk keeps.
+    """
+    rows, cols = np.nonzero(rho.matrix)
     occupied = np.concatenate((rows, cols)) // 2
     lo, hi = int(occupied.min()), int(occupied.max())
-    for k, coin in enumerate(schedule.coins(), start=1):
-        w = slice(2 * max(lo - k, 0), 2 * min(hi + k + 1, n))
+    n = rho.lattice.size
+    return [(max(lo - k, 0), min(hi + k + 1, n)) for k in range(1, steps + 1)]
+
+
+def _density_steps(
+    rho: WalkerCoinDensityMatrix, schedule: WalkSchedule, windows: list[tuple[int, int]]
+) -> Iterator[NDArray[np.complex128]]:
+    """The dephased walk of rho, one window of sites per step, in one copy of its matrix.
+
+    Step k replaces the block of the copy on the sites ``windows[k - 1]``
+    (indices [a, b), not empty) by its dephased ``U block U^dagger`` and
+    yields the copy; entries outside the window are left as they are.
+    The window's edge sites miss what flows in from outside it, so a
+    window must hold every site whose entries are read later. Each entry
+    goes through the same products in the same order as on the full
+    lattice, so every entry a window keeps correct is bit-identical to
+    the full-lattice walk. :func:`_trajectory` passes the light cone,
+    outside which the copy stays zero as the full-lattice walk does;
+    :func:`_probe_origin_probability` passes the part of it that can
+    still reach the origin.
+    """
+    v = schedule.visibility
+    signs = np.tile(np.array([1.0, -1.0]), rho.lattice.size)
+    dephase_mask = np.outer(signs, signs)
+    matrix = rho.matrix.copy()
+    for coin, (a, b) in zip(schedule.coins(), windows):
+        w = slice(2 * a, 2 * b)
         dim = w.stop - w.start
-        coins = np.broadcast_to(coin, (dim, 2, 2))
         # Each row of a batch is one column stepped by U. `half` is
         # (U rho^dagger)^T; the rows of conj(half).T are the columns of
         # rho U^dagger, and stepping them gives the columns of U rho U^dagger.
-        half = _coin_and_shift(coins, matrix[w, w].conj().reshape(dim, -1, 2)).reshape(dim, dim)
-        block = _coin_and_shift(coins, half.conj().T.reshape(dim, -1, 2)).reshape(dim, dim).T
+        half = _coin_and_shift(coin, matrix[w, w].conj().reshape(dim, -1, 2)).reshape(dim, dim)
+        block = _coin_and_shift(coin, half.conj().T.reshape(dim, -1, 2)).reshape(dim, dim).T
         matrix[w, w] = 0.5 * (1.0 + v) * block + 0.5 * (1.0 - v) * (dephase_mask[w, w] * block)
         yield matrix
+
+
+def _probe_origin_probability(rho: WalkerCoinDensityMatrix, schedule: WalkSchedule) -> float:
+    """Final origin probability of the dephased walk of rho, unvalidated.
+
+    Step k of T updates only the sites of the light cone within
+    T - k + 1 of the origin: those that can still reach it in the T - k
+    steps left, plus one ring whose entries go wrong at the window edge
+    and are never read again. This diamond holds about a quarter of the
+    light cone's entries. The origin entries are those of the
+    full-lattice walk bit for bit, so the result equals the final p0 of
+    :func:`run_walk`. A start that cannot reach the origin empties the
+    diamond, and p0 is 0. The caller checks the reach.
+    """
+    steps = schedule.steps
+    origin = rho.lattice.index(0)
+    diamond = [
+        (max(a, origin - (steps - k + 1)), min(b, origin + steps - k + 2))
+        for k, (a, b) in enumerate(_light_cone(rho, steps), start=1)
+    ]
+    if any(a >= b for a, b in diamond):
+        return 0.0
+    matrix = rho.matrix  # with no steps, p0 is the start's
+    for matrix in _density_steps(rho, schedule, diamond):
+        pass
+    plus, minus = 2 * origin, 2 * origin + 1
+    return float(matrix[plus, plus].real + matrix[minus, minus].real)
 
 
 def run_walk(
@@ -243,19 +303,34 @@ def bisect_visibility(
     Bisects on the visibility interval [0, 1] for at most
     ``BISECT_MAX_ROUNDS`` rounds; the origin probability after the last
     step must be monotone in the visibility and straddle the target
-    between 0 and 1. Returns (visibility, origin probability).
+    between 0 and 1. Each probe reads p0 from
+    :func:`_probe_origin_probability`, which steps only the sites that
+    can still reach the origin and validates nothing. The chosen
+    visibility, an end point included, is then walked once by
+    :func:`run_walk`, which validates the final state; its p0 must equal
+    the probe's (else RuntimeError) and is the one returned. Returns
+    (visibility, origin probability). Raises
+    :class:`BoundaryOverflowError` before any probe.
     """
+    _check_reach(initial.lattice, position_distribution(initial).probabilities, schedule.steps)
     lo, hi = 0.0, 1.0
 
     def p0_at(v: float) -> float:
-        return run_walk(initial, schedule.with_visibility(v))[0][-1].at_site(0)
+        return _probe_origin_probability(initial, schedule.with_visibility(v))
+
+    def validated(v: float, probed: float) -> tuple[float, float]:
+        _, final = run_walk(initial, schedule.with_visibility(v))
+        p0 = position_distribution(final).at_site(0)
+        if p0 != probed:
+            raise RuntimeError(f"probe p0 {probed!r} differs from the walk's {p0!r} at visibility {v!r}")
+        return v, p0
 
     p_lo = p0_at(lo)
     p_hi = p0_at(hi)
     if abs(p_lo - target_origin_probability) <= tol:
-        return lo, p_lo
+        return validated(lo, p_lo)
     if abs(p_hi - target_origin_probability) <= tol:
-        return hi, p_hi
+        return validated(hi, p_hi)
     if not min(p_lo, p_hi) < target_origin_probability < max(p_lo, p_hi):
         raise ValueError(
             f"target {target_origin_probability} not bracketed: "
@@ -266,7 +341,7 @@ def bisect_visibility(
         mid = 0.5 * (lo + hi)
         p_mid = p0_at(mid)
         if abs(p_mid - target_origin_probability) <= tol:
-            return mid, p_mid
+            return validated(mid, p_mid)
         if (p_mid < target_origin_probability) == increasing:
             lo = mid
         else:

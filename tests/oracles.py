@@ -59,6 +59,22 @@ def walk_states(
     return trajectory
 
 
+def window_step(coin: tuple, amps: list) -> list:
+    """One coin-and-shift step of a walk held on n sites as (plus, minus) pairs.
+
+    Plus moves one site up and minus one site down; what moves past
+    either end of the window is dropped.
+    """
+    (a, b), (c, d) = coin
+    out = [[0j, 0j] for _ in amps]
+    for x, (plus, minus) in enumerate(amps):
+        if x + 1 < len(amps):
+            out[x + 1][0] = a * plus + b * minus
+        if x > 0:
+            out[x - 1][1] = c * plus + d * minus
+    return [tuple(pair) for pair in out]
+
+
 def origin_probability(state: dict) -> float:
     plus, minus = state.get(0, (0.0, 0.0))
     return abs(plus) ** 2 + abs(minus) ** 2

@@ -172,3 +172,10 @@ def test_coin_stack_shape_and_validation():
         coin_at_step(0.3, 0.2, np.array([1, 2, 0]), StepConvention.ONE_BASED)
     with pytest.raises(ValueError):
         coin_at_step(0.3, 0.2, np.array([0, -1]), StepConvention.ZERO_BASED)
+    # the message names the first invalid index only
+    with pytest.raises(ValueError) as info:
+        coin_at_step(0.3, 0.2, np.arange(0, 40))
+    assert str(info.value) == "step index 0 is not valid under one-based indexing"
+    with pytest.raises(ValueError) as info:
+        coin_at_step(0.3, 0.2, np.array([[0, 3], [-2, -1]]), StepConvention.ZERO_BASED)
+    assert str(info.value) == "step index -2 is not valid under zero-based indexing"

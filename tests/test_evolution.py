@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rampwalk import evolution
+from rampwalk import evolution, states
 from rampwalk.coins import StepConvention
 from rampwalk.evolution import (
     BoundaryOverflowError,
@@ -466,3 +466,120 @@ def test_density_walk_leaves_the_start_unchanged():
     assert np.array_equal(start.matrix, before)
     assert not np.shares_memory(final.matrix, start.matrix)
     assert np.array_equal(final.matrix, evolve_density(start, sched)[-1].matrix)
+
+
+def test_coin_and_shift_matches_the_per_walk_oracle():
+    rng = np.random.default_rng(11)
+    walks, n = 5, 7
+    oracle_coins = [oracles.coin_matrix(0.3 + 0.1 * g, 0.2, g + 1) for g in range(walks)]
+    coins = np.array(oracle_coins)
+    # every site occupied: the plus component of the last site and the
+    # minus component of the first are shifted past the edges
+    amps = rng.normal(size=(walks, n, 2)) + 1j * rng.normal(size=(walks, n, 2))
+    stepped = evolution._coin_and_shift(coins, amps)
+    shared = evolution._coin_and_shift(coins[0], amps)
+    for g in range(walks):
+        pairs = [tuple(pair) for pair in amps[g]]
+        for out, coin in ((stepped, oracle_coins[g]), (shared, oracle_coins[0])):
+            expected = np.array(oracles.window_step(coin, pairs))
+            assert np.max(np.abs(out[g] - expected)) < 1e-14
+    # a single coin steps the batch exactly as its stack does
+    assert np.array_equal(shared, evolution._coin_and_shift(np.broadcast_to(coins[0], coins.shape), amps))
+    for out in (stepped, shared):
+        # nothing shifts into the plus entry of the first site or the minus entry of the last
+        assert np.all(out[:, 0, 0] == 0.0) and np.all(out[:, -1, 1] == 0.0)
+    # the coins are unitary, so the norm lost is exactly what left past the edges
+    for g in range(walks):
+        coined = amps[g] @ coins[g].T
+        dropped = abs(coined[-1, 0]) ** 2 + abs(coined[0, 1]) ** 2
+        lost = np.sum(np.abs(amps[g]) ** 2) - np.sum(np.abs(stepped[g]) ** 2)
+        assert lost == pytest.approx(dropped, abs=1e-12)
+        assert dropped > 1e-3
+
+
+def unreachable_starts(steps):
+    """Starts T + 1 and T + 2 sites from the origin: the origin stays empty after T steps."""
+    lattice = Lattice(-2, 2 * steps + 6)
+    symmetric = (1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0))
+    return {
+        f"at {site}": WalkerCoinDensityMatrix(lattice, mixture(lattice, [(1.0, site, symmetric)]))
+        for site in (steps + 1, steps + 2)
+    }
+
+
+@pytest.mark.parametrize("steps", [7, 8, 12])
+@pytest.mark.parametrize("convention", list(StepConvention))
+def test_origin_probe_equals_the_final_walk_p0(steps, convention):
+    starts = {**window_parity_starts(steps), **unreachable_starts(steps)}
+    for name, start in starts.items():
+        for visibility in (0.0, 0.5, 0.9, 1.0):
+            sched = WalkSchedule(0.3, 0.2, steps, convention, visibility)
+            probe = evolution._probe_origin_probability(start, sched)
+            walked = run_walk(start, sched)[0][-1].at_site(0)
+            assert np.array_equal(probe, walked), (name, visibility)
+            if name.startswith("at "):
+                assert probe == 0.0
+
+
+def record_calibration(monkeypatch):
+    """Lists of the shapes `states._check_density` validates and the kernel's batch sizes."""
+    checked, batches = [], []
+    check, kernel = states._check_density, evolution._coin_and_shift
+
+    def counting_check(rho, label):
+        checked.append(rho.shape)
+        return check(rho, label)
+
+    def recording(coins, amps):
+        batches.append(amps.shape[0])
+        return kernel(coins, amps)
+
+    monkeypatch.setattr(states, "_check_density", counting_check)
+    monkeypatch.setattr(evolution, "_coin_and_shift", recording)
+    return checked, batches
+
+
+@pytest.mark.parametrize("visibility", [0.93, 0.0, 1.0])
+def test_bisect_visibility_validates_one_walk(monkeypatch, visibility):
+    steps = 8
+    sched = WalkSchedule(0.0, math.pi / 8, steps)
+    start = density_from_pure(symmetric_start(steps))
+    target = run_walk(start, sched.with_visibility(visibility))[0][-1].at_site(0)
+    checked, batches = record_calibration(monkeypatch)
+    found, achieved = bisect_visibility(sched, start, target, tol=1e-6)
+    full = (2 * start.lattice.size,) * 2
+    assert checked.count(full) == 1
+    if visibility in (0.0, 1.0):
+        assert found == visibility
+    # every probe steps the diamond, and only the last walk the whole light cone
+    cone = [2 * (2 * k + 1) for k in range(1, steps + 1) for _ in range(2)]
+    diamond = [2 * (2 * min(k, steps - k + 1) + 1) for k in range(1, steps + 1) for _ in range(2)]
+    probes, rest = divmod(len(batches) - len(cone), len(diamond))
+    assert rest == 0 and probes >= 2
+    assert batches == diamond * probes + cone
+    fresh = run_walk(start, sched.with_visibility(found))[0][-1].at_site(0)
+    assert achieved == fresh
+    assert abs(achieved - target) <= 1e-6
+
+
+def test_bisect_visibility_refuses_a_probe_the_walk_does_not_confirm(monkeypatch):
+    steps = 8
+    sched = WalkSchedule(0.0, math.pi / 8, steps)
+    start = density_from_pure(symmetric_start(steps))
+    target = run_walk(start, sched)[0][-1].at_site(0)
+    probe = evolution._probe_origin_probability
+
+    def off_by_one_ulp(rho, schedule):
+        return float(np.nextafter(probe(rho, schedule), 2.0))
+
+    monkeypatch.setattr(evolution, "_probe_origin_probability", off_by_one_ulp)
+    with pytest.raises(RuntimeError, match="differs from the walk"):
+        bisect_visibility(sched, start, target)
+
+
+def test_bisect_visibility_checks_the_reach_before_any_probe(monkeypatch):
+    _, batches = record_calibration(monkeypatch)
+    start = density_from_pure(initial_state(Lattice(-3, 3), CoinVector.symmetric()))
+    with pytest.raises(BoundaryOverflowError):
+        bisect_visibility(WalkSchedule(0.0, math.pi / 8, 3), start, 0.5)
+    assert batches == []
