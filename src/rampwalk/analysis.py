@@ -109,17 +109,18 @@ def effective_coin_from_operator(schedule: WalkSchedule) -> NDArray[np.complex12
     return propagator_blocks(schedule)[schedule.steps].copy()
 
 
-def _is_revival(blocks: NDArray[np.complex128], tol: float) -> bool:
-    """No entry of any block off the origin exceeds tol in magnitude."""
-    origin = blocks.shape[0] // 2
-    off_origin = np.delete(blocks, origin, axis=0)
-    return float(np.abs(off_origin).max(initial=0.0)) <= tol
+def _verdict(blocks: NDArray[np.complex128]) -> tuple[bool, bool]:
+    """(revival, complete) for the propagator blocks ``W_T[-T..T]`` of a T-step walk.
 
-
-def _is_complete(blocks: NDArray[np.complex128]) -> bool:
-    """T is even and ``W_T[0]`` is the identity up to a global phase; callers test revival first."""
+    A revival: no entry of any block off the origin exceeds ``REVIVAL_TOL``
+    in magnitude. Complete: a revival with T even and ``W_T[0]`` the
+    identity up to a global phase.
+    """
     steps = blocks.shape[0] // 2
-    return steps % 2 == 0 and equal_up_to_global_phase(blocks[steps], np.eye(2))
+    off_origin = np.delete(blocks, steps, axis=0)
+    revival = float(np.abs(off_origin).max(initial=0.0)) <= REVIVAL_TOL
+    complete = revival and steps % 2 == 0 and equal_up_to_global_phase(blocks[steps], np.eye(2))
+    return revival, complete
 
 
 @dataclass(frozen=True)
@@ -153,9 +154,9 @@ def classify(schedule: WalkSchedule) -> RevivalReport:
 
     State-dependent quantities follow the schedule visibility (pure
     evolution at visibility 1, dephased otherwise); the revival and
-    completeness verdicts always refer to the noiseless operator: a revival
-    at ``REVIVAL_TOL`` that is also :func:`_is_complete`. The CLI and the
-    demo script format this report rather than walk themselves.
+    completeness verdicts always refer to the noiseless operator, as
+    :func:`_verdict` gives them. The CLI and the demo script format this
+    report rather than walk themselves.
     """
     initial_coin = CoinVector.symmetric()
     lattice = Lattice.for_steps(schedule.steps)
@@ -167,8 +168,7 @@ def classify(schedule: WalkSchedule) -> RevivalReport:
 
     blocks = propagator_blocks(schedule)
     effective = blocks[schedule.steps].copy() if schedule.steps % 2 == 0 else None
-    revival = _is_revival(blocks, REVIVAL_TOL)
-    complete = revival and _is_complete(blocks)
+    revival, complete = _verdict(blocks)
 
     coin_rho = reduced_coin_state(final)
     overlap_initial = coin_overlap(coin_rho, initial_coin)

@@ -132,7 +132,6 @@ def cmd_search(config: SearchConfig, json_out: str | None = "-") -> int:
             "step_counts": list(config.step_counts),
             "theta": [_angle_doc(theta) for theta in config.theta_values],
             "omega_grid": {"min": float(lo), "max": float(hi), "count": int(count)},
-            "refine_tol": float(config.refine_tol),
             "convention": config.convention.value,
         },
         "candidates": [_candidate_doc(candidate) for candidate in candidates],
@@ -262,7 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
     search_p.add_argument("--omega-min", default=None, help="default 0")
     search_p.add_argument("--omega-max", default=None, help="default 1/2 (pi/2 radians)")
     search_p.add_argument("--omega-count", type=int, default=defaults.omega_grid[2])
-    search_p.add_argument("--refine-tol", type=float, default=defaults.refine_tol)
     search_p.add_argument("--zero-based", action="store_true")
     search_p.add_argument("--radians", action="store_true")
     search_p.add_argument("--json-out", default="-")
@@ -326,7 +324,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             step_counts=step_counts,
             theta_values=thetas,
             omega_grid=(omega_min, omega_max, args.omega_count),
-            refine_tol=args.refine_tol,
             convention=_convention(args),
         )
         return cmd_search(config, json_out=args.json_out)

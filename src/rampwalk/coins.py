@@ -25,7 +25,7 @@ CoinOperator = NDArray[np.complex128]
 
 UNITARITY_TOL = 1e-12
 PHASE_EQUAL_TOL = 1e-8
-_MAX_HALF_ANGLE = np.finfo(np.float64).max / 2
+_MAX_HALF_ANGLE = float(np.finfo(np.float64).max) / 2
 
 
 class StepConvention(Enum):
@@ -69,8 +69,8 @@ def ry(theta: float) -> CoinOperator:
 
     Returns ``[[cos 2theta, -sin 2theta], [sin 2theta, cos 2theta]]``.
     """
-    if not math.isfinite(theta):
-        raise ValueError(f"rotation angle must be finite, got {theta!r}")
+    if not abs(theta) <= _MAX_HALF_ANGLE:  # false for NaN, infinities and overflow of 2 theta
+        raise ValueError(f"rotation angle must be finite, got {float(theta)!r}")
     c = math.cos(2.0 * theta)
     s = math.sin(2.0 * theta)
     return np.array([[c, -s], [s, c]], dtype=np.complex128)

@@ -3,14 +3,17 @@
 For each (steps, theta) pair the scan evaluates the final origin
 probability of a walk started from the symmetric coin state on the
 exact rational family of the row (see ``_family``), where every
-revival sits. A family point is kept with its exact p/q when its
-residual ``1 - p0`` is at most ``refine_tol`` and its propagator blocks
-pass the revival check at ``OPERATOR_ACCEPT_TOL``;
-``analysis._is_complete`` says whether it is complete. Every candidate
-is such a point. A dense ramp-rate grid serves only as a detector: a
-local minimum of its residual below ``BRACKET_THRESHOLD`` whose bracket
-holds no kept family point is reported in one logged warning per row,
-never turned into a candidate. The batched walk takes each step's coins
+revival sits. A family point is kept with its exact p/q when
+``analysis._verdict``, the verdict ``classify`` gives too, finds its
+propagator blocks a revival; that verdict also says whether it is
+complete. Blocks are built only for points whose residual ``1 - p0``
+is at most ``REVIVAL_TOL``. No revival lies above that: ``1 - p0`` is
+the sum of ``|W_T[d] psi|^2`` over d != 0, at most
+``8 T REVIVAL_TOL^2``. Every candidate is such a point. A dense
+ramp-rate grid serves only as a detector: a local minimum of its
+residual below ``BRACKET_THRESHOLD`` whose bracket holds no kept
+family point is reported in one logged warning per row, never turned
+into a candidate. The batched walk takes each step's coins
 from ``coin_at_step`` and steps only the sites inside the light cone of
 the origin: those the walker can reach and still return from.
 """
@@ -30,13 +33,12 @@ from numpy.typing import NDArray
 
 from .coins import StepConvention, coin_at_step
 from .evolution import WalkSchedule, _coin_and_shift, propagator_blocks
-from .analysis import _is_complete, _is_revival
+from .analysis import REVIVAL_TOL, _verdict
 from .states import CoinVector
 
 BRACKET_THRESHOLD = 1e-3
 ANGLE_MAX_DENOMINATOR = 360
 ANGLE_TOL = 1e-9
-OPERATOR_ACCEPT_TOL = 1e-8
 MAX_FRACTION_EXPONENT = 1000
 
 _CATALOG_RESOURCE = "data/revival_catalog.json"
@@ -47,20 +49,18 @@ _Field = TypeVar("_Field", int, bool)
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Scan domain and acceptance thresholds.
+    """Scan domain.
 
     ``omega_grid`` is (min, max, count) in radians with the range inside
     [0, pi/2]; both endpoints are included in the detector grid, and
-    the family points scanned are those inside the range. ``refine_tol``
-    is the largest residual ``1 - p0`` at which a family point is kept.
-    Step counts must be even since the walker can only revive at the
-    origin after an even number of steps.
+    the family points scanned are those inside the range. Step counts
+    must be even since the walker can only revive at the origin after
+    an even number of steps.
     """
 
     step_counts: tuple[int, ...] = (2, 4, 6, 8)
     theta_values: tuple[float, ...] = (0.0, math.pi / 4)
     omega_grid: tuple[float, float, int] = (0.0, math.pi / 2, 4001)
-    refine_tol: float = 1e-12
     convention: StepConvention = StepConvention.ONE_BASED
 
     def __post_init__(self) -> None:
@@ -77,8 +77,6 @@ class SearchConfig:
             raise ValueError(f"omega range [{lo}, {hi}] must lie inside [0, pi/2]")
         if count < 2:
             raise ValueError(f"omega grid needs at least 2 points, got {count}")
-        if not 0.0 < self.refine_tol < 1.0:
-            raise ValueError(f"refine_tol must lie in (0, 1), got {self.refine_tol}")
 
 
 @dataclass(frozen=True)
@@ -185,14 +183,13 @@ def _scan_row(config: SearchConfig, steps: int, theta: float) -> list[RevivalCan
     for point, omega, residual in zip(
         family, family_omegas.tolist(), objective(family_omegas).tolist()
     ):
-        if residual > config.refine_tol:
+        if residual > REVIVAL_TOL:
             continue
         blocks = propagator_blocks(WalkSchedule(theta, omega, steps, config.convention))
-        if _is_revival(blocks, OPERATOR_ACCEPT_TOL):
+        revival, complete = _verdict(blocks)
+        if revival:
             rational = point.as_integer_ratio()
-            found.append(
-                RevivalCandidate(steps, theta, omega, rational, _is_complete(blocks), residual)
-            )
+            found.append(RevivalCandidate(steps, theta, omega, rational, complete, residual))
     # The detector: local minima of the grid residual below the threshold
     # whose bracket (the grid points beside them) holds no kept family point.
     is_minimum = ~(residuals >= BRACKET_THRESHOLD)

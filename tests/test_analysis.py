@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rampwalk.analysis import (
-    _is_complete,
-    _is_revival,
+    _verdict,
     classify,
     effective_coin_balanced_strings,
     effective_coin_from_operator,
@@ -15,7 +14,6 @@ from rampwalk.analysis import (
 )
 from rampwalk.coins import equal_up_to_global_phase, unitarity_defect
 from rampwalk.evolution import WalkSchedule, evolve, propagator_blocks
-from rampwalk.search import OPERATOR_ACCEPT_TOL
 from rampwalk.states import (
     CoinVector,
     Lattice,
@@ -161,8 +159,8 @@ def test_is_revival_operator_known_points():
         (0.0, math.pi / 36 + 1e-3, 16, False),
     ]:
         blocks = propagator_blocks(WalkSchedule(theta, omega, steps))
-        ours = _is_revival(blocks, OPERATOR_ACCEPT_TOL)
-        reference = oracles.is_revival_state_route(theta, omega, steps, tol=1e-8)
+        ours = _verdict(blocks)[0]
+        reference = oracles.is_revival_state_route(theta, omega, steps)
         assert ours == reference == expected
 
 
@@ -170,23 +168,25 @@ def test_is_revival_operator_known_points():
 @settings(max_examples=40)
 def test_is_revival_operator_matches_state_route(theta, omega, steps):
     blocks = propagator_blocks(WalkSchedule(theta, omega, steps))
-    ours = _is_revival(blocks, OPERATOR_ACCEPT_TOL)
-    reference = oracles.is_revival_state_route(theta, omega, steps, tol=1e-8)
+    ours = _verdict(blocks)[0]
+    reference = oracles.is_revival_state_route(theta, omega, steps)
     assert ours == reference
 
 
-def test_is_complete_reads_only_the_origin_block():
-    # completeness never tests the revival again: off-origin entries of 5e-9,
-    # accepted at OPERATOR_ACCEPT_TOL, leave a complete W_T[0] complete
-    steps = 4
-    blocks = np.full((2 * steps + 1, 2, 2), 5e-9, dtype=np.complex128)
-    blocks[steps] = np.exp(0.7j) * np.eye(2)
-    assert _is_complete(blocks)
-    blocks[steps] = np.diag([1.0, 1j])
-    assert not _is_complete(blocks)
-    odd = np.zeros((2 * 3 + 1, 2, 2), dtype=np.complex128)
-    odd[3] = np.eye(2)
-    assert not _is_complete(odd)
+def _blocks(steps, off_origin, origin_block):
+    blocks = np.full((2 * steps + 1, 2, 2), off_origin, dtype=np.complex128)
+    blocks[steps] = origin_block
+    return blocks
+
+
+def test_verdict_decides_revival_and_completeness_at_one_tolerance():
+    phase = np.exp(0.7j) * np.eye(2)
+    assert _verdict(_blocks(4, 5e-11, phase)) == (True, True)
+    # off-origin entries of 5e-9 are no revival, so no complete one either
+    assert _verdict(_blocks(4, 5e-9, phase)) == (False, False)
+    assert _verdict(_blocks(4, 0.0, np.diag([1.0, 1j]))) == (True, False)
+    # an odd step count is never complete
+    assert _verdict(_blocks(3, 0.0, np.eye(2))) == (True, False)
 
 
 def test_classify_complete_revivals():

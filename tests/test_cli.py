@@ -1,9 +1,11 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +15,15 @@ from rampwalk.analysis import classify
 from rampwalk.evolution import WalkSchedule
 from rampwalk.search import load_reference_catalog
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "rampwalk", *args],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     )
 
 
@@ -143,6 +148,11 @@ def test_walk_usage_errors(tmp_path):
         assert result.returncode == 2
         assert result.stderr.startswith("rampwalk: error:")
         assert len(result.stderr.splitlines()) == 1
+    # a bias angle whose double overflows names the angle
+    result = run_cli("walk", "--theta", "1e308", "--radians", "--omega", "0", "--steps", "2",
+                     "--json-out", "-")
+    assert result.returncode == 2
+    assert result.stderr == "rampwalk: error: rotation angle must be finite, got 1e+308\n"
     # a zero denominator names the angle
     result = run_cli("walk", "--theta", "0", "--omega", "1/0", "--steps", "2", "--json-out", "-")
     assert result.returncode == 2

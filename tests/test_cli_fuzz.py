@@ -19,7 +19,7 @@ ANGLES = ("0", "1/8", "-3/7", "1/4", "0.3", "1/0", "1e400", "-1e400", "nan", "in
           "1e10000000", "-1e-10000000", "2E+3000000")
 NUMBERS = ("0", "0.5", "0.918", "1", "1.2", "-1", "nan", "inf", "1e400", "x", "")
 OUTPUTS = ("-", f"{TMP}/out.json", f"{TMP}/missing/out.json")
-REMOVED_OPTIONS = ("--workers", "--max-denominator")
+REMOVED_OPTIONS = ("--workers", "--max-denominator", "--refine-tol")
 
 angle_text = st.sampled_from(ANGLES) | st.builds(
     "{}/{}".format, st.integers(-9, 9), st.integers(0, 8)
@@ -97,7 +97,6 @@ def cli_cases(draw):
                 theta=comma_list(angle_text),
                 omega_min=angle_text,
                 omega_max=angle_text,
-                refine_tol=number_text,
                 json_out=st.sampled_from(OUTPUTS),
             )
         )
@@ -141,6 +140,7 @@ def exit_code(argv):
 @given(case=cli_cases())
 @example(case=(["search", "--workers", "2"], {}))
 @example(case=(["search", "--max-denominator", "64", "--steps", "2"], {}))
+@example(case=(["search", "--refine-tol", "1e-12", "--steps", "2"], {}))
 @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_every_argv_ends_in_a_documented_exit_code(tmp_path, case):
     argv, files = case
@@ -151,6 +151,6 @@ def test_every_argv_ends_in_a_documented_exit_code(tmp_path, case):
     assert code in (0, 1, 2, 3)
     # exit 1 means only "verification mismatch"
     assert code != 1 or argv[0] == "verify-table"
-    # search takes neither a worker count nor a cap on the fraction denominators
+    # search takes no worker count, cap on the fraction denominators or residual tolerance
     if any(arg.partition("=")[0] in REMOVED_OPTIONS for arg in argv):
         assert code == 2

@@ -179,3 +179,7 @@ def test_coin_stack_shape_and_validation():
     with pytest.raises(ValueError) as info:
         coin_at_step(0.3, 0.2, np.array([[0, 3], [-2, -1]]), StepConvention.ZERO_BASED)
     assert str(info.value) == "step index -2 is not valid under zero-based indexing"
+    # a bias angle whose double overflows is refused before math.cos sees it
+    with pytest.raises(ValueError) as info:
+        coin_at_step(1e308, 0.1, 1)
+    assert str(info.value) == "rotation angle must be finite, got 1e+308"

@@ -8,7 +8,9 @@ import pytest
 import exact
 import oracles
 from rampwalk import search
+from rampwalk.analysis import _verdict
 from rampwalk.coins import StepConvention
+from rampwalk.evolution import WalkSchedule, propagator_blocks
 from rampwalk.search import (
     CatalogEntry,
     RevivalCandidate,
@@ -50,8 +52,6 @@ def test_search_config_validation():
         SearchConfig(omega_grid=(0.5, 0.1, 100))
     with pytest.raises(ValueError):
         SearchConfig(omega_grid=(0.0, 1.0, 1))
-    with pytest.raises(ValueError):
-        SearchConfig(refine_tol=0.0)
 
 
 def test_angle_fraction():
@@ -325,6 +325,27 @@ def test_unexplained_grid_minima_name_every_revival(caplog, monkeypatch, steps, 
     assert revivals
     for omega_pi in revivals:
         assert np.abs(named - float(omega_pi)).min() <= spacing
+
+
+@pytest.mark.parametrize("convention", list(StepConvention))
+@pytest.mark.parametrize("theta", [0.0, math.pi / 4, math.pi / 8])
+@pytest.mark.parametrize("steps", [8, 16, 24])
+def test_residual_prefilter_only_saves_work(steps, theta, convention):
+    # the scan builds propagator blocks only for family points with a small
+    # residual; judging every family point by its blocks keeps the same ones
+    config = SearchConfig(step_counts=(steps,), theta_values=(theta,), convention=convention)
+    found = scan(config)
+    lo, hi, _ = config.omega_grid
+    revivals = []
+    for point in search._family(steps, convention, lo, hi):
+        omega = math.pi * point.numerator / point.denominator
+        revival, complete = _verdict(
+            propagator_blocks(WalkSchedule(theta, omega, steps, convention))
+        )
+        if revival:
+            revivals.append((point.as_integer_ratio(), complete))
+    assert [(c.omega_rational, c.complete) for c in found] == revivals
+    assert all(c.residual <= 1e-14 for c in found)
 
 
 def _oracle_truth_set(steps, theta, one_based):
