@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import classify, effective_coin_balanced_strings, tv_distance
+from .analysis import MAX_STRING_STEPS, classify, effective_coin_balanced_strings, tv_distance
 from .coins import StepConvention
 from .evolution import WalkSchedule, bisect_visibility
 from .search import (
@@ -217,13 +217,21 @@ def cmd_noise_sweep(
 
 
 def cmd_effective_coin(schedule: WalkSchedule, json_out: str | None = "-") -> int:
-    """Compute the effective coin by both constructions and compare them."""
-    from_strings = effective_coin_balanced_strings(schedule)
+    """Compute the effective coin by both constructions and compare them.
+
+    Beyond ``MAX_STRING_STEPS`` steps only the operator block is built, and
+    ``balanced_strings`` and ``max_abs_difference`` are null.
+    """
+    from_strings = difference = None
+    # an odd step count fails here at any length: the walker cannot return
+    if schedule.steps <= MAX_STRING_STEPS or schedule.steps % 2:
+        from_strings = effective_coin_balanced_strings(schedule)
     report = classify(schedule)
-    difference = float(np.max(np.abs(from_strings - report.effective_coin)))
+    if from_strings is not None:
+        difference = float(np.max(np.abs(from_strings - report.effective_coin)))
     doc = {
         **_schedule_doc(schedule),
-        "balanced_strings": _matrix_doc(from_strings),
+        "balanced_strings": None if from_strings is None else _matrix_doc(from_strings),
         "operator_block": _matrix_doc(report.effective_coin),
         "max_abs_difference": difference,
         "complete": report.is_complete,

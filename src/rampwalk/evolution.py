@@ -9,25 +9,31 @@ at any site x to the coin at x + d, describes it completely (see
 :func:`propagator_blocks`).
 
 Every walk in the package runs through one batched step routine,
-:func:`_coin_and_shift`, under the coin stack of :meth:`WalkSchedule.coins`,
-built once per walk. Pure states evolve through :func:`evolve`.
-Mixed states evolve through :func:`evolve_density`, which follows each
-unitary step with a coin dephasing channel of strength set by the
-schedule visibility:
+:func:`_coin_and_shift`, on coin-major amplitudes of shape
+(..., 2, n, G) (coin, site, then a batch of G walks) under the coin
+stack of :meth:`WalkSchedule.coins`, built once per walk. Pure states
+evolve through :func:`evolve`. Mixed states evolve through
+:func:`evolve_density`, which follows each unitary step with a coin
+dephasing channel of strength set by the schedule visibility:
 
     rho -> (1 + v)/2 * rho + (1 - v)/2 * (I x Z) rho (I x Z)
 
-with Z diagonal on the coin. Visibility 1 reproduces unitary evolution;
-visibility 0 removes all coin coherence after every step. Step k of a
+with Z diagonal on the coin. The channel keeps the coin-diagonal
+blocks of rho and scales the coin-off-diagonal ones by v, so
+visibility 1 reproduces unitary evolution and visibility 0 removes all
+coin coherence after every step. The dephased walk steps its working
+copy ``R[i, x, j, y]`` = rho[(x, i), (y, j)] in place and builds the
+public (2n, 2n) matrix only for the states it returns. Step k of a
 dephased walk updates only the block of rho on the sites within k of
 the start's exact non-zero support (its forward light cone); a
 thresholded support would drop tiny entries that the full-lattice walk
 keeps, and the result would no longer match that walk bit for bit.
 :func:`run_walk` returns only the distribution after each step and the
 final state, so it keeps no trajectory. The probes of
-:func:`bisect_visibility` need only the final origin probability, so
-they step the same density step on the smaller part of the light cone
-that can still reach the origin.
+:func:`bisect_visibility`, a bracketing regula falsi on the visibility,
+need only the final origin probability, so they step the same density
+step on the smaller part of the light cone that can still reach the
+origin.
 """
 
 from __future__ import annotations
@@ -46,13 +52,13 @@ from .states import (
     WalkerCoinDensityMatrix,
     WalkerCoinPureState,
     WalkerState,
-    _site_distribution,
     density_from_pure,
     position_distribution,
 )
 
 BOUNDARY_LEAK_TOL = 1e-14
 BISECT_MAX_ROUNDS = 200
+PROBE_MARGIN = 0.02
 
 
 class BoundaryOverflowError(RuntimeError):
@@ -95,24 +101,33 @@ class WalkSchedule:
 def _coin_and_shift(
     coins: NDArray[np.complex128], amps: NDArray[np.complex128]
 ) -> NDArray[np.complex128]:
-    """One walk step on a batch: coin ``coins[g]`` on walk ``amps[g]``, then the shift.
+    """One walk step on a batch of coin-major amplitudes: the coin, then the shift.
 
-    ``amps`` has shape (G, n, 2). ``coins`` is a (G, 2, 2) stack, one
-    coin per walk, or a single (2, 2) coin for the whole batch. Coin and
-    shift are fused: the plus component of site x is written straight
-    from the coined amplitudes of site x - 1, and the minus component
-    from those of site x + 1, each as ``c0 * plus + c1 * minus`` with
-    ``c0, c1`` one row of the coin. Amplitude shifted past either edge
-    is dropped, and the two entries nothing shifts into (plus at the
-    first site, minus at the last) are zero, so callers keep the support
-    one site inside the lattice (see :func:`_check_reach`).
+    ``amps`` has shape (..., 2, n, G): coin, site, then a batch of G
+    walks; leading axes are batch too. ``coins`` is a (G, 2, 2) stack,
+    coin ``coins[g]`` for walk g, or a single (2, 2) coin for the whole
+    batch. Coin and shift are fused: the plus component of site x is
+    written straight from the coined amplitudes of site x - 1, and the
+    minus component from those of site x + 1, each as
+    ``c0 * plus + c1 * minus`` with ``c0, c1`` one row of the coin. Every
+    operand is a run of whole site rows, so no multiply reads a strided
+    coin axis. Amplitude shifted past either edge is dropped, and the
+    two rows nothing shifts into (plus at the first site, minus at the
+    last) are zero, so callers keep the support one site inside the
+    lattice (see :func:`_check_reach`).
     """
-    c = coins[..., None, :, :]  # (G, 1, 2, 2) or (1, 2, 2): broadcasts over the sites
-    below, above = amps[:, :-1], amps[:, 1:]
+    # (G,) per entry for a stack, a scalar for one coin: broadcasts over (..., n, G)
+    c00, c01, c10, c11 = coins.reshape(*coins.shape[:-2], 4).T
+    plus, minus = amps[..., 0, :, :], amps[..., 1, :, :]
     out = np.empty_like(amps)
-    out[:, 1:, 0] = c[..., 0, 0] * below[..., 0] + c[..., 0, 1] * below[..., 1]
-    out[:, :-1, 1] = c[..., 1, 0] * above[..., 0] + c[..., 1, 1] * above[..., 1]
-    out[:, 0, 0] = out[:, -1, 1] = 0.0
+    up, down = out[..., 0, 1:, :], out[..., 1, :-1, :]
+    # the coin entry goes first: numpy's vectorised complex product can
+    # round the last bit differently when its operands are swapped
+    np.multiply(c00, plus[..., :-1, :], out=up)
+    up += c01 * minus[..., :-1, :]
+    np.multiply(c10, plus[..., 1:, :], out=down)
+    down += c11 * minus[..., 1:, :]
+    out[..., 0, 0, :] = out[..., 1, -1, :] = 0.0
     return out
 
 
@@ -142,7 +157,9 @@ def evolve(state: WalkerCoinPureState, schedule: WalkSchedule) -> list[WalkerCoi
         raise ValueError(
             "pure-state evolution requires visibility 1; use evolve_density"
         )
-    return [WalkerCoinPureState(state.lattice, amps) for amps in _trajectory(state, schedule)]
+    return [
+        WalkerCoinPureState(state.lattice, _public(raw)) for raw in _trajectory(state, schedule)
+    ]
 
 
 def propagator_blocks(schedule: WalkSchedule) -> NDArray[np.complex128]:
@@ -155,13 +172,14 @@ def propagator_blocks(schedule: WalkSchedule) -> NDArray[np.complex128]:
     identity. The schedule visibility is ignored.
     """
     reach = schedule.steps + 1
+    # the two basis coins at the centre site, as a batch of 2
     amps = np.zeros((2, 2 * reach + 1, 2), dtype=np.complex128)
     amps[0, reach, 0] = 1.0
     amps[1, reach, 1] = 1.0
     for coin in schedule.coins():
         amps = _coin_and_shift(coin, amps)
-    # amps[j, x, i] is entry (i, j) of the block at site x
-    return amps[:, 1:-1, :].transpose(1, 2, 0)
+    # amps[i, x, j] is entry (i, j) of the block at site x
+    return amps[:, 1:-1, :].transpose(1, 0, 2)
 
 
 def evolve_density(
@@ -174,25 +192,53 @@ def evolve_density(
     to hold the initial support plus one site per step; otherwise a
     :class:`BoundaryOverflowError` is raised before any evolution.
     """
-    return [WalkerCoinDensityMatrix(rho.lattice, m.copy()) for m in _trajectory(rho, schedule)]
+    return [WalkerCoinDensityMatrix(rho.lattice, _public(r)) for r in _trajectory(rho, schedule)]
 
 
 def _trajectory(start: WalkerState, schedule: WalkSchedule) -> Iterator[NDArray[np.complex128]]:
-    """Unvalidated amplitudes (pure start) or density matrix after each step.
+    """Unvalidated coin-major state after each step.
 
+    A pure start yields amplitudes ``a[i, x]`` of shape (2, n), a new
+    array each step. A density start yields its working copy
+    ``R[i, x, j, y]`` = rho[(x, i), (y, j)] of shape (2, n, 2, n), the
+    same array updated in place (see :func:`_density_steps`); it is
+    stepped only inside its forward light cone (see :func:`_light_cone`).
+    :func:`_public` turns either into the layout of the state classes.
     The boundary check runs before the first step, even with no steps.
-    A pure start ignores the schedule visibility. A density start is
-    stepped only inside its forward light cone (see :func:`_light_cone`
-    and :func:`_density_steps`).
+    A pure start ignores the schedule visibility.
     """
     _check_reach(start.lattice, position_distribution(start).probabilities, schedule.steps)
     if isinstance(start, WalkerCoinPureState):
-        amps = start.amplitudes[None]
+        amps = np.ascontiguousarray(start.amplitudes.T)[..., None]
         for coin in schedule.coins():
             amps = _coin_and_shift(coin, amps)
-            yield amps[0]
+            yield amps[..., 0]
         return
-    yield from _density_steps(start, schedule, _light_cone(start, schedule.steps))
+    yield from _density_steps(_coin_major(start.matrix), schedule, _light_cone(start, schedule.steps))
+
+
+def _coin_major(matrix: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """A new array ``R[i, x, j, y]`` = matrix[(x, i), (y, j)] of a (2n, 2n) density matrix."""
+    n = matrix.shape[0] // 2
+    return matrix.reshape(n, 2, n, 2).transpose(1, 0, 3, 2).copy()
+
+
+def _public(raw: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """A new array in the state classes' layout: (n, 2) amplitudes or the (2n, 2n) matrix."""
+    if raw.ndim == 2:
+        return np.ascontiguousarray(raw.T)
+    n = raw.shape[1]
+    return raw.transpose(1, 0, 3, 2).reshape(2 * n, 2 * n)
+
+
+def _distribution(lattice: Lattice, raw: NDArray[np.complex128]) -> PositionDistribution:
+    """Site probabilities of coin-major amplitudes (2, n) or of ``R`` (2, n, 2, n)."""
+    if raw.ndim == 2:
+        probs = np.abs(raw[0]) ** 2 + np.abs(raw[1]) ** 2
+    else:
+        diagonal = raw.diagonal(axis1=1, axis2=3)  # diagonal[i, j, x] = R[i, x, j, x]
+        probs = diagonal[0, 0].real + diagonal[1, 1].real
+    return PositionDistribution(lattice, probs)
 
 
 def _light_cone(rho: WalkerCoinDensityMatrix, steps: int) -> list[tuple[int, int]]:
@@ -212,63 +258,74 @@ def _light_cone(rho: WalkerCoinDensityMatrix, steps: int) -> list[tuple[int, int
 
 
 def _density_steps(
-    rho: WalkerCoinDensityMatrix, schedule: WalkSchedule, windows: list[tuple[int, int]]
+    r: NDArray[np.complex128], schedule: WalkSchedule, windows: list[tuple[int, int]]
 ) -> Iterator[NDArray[np.complex128]]:
-    """The dephased walk of rho, one window of sites per step, in one copy of its matrix.
+    """The dephased walk of ``R[i, x, j, y]``, one window of sites per step, in place.
 
-    Step k replaces the block of the copy on the sites ``windows[k - 1]``
+    Step k replaces the block of ``r`` on the sites ``windows[k - 1]``
     (indices [a, b), not empty) by its dephased ``U block U^dagger`` and
-    yields the copy; entries outside the window are left as they are.
-    The window's edge sites miss what flows in from outside it, so a
-    window must hold every site whose entries are read later. Each entry
-    goes through the same products in the same order as on the full
-    lattice, so every entry a window keeps correct is bit-identical to
-    the full-lattice walk. :func:`_trajectory` passes the light cone,
-    outside which the copy stays zero as the full-lattice walk does;
+    yields ``r``; entries outside the window are left as they are. The
+    right product steps the rows of the block, as amplitudes
+    (2, m, 2, m, 1) under the conjugate coin: the shift is real, so that
+    is ``rho U^dagger``. The left product steps its columns, as
+    (2, m, 2m) under the coin. Dephasing then scales the coin-off-diagonal
+    blocks by the visibility, the channel's exact action. The window's
+    edge sites miss what flows in from outside it, so a window must hold
+    every site whose entries are read later. Each entry goes through the
+    same products in the same order as on the full lattice, so every
+    entry a window keeps correct is bit-identical to the full-lattice
+    walk. :func:`_trajectory` passes the light cone, outside which ``r``
+    stays zero as the full-lattice walk does;
     :func:`_probe_origin_probability` passes the part of it that can
     still reach the origin.
     """
     v = schedule.visibility
-    signs = np.tile(np.array([1.0, -1.0]), rho.lattice.size)
-    dephase_mask = np.outer(signs, signs)
-    matrix = rho.matrix.copy()
     for coin, (a, b) in zip(schedule.coins(), windows):
-        w = slice(2 * a, 2 * b)
-        dim = w.stop - w.start
-        # Each row of a batch is one column stepped by U. `half` is
-        # (U rho^dagger)^T; the rows of conj(half).T are the columns of
-        # rho U^dagger, and stepping them gives the columns of U rho U^dagger.
-        half = _coin_and_shift(coin, matrix[w, w].conj().reshape(dim, -1, 2)).reshape(dim, dim)
-        block = _coin_and_shift(coin, half.conj().T.reshape(dim, -1, 2)).reshape(dim, dim).T
-        matrix[w, w] = 0.5 * (1.0 + v) * block + 0.5 * (1.0 - v) * (dephase_mask[w, w] * block)
-        yield matrix
+        block = r[:, a:b, :, a:b]
+        m = b - a
+        half = _coin_and_shift(coin.conj(), block[..., None])
+        stepped = _coin_and_shift(coin, half.reshape(2, m, 2 * m)).reshape(2, m, 2, m)
+        stepped[0, :, 1, :] *= v
+        stepped[1, :, 0, :] *= v
+        block[...] = stepped
+        yield r
 
 
-def _probe_origin_probability(rho: WalkerCoinDensityMatrix, schedule: WalkSchedule) -> float:
-    """Final origin probability of the dephased walk of rho, unvalidated.
+def _diamond(rho: WalkerCoinDensityMatrix, steps: int) -> list[tuple[int, int]] | None:
+    """The probe windows of :func:`_probe_origin_probability`; None when rho cannot reach the origin.
 
-    Step k of T updates only the sites of the light cone within
-    T - k + 1 of the origin: those that can still reach it in the T - k
-    steps left, plus one ring whose entries go wrong at the window edge
-    and are never read again. This diamond holds about a quarter of the
-    light cone's entries. The origin entries are those of the
-    full-lattice walk bit for bit, so the result equals the final p0 of
-    :func:`run_walk`. A start that cannot reach the origin empties the
-    diamond, and p0 is 0. The caller checks the reach.
+    Step k of T keeps the sites of the light cone within T - k + 1 of
+    the origin: those that can still reach it in the T - k steps left,
+    plus one ring whose entries go wrong at the window edge and are
+    never read again. This diamond holds about a quarter of the light
+    cone's entries.
     """
-    steps = schedule.steps
     origin = rho.lattice.index(0)
     diamond = [
         (max(a, origin - (steps - k + 1)), min(b, origin + steps - k + 2))
         for k, (a, b) in enumerate(_light_cone(rho, steps), start=1)
     ]
-    if any(a >= b for a, b in diamond):
+    return None if any(a >= b for a, b in diamond) else diamond
+
+
+def _probe_origin_probability(
+    rho: WalkerCoinDensityMatrix, schedule: WalkSchedule, diamond: list[tuple[int, int]] | None
+) -> float:
+    """Final origin probability of the dephased walk of rho, unvalidated.
+
+    Steps only the windows ``diamond`` of :func:`_diamond` for rho and
+    the schedule's steps. The origin entries are those of the
+    full-lattice walk bit for bit, so the result equals the final p0 of
+    :func:`run_walk`. A start that cannot reach the origin (no diamond)
+    has p0 0. The caller checks the reach.
+    """
+    if diamond is None:
         return 0.0
-    matrix = rho.matrix  # with no steps, p0 is the start's
-    for matrix in _density_steps(rho, schedule, diamond):
+    r = _coin_major(rho.matrix)  # with no steps, p0 is the start's
+    for _ in _density_steps(r, schedule, diamond):
         pass
-    plus, minus = 2 * origin, 2 * origin + 1
-    return float(matrix[plus, plus].real + matrix[minus, minus].real)
+    origin = rho.lattice.index(0)
+    return float(r[0, origin, 0, origin].real + r[1, origin, 1, origin].real)
 
 
 def run_walk(
@@ -283,12 +340,11 @@ def run_walk(
     """
     if isinstance(start, WalkerCoinPureState) and schedule.visibility != 1.0:
         start = density_from_pure(start)
-    pure = isinstance(start, WalkerCoinPureState)
     distributions = []
     raw = None
     for raw in _trajectory(start, schedule):
-        distributions.append(_site_distribution(start.lattice, raw, pure))
-    final = start if raw is None else type(start)(start.lattice, raw)
+        distributions.append(_distribution(start.lattice, raw))
+    final = start if raw is None else type(start)(start.lattice, _public(raw))
     return distributions, final
 
 
@@ -300,23 +356,28 @@ def bisect_visibility(
 ) -> tuple[float, float]:
     """Visibility whose final origin probability matches the target within tol.
 
-    Bisects on the visibility interval [0, 1] for at most
-    ``BISECT_MAX_ROUNDS`` rounds; the origin probability after the last
-    step must be monotone in the visibility and straddle the target
-    between 0 and 1. Each probe reads p0 from
-    :func:`_probe_origin_probability`, which steps only the sites that
-    can still reach the origin and validates nothing. The chosen
-    visibility, an end point included, is then walked once by
-    :func:`run_walk`, which validates the final state; its p0 must equal
-    the probe's (else RuntimeError) and is the one returned. Returns
-    (visibility, origin probability). Raises
-    :class:`BoundaryOverflowError` before any probe.
+    The final origin probability p0, a polynomial in the visibility,
+    must straddle the target between visibilities 0 and 1. The search
+    keeps a bracket across which p0 - target changes sign, for at most
+    ``BISECT_MAX_ROUNDS`` probes, each at the regula falsi point of the
+    bracket with the Anderson-Bjorck correction (BIT 13, 253, 1973):
+    when a probe lands on the side of the previous one, the value kept
+    at the far end is scaled by ``1 - f_new / f_previous`` (by 1/2 if
+    that is not positive). A probe stays ``PROBE_MARGIN`` of the bracket
+    width inside either end. Each probe reads p0 from
+    :func:`_probe_origin_probability` on one diamond built up front,
+    and validates nothing. The chosen visibility, an end point
+    included, is then walked once by :func:`run_walk`, which validates
+    the final state; its p0 must equal the probe's (else RuntimeError)
+    and is the one returned. Returns (visibility, origin probability).
+    Raises :class:`BoundaryOverflowError` before any probe.
     """
     _check_reach(initial.lattice, position_distribution(initial).probabilities, schedule.steps)
-    lo, hi = 0.0, 1.0
+    diamond = _diamond(initial, schedule.steps)
+    target = target_origin_probability
 
     def p0_at(v: float) -> float:
-        return _probe_origin_probability(initial, schedule.with_visibility(v))
+        return _probe_origin_probability(initial, schedule.with_visibility(v), diamond)
 
     def validated(v: float, probed: float) -> tuple[float, float]:
         _, final = run_walk(initial, schedule.with_visibility(v))
@@ -325,25 +386,32 @@ def bisect_visibility(
             raise RuntimeError(f"probe p0 {probed!r} differs from the walk's {p0!r} at visibility {v!r}")
         return v, p0
 
-    p_lo = p0_at(lo)
-    p_hi = p0_at(hi)
-    if abs(p_lo - target_origin_probability) <= tol:
-        return validated(lo, p_lo)
-    if abs(p_hi - target_origin_probability) <= tol:
-        return validated(hi, p_hi)
-    if not min(p_lo, p_hi) < target_origin_probability < max(p_lo, p_hi):
+    p_lo = p0_at(0.0)
+    p_hi = p0_at(1.0)
+    if abs(p_lo - target) <= tol:
+        return validated(0.0, p_lo)
+    if abs(p_hi - target) <= tol:
+        return validated(1.0, p_hi)
+    if not min(p_lo, p_hi) < target < max(p_lo, p_hi):
         raise ValueError(
-            f"target {target_origin_probability} not bracketed: "
-            f"p0({lo}) = {p_lo:.6f}, p0({hi}) = {p_hi:.6f}"
+            f"target {target} not bracketed: p0(0.0) = {p_lo:.6f}, p0(1.0) = {p_hi:.6f}"
         )
-    increasing = p_hi > p_lo
+    # the bracket's ends: `far` kept from before, `near` the latest probe
+    far, f_far = 0.0, p_lo - target
+    near, f_near = 1.0, p_hi - target
     for _ in range(BISECT_MAX_ROUNDS):
-        mid = 0.5 * (lo + hi)
-        p_mid = p0_at(mid)
-        if abs(p_mid - target_origin_probability) <= tol:
-            return validated(mid, p_mid)
-        if (p_mid < target_origin_probability) == increasing:
-            lo = mid
+        lo, hi = min(far, near), max(far, near)
+        margin = PROBE_MARGIN * (hi - lo)
+        v = near - f_near * (near - far) / (f_near - f_far)
+        v = min(max(v, lo + margin), hi - margin)
+        p = p0_at(v)
+        f = p - target
+        if abs(f) <= tol:
+            return validated(v, p)
+        if (f > 0.0) == (f_near > 0.0):
+            scale = 1.0 - f / f_near
+            f_far *= scale if scale > 0.0 else 0.5
         else:
-            hi = mid
-    raise RuntimeError(f"bisection did not converge within {BISECT_MAX_ROUNDS} iterations")
+            far, f_far = near, f_near
+        near, f_near = v, f
+    raise RuntimeError(f"calibration did not converge within {BISECT_MAX_ROUNDS} probes")

@@ -73,8 +73,10 @@ class SearchConfig:
             if not math.isfinite(theta):
                 raise ValueError(f"theta must be finite, got {theta!r}")
         lo, hi, count = self.omega_grid
-        if not (0.0 <= lo < hi <= math.pi / 2 + 1e-12):
+        if not (0.0 <= lo and hi <= math.pi / 2 + 1e-12):
             raise ValueError(f"omega range [{lo}, {hi}] must lie inside [0, pi/2]")
+        if not lo < hi:
+            raise ValueError(f"omega min {lo} must be below omega max {hi}")
         if count < 2:
             raise ValueError(f"omega grid needs at least 2 points, got {count}")
 
@@ -138,15 +140,15 @@ def _final_origin_probability(
     """
     omegas = np.asarray(omegas, dtype=np.float64)
     origin = (steps + 1) // 2
-    amps = np.zeros((omegas.size, 2 * origin + 1, 2), dtype=np.complex128)
-    amps[:, origin] = CoinVector.symmetric().as_array()
+    amps = np.zeros((2, 2 * origin + 1, omegas.size), dtype=np.complex128)
+    amps[:, origin] = CoinVector.symmetric().as_array()[:, None]
     for k, t in enumerate(convention.step_indices(steps), start=1):
         # per step: all steps' coins would take steps * G * 64 bytes (6 MB at T = 24)
         coins = coin_at_step(theta, omegas, t, convention)
         radius = min(k, steps - k + 1)
         cone = slice(origin - radius, origin + radius + 1)
         amps[:, cone] = _coin_and_shift(coins, amps[:, cone])
-    return np.abs(amps[:, origin, 0]) ** 2 + np.abs(amps[:, origin, 1]) ** 2
+    return np.abs(amps[0, origin]) ** 2 + np.abs(amps[1, origin]) ** 2
 
 
 def _family(steps: int, convention: StepConvention, lo: float, hi: float) -> list[Fraction]:

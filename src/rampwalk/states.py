@@ -159,20 +159,11 @@ def density_from_pure(state: WalkerCoinPureState) -> WalkerCoinDensityMatrix:
 def position_distribution(state: WalkerState) -> PositionDistribution:
     """Marginal distribution over sites, tracing out the coin."""
     if isinstance(state, WalkerCoinPureState):
-        return _site_distribution(state.lattice, state.amplitudes, pure=True)
-    return _site_distribution(state.lattice, state.matrix, pure=False)
-
-
-def _site_distribution(
-    lattice: Lattice, raw: NDArray[np.complex128], pure: bool
-) -> PositionDistribution:
-    """Site probabilities of raw amplitudes (n, 2) when `pure`, else of a (2n, 2n) density matrix."""
-    if pure:
-        probs = np.sum(np.abs(raw) ** 2, axis=1)
+        probs = np.sum(np.abs(state.amplitudes) ** 2, axis=1)
     else:
-        diag = np.real(np.diag(raw))
+        diag = np.real(np.diag(state.matrix))
         probs = diag.reshape(-1, 2).sum(axis=1)
-    return PositionDistribution(lattice, probs)
+    return PositionDistribution(state.lattice, probs)
 
 
 def reduced_coin_state(state: WalkerState) -> NDArray[np.complex128]:

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from rampwalk import cli
-from rampwalk.analysis import classify
-from rampwalk.evolution import WalkSchedule
+from rampwalk.analysis import MAX_STRING_STEPS, classify
+from rampwalk.evolution import WalkSchedule, propagator_blocks
 from rampwalk.search import load_reference_catalog
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -353,6 +353,23 @@ def test_effective_coin_command(tmp_path):
     assert np.max(np.abs(strings - operator)) <= 1e-10
     gram = strings.conj().T @ strings
     assert np.max(np.abs(gram - np.eye(2))) <= 1e-10
+
+
+def test_effective_coin_beyond_the_string_limit_reports_the_operator_block(capsys):
+    steps = MAX_STRING_STEPS + 4
+    argv = ["effective-coin", "--theta", "1/4", "--omega", "1/13", "--steps", str(steps)]
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["balanced_strings"] is None and doc["max_abs_difference"] is None
+    operator = np.array(
+        [[cell["re"] + 1j * cell["im"] for cell in row] for row in doc["operator_block"]]
+    )
+    schedule = WalkSchedule(cli._parse_angle("1/4", False), cli._parse_angle("1/13", False), steps)
+    assert np.array_equal(operator, propagator_blocks(schedule)[steps])
+    assert doc["complete"] is classify(schedule).is_complete
+    # an odd step count still has no origin block
+    assert cli.main(argv[:-1] + [str(steps + 1)]) == 2
+    assert "even number of steps" in capsys.readouterr().err
 
 
 def test_effective_coin_rejects_odd_steps():

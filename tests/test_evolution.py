@@ -359,17 +359,14 @@ def test_run_walk_memory_does_not_grow_with_trajectory():
 def full_lattice_density_walk(rho, schedule):
     """The dephased walk stepped on all of rho, which the light cone must match bit for bit."""
     n = rho.lattice.size
-    dim = 2 * n
-    v = schedule.visibility
-    signs = np.tile(np.array([1.0, -1.0]), n)
-    dephase_mask = np.outer(signs, signs)
-    matrix = rho.matrix
+    # the channel keeps the coin-diagonal blocks and scales the others by v
+    dephasing = np.array([[1.0, schedule.visibility], [schedule.visibility, 1.0]])[:, None, :, None]
+    r = rho.matrix.reshape(n, 2, n, 2).transpose(1, 0, 3, 2)  # r[i, x, j, y]
     for coin in schedule.coins():
-        coins = np.broadcast_to(coin, (dim, 2, 2))
-        half = evolution._coin_and_shift(coins, matrix.conj().reshape(dim, n, 2)).reshape(dim, dim)
-        matrix = evolution._coin_and_shift(coins, half.conj().T.reshape(dim, n, 2)).reshape(dim, dim).T
-        matrix = 0.5 * (1.0 + v) * matrix + 0.5 * (1.0 - v) * (dephase_mask * matrix)
-        yield matrix
+        # the rows of rho U^dagger are the rows of rho stepped under the conjugate coin
+        half = evolution._coin_and_shift(coin.conj(), r[..., None]).reshape(2, n, 2 * n)
+        r = evolution._coin_and_shift(coin, half).reshape(2, n, 2, n) * dephasing
+        yield r.transpose(1, 0, 3, 2).reshape(2 * n, 2 * n)
 
 
 def mixture(lattice, components):
@@ -430,18 +427,19 @@ def test_light_cone_density_walk_matches_full_lattice(name, convention, visibili
 
 
 def test_density_walk_steps_only_the_light_cone(monkeypatch):
-    batches = []
+    shapes = []
     kernel = evolution._coin_and_shift
 
     def recording(coins, amps):
-        batches.append(amps.shape[0])
+        shapes.append(amps.shape)
         return kernel(coins, amps)
 
     monkeypatch.setattr(evolution, "_coin_and_shift", recording)
     steps = 12
     start = density_from_pure(symmetric_start(steps))
     run_walk(start, WalkSchedule(0.3, 0.2, steps, visibility=0.9))
-    assert batches == [2 * (2 * k + 1) for k in range(1, steps + 1) for _ in range(2)]
+    # step k takes the 2k + 1 sites of the cone: its rows, then its columns
+    assert shapes == window_shapes(2 * k + 1 for k in range(1, steps + 1))
 
 
 def test_evolve_density_keeps_a_separate_matrix_per_step():
@@ -470,31 +468,35 @@ def test_density_walk_leaves_the_start_unchanged():
 
 def test_coin_and_shift_matches_the_per_walk_oracle():
     rng = np.random.default_rng(11)
-    walks, n = 5, 7
+    lead, walks, n = 3, 5, 7
     oracle_coins = [oracles.coin_matrix(0.3 + 0.1 * g, 0.2, g + 1) for g in range(walks)]
     coins = np.array(oracle_coins)
-    # every site occupied: the plus component of the last site and the
-    # minus component of the first are shifted past the edges
-    amps = rng.normal(size=(walks, n, 2)) + 1j * rng.normal(size=(walks, n, 2))
+    # amps[b, i, x, g]: a leading batch axis, then coin, site and walk; every site
+    # occupied, so the plus component of the last site and the minus component
+    # of the first are shifted past the edges
+    shape = (lead, 2, n, walks)
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     stepped = evolution._coin_and_shift(coins, amps)
     shared = evolution._coin_and_shift(coins[0], amps)
-    for g in range(walks):
-        pairs = [tuple(pair) for pair in amps[g]]
-        for out, coin in ((stepped, oracle_coins[g]), (shared, oracle_coins[0])):
-            expected = np.array(oracles.window_step(coin, pairs))
-            assert np.max(np.abs(out[g] - expected)) < 1e-14
+    for b in range(lead):
+        for g in range(walks):
+            pairs = [tuple(pair) for pair in amps[b, :, :, g].T]
+            for out, coin in ((stepped, oracle_coins[g]), (shared, oracle_coins[0])):
+                expected = np.array(oracles.window_step(coin, pairs))
+                assert np.max(np.abs(out[b, :, :, g].T - expected)) < 1e-14
     # a single coin steps the batch exactly as its stack does
     assert np.array_equal(shared, evolution._coin_and_shift(np.broadcast_to(coins[0], coins.shape), amps))
     for out in (stepped, shared):
         # nothing shifts into the plus entry of the first site or the minus entry of the last
-        assert np.all(out[:, 0, 0] == 0.0) and np.all(out[:, -1, 1] == 0.0)
+        assert np.all(out[:, 0, 0, :] == 0.0) and np.all(out[:, 1, -1, :] == 0.0)
     # the coins are unitary, so the norm lost is exactly what left past the edges
-    for g in range(walks):
-        coined = amps[g] @ coins[g].T
-        dropped = abs(coined[-1, 0]) ** 2 + abs(coined[0, 1]) ** 2
-        lost = np.sum(np.abs(amps[g]) ** 2) - np.sum(np.abs(stepped[g]) ** 2)
-        assert lost == pytest.approx(dropped, abs=1e-12)
-        assert dropped > 1e-3
+    for b in range(lead):
+        for g in range(walks):
+            coined = coins[g] @ amps[b, :, :, g]
+            dropped = abs(coined[0, -1]) ** 2 + abs(coined[1, 0]) ** 2
+            lost = np.sum(np.abs(amps[b, ..., g]) ** 2) - np.sum(np.abs(stepped[b, ..., g]) ** 2)
+            assert lost == pytest.approx(dropped, abs=1e-12)
+            assert dropped > 1e-3
 
 
 def unreachable_starts(steps):
@@ -514,15 +516,24 @@ def test_origin_probe_equals_the_final_walk_p0(steps, convention):
     for name, start in starts.items():
         for visibility in (0.0, 0.5, 0.9, 1.0):
             sched = WalkSchedule(0.3, 0.2, steps, convention, visibility)
-            probe = evolution._probe_origin_probability(start, sched)
+            probe = evolution._probe_origin_probability(start, sched, evolution._diamond(start, steps))
             walked = run_walk(start, sched)[0][-1].at_site(0)
             assert np.array_equal(probe, walked), (name, visibility)
             if name.startswith("at "):
                 assert probe == 0.0
 
 
+def window_shapes(sizes):
+    """The kernel's input shapes for density steps on windows of these site counts.
+
+    A window of m sites is stepped twice: its rows, as amplitudes
+    (2, m, 2, m, 1), then its columns, as (2, m, 2m).
+    """
+    return [shape for m in sizes for shape in ((2, m, 2, m, 1), (2, m, 2 * m))]
+
+
 def record_calibration(monkeypatch):
-    """Lists of the shapes `states._check_density` validates and the kernel's batch sizes."""
+    """Lists of the shapes `states._check_density` validates and the kernel steps."""
     checked, batches = [], []
     check, kernel = states._check_density, evolution._coin_and_shift
 
@@ -531,7 +542,7 @@ def record_calibration(monkeypatch):
         return check(rho, label)
 
     def recording(coins, amps):
-        batches.append(amps.shape[0])
+        batches.append(amps.shape)
         return kernel(coins, amps)
 
     monkeypatch.setattr(states, "_check_density", counting_check)
@@ -552,8 +563,8 @@ def test_bisect_visibility_validates_one_walk(monkeypatch, visibility):
     if visibility in (0.0, 1.0):
         assert found == visibility
     # every probe steps the diamond, and only the last walk the whole light cone
-    cone = [2 * (2 * k + 1) for k in range(1, steps + 1) for _ in range(2)]
-    diamond = [2 * (2 * min(k, steps - k + 1) + 1) for k in range(1, steps + 1) for _ in range(2)]
+    cone = window_shapes(2 * k + 1 for k in range(1, steps + 1))
+    diamond = window_shapes(2 * min(k, steps - k + 1) + 1 for k in range(1, steps + 1))
     probes, rest = divmod(len(batches) - len(cone), len(diamond))
     assert rest == 0 and probes >= 2
     assert batches == diamond * probes + cone
@@ -569,8 +580,8 @@ def test_bisect_visibility_refuses_a_probe_the_walk_does_not_confirm(monkeypatch
     target = run_walk(start, sched)[0][-1].at_site(0)
     probe = evolution._probe_origin_probability
 
-    def off_by_one_ulp(rho, schedule):
-        return float(np.nextafter(probe(rho, schedule), 2.0))
+    def off_by_one_ulp(rho, schedule, diamond):
+        return float(np.nextafter(probe(rho, schedule, diamond), 2.0))
 
     monkeypatch.setattr(evolution, "_probe_origin_probability", off_by_one_ulp)
     with pytest.raises(RuntimeError, match="differs from the walk"):
@@ -583,3 +594,77 @@ def test_bisect_visibility_checks_the_reach_before_any_probe(monkeypatch):
     with pytest.raises(BoundaryOverflowError):
         bisect_visibility(WalkSchedule(0.0, math.pi / 8, 3), start, 0.5)
     assert batches == []
+
+
+def record_probes(monkeypatch):
+    """The (visibility, p0) pairs of every calibration probe, in order."""
+    probes = []
+    probe = evolution._probe_origin_probability
+
+    def recording(rho, schedule, diamond):
+        p0 = probe(rho, schedule, diamond)
+        probes.append((schedule.visibility, p0))
+        return p0
+
+    monkeypatch.setattr(evolution, "_probe_origin_probability", recording)
+    return probes
+
+
+@pytest.mark.parametrize(
+    "sched, fraction",
+    [
+        (WalkSchedule(0.3, 0.2, 12), 0.5),
+        (WalkSchedule(0.0, math.pi / 8, 16), 0.9),
+        (WalkSchedule(math.pi / 4, math.pi / 9, 16, StepConvention.ZERO_BASED), 0.05),
+        (WalkSchedule(1.1, 0.7, 10), 0.999),
+    ],
+)
+def test_calibration_probes_stay_inside_a_sign_changing_bracket(monkeypatch, sched, fraction):
+    start = density_from_pure(symmetric_start(sched.steps))
+    ends = [run_walk(start, sched.with_visibility(v))[0][-1].at_site(0) for v in (0.0, 1.0)]
+    target = ends[0] + fraction * (ends[1] - ends[0])
+    probes = record_probes(monkeypatch)
+    bisect_visibility(sched, start, target, tol=1e-9)
+    assert [v for v, _ in probes[:2]] == [0.0, 1.0]
+    below = (probes[0][1] < target, probes[1][1] < target)
+    assert below[0] != below[1]
+    for i, (v, p0) in enumerate(probes[2:], start=2):
+        # p0 is monotone, so the bracket is the closest probe on either side of the target
+        lo = max(u for u, q in probes[:i] if (q < target) == below[0])
+        hi = min(u for u, q in probes[:i] if (q < target) == below[1])
+        assert lo < v < hi
+        # and p0 - target changes sign across it
+        assert (dict(probes[:i])[lo] < target) != (dict(probes[:i])[hi] < target)
+
+
+@pytest.mark.parametrize(
+    "steps, theta_pi, omega_pi, visibility_1024",
+    [(16, 0, (1, 36), 925), (16, 1 / 4, (1, 9), 963), (24, 0, (1, 52), 951),
+     (24, 0, (1, 12), 987), (24, 0, (5, 24), 1003)],
+)
+def test_bench_style_calibrations_take_at_most_ten_probes(
+    monkeypatch, steps, theta_pi, omega_pi, visibility_1024
+):
+    # revivals whose p0 dephasing moves, at an odd multiple of 1/1024 in [0.9, 0.99],
+    # on which bisection of [0, 1] makes 12 probes
+    sched = WalkSchedule(math.pi * theta_pi, math.pi * omega_pi[0] / omega_pi[1], steps)
+    start = density_from_pure(symmetric_start(steps))
+    target = run_walk(start, sched.with_visibility(visibility_1024 / 1024))[0][-1].at_site(0)
+    probes = record_probes(monkeypatch)
+    _, achieved = bisect_visibility(sched, start, target)
+    assert abs(achieved - target) <= 1e-4
+    assert len(probes) <= 10
+
+
+@pytest.mark.parametrize("fraction", [1e-3, 1.0 - 1e-3])
+def test_calibration_converges_on_a_target_near_an_end(monkeypatch, fraction):
+    sched = WalkSchedule(0.0, math.pi / 8, 16)
+    start = density_from_pure(symmetric_start(16))
+    ends = [run_walk(start, sched.with_visibility(v))[0][-1].at_site(0) for v in (0.0, 1.0)]
+    target = ends[0] + fraction * (ends[1] - ends[0])
+    tol = 1e-6
+    assert min(abs(end - target) for end in ends) > tol
+    probes = record_probes(monkeypatch)
+    _, achieved = bisect_visibility(sched, start, target, tol=tol)
+    assert abs(achieved - target) <= tol
+    assert len(probes) <= evolution.BISECT_MAX_ROUNDS + 2

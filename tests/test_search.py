@@ -46,10 +46,13 @@ def test_search_config_validation():
         SearchConfig(step_counts=(3,))
     with pytest.raises(ValueError):
         SearchConfig(step_counts=(0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"must lie inside \[0, pi/2\]"):
         SearchConfig(omega_grid=(0.0, 2.0 * math.pi, 100))
-    with pytest.raises(ValueError):
-        SearchConfig(omega_grid=(0.5, 0.1, 100))
+    with pytest.raises(ValueError, match=r"must lie inside \[0, pi/2\]"):
+        SearchConfig(omega_grid=(-0.1, 0.5, 100))
+    for lo, hi in ((0.5, 0.1), (math.pi / 4, math.pi / 4)):
+        with pytest.raises(ValueError, match="min .* must be below omega max"):
+            SearchConfig(omega_grid=(lo, hi, 100))
     with pytest.raises(ValueError):
         SearchConfig(omega_grid=(0.0, 1.0, 1))
 
