@@ -10,11 +10,9 @@ from .coins import (
     CoinOperator,
     StepConvention,
     coin_at_step,
-    compose,
     equal_up_to_global_phase,
     rx,
     ry,
-    unitarity_defect,
 )
 from .states import (
     CoinVector,
@@ -26,16 +24,12 @@ from .states import (
     density_from_pure,
     initial_state,
     position_distribution,
-    purity,
     reduced_coin_state,
-    reduced_walker_state,
 )
 from .evolution import (
     BoundaryOverflowError,
     WalkSchedule,
     bisect_visibility,
-    evolve,
-    evolve_density,
     propagator_blocks,
     run_walk,
 )
@@ -43,7 +37,6 @@ from .analysis import (
     RevivalReport,
     classify,
     effective_coin_balanced_strings,
-    effective_coin_from_operator,
     polya_number,
     tv_distance,
 )
@@ -76,27 +69,20 @@ __all__ = [
     "classify",
     "coin_at_step",
     "coin_overlap",
-    "compose",
     "density_from_pure",
     "effective_coin_balanced_strings",
-    "effective_coin_from_operator",
     "equal_up_to_global_phase",
-    "evolve",
-    "evolve_density",
     "initial_state",
     "load_reference_catalog",
     "polya_number",
     "position_distribution",
     "propagator_blocks",
-    "purity",
     "reduced_coin_state",
-    "reduced_walker_state",
     "rx",
     "ry",
     "run_walk",
     "scan",
     "tv_distance",
-    "unitarity_defect",
     "verify_table",
 ]
 

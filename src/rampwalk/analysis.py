@@ -56,7 +56,7 @@ def polya_number(p0_series, horizon: int | None = None) -> float:
         horizon = probs.size
     if not 0 <= horizon <= probs.size:
         raise ValueError(f"horizon {horizon} outside [0, {probs.size}]")
-    if probs.size and (float(probs.min()) < -1e-9 or float(probs.max()) > 1.0 + 1e-9):
+    if probs.size and not (float(probs.min()) >= -1e-9 and float(probs.max()) <= 1.0 + 1e-9):
         raise ValueError("series contains values outside [0, 1]")
     clipped = np.clip(probs[:horizon], 0.0, 1.0)
     return float(1.0 - np.prod(1.0 - clipped))
@@ -98,15 +98,6 @@ def effective_coin_balanced_strings(schedule: WalkSchedule) -> NDArray[np.comple
         chosen = np.where(up_mask[:, k][:, None, None], plus_branch[k], minus_branch[k])
         products = chosen @ products
     return products.sum(axis=0)
-
-
-def effective_coin_from_operator(schedule: WalkSchedule) -> NDArray[np.complex128]:
-    """Origin-to-origin 2x2 block ``W_T[0]`` of the T-step walk."""
-    if schedule.steps % 2 != 0:
-        raise ValueError(
-            f"origin block vanishes after an odd number of steps, got {schedule.steps}"
-        )
-    return propagator_blocks(schedule)[schedule.steps].copy()
 
 
 def _verdict(blocks: NDArray[np.complex128]) -> tuple[bool, bool]:

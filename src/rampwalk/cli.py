@@ -154,14 +154,14 @@ def _candidate_doc(candidate: RevivalCandidate) -> dict:
 
 
 def _candidate_from_doc(raw: dict) -> RevivalCandidate:
-    theta, omega, residual = (float(raw[key]) for key in ("theta", "omega", "residual"))
+    theta, omega, residual = (typed_field(raw, key, float) for key in ("theta", "omega", "residual"))
     if not all(math.isfinite(value) for value in (theta, omega, residual)):
         raise ValueError(f"candidate has a non-finite theta, omega or residual: {raw!r}")
     return RevivalCandidate(
         steps=typed_field(raw, "steps", int),
         theta=theta,
         omega=omega,
-        omega_rational=parse_fraction(raw["omega_pi"]).as_integer_ratio(),
+        omega_rational=parse_fraction(typed_field(raw, "omega_pi", str)).as_integer_ratio(),
         complete=typed_field(raw, "complete", bool),
         residual=residual,
     )

@@ -23,7 +23,6 @@ from numpy.typing import NDArray
 
 CoinOperator = NDArray[np.complex128]
 
-UNITARITY_TOL = 1e-12
 PHASE_EQUAL_TOL = 1e-8
 _MAX_HALF_ANGLE = float(np.finfo(np.float64).max) / 2
 
@@ -116,22 +115,6 @@ def coin_at_step(
     im[..., 0, 1] = im[..., 1, 0] = s * cy
     im[..., 1, 1] = s * minus_sy
     return out
-
-
-def unitarity_defect(matrix: NDArray[np.complex128]) -> float:
-    """Largest entrywise deviation of ``m.H @ m`` from the identity."""
-    m = np.asarray(matrix, dtype=np.complex128)
-    gram = m.conj().T @ m
-    return float(np.max(np.abs(gram - np.eye(m.shape[0]))))
-
-
-def compose(a: CoinOperator, b: CoinOperator) -> CoinOperator:
-    """Product ``a @ b``, with a applied after b. Both must be unitary."""
-    for name, m in (("a", a), ("b", b)):
-        defect = unitarity_defect(m)
-        if defect > UNITARITY_TOL:
-            raise ValueError(f"operand {name} is not unitary (defect {defect:.3e})")
-    return np.asarray(a, dtype=np.complex128) @ np.asarray(b, dtype=np.complex128)
 
 
 def equal_up_to_global_phase(

@@ -11,9 +11,9 @@ at any site x to the coin at x + d, describes it completely (see
 Every walk in the package runs through one batched step routine,
 :func:`_coin_and_shift`, on coin-major amplitudes of shape
 (..., 2, n, G) (coin, site, then a batch of G walks) under the coin
-stack of :meth:`WalkSchedule.coins`, built once per walk. Pure states
-evolve through :func:`evolve`. Mixed states evolve through
-:func:`evolve_density`, which follows each unitary step with a coin
+stack of :meth:`WalkSchedule.coins`, built once per walk. Every walk
+of a start state goes through :func:`run_walk`. A density matrix, or a
+pure state below visibility 1, follows each unitary step with a coin
 dephasing channel of strength set by the schedule visibility:
 
     rho -> (1 + v)/2 * rho + (1 - v)/2 * (I x Z) rho (I x Z)
@@ -23,13 +23,14 @@ blocks of rho and scales the coin-off-diagonal ones by v, so
 visibility 1 reproduces unitary evolution and visibility 0 removes all
 coin coherence after every step. The dephased walk steps its working
 copy ``R[i, x, j, y]`` = rho[(x, i), (y, j)] in place and builds the
-public (2n, 2n) matrix only for the states it returns. Step k of a
+public (2n, 2n) matrix only for the final state. Step k of a
 dephased walk updates only the block of rho on the sites within k of
 the start's exact non-zero support (its forward light cone); a
 thresholded support would drop tiny entries that the full-lattice walk
 keeps, and the result would no longer match that walk bit for bit.
 :func:`run_walk` returns only the distribution after each step and the
-final state, so it keeps no trajectory. The probes of
+final state, so it keeps no trajectory; the state after step k is the
+final state of the k-step walk. The probes of
 :func:`bisect_visibility`, a bracketing regula falsi on the visibility,
 need only the final origin probability, so they step the same density
 step on the smaller part of the light cone that can still reach the
@@ -145,23 +146,6 @@ def _check_reach(lattice: Lattice, populations: NDArray[np.float64], steps: int)
         )
 
 
-def evolve(state: WalkerCoinPureState, schedule: WalkSchedule) -> list[WalkerCoinPureState]:
-    """All intermediate pure states, one per step, in step order.
-
-    Requires visibility 1; dephased walks go through :func:`evolve_density`.
-    The lattice must hold the initial support plus one site per step;
-    otherwise a :class:`BoundaryOverflowError` is raised before any
-    evolution.
-    """
-    if schedule.visibility != 1.0:
-        raise ValueError(
-            "pure-state evolution requires visibility 1; use evolve_density"
-        )
-    return [
-        WalkerCoinPureState(state.lattice, _public(raw)) for raw in _trajectory(state, schedule)
-    ]
-
-
 def propagator_blocks(schedule: WalkSchedule) -> NDArray[np.complex128]:
     """The blocks ``W_T[d]`` of the noiseless T-step walk, shape (2T + 1, 2, 2).
 
@@ -180,41 +164,6 @@ def propagator_blocks(schedule: WalkSchedule) -> NDArray[np.complex128]:
         amps = _coin_and_shift(coin, amps)
     # amps[i, x, j] is entry (i, j) of the block at site x
     return amps[:, 1:-1, :].transpose(1, 0, 2)
-
-
-def evolve_density(
-    rho: WalkerCoinDensityMatrix, schedule: WalkSchedule
-) -> list[WalkerCoinDensityMatrix]:
-    """All intermediate density matrices, one per step, in step order.
-
-    Each step is the unitary walk step followed by the coin dephasing
-    channel at the schedule visibility. The lattice must be wide enough
-    to hold the initial support plus one site per step; otherwise a
-    :class:`BoundaryOverflowError` is raised before any evolution.
-    """
-    return [WalkerCoinDensityMatrix(rho.lattice, _public(r)) for r in _trajectory(rho, schedule)]
-
-
-def _trajectory(start: WalkerState, schedule: WalkSchedule) -> Iterator[NDArray[np.complex128]]:
-    """Unvalidated coin-major state after each step.
-
-    A pure start yields amplitudes ``a[i, x]`` of shape (2, n), a new
-    array each step. A density start yields its working copy
-    ``R[i, x, j, y]`` = rho[(x, i), (y, j)] of shape (2, n, 2, n), the
-    same array updated in place (see :func:`_density_steps`); it is
-    stepped only inside its forward light cone (see :func:`_light_cone`).
-    :func:`_public` turns either into the layout of the state classes.
-    The boundary check runs before the first step, even with no steps.
-    A pure start ignores the schedule visibility.
-    """
-    _check_reach(start.lattice, position_distribution(start).probabilities, schedule.steps)
-    if isinstance(start, WalkerCoinPureState):
-        amps = np.ascontiguousarray(start.amplitudes.T)[..., None]
-        for coin in schedule.coins():
-            amps = _coin_and_shift(coin, amps)
-            yield amps[..., 0]
-        return
-    yield from _density_steps(_coin_major(start.matrix), schedule, _light_cone(start, schedule.steps))
 
 
 def _coin_major(matrix: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -274,7 +223,7 @@ def _density_steps(
     every site whose entries are read later. Each entry goes through the
     same products in the same order as on the full lattice, so every
     entry a window keeps correct is bit-identical to the full-lattice
-    walk. :func:`_trajectory` passes the light cone, outside which ``r``
+    walk. :func:`run_walk` passes the light cone, outside which ``r``
     stays zero as the full-lattice walk does;
     :func:`_probe_origin_probability` passes the part of it that can
     still reach the origin.
@@ -334,16 +283,30 @@ def run_walk(
     """The position distribution after each step, and the final state.
 
     A pure start becomes its density matrix when the visibility is
-    below 1. Only the returned objects are built and validated, so no
-    intermediate state is kept. With zero steps the final state is the
-    start. Raises :class:`BoundaryOverflowError` before any step.
+    below 1. A pure walk steps coin-major amplitudes ``a[i, x]`` of
+    shape (2, n); a dephased walk steps the working copy
+    ``R[i, x, j, y]`` = rho[(x, i), (y, j)] in place, only inside its
+    forward light cone (see :func:`_density_steps` and
+    :func:`_light_cone`). Only the returned objects are built and
+    validated, so no intermediate state is kept. With zero steps the
+    final state is the start. Raises :class:`BoundaryOverflowError`
+    before any step.
     """
     if isinstance(start, WalkerCoinPureState) and schedule.visibility != 1.0:
         start = density_from_pure(start)
+    _check_reach(start.lattice, position_distribution(start).probabilities, schedule.steps)
     distributions = []
     raw = None
-    for raw in _trajectory(start, schedule):
-        distributions.append(_distribution(start.lattice, raw))
+    if isinstance(start, WalkerCoinPureState):
+        amps = np.ascontiguousarray(start.amplitudes.T)[..., None]
+        for coin in schedule.coins():
+            amps = _coin_and_shift(coin, amps)
+            raw = amps[..., 0]
+            distributions.append(_distribution(start.lattice, raw))
+    else:
+        windows = _light_cone(start, schedule.steps)
+        for raw in _density_steps(_coin_major(start.matrix), schedule, windows):
+            distributions.append(_distribution(start.lattice, raw))
     final = start if raw is None else type(start)(start.lattice, _public(raw))
     return distributions, final
 

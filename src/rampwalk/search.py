@@ -44,7 +44,7 @@ MAX_FRACTION_EXPONENT = 1000
 _CATALOG_RESOURCE = "data/revival_catalog.json"
 _EXPONENT = re.compile(r"e([-+]?\d[\d_]*)\s*\Z", re.IGNORECASE)
 _Record = TypeVar("_Record")
-_Field = TypeVar("_Field", int, bool)
+_Field = TypeVar("_Field", int, float, bool, str)
 
 
 @dataclass(frozen=True)
@@ -268,8 +268,8 @@ def parse_catalog(text: str) -> tuple[CatalogEntry, ...]:
     def entry(raw: dict) -> CatalogEntry:
         return CatalogEntry(
             steps=typed_field(raw, "steps", int),
-            theta_pi=parse_fraction(raw["theta_pi"]),
-            omega_pi=parse_fraction(raw["omega_pi"]),
+            theta_pi=parse_fraction(typed_field(raw, "theta_pi", str)),
+            omega_pi=parse_fraction(typed_field(raw, "omega_pi", str)),
             complete=typed_field(raw, "complete", bool),
         )
 
@@ -294,9 +294,10 @@ def json_records(text: str, field: str, parse: Callable[[dict], _Record]) -> lis
 
 
 def typed_field(raw: dict, key: str, kind: type[_Field]) -> _Field:
-    """``raw[key]`` when its JSON type is exactly `kind`: int for an integer, bool for a boolean.
+    """``raw[key]`` when its JSON type is exactly `kind`: int, float, bool or str.
 
-    Anything else raises ValueError; 2.9 and true are no integers, "false" is no boolean.
+    Anything else raises ValueError; 2.9 and true are no integers, "false"
+    is no boolean, "0" and 0 are no floats, and true is no string.
     """
     value = raw[key]
     if type(value) is not kind:

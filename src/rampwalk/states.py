@@ -132,10 +132,10 @@ class PositionDistribution:
         object.__setattr__(self, "probabilities", probs)
         if probs.shape != (self.lattice.size,):
             raise ValueError(f"shape {probs.shape} != {(self.lattice.size,)}")
-        if float(np.min(probs)) < -1e-12 or float(np.max(probs)) > 1.0 + 1e-12:
+        if not (float(np.min(probs)) >= -1e-12 and float(np.max(probs)) <= 1.0 + 1e-12):
             raise ValueError("probabilities outside [0, 1]")
         total = float(np.sum(probs))
-        if abs(total - 1.0) > STATE_NORM_TOL:
+        if not abs(total - 1.0) <= STATE_NORM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
 
     def at_site(self, site: int) -> float:
@@ -179,26 +179,6 @@ def reduced_coin_state(state: WalkerState) -> NDArray[np.complex128]:
     return rho
 
 
-def reduced_walker_state(state: WalkerState) -> NDArray[np.complex128]:
-    """Position density matrix after tracing out the coin."""
-    if isinstance(state, WalkerCoinPureState):
-        amps = state.amplitudes
-        rho = amps @ amps.conj().T
-    else:
-        n = state.lattice.size
-        blocks = state.matrix.reshape(n, 2, n, 2)
-        rho = np.einsum("xiyi->xy", blocks)
-    _check_density(rho, "reduced walker state")
-    return rho
-
-
-def purity(rho: NDArray[np.complex128]) -> float:
-    """tr(rho^2); equals 1 exactly for pure states."""
-    rho = np.asarray(rho, dtype=np.complex128)
-    _check_density(rho, "purity input")
-    return float(np.real(np.trace(rho @ rho)))
-
-
 def coin_overlap(rho: NDArray[np.complex128], psi: CoinVector) -> float:
     """Expectation <psi| rho |psi> of a 2x2 coin density matrix."""
     rho = np.asarray(rho, dtype=np.complex128)
@@ -211,11 +191,11 @@ def coin_overlap(rho: NDArray[np.complex128], psi: CoinVector) -> float:
 
 def _check_density(rho: NDArray[np.complex128], label: str) -> None:
     herm = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm > DENSITY_TOL:
+    if not herm <= DENSITY_TOL:
         raise ValueError(f"{label} not Hermitian (defect {herm:.3e})")
     trace = complex(np.trace(rho))
-    if abs(trace - 1.0) > DENSITY_TOL:
+    if not abs(trace - 1.0) <= DENSITY_TOL:
         raise ValueError(f"{label} trace deviates from 1 by {abs(trace - 1.0):.3e}")
     lowest = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
-    if lowest < -1e-8:
+    if not lowest >= -1e-8:
         raise ValueError(f"{label} has negative eigenvalue {lowest:.3e}")

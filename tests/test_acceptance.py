@@ -7,23 +7,13 @@ as a release checklist.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
-from rampwalk.analysis import (
-    classify,
-    effective_coin_balanced_strings,
-    effective_coin_from_operator,
-    tv_distance,
-)
-from rampwalk.coins import coin_at_step, compose, equal_up_to_global_phase, unitarity_defect
-from rampwalk.evolution import (
-    WalkSchedule,
-    bisect_visibility,
-    evolve,
-    evolve_density,
-    propagator_blocks,
-)
+from rampwalk.analysis import classify, effective_coin_balanced_strings, tv_distance
+from rampwalk.coins import coin_at_step, equal_up_to_global_phase
+from rampwalk.evolution import WalkSchedule, bisect_visibility, propagator_blocks, run_walk
 from rampwalk.search import SearchConfig, load_reference_catalog, scan, verify_table
 from rampwalk.states import (
     CoinVector,
@@ -44,6 +34,10 @@ def _report(number: int, label: str, ok: bool, detail: str) -> bool:
 
 def _random_angle(rng) -> float:
     return float(rng.uniform(0.0, math.pi / 2))
+
+
+def _unitarity_defect(m) -> float:
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(2))))
 
 
 def test_criterion_1_revival_table_reproduced():
@@ -71,7 +65,7 @@ def test_criterion_2_certain_return_at_flagship_point():
     schedule = WalkSchedule(0.0, math.pi / 8, 16)
     lattice = Lattice.for_steps(16)
     start = initial_state(lattice, CoinVector.symmetric())
-    p0 = [position_distribution(s).at_site(0) for s in evolve(start, schedule)]
+    p0 = [distribution.at_site(0) for distribution in run_walk(start, schedule)[0]]
     ok = abs(p0[7] - 1.0) <= 1e-10 and abs(p0[15] - 1.0) <= 1e-10
     detail = f"p0(8) = {p0[7]:.12f}, p0(16) = {p0[15]:.12f}"
     assert _report(2, "certain return", ok, detail)
@@ -81,7 +75,7 @@ def test_criterion_3_predicted_coin_state():
     schedule = WalkSchedule(math.pi / 4, math.pi / 10, 8)
     lattice = Lattice.for_steps(8)
     start = initial_state(lattice, CoinVector.symmetric())
-    final = evolve(start, schedule)[-1]
+    _, final = run_walk(start, schedule)
     coin_amps = final.amplitudes[lattice.index(0)]
     target = np.array([0.988, 0.156j])
     pivot = int(np.argmax(np.abs(target)))
@@ -109,8 +103,7 @@ def test_criterion_4_tv_identity_over_random_walks():
         lattice = Lattice.for_steps(steps)
         start = initial_state(lattice, CoinVector.symmetric())
         reference = position_distribution(start)
-        for state in evolve(start, schedule):
-            dist = position_distribution(state)
+        for dist in run_walk(start, schedule)[0]:
             gap = abs(tv_distance(dist, reference) - (1.0 - dist.at_site(0)))
             worst = max(worst, gap)
     ok = worst <= 1e-12
@@ -130,7 +123,7 @@ def test_criterion_5_dual_effective_coin_constructions():
             np.max(
                 np.abs(
                     effective_coin_balanced_strings(schedule)
-                    - effective_coin_from_operator(schedule)
+                    - propagator_blocks(schedule)[schedule.steps]
                 )
             )
         )
@@ -142,7 +135,7 @@ def test_criterion_5_dual_effective_coin_constructions():
         schedule = WalkSchedule(
             float(entry.theta_pi) * math.pi, float(entry.omega_pi) * math.pi, entry.steps
         )
-        effective = effective_coin_from_operator(schedule)
+        effective = propagator_blocks(schedule)[schedule.steps]
         expectation = float(np.real(psi.conj() @ effective.conj().T @ effective @ psi))
         worst_norm = max(worst_norm, abs(expectation - 1.0))
 
@@ -160,24 +153,17 @@ def test_criterion_6_dephasing_model():
     start = initial_state(lattice, CoinVector.symmetric())
     rho0 = density_from_pure(start)
 
-    pure_states = evolve(start, schedule)
-    mixed_states = evolve_density(rho0, schedule)
+    pure_distributions, _ = run_walk(start, schedule)
+    mixed_distributions, _ = run_walk(rho0, schedule)
     match_gap = max(
-        float(
-            np.max(
-                np.abs(
-                    position_distribution(p).probabilities
-                    - position_distribution(m).probabilities
-                )
-            )
-        )
-        for p, m in zip(pure_states, mixed_states)
+        float(np.max(np.abs(p.probabilities - m.probabilities)))
+        for p, m in zip(pure_distributions, mixed_distributions, strict=True)
     )
 
     visibilities = [1.0, 0.996, 0.99, 0.95, 0.9]
     p0_values = []
     for visibility in visibilities:
-        final = evolve_density(rho0, schedule.with_visibility(visibility))[-1]
+        _, final = run_walk(rho0, schedule.with_visibility(visibility))
         p0_values.append(position_distribution(final).at_site(0))
     monotone = all(a >= b - 1e-12 for a, b in zip(p0_values, p0_values[1:]))
 
@@ -204,11 +190,11 @@ def test_criterion_7_module_invariants_on_random_cases():
         omega = float(rng.uniform(-2.0 * math.pi, 2.0 * math.pi))
         t = int(rng.integers(1, 40))
         coin = coin_at_step(theta, omega, t)
-        if unitarity_defect(coin) > 1e-12:
+        if _unitarity_defect(coin) > 1e-12:
             coin_ok = False
             break
         other = coin_at_step(omega, theta, max(1, t - 1))
-        if unitarity_defect(compose(coin, other)) > 1e-12:
+        if _unitarity_defect(coin @ other) > 1e-12:
             coin_ok = False
             break
         phase = complex(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
@@ -225,7 +211,8 @@ def test_criterion_7_module_invariants_on_random_cases():
         schedule = WalkSchedule(theta, omega, steps)
         lattice = Lattice.for_steps(steps)
         start = initial_state(lattice, CoinVector.symmetric())
-        trajectory = evolve(start, schedule)
+        # the state after step k is the final state of the k-step walk
+        trajectory = [run_walk(start, replace(schedule, steps=k))[1] for k in range(1, steps + 1)]
         for state in trajectory:
             if abs(float(np.sum(np.abs(state.amplitudes) ** 2)) - 1.0) > 1e-12:
                 evolution_ok = False

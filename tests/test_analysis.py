@@ -8,12 +8,11 @@ from rampwalk.analysis import (
     _verdict,
     classify,
     effective_coin_balanced_strings,
-    effective_coin_from_operator,
     polya_number,
     tv_distance,
 )
-from rampwalk.coins import equal_up_to_global_phase, unitarity_defect
-from rampwalk.evolution import WalkSchedule, evolve, propagator_blocks
+from rampwalk.coins import equal_up_to_global_phase
+from rampwalk.evolution import WalkSchedule, propagator_blocks, run_walk
 from rampwalk.states import (
     CoinVector,
     Lattice,
@@ -56,8 +55,7 @@ def test_tv_against_point_mass_equals_one_minus_p0(theta, omega, steps):
     lattice = Lattice.for_steps(steps)
     start = initial_state(lattice, CoinVector.symmetric())
     reference = position_distribution(start)
-    for state in evolve(start, sched):
-        dist = position_distribution(state)
+    for dist in run_walk(start, sched)[0]:
         direct = tv_distance(dist, reference)
         shortcut = 1.0 - dist.at_site(0)
         assert abs(direct - shortcut) <= 1e-12
@@ -73,6 +71,8 @@ def test_polya_number_values():
 
 def test_polya_number_validation():
     with pytest.raises(ValueError):
+        polya_number([0.5, math.nan])
+    with pytest.raises(ValueError):
         polya_number([0.5], horizon=2)
     with pytest.raises(ValueError):
         polya_number([0.5], horizon=-1)
@@ -86,7 +86,7 @@ def test_polya_at_flagship_revival():
     sched = WalkSchedule(0.0, math.pi / 8, 16)
     lattice = Lattice.for_steps(16)
     start = initial_state(lattice, CoinVector.symmetric())
-    p0 = [position_distribution(s).at_site(0) for s in evolve(start, sched)]
+    p0 = [distribution.at_site(0) for distribution in run_walk(start, sched)[0]]
     assert polya_number(p0, horizon=7) == pytest.approx(1.0, abs=1e-12)
     assert polya_number(p0) == pytest.approx(1.0, abs=1e-12)
 
@@ -108,14 +108,12 @@ def test_effective_coin_rejects_odd_and_oversized():
         effective_coin_balanced_strings(WalkSchedule(0.0, 0.1, 3))
     with pytest.raises(ValueError):
         effective_coin_balanced_strings(WalkSchedule(0.0, 0.1, 22))
-    with pytest.raises(ValueError):
-        effective_coin_from_operator(WalkSchedule(0.0, 0.1, 3))
 
 
 def test_effective_coin_zero_steps_is_identity():
     sched = WalkSchedule(0.3, 0.2, 0)
     assert np.array_equal(effective_coin_balanced_strings(sched), np.eye(2))
-    assert np.max(np.abs(effective_coin_from_operator(sched) - np.eye(2))) < 1e-15
+    assert np.max(np.abs(propagator_blocks(sched)[0] - np.eye(2))) < 1e-15
 
 
 @given(angle, angle, st.sampled_from([2, 4, 6]))
@@ -132,8 +130,13 @@ def test_effective_coin_matches_string_oracle(theta, omega, steps):
 def test_effective_coin_constructions_agree(theta, omega, steps):
     sched = WalkSchedule(theta, omega, steps)
     from_strings = effective_coin_balanced_strings(sched)
-    from_operator = effective_coin_from_operator(sched)
+    from_operator = propagator_blocks(sched)[steps]
     assert np.max(np.abs(from_strings - from_operator)) <= 1e-10
+
+
+def unitarity_defect(m):
+    """Largest entrywise deviation of ``m.H @ m`` from the identity."""
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(2))))
 
 
 def test_effective_coin_unitary_only_at_revivals():
@@ -251,7 +254,7 @@ def test_classify_predicted_coin_state_matches_effective_map():
     report = classify(sched)
     lattice = Lattice.for_steps(8)
     start = initial_state(lattice, CoinVector.symmetric())
-    final = evolve(start, sched)[-1]
+    _, final = run_walk(start, sched)
     coin_amps = final.amplitudes[lattice.index(0)]
     predicted = report.effective_coin @ CoinVector.symmetric().as_array()
     predicted = predicted / np.linalg.norm(predicted)

@@ -228,21 +228,27 @@ def test_verify_table_io_and_parse_errors(tmp_path):
         ' "omega_pi": "1/8", "complete": false, "residual": 0.0}]}',
         encoding="utf-8",
     )
-    # steps must be a JSON integer, complete a JSON boolean and omega_pi a
-    # fraction text, in both documents
+    # steps must be a JSON integer, complete a JSON boolean, theta, omega and
+    # residual JSON floats, and theta_pi and omega_pi fraction texts
     candidate = {"steps": 2, "theta": 0.0, "omega": 0.39269908169872414, "omega_pi": "1/8",
                  "complete": False, "residual": 0.0}
     entry = {"steps": 2, "theta_pi": "0", "omega_pi": "1/8", "complete": False}
     mistyped = []
     wrong_types = (
-        {"complete": "false"}, {"complete": 0}, {"steps": 2.9}, {"steps": True}, {"omega_pi": None}
+        {"complete": "false"}, {"complete": 0}, {"steps": 2.9}, {"steps": True}, {"omega_pi": None},
+        {"omega_pi": True}, {"omega_pi": 0.125},
     )
-    for i, changes in enumerate(wrong_types):
+    # fields that only one of the two documents reads
+    candidate_only = ({"theta": "0"}, {"theta": 0}, {"omega": True}, {"residual": "0.0"})
+    entry_only = ({"theta_pi": True}, {"theta_pi": 0})
+    for i, changes in enumerate(wrong_types + candidate_only):
         candidates = tmp_path / f"candidates{i}.json"
         candidates.write_text(json.dumps({"candidates": [{**candidate, **changes}]}))
+        mistyped.append((str(candidates),))
+    for i, changes in enumerate(wrong_types + entry_only):
         catalog = tmp_path / f"catalog{i}.json"
         catalog.write_text(json.dumps({"entries": [{**entry, **changes}]}))
-        mistyped += [(str(candidates),), (str(good), "--catalog", str(catalog))]
+        mistyped.append((str(good), "--catalog", str(catalog)))
     for args in (
         (str(listed),),
         (str(good), "--catalog", str(listed)),

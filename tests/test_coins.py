@@ -7,11 +7,9 @@ from hypothesis import given, settings, strategies as st
 from rampwalk.coins import (
     StepConvention,
     coin_at_step,
-    compose,
     equal_up_to_global_phase,
     rx,
     ry,
-    unitarity_defect,
 )
 from rampwalk.evolution import WalkSchedule
 
@@ -23,6 +21,11 @@ angles = st.floats(
     allow_nan=False,
     allow_infinity=False,
 )
+
+
+def unitarity_defect(m):
+    """Largest entrywise deviation of ``m.H @ m`` from the identity."""
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(2))))
 
 
 def test_rx_known_values():
@@ -94,20 +97,6 @@ def test_step_conventions_enumerate_indices():
     assert list(StepConvention.ONE_BASED.step_indices(4)) == [1, 2, 3, 4]
     assert list(StepConvention.ZERO_BASED.step_indices(4)) == [0, 1, 2, 3]
     assert list(StepConvention.ONE_BASED.step_indices(0)) == []
-
-
-@given(angles, angles)
-def test_compose_is_matrix_product(phi, theta):
-    product = compose(rx(phi), ry(theta))
-    assert np.allclose(product, rx(phi) @ ry(theta), atol=1e-15)
-    assert unitarity_defect(product) <= 1e-12
-
-
-def test_compose_rejects_non_unitary():
-    with pytest.raises(ValueError):
-        compose(np.array([[1.0, 0.0], [0.0, 2.0]]), np.eye(2))
-    with pytest.raises(ValueError):
-        compose(np.eye(2), np.zeros((2, 2)))
 
 
 @given(angles, angles, st.floats(min_value=0.0, max_value=2.0 * math.pi))

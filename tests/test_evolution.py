@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,6 @@ from rampwalk.evolution import (
     BoundaryOverflowError,
     WalkSchedule,
     bisect_visibility,
-    evolve,
-    evolve_density,
     propagator_blocks,
     run_walk,
 )
@@ -24,7 +23,6 @@ from rampwalk.states import (
     density_from_pure,
     initial_state,
     position_distribution,
-    purity,
     reduced_coin_state,
 )
 
@@ -36,6 +34,11 @@ angle = st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False)
 def symmetric_start(steps: int) -> WalkerCoinPureState:
     lattice = Lattice.for_steps(steps)
     return initial_state(lattice, CoinVector.symmetric())
+
+
+def states_after_each_step(start, schedule):
+    """The state after each step: the final state of each prefix walk."""
+    return [run_walk(start, replace(schedule, steps=k))[1] for k in range(1, schedule.steps + 1)]
 
 
 def oracle_amplitudes_to_array(state_dict: dict, lattice: Lattice) -> np.ndarray:
@@ -65,37 +68,31 @@ def test_schedule_step_indices_by_convention():
     assert list(zero.step_indices()) == [0, 1, 2]
 
 
-def test_evolve_requires_unit_visibility():
-    sched = WalkSchedule(0.0, math.pi / 8, 2, visibility=0.9)
-    with pytest.raises(ValueError):
-        evolve(symmetric_start(2), sched)
-
-
 def test_one_step_moves_symmetric_coin_down_at_ramp_eighth_pi():
     # rx(pi/8) sends the symmetric coin onto the minus branch exactly
     sched = WalkSchedule(0.0, math.pi / 8, 1)
-    final = evolve(symmetric_start(1), sched)[-1]
+    _, final = run_walk(symmetric_start(1), sched)
     dist = position_distribution(final)
     assert dist.at_site(-1) == pytest.approx(1.0, abs=1e-12)
 
 
 @given(angle, angle, st.integers(min_value=1, max_value=6))
 @settings(max_examples=120)
-def test_evolve_matches_dict_oracle(theta, omega, steps):
+def test_pure_walk_matches_dict_oracle(theta, omega, steps):
     sched = WalkSchedule(theta, omega, steps)
     start = symmetric_start(steps)
-    trajectory = evolve(start, sched)
+    trajectory = states_after_each_step(start, sched)
     oracle_trajectory = oracles.walk_states(theta, omega, steps)
-    for ours, reference in zip(trajectory, oracle_trajectory):
+    for ours, reference in zip(trajectory, oracle_trajectory, strict=True):
         expected = oracle_amplitudes_to_array(reference, start.lattice)
         assert np.max(np.abs(ours.amplitudes - expected)) < 1e-10
 
 
 @given(angle, angle, st.integers(min_value=1, max_value=8))
 @settings(max_examples=120)
-def test_evolve_preserves_norm(theta, omega, steps):
+def test_pure_walk_preserves_norm(theta, omega, steps):
     sched = WalkSchedule(theta, omega, steps)
-    for state in evolve(symmetric_start(steps), sched):
+    for state in states_after_each_step(symmetric_start(steps), sched):
         norm_sq = float(np.sum(np.abs(state.amplitudes) ** 2))
         assert abs(norm_sq - 1.0) < 1e-12
 
@@ -103,7 +100,7 @@ def test_evolve_preserves_norm(theta, omega, steps):
 def test_sixteen_step_walk_matches_oracle_end_to_end():
     sched = WalkSchedule(0.0, math.pi / 8, 16)
     start = symmetric_start(16)
-    final = evolve(start, sched)[-1]
+    _, final = run_walk(start, sched)
     expected = oracle_amplitudes_to_array(
         oracles.walk_states(0.0, math.pi / 8, 16)[-1], start.lattice
     )
@@ -114,8 +111,8 @@ def test_zero_based_convention_changes_the_walk():
     # one-based ramping revives at (theta 0, omega pi/8, T 2); zero-based does not
     one = WalkSchedule(0.0, math.pi / 8, 2)
     zero = WalkSchedule(0.0, math.pi / 8, 2, convention=StepConvention.ZERO_BASED)
-    p_one = position_distribution(evolve(symmetric_start(2), one)[-1]).at_site(0)
-    p_zero = position_distribution(evolve(symmetric_start(2), zero)[-1]).at_site(0)
+    p_one = run_walk(symmetric_start(2), one)[0][-1].at_site(0)
+    p_zero = run_walk(symmetric_start(2), zero)[0][-1].at_site(0)
     assert p_one == pytest.approx(1.0, abs=1e-12)
     assert p_zero == pytest.approx(0.5, abs=1e-12)
 
@@ -125,19 +122,19 @@ def test_boundary_overflow_raises_instead_of_wrapping():
     state = initial_state(lattice, CoinVector.symmetric())
     sched = WalkSchedule(0.3, 0.2, 4)
     with pytest.raises(BoundaryOverflowError):
-        evolve(state, sched)
+        run_walk(state, sched)
     # the support plus the steps must stay one site inside the lattice, on each side
     for lopsided in (Lattice(-3, 1), Lattice(-1, 3)):
         with pytest.raises(BoundaryOverflowError):
-            evolve(initial_state(lopsided, CoinVector.symmetric()), WalkSchedule(0.3, 0.2, 1))
-    moved = evolve(state, WalkSchedule(0.3, 0.2, 1))[-1]
+            run_walk(initial_state(lopsided, CoinVector.symmetric()), WalkSchedule(0.3, 0.2, 1))
+    _, moved = run_walk(state, WalkSchedule(0.3, 0.2, 1))
     with pytest.raises(BoundaryOverflowError):
-        evolve(moved, WalkSchedule(0.3, 0.2, 1))
+        run_walk(moved, WalkSchedule(0.3, 0.2, 1))
 
 
 def test_guard_sites_stay_empty_over_long_walk():
     sched = WalkSchedule(0.0, math.pi / 8, 16)
-    for state in evolve(symmetric_start(16), sched):
+    for state in states_after_each_step(symmetric_start(16), sched):
         edge = np.abs(state.amplitudes[[0, -1], :])
         assert float(edge.max()) < 1e-14
 
@@ -151,21 +148,21 @@ def test_translation_covariance():
     offset_amps[wide.index(3), 0] = CoinVector.symmetric().plus
     offset_amps[wide.index(3), 1] = CoinVector.symmetric().minus
     shifted = WalkerCoinPureState(wide, offset_amps)
-    final_centered = evolve(centered, sched)[-1]
-    final_shifted = evolve(shifted, sched)[-1]
+    _, final_centered = run_walk(centered, sched)
+    _, final_shifted = run_walk(shifted, sched)
     assert np.max(
         np.abs(np.roll(final_centered.amplitudes, 3, axis=0) - final_shifted.amplitudes)
     ) < 1e-12
 
 
-def test_multi_step_operator_zero_steps_is_identity():
+def test_propagator_blocks_zero_steps_is_identity():
     blocks = propagator_blocks(WalkSchedule(0.3, 0.1, 0))
     assert np.array_equal(blocks, np.eye(2)[None])
 
 
 @given(angle, angle, st.integers(min_value=1, max_value=5))
 @settings(max_examples=60)
-def test_multi_step_operator_matches_evolve(theta, omega, steps):
+def test_propagator_blocks_match_the_dict_oracle(theta, omega, steps):
     # column j of the block at displacement d is the walk of basis coin j from the origin
     blocks = propagator_blocks(WalkSchedule(theta, omega, steps))
     assert blocks.shape == (2 * steps + 1, 2, 2)
@@ -180,9 +177,9 @@ def test_multi_step_operator_matches_evolve(theta, omega, steps):
 def test_density_at_unit_visibility_matches_pure():
     sched = WalkSchedule(0.0, math.pi / 8, 8)
     start = symmetric_start(8)
-    pure_states = evolve(start, sched)
-    mixed_states = evolve_density(density_from_pure(start), sched)
-    for pure, mixed in zip(pure_states, mixed_states):
+    pure_states = states_after_each_step(start, sched)
+    mixed_states = states_after_each_step(density_from_pure(start), sched)
+    for pure, mixed in zip(pure_states, mixed_states, strict=True):
         p = position_distribution(pure).probabilities
         q = position_distribution(mixed).probabilities
         assert np.max(np.abs(p - q)) < 1e-10
@@ -217,7 +214,7 @@ def test_dephasing_never_increases_purity(theta, omega, visibility, steps):
     sched = WalkSchedule(theta, omega, steps, visibility=visibility)
     start = density_from_pure(symmetric_start(steps))
     previous = 1.0
-    for state in evolve_density(start, sched):
+    for state in states_after_each_step(start, sched):
         blocks = state.matrix
         current = float(np.real(np.trace(blocks @ blocks)))
         assert current <= previous + 1e-10
@@ -237,24 +234,27 @@ def test_density_boundary_check_is_static():
     lattice = Lattice(-3, 3)
     start = density_from_pure(initial_state(lattice, CoinVector.symmetric()))
     with pytest.raises(BoundaryOverflowError):
-        evolve_density(start, WalkSchedule(0.3, 0.2, 3))
-    evolve_density(start, WalkSchedule(0.3, 0.2, 2))
+        run_walk(start, WalkSchedule(0.3, 0.2, 3))
+    run_walk(start, WalkSchedule(0.3, 0.2, 2))
+
+
+def coin_purity(state):
+    """tr(rho^2) of the reduced coin state."""
+    rho = reduced_coin_state(state)
+    return float(np.real(np.trace(rho @ rho)))
 
 
 def test_reduced_coin_purity_series_at_flagship_point():
     sched = WalkSchedule(0.0, math.pi / 8, 4)
-    values = [
-        purity(reduced_coin_state(state))
-        for state in evolve(symmetric_start(4), sched)
-    ]
+    values = [coin_purity(state) for state in states_after_each_step(symmetric_start(4), sched)]
     expected = [1.0, 1.0, 0.5, 0.5]
     assert np.max(np.abs(np.array(values) - np.array(expected))) < 1e-12
 
 
 def test_reduced_coin_purity_strictly_between_half_and_one():
     sched = WalkSchedule(0.0, math.pi / 10, 4)
-    final = evolve(symmetric_start(4), sched)[-1]
-    value = purity(reduced_coin_state(final))
+    _, final = run_walk(symmetric_start(4), sched)
+    value = coin_purity(final)
     assert 0.5 + 1e-3 < value < 1.0 - 1e-3
 
 
@@ -294,18 +294,18 @@ def assert_same_walk(distributions, final, states):
         WalkSchedule(0.3, 0.2, 5, StepConvention.ZERO_BASED),
     ],
 )
-def test_run_walk_matches_evolve_and_evolve_density(sched):
+def test_run_walk_matches_its_prefix_walks(sched):
     start = symmetric_start(sched.steps)
     rho = density_from_pure(start)
     # a pure start at visibility 1 takes the pure walk
-    assert_same_walk(*run_walk(start, sched), evolve(start, sched))
+    assert_same_walk(*run_walk(start, sched), states_after_each_step(start, sched))
     # below visibility 1 it takes the dephased walk of its density matrix
     dephased = sched.with_visibility(0.9)
-    assert_same_walk(*run_walk(start, dephased), evolve_density(rho, dephased))
+    assert_same_walk(*run_walk(start, dephased), states_after_each_step(rho, dephased))
     # a density start takes the dephased walk at every visibility
     for visibility in (1.0, 0.9):
         noisy = sched.with_visibility(visibility)
-        assert_same_walk(*run_walk(rho, noisy), evolve_density(rho, noisy))
+        assert_same_walk(*run_walk(rho, noisy), states_after_each_step(rho, noisy))
 
 
 def test_run_walk_without_steps_returns_start():
@@ -417,13 +417,13 @@ def test_light_cone_density_walk_matches_full_lattice(name, convention, visibili
     start = window_parity_starts(steps)[name]
     sched = WalkSchedule(0.3, 0.2, steps, convention, visibility)
     expected = list(full_lattice_density_walk(start, sched))
-    states = evolve_density(start, sched)
+    states = states_after_each_step(start, sched)
     assert len(states) == len(expected) == steps
     for state, matrix in zip(states, expected):
         assert np.array_equal(state.matrix, matrix)
     if name == "at_limit":
         with pytest.raises(BoundaryOverflowError):
-            evolve_density(start, WalkSchedule(0.3, 0.2, steps + 1, convention, visibility))
+            run_walk(start, WalkSchedule(0.3, 0.2, steps + 1, convention, visibility))
 
 
 def test_density_walk_steps_only_the_light_cone(monkeypatch):
@@ -442,28 +442,14 @@ def test_density_walk_steps_only_the_light_cone(monkeypatch):
     assert shapes == window_shapes(2 * k + 1 for k in range(1, steps + 1))
 
 
-def test_evolve_density_keeps_a_separate_matrix_per_step():
-    sched = WalkSchedule(0.3, 0.2, 5, visibility=0.7)
-    start = density_from_pure(symmetric_start(5))
-    states = evolve_density(start, sched)
-    for i, earlier in enumerate(states):
-        for later in states[i + 1 :]:
-            assert not np.shares_memory(earlier.matrix, later.matrix)
-            assert not np.array_equal(earlier.matrix, later.matrix)
-    distributions, _ = run_walk(start, sched)
-    for state, distribution in zip(states, distributions, strict=True):
-        assert np.array_equal(position_distribution(state).probabilities, distribution.probabilities)
-
-
 def test_density_walk_leaves_the_start_unchanged():
     sched = WalkSchedule(0.3, 0.2, 4, visibility=0.6)
     start = density_from_pure(symmetric_start(4))
     before = start.matrix.copy()
     _, final = run_walk(start, sched)
-    evolve_density(start, sched)
     assert np.array_equal(start.matrix, before)
     assert not np.shares_memory(final.matrix, start.matrix)
-    assert np.array_equal(final.matrix, evolve_density(start, sched)[-1].matrix)
+    assert np.array_equal(final.matrix, run_walk(start, sched)[1].matrix)
 
 
 def test_coin_and_shift_matches_the_per_walk_oracle():

@@ -14,9 +14,7 @@ from rampwalk.states import (
     density_from_pure,
     initial_state,
     position_distribution,
-    purity,
     reduced_coin_state,
-    reduced_walker_state,
 )
 
 
@@ -99,6 +97,8 @@ def test_position_distribution_validation():
         PositionDistribution(lat, np.array([-0.1, 0.6, 0.5]))
     with pytest.raises(ValueError):
         PositionDistribution(lat, np.array([0.5, 0.5]))
+    with pytest.raises(ValueError):
+        PositionDistribution(lat, np.array([math.nan, 1.0, 0.0]))
 
 
 def test_density_from_pure_is_projector():
@@ -125,6 +125,13 @@ def test_density_matrix_validation():
     negative[1, 1] = -0.5
     with pytest.raises(ValueError):
         WalkerCoinDensityMatrix(lat, negative)
+    # NaN fails every bound, on the diagonal and off it
+    for entry in ((dim - 1, dim - 1), (0, 1)):
+        poisoned = np.zeros((dim, dim), dtype=complex)
+        poisoned[0, 0] = 1.0
+        poisoned[entry] = math.nan
+        with pytest.raises(ValueError):
+            WalkerCoinDensityMatrix(lat, poisoned)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -140,32 +147,19 @@ def test_reduced_coin_routes_agree(seed):
 def test_reduced_states_are_valid_densities(seed):
     lat = Lattice(-3, 3)
     state = random_pure_state(lat, seed)
-    coin_rho = reduced_coin_state(state)
-    walker_rho = reduced_walker_state(state)
-    for rho in (coin_rho, walker_rho):
-        assert abs(np.trace(rho) - 1.0) < 1e-10
-        assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
-        assert float(np.min(np.linalg.eigvalsh(rho))) > -1e-10
+    rho = reduced_coin_state(state)
+    assert abs(np.trace(rho) - 1.0) < 1e-10
+    assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+    assert float(np.min(np.linalg.eigvalsh(rho))) > -1e-10
 
 
 @given(st.integers(min_value=0, max_value=10_000))
 def test_coin_purity_range(seed):
     lat = Lattice(-3, 3)
     state = random_pure_state(lat, seed)
-    value = purity(reduced_coin_state(state))
+    rho = reduced_coin_state(state)
+    value = float(np.real(np.trace(rho @ rho)))
     assert 0.5 - 1e-10 <= value <= 1.0 + 1e-10
-
-
-def test_purity_of_pure_and_maximally_mixed():
-    assert purity(np.array([[1.0, 0.0], [0.0, 0.0]])) == pytest.approx(1.0, abs=1e-12)
-    assert purity(0.5 * np.eye(2)) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_purity_rejects_invalid_input():
-    with pytest.raises(ValueError):
-        purity(np.eye(2))  # trace 2
-    with pytest.raises(ValueError):
-        purity(np.array([[0.5, 0.5], [-0.5, 0.5]]))
 
 
 @given(st.integers(min_value=0, max_value=10_000))
