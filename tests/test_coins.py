@@ -99,6 +99,14 @@ def test_step_conventions_enumerate_indices():
     assert list(StepConvention.ONE_BASED.step_indices(0)) == []
 
 
+@given(angles, angles, st.integers(min_value=1, max_value=40))
+def test_products_of_step_coins_are_unitary(theta, omega, steps):
+    # a walk multiplies its step coins; the product of a whole schedule stays unitary
+    coins = WalkSchedule(theta, omega, steps).coins()
+    product = np.linalg.multi_dot([*coins, rx(theta), ry(omega)])
+    assert unitarity_defect(product) <= 1e-12
+
+
 @given(angles, angles, st.floats(min_value=0.0, max_value=2.0 * math.pi))
 def test_equal_up_to_global_phase_accepts_phased_copies(theta, omega, alpha):
     coin = coin_at_step(theta, omega, 3)

@@ -68,6 +68,19 @@ def test_schedule_step_indices_by_convention():
     assert list(zero.step_indices()) == [0, 1, 2]
 
 
+def test_pure_start_below_unit_visibility_walks_its_density_matrix():
+    # the revival at (theta 0, omega pi/8, T 8) is lost once the coin dephases
+    start = symmetric_start(8)
+    sched = WalkSchedule(0.0, math.pi / 8, 8, visibility=0.9)
+    distributions, final = run_walk(start, sched)
+    assert isinstance(final, WalkerCoinDensityMatrix)
+    assert np.array_equal(final.matrix, run_walk(density_from_pure(start), sched)[1].matrix)
+    assert distributions[-1].at_site(0) < 1.0 - 1e-3
+    pure_distributions, pure_final = run_walk(start, sched.with_visibility(1.0))
+    assert isinstance(pure_final, WalkerCoinPureState)
+    assert pure_distributions[-1].at_site(0) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_one_step_moves_symmetric_coin_down_at_ramp_eighth_pi():
     # rx(pi/8) sends the symmetric coin onto the minus branch exactly
     sched = WalkSchedule(0.0, math.pi / 8, 1)
@@ -172,6 +185,18 @@ def test_propagator_blocks_match_the_dict_oracle(theta, omega, steps):
             plus, minus = final.get(d, (0.0, 0.0))
             assert abs(blocks[d + steps, 0, column] - plus) < 1e-10
             assert abs(blocks[d + steps, 1, column] - minus) < 1e-10
+
+
+@given(angle, angle, st.integers(min_value=1, max_value=8))
+@settings(max_examples=60)
+def test_propagator_blocks_vanish_off_the_walk_parity(theta, omega, steps):
+    # after T steps the walker sits only at displacements d with d = T mod 2,
+    # so the origin block of an odd-length walk is zero
+    blocks = propagator_blocks(WalkSchedule(theta, omega, steps))
+    assert not np.any(blocks[1::2])
+    assert np.any(blocks[::2])
+    if steps % 2:
+        assert not np.any(blocks[steps])
 
 
 def test_density_at_unit_visibility_matches_pure():
@@ -440,6 +465,19 @@ def test_density_walk_steps_only_the_light_cone(monkeypatch):
     run_walk(start, WalkSchedule(0.3, 0.2, steps, visibility=0.9))
     # step k takes the 2k + 1 sites of the cone: its rows, then its columns
     assert shapes == window_shapes(2 * k + 1 for k in range(1, steps + 1))
+
+
+def test_dephased_prefix_walks_keep_a_separate_matrix_each():
+    sched = WalkSchedule(0.3, 0.2, 5, visibility=0.7)
+    start = density_from_pure(symmetric_start(5))
+    states = states_after_each_step(start, sched)
+    for i, earlier in enumerate(states):
+        for later in states[i + 1 :]:
+            assert not np.shares_memory(earlier.matrix, later.matrix)
+            assert not np.array_equal(earlier.matrix, later.matrix)
+    distributions, _ = run_walk(start, sched)
+    for state, distribution in zip(states, distributions, strict=True):
+        assert np.array_equal(position_distribution(state).probabilities, distribution.probabilities)
 
 
 def test_density_walk_leaves_the_start_unchanged():

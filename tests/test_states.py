@@ -162,6 +162,23 @@ def test_coin_purity_range(seed):
     assert 0.5 - 1e-10 <= value <= 1.0 + 1e-10
 
 
+def test_reduced_coin_state_of_product_and_entangled_states():
+    lat = Lattice(-1, 1)
+    coin = CoinVector.symmetric().as_array()
+    product = initial_state(lat, CoinVector.symmetric())
+    entangled_amps = np.zeros((lat.size, 2), dtype=complex)
+    entangled_amps[lat.index(-1), 0] = entangled_amps[lat.index(1), 1] = 1 / math.sqrt(2)
+    entangled = WalkerCoinPureState(lat, entangled_amps)
+    for state, expected, purity in (
+        (product, np.outer(coin, coin.conj()), 1.0),
+        (entangled, 0.5 * np.eye(2), 0.5),
+    ):
+        for route in (state, density_from_pure(state)):
+            rho = reduced_coin_state(route)
+            assert np.max(np.abs(rho - expected)) < 1e-12
+            assert float(np.real(np.trace(rho @ rho))) == pytest.approx(purity, abs=1e-12)
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 def test_coin_overlap_bounds(seed):
     lat = Lattice(-3, 3)
