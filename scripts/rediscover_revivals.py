@@ -2,8 +2,7 @@
 """Rediscover the revival catalog by direct numerical search.
 
 Runs the default scan (walk lengths 2 to 8, both bias angles), which
-tests each row's rational family of ramp rates; grid minima that no
-family revival explains would be reported on stderr. Prints every
+walks only each row's exact rational family of ramp rates. Prints every
 accepted ramp rate as an exact fraction of pi with its completeness
 marker and diffs the result against the catalog bundled with the
 package. Takes no options; for other domains run `rampwalk search`,

@@ -126,12 +126,12 @@ def cmd_walk(
 def cmd_search(config: SearchConfig, json_out: str | None = "-") -> int:
     """Scan for revivals and emit the candidate list as JSON."""
     candidates = scan(config)
-    lo, hi, count = config.omega_grid
+    lo, hi = config.omega_grid
     doc = {
         "config": {
             "step_counts": list(config.step_counts),
             "theta": [_angle_doc(theta) for theta in config.theta_values],
-            "omega_grid": {"min": float(lo), "max": float(hi), "count": int(count)},
+            "omega_grid": {"min": float(lo), "max": float(hi)},
             "convention": config.convention.value,
         },
         "candidates": [_candidate_doc(candidate) for candidate in candidates],
@@ -268,7 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="comma separated bias angles (default 0,1/4)")
     search_p.add_argument("--omega-min", default=None, help="default 0")
     search_p.add_argument("--omega-max", default=None, help="default 1/2 (pi/2 radians)")
-    search_p.add_argument("--omega-count", type=int, default=defaults.omega_grid[2])
     search_p.add_argument("--zero-based", action="store_true")
     search_p.add_argument("--radians", action="store_true")
     search_p.add_argument("--json-out", default="-")
@@ -323,7 +322,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         thetas = defaults.theta_values
         if args.theta is not None:
             thetas = tuple(_parse_angle(part, args.radians) for part in args.theta.split(","))
-        omega_min, omega_max, _ = defaults.omega_grid
+        omega_min, omega_max = defaults.omega_grid
         if args.omega_min is not None:
             omega_min = _parse_angle(args.omega_min, args.radians)
         if args.omega_max is not None:
@@ -331,7 +330,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         config = SearchConfig(
             step_counts=step_counts,
             theta_values=thetas,
-            omega_grid=(omega_min, omega_max, args.omega_count),
+            omega_grid=(omega_min, omega_max),
             convention=_convention(args),
         )
         return cmd_search(config, json_out=args.json_out)

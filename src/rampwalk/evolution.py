@@ -40,6 +40,7 @@ origin.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
@@ -83,6 +84,8 @@ class WalkSchedule:
     def __post_init__(self) -> None:
         if not math.isfinite(self.theta) or not math.isfinite(self.omega):
             raise ValueError("theta and omega must be finite")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 0:
             raise ValueError(f"steps must be non-negative, got {self.steps}")
         if not 0.0 <= self.visibility <= 1.0:

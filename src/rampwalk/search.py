@@ -3,25 +3,23 @@
 For each (steps, theta) pair the scan evaluates the final origin
 probability of a walk started from the symmetric coin state on the
 exact rational family of the row (see ``_family``), where every
-revival sits. A family point is kept with its exact p/q when
-``analysis._verdict``, the verdict ``classify`` gives too, finds its
-propagator blocks a revival; that verdict also says whether it is
-complete. Blocks are built only for points whose residual ``1 - p0``
-is at most ``REVIVAL_TOL``. No revival lies above that: ``1 - p0`` is
-the sum of ``|W_T[d] psi|^2`` over d != 0, at most
-``8 T REVIVAL_TOL^2``. Every candidate is such a point. A dense
-ramp-rate grid serves only as a detector: a local minimum of its
-residual below ``BRACKET_THRESHOLD`` whose bracket holds no kept
-family point is reported in one logged warning per row, never turned
-into a candidate. The batched walk takes each step's coins
-from ``coin_at_step`` and steps only the sites inside the light cone of
-the origin: those the walker can reach and still return from.
+revival sits, and on nothing else. A family point is kept with its
+exact p/q when ``analysis._verdict``, the verdict ``classify`` gives
+too, finds its propagator blocks a revival; that verdict also says
+whether it is complete. Blocks are built only for points whose
+residual ``1 - p0`` is at most ``REVIVAL_TOL``. No revival lies above
+that: ``1 - p0`` is the sum of ``|W_T[d] psi|^2`` over d != 0, at most
+``8 T REVIVAL_TOL^2``. Every candidate is such a point. The batched
+walk takes each step's coins from ``coin_at_step`` and steps only the
+sites inside the light cone of the origin: those the walker can reach
+and still return from.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +34,6 @@ from .evolution import WalkSchedule, _coin_and_shift, propagator_blocks
 from .analysis import REVIVAL_TOL, _verdict
 from .states import CoinVector
 
-BRACKET_THRESHOLD = 1e-3
 ANGLE_MAX_DENOMINATOR = 360
 ANGLE_TOL = 1e-9
 MAX_FRACTION_EXPONENT = 1000
@@ -51,34 +48,35 @@ _Field = TypeVar("_Field", int, float, bool, str)
 class SearchConfig:
     """Scan domain.
 
-    ``omega_grid`` is (min, max, count) in radians with the range inside
-    [0, pi/2]; both endpoints are included in the detector grid, and
-    the family points scanned are those inside the range. Step counts
-    must be even since the walker can only revive at the origin after
-    an even number of steps.
+    ``omega_grid`` is the ramp-rate range (min, max) in radians inside
+    [0, pi/2]; the scan walks the family points inside it, both
+    endpoints included. Step counts must be even integers since the
+    walker can only revive at the origin after an even number of steps.
     """
 
     step_counts: tuple[int, ...] = (2, 4, 6, 8)
     theta_values: tuple[float, ...] = (0.0, math.pi / 4)
-    omega_grid: tuple[float, float, int] = (0.0, math.pi / 2, 4001)
+    omega_grid: tuple[float, float] = (0.0, math.pi / 2)
     convention: StepConvention = StepConvention.ONE_BASED
 
     def __post_init__(self) -> None:
         if not self.step_counts:
             raise ValueError("step_counts must not be empty")
         for steps in self.step_counts:
+            if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+                raise ValueError(f"step counts must be integers, got {steps!r}")
             if steps < 2 or steps % 2 != 0:
                 raise ValueError(f"step counts must be even and positive, got {steps}")
+        # as ints: a numpy integer would reach Fractions, which cannot hash it
+        object.__setattr__(self, "step_counts", tuple(int(steps) for steps in self.step_counts))
         for theta in self.theta_values:
             if not math.isfinite(theta):
                 raise ValueError(f"theta must be finite, got {theta!r}")
-        lo, hi, count = self.omega_grid
+        lo, hi = self.omega_grid
         if not (0.0 <= lo and hi <= math.pi / 2 + 1e-12):
             raise ValueError(f"omega range [{lo}, {hi}] must lie inside [0, pi/2]")
         if not lo < hi:
             raise ValueError(f"omega min {lo} must be below omega max {hi}")
-        if count < 2:
-            raise ValueError(f"omega grid needs at least 2 points, got {count}")
 
 
 @dataclass(frozen=True)
@@ -156,7 +154,7 @@ def _family(steps: int, convention: StepConvention, lo: float, hi: float) -> lis
 
     Every revival found so far has q | T or q | 2(T + 2) in the one-based
     convention and q | 2T in the zero-based one, so the family is k/m
-    for those m. For theta / pi in Z/4 and T <= 24 the revivals of the
+    for those m. For theta / pi in Z/4 and T <= 32 the revivals of the
     family are the row's whole revival set on [0, pi/2], as the integer
     polynomial certificate in ``tests/exact.py`` proves. A point is kept
     when its ramp rate ``pi * p / q`` lies in [lo, hi].
@@ -170,21 +168,16 @@ def _family(steps: int, convention: StepConvention, lo: float, hi: float) -> lis
 
 
 def _scan_row(config: SearchConfig, steps: int, theta: float) -> list[RevivalCandidate]:
-    lo, hi, count = config.omega_grid
-    grid = np.linspace(lo, hi, count)
-
-    def objective(omegas: NDArray[np.float64]) -> NDArray[np.float64]:
-        return 1.0 - _final_origin_probability(steps, theta, omegas, config.convention)
-
-    # The grid goes first: a row too large to walk fails here at once,
-    # before the family of its step count is enumerated.
-    residuals = objective(grid)
+    lo, hi = config.omega_grid
+    # The walk's amplitudes for the family's at most 2T + 4 points are
+    # allocated first: a row too large to walk fails here at once, before
+    # its O(T) fractions are built.
+    np.empty((2, steps + 2, 2 * steps + 4), dtype=np.complex128)
     family = _family(steps, config.convention, lo, hi)
-    family_omegas = np.array([math.pi * p.numerator / p.denominator for p in family])
+    omegas = np.array([math.pi * p.numerator / p.denominator for p in family])
+    residuals = 1.0 - _final_origin_probability(steps, theta, omegas, config.convention)
     found = []
-    for point, omega, residual in zip(
-        family, family_omegas.tolist(), objective(family_omegas).tolist()
-    ):
+    for point, omega, residual in zip(family, omegas.tolist(), residuals.tolist()):
         if residual > REVIVAL_TOL:
             continue
         blocks = propagator_blocks(WalkSchedule(theta, omega, steps, config.convention))
@@ -192,30 +185,6 @@ def _scan_row(config: SearchConfig, steps: int, theta: float) -> list[RevivalCan
         if revival:
             rational = point.as_integer_ratio()
             found.append(RevivalCandidate(steps, theta, omega, rational, complete, residual))
-    # The detector: local minima of the grid residual below the threshold
-    # whose bracket (the grid points beside them) holds no kept family point.
-    is_minimum = ~(residuals >= BRACKET_THRESHOLD)
-    is_minimum[1:] &= ~(residuals[1:] > residuals[:-1])
-    is_minimum[:-1] &= ~(residuals[:-1] > residuals[1:])
-    minima = np.flatnonzero(is_minimum)
-    a = grid[np.maximum(minima - 1, 0)]
-    b = grid[np.minimum(minima + 1, count - 1)]
-    hits = np.array([candidate.omega for candidate in found])
-    unexplained = minima[~((a[:, None] <= hits) & (hits <= b[:, None])).any(axis=1)]
-    if unexplained.size:
-        import logging  # here, not at the top: the import adds about 0.4 MB to every process
-
-        theta_pi = angle_fraction(theta)
-        logging.getLogger(__name__).warning(
-            "T = %d, theta = %s, %s: no family revival explains the grid minima at %s",
-            steps,
-            f"{theta_pi} pi" if theta_pi is not None else f"{theta!r} rad",
-            config.convention.value,
-            ", ".join(
-                f"omega/pi = {grid[i] / math.pi:.6f} (1 - p0 = {residuals[i]:.1e})"
-                for i in unexplained
-            ),
-        )
     return found
 
 

@@ -2,8 +2,7 @@
 
 Each case calls ``cli.main`` in-process with argv drawn for one of the
 five subcommands; argparse's own ``SystemExit`` counts by its code.
-Steps stay at most 12 and omega grids at most 64 points, so no case
-allocates more than a few MB.
+Steps stay at most 12, so no case allocates more than a few MB.
 """
 
 import contextlib
@@ -19,7 +18,7 @@ ANGLES = ("0", "1/8", "-3/7", "1/4", "0.3", "1/0", "1e400", "-1e400", "nan", "in
           "1e10000000", "-1e-10000000", "2E+3000000")
 NUMBERS = ("0", "0.5", "0.918", "1", "1.2", "-1", "nan", "inf", "1e400", "x", "")
 OUTPUTS = ("-", f"{TMP}/out.json", f"{TMP}/missing/out.json")
-REMOVED_OPTIONS = ("--workers", "--max-denominator", "--refine-tol")
+REMOVED_OPTIONS = ("--workers", "--max-denominator", "--refine-tol", "--omega-count")
 
 angle_text = st.sampled_from(ANGLES) | st.builds(
     "{}/{}".format, st.integers(-9, 9), st.integers(0, 8)
@@ -90,8 +89,7 @@ def cli_cases(draw):
         argv += draw(options(json_out=st.sampled_from(OUTPUTS)))
         return argv, files
     if command == "search":
-        argv = [command, f"--omega-count={draw(st.integers(0, 64))}"]
-        argv += draw(
+        argv = [command] + draw(
             options(
                 steps=comma_list(steps_text),
                 theta=comma_list(angle_text),
@@ -141,6 +139,7 @@ def exit_code(argv):
 @example(case=(["search", "--workers", "2"], {}))
 @example(case=(["search", "--max-denominator", "64", "--steps", "2"], {}))
 @example(case=(["search", "--refine-tol", "1e-12", "--steps", "2"], {}))
+@example(case=(["search", "--omega-count", "5", "--steps", "2"], {}))
 @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_every_argv_ends_in_a_documented_exit_code(tmp_path, case):
     argv, files = case
@@ -151,6 +150,7 @@ def test_every_argv_ends_in_a_documented_exit_code(tmp_path, case):
     assert code in (0, 1, 2, 3)
     # exit 1 means only "verification mismatch"
     assert code != 1 or argv[0] == "verify-table"
-    # search takes no worker count, cap on the fraction denominators or residual tolerance
+    # search takes no worker count, cap on the fraction denominators, residual
+    # tolerance or grid size
     if any(arg.partition("=")[0] in REMOVED_OPTIONS for arg in argv):
         assert code == 2

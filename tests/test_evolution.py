@@ -61,6 +61,20 @@ def test_schedule_validation():
         WalkSchedule(0.0, 0.0, 2, visibility=-0.1)
 
 
+@pytest.mark.parametrize("steps", [2.5, 4.0, True, "4", None])
+def test_schedule_rejects_non_integer_step_counts(steps):
+    with pytest.raises(ValueError, match="integer"):
+        WalkSchedule(0.0, 0.1, steps)
+
+
+def test_schedule_takes_numpy_step_counts():
+    numpy_steps = WalkSchedule(0.0, math.pi / 8, np.int64(8))
+    int_steps = WalkSchedule(0.0, math.pi / 8, 8)
+    assert np.array_equal(propagator_blocks(numpy_steps), propagator_blocks(int_steps))
+    _, final = run_walk(symmetric_start(8), numpy_steps)
+    assert np.array_equal(final.amplitudes, run_walk(symmetric_start(8), int_steps)[1].amplitudes)
+
+
 def test_schedule_step_indices_by_convention():
     one = WalkSchedule(0.0, 0.1, 3)
     zero = WalkSchedule(0.0, 0.1, 3, convention=StepConvention.ZERO_BASED)

@@ -1,5 +1,4 @@
 import math
-import re
 from fractions import Fraction
 
 import numpy as np
@@ -47,14 +46,24 @@ def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(step_counts=(0,))
     with pytest.raises(ValueError, match=r"must lie inside \[0, pi/2\]"):
-        SearchConfig(omega_grid=(0.0, 2.0 * math.pi, 100))
+        SearchConfig(omega_grid=(0.0, 2.0 * math.pi))
     with pytest.raises(ValueError, match=r"must lie inside \[0, pi/2\]"):
-        SearchConfig(omega_grid=(-0.1, 0.5, 100))
+        SearchConfig(omega_grid=(-0.1, 0.5))
     for lo, hi in ((0.5, 0.1), (math.pi / 4, math.pi / 4)):
         with pytest.raises(ValueError, match="min .* must be below omega max"):
-            SearchConfig(omega_grid=(lo, hi, 100))
-    with pytest.raises(ValueError):
-        SearchConfig(omega_grid=(0.0, 1.0, 1))
+            SearchConfig(omega_grid=(lo, hi))
+
+
+@pytest.mark.parametrize("steps", [4.0, 2.5, True, "4", None])
+def test_search_config_rejects_non_integer_step_counts(steps):
+    with pytest.raises(ValueError, match="integers"):
+        SearchConfig(step_counts=(2, steps))
+
+
+def test_search_config_takes_numpy_step_counts():
+    config = SearchConfig(step_counts=(np.int64(4),), theta_values=(0.0,))
+    assert type(config.step_counts[0]) is int
+    assert scan(config) == scan(SearchConfig(step_counts=(4,), theta_values=(0.0,)))
 
 
 def test_angle_fraction():
@@ -68,7 +77,7 @@ def test_angle_fraction():
 @pytest.mark.parametrize("theta", [0.0, math.pi / 4, 0.37])
 @pytest.mark.parametrize("steps", [2, 8, 16, 24])
 def test_final_origin_probability_does_not_depend_on_the_batch(steps, theta, convention):
-    # the scan walks a row's whole grid, and then its family points, as one batch
+    # the scan walks all family points of a row as one batch
     omegas = np.concatenate([np.linspace(0.0, math.pi / 2, 17), [0.1234, 1.0e-3, 1.4]])
     batch = search._final_origin_probability(steps, theta, omegas, convention)
     alone = [
@@ -123,31 +132,20 @@ def test_scan_at_sixteen_steps(theta, expected):
 
 
 def test_scan_single_row_without_bias():
-    config = SearchConfig(
-        step_counts=(2,), theta_values=(0.0,), omega_grid=(0.0, math.pi / 2, 401)
-    )
-    candidates = scan(config)
+    candidates = scan(SearchConfig(step_counts=(2,), theta_values=(0.0,)))
     assert [c.omega_rational for c in candidates] == [(1, 8), (3, 8)]
     assert all(not c.complete for c in candidates)
     assert all(c.residual <= 1e-12 for c in candidates)
 
 
 def test_scan_finds_endpoint_revivals():
-    config = SearchConfig(
-        step_counts=(2,),
-        theta_values=(math.pi / 4,),
-        omega_grid=(0.0, math.pi / 2, 801),
-    )
-    candidates = scan(config)
+    candidates = scan(SearchConfig(step_counts=(2,), theta_values=(math.pi / 4,)))
     assert [c.omega_rational for c in candidates] == [(0, 1), (1, 4), (1, 2)]
     assert [c.complete for c in candidates] == [True, False, True]
 
 
 def test_scan_is_sorted_and_deduplicated():
-    config = SearchConfig(
-        step_counts=(2, 4), theta_values=(0.0,), omega_grid=(0.0, math.pi / 2, 801)
-    )
-    candidates = scan(config)
+    candidates = scan(SearchConfig(step_counts=(2, 4), theta_values=(0.0,)))
     keys = [(c.steps, c.theta, c.omega) for c in candidates]
     assert keys == sorted(keys)
     for first, second in zip(candidates, candidates[1:]):
@@ -158,17 +156,12 @@ def test_scan_is_sorted_and_deduplicated():
 def test_scan_equals_union_of_one_row_scans():
     # each (steps, theta) row is scanned on its own, so one search over a
     # domain equals the sorted union of one-row searches over its rows
-    grid = (0.0, math.pi / 2, 401)
-    config = SearchConfig(
-        step_counts=(2, 4), theta_values=(0.0, math.pi / 4), omega_grid=grid
-    )
+    config = SearchConfig(step_counts=(2, 4), theta_values=(0.0, math.pi / 4))
     rows = [
         candidate
         for steps in config.step_counts
         for theta in config.theta_values
-        for candidate in scan(
-            SearchConfig(step_counts=(steps,), theta_values=(theta,), omega_grid=grid)
-        )
+        for candidate in scan(SearchConfig(step_counts=(steps,), theta_values=(theta,)))
     ]
     assert rows
     assert scan(config) == sorted(rows, key=lambda c: (c.steps, c.theta, c.omega))
@@ -286,48 +279,68 @@ def test_verify_table_flags_unrationalized_candidates_as_extra():
     assert len(diff.missing) == 1
 
 
-def _warnings(caplog):
-    return [r.getMessage() for r in caplog.records if r.name == search.__name__]
+GRID = np.linspace(0.0, math.pi / 2, 4001)
 
 
-@pytest.mark.parametrize("step_counts", [(2, 4, 6, 8), (16, 24)])
-def test_family_points_explain_every_grid_minimum(caplog, step_counts):
-    # on these rows every grid minimum below the threshold holds a family revival
-    assert scan(SearchConfig(step_counts=step_counts))
-    assert _warnings(caplog) == []
+def _grid_residuals(steps, theta, omegas, one_based):
+    """1 - p0 for each ramp rate: a batched walk on sites -T..T, apart from rampwalk."""
+    plus = np.zeros((2 * steps + 1, omegas.size), dtype=complex)
+    minus = np.zeros_like(plus)
+    plus[steps], minus[steps] = oracles.SYMMETRIC
+    cy, sy = math.cos(2 * theta), math.sin(2 * theta)
+    for t in oracles.step_range(steps, one_based):
+        cx, sx = np.cos(2 * omegas * t), np.sin(2 * omegas * t)
+        up = (cx * cy + 1j * sx * sy) * plus + (1j * sx * cy - cx * sy) * minus
+        down = (1j * sx * cy + cx * sy) * plus + (cx * cy - 1j * sx * sy) * minus
+        # the support after step k is |x| <= k, so nothing wraps round
+        plus, minus = np.roll(up, 1, axis=0), np.roll(down, -1, axis=0)
+    return 1.0 - np.abs(plus[steps]) ** 2 - np.abs(minus[steps]) ** 2
 
 
-def test_near_misses_off_the_family_are_reported(caplog):
-    # theta = pi/8 is outside Z/4: the grid dips to 1 - p0 of about 5e-4 near
-    # omega/pi = 1/24, 5/24, 7/24 and 11/24, where no family point revives
-    assert scan(SearchConfig(step_counts=(24,), theta_values=(math.pi / 8,))) == []
-    (message,) = _warnings(caplog)
-    assert message.startswith("T = 24, theta = 1/8 pi, one-based:")
-    named = [float(x) for x in re.findall(r"omega/pi = ([0-9.]+)", message)]
-    assert np.allclose(named, [1 / 24, 5 / 24, 7 / 24, 11 / 24], atol=1e-3)
+def _brackets(residuals, below, omegas):
+    """(minimum, omega) matrix: the bracket of each grid minimum below `below` holds omega."""
+    low = residuals < below
+    low[1:] &= residuals[1:] <= residuals[:-1]
+    low[:-1] &= residuals[:-1] <= residuals[1:]
+    i = np.flatnonzero(low)
+    a, b = GRID[np.maximum(i - 1, 0), None], GRID[np.minimum(i + 1, GRID.size - 1), None]
+    omegas = np.asarray(omegas, dtype=float)
+    return (a <= omegas) & (omegas <= b)
 
 
-@pytest.mark.parametrize("theta", [0.0, math.pi / 4])
-@pytest.mark.parametrize("steps", [4, 6, 8])
-def test_unexplained_grid_minima_name_every_revival(caplog, monkeypatch, steps, theta):
-    # with no family points the scan keeps nothing, and its one warning for
-    # the row names a grid minimum next to each revival of the catalog
-    monkeypatch.setattr(search, "_family", lambda *args: [])
-    config = SearchConfig(step_counts=(steps,), theta_values=(theta,))
-    assert scan(config) == []
-    (message,) = _warnings(caplog)
-    assert message.startswith(f"T = {steps}, theta = {angle_fraction(theta)} pi, one-based:")
-    named = np.array([float(x) for x in re.findall(r"omega/pi = ([0-9.]+)", message)])
-    lo, hi, count = config.omega_grid
-    spacing = (hi - lo) / (count - 1) / math.pi
-    revivals = [
-        entry.omega_pi
-        for entry in load_reference_catalog()
-        if entry.steps == steps and float(entry.theta_pi) * math.pi == theta
-    ]
-    assert revivals
-    for omega_pi in revivals:
-        assert np.abs(named - float(omega_pi)).min() <= spacing
+@pytest.mark.parametrize("one_based", [True, False])
+@pytest.mark.parametrize("theta", [0.0, math.pi / 4, 0.37])
+def test_grid_residuals_match_the_dict_oracle(theta, one_based):
+    omegas = np.array([0.0, 0.3, math.pi / 7, 1.2])
+    for steps in (1, 2, 9, 10):
+        got = _grid_residuals(steps, theta, omegas, one_based)
+        for omega, residual in zip(omegas, got):
+            expected = 1.0 - oracles.p0_series(theta, float(omega), steps, one_based=one_based)[-1]
+            assert abs(residual - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("convention", list(StepConvention))
+@pytest.mark.parametrize(
+    "theta", [0.0, math.pi / 4, math.pi / 8, np.random.default_rng(0).uniform(0.0, math.pi / 2)]
+)
+@pytest.mark.parametrize("steps", [8, 16, 24])
+def test_family_explains_every_grid_minimum(steps, theta, convention):
+    # the scan walks only its family: on a dense grid every deep minimum of
+    # 1 - p0 lies beside a family point, and every minimum at zero beside a
+    # candidate; theta = pi/8 dips to about 5e-4 at T = 24 but never revives
+    one_based = convention is StepConvention.ONE_BASED
+    residuals = _grid_residuals(steps, theta, GRID, one_based)
+    family = search._family(steps, convention, 0.0, math.pi / 2)
+    found = scan(SearchConfig(step_counts=(steps,), theta_values=(theta,), convention=convention))
+    family_omegas = [math.pi * p.numerator / p.denominator for p in family]
+    candidate_omegas = [c.omega for c in found]
+    assert _brackets(residuals, 1e-3, family_omegas).any(axis=1).all()
+    assert _brackets(residuals, 1e-9, candidate_omegas).any(axis=1).all()
+    if steps <= 16:
+        # the grid is fine enough here to dip below 1e-3 beside every revival
+        assert _brackets(residuals, 1e-3, candidate_omegas).any(axis=0).all()
+    if theta == math.pi / 8:
+        assert found == []
 
 
 @pytest.mark.parametrize("convention", list(StepConvention))
@@ -338,7 +351,7 @@ def test_residual_prefilter_only_saves_work(steps, theta, convention):
     # residual; judging every family point by its blocks keeps the same ones
     config = SearchConfig(step_counts=(steps,), theta_values=(theta,), convention=convention)
     found = scan(config)
-    lo, hi, _ = config.omega_grid
+    lo, hi = config.omega_grid
     revivals = []
     for point in search._family(steps, convention, lo, hi):
         omega = math.pi * point.numerator / point.denominator
@@ -374,7 +387,7 @@ def test_scan_equals_the_oracle_truth_set(steps, theta, convention):
 
 @pytest.mark.parametrize("convention", list(StepConvention))
 @pytest.mark.parametrize("theta_quarters", [0, 1])
-@pytest.mark.parametrize("steps", [8, 16, 24])
+@pytest.mark.parametrize("steps", [8, 16, 24, 32])
 def test_scan_equals_the_certified_revival_set(steps, theta_quarters, convention):
     # the integer certificate proves the scanned points are the row's whole
     # revival set on [0, pi/2], with exact completeness flags
