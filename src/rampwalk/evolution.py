@@ -88,6 +88,8 @@ class WalkSchedule:
             raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 0:
             raise ValueError(f"steps must be non-negative, got {self.steps}")
+        if not isinstance(self.convention, StepConvention):
+            raise ValueError(f"convention must be a StepConvention, got {self.convention!r}")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError(f"visibility must lie in [0, 1], got {self.visibility}")
 
@@ -149,6 +151,28 @@ def _check_reach(lattice: Lattice, populations: NDArray[np.float64], steps: int)
         )
 
 
+def _origin_walk(
+    coins: NDArray[np.complex128], starts: NDArray[np.complex128]
+) -> NDArray[np.complex128]:
+    """Final coin-major amplitudes (2, 2T + 3, G) of G walks from the origin, site T + 1.
+
+    ``starts`` (2, G) holds their start coins; ``coins`` is a (T, 2, 2)
+    stack shared by the batch or a (T, G, 2, 2) stack, one coin per walk.
+    Every step updates the whole lattice, which the walks never leave.
+    """
+    reach = coins.shape[0] + 1
+    amps = np.zeros((2, 2 * reach + 1, starts.shape[1]), dtype=np.complex128)
+    amps[:, reach] = starts
+    for coin in coins:
+        amps = _coin_and_shift(coin, amps)
+    return amps
+
+
+def _blocks(amps: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """Blocks (2T + 1, 2, 2) from the final ``amps[i, x, j]`` of walks from basis coins j."""
+    return amps[:, 1:-1, :].transpose(1, 0, 2)
+
+
 def propagator_blocks(schedule: WalkSchedule) -> NDArray[np.complex128]:
     """The blocks ``W_T[d]`` of the noiseless T-step walk, shape (2T + 1, 2, 2).
 
@@ -156,17 +180,10 @@ def propagator_blocks(schedule: WalkSchedule) -> NDArray[np.complex128]:
     coin at site x + d after all T steps, for d in [-T, T]. The walk is
     a revival when every block but ``W_T[0]`` vanishes, and ``W_T[0]``
     is then its effective coin. With zero steps the single block is the
-    identity. The schedule visibility is ignored.
+    identity. The schedule visibility is ignored. The two basis coins
+    take one :func:`_origin_walk`, the walk the scan batches.
     """
-    reach = schedule.steps + 1
-    # the two basis coins at the centre site, as a batch of 2
-    amps = np.zeros((2, 2 * reach + 1, 2), dtype=np.complex128)
-    amps[0, reach, 0] = 1.0
-    amps[1, reach, 1] = 1.0
-    for coin in schedule.coins():
-        amps = _coin_and_shift(coin, amps)
-    # amps[i, x, j] is entry (i, j) of the block at site x
-    return amps[:, 1:-1, :].transpose(1, 0, 2)
+    return _blocks(_origin_walk(schedule.coins(), np.eye(2)))
 
 
 def _coin_major(matrix: NDArray[np.complex128]) -> NDArray[np.complex128]:

@@ -1,18 +1,10 @@
 """Scan that rediscovers the revival parameter catalog.
 
-For each (steps, theta) pair the scan evaluates the final origin
-probability of a walk started from the symmetric coin state on the
-exact rational family of the row (see ``_family``), where every
-revival sits, and on nothing else. A family point is kept with its
-exact p/q when ``analysis._verdict``, the verdict ``classify`` gives
-too, finds its propagator blocks a revival; that verdict also says
-whether it is complete. Blocks are built only for points whose
-residual ``1 - p0`` is at most ``REVIVAL_TOL``. No revival lies above
-that: ``1 - p0`` is the sum of ``|W_T[d] psi|^2`` over d != 0, at most
-``8 T REVIVAL_TOL^2``. Every candidate is such a point. The batched
-walk takes each step's coins from ``coin_at_step`` and steps only the
-sites inside the light cone of the origin: those the walker can reach
-and still return from.
+For each (steps, theta) pair the scan walks only the row's exact
+rational family (see ``_family``), where every revival sits: each point
+three times from the origin, all in one batch. Its walks from the two
+basis coins give its propagator blocks, which ``analysis._verdict``, as
+in ``classify``, judges; the symmetric coin gives its residual 1 - p0.
 """
 
 from __future__ import annotations
@@ -30,8 +22,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .coins import StepConvention, coin_at_step
-from .evolution import WalkSchedule, _coin_and_shift, propagator_blocks
-from .analysis import REVIVAL_TOL, _verdict
+from .evolution import _blocks, _origin_walk
+from .analysis import _verdict
 from .states import CoinVector
 
 ANGLE_MAX_DENOMINATOR = 360
@@ -62,6 +54,10 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if not self.step_counts:
             raise ValueError("step_counts must not be empty")
+        if not self.theta_values:
+            raise ValueError("theta_values must not be empty")
+        if not isinstance(self.convention, StepConvention):
+            raise ValueError(f"convention must be a StepConvention, got {self.convention!r}")
         for steps in self.step_counts:
             if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
                 raise ValueError(f"step counts must be integers, got {steps!r}")
@@ -120,33 +116,23 @@ def parse_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-def _final_origin_probability(
-    steps: int,
-    theta: float,
-    omegas: NDArray[np.float64],
-    convention: StepConvention,
-) -> NDArray[np.float64]:
-    """Final origin probability for each ramp rate, evaluated in one batch.
+def _family_walk(
+    steps: int, theta: float, omegas: NDArray[np.float64], convention: StepConvention
+) -> tuple[list[NDArray[np.complex128]], NDArray[np.float64]]:
+    """Propagator blocks and residual ``1 - p0`` of each ramp rate, from one batched walk.
 
-    The walk starts from the symmetric coin at the origin and moves one
-    site per step, so step k (k = 1..steps) updates only the light cone
-    |x| <= min(k, steps - k + 1). Sites farther out are either still
-    empty or can no longer reach the origin in the steps left, and the
-    window edge, which misses the amplitude flowing in from outside, is
-    never read again. The result for one ramp rate does not depend on
-    the rest of the batch.
+    Each rate takes three :func:`evolution._origin_walk` walks: from the
+    two basis coins (its blocks) and from the symmetric coin (its p0).
     """
-    omegas = np.asarray(omegas, dtype=np.float64)
-    origin = (steps + 1) // 2
-    amps = np.zeros((2, 2 * origin + 1, omegas.size), dtype=np.complex128)
-    amps[:, origin] = CoinVector.symmetric().as_array()[:, None]
-    for k, t in enumerate(convention.step_indices(steps), start=1):
-        # per step: all steps' coins would take steps * G * 64 bytes (6 MB at T = 24)
-        coins = coin_at_step(theta, omegas, t, convention)
-        radius = min(k, steps - k + 1)
-        cone = slice(origin - radius, origin + radius + 1)
-        amps[:, cone] = _coin_and_shift(coins, amps[:, cone])
-    return np.abs(amps[0, origin]) ** 2 + np.abs(amps[1, origin]) ** 2
+    count = omegas.size
+    t = np.array(convention.step_indices(steps))
+    coins = coin_at_step(theta, np.tile(omegas, 3), t[:, None], convention)
+    starts = np.column_stack((np.eye(2), CoinVector.symmetric().as_array()))
+    amps = _origin_walk(coins, np.repeat(starts, count, axis=1))
+    symmetric = amps[:, steps + 1, 2 * count :]
+    residuals = 1.0 - (np.abs(symmetric[0]) ** 2 + np.abs(symmetric[1]) ** 2)
+    # columns k and count + k: rate k's walks from the two basis coins
+    return [_blocks(amps[..., k : 2 * count : count]) for k in range(count)], residuals
 
 
 def _family(steps: int, convention: StepConvention, lo: float, hi: float) -> list[Fraction]:
@@ -169,19 +155,15 @@ def _family(steps: int, convention: StepConvention, lo: float, hi: float) -> lis
 
 def _scan_row(config: SearchConfig, steps: int, theta: float) -> list[RevivalCandidate]:
     lo, hi = config.omega_grid
-    # The walk's amplitudes for the family's at most 2T + 4 points are
-    # allocated first: a row too large to walk fails here at once, before
-    # its O(T) fractions are built.
-    np.empty((2, steps + 2, 2 * steps + 4), dtype=np.complex128)
+    # The batched walk (three starts for each of at most 2T + 4 family points) is
+    # allocated first: a row too large to walk fails at once, before its O(T) fractions.
+    np.empty((2, 2 * steps + 3, 3 * (2 * steps + 4)), dtype=np.complex128)
     family = _family(steps, config.convention, lo, hi)
     omegas = np.array([math.pi * p.numerator / p.denominator for p in family])
-    residuals = 1.0 - _final_origin_probability(steps, theta, omegas, config.convention)
+    blocks, residuals = _family_walk(steps, theta, omegas, config.convention)
     found = []
-    for point, omega, residual in zip(family, omegas.tolist(), residuals.tolist()):
-        if residual > REVIVAL_TOL:
-            continue
-        blocks = propagator_blocks(WalkSchedule(theta, omega, steps, config.convention))
-        revival, complete = _verdict(blocks)
+    for point, omega, walked, residual in zip(family, omegas.tolist(), blocks, residuals.tolist()):
+        revival, complete = _verdict(walked)
         if revival:
             rational = point.as_integer_ratio()
             found.append(RevivalCandidate(steps, theta, omega, rational, complete, residual))

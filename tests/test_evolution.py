@@ -59,6 +59,9 @@ def test_schedule_validation():
         WalkSchedule(0.0, 0.0, 2, visibility=1.5)
     with pytest.raises(ValueError):
         WalkSchedule(0.0, 0.0, 2, visibility=-0.1)
+    for convention in ("one-based", "zero-based", None):
+        with pytest.raises(ValueError, match="StepConvention"):
+            WalkSchedule(0.0, 0.0, 2, convention=convention)
 
 
 @pytest.mark.parametrize("steps", [2.5, 4.0, True, "4", None])

@@ -41,6 +41,11 @@ def test_search_config_validation():
     SearchConfig()
     with pytest.raises(ValueError):
         SearchConfig(step_counts=())
+    with pytest.raises(ValueError, match="theta_values must not be empty"):
+        SearchConfig(theta_values=())
+    for convention in ("one-based", "zero-based", None):
+        with pytest.raises(ValueError, match="StepConvention"):
+            SearchConfig(convention=convention)
     with pytest.raises(ValueError):
         SearchConfig(step_counts=(3,))
     with pytest.raises(ValueError):
@@ -76,28 +81,35 @@ def test_angle_fraction():
 @pytest.mark.parametrize("convention", list(StepConvention))
 @pytest.mark.parametrize("theta", [0.0, math.pi / 4, 0.37])
 @pytest.mark.parametrize("steps", [2, 8, 16, 24])
-def test_final_origin_probability_does_not_depend_on_the_batch(steps, theta, convention):
-    # the scan walks all family points of a row as one batch
+def test_family_walk_does_not_depend_on_the_batch(steps, theta, convention):
+    # the scan walks all family points of a row, three starts each, as one batch
     omegas = np.concatenate([np.linspace(0.0, math.pi / 2, 17), [0.1234, 1.0e-3, 1.4]])
-    batch = search._final_origin_probability(steps, theta, omegas, convention)
-    alone = [
-        search._final_origin_probability(steps, theta, np.array([omega]), convention)[0]
-        for omega in omegas
-    ]
-    assert np.array_equal(batch, alone)
+    blocks, residuals = search._family_walk(steps, theta, omegas, convention)
+    for k, omega in enumerate(omegas):
+        (alone,), (residual,) = search._family_walk(steps, theta, np.array([omega]), convention)
+        assert np.array_equal(blocks[k], alone)
+        assert residuals[k] == residual
+
+
+def test_scan_of_one_revival_equals_its_row():
+    row = scan(SearchConfig(step_counts=(24,), theta_values=(math.pi / 4,)))
+    revival = row[len(row) // 2]
+    narrow = (revival.omega - 5e-10, revival.omega + 5e-10)
+    config = SearchConfig(step_counts=(24,), theta_values=(math.pi / 4,), omega_grid=narrow)
+    assert scan(config) == [revival]
 
 
 @pytest.mark.parametrize("convention", list(StepConvention))
 @pytest.mark.parametrize("steps", range(1, 11))
-def test_final_origin_probability_matches_dict_oracle(steps, convention):
-    # odd steps and both parities of the light-cone radius min(k, T - k + 1)
+def test_family_walk_matches_dict_oracle(steps, convention):
+    # odd steps too: the symmetric start's p0 is the residual's complement
     omegas = np.array([0.0, math.pi / 8, math.pi / 10, 0.3, 1.1])
     one_based = convention is StepConvention.ONE_BASED
     for theta in (0.0, math.pi / 4, 0.37):
-        got = search._final_origin_probability(steps, theta, omegas, convention)
-        for omega, p0 in zip(omegas, got):
+        _, residuals = search._family_walk(steps, theta, omegas, convention)
+        for omega, residual in zip(omegas, residuals):
             expected = oracles.p0_series(theta, float(omega), steps, one_based=one_based)[-1]
-            assert abs(p0 - expected) <= 1e-12
+            assert abs((1.0 - residual) - expected) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -346,18 +358,20 @@ def test_family_explains_every_grid_minimum(steps, theta, convention):
 @pytest.mark.parametrize("convention", list(StepConvention))
 @pytest.mark.parametrize("theta", [0.0, math.pi / 4, math.pi / 8])
 @pytest.mark.parametrize("steps", [8, 16, 24])
-def test_residual_prefilter_only_saves_work(steps, theta, convention):
-    # the scan builds propagator blocks only for family points with a small
-    # residual; judging every family point by its blocks keeps the same ones
+def test_scan_verdicts_equal_propagator_blocks_verdicts(steps, theta, convention):
+    # the scan judges the blocks of its batched walk; they are those of
+    # propagator_blocks bit for bit, so every verdict is classify's
     config = SearchConfig(step_counts=(steps,), theta_values=(theta,), convention=convention)
     found = scan(config)
     lo, hi = config.omega_grid
+    family = search._family(steps, convention, lo, hi)
+    omegas = np.array([math.pi * p.numerator / p.denominator for p in family])
+    batched, _ = search._family_walk(steps, theta, omegas, convention)
     revivals = []
-    for point in search._family(steps, convention, lo, hi):
-        omega = math.pi * point.numerator / point.denominator
-        revival, complete = _verdict(
-            propagator_blocks(WalkSchedule(theta, omega, steps, convention))
-        )
+    for point, omega, walked in zip(family, omegas.tolist(), batched):
+        blocks = propagator_blocks(WalkSchedule(theta, omega, steps, convention))
+        assert np.array_equal(walked, blocks)
+        revival, complete = _verdict(blocks)
         if revival:
             revivals.append((point.as_integer_ratio(), complete))
     assert [(c.omega_rational, c.complete) for c in found] == revivals
