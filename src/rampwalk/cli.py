@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -240,7 +241,9 @@ def cmd_effective_coin(schedule: WalkSchedule, json_out: str | None = "-") -> in
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="rampwalk",
         description="Discrete-time walk with a linearly ramped coin.",

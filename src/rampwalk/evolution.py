@@ -8,13 +8,17 @@ invariant: one column of 2x2 blocks ``W_T[d]``, the map from the coin
 at any site x to the coin at x + d, describes it completely (see
 :func:`propagator_blocks`).
 
-Every walk in the package runs through one batched step routine,
+Every pure walk in the package runs through one batched step routine,
 :func:`_coin_and_shift`, on coin-major amplitudes of shape
 (..., 2, n, G) (coin, site, then a batch of G walks) under the coin
-stack of :meth:`WalkSchedule.coins`, built once per walk. Every walk
-of a start state goes through :func:`run_walk`. A density matrix, or a
-pure state below visibility 1, follows each unitary step with a coin
-dephasing channel of strength set by the schedule visibility:
+stack of :meth:`WalkSchedule.coins`, built once per walk. The dephased
+walk runs through one density step, :func:`_density_steps`, which
+applies the coin pair to a window of rho in one pass and then shifts
+it, with the same products as :func:`_coin_and_shift` on the window's
+rows and then its columns. Every walk of a start state goes through
+:func:`run_walk`. A density matrix, or a pure state below visibility 1,
+follows each unitary step with a coin dephasing channel of strength set
+by the schedule visibility:
 
     rho -> (1 + v)/2 * rho + (1 - v)/2 * (I x Z) rho (I x Z)
 
@@ -233,30 +237,51 @@ def _density_steps(
 
     Step k replaces the block of ``r`` on the sites ``windows[k - 1]``
     (indices [a, b), not empty) by its dephased ``U block U^dagger`` and
-    yields ``r``; entries outside the window are left as they are. The
-    right product steps the rows of the block, as amplitudes
-    (2, m, 2, m, 1) under the conjugate coin: the shift is real, so that
-    is ``rho U^dagger``. The left product steps its columns, as
-    (2, m, 2m) under the coin. Dephasing then scales the coin-off-diagonal
-    blocks by the visibility, the channel's exact action. The window's
-    edge sites miss what flows in from outside it, so a window must hold
-    every site whose entries are read later. Each entry goes through the
-    same products in the same order as on the full lattice, so every
-    entry a window keeps correct is bit-identical to the full-lattice
-    walk. :func:`run_walk` passes the light cone, outside which ``r``
-    stays zero as the full-lattice walk does;
+    yields ``r``; entries outside the window are left as they are. One
+    step applies the coin pair to the whole block, with no shift yet:
+    the right product ``h[i, j, x, y]`` takes the conjugate coin on the
+    column coin j (the shift is real, so that is ``rho U^dagger``), and
+    the left product ``p[i, j, x, y]`` the coin on the row coin i.
+    Dephasing scales the coin-off-diagonal blocks ``p[0, 1]`` and
+    ``p[1, 0]`` by the visibility, the channel's exact action. The shift
+    then writes each of the four coin blocks of ``p`` back into the
+    window one site up or down in x and in y, and zeroes the edge rows
+    and columns nothing shifts into. The window's edge sites miss what
+    flows in from outside it, so a window must hold every site whose
+    entries are read later.
+
+    Every entry goes through the products of :func:`_coin_and_shift`
+    applied to the rows and then the columns: the coin entry as the
+    first operand, term 0 added before term 1. So every entry a window
+    keeps correct is bit-identical to that two-pass step on the full
+    lattice. The products are plain broadcast multiplies, not
+    ``matmul``, ``einsum`` or ``tensordot``: a BLAS ``(4, 4) @ (4, m^2)``
+    step sums in its own order, and probe and walk, whose windows
+    differ, then round differently. :func:`run_walk` passes the light
+    cone, outside which ``r`` stays zero as the full-lattice walk does;
     :func:`_probe_origin_probability` passes the part of it that can
     still reach the origin.
     """
     v = schedule.visibility
-    for coin, (a, b) in zip(schedule.coins(), windows):
+    coins = schedule.coins()
+    rc = coins.conj()[:, None, :, :, None, None]  # rc[t, 0, j', j] = conj(coin[j', j])
+    lc = coins[:, :, None, :, None, None]  # lc[t, i', 0, i] = coin[i', i]
+    for right, left, (a, b) in zip(rc, lc, windows):
         block = r[:, a:b, :, a:b]
-        m = b - a
-        half = _coin_and_shift(coin.conj(), block[..., None])
-        stepped = _coin_and_shift(coin, half.reshape(2, m, 2 * m)).reshape(2, m, 2, m)
-        stepped[0, :, 1, :] *= v
-        stepped[1, :, 0, :] *= v
-        block[...] = stepped
+        f = block.transpose(0, 2, 1, 3)[:, None]  # f[i, 0, j, x, y], a view
+        h = right[:, :, 0] * f[:, :, 0]
+        h += right[:, :, 1] * f[:, :, 1]
+        p = left[:, :, 0] * h[None, 0]
+        p += left[:, :, 1] * h[None, 1]
+        p[0, 1] *= v
+        p[1, 0] *= v
+        # plus moves one site up, minus one site down, in x for i and in y for j
+        block[0, 0] = block[1, -1] = 0.0
+        block[:, :, 0, 0] = block[:, :, 1, -1] = 0.0
+        block[0, 1:, 0, 1:] = p[0, 0, :-1, :-1]
+        block[0, 1:, 1, :-1] = p[0, 1, :-1, 1:]
+        block[1, :-1, 0, 1:] = p[1, 0, 1:, :-1]
+        block[1, :-1, 1, :-1] = p[1, 1, 1:, 1:]
         yield r
 
 

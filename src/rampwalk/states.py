@@ -17,6 +17,7 @@ from numpy.typing import NDArray
 STATE_NORM_TOL = 1e-10
 COIN_NORM_TOL = 1e-12
 DENSITY_TOL = 1e-10
+PSD_TOL = 1e-8
 GUARD_BAND = 2
 
 
@@ -196,6 +197,13 @@ def _check_density(rho: NDArray[np.complex128], label: str) -> None:
     trace = complex(np.trace(rho))
     if not abs(trace - 1.0) <= DENSITY_TOL:
         raise ValueError(f"{label} trace deviates from 1 by {abs(trace - 1.0):.3e}")
-    lowest = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
-    if not lowest >= -1e-8:
-        raise ValueError(f"{label} has negative eigenvalue {lowest:.3e}")
+    # H is PSD down to -PSD_TOL when H + PSD_TOL * I has a Cholesky factor, up to
+    # rounding of order n * eps; eigvalsh, about 3x the cost, runs only to decide
+    # and name the eigenvalue when the factorisation fails
+    herm_part = 0.5 * (rho + rho.conj().T)
+    try:
+        np.linalg.cholesky(herm_part + PSD_TOL * np.eye(len(rho)))
+    except np.linalg.LinAlgError:
+        lowest = float(np.min(np.linalg.eigvalsh(herm_part)))
+        if not lowest >= -PSD_TOL:
+            raise ValueError(f"{label} has negative eigenvalue {lowest:.3e}") from None

@@ -343,6 +343,28 @@ def test_noise_sweep_usage_error():
     assert len(result.stderr.splitlines()) == 1
 
 
+def test_main_gives_each_call_of_a_process_the_output_it_gives_alone(capsys):
+    # the parser is built once per process; a call must not see what an earlier one parsed
+    calls = [
+        ["search", "--steps", "2,4", "--theta", "0"],
+        ["noise-sweep", "--theta", "0", "--visibilities", "1"],
+        ["noise-sweep", "--theta", "0", "--omega", "1/8", "--steps", "8",
+         "--visibilities", "1,0.95", "--target-p0", "0.918"],
+    ]
+    codes = []
+    for argv in calls:
+        alone = run_cli(*argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (alone.returncode, alone.stdout, alone.stderr)
+        codes.append(code)
+    assert codes == [0, 2, 0]
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_effective_coin_command(tmp_path):
     out = tmp_path / "coin.json"
     result = run_cli(

@@ -13,7 +13,6 @@ from rampwalk.evolution import (
     WalkSchedule,
     bisect_visibility,
     propagator_blocks,
-    run_walk,
 )
 from rampwalk.states import (
     CoinVector,
@@ -34,6 +33,14 @@ angle = st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False)
 def symmetric_start(steps: int) -> WalkerCoinPureState:
     lattice = Lattice.for_steps(steps)
     return initial_state(lattice, CoinVector.symmetric())
+
+
+def run_walk(start, schedule):
+    """`evolution.run_walk`, with an independent PSD check of the density matrix it returns."""
+    distributions, final = evolution.run_walk(start, schedule)
+    if isinstance(final, WalkerCoinDensityMatrix):
+        assert float(np.min(np.linalg.eigvalsh(final.matrix))) >= -1e-10
+    return distributions, final
 
 
 def states_after_each_step(start, schedule):
@@ -373,13 +380,14 @@ def test_run_walk_boundary_overflow_raises_before_any_step(monkeypatch):
         return kernel(coins, amps)
 
     monkeypatch.setattr(evolution, "_coin_and_shift", counting)
+    windows = record_windows(monkeypatch)
     start = initial_state(Lattice(-3, 3), CoinVector.symmetric())
     for visibility in (1.0, 0.9):
         sched = WalkSchedule(0.3, 0.2, 3, visibility=visibility)
         for state in (start, density_from_pure(start)):
             with pytest.raises(BoundaryOverflowError):
                 run_walk(state, sched)
-    assert steps_taken == []
+    assert steps_taken == [] and windows == []
     run_walk(start, WalkSchedule(0.3, 0.2, 2))
     assert len(steps_taken) == 2
 
@@ -468,20 +476,47 @@ def test_light_cone_density_walk_matches_full_lattice(name, convention, visibili
             run_walk(start, WalkSchedule(0.3, 0.2, steps + 1, convention, visibility))
 
 
+def record_windows(monkeypatch):
+    """The site windows (a, b) that `evolution._density_steps` steps, in order."""
+    taken = []
+    density_steps = evolution._density_steps
+
+    def recording(r, schedule, windows):
+        for window, state in zip(windows, density_steps(r, schedule, windows)):
+            taken.append(window)
+            yield state
+
+    monkeypatch.setattr(evolution, "_density_steps", recording)
+    return taken
+
+
+def cone_windows(origin, steps):
+    """The light cone of a start at site index `origin`: the 2k + 1 sites within k at step k."""
+    return [(origin - k, origin + k + 1) for k in range(1, steps + 1)]
+
+
+def diamond_windows(origin, steps):
+    """The part of that light cone a probe steps: the sites within T - k + 1 of the origin too."""
+    radii = [min(k, steps - k + 1) for k in range(1, steps + 1)]
+    return [(origin - r, origin + r + 1) for r in radii]
+
+
 def test_density_walk_steps_only_the_light_cone(monkeypatch):
-    shapes = []
-    kernel = evolution._coin_and_shift
-
-    def recording(coins, amps):
-        shapes.append(amps.shape)
-        return kernel(coins, amps)
-
-    monkeypatch.setattr(evolution, "_coin_and_shift", recording)
+    windows = record_windows(monkeypatch)
     steps = 12
     start = density_from_pure(symmetric_start(steps))
     run_walk(start, WalkSchedule(0.3, 0.2, steps, visibility=0.9))
-    # step k takes the 2k + 1 sites of the cone: its rows, then its columns
-    assert shapes == window_shapes(2 * k + 1 for k in range(1, steps + 1))
+    assert windows == cone_windows(start.lattice.index(0), steps)
+
+
+def test_final_dephased_state_at_48_steps_passes_the_psd_check():
+    steps = 48
+    start = density_from_pure(symmetric_start(steps))
+    _, final = run_walk(start, WalkSchedule(0.0, math.pi / 8, steps, visibility=0.9))
+    eigenvalues = np.linalg.eigvalsh(final.matrix)
+    # rank-deficient: sites of the wrong parity and the guard sites stay empty
+    assert np.sum(np.abs(eigenvalues) < 1e-12) >= final.lattice.size
+    states._check_density(final.matrix, "final state")
 
 
 def test_dephased_prefix_walks_keep_a_separate_matrix_each():
@@ -564,31 +599,17 @@ def test_origin_probe_equals_the_final_walk_p0(steps, convention):
                 assert probe == 0.0
 
 
-def window_shapes(sizes):
-    """The kernel's input shapes for density steps on windows of these site counts.
-
-    A window of m sites is stepped twice: its rows, as amplitudes
-    (2, m, 2, m, 1), then its columns, as (2, m, 2m).
-    """
-    return [shape for m in sizes for shape in ((2, m, 2, m, 1), (2, m, 2 * m))]
-
-
 def record_calibration(monkeypatch):
-    """Lists of the shapes `states._check_density` validates and the kernel steps."""
-    checked, batches = [], []
-    check, kernel = states._check_density, evolution._coin_and_shift
+    """Lists of the shapes `states._check_density` validates and the windows the density step takes."""
+    checked = []
+    check = states._check_density
 
     def counting_check(rho, label):
         checked.append(rho.shape)
         return check(rho, label)
 
-    def recording(coins, amps):
-        batches.append(amps.shape)
-        return kernel(coins, amps)
-
     monkeypatch.setattr(states, "_check_density", counting_check)
-    monkeypatch.setattr(evolution, "_coin_and_shift", recording)
-    return checked, batches
+    return checked, record_windows(monkeypatch)
 
 
 @pytest.mark.parametrize("visibility", [0.93, 0.0, 1.0])
@@ -597,18 +618,18 @@ def test_bisect_visibility_validates_one_walk(monkeypatch, visibility):
     sched = WalkSchedule(0.0, math.pi / 8, steps)
     start = density_from_pure(symmetric_start(steps))
     target = run_walk(start, sched.with_visibility(visibility))[0][-1].at_site(0)
-    checked, batches = record_calibration(monkeypatch)
+    checked, windows = record_calibration(monkeypatch)
     found, achieved = bisect_visibility(sched, start, target, tol=1e-6)
     full = (2 * start.lattice.size,) * 2
     assert checked.count(full) == 1
     if visibility in (0.0, 1.0):
         assert found == visibility
     # every probe steps the diamond, and only the last walk the whole light cone
-    cone = window_shapes(2 * k + 1 for k in range(1, steps + 1))
-    diamond = window_shapes(2 * min(k, steps - k + 1) + 1 for k in range(1, steps + 1))
-    probes, rest = divmod(len(batches) - len(cone), len(diamond))
+    origin = start.lattice.index(0)
+    cone, diamond = cone_windows(origin, steps), diamond_windows(origin, steps)
+    probes, rest = divmod(len(windows) - len(cone), len(diamond))
     assert rest == 0 and probes >= 2
-    assert batches == diamond * probes + cone
+    assert windows == diamond * probes + cone
     fresh = run_walk(start, sched.with_visibility(found))[0][-1].at_site(0)
     assert achieved == fresh
     assert abs(achieved - target) <= 1e-6
@@ -630,11 +651,11 @@ def test_bisect_visibility_refuses_a_probe_the_walk_does_not_confirm(monkeypatch
 
 
 def test_bisect_visibility_checks_the_reach_before_any_probe(monkeypatch):
-    _, batches = record_calibration(monkeypatch)
+    _, windows = record_calibration(monkeypatch)
     start = density_from_pure(initial_state(Lattice(-3, 3), CoinVector.symmetric()))
     with pytest.raises(BoundaryOverflowError):
         bisect_visibility(WalkSchedule(0.0, math.pi / 8, 3), start, 0.5)
-    assert batches == []
+    assert windows == []
 
 
 def record_probes(monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rampwalk import states
 from rampwalk.states import (
     CoinVector,
     Lattice,
@@ -207,3 +208,48 @@ def test_position_distribution_from_density_matches_pure():
     p_pure = position_distribution(state).probabilities
     p_density = position_distribution(density_from_pure(state)).probabilities
     assert np.max(np.abs(p_pure - p_density)) < 1e-12
+
+
+def psd_check_accepts(rho):
+    try:
+        states._check_density(rho, "rho")
+    except ValueError:
+        return False
+    return True
+
+
+def eigvalsh_accepts(rho):
+    """The verdict the Cholesky check must give: lowest eigenvalue at least -1e-8."""
+    return float(np.min(np.linalg.eigvalsh(rho))) >= -1e-8
+
+
+@pytest.mark.parametrize("dim", [2, 14, 202])
+@pytest.mark.parametrize("offset", [-1e-10, 1e-10])
+def test_psd_check_gives_the_eigvalsh_verdict_at_the_threshold(dim, offset):
+    rng = np.random.default_rng(dim)
+    unitary, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    lowest = -1e-8 + offset
+    rest = rng.uniform(size=dim - 1)
+    rest *= (1.0 - lowest) / rest.sum()
+    rho = (unitary * np.concatenate(([lowest], rest))) @ unitary.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    assert psd_check_accepts(rho) == eigvalsh_accepts(rho) == (offset > 0)
+    if offset < 0:
+        with pytest.raises(ValueError, match="negative eigenvalue -1.01"):
+            states._check_density(rho, "rho")
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+def test_psd_check_accepts_rank_one_states(seed):
+    reach = seed % 25
+    lattice = Lattice(-reach, reach)
+    rho = density_from_pure(random_pure_state(lattice, seed)).matrix
+    assert psd_check_accepts(rho) and eigvalsh_accepts(rho)
+
+
+def test_psd_check_rejects_nan():
+    rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    for entry in ((2, 2), (1, 2)):
+        poisoned = rho.copy()
+        poisoned[entry] = math.nan
+        assert not psd_check_accepts(poisoned)
