@@ -17,8 +17,7 @@ from rampwalk.states import CoinVector, Lattice, density_from_pure, initial_stat
 def main() -> int:
     print("unbiased walk, ramp pi/8, 16 steps")
     report = classify(WalkSchedule(0.0, math.pi / 8, 16))
-    for t, distribution in enumerate(report.distributions, start=1):
-        p0 = distribution.at_site(0)
+    for t, p0 in enumerate(report.distributions.at_site(0).tolist(), start=1):
         bar = "#" * round(40 * p0)
         print(f"  t = {t:2d}  p0 = {p0:8.6f}  {bar}")
 

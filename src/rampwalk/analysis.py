@@ -36,11 +36,12 @@ MAX_STRING_STEPS = 20
 PREDICTED_STATE_NORM_TOL = 1e-12
 
 
-def tv_distance(p: PositionDistribution, q: PositionDistribution) -> float:
-    """Total variation distance between two distributions on one lattice."""
+def tv_distance(p: PositionDistribution, q: PositionDistribution) -> float | NDArray[np.float64]:
+    """Total variation distance on one lattice: a float, or (T,) distances when `p` is a stack."""
     if p.lattice != q.lattice:
         raise ValueError(f"lattice mismatch: {p.lattice} vs {q.lattice}")
-    return float(0.5 * np.sum(np.abs(p.probabilities - q.probabilities)))
+    distance = 0.5 * np.sum(np.abs(p.probabilities - q.probabilities), axis=-1)
+    return float(distance) if distance.ndim == 0 else distance
 
 
 def polya_number(p0_series, horizon: int | None = None) -> float:
@@ -118,11 +119,11 @@ def _verdict(blocks: NDArray[np.complex128]) -> tuple[bool, bool]:
 class RevivalReport:
     """Diagnostics for one schedule started from a localized state.
 
-    ``distributions`` holds the position distribution after each step and
-    ``final`` the last state. ``overlap_initial`` is the overlap of the final
-    reduced coin state with the initial coin; ``overlap_predicted`` uses the
-    coin predicted by the effective coin map and is NaN when that prediction
-    has vanishing norm. Operator-level fields describe the noiseless walk
+    ``distributions`` stacks the position distributions, one row per step,
+    and ``final`` is the last state. ``overlap_initial`` is the overlap of
+    the final reduced coin state with the initial coin; ``overlap_predicted``
+    uses the coin predicted by the effective coin map and is NaN when that
+    prediction has vanishing norm. Operator-level fields describe the noiseless walk
     even when the schedule carries a visibility below 1.
     """
 
@@ -136,7 +137,7 @@ class RevivalReport:
     is_complete: bool
     overlap_initial: float
     overlap_predicted: float
-    distributions: tuple[PositionDistribution, ...]
+    distributions: PositionDistribution
     final: WalkerState
 
 
@@ -154,7 +155,6 @@ def classify(schedule: WalkSchedule) -> RevivalReport:
     start = initial_state(lattice, initial_coin)
     start_distribution = position_distribution(start)
     distributions, final = run_walk(start, schedule)
-    p0_series = [distribution.at_site(0) for distribution in distributions]
     final_distribution = position_distribution(final)
 
     blocks = propagator_blocks(schedule)
@@ -178,12 +178,12 @@ def classify(schedule: WalkSchedule) -> RevivalReport:
         initial_coin=initial_coin,
         origin_probability=final_distribution.at_site(0),
         tv_distance=tv_distance(final_distribution, start_distribution),
-        polya_truncated=polya_number(p0_series),
+        polya_truncated=polya_number(distributions.at_site(0)),
         effective_coin=effective,
         is_revival=revival,
         is_complete=complete,
         overlap_initial=overlap_initial,
         overlap_predicted=overlap_predicted,
-        distributions=tuple(distributions),
+        distributions=distributions,
         final=final,
     )

@@ -102,21 +102,18 @@ def cmd_walk(
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["step", "site", "probability"])
-        sites = lattice.sites()
-        for step_number, dist in enumerate(distributions, start=1):
-            for site, probability in zip(sites, dist.probabilities):
-                writer.writerow([step_number, int(site), float(probability)])
+        sites = lattice.sites().tolist()
+        for step_number, row in enumerate(distributions.probabilities.tolist(), start=1):
+            writer.writerows([step_number, site, p] for site, p in zip(sites, row))
         _write_text(csv_out, buffer.getvalue())
 
     if json_out is not None:
         doc = {
             "schedule": {**_schedule_doc(schedule), "visibility": float(schedule.visibility)},
-            "sites": [int(site) for site in lattice.sites()],
-            "probabilities": [
-                [float(p) for p in dist.probabilities] for dist in distributions
-            ],
-            "origin_probability": [dist.at_site(0) for dist in distributions],
-            "tv_distance": [tv_distance(dist, start_distribution) for dist in distributions],
+            "sites": lattice.sites().tolist(),
+            "probabilities": distributions.probabilities.tolist(),
+            "origin_probability": distributions.at_site(0).tolist(),
+            "tv_distance": tv_distance(distributions, start_distribution).tolist(),
             "polya_truncated": float(report.polya_truncated),
             "reduced_coin": _matrix_doc(reduced_coin_state(report.final)),
         }

@@ -32,9 +32,9 @@ dephased walk updates only the block of rho on the sites within k of
 the start's exact non-zero support (its forward light cone); a
 thresholded support would drop tiny entries that the full-lattice walk
 keeps, and the result would no longer match that walk bit for bit.
-:func:`run_walk` returns only the distribution after each step and the
-final state, so it keeps no trajectory; the state after step k is the
-final state of the k-step walk. The probes of
+:func:`run_walk` returns only the (T, n) stack of distributions and
+the final state, so it keeps no trajectory; the state after step k is
+the final state of the k-step walk. The probes of
 :func:`bisect_visibility`, a bracketing regula falsi on the visibility,
 need only the final origin probability, so they step the same density
 step on the smaller part of the light cone that can still reach the
@@ -204,16 +204,6 @@ def _public(raw: NDArray[np.complex128]) -> NDArray[np.complex128]:
     return raw.transpose(1, 0, 3, 2).reshape(2 * n, 2 * n)
 
 
-def _distribution(lattice: Lattice, raw: NDArray[np.complex128]) -> PositionDistribution:
-    """Site probabilities of coin-major amplitudes (2, n) or of ``R`` (2, n, 2, n)."""
-    if raw.ndim == 2:
-        probs = np.abs(raw[0]) ** 2 + np.abs(raw[1]) ** 2
-    else:
-        diagonal = raw.diagonal(axis1=1, axis2=3)  # diagonal[i, j, x] = R[i, x, j, x]
-        probs = diagonal[0, 0].real + diagonal[1, 1].real
-    return PositionDistribution(lattice, probs)
-
-
 def _light_cone(rho: WalkerCoinDensityMatrix, steps: int) -> list[tuple[int, int]]:
     """Site indices [a, b) of the forward light cone of rho after each of its steps.
 
@@ -324,36 +314,37 @@ def _probe_origin_probability(
 
 def run_walk(
     start: WalkerState, schedule: WalkSchedule
-) -> tuple[list[PositionDistribution], WalkerState]:
-    """The position distribution after each step, and the final state.
+) -> tuple[PositionDistribution, WalkerState]:
+    """The (T, n) stack of position distributions, one row per step, and the final state.
 
     A pure start becomes its density matrix when the visibility is
     below 1. A pure walk steps coin-major amplitudes ``a[i, x]`` of
-    shape (2, n); a dephased walk steps the working copy
-    ``R[i, x, j, y]`` = rho[(x, i), (y, j)] in place, only inside its
-    forward light cone (see :func:`_density_steps` and
-    :func:`_light_cone`). Only the returned objects are built and
-    validated, so no intermediate state is kept. With zero steps the
-    final state is the start. Raises :class:`BoundaryOverflowError`
-    before any step.
+    shape (2, n), a row being ``|a+|^2 + |a-|^2``; a dephased walk steps
+    the working copy ``R[i, x, j, y]`` = rho[(x, i), (y, j)] in place,
+    only inside its forward light cone (see :func:`_density_steps` and
+    :func:`_light_cone`), a row being its two coin diagonals summed.
+    Only the returned objects are built and validated. With zero steps
+    the stack has no rows and the final state is the start. Raises
+    :class:`BoundaryOverflowError` before any step.
     """
     if isinstance(start, WalkerCoinPureState) and schedule.visibility != 1.0:
         start = density_from_pure(start)
     _check_reach(start.lattice, position_distribution(start).probabilities, schedule.steps)
-    distributions = []
+    probs = np.empty((schedule.steps, start.lattice.size))
     raw = None
     if isinstance(start, WalkerCoinPureState):
         amps = np.ascontiguousarray(start.amplitudes.T)[..., None]
-        for coin in schedule.coins():
+        for row, coin in zip(probs, schedule.coins()):
             amps = _coin_and_shift(coin, amps)
             raw = amps[..., 0]
-            distributions.append(_distribution(start.lattice, raw))
+            row[:] = np.abs(raw[0]) ** 2 + np.abs(raw[1]) ** 2
     else:
         windows = _light_cone(start, schedule.steps)
-        for raw in _density_steps(_coin_major(start.matrix), schedule, windows):
-            distributions.append(_distribution(start.lattice, raw))
+        for row, raw in zip(probs, _density_steps(_coin_major(start.matrix), schedule, windows)):
+            diagonal = raw.diagonal(axis1=1, axis2=3)  # diagonal[i, j, x] = R[i, x, j, x]
+            row[:] = diagonal[0, 0].real + diagonal[1, 1].real
     final = start if raw is None else type(start)(start.lattice, _public(raw))
-    return distributions, final
+    return PositionDistribution(start.lattice, probs), final
 
 
 def bisect_visibility(
@@ -372,12 +363,14 @@ def bisect_visibility(
     when a probe lands on the side of the previous one, the value kept
     at the far end is scaled by ``1 - f_new / f_previous`` (by 1/2 if
     that is not positive). A probe stays ``PROBE_MARGIN`` of the bracket
-    width inside either end. Each probe reads p0 from
-    :func:`_probe_origin_probability` on one diamond built up front,
-    and validates nothing. The chosen visibility, an end point
-    included, is then walked once by :func:`run_walk`, which validates
-    the final state; its p0 must equal the probe's (else RuntimeError)
-    and is the one returned. Returns (visibility, origin probability).
+    width inside either end. A probe after two that have not halved the
+    bracket (those at 0 and 1 leave width 1) takes its midpoint, unscaled,
+    which bounds the probes where p0 is flat over most of [0, 1]. Each
+    probe reads p0 from :func:`_probe_origin_probability` on one diamond
+    built up front, and validates nothing. The chosen visibility, an end
+    point included, is then walked once by :func:`run_walk`, which
+    validates the final state; its p0 must equal the probe's (else
+    RuntimeError) and is the one returned. Returns (visibility, origin probability).
     Raises :class:`BoundaryOverflowError` before any probe.
     """
     _check_reach(initial.lattice, position_distribution(initial).probabilities, schedule.steps)
@@ -407,19 +400,22 @@ def bisect_visibility(
     # the bracket's ends: `far` kept from before, `near` the latest probe
     far, f_far = 0.0, p_lo - target
     near, f_near = 1.0, p_hi - target
+    widths = [1.0]  # the bracket's width after each probe, v = 0 counting as 1
     for _ in range(BISECT_MAX_ROUNDS):
         lo, hi = min(far, near), max(far, near)
+        widths.append(hi - lo)
+        midpoint = len(widths) > 2 and widths[-1] > 0.5 * widths[-3]
         margin = PROBE_MARGIN * (hi - lo)
         v = near - f_near * (near - far) / (f_near - f_far)
-        v = min(max(v, lo + margin), hi - margin)
+        v = 0.5 * (lo + hi) if midpoint else min(max(v, lo + margin), hi - margin)
         p = p0_at(v)
         f = p - target
         if abs(f) <= tol:
             return validated(v, p)
-        if (f > 0.0) == (f_near > 0.0):
+        if (f > 0.0) != (f_near > 0.0):
+            far, f_far = near, f_near
+        elif not midpoint:
             scale = 1.0 - f / f_near
             f_far *= scale if scale > 0.0 else 0.5
-        else:
-            far, f_far = near, f_near
         near, f_near = v, f
     raise RuntimeError(f"calibration did not converge within {BISECT_MAX_ROUNDS} probes")

@@ -123,7 +123,7 @@ WalkerState = WalkerCoinPureState | WalkerCoinDensityMatrix
 
 @dataclass(frozen=True)
 class PositionDistribution:
-    """Probability of finding the walker at each lattice site."""
+    """Walker probability at each lattice site: shape (n,), or (T, n) with one row per step."""
 
     lattice: Lattice
     probabilities: NDArray[np.float64]
@@ -131,16 +131,19 @@ class PositionDistribution:
     def __post_init__(self) -> None:
         probs = np.asarray(self.probabilities, dtype=np.float64)
         object.__setattr__(self, "probabilities", probs)
-        if probs.shape != (self.lattice.size,):
-            raise ValueError(f"shape {probs.shape} != {(self.lattice.size,)}")
-        if not (float(np.min(probs)) >= -1e-12 and float(np.max(probs)) <= 1.0 + 1e-12):
+        n = self.lattice.size
+        if probs.ndim not in (1, 2) or probs.shape[-1] != n:
+            raise ValueError(f"shape {probs.shape} is neither {(n,)} nor (T, {n})")
+        if not np.all((probs >= -1e-12) & (probs <= 1.0 + 1e-12)):
             raise ValueError("probabilities outside [0, 1]")
-        total = float(np.sum(probs))
-        if not abs(total - 1.0) <= STATE_NORM_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
+        worst = float(np.max(np.abs(np.sum(probs, axis=-1) - 1.0), initial=0.0))
+        if not worst <= STATE_NORM_TOL:
+            raise ValueError(f"probabilities sum deviates from 1 by {worst:.3e}")
 
-    def at_site(self, site: int) -> float:
-        return float(self.probabilities[self.lattice.index(site)])
+    def at_site(self, site: int) -> float | NDArray[np.float64]:
+        """The probability at `site`: a float, or the (T,) column of a stack."""
+        column = self.probabilities[..., self.lattice.index(site)]
+        return float(column) if column.ndim == 0 else column
 
 
 def initial_state(lattice: Lattice, coin: CoinVector) -> WalkerCoinPureState:

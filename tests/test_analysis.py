@@ -46,6 +46,25 @@ def test_tv_distance_requires_same_lattice():
     q = PositionDistribution(Lattice(-2, 2), np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         tv_distance(p, q)
+    stack = PositionDistribution(Lattice(-1, 1), np.array([[1.0, 0.0, 0.0]] * 2))
+    with pytest.raises(ValueError):
+        tv_distance(stack, q)
+
+
+@pytest.mark.parametrize("visibility", [1.0, 0.8])
+def test_tv_distance_of_a_stack_equals_its_per_row_distances(visibility):
+    sched = WalkSchedule(0.3, 0.2, 9, visibility=visibility)
+    start = initial_state(Lattice.for_steps(9), CoinVector.symmetric())
+    reference = position_distribution(start)
+    distributions, _ = run_walk(start, sched)
+    per_row = [
+        tv_distance(PositionDistribution(start.lattice, row), reference)
+        for row in distributions.probabilities
+    ]
+    assert all(type(value) is float for value in per_row)
+    distances = tv_distance(distributions, reference)
+    assert distances.shape == (9,)
+    assert np.array_equal(distances, per_row)
 
 
 @given(angle, angle, st.integers(min_value=1, max_value=8))
@@ -55,10 +74,11 @@ def test_tv_against_point_mass_equals_one_minus_p0(theta, omega, steps):
     lattice = Lattice.for_steps(steps)
     start = initial_state(lattice, CoinVector.symmetric())
     reference = position_distribution(start)
-    for dist in run_walk(start, sched)[0]:
-        direct = tv_distance(dist, reference)
-        shortcut = 1.0 - dist.at_site(0)
-        assert abs(direct - shortcut) <= 1e-12
+    distributions, _ = run_walk(start, sched)
+    direct = tv_distance(distributions, reference)
+    shortcut = 1.0 - distributions.at_site(0)
+    assert direct.shape == (steps,)
+    assert np.all(np.abs(direct - shortcut) <= 1e-12)
 
 
 def test_polya_number_values():
@@ -86,7 +106,7 @@ def test_polya_at_flagship_revival():
     sched = WalkSchedule(0.0, math.pi / 8, 16)
     lattice = Lattice.for_steps(16)
     start = initial_state(lattice, CoinVector.symmetric())
-    p0 = [distribution.at_site(0) for distribution in run_walk(start, sched)[0]]
+    p0 = run_walk(start, sched)[0].at_site(0)
     assert polya_number(p0, horizon=7) == pytest.approx(1.0, abs=1e-12)
     assert polya_number(p0) == pytest.approx(1.0, abs=1e-12)
 

@@ -99,10 +99,10 @@ def test_pure_start_below_unit_visibility_walks_its_density_matrix():
     distributions, final = run_walk(start, sched)
     assert isinstance(final, WalkerCoinDensityMatrix)
     assert np.array_equal(final.matrix, run_walk(density_from_pure(start), sched)[1].matrix)
-    assert distributions[-1].at_site(0) < 1.0 - 1e-3
+    assert distributions.at_site(0)[-1] < 1.0 - 1e-3
     pure_distributions, pure_final = run_walk(start, sched.with_visibility(1.0))
     assert isinstance(pure_final, WalkerCoinPureState)
-    assert pure_distributions[-1].at_site(0) == pytest.approx(1.0, abs=1e-12)
+    assert pure_distributions.at_site(0)[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_one_step_moves_symmetric_coin_down_at_ramp_eighth_pi():
@@ -148,8 +148,8 @@ def test_zero_based_convention_changes_the_walk():
     # one-based ramping revives at (theta 0, omega pi/8, T 2); zero-based does not
     one = WalkSchedule(0.0, math.pi / 8, 2)
     zero = WalkSchedule(0.0, math.pi / 8, 2, convention=StepConvention.ZERO_BASED)
-    p_one = run_walk(symmetric_start(2), one)[0][-1].at_site(0)
-    p_zero = run_walk(symmetric_start(2), zero)[0][-1].at_site(0)
+    p_one = run_walk(symmetric_start(2), one)[0].at_site(0)[-1]
+    p_zero = run_walk(symmetric_start(2), zero)[0].at_site(0)[-1]
     assert p_one == pytest.approx(1.0, abs=1e-12)
     assert p_zero == pytest.approx(0.5, abs=1e-12)
 
@@ -247,9 +247,9 @@ def test_density_at_unit_visibility_matches_pure():
 def test_density_walk_matches_dict_oracle(theta, omega, visibility, steps):
     sched = WalkSchedule(theta, omega, steps, visibility=visibility)
     start = density_from_pure(symmetric_start(steps))
-    ours = [distribution.at_site(0) for distribution in run_walk(start, sched)[0]]
+    ours = run_walk(start, sched)[0].at_site(0)
     reference = oracles.density_p0_series(theta, omega, steps, visibility)
-    assert np.max(np.abs(np.array(ours) - np.array(reference))) < 1e-10
+    assert np.max(np.abs(ours - np.array(reference))) < 1e-10
 
 
 @given(
@@ -275,7 +275,7 @@ def test_full_dephasing_return_probability_formula():
     for omega in (math.pi / 8, math.pi / 10, 3.0 * math.pi / 16):
         sched = WalkSchedule(0.0, omega, 2, visibility=0.0)
         start = density_from_pure(symmetric_start(2))
-        p0 = run_walk(start, sched)[0][-1].at_site(0)
+        p0 = run_walk(start, sched)[0].at_site(0)[-1]
         assert p0 == pytest.approx(math.sin(4.0 * omega) ** 2, abs=1e-12)
 
 
@@ -310,7 +310,7 @@ def test_reduced_coin_purity_strictly_between_half_and_one():
 def test_bisect_visibility_recovers_known_value():
     sched = WalkSchedule(0.0, math.pi / 8, 8)
     start = density_from_pure(symmetric_start(8))
-    target = run_walk(start, sched.with_visibility(0.93))[0][-1].at_site(0)
+    target = run_walk(start, sched.with_visibility(0.93))[0].at_site(0)[-1]
     visibility, achieved = bisect_visibility(sched, start, target, tol=1e-6)
     assert abs(achieved - target) <= 1e-6
     assert abs(visibility - 0.93) < 1e-3
@@ -324,11 +324,9 @@ def test_bisect_visibility_rejects_unbracketed_target():
 
 
 def assert_same_walk(distributions, final, states):
-    assert len(distributions) == len(states)
-    for distribution, state in zip(distributions, states):
-        assert np.array_equal(
-            distribution.probabilities, position_distribution(state).probabilities
-        )
+    assert distributions.probabilities.shape == (len(states), final.lattice.size)
+    for row, state in zip(distributions.probabilities, states):
+        assert np.array_equal(row, position_distribution(state).probabilities)
     assert type(final) is type(states[-1])
     if isinstance(final, WalkerCoinPureState):
         assert np.array_equal(final.amplitudes, states[-1].amplitudes)
@@ -361,12 +359,13 @@ def test_run_walk_without_steps_returns_start():
     start = symmetric_start(0)
     rho = density_from_pure(start)
     sched = WalkSchedule(0.3, 0.2, 0)
+    no_rows = (0, start.lattice.size)
     distributions, final = run_walk(start, sched)
-    assert distributions == [] and final is start
+    assert distributions.probabilities.shape == no_rows and final is start
     distributions, final = run_walk(rho, sched.with_visibility(0.9))
-    assert distributions == [] and final is rho
+    assert distributions.probabilities.shape == no_rows and final is rho
     distributions, final = run_walk(start, sched.with_visibility(0.9))
-    assert distributions == []
+    assert distributions.probabilities.shape == no_rows
     assert isinstance(final, WalkerCoinDensityMatrix)
     assert np.array_equal(final.matrix, rho.matrix)
 
@@ -402,7 +401,7 @@ def test_run_walk_memory_does_not_grow_with_trajectory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(series) == 64
+    assert series.probabilities.shape == (64, start.lattice.size)
     assert peak < 16e6
 
 
@@ -528,8 +527,8 @@ def test_dephased_prefix_walks_keep_a_separate_matrix_each():
             assert not np.shares_memory(earlier.matrix, later.matrix)
             assert not np.array_equal(earlier.matrix, later.matrix)
     distributions, _ = run_walk(start, sched)
-    for state, distribution in zip(states, distributions, strict=True):
-        assert np.array_equal(position_distribution(state).probabilities, distribution.probabilities)
+    for state, row in zip(states, distributions.probabilities, strict=True):
+        assert np.array_equal(position_distribution(state).probabilities, row)
 
 
 def test_density_walk_leaves_the_start_unchanged():
@@ -593,7 +592,7 @@ def test_origin_probe_equals_the_final_walk_p0(steps, convention):
         for visibility in (0.0, 0.5, 0.9, 1.0):
             sched = WalkSchedule(0.3, 0.2, steps, convention, visibility)
             probe = evolution._probe_origin_probability(start, sched, evolution._diamond(start, steps))
-            walked = run_walk(start, sched)[0][-1].at_site(0)
+            walked = run_walk(start, sched)[0].at_site(0)[-1]
             assert np.array_equal(probe, walked), (name, visibility)
             if name.startswith("at "):
                 assert probe == 0.0
@@ -617,7 +616,7 @@ def test_bisect_visibility_validates_one_walk(monkeypatch, visibility):
     steps = 8
     sched = WalkSchedule(0.0, math.pi / 8, steps)
     start = density_from_pure(symmetric_start(steps))
-    target = run_walk(start, sched.with_visibility(visibility))[0][-1].at_site(0)
+    target = run_walk(start, sched.with_visibility(visibility))[0].at_site(0)[-1]
     checked, windows = record_calibration(monkeypatch)
     found, achieved = bisect_visibility(sched, start, target, tol=1e-6)
     full = (2 * start.lattice.size,) * 2
@@ -630,7 +629,7 @@ def test_bisect_visibility_validates_one_walk(monkeypatch, visibility):
     probes, rest = divmod(len(windows) - len(cone), len(diamond))
     assert rest == 0 and probes >= 2
     assert windows == diamond * probes + cone
-    fresh = run_walk(start, sched.with_visibility(found))[0][-1].at_site(0)
+    fresh = run_walk(start, sched.with_visibility(found))[0].at_site(0)[-1]
     assert achieved == fresh
     assert abs(achieved - target) <= 1e-6
 
@@ -639,7 +638,7 @@ def test_bisect_visibility_refuses_a_probe_the_walk_does_not_confirm(monkeypatch
     steps = 8
     sched = WalkSchedule(0.0, math.pi / 8, steps)
     start = density_from_pure(symmetric_start(steps))
-    target = run_walk(start, sched)[0][-1].at_site(0)
+    target = run_walk(start, sched)[0].at_site(0)[-1]
     probe = evolution._probe_origin_probability
 
     def off_by_one_ulp(rho, schedule, diamond):
@@ -683,7 +682,7 @@ def record_probes(monkeypatch):
 )
 def test_calibration_probes_stay_inside_a_sign_changing_bracket(monkeypatch, sched, fraction):
     start = density_from_pure(symmetric_start(sched.steps))
-    ends = [run_walk(start, sched.with_visibility(v))[0][-1].at_site(0) for v in (0.0, 1.0)]
+    ends = [run_walk(start, sched.with_visibility(v))[0].at_site(0)[-1] for v in (0.0, 1.0)]
     target = ends[0] + fraction * (ends[1] - ends[0])
     probes = record_probes(monkeypatch)
     bisect_visibility(sched, start, target, tol=1e-9)
@@ -711,18 +710,31 @@ def test_bench_style_calibrations_take_at_most_ten_probes(
     # on which bisection of [0, 1] makes 12 probes
     sched = WalkSchedule(math.pi * theta_pi, math.pi * omega_pi[0] / omega_pi[1], steps)
     start = density_from_pure(symmetric_start(steps))
-    target = run_walk(start, sched.with_visibility(visibility_1024 / 1024))[0][-1].at_site(0)
+    target = run_walk(start, sched.with_visibility(visibility_1024 / 1024))[0].at_site(0)[-1]
     probes = record_probes(monkeypatch)
     _, achieved = bisect_visibility(sched, start, target)
     assert abs(achieved - target) <= 1e-4
     assert len(probes) <= 10
 
 
+def test_calibration_where_p0_is_flat_then_steep_takes_at_most_twelve_probes(monkeypatch):
+    # p0 barely moves over most of [0, 1] and then rises steeply; regula falsi
+    # alone, its Anderson-Bjorck factor near 0, took 22 probes here
+    sched = WalkSchedule(0.122, 1.493, 20)
+    start = density_from_pure(symmetric_start(20))
+    ends = [run_walk(start, sched.with_visibility(v))[0].at_site(0)[-1] for v in (0.0, 1.0)]
+    target = ends[0] + 0.017 * (ends[1] - ends[0])
+    probes = record_probes(monkeypatch)
+    _, achieved = bisect_visibility(sched, start, target)
+    assert abs(achieved - target) <= 1e-4
+    assert len(probes) <= 12
+
+
 @pytest.mark.parametrize("fraction", [1e-3, 1.0 - 1e-3])
 def test_calibration_converges_on_a_target_near_an_end(monkeypatch, fraction):
     sched = WalkSchedule(0.0, math.pi / 8, 16)
     start = density_from_pure(symmetric_start(16))
-    ends = [run_walk(start, sched.with_visibility(v))[0][-1].at_site(0) for v in (0.0, 1.0)]
+    ends = [run_walk(start, sched.with_visibility(v))[0].at_site(0)[-1] for v in (0.0, 1.0)]
     target = ends[0] + fraction * (ends[1] - ends[0])
     tol = 1e-6
     assert min(abs(end - target) for end in ends) > tol

@@ -100,6 +100,34 @@ def test_position_distribution_validation():
         PositionDistribution(lat, np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         PositionDistribution(lat, np.array([math.nan, 1.0, 0.0]))
+    # a (T, n) stack: every row is checked as one distribution is
+    good = [0.25, 0.5, 0.25]
+    assert PositionDistribution(lat, np.array([good, [0.0, 1.0, 0.0]])).probabilities.shape == (2, 3)
+    assert PositionDistribution(lat, np.empty((0, 3))).probabilities.shape == (0, 3)
+    for bad_row, message in (
+        ([0.5, 0.5 + 1e-9, 0.0], "deviates from 1"),
+        ([-0.1, 0.6, 0.5], "outside"),
+        ([0.5, math.nan, 0.5], "outside"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            PositionDistribution(lat, np.array([good, bad_row, good]))
+    for shape in ((2, 2), (2, 4), (1, 2, 3), ()):
+        with pytest.raises(ValueError, match="shape"):
+            PositionDistribution(lat, np.full(shape, 0.5))
+
+
+def test_at_site_of_a_stack_is_the_column_of_its_rows():
+    lat = Lattice(-3, 3)
+    rng = np.random.default_rng(5)
+    rows = rng.random((6, lat.size))
+    rows /= rows.sum(axis=1, keepdims=True)
+    stack = PositionDistribution(lat, rows)
+    for site in lat.sites().tolist():
+        per_row = [PositionDistribution(lat, row).at_site(site) for row in rows]
+        assert all(type(value) is float for value in per_row)
+        column = stack.at_site(site)
+        assert column.shape == (6,)
+        assert np.array_equal(column, per_row)
 
 
 def test_density_from_pure_is_projector():
