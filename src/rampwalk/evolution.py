@@ -12,10 +12,10 @@ Every pure walk in the package runs through one batched step routine,
 :func:`_coin_and_shift`, on coin-major amplitudes of shape
 (..., 2, n, G) (coin, site, then a batch of G walks) under the coin
 stack of :meth:`WalkSchedule.coins`, built once per walk. The dephased
-walk runs through one density step, :func:`_density_steps`, which
-applies the coin pair to a window of rho in one pass and then shifts
-it, with the same products as :func:`_coin_and_shift` on the window's
-rows and then its columns. Every walk of a start state goes through
+walk runs through one density step, :func:`_class_steps`, which
+applies the coin pair to each parity class of rho in one pass and then
+shifts it, with the same products as :func:`_coin_and_shift` on the
+rows and then the columns. Every walk of a start state goes through
 :func:`run_walk`. A density matrix, or a pure state below visibility 1,
 follows each unitary step with a coin dephasing channel of strength set
 by the schedule visibility:
@@ -25,20 +25,23 @@ by the schedule visibility:
 with Z diagonal on the coin. The channel keeps the coin-diagonal
 blocks of rho and scales the coin-off-diagonal ones by v, so
 visibility 1 reproduces unitary evolution and visibility 0 removes all
-coin coherence after every step. The dephased walk steps its working
-copy ``R[i, x, j, y]`` = rho[(x, i), (y, j)] in place and builds the
-public (2n, 2n) matrix only for the final state. Step k of a
-dephased walk updates only the block of rho on the sites within k of
-the start's exact non-zero support (its forward light cone); a
-thresholded support would drop tiny entries that the full-lattice walk
-keeps, and the result would no longer match that walk bit for bit.
-:func:`run_walk` returns only the (T, n) stack of distributions and
-the final state, so it keeps no trajectory; the state after step k is
-the final state of the k-step walk. The probes of
-:func:`bisect_visibility`, a bracketing regula falsi on the visibility,
-need only the final origin probability, so they step the same density
-step on the smaller part of the light cone that can still reach the
-origin.
+coin coherence after every step. Every step moves the walker by
+exactly one site, so entry rho[(x, i), (y, j)] of parity class
+(x mod 2, y mod 2) moves to class (1 - x mod 2, 1 - y mod 2): the
+classes never mix, and a walk from one site lights only one of them,
+a quarter of its light cone. The dephased walk steps each class of
+the start that holds a non-zero entry as one compact block on its
+own light cone, and builds the public (2n, 2n) matrix only for the
+final state. The classes are cropped to the start's exact non-zero
+support; a thresholded support would drop tiny entries that the
+full-lattice walk keeps, and the result would no longer match that
+walk bit for bit. :func:`run_walk` returns only the (T, n) stack of
+distributions and the final state, so it keeps no trajectory; the
+state after step k is the final state of the k-step walk. The probes
+of :func:`bisect_visibility`, a bracketing regula falsi on the
+visibility, need only the final origin probability, so they step the
+same density step on the one class that reaches the origin, cropped
+after every step to the sites that can still reach it.
 """
 
 from __future__ import annotations
@@ -190,126 +193,124 @@ def propagator_blocks(schedule: WalkSchedule) -> NDArray[np.complex128]:
     return _blocks(_origin_walk(schedule.coins(), np.eye(2)))
 
 
-def _coin_major(matrix: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """A new array ``R[i, x, j, y]`` = matrix[(x, i), (y, j)] of a (2n, 2n) density matrix."""
-    n = matrix.shape[0] // 2
-    return matrix.reshape(n, 2, n, 2).transpose(1, 0, 3, 2).copy()
+ParityClass = tuple[NDArray[np.complex128], int, int]  # (w, bx, by), see _classes
 
 
-def _public(raw: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """A new array in the state classes' layout: (n, 2) amplitudes or the (2n, 2n) matrix."""
-    if raw.ndim == 2:
-        return np.ascontiguousarray(raw.T)
-    n = raw.shape[1]
-    return raw.transpose(1, 0, 3, 2).reshape(2 * n, 2 * n)
+def _classes(rho: WalkerCoinDensityMatrix) -> list[ParityClass]:
+    """The parity classes of rho that hold a non-zero entry, as ``(w, bx, by)``.
 
-
-def _light_cone(rho: WalkerCoinDensityMatrix, steps: int) -> list[tuple[int, int]]:
-    """Site indices [a, b) of the forward light cone of rho after each of its steps.
-
-    Step k reaches the sites within k of rho's support, clipped to the
-    lattice. The support is exact (every site with a non-zero entry in
-    its rows or columns), not thresholded as in :func:`_check_reach`;
-    a thresholded support would drop tiny entries that the full-lattice
+    Entry rho[(x, i), (y, j)] belongs to class (x mod 2, y mod 2) of the
+    site indices. A class is the new contiguous block
+    ``w[i, j, u, v]`` = rho[(bx + 2u, i), (by + 2v, j)], cropped to the
+    rows and columns of the class that hold a non-zero entry. The
+    support is exact, not thresholded as in :func:`_check_reach`: a
+    thresholded support would drop tiny entries that the full-lattice
     walk keeps.
     """
-    rows, cols = np.nonzero(rho.matrix)
-    occupied = np.concatenate((rows, cols)) // 2
-    lo, hi = int(occupied.min()), int(occupied.max())
     n = rho.lattice.size
-    return [(max(lo - k, 0), min(hi + k + 1, n)) for k in range(1, steps + 1)]
+    r = rho.matrix.reshape(n, 2, n, 2)
+    classes = []
+    for p in (0, 1):
+        for q in (0, 1):
+            w = r[p::2, :, q::2, :].transpose(1, 3, 0, 2)
+            rows, cols = np.flatnonzero(w.any(axis=(0, 1, 3))), np.flatnonzero(w.any(axis=(0, 1, 2)))
+            if rows.size:
+                block = np.ascontiguousarray(w[:, :, rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1])
+                classes.append((block, p + 2 * int(rows[0]), q + 2 * int(cols[0])))
+    return classes
 
 
-def _density_steps(
-    r: NDArray[np.complex128], schedule: WalkSchedule, windows: list[tuple[int, int]]
-) -> Iterator[NDArray[np.complex128]]:
-    """The dephased walk of ``R[i, x, j, y]``, one window of sites per step, in place.
+def _crop(w: NDArray[np.complex128], bx: int, by: int, lo: int, hi: int) -> ParityClass:
+    """The class ``(w, bx, by)`` on the site indices [lo, hi] only, rows and columns alike."""
+    a, b = max((lo - bx + 1) // 2, 0), max((hi - bx) // 2 + 1, 0)
+    c, d = max((lo - by + 1) // 2, 0), max((hi - by) // 2 + 1, 0)
+    return w[:, :, a:b, c:d], bx + 2 * a, by + 2 * c
 
-    Step k replaces the block of ``r`` on the sites ``windows[k - 1]``
-    (indices [a, b), not empty) by its dephased ``U block U^dagger`` and
-    yields ``r``; entries outside the window are left as they are. One
-    step applies the coin pair to the whole block, with no shift yet:
-    the right product ``h[i, j, x, y]`` takes the conjugate coin on the
-    column coin j (the shift is real, so that is ``rho U^dagger``), and
-    the left product ``p[i, j, x, y]`` the coin on the row coin i.
-    Dephasing scales the coin-off-diagonal blocks ``p[0, 1]`` and
-    ``p[1, 0]`` by the visibility, the channel's exact action. The shift
-    then writes each of the four coin blocks of ``p`` back into the
-    window one site up or down in x and in y, and zeroes the edge rows
-    and columns nothing shifts into. The window's edge sites miss what
-    flows in from outside it, so a window must hold every site whose
-    entries are read later.
+
+def _class_steps(
+    classes: list[ParityClass], schedule: WalkSchedule, crops: list[tuple[int, int]]
+) -> Iterator[list[ParityClass]]:
+    """The dephased walk of the parity classes of :func:`_classes`, one list per step.
+
+    One step maps class (p, q) to (1 - p, 1 - q), so the classes never
+    mix and each walks alone. Step k yields the new classes cropped to
+    the site indices ``crops[k - 1]`` = (lo, hi). One class step applies
+    the coin pair to the whole block, with no shift yet: the right
+    product ``h[i, j, u, v]`` takes the conjugate coin on the column coin
+    j (the shift is real, so that is ``rho U^dagger``), and the left
+    product ``p[i, j, u, v]`` the coin on the row coin i. Dephasing
+    multiplies ``p`` by ``[[1, v], [v, 1]]`` over the coins, the
+    channel's exact action (``x * 1.0 == x``). The shift then writes the
+    four coin blocks of ``p`` into a new zeroed block one row and one
+    column longer, whose bases sit one site lower: plus rows move up one
+    compact index and minus rows stay, and columns alike. The crop drops
+    what left the lattice, as the full-lattice walk does, and for a
+    probe also what can no longer reach the origin.
 
     Every entry goes through the products of :func:`_coin_and_shift`
     applied to the rows and then the columns: the coin entry as the
-    first operand, term 0 added before term 1. So every entry a window
-    keeps correct is bit-identical to that two-pass step on the full
-    lattice. The products are plain broadcast multiplies, not
-    ``matmul``, ``einsum`` or ``tensordot``: a BLAS ``(4, 4) @ (4, m^2)``
-    step sums in its own order, and probe and walk, whose windows
-    differ, then round differently. :func:`run_walk` passes the light
-    cone, outside which ``r`` stays zero as the full-lattice walk does;
-    :func:`_probe_origin_probability` passes the part of it that can
-    still reach the origin.
+    first operand, term 0 added before term 1. So every entry is
+    bit-identical to that two-pass step on the full lattice. The
+    products are plain broadcast multiplies, not ``matmul``, ``einsum``
+    or ``tensordot``: a BLAS ``(4, 4) @ (4, m^2)`` step sums in its own
+    order, and probe and walk, whose crops differ, then round
+    differently.
     """
     v = schedule.visibility
+    dephasing = np.array([[1.0, v], [v, 1.0]])[:, :, None, None]
     coins = schedule.coins()
     rc = coins.conj()[:, None, :, :, None, None]  # rc[t, 0, j', j] = conj(coin[j', j])
     lc = coins[:, :, None, :, None, None]  # lc[t, i', 0, i] = coin[i', i]
-    for right, left, (a, b) in zip(rc, lc, windows):
-        block = r[:, a:b, :, a:b]
-        f = block.transpose(0, 2, 1, 3)[:, None]  # f[i, 0, j, x, y], a view
-        h = right[:, :, 0] * f[:, :, 0]
-        h += right[:, :, 1] * f[:, :, 1]
-        p = left[:, :, 0] * h[None, 0]
-        p += left[:, :, 1] * h[None, 1]
-        p[0, 1] *= v
-        p[1, 0] *= v
-        # plus moves one site up, minus one site down, in x for i and in y for j
-        block[0, 0] = block[1, -1] = 0.0
-        block[:, :, 0, 0] = block[:, :, 1, -1] = 0.0
-        block[0, 1:, 0, 1:] = p[0, 0, :-1, :-1]
-        block[0, 1:, 1, :-1] = p[0, 1, :-1, 1:]
-        block[1, :-1, 0, 1:] = p[1, 0, 1:, :-1]
-        block[1, :-1, 1, :-1] = p[1, 1, 1:, 1:]
-        yield r
+    for right, left, (lo, hi) in zip(rc, lc, crops):
+        stepped = []
+        for w, bx, by in classes:
+            f = w[:, None]  # f[i, 0, j, u, v]
+            h = right[:, :, 0] * f[:, :, 0]
+            h += right[:, :, 1] * f[:, :, 1]
+            p = left[:, :, 0] * h[None, 0]
+            p += left[:, :, 1] * h[None, 1]
+            p *= dephasing
+            out = np.zeros((2, 2, w.shape[2] + 1, w.shape[3] + 1), dtype=np.complex128)
+            out[0, 0, 1:, 1:] = p[0, 0]
+            out[0, 1, 1:, :-1] = p[0, 1]
+            out[1, 0, :-1, 1:] = p[1, 0]
+            out[1, 1, :-1, :-1] = p[1, 1]
+            stepped.append(_crop(out, bx - 1, by - 1, lo, hi))
+        classes = stepped
+        yield classes
 
 
-def _diamond(rho: WalkerCoinDensityMatrix, steps: int) -> list[tuple[int, int]] | None:
-    """The probe windows of :func:`_probe_origin_probability`; None when rho cannot reach the origin.
+def _origin_classes(rho: WalkerCoinDensityMatrix, steps: int) -> list[ParityClass]:
+    """The part of rho that reaches the origin's populations in `steps` steps.
 
-    Step k of T keeps the sites of the light cone within T - k + 1 of
-    the origin: those that can still reach it in the T - k steps left,
-    plus one ring whose entries go wrong at the window edge and are
-    never read again. This diamond holds about a quarter of the light
-    cone's entries.
+    That is the diagonal class whose sites have the origin's parity
+    after the steps, cropped to the sites within `steps` of the origin:
+    one class, or none when rho cannot reach the origin.
     """
     origin = rho.lattice.index(0)
-    diamond = [
-        (max(a, origin - (steps - k + 1)), min(b, origin + steps - k + 2))
-        for k, (a, b) in enumerate(_light_cone(rho, steps), start=1)
-    ]
-    return None if any(a >= b for a, b in diamond) else diamond
+    parity = (origin + steps) % 2
+    reach = (origin - steps, origin + steps)
+    cropped = [_crop(*c, *reach) for c in _classes(rho) if c[1] % 2 == c[2] % 2 == parity]
+    return [c for c in cropped if c[0].size]
 
 
 def _probe_origin_probability(
-    rho: WalkerCoinDensityMatrix, schedule: WalkSchedule, diamond: list[tuple[int, int]] | None
+    classes: list[ParityClass], schedule: WalkSchedule, lattice: Lattice
 ) -> float:
-    """Final origin probability of the dephased walk of rho, unvalidated.
+    """Final origin probability of the dephased walk of ``_origin_classes(rho, steps)``, unvalidated.
 
-    Steps only the windows ``diamond`` of :func:`_diamond` for rho and
-    the schedule's steps. The origin entries are those of the
-    full-lattice walk bit for bit, so the result equals the final p0 of
-    :func:`run_walk`. A start that cannot reach the origin (no diamond)
-    has p0 0. The caller checks the reach.
+    Step k of T keeps only the sites of the lattice within T - k of the
+    origin, those that can still reach it, so the last step leaves at
+    most the origin's entry. That entry is the full-lattice walk's bit
+    for bit, so the result equals the final p0 of :func:`run_walk`. A
+    start that cannot reach the origin (no class) has p0 0. The caller
+    checks the reach.
     """
-    if diamond is None:
-        return 0.0
-    r = _coin_major(rho.matrix)  # with no steps, p0 is the start's
-    for _ in _density_steps(r, schedule, diamond):
+    origin, n, steps = lattice.index(0), lattice.size, schedule.steps
+    crops = [(max(origin - steps + k, 0), min(origin + steps - k, n - 1)) for k in range(1, steps + 1)]
+    for classes in _class_steps(classes, schedule, crops):
         pass
-    origin = rho.lattice.index(0)
-    return float(r[0, origin, 0, origin].real + r[1, origin, 1, origin].real)
+    return sum((float(w[0, 0, 0, 0].real + w[1, 1, 0, 0].real) for w, _, _ in classes if w.size), 0.0)
 
 
 def run_walk(
@@ -320,30 +321,40 @@ def run_walk(
     A pure start becomes its density matrix when the visibility is
     below 1. A pure walk steps coin-major amplitudes ``a[i, x]`` of
     shape (2, n), a row being ``|a+|^2 + |a-|^2``; a dephased walk steps
-    the working copy ``R[i, x, j, y]`` = rho[(x, i), (y, j)] in place,
-    only inside its forward light cone (see :func:`_density_steps` and
-    :func:`_light_cone`), a row being its two coin diagonals summed.
-    Only the returned objects are built and validated. With zero steps
-    the stack has no rows and the final state is the start. Raises
-    :class:`BoundaryOverflowError` before any step.
+    the non-zero parity classes of rho (see :func:`_classes` and
+    :func:`_class_steps`), a row being the two coin diagonals of its
+    diagonal classes summed, and the final classes are scattered into
+    the (2n, 2n) matrix at stride 2. Only the returned objects are built
+    and validated. With zero steps the stack has no rows and the final
+    state is the start. Raises :class:`BoundaryOverflowError` before any
+    step.
     """
     if isinstance(start, WalkerCoinPureState) and schedule.visibility != 1.0:
         start = density_from_pure(start)
     _check_reach(start.lattice, position_distribution(start).probabilities, schedule.steps)
-    probs = np.empty((schedule.steps, start.lattice.size))
-    raw = None
+    n = start.lattice.size
+    probs = np.zeros((schedule.steps, n))
+    if not schedule.steps:
+        return PositionDistribution(start.lattice, probs), start
     if isinstance(start, WalkerCoinPureState):
         amps = np.ascontiguousarray(start.amplitudes.T)[..., None]
         for row, coin in zip(probs, schedule.coins()):
             amps = _coin_and_shift(coin, amps)
-            raw = amps[..., 0]
-            row[:] = np.abs(raw[0]) ** 2 + np.abs(raw[1]) ** 2
-    else:
-        windows = _light_cone(start, schedule.steps)
-        for row, raw in zip(probs, _density_steps(_coin_major(start.matrix), schedule, windows)):
-            diagonal = raw.diagonal(axis1=1, axis2=3)  # diagonal[i, j, x] = R[i, x, j, x]
-            row[:] = diagonal[0, 0].real + diagonal[1, 1].real
-    final = start if raw is None else type(start)(start.lattice, _public(raw))
+            row[:] = np.abs(amps[0, :, 0]) ** 2 + np.abs(amps[1, :, 0]) ** 2
+        final = type(start)(start.lattice, np.ascontiguousarray(amps[..., 0].T))
+        return PositionDistribution(start.lattice, probs), final
+    for row, classes in zip(probs, _class_steps(_classes(start), schedule, [(0, n - 1)] * schedule.steps)):
+        for w, bx, by in classes:
+            if (bx - by) % 2 == 0:  # a diagonal class: row u and column u + d are one site
+                d = (bx - by) // 2
+                populations = w[0, 0].diagonal(d).real + w[1, 1].diagonal(d).real
+                first = max(bx, by)
+                row[first : first + 2 * len(populations) : 2] = populations
+    matrix = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    r = matrix.reshape(n, 2, n, 2)
+    for w, bx, by in classes:
+        r[bx : bx + 2 * w.shape[2] : 2, :, by : by + 2 * w.shape[3] : 2, :] = w.transpose(2, 0, 3, 1)
+    final = type(start)(start.lattice, matrix)
     return PositionDistribution(start.lattice, probs), final
 
 
@@ -366,19 +377,20 @@ def bisect_visibility(
     width inside either end. A probe after two that have not halved the
     bracket (those at 0 and 1 leave width 1) takes its midpoint, unscaled,
     which bounds the probes where p0 is flat over most of [0, 1]. Each
-    probe reads p0 from :func:`_probe_origin_probability` on one diamond
-    built up front, and validates nothing. The chosen visibility, an end
+    probe reads p0 from :func:`_probe_origin_probability` on the classes
+    of :func:`_origin_classes`, extracted once up front, and validates
+    nothing. The chosen visibility, an end
     point included, is then walked once by :func:`run_walk`, which
     validates the final state; its p0 must equal the probe's (else
     RuntimeError) and is the one returned. Returns (visibility, origin probability).
     Raises :class:`BoundaryOverflowError` before any probe.
     """
     _check_reach(initial.lattice, position_distribution(initial).probabilities, schedule.steps)
-    diamond = _diamond(initial, schedule.steps)
+    classes = _origin_classes(initial, schedule.steps)
     target = target_origin_probability
 
     def p0_at(v: float) -> float:
-        return _probe_origin_probability(initial, schedule.with_visibility(v), diamond)
+        return _probe_origin_probability(classes, schedule.with_visibility(v), initial.lattice)
 
     def validated(v: float, probed: float) -> tuple[float, float]:
         _, final = run_walk(initial, schedule.with_visibility(v))

@@ -202,10 +202,15 @@ def _check_density(rho: NDArray[np.complex128], label: str) -> None:
         raise ValueError(f"{label} trace deviates from 1 by {abs(trace - 1.0):.3e}")
     # H is PSD down to -PSD_TOL when H + PSD_TOL * I has a Cholesky factor, up to
     # rounding of order n * eps; eigvalsh, about 3x the cost, runs only to decide
-    # and name the eigenvalue when the factorisation fails
+    # and name the eigenvalue when the factorisation fails. H is exactly Hermitian,
+    # so H + PSD_TOL * I is block-diagonal, PSD_TOL * I off the support of H, and
+    # both decide on the support block alone
     herm_part = 0.5 * (rho + rho.conj().T)
+    support = np.flatnonzero(herm_part.any(axis=0))
+    if support.size < len(herm_part):
+        herm_part = herm_part[np.ix_(support, support)]
     try:
-        np.linalg.cholesky(herm_part + PSD_TOL * np.eye(len(rho)))
+        np.linalg.cholesky(herm_part + PSD_TOL * np.eye(len(herm_part)))
     except np.linalg.LinAlgError:
         lowest = float(np.min(np.linalg.eigvalsh(herm_part)))
         if not lowest >= -PSD_TOL:

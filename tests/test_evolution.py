@@ -379,16 +379,19 @@ def test_run_walk_boundary_overflow_raises_before_any_step(monkeypatch):
         return kernel(coins, amps)
 
     monkeypatch.setattr(evolution, "_coin_and_shift", counting)
-    windows = record_windows(monkeypatch)
+    classes = record_classes(monkeypatch)
     start = initial_state(Lattice(-3, 3), CoinVector.symmetric())
     for visibility in (1.0, 0.9):
         sched = WalkSchedule(0.3, 0.2, 3, visibility=visibility)
         for state in (start, density_from_pure(start)):
             with pytest.raises(BoundaryOverflowError):
                 run_walk(state, sched)
-    assert steps_taken == [] and windows == []
+    assert steps_taken == [] and classes == []
     run_walk(start, WalkSchedule(0.3, 0.2, 2))
     assert len(steps_taken) == 2
+    # the recorder sees every step of a density walk that fits
+    run_walk(start, WalkSchedule(0.3, 0.2, 2, visibility=0.9))
+    assert len(classes) == 2
 
 
 def test_run_walk_memory_does_not_grow_with_trajectory():
@@ -428,6 +431,14 @@ def mixture(lattice, components):
     return matrix
 
 
+def superposition(lattice, components):
+    """Density matrix |psi><psi| of psi = sum_i a_i |site_i, coin_i> from (a, site, coin) triples."""
+    amps = np.zeros((lattice.size, 2), dtype=np.complex128)
+    for amplitude, site, coin in components:
+        amps[lattice.index(site)] = amplitude * np.asarray(coin)
+    return density_from_pure(WalkerCoinPureState(lattice, amps))
+
+
 def window_parity_starts(steps):
     symmetric = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
     origin = density_from_pure(symmetric_start(steps))
@@ -450,15 +461,20 @@ def window_parity_starts(steps):
     near = 2 * lattice.index(0)
     for i, j in ((low, low), (high, high), (near, high), (low, high)):
         tiny[i, j] = tiny[j, i] = 1e-16
+    # pure superpositions over sites of both parities: rho spans all four parity classes
+    two_sites = superposition(wide, [(0.8, 0, symmetric), (0.6j, 1, (0.6, 0.8))])
+    apart = superposition(wide, [(0.6, -1, (1.0, 0.0)), (-0.8, 2, (0.6j, 0.8))])
     return {
         "origin": origin,
         "off_centre": off_centre,
         "at_limit": at_limit,
         "tiny": WalkerCoinDensityMatrix(lattice, tiny),
+        "two_sites": two_sites,
+        "apart": apart,
     }
 
 
-@pytest.mark.parametrize("name", ["origin", "off_centre", "at_limit", "tiny"])
+@pytest.mark.parametrize("name", ["origin", "off_centre", "at_limit", "tiny", "two_sites", "apart"])
 @pytest.mark.parametrize("convention", list(StepConvention))
 @pytest.mark.parametrize("visibility", [0.0, 0.5, 1.0])
 def test_light_cone_density_walk_matches_full_lattice(name, convention, visibility):
@@ -475,37 +491,53 @@ def test_light_cone_density_walk_matches_full_lattice(name, convention, visibili
             run_walk(start, WalkSchedule(0.3, 0.2, steps + 1, convention, visibility))
 
 
-def record_windows(monkeypatch):
-    """The site windows (a, b) that `evolution._density_steps` steps, in order."""
+def record_classes(monkeypatch):
+    """Per step of `evolution._class_steps`, the sorted (row sites, column sites) of each class.
+
+    Sites are lattice indices, as tuples.
+    """
     taken = []
-    density_steps = evolution._density_steps
+    class_steps = evolution._class_steps
 
-    def recording(r, schedule, windows):
-        for window, state in zip(windows, density_steps(r, schedule, windows)):
-            taken.append(window)
-            yield state
+    def recording(classes, schedule, crops):
+        for stepped in class_steps(classes, schedule, crops):
+            taken.append(sorted(
+                (tuple(range(bx, bx + 2 * w.shape[2], 2)), tuple(range(by, by + 2 * w.shape[3], 2)))
+                for w, bx, by in stepped
+            ))
+            yield stepped
 
-    monkeypatch.setattr(evolution, "_density_steps", recording)
+    monkeypatch.setattr(evolution, "_class_steps", recording)
     return taken
 
 
-def cone_windows(origin, steps):
-    """The light cone of a start at site index `origin`: the 2k + 1 sites within k at step k."""
-    return [(origin - k, origin + k + 1) for k in range(1, steps + 1)]
+def cone(site, k):
+    """The k + 1 site indices within k of `site` that share the parity of site + k."""
+    return tuple(range(site - k, site + k + 1, 2))
 
 
-def diamond_windows(origin, steps):
-    """The part of that light cone a probe steps: the sites within T - k + 1 of the origin too."""
-    radii = [min(k, steps - k + 1) for k in range(1, steps + 1)]
-    return [(origin - r, origin + r + 1) for r in radii]
+def cone_classes(origin, steps):
+    """The one class of a walk from site index `origin`: step k holds cone(origin, k)."""
+    return [[(cone(origin, k),) * 2] for k in range(1, steps + 1)]
+
+
+def diamond_classes(origin, steps):
+    """What a probe of an even number of steps holds: the sites of the cone within T - k of the origin."""
+    return [[(cone(origin, min(k, steps - k)),) * 2] for k in range(1, steps + 1)]
 
 
 def test_density_walk_steps_only_the_light_cone(monkeypatch):
-    windows = record_windows(monkeypatch)
+    classes = record_classes(monkeypatch)
     steps = 12
     start = density_from_pure(symmetric_start(steps))
     run_walk(start, WalkSchedule(0.3, 0.2, steps, visibility=0.9))
-    assert windows == cone_windows(start.lattice.index(0), steps)
+    assert classes == cone_classes(start.lattice.index(0), steps)
+    # a start on two neighbouring sites has four classes, each on its own light cone
+    classes.clear()
+    start = window_parity_starts(steps)["two_sites"]
+    run_walk(start, WalkSchedule(0.3, 0.2, steps, visibility=0.9))
+    sites = (start.lattice.index(0), start.lattice.index(1))
+    assert classes == [sorted((cone(x, k), cone(y, k)) for x in sites for y in sites) for k in range(1, steps + 1)]
 
 
 def test_final_dephased_state_at_48_steps_passes_the_psd_check():
@@ -584,14 +616,27 @@ def unreachable_starts(steps):
     }
 
 
+def edge_start(steps):
+    """A start beyond reach of the origin, which sits two sites above the lattice's lowest site.
+
+    A 1e-16 population on that lowest site, below the support that
+    _check_reach thresholds, leaves the lattice in the first step and
+    would reach the origin if it came back.
+    """
+    lattice = Lattice(-2, 2 * steps + 6)
+    symmetric = (1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0))
+    return WalkerCoinDensityMatrix(lattice, mixture(lattice, [(1.0, steps + 1, symmetric), (1e-16, -2, symmetric)]))
+
+
 @pytest.mark.parametrize("steps", [7, 8, 12])
 @pytest.mark.parametrize("convention", list(StepConvention))
 def test_origin_probe_equals_the_final_walk_p0(steps, convention):
-    starts = {**window_parity_starts(steps), **unreachable_starts(steps)}
+    starts = {**window_parity_starts(steps), **unreachable_starts(steps), "edge": edge_start(steps)}
     for name, start in starts.items():
         for visibility in (0.0, 0.5, 0.9, 1.0):
             sched = WalkSchedule(0.3, 0.2, steps, convention, visibility)
-            probe = evolution._probe_origin_probability(start, sched, evolution._diamond(start, steps))
+            classes = evolution._origin_classes(start, steps)
+            probe = evolution._probe_origin_probability(classes, sched, start.lattice)
             walked = run_walk(start, sched)[0].at_site(0)[-1]
             assert np.array_equal(probe, walked), (name, visibility)
             if name.startswith("at "):
@@ -599,7 +644,7 @@ def test_origin_probe_equals_the_final_walk_p0(steps, convention):
 
 
 def record_calibration(monkeypatch):
-    """Lists of the shapes `states._check_density` validates and the windows the density step takes."""
+    """Lists of the shapes `states._check_density` validates and the classes of each density step."""
     checked = []
     check = states._check_density
 
@@ -608,7 +653,7 @@ def record_calibration(monkeypatch):
         return check(rho, label)
 
     monkeypatch.setattr(states, "_check_density", counting_check)
-    return checked, record_windows(monkeypatch)
+    return checked, record_classes(monkeypatch)
 
 
 @pytest.mark.parametrize("visibility", [0.93, 0.0, 1.0])
@@ -617,7 +662,7 @@ def test_bisect_visibility_validates_one_walk(monkeypatch, visibility):
     sched = WalkSchedule(0.0, math.pi / 8, steps)
     start = density_from_pure(symmetric_start(steps))
     target = run_walk(start, sched.with_visibility(visibility))[0].at_site(0)[-1]
-    checked, windows = record_calibration(monkeypatch)
+    checked, classes = record_calibration(monkeypatch)
     found, achieved = bisect_visibility(sched, start, target, tol=1e-6)
     full = (2 * start.lattice.size,) * 2
     assert checked.count(full) == 1
@@ -625,10 +670,10 @@ def test_bisect_visibility_validates_one_walk(monkeypatch, visibility):
         assert found == visibility
     # every probe steps the diamond, and only the last walk the whole light cone
     origin = start.lattice.index(0)
-    cone, diamond = cone_windows(origin, steps), diamond_windows(origin, steps)
-    probes, rest = divmod(len(windows) - len(cone), len(diamond))
+    walk, diamond = cone_classes(origin, steps), diamond_classes(origin, steps)
+    probes, rest = divmod(len(classes) - len(walk), len(diamond))
     assert rest == 0 and probes >= 2
-    assert windows == diamond * probes + cone
+    assert classes == diamond * probes + walk
     fresh = run_walk(start, sched.with_visibility(found))[0].at_site(0)[-1]
     assert achieved == fresh
     assert abs(achieved - target) <= 1e-6
@@ -641,8 +686,8 @@ def test_bisect_visibility_refuses_a_probe_the_walk_does_not_confirm(monkeypatch
     target = run_walk(start, sched)[0].at_site(0)[-1]
     probe = evolution._probe_origin_probability
 
-    def off_by_one_ulp(rho, schedule, diamond):
-        return float(np.nextafter(probe(rho, schedule, diamond), 2.0))
+    def off_by_one_ulp(classes, schedule, lattice):
+        return float(np.nextafter(probe(classes, schedule, lattice), 2.0))
 
     monkeypatch.setattr(evolution, "_probe_origin_probability", off_by_one_ulp)
     with pytest.raises(RuntimeError, match="differs from the walk"):
@@ -650,11 +695,14 @@ def test_bisect_visibility_refuses_a_probe_the_walk_does_not_confirm(monkeypatch
 
 
 def test_bisect_visibility_checks_the_reach_before_any_probe(monkeypatch):
-    _, windows = record_calibration(monkeypatch)
+    _, classes = record_calibration(monkeypatch)
     start = density_from_pure(initial_state(Lattice(-3, 3), CoinVector.symmetric()))
     with pytest.raises(BoundaryOverflowError):
         bisect_visibility(WalkSchedule(0.0, math.pi / 8, 3), start, 0.5)
-    assert windows == []
+    assert classes == []
+    # the recorder sees every step of a probe that fits
+    evolution._probe_origin_probability(evolution._origin_classes(start, 2), WalkSchedule(0.0, 0.2, 2), start.lattice)
+    assert len(classes) == 2
 
 
 def record_probes(monkeypatch):
@@ -662,8 +710,8 @@ def record_probes(monkeypatch):
     probes = []
     probe = evolution._probe_origin_probability
 
-    def recording(rho, schedule, diamond):
-        p0 = probe(rho, schedule, diamond)
+    def recording(classes, schedule, lattice):
+        p0 = probe(classes, schedule, lattice)
         probes.append((schedule.visibility, p0))
         return p0
 

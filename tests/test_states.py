@@ -251,17 +251,47 @@ def eigvalsh_accepts(rho):
     return float(np.min(np.linalg.eigvalsh(rho))) >= -1e-8
 
 
-@pytest.mark.parametrize("dim", [2, 14, 202])
-@pytest.mark.parametrize("offset", [-1e-10, 1e-10])
-def test_psd_check_gives_the_eigvalsh_verdict_at_the_threshold(dim, offset):
-    rng = np.random.default_rng(dim)
+def threshold_state(dim, offset, rng):
+    """A Hermitian trace-one (dim, dim) matrix whose lowest eigenvalue is -1e-8 + offset."""
     unitary, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     lowest = -1e-8 + offset
     rest = rng.uniform(size=dim - 1)
     rest *= (1.0 - lowest) / rest.sum()
     rho = (unitary * np.concatenate(([lowest], rest))) @ unitary.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
+    return 0.5 * (rho + rho.conj().T)
+
+
+@pytest.mark.parametrize("dim", [2, 14, 202])
+@pytest.mark.parametrize("offset", [-1e-10, 1e-10])
+def test_psd_check_gives_the_eigvalsh_verdict_at_the_threshold(dim, offset):
+    rho = threshold_state(dim, offset, np.random.default_rng(dim))
     assert psd_check_accepts(rho) == eigvalsh_accepts(rho) == (offset > 0)
+    if offset < 0:
+        with pytest.raises(ValueError, match="negative eigenvalue -1.01"):
+            states._check_density(rho, "rho")
+
+
+@pytest.mark.parametrize("dim", [2, 14, 202])
+@pytest.mark.parametrize("offset", [-1e-10, 1e-10])
+def test_psd_check_on_the_support_gives_the_full_eigvalsh_verdict(monkeypatch, dim, offset):
+    # the threshold states above, embedded in zero rows and columns
+    rng = np.random.default_rng(dim)
+    block = threshold_state(dim, offset, rng)
+    size = 2 * dim + 3
+    support = np.sort(rng.choice(size, size=dim, replace=False))
+    rho = np.zeros((size, size), dtype=np.complex128)
+    rho[np.ix_(support, support)] = block
+    factorised = []
+    cholesky = np.linalg.cholesky
+
+    def recording(matrix):
+        factorised.append(matrix.shape)
+        return cholesky(matrix)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    assert psd_check_accepts(rho) == eigvalsh_accepts(rho) == (offset > 0)
+    # only the support block is factorised
+    assert factorised == [(dim, dim)]
     if offset < 0:
         with pytest.raises(ValueError, match="negative eigenvalue -1.01"):
             states._check_density(rho, "rho")
