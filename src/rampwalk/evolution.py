@@ -158,26 +158,22 @@ def _check_reach(lattice: Lattice, populations: NDArray[np.float64], steps: int)
         )
 
 
-def _origin_walk(
-    coins: NDArray[np.complex128], starts: NDArray[np.complex128]
-) -> NDArray[np.complex128]:
-    """Final coin-major amplitudes (2, 2T + 3, G) of G walks from the origin, site T + 1.
+def _origin_walk(coins: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """The blocks (G, 2T + 1, 2, 2) of G T-step walks from the origin, each from both basis coins.
 
-    ``starts`` (2, G) holds their start coins; ``coins`` is a (T, 2, 2)
-    stack shared by the batch or a (T, G, 2, 2) stack, one coin per walk.
-    Every step updates the whole lattice, which the walks never leave.
+    ``coins`` is a (T, 2, 2) stack for one walk (G = 1), kept as one
+    (2, 2) coin per step, or a (T, G, 2, 2) stack with one coin per walk,
+    which each step applies to both of its starts. The amplitudes are
+    coin-major, (2, 2T + 3, 2G) over the full lattice, which the walks
+    never leave; column ``jG + g`` walks g from basis coin j, and block
+    ``[g, d + T, i, j]`` is its final amplitude of coin i at site d.
     """
-    reach = coins.shape[0] + 1
-    amps = np.zeros((2, 2 * reach + 1, starts.shape[1]), dtype=np.complex128)
-    amps[:, reach] = starts
+    steps, count = coins.shape[0], coins.shape[1] if coins.ndim == 4 else 1
+    amps = np.zeros((2, 2 * steps + 3, 2 * count), dtype=np.complex128)
+    amps[0, steps + 1, :count] = amps[1, steps + 1, count:] = 1.0
     for coin in coins:
-        amps = _coin_and_shift(coin, amps)
-    return amps
-
-
-def _blocks(amps: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Blocks (2T + 1, 2, 2) from the final ``amps[i, x, j]`` of walks from basis coins j."""
-    return amps[:, 1:-1, :].transpose(1, 0, 2)
+        amps = _coin_and_shift(coin if coin.ndim == 2 else np.concatenate((coin, coin)), amps)
+    return amps[:, 1:-1].reshape(2, 2 * steps + 1, 2, count).transpose(3, 1, 0, 2)
 
 
 def propagator_blocks(schedule: WalkSchedule) -> NDArray[np.complex128]:
@@ -187,10 +183,10 @@ def propagator_blocks(schedule: WalkSchedule) -> NDArray[np.complex128]:
     coin at site x + d after all T steps, for d in [-T, T]. The walk is
     a revival when every block but ``W_T[0]`` vanishes, and ``W_T[0]``
     is then its effective coin. With zero steps the single block is the
-    identity. The schedule visibility is ignored. The two basis coins
-    take one :func:`_origin_walk`, the walk the scan batches.
+    identity. The schedule visibility is ignored. This is one
+    :func:`_origin_walk`, the walk the scan batches over its ramp rates.
     """
-    return _blocks(_origin_walk(schedule.coins(), np.eye(2)))
+    return _origin_walk(schedule.coins())[0]
 
 
 ParityClass = tuple[NDArray[np.complex128], int, int]  # (w, bx, by), see _classes

@@ -2,9 +2,10 @@
 
 For each (steps, theta) pair the scan walks only the row's exact
 rational family (see ``_family``), where every revival sits: each point
-three times from the origin, all in one batch. Its walks from the two
-basis coins give its propagator blocks, which ``analysis._verdict``, as
-in ``classify``, judges; the symmetric coin gives its residual 1 - p0.
+from the two basis coins at the origin, all in one batch, which gives
+its propagator blocks. ``analysis._verdict`` judges them, as in
+``classify``. A walk from coin c ends at the origin as ``W_T[0] c``, so
+the residual ``1 - p0`` of the symmetric coin is read from ``W_T[0]``.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from importlib import resources
 from typing import Callable, TypeVar
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .coins import StepConvention, coin_at_step
-from .evolution import _blocks, _origin_walk
+from .evolution import _origin_walk
 from .analysis import _verdict
 from .states import CoinVector
 
@@ -116,25 +116,6 @@ def parse_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-def _family_walk(
-    steps: int, theta: float, omegas: NDArray[np.float64], convention: StepConvention
-) -> tuple[list[NDArray[np.complex128]], NDArray[np.float64]]:
-    """Propagator blocks and residual ``1 - p0`` of each ramp rate, from one batched walk.
-
-    Each rate takes three :func:`evolution._origin_walk` walks: from the
-    two basis coins (its blocks) and from the symmetric coin (its p0).
-    """
-    count = omegas.size
-    t = np.array(convention.step_indices(steps))
-    coins = coin_at_step(theta, np.tile(omegas, 3), t[:, None], convention)
-    starts = np.column_stack((np.eye(2), CoinVector.symmetric().as_array()))
-    amps = _origin_walk(coins, np.repeat(starts, count, axis=1))
-    symmetric = amps[:, steps + 1, 2 * count :]
-    residuals = 1.0 - (np.abs(symmetric[0]) ** 2 + np.abs(symmetric[1]) ** 2)
-    # columns k and count + k: rate k's walks from the two basis coins
-    return [_blocks(amps[..., k : 2 * count : count]) for k in range(count)], residuals
-
-
 def _family(steps: int, convention: StepConvention, lo: float, hi: float) -> list[Fraction]:
     """Sorted fractions p/q = omega / pi in [0, 1/2] of the row's revival family.
 
@@ -155,12 +136,16 @@ def _family(steps: int, convention: StepConvention, lo: float, hi: float) -> lis
 
 def _scan_row(config: SearchConfig, steps: int, theta: float) -> list[RevivalCandidate]:
     lo, hi = config.omega_grid
-    # The batched walk (three starts for each of at most 2T + 4 family points) is
+    # The batched walk (two starts for each of at most 2T + 4 family points) is
     # allocated first: a row too large to walk fails at once, before its O(T) fractions.
-    np.empty((2, 2 * steps + 3, 3 * (2 * steps + 4)), dtype=np.complex128)
+    np.empty((2, 2 * steps + 3, 2 * (2 * steps + 4)), dtype=np.complex128)
     family = _family(steps, config.convention, lo, hi)
     omegas = np.array([math.pi * p.numerator / p.denominator for p in family])
-    blocks, residuals = _family_walk(steps, theta, omegas, config.convention)
+    t = np.array(config.convention.step_indices(steps))
+    blocks = _origin_walk(coin_at_step(theta, omegas, t[:, None], config.convention))
+    # a walk from coin c ends at the origin as W_T[0] c
+    origin = blocks[:, steps] @ CoinVector.symmetric().as_array()
+    residuals = 1.0 - (np.abs(origin[:, 0]) ** 2 + np.abs(origin[:, 1]) ** 2)
     found = []
     for point, omega, walked, residual in zip(family, omegas.tolist(), blocks, residuals.tolist()):
         revival, complete = _verdict(walked)

@@ -194,21 +194,22 @@ def coin_overlap(rho: NDArray[np.complex128], psi: CoinVector) -> float:
 
 
 def _check_density(rho: NDArray[np.complex128], label: str) -> None:
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
+    # rho and rho^dagger both vanish off the rows and columns where rho holds a
+    # non-zero entry, so every check decides on that support block alone.
+    # H is PSD down to -PSD_TOL when H + PSD_TOL * I has a Cholesky factor, up to
+    # rounding of order n * eps; eigvalsh, about 3x the cost, runs only to decide
+    # and name the eigenvalue when the factorisation fails
+    support = np.flatnonzero(rho.any(axis=0) | rho.any(axis=1))
+    if support.size < len(rho):
+        rho = rho[np.ix_(support, support)]
+    dagger = rho.conj().T
+    herm = float(np.max(np.abs(rho - dagger), initial=0.0))
     if not herm <= DENSITY_TOL:
         raise ValueError(f"{label} not Hermitian (defect {herm:.3e})")
     trace = complex(np.trace(rho))
     if not abs(trace - 1.0) <= DENSITY_TOL:
         raise ValueError(f"{label} trace deviates from 1 by {abs(trace - 1.0):.3e}")
-    # H is PSD down to -PSD_TOL when H + PSD_TOL * I has a Cholesky factor, up to
-    # rounding of order n * eps; eigvalsh, about 3x the cost, runs only to decide
-    # and name the eigenvalue when the factorisation fails. H is exactly Hermitian,
-    # so H + PSD_TOL * I is block-diagonal, PSD_TOL * I off the support of H, and
-    # both decide on the support block alone
-    herm_part = 0.5 * (rho + rho.conj().T)
-    support = np.flatnonzero(herm_part.any(axis=0))
-    if support.size < len(herm_part):
-        herm_part = herm_part[np.ix_(support, support)]
+    herm_part = 0.5 * (rho + dagger)
     try:
         np.linalg.cholesky(herm_part + PSD_TOL * np.eye(len(herm_part)))
     except np.linalg.LinAlgError:

@@ -167,6 +167,38 @@ def certify(
     return complete
 
 
+def revival_law(steps: int, theta_quarters: int, one_based: bool = True) -> dict[Fraction, bool]:
+    """``{omega / pi: complete}`` of the row's revivals on [0, pi/2] by the closed-form law.
+
+    For even T and theta = theta_quarters * pi / 4. Write omega / pi =
+    k/q in lowest terms and M = 2(T + 2) one-based or 2T zero-based:
+
+    - theta in (pi/2)Z: a revival needs 4 | q. It is complete when q | T,
+      and incomplete when M/q is an odd integer.
+    - theta in pi/4 + (pi/2)Z: it is complete when q | T. One-based only,
+      it is incomplete when q | T + 2 and q does not divide T.
+
+    ``ry(theta + pi/2) = -ry(theta)`` only flips the sign of every coin,
+    so quarters 2 and 3 revive where quarters 0 and 1 do.
+    """
+    if steps < 2 or steps % 2:
+        raise ValueError(f"steps must be even and positive, got {steps}")
+    modulus = 2 * (steps + 2) if one_based else 2 * steps
+    points = {Fraction(k, m) for m in (steps, modulus) for k in range(m // 2 + 1)}
+    law = {}
+    for point in points:
+        q = point.denominator
+        if theta_quarters % 2 == 0:
+            complete = q % 4 == 0 and steps % q == 0
+            incomplete = q % 4 == 0 and modulus // q % 2 == 1
+        else:
+            complete = steps % q == 0
+            incomplete = one_based and (steps + 2) % q == 0
+        if complete or incomplete:
+            law[point] = complete
+    return law
+
+
 def _require(ok, message: str) -> None:
     # an assert statement would vanish under python -O
     if not ok:

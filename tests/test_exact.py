@@ -65,3 +65,12 @@ def test_certificate_refuses_a_wrong_revival_set():
         exact.certify(16, 0, True, true_set - {Fraction(5, 36)})
     with pytest.raises(AssertionError, match="no revival"):
         exact.certify(16, 0, True, true_set | {Fraction(1, 5)})
+
+
+@pytest.mark.parametrize("one_based", [True, False])
+@pytest.mark.parametrize("theta_quarters", [2, 3])
+@pytest.mark.parametrize("steps", [8, 16, 24])
+def test_certificate_proves_the_revival_law(steps, theta_quarters, one_based):
+    # quarters 0 and 1 are proved through the scan in test_search.py
+    law = exact.revival_law(steps, theta_quarters, one_based)
+    assert exact.certify(steps, theta_quarters, one_based, law) == law

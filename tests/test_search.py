@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 
 import exact
 import oracles
-from rampwalk import search
+from rampwalk import evolution, search
 from rampwalk.analysis import _verdict
-from rampwalk.coins import StepConvention
+from rampwalk.coins import StepConvention, coin_at_step
 from rampwalk.evolution import WalkSchedule, propagator_blocks
 from rampwalk.search import (
     CatalogEntry,
@@ -78,17 +79,33 @@ def test_angle_fraction():
     assert angle_fraction(math.pi / 8 + 1e-8) is None
 
 
+def scan_residuals(monkeypatch, steps, theta, convention, points):
+    """The scan row's residual at each of `points`, each taken as a candidate, at any T."""
+    monkeypatch.setattr(search, "_family", lambda *args: points)
+    monkeypatch.setattr(search, "_verdict", lambda blocks: (True, False))
+    found = search._scan_row(SearchConfig(convention=convention), steps, theta)
+    assert [Fraction(*c.omega_rational) for c in found] == points
+    return [c.residual for c in found]
+
+
+# rates off the family of every row tested here, next to the family's own
+OFF_FAMILY = [Fraction(3, 77), Fraction(1, 3000), Fraction(5, 11)]
+
+
 @pytest.mark.parametrize("convention", list(StepConvention))
 @pytest.mark.parametrize("theta", [0.0, math.pi / 4, 0.37])
 @pytest.mark.parametrize("steps", [2, 8, 16, 24])
-def test_family_walk_does_not_depend_on_the_batch(steps, theta, convention):
-    # the scan walks all family points of a row, three starts each, as one batch
-    omegas = np.concatenate([np.linspace(0.0, math.pi / 2, 17), [0.1234, 1.0e-3, 1.4]])
-    blocks, residuals = search._family_walk(steps, theta, omegas, convention)
-    for k, omega in enumerate(omegas):
-        (alone,), (residual,) = search._family_walk(steps, theta, np.array([omega]), convention)
+def test_origin_walk_does_not_depend_on_the_batch(monkeypatch, steps, theta, convention):
+    # the scan walks all family points of a row, two starts each, as one batch
+    points = [Fraction(k, 32) for k in range(17)] + OFF_FAMILY
+    omegas = np.array([math.pi * p.numerator / p.denominator for p in points])
+    t = np.array(convention.step_indices(steps))
+    blocks = evolution._origin_walk(coin_at_step(theta, omegas, t[:, None], convention))
+    residuals = scan_residuals(monkeypatch, steps, theta, convention, points)
+    for k, (point, omega) in enumerate(zip(points, omegas)):
+        (alone,) = evolution._origin_walk(coin_at_step(theta, omega, t, convention))
         assert np.array_equal(blocks[k], alone)
-        assert residuals[k] == residual
+        assert residuals[k] == scan_residuals(monkeypatch, steps, theta, convention, [point])[0]
 
 
 def test_scan_of_one_revival_equals_its_row():
@@ -101,14 +118,16 @@ def test_scan_of_one_revival_equals_its_row():
 
 @pytest.mark.parametrize("convention", list(StepConvention))
 @pytest.mark.parametrize("steps", range(1, 11))
-def test_family_walk_matches_dict_oracle(steps, convention):
-    # odd steps too: the symmetric start's p0 is the residual's complement
-    omegas = np.array([0.0, math.pi / 8, math.pi / 10, 0.3, 1.1])
+def test_scan_residual_matches_dict_oracle(monkeypatch, steps, convention):
+    # odd steps and off-family rates too: the residual is the complement of
+    # the symmetric start's p0
+    points = [Fraction(0), Fraction(1, 8), Fraction(1, 10), Fraction(3, 31), Fraction(8, 23)]
     one_based = convention is StepConvention.ONE_BASED
     for theta in (0.0, math.pi / 4, 0.37):
-        _, residuals = search._family_walk(steps, theta, omegas, convention)
-        for omega, residual in zip(omegas, residuals):
-            expected = oracles.p0_series(theta, float(omega), steps, one_based=one_based)[-1]
+        residuals = scan_residuals(monkeypatch, steps, theta, convention, points)
+        for point, residual in zip(points, residuals):
+            omega = math.pi * point.numerator / point.denominator
+            expected = oracles.p0_series(theta, omega, steps, one_based=one_based)[-1]
             assert abs((1.0 - residual) - expected) <= 1e-12
 
 
@@ -358,17 +377,25 @@ def test_family_explains_every_grid_minimum(steps, theta, convention):
 @pytest.mark.parametrize("convention", list(StepConvention))
 @pytest.mark.parametrize("theta", [0.0, math.pi / 4, math.pi / 8])
 @pytest.mark.parametrize("steps", [8, 16, 24])
-def test_scan_verdicts_equal_propagator_blocks_verdicts(steps, theta, convention):
-    # the scan judges the blocks of its batched walk; they are those of
+def test_scan_verdicts_equal_propagator_blocks_verdicts(monkeypatch, steps, theta, convention):
+    # the scan judges the blocks of its one batched walk; they are those of
     # propagator_blocks bit for bit, so every verdict is classify's
+    walks = []
+
+    def recording(coins):
+        walks.append(evolution._origin_walk(coins))
+        return walks[-1]
+
+    monkeypatch.setattr(search, "_origin_walk", recording)
     config = SearchConfig(step_counts=(steps,), theta_values=(theta,), convention=convention)
     found = scan(config)
     lo, hi = config.omega_grid
     family = search._family(steps, convention, lo, hi)
-    omegas = np.array([math.pi * p.numerator / p.denominator for p in family])
-    batched, _ = search._family_walk(steps, theta, omegas, convention)
+    (batched,) = walks
+    assert len(batched) == len(family)
     revivals = []
-    for point, omega, walked in zip(family, omegas.tolist(), batched):
+    for point, walked in zip(family, batched):
+        omega = math.pi * point.numerator / point.denominator
         blocks = propagator_blocks(WalkSchedule(theta, omega, steps, convention))
         assert np.array_equal(walked, blocks)
         revival, complete = _verdict(blocks)
@@ -411,3 +438,35 @@ def test_scan_equals_the_certified_revival_set(steps, theta_quarters, convention
     found = {Fraction(*c.omega_rational): c.complete for c in scan(config)}
     one_based = convention is StepConvention.ONE_BASED
     assert exact.certify(steps, theta_quarters, one_based, found) == found
+
+
+@pytest.mark.parametrize("convention", list(StepConvention))
+@pytest.mark.parametrize("theta_quarters", [0, 1, 2, 3])
+def test_scan_follows_the_revival_law(theta_quarters, convention):
+    # the candidate set and its completeness flags, not the residual digits
+    one_based = convention is StepConvention.ONE_BASED
+    for steps in range(2, 49, 2):
+        config = SearchConfig(
+            step_counts=(steps,), theta_values=(theta_quarters * math.pi / 4,), convention=convention
+        )
+        found = {Fraction(*c.omega_rational): c.complete for c in scan(config)}
+        assert found == exact.revival_law(steps, theta_quarters, one_based), steps
+
+
+def test_scan_row_memory_is_bounded_by_the_two_start_walk():
+    # the row's walk holds a coin stack no larger than the two-start (T, 2G, 2, 2)
+    # and, while it steps, at most three amplitude arrays of shape (2, 2T + 3, 2G):
+    # the current ones, the next step's and its product temporaries
+    steps, theta = 96, math.pi / 4
+    config = SearchConfig(step_counts=(steps,), theta_values=(theta,))
+    count = len(search._family(steps, config.convention, *config.omega_grid))
+    amplitudes = 2 * (2 * steps + 3) * 2 * count * 16
+    coin_stack = steps * 2 * count * 4 * 16
+    tracemalloc.start()
+    try:
+        found = scan(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found
+    assert peak < 3 * amplitudes + coin_stack

@@ -149,6 +149,13 @@ def test_density_matrix_validation():
     skew[0, 1] = 1.0
     with pytest.raises(ValueError):
         WalkerCoinDensityMatrix(lat, skew)  # not Hermitian
+    # rho[5, 1] != 0 = rho[1, 5], and rows and columns 1 and 5 hold nothing else:
+    # the check crops to every row and column of rho with a non-zero entry
+    one_sided = np.zeros((dim, dim), dtype=complex)
+    one_sided[0, 0] = one_sided[3, 3] = 0.5
+    one_sided[5, 1] = 1e-3
+    with pytest.raises(ValueError, match=r"not Hermitian \(defect 1.000e-03\)"):
+        WalkerCoinDensityMatrix(lat, one_sided)
     negative = np.zeros((dim, dim), dtype=complex)
     negative[0, 0] = 1.5
     negative[1, 1] = -0.5
