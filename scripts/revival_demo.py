@@ -11,7 +11,6 @@ import sys
 
 from rampwalk.analysis import classify
 from rampwalk.evolution import WalkSchedule, bisect_visibility
-from rampwalk.states import CoinVector, Lattice, density_from_pure, initial_state
 
 
 def main() -> int:
@@ -34,9 +33,8 @@ def main() -> int:
     for visibility in (1.0, 0.996, 0.99, 0.95, 0.9):
         p0 = classify(schedule.with_visibility(visibility)).origin_probability
         print(f"  visibility {visibility:5.3f}  ->  p0(8) = {p0:.6f}")
-    rho0 = density_from_pure(initial_state(Lattice.for_steps(8), CoinVector.symmetric()))
     target = 0.918
-    visibility, achieved = bisect_visibility(schedule, rho0, target)
+    visibility, achieved = bisect_visibility(schedule, target)
     print(f"  visibility {visibility:.5f} reproduces p0(8) = {achieved:.5f} "
           f"(target {target})")
     return 0

@@ -11,7 +11,6 @@ from .coins import (
     StepConvention,
     coin_at_step,
     equal_up_to_global_phase,
-    rx,
     ry,
 )
 from .states import (
@@ -78,7 +77,6 @@ __all__ = [
     "position_distribution",
     "propagator_blocks",
     "reduced_coin_state",
-    "rx",
     "ry",
     "run_walk",
     "scan",

@@ -19,14 +19,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .coins import equal_up_to_global_phase
-from .evolution import WalkSchedule, propagator_blocks, run_walk
+from .evolution import WalkSchedule, propagator_blocks, run_walk, symmetric_start
 from .states import (
     CoinVector,
-    Lattice,
     PositionDistribution,
     WalkerState,
     coin_overlap,
-    initial_state,
     position_distribution,
     reduced_coin_state,
 )
@@ -151,8 +149,7 @@ def classify(schedule: WalkSchedule) -> RevivalReport:
     report rather than walk themselves.
     """
     initial_coin = CoinVector.symmetric()
-    lattice = Lattice.for_steps(schedule.steps)
-    start = initial_state(lattice, initial_coin)
+    start = symmetric_start(schedule.steps)
     start_distribution = position_distribution(start)
     distributions, final = run_walk(start, schedule)
     final_distribution = position_distribution(final)

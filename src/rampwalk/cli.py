@@ -23,7 +23,7 @@ import numpy as np
 
 from .analysis import MAX_STRING_STEPS, classify, effective_coin_balanced_strings, tv_distance
 from .coins import StepConvention
-from .evolution import WalkSchedule, bisect_visibility
+from .evolution import WalkSchedule, bisect_visibility, symmetric_start
 from .search import (
     RevivalCandidate,
     SearchConfig,
@@ -36,14 +36,7 @@ from .search import (
     typed_field,
     verify_table,
 )
-from .states import (
-    CoinVector,
-    Lattice,
-    density_from_pure,
-    initial_state,
-    position_distribution,
-    reduced_coin_state,
-)
+from .states import position_distribution, reduced_coin_state
 
 
 def _parse_angle(text: str, radians: bool) -> float:
@@ -96,7 +89,7 @@ def cmd_walk(
     report = classify(schedule)
     lattice = report.final.lattice
     distributions = report.distributions
-    start_distribution = position_distribution(initial_state(lattice, report.initial_coin))
+    start_distribution = position_distribution(symmetric_start(schedule.steps))
 
     if csv_out is not None:
         buffer = io.StringIO()
@@ -202,9 +195,7 @@ def cmd_noise_sweep(
         )
     doc = {**_schedule_doc(schedule), "rows": rows}
     if target_p0 is not None:
-        lattice = Lattice.for_steps(schedule.steps)
-        start = density_from_pure(initial_state(lattice, CoinVector.symmetric()))
-        visibility, achieved = bisect_visibility(schedule, start, target_p0)
+        visibility, achieved = bisect_visibility(schedule, target_p0)
         doc["calibration"] = {
             "target_origin_probability": float(target_p0),
             "visibility": float(visibility),

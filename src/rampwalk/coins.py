@@ -41,28 +41,6 @@ class StepConvention(Enum):
         return 1 if self is StepConvention.ONE_BASED else 0
 
 
-def _cos_sin_double(phi) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """``cos 2phi`` and ``sin 2phi`` of an angle or array of angles; raises unless 2 phi is finite."""
-    half = np.asarray(phi, dtype=np.float64)
-    finite = np.abs(half) <= _MAX_HALF_ANGLE  # false for NaN, infinities and overflow of 2 phi
-    if not finite.all():
-        raise ValueError(f"rotation angle must be finite, got {float(half[~finite][0])!r}")
-    angle = 2.0 * half
-    return np.cos(angle), np.sin(angle)
-
-
-def rx(phi) -> CoinOperator:
-    """Rotation about x by nominal angle phi; an array of angles gives a (..., 2, 2) stack.
-
-    Returns ``[[cos 2phi, i sin 2phi], [i sin 2phi, cos 2phi]]``.
-    """
-    c, s = _cos_sin_double(phi)
-    out = np.empty(c.shape + (2, 2), dtype=np.complex128)
-    out[..., 0, 0] = out[..., 1, 1] = c
-    out[..., 0, 1] = out[..., 1, 0] = 1j * s
-    return out
-
-
 def ry(theta: float) -> CoinOperator:
     """Rotation about y by nominal angle theta.
 
@@ -83,9 +61,11 @@ def coin_at_step(
 ) -> CoinOperator:
     """Coin ``rx(omega * t) @ ry(theta)``; arrays of steps or ramp rates give their stack.
 
-    The ``(..., 2, 2)`` stack is written entry by entry from ``c, s = cos,
-    sin(2 omega t)`` and ``cy, sy = cos, sin(2 theta)``, computed as
-    :func:`rx` and :func:`ry` compute them:
+    ``rx(phi)`` is the rotation about x by nominal angle phi,
+    ``[[cos 2phi, i sin 2phi], [i sin 2phi, cos 2phi]]``. The
+    ``(..., 2, 2)`` stack is written entry by entry from ``c, s = cos,
+    sin(2 omega t)`` and ``cy, sy = cos, sin(2 theta)``, the latter as
+    :func:`ry` computes them:
 
         [[c cy + i s sy,  -c sy + i s cy],
          [c sy + i s cy,   c cy - i s sy]]
@@ -103,8 +83,12 @@ def coin_at_step(
             f"step index {t[early].flat[0]} is not valid under {convention.value} indexing"
         )
     with np.errstate(over="ignore"):
-        phi = np.multiply(omega, t, dtype=np.float64)
-    c, s = _cos_sin_double(phi)
+        phi = np.asarray(np.multiply(omega, t, dtype=np.float64))
+    finite = np.abs(phi) <= _MAX_HALF_ANGLE  # false for NaN, infinities and overflow of 2 phi
+    if not finite.all():
+        raise ValueError(f"rotation angle must be finite, got {float(phi[~finite][0])!r}")
+    angle = 2.0 * phi
+    c, s = np.cos(angle), np.sin(angle)
     (cy, minus_sy), (sy, _) = ry(theta).real
     out = np.empty(c.shape + (2, 2), dtype=np.complex128)
     re, im = out.real, out.imag

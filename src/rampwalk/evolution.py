@@ -37,11 +37,13 @@ support; a thresholded support would drop tiny entries that the
 full-lattice walk keeps, and the result would no longer match that
 walk bit for bit. :func:`run_walk` returns only the (T, n) stack of
 distributions and the final state, so it keeps no trajectory; the
-state after step k is the final state of the k-step walk. The probes
-of :func:`bisect_visibility`, a bracketing regula falsi on the
-visibility, need only the final origin probability, so they step the
-same density step on the one class that reaches the origin, cropped
-after every step to the sites that can still reach it.
+state after step k is the final state of the k-step walk.
+:func:`bisect_visibility`, a bracketing regula falsi on the visibility,
+calibrates the walk that ``classify`` summarises, from
+:func:`symmetric_start`. Its probes need only the final origin
+probability, so they step the same density step on the start's coin
+block at the origin, cropped after every step to the sites that can
+still reach it.
 """
 
 from __future__ import annotations
@@ -56,12 +58,14 @@ from numpy.typing import NDArray
 
 from .coins import StepConvention, coin_at_step
 from .states import (
+    CoinVector,
     Lattice,
     PositionDistribution,
     WalkerCoinDensityMatrix,
     WalkerCoinPureState,
     WalkerState,
     density_from_pure,
+    initial_state,
     position_distribution,
 )
 
@@ -239,9 +243,9 @@ def _class_steps(
     channel's exact action (``x * 1.0 == x``). The shift then writes the
     four coin blocks of ``p`` into a new zeroed block one row and one
     column longer, whose bases sit one site lower: plus rows move up one
-    compact index and minus rows stay, and columns alike. The crop drops
-    what left the lattice, as the full-lattice walk does, and for a
-    probe also what can no longer reach the origin.
+    compact index and minus rows stay, and columns alike. For a walk the
+    crop drops what left the lattice, as the full-lattice walk does; for
+    a probe it keeps only what can still reach the origin.
 
     Every entry goes through the products of :func:`_coin_and_shift`
     applied to the rows and then the columns: the coin entry as the
@@ -276,37 +280,26 @@ def _class_steps(
         yield classes
 
 
-def _origin_classes(rho: WalkerCoinDensityMatrix, steps: int) -> list[ParityClass]:
-    """The part of rho that reaches the origin's populations in `steps` steps.
+def _probe_origin_probability(schedule: WalkSchedule, block: NDArray[np.complex128]) -> float:
+    """Final origin probability of the dephased walk from a start at the origin alone, unvalidated.
 
-    That is the diagonal class whose sites have the origin's parity
-    after the steps, cropped to the sites within `steps` of the origin:
-    one class, or none when rho cannot reach the origin.
+    ``block`` is the start's (2, 2) coin block at the origin, its one
+    parity class. Site indices count from the origin. A walk of
+    odd T cannot return and has p0 0. Step k of T keeps only the sites
+    within T - k of the origin, those that can still reach it, so the
+    last step leaves only the origin's entry; this diamond lies within T
+    of the origin, so on ``Lattice.for_steps(T)`` it never reaches the
+    guard band. That entry is the full-lattice walk's bit for bit, so
+    the result equals the final p0 of :func:`run_walk`.
     """
-    origin = rho.lattice.index(0)
-    parity = (origin + steps) % 2
-    reach = (origin - steps, origin + steps)
-    cropped = [_crop(*c, *reach) for c in _classes(rho) if c[1] % 2 == c[2] % 2 == parity]
-    return [c for c in cropped if c[0].size]
-
-
-def _probe_origin_probability(
-    classes: list[ParityClass], schedule: WalkSchedule, lattice: Lattice
-) -> float:
-    """Final origin probability of the dephased walk of ``_origin_classes(rho, steps)``, unvalidated.
-
-    Step k of T keeps only the sites of the lattice within T - k of the
-    origin, those that can still reach it, so the last step leaves at
-    most the origin's entry. That entry is the full-lattice walk's bit
-    for bit, so the result equals the final p0 of :func:`run_walk`. A
-    start that cannot reach the origin (no class) has p0 0. The caller
-    checks the reach.
-    """
-    origin, n, steps = lattice.index(0), lattice.size, schedule.steps
-    crops = [(max(origin - steps + k, 0), min(origin + steps - k, n - 1)) for k in range(1, steps + 1)]
-    for classes in _class_steps(classes, schedule, crops):
+    steps = schedule.steps
+    if steps % 2:
+        return 0.0
+    classes = [(block[:, :, None, None], 0, 0)]
+    for classes in _class_steps(classes, schedule, [(k - steps, steps - k) for k in range(1, steps + 1)]):
         pass
-    return sum((float(w[0, 0, 0, 0].real + w[1, 1, 0, 0].real) for w, _, _ in classes if w.size), 0.0)
+    ((w, _, _),) = classes
+    return float(w[0, 0, 0, 0].real + w[1, 1, 0, 0].real)
 
 
 def run_walk(
@@ -354,13 +347,20 @@ def run_walk(
     return PositionDistribution(start.lattice, probs), final
 
 
+def symmetric_start(steps: int) -> WalkerCoinPureState:
+    """The symmetric coin at the origin of ``Lattice.for_steps(steps)``.
+
+    The one start of ``analysis.classify`` and of :func:`bisect_visibility`.
+    """
+    return initial_state(Lattice.for_steps(steps), CoinVector.symmetric())
+
+
 def bisect_visibility(
     schedule: WalkSchedule,
-    initial: WalkerCoinDensityMatrix,
     target_origin_probability: float,
     tol: float = 1e-4,
 ) -> tuple[float, float]:
-    """Visibility whose final origin probability matches the target within tol.
+    """Visibility at which the walk from :func:`symmetric_start` returns with the target p0, within tol.
 
     The final origin probability p0, a polynomial in the visibility,
     must straddle the target between visibilities 0 and 1. The search
@@ -372,25 +372,30 @@ def bisect_visibility(
     that is not positive). A probe stays ``PROBE_MARGIN`` of the bracket
     width inside either end. A probe after two that have not halved the
     bracket (those at 0 and 1 leave width 1) takes its midpoint, unscaled,
-    which bounds the probes where p0 is flat over most of [0, 1]. Each
-    probe reads p0 from :func:`_probe_origin_probability` on the classes
-    of :func:`_origin_classes`, extracted once up front, and validates
-    nothing. The chosen visibility, an end
-    point included, is then walked once by :func:`run_walk`, which
-    validates the final state; its p0 must equal the probe's (else
-    RuntimeError) and is the one returned. Returns (visibility, origin probability).
-    Raises :class:`BoundaryOverflowError` before any probe.
+    which bounds the probes where p0 is flat over most of [0, 1]. The
+    start and its density matrix are built once, before any probe, so a
+    walk too large for memory fails at once. Each probe reads p0 from
+    :func:`_probe_origin_probability` on the start's coin block at the
+    origin and validates nothing. The chosen visibility, an end point
+    included, is then walked once from the density matrix by
+    :func:`run_walk`, which validates the final state; its final p0 must
+    equal the probe's (else RuntimeError) and is the one returned.
+    Returns (visibility, origin probability). Raises ValueError for a
+    walk of no steps.
     """
-    _check_reach(initial.lattice, position_distribution(initial).probabilities, schedule.steps)
-    classes = _origin_classes(initial, schedule.steps)
+    if schedule.steps < 1:
+        raise ValueError(f"calibration needs at least one step, got {schedule.steps}")
+    start = density_from_pure(symmetric_start(schedule.steps))
+    origin = 2 * start.lattice.index(0)  # the row and column of the origin's plus coin
+    block = start.matrix[origin : origin + 2, origin : origin + 2]
     target = target_origin_probability
 
     def p0_at(v: float) -> float:
-        return _probe_origin_probability(classes, schedule.with_visibility(v), initial.lattice)
+        return _probe_origin_probability(schedule.with_visibility(v), block)
 
     def validated(v: float, probed: float) -> tuple[float, float]:
-        _, final = run_walk(initial, schedule.with_visibility(v))
-        p0 = position_distribution(final).at_site(0)
+        distributions, _ = run_walk(start, schedule.with_visibility(v))
+        p0 = float(distributions.at_site(0)[-1])
         if p0 != probed:
             raise RuntimeError(f"probe p0 {probed!r} differs from the walk's {p0!r} at visibility {v!r}")
         return v, p0

@@ -123,8 +123,13 @@ def _family(steps: int, convention: StepConvention, lo: float, hi: float) -> lis
     convention and q | 2T in the zero-based one, so the family is k/m
     for those m. For theta / pi in Z/4 and T <= 32 the revivals of the
     family are the row's whole revival set on [0, pi/2], as the integer
-    polynomial certificate in ``tests/exact.py`` proves. A point is kept
-    when its ramp rate ``pi * p / q`` lies in [lo, hi].
+    polynomial certificate in ``tests/exact.py`` proves. Which family
+    points revive there follows the closed-form law
+    ``tests/exact.revival_law``, to which tier-1 pins the scan, candidates
+    and completeness flags, for every even T up to 48, theta in
+    (pi/4)Z and both conventions. The family stays the superset the scan
+    verifies, so a theta outside (pi/4)Z still gets a verdict. A point
+    is kept when its ramp rate ``pi * p / q`` lies in [lo, hi].
     """
     if convention is StepConvention.ONE_BASED:
         moduli = (steps, 2 * (steps + 2))

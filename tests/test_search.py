@@ -131,6 +131,20 @@ def test_scan_residual_matches_dict_oracle(monkeypatch, steps, convention):
             assert abs((1.0 - residual) - expected) <= 1e-12
 
 
+@pytest.mark.parametrize("one_based", [True, False])
+def test_origin_probability_does_not_depend_on_the_start_coin(one_based):
+    # so the scan's residual, read for the symmetric coin, holds for every start coin
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        theta, omega = rng.uniform(-3.0, 3.0, 2)
+        steps = int(rng.integers(1, 25))
+        z = rng.normal(size=2) + 1j * rng.normal(size=2)
+        z /= np.linalg.norm(z)
+        coins = [(1.0, 0.0), (0.0, 1.0), oracles.SYMMETRIC, (complex(z[0]), complex(z[1]))]
+        series = [oracles.p0_series(theta, omega, steps, coin, one_based) for coin in coins]
+        assert np.max(np.abs(np.array(series[1:]) - series[0])) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "theta, expected",
     [
