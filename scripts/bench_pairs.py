@@ -5,7 +5,8 @@
         --pairs dephasing_calibration=10 --pairs revival_scan=3 [--traced WORKLOAD ...]
 
 PARENT and CHANGE are checkouts, each with its own ``bench/run.py``,
-``BENCHMARK.json`` and ``src/``; give them paths of equal length. For
+``BENCHMARK.json`` and ``src/``, whose resolved paths must have equal
+length: the peak RSS of a run moves with the path's length. For
 every workload ``W=N``, seeds 1 to N each run once per tree with
 ``--trace 0``, back to back, the parent first on odd seeds and the
 change first on even ones. Seed 1 of every ``--traced`` workload also
@@ -141,6 +142,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--traced", action="append", default=[], metavar="WORKLOAD")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if len(str(trees["parent"])) != len(str(trees["change"])):
+        parser.error(f"PARENT and CHANGE must resolve to paths of equal length, got "
+                     f"{trees['parent']} and {trees['change']}")
     config = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
 
     counts = dict(args.pairs)

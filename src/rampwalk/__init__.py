@@ -20,13 +20,11 @@ from .states import (
     WalkerCoinDensityMatrix,
     WalkerCoinPureState,
     coin_overlap,
-    density_from_pure,
     initial_state,
     position_distribution,
     reduced_coin_state,
 )
 from .evolution import (
-    BoundaryOverflowError,
     WalkSchedule,
     bisect_visibility,
     propagator_blocks,
@@ -50,7 +48,6 @@ from .search import (
 )
 
 __all__ = [
-    "BoundaryOverflowError",
     "CatalogEntry",
     "CoinOperator",
     "CoinVector",
@@ -68,7 +65,6 @@ __all__ = [
     "classify",
     "coin_at_step",
     "coin_overlap",
-    "density_from_pure",
     "effective_coin_balanced_strings",
     "equal_up_to_global_phase",
     "initial_state",

@@ -115,18 +115,16 @@ def _verdict(blocks: NDArray[np.complex128]) -> tuple[bool, bool]:
 
 @dataclass(frozen=True)
 class RevivalReport:
-    """Diagnostics for one schedule started from a localized state.
+    """Diagnostics for one schedule started from the symmetric coin at the origin.
 
     ``distributions`` stacks the position distributions, one row per step,
     and ``final`` is the last state. ``overlap_initial`` is the overlap of
-    the final reduced coin state with the initial coin; ``overlap_predicted``
+    the final reduced coin state with the start coin; ``overlap_predicted``
     uses the coin predicted by the effective coin map and is NaN when that
     prediction has vanishing norm. Operator-level fields describe the noiseless walk
     even when the schedule carries a visibility below 1.
     """
 
-    schedule: WalkSchedule
-    initial_coin: CoinVector
     origin_probability: float
     tv_distance: float
     polya_truncated: float
@@ -149,9 +147,8 @@ def classify(schedule: WalkSchedule) -> RevivalReport:
     report rather than walk themselves.
     """
     initial_coin = CoinVector.symmetric()
-    start = symmetric_start(schedule.steps)
-    start_distribution = position_distribution(start)
-    distributions, final = run_walk(start, schedule)
+    start_distribution = position_distribution(symmetric_start(schedule.steps))
+    distributions, final = run_walk(schedule)
     final_distribution = position_distribution(final)
 
     blocks = propagator_blocks(schedule)
@@ -171,8 +168,6 @@ def classify(schedule: WalkSchedule) -> RevivalReport:
             )
 
     return RevivalReport(
-        schedule=schedule,
-        initial_coin=initial_coin,
         origin_probability=final_distribution.at_site(0),
         tv_distance=tv_distance(final_distribution, start_distribution),
         polya_truncated=polya_number(distributions.at_site(0)),

@@ -13,12 +13,13 @@ Every pure walk in the package runs through one batched step routine,
 (..., 2, n, G) (coin, site, then a batch of G walks) under the coin
 stack of :meth:`WalkSchedule.coins`, built once per walk. The dephased
 walk runs through one density step, :func:`_class_steps`, which
-applies the coin pair to each parity class of rho in one pass and then
+applies the coin pair to one parity class of rho in one pass and then
 shifts it, with the same products as :func:`_coin_and_shift` on the
-rows and then the columns. Every walk of a start state goes through
-:func:`run_walk`. A density matrix, or a pure state below visibility 1,
-follows each unitary step with a coin dephasing channel of strength set
-by the schedule visibility:
+rows and then the columns. Every walk of a state goes through
+:func:`run_walk`, from its one start, :func:`symmetric_start`: the
+symmetric coin at the origin of ``Lattice.for_steps(T)``. Below
+visibility 1 the walk is dephased: each unitary step is followed by a
+coin dephasing channel of strength set by the schedule visibility:
 
     rho -> (1 + v)/2 * rho + (1 - v)/2 * (I x Z) rho (I x Z)
 
@@ -28,19 +29,16 @@ visibility 1 reproduces unitary evolution and visibility 0 removes all
 coin coherence after every step. Every step moves the walker by
 exactly one site, so entry rho[(x, i), (y, j)] of parity class
 (x mod 2, y mod 2) moves to class (1 - x mod 2, 1 - y mod 2): the
-classes never mix, and a walk from one site lights only one of them,
-a quarter of its light cone. The dephased walk steps each class of
-the start that holds a non-zero entry as one compact block on its
-own light cone, and builds the public (2n, 2n) matrix only for the
-final state. The classes are cropped to the start's exact non-zero
-support; a thresholded support would drop tiny entries that the
-full-lattice walk keeps, and the result would no longer match that
-walk bit for bit. :func:`run_walk` returns only the (T, n) stack of
+classes never mix, and the walk from the origin lights only one of
+them, a quarter of its light cone. The dephased walk steps that class
+as one compact block and builds the public (2n, 2n) matrix only for
+the final state. The light cone and the guard band of
+``Lattice.for_steps(T)`` always fit the lattice, so no walk checks its
+reach. :func:`run_walk` returns only the (T, n) stack of
 distributions and the final state, so it keeps no trajectory; the
 state after step k is the final state of the k-step walk.
 :func:`bisect_visibility`, a bracketing regula falsi on the visibility,
-calibrates the walk that ``classify`` summarises, from
-:func:`symmetric_start`. Its probes need only the final origin
+calibrates the same walk. Its probes need only the final origin
 probability, so they step the same density step on the start's coin
 block at the origin, cropped after every step to the sites that can
 still reach it.
@@ -64,18 +62,11 @@ from .states import (
     WalkerCoinDensityMatrix,
     WalkerCoinPureState,
     WalkerState,
-    density_from_pure,
     initial_state,
-    position_distribution,
 )
 
-BOUNDARY_LEAK_TOL = 1e-14
 BISECT_MAX_ROUNDS = 200
 PROBE_MARGIN = 0.02
-
-
-class BoundaryOverflowError(RuntimeError):
-    """Amplitude would leave the lattice; use a wider lattice instead."""
 
 
 @dataclass(frozen=True)
@@ -131,7 +122,7 @@ def _coin_and_shift(
     coin axis. Amplitude shifted past either edge is dropped, and the
     two rows nothing shifts into (plus at the first site, minus at the
     last) are zero, so callers keep the support one site inside the
-    lattice (see :func:`_check_reach`).
+    lattice, as the guard band of ``Lattice.for_steps(T)`` does.
     """
     # (G,) per entry for a stack, a scalar for one coin: broadcasts over (..., n, G)
     c00, c01, c10, c11 = coins.reshape(*coins.shape[:-2], 4).T
@@ -146,20 +137,6 @@ def _coin_and_shift(
     down += c11 * minus[..., 1:, :]
     out[..., 0, 0, :] = out[..., 1, -1, :] = 0.0
     return out
-
-
-def _check_reach(lattice: Lattice, populations: NDArray[np.float64], steps: int) -> None:
-    """Raise unless the occupied sites plus `steps` stay one site inside the lattice."""
-    occupied = np.nonzero(populations > BOUNDARY_LEAK_TOL)[0]
-    lowest = highest = 0
-    if occupied.size:
-        sites = lattice.sites()
-        lowest, highest = int(sites[occupied[0]]), int(sites[occupied[-1]])
-    if highest + steps > lattice.max_site - 1 or lowest - steps < lattice.min_site + 1:
-        raise BoundaryOverflowError(
-            f"support [{lowest}, {highest}] plus {steps} steps exceeds "
-            f"lattice [{lattice.min_site}, {lattice.max_site}]"
-        )
 
 
 def _origin_walk(coins: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -193,59 +170,27 @@ def propagator_blocks(schedule: WalkSchedule) -> NDArray[np.complex128]:
     return _origin_walk(schedule.coins())[0]
 
 
-ParityClass = tuple[NDArray[np.complex128], int, int]  # (w, bx, by), see _classes
-
-
-def _classes(rho: WalkerCoinDensityMatrix) -> list[ParityClass]:
-    """The parity classes of rho that hold a non-zero entry, as ``(w, bx, by)``.
-
-    Entry rho[(x, i), (y, j)] belongs to class (x mod 2, y mod 2) of the
-    site indices. A class is the new contiguous block
-    ``w[i, j, u, v]`` = rho[(bx + 2u, i), (by + 2v, j)], cropped to the
-    rows and columns of the class that hold a non-zero entry. The
-    support is exact, not thresholded as in :func:`_check_reach`: a
-    thresholded support would drop tiny entries that the full-lattice
-    walk keeps.
-    """
-    n = rho.lattice.size
-    r = rho.matrix.reshape(n, 2, n, 2)
-    classes = []
-    for p in (0, 1):
-        for q in (0, 1):
-            w = r[p::2, :, q::2, :].transpose(1, 3, 0, 2)
-            rows, cols = np.flatnonzero(w.any(axis=(0, 1, 3))), np.flatnonzero(w.any(axis=(0, 1, 2)))
-            if rows.size:
-                block = np.ascontiguousarray(w[:, :, rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1])
-                classes.append((block, p + 2 * int(rows[0]), q + 2 * int(cols[0])))
-    return classes
-
-
-def _crop(w: NDArray[np.complex128], bx: int, by: int, lo: int, hi: int) -> ParityClass:
-    """The class ``(w, bx, by)`` on the site indices [lo, hi] only, rows and columns alike."""
-    a, b = max((lo - bx + 1) // 2, 0), max((hi - bx) // 2 + 1, 0)
-    c, d = max((lo - by + 1) // 2, 0), max((hi - by) // 2 + 1, 0)
-    return w[:, :, a:b, c:d], bx + 2 * a, by + 2 * c
-
-
 def _class_steps(
-    classes: list[ParityClass], schedule: WalkSchedule, crops: list[tuple[int, int]]
-) -> Iterator[list[ParityClass]]:
-    """The dephased walk of the parity classes of :func:`_classes`, one list per step.
+    w: NDArray[np.complex128], schedule: WalkSchedule, diamond: bool = False
+) -> Iterator[NDArray[np.complex128]]:
+    """The dephased walk of one parity class of rho from the origin, one block per step.
 
-    One step maps class (p, q) to (1 - p, 1 - q), so the classes never
-    mix and each walks alone. Step k yields the new classes cropped to
-    the site indices ``crops[k - 1]`` = (lo, hi). One class step applies
-    the coin pair to the whole block, with no shift yet: the right
-    product ``h[i, j, u, v]`` takes the conjugate coin on the column coin
-    j (the shift is real, so that is ``rho U^dagger``), and the left
-    product ``p[i, j, u, v]`` the coin on the row coin i. Dephasing
-    multiplies ``p`` by ``[[1, v], [v, 1]]`` over the coins, the
-    channel's exact action (``x * 1.0 == x``). The shift then writes the
-    four coin blocks of ``p`` into a new zeroed block one row and one
-    column longer, whose bases sit one site lower: plus rows move up one
-    compact index and minus rows stay, and columns alike. For a walk the
-    crop drops what left the lattice, as the full-lattice walk does; for
-    a probe it keeps only what can still reach the origin.
+    ``w[i, j, u, v]`` is rho[(b + 2u, i), (b + 2v, j)], on the sites of
+    the class from b upwards, rows and columns alike; one step maps class
+    (p, q) to (1 - p, 1 - q), so the class walks alone. One class step
+    applies the coin pair to the whole block, with no shift yet: the
+    right product ``h[i, j, u, v]`` takes the conjugate coin on the
+    column coin j (the shift is real, so that is ``rho U^dagger``), and
+    the left product ``p[i, j, u, v]`` the coin on the row coin i.
+    Dephasing multiplies ``p`` by ``[[1, v], [v, 1]]`` over the coins,
+    the channel's exact action (``x * 1.0 == x``). The shift then writes
+    the four coin blocks of ``p`` into a new zeroed block one row and
+    one column longer, whose base sits one site lower: plus rows move up
+    one compact index and minus rows stay, and columns alike. From the
+    origin's (2, 2, 1, 1) block, step k yields the light cone's sites
+    -k, -k + 2, ..., k. With ``diamond``, step k of T keeps only the
+    sites within T - k of the origin, those that can still reach it:
+    once the block is wider than that, one site goes from each end.
 
     Every entry goes through the products of :func:`_coin_and_shift`
     applied to the rows and then the columns: the coin entry as the
@@ -256,103 +201,106 @@ def _class_steps(
     order, and probe and walk, whose crops differ, then round
     differently.
     """
-    v = schedule.visibility
+    steps, v = schedule.steps, schedule.visibility
     dephasing = np.array([[1.0, v], [v, 1.0]])[:, :, None, None]
     coins = schedule.coins()
     rc = coins.conj()[:, None, :, :, None, None]  # rc[t, 0, j', j] = conj(coin[j', j])
     lc = coins[:, :, None, :, None, None]  # lc[t, i', 0, i] = coin[i', i]
-    for right, left, (lo, hi) in zip(rc, lc, crops):
-        stepped = []
-        for w, bx, by in classes:
-            f = w[:, None]  # f[i, 0, j, u, v]
-            h = right[:, :, 0] * f[:, :, 0]
-            h += right[:, :, 1] * f[:, :, 1]
-            p = left[:, :, 0] * h[None, 0]
-            p += left[:, :, 1] * h[None, 1]
-            p *= dephasing
-            out = np.zeros((2, 2, w.shape[2] + 1, w.shape[3] + 1), dtype=np.complex128)
-            out[0, 0, 1:, 1:] = p[0, 0]
-            out[0, 1, 1:, :-1] = p[0, 1]
-            out[1, 0, :-1, 1:] = p[1, 0]
-            out[1, 1, :-1, :-1] = p[1, 1]
-            stepped.append(_crop(out, bx - 1, by - 1, lo, hi))
-        classes = stepped
-        yield classes
+    for k, (right, left) in enumerate(zip(rc, lc), start=1):
+        f = w[:, None]  # f[i, 0, j, u, v]
+        h = right[:, :, 0] * f[:, :, 0]
+        h += right[:, :, 1] * f[:, :, 1]
+        p = left[:, :, 0] * h[None, 0]
+        p += left[:, :, 1] * h[None, 1]
+        p *= dephasing
+        m = w.shape[2] + 1
+        w = np.zeros((2, 2, m, m), dtype=np.complex128)
+        w[0, 0, 1:, 1:] = p[0, 0]
+        w[0, 1, 1:, :-1] = p[0, 1]
+        w[1, 0, :-1, 1:] = p[1, 0]
+        w[1, 1, :-1, :-1] = p[1, 1]
+        if diamond and m > steps - k + 1:
+            w = w[:, :, 1:-1, 1:-1]
+        yield w
+
+
+def _origin_block(start: WalkerCoinPureState) -> NDArray[np.complex128]:
+    """The (2, 2) coin block ``c c^dagger`` of a start at the origin, its one parity class."""
+    c = start.amplitudes[start.lattice.index(0)]
+    return np.outer(c, c.conj())
 
 
 def _probe_origin_probability(schedule: WalkSchedule, block: NDArray[np.complex128]) -> float:
     """Final origin probability of the dephased walk from a start at the origin alone, unvalidated.
 
-    ``block`` is the start's (2, 2) coin block at the origin, its one
-    parity class. Site indices count from the origin. A walk of
-    odd T cannot return and has p0 0. Step k of T keeps only the sites
-    within T - k of the origin, those that can still reach it, so the
-    last step leaves only the origin's entry; this diamond lies within T
-    of the origin, so on ``Lattice.for_steps(T)`` it never reaches the
-    guard band. That entry is the full-lattice walk's bit for bit, so
-    the result equals the final p0 of :func:`run_walk`.
+    ``block`` is the start's (2, 2) coin block at the origin. A walk of
+    odd T cannot return and has p0 0. The probe steps the block on the
+    diamond of :func:`_class_steps`, so the last step leaves only the
+    origin's entry. That entry is the light-cone walk's bit for bit, so
+    the result equals the final p0 of :func:`_density_walk`.
     """
-    steps = schedule.steps
-    if steps % 2:
+    if schedule.steps % 2:
         return 0.0
-    classes = [(block[:, :, None, None], 0, 0)]
-    for classes in _class_steps(classes, schedule, [(k - steps, steps - k) for k in range(1, steps + 1)]):
+    w = block[:, :, None, None]
+    for w in _class_steps(w, schedule, diamond=True):
         pass
-    ((w, _, _),) = classes
     return float(w[0, 0, 0, 0].real + w[1, 1, 0, 0].real)
-
-
-def run_walk(
-    start: WalkerState, schedule: WalkSchedule
-) -> tuple[PositionDistribution, WalkerState]:
-    """The (T, n) stack of position distributions, one row per step, and the final state.
-
-    A pure start becomes its density matrix when the visibility is
-    below 1. A pure walk steps coin-major amplitudes ``a[i, x]`` of
-    shape (2, n), a row being ``|a+|^2 + |a-|^2``; a dephased walk steps
-    the non-zero parity classes of rho (see :func:`_classes` and
-    :func:`_class_steps`), a row being the two coin diagonals of its
-    diagonal classes summed, and the final classes are scattered into
-    the (2n, 2n) matrix at stride 2. Only the returned objects are built
-    and validated. With zero steps the stack has no rows and the final
-    state is the start. Raises :class:`BoundaryOverflowError` before any
-    step.
-    """
-    if isinstance(start, WalkerCoinPureState) and schedule.visibility != 1.0:
-        start = density_from_pure(start)
-    _check_reach(start.lattice, position_distribution(start).probabilities, schedule.steps)
-    n = start.lattice.size
-    probs = np.zeros((schedule.steps, n))
-    if not schedule.steps:
-        return PositionDistribution(start.lattice, probs), start
-    if isinstance(start, WalkerCoinPureState):
-        amps = np.ascontiguousarray(start.amplitudes.T)[..., None]
-        for row, coin in zip(probs, schedule.coins()):
-            amps = _coin_and_shift(coin, amps)
-            row[:] = np.abs(amps[0, :, 0]) ** 2 + np.abs(amps[1, :, 0]) ** 2
-        final = type(start)(start.lattice, np.ascontiguousarray(amps[..., 0].T))
-        return PositionDistribution(start.lattice, probs), final
-    for row, classes in zip(probs, _class_steps(_classes(start), schedule, [(0, n - 1)] * schedule.steps)):
-        for w, bx, by in classes:
-            if (bx - by) % 2 == 0:  # a diagonal class: row u and column u + d are one site
-                d = (bx - by) // 2
-                populations = w[0, 0].diagonal(d).real + w[1, 1].diagonal(d).real
-                first = max(bx, by)
-                row[first : first + 2 * len(populations) : 2] = populations
-    matrix = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    r = matrix.reshape(n, 2, n, 2)
-    for w, bx, by in classes:
-        r[bx : bx + 2 * w.shape[2] : 2, :, by : by + 2 * w.shape[3] : 2, :] = w.transpose(2, 0, 3, 1)
-    final = type(start)(start.lattice, matrix)
-    return PositionDistribution(start.lattice, probs), final
 
 
 def symmetric_start(steps: int) -> WalkerCoinPureState:
     """The symmetric coin at the origin of ``Lattice.for_steps(steps)``.
 
-    The one start of ``analysis.classify`` and of :func:`bisect_visibility`.
+    The one start of :func:`run_walk`, so of ``analysis.classify``, and
+    of :func:`bisect_visibility`.
     """
     return initial_state(Lattice.for_steps(steps), CoinVector.symmetric())
+
+
+def _density_walk(schedule: WalkSchedule) -> tuple[PositionDistribution, WalkerCoinDensityMatrix]:
+    """The dephased walk of :func:`run_walk` at any visibility, 1 included: its stack and final state.
+
+    The walk steps the coin block of :func:`symmetric_start` at the
+    origin with :func:`_class_steps`. Step k's row is the two coin
+    diagonals of the block, written at stride 2 on the light cone's
+    sites -k, ..., k, and the final block is scattered into the (2n, 2n)
+    matrix at stride 2, rows and columns alike. Only the returned
+    objects are built and validated.
+    """
+    start = symmetric_start(schedule.steps)
+    lattice = start.lattice
+    n, origin, steps = lattice.size, lattice.index(0), schedule.steps
+    probs = np.zeros((steps, n))
+    w = _origin_block(start)[:, :, None, None]
+    for k, (row, w) in enumerate(zip(probs, _class_steps(w, schedule)), start=1):
+        row[origin - k : origin + k + 1 : 2] = w[0, 0].diagonal().real + w[1, 1].diagonal().real
+    matrix = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    cone = slice(origin - steps, origin + steps + 1, 2)
+    matrix.reshape(n, 2, n, 2)[cone, :, cone, :] = w.transpose(2, 0, 3, 1)
+    return PositionDistribution(lattice, probs), WalkerCoinDensityMatrix(lattice, matrix)
+
+
+def run_walk(schedule: WalkSchedule) -> tuple[PositionDistribution, WalkerState]:
+    """The (T, n) stack of position distributions, one row per step, and the final state.
+
+    The walk starts from :func:`symmetric_start` on
+    ``Lattice.for_steps(T)``. At visibility 1 it steps coin-major
+    amplitudes ``a[i, x]`` of shape (2, n), a row being
+    ``|a+|^2 + |a-|^2``, and the final state is pure; below 1 it is the
+    dephased walk of :func:`_density_walk`, and the final state a
+    density matrix. Only the returned objects are built and validated.
+    With zero steps the stack has no rows and the final state is the
+    start, as its density matrix below visibility 1.
+    """
+    if schedule.visibility != 1.0:
+        return _density_walk(schedule)
+    start = symmetric_start(schedule.steps)
+    probs = np.zeros((schedule.steps, start.lattice.size))
+    amps = np.ascontiguousarray(start.amplitudes.T)[..., None]
+    for row, coin in zip(probs, schedule.coins()):
+        amps = _coin_and_shift(coin, amps)
+        row[:] = np.abs(amps[0, :, 0]) ** 2 + np.abs(amps[1, :, 0]) ** 2
+    final = WalkerCoinPureState(start.lattice, np.ascontiguousarray(amps[..., 0].T))
+    return PositionDistribution(start.lattice, probs), final
 
 
 def bisect_visibility(
@@ -373,28 +321,28 @@ def bisect_visibility(
     width inside either end. A probe after two that have not halved the
     bracket (those at 0 and 1 leave width 1) takes its midpoint, unscaled,
     which bounds the probes where p0 is flat over most of [0, 1]. The
-    start and its density matrix are built once, before any probe, so a
-    walk too large for memory fails at once. Each probe reads p0 from
-    :func:`_probe_origin_probability` on the start's coin block at the
-    origin and validates nothing. The chosen visibility, an end point
-    included, is then walked once from the density matrix by
-    :func:`run_walk`, which validates the final state; its final p0 must
-    equal the probe's (else RuntimeError) and is the one returned.
-    Returns (visibility, origin probability). Raises ValueError for a
-    walk of no steps.
+    start is built before any probe, so a walk too large for memory
+    fails at once; no density matrix of it is built. Each probe
+    reads p0 from :func:`_probe_origin_probability` on the start's coin
+    block ``c c^dagger`` at the origin and validates nothing. The chosen
+    visibility, an end point included, is then walked once by
+    :func:`_density_walk`, the dephased walk of :func:`run_walk`, which
+    validates the final state; its final p0 must equal the probe's (else
+    RuntimeError) and is the one returned. At visibility 1 it stays on
+    that density walk: the pure walk's p0 can differ from the probe's in
+    the last bits. Returns (visibility, origin probability). Raises
+    ValueError for a walk of no steps.
     """
     if schedule.steps < 1:
         raise ValueError(f"calibration needs at least one step, got {schedule.steps}")
-    start = density_from_pure(symmetric_start(schedule.steps))
-    origin = 2 * start.lattice.index(0)  # the row and column of the origin's plus coin
-    block = start.matrix[origin : origin + 2, origin : origin + 2]
+    block = _origin_block(symmetric_start(schedule.steps))
     target = target_origin_probability
 
     def p0_at(v: float) -> float:
         return _probe_origin_probability(schedule.with_visibility(v), block)
 
     def validated(v: float, probed: float) -> tuple[float, float]:
-        distributions, _ = run_walk(start, schedule.with_visibility(v))
+        distributions, _ = _density_walk(schedule.with_visibility(v))
         p0 = float(distributions.at_site(0)[-1])
         if p0 != probed:
             raise RuntimeError(f"probe p0 {probed!r} differs from the walk's {p0!r} at visibility {v!r}")

@@ -38,8 +38,8 @@ class Lattice:
     def for_steps(cls, steps: int) -> "Lattice":
         """Symmetric lattice [-(steps + 2), steps + 2] for `steps` steps from the origin.
 
-        The ``GUARD_BAND`` of 2 extra sites on each side stays empty; the
-        boundary checks in the evolution routines need at least one.
+        The ``GUARD_BAND`` of 2 extra sites on each side stays empty; a
+        walk step drops what it shifts past an edge, so it needs at least one.
         """
         if steps < 0:
             raise ValueError(f"steps must be non-negative, got {steps}")
@@ -152,12 +152,6 @@ def initial_state(lattice: Lattice, coin: CoinVector) -> WalkerCoinPureState:
     amps[lattice.index(0), 0] = coin.plus
     amps[lattice.index(0), 1] = coin.minus
     return WalkerCoinPureState(lattice, amps)
-
-
-def density_from_pure(state: WalkerCoinPureState) -> WalkerCoinDensityMatrix:
-    """Rank-one density matrix |psi><psi| of a pure state."""
-    vec = state.amplitudes.reshape(-1)
-    return WalkerCoinDensityMatrix(state.lattice, np.outer(vec, vec.conj()))
 
 
 def position_distribution(state: WalkerState) -> PositionDistribution:

@@ -13,12 +13,12 @@ import numpy as np
 
 from rampwalk.analysis import classify, effective_coin_balanced_strings, tv_distance
 from rampwalk.coins import coin_at_step, equal_up_to_global_phase
+from rampwalk import evolution
 from rampwalk.evolution import WalkSchedule, bisect_visibility, propagator_blocks, run_walk
 from rampwalk.search import SearchConfig, load_reference_catalog, scan, verify_table
 from rampwalk.states import (
     CoinVector,
     Lattice,
-    density_from_pure,
     initial_state,
     position_distribution,
 )
@@ -63,9 +63,7 @@ def test_criterion_1_revival_table_reproduced():
 
 def test_criterion_2_certain_return_at_flagship_point():
     schedule = WalkSchedule(0.0, math.pi / 8, 16)
-    lattice = Lattice.for_steps(16)
-    start = initial_state(lattice, CoinVector.symmetric())
-    p0 = run_walk(start, schedule)[0].at_site(0)
+    p0 = run_walk(schedule)[0].at_site(0)
     ok = abs(p0[7] - 1.0) <= 1e-10 and abs(p0[15] - 1.0) <= 1e-10
     detail = f"p0(8) = {p0[7]:.12f}, p0(16) = {p0[15]:.12f}"
     assert _report(2, "certain return", ok, detail)
@@ -74,8 +72,7 @@ def test_criterion_2_certain_return_at_flagship_point():
 def test_criterion_3_predicted_coin_state():
     schedule = WalkSchedule(math.pi / 4, math.pi / 10, 8)
     lattice = Lattice.for_steps(8)
-    start = initial_state(lattice, CoinVector.symmetric())
-    _, final = run_walk(start, schedule)
+    _, final = run_walk(schedule)
     coin_amps = final.amplitudes[lattice.index(0)]
     target = np.array([0.988, 0.156j])
     pivot = int(np.argmax(np.abs(target)))
@@ -103,7 +100,7 @@ def test_criterion_4_tv_identity_over_random_walks():
         lattice = Lattice.for_steps(steps)
         start = initial_state(lattice, CoinVector.symmetric())
         reference = position_distribution(start)
-        distributions, _ = run_walk(start, schedule)
+        distributions, _ = run_walk(schedule)
         gaps = np.abs(tv_distance(distributions, reference) - (1.0 - distributions.at_site(0)))
         worst = max(worst, float(gaps.max()))
     ok = worst <= 1e-12
@@ -149,12 +146,10 @@ def test_criterion_5_dual_effective_coin_constructions():
 
 def test_criterion_6_dephasing_model():
     schedule = WalkSchedule(0.0, math.pi / 8, 8)
-    lattice = Lattice.for_steps(8)
-    start = initial_state(lattice, CoinVector.symmetric())
-    rho0 = density_from_pure(start)
 
-    pure_distributions, _ = run_walk(start, schedule)
-    mixed_distributions, _ = run_walk(rho0, schedule)
+    # the dephased walk at visibility 1, which the calibration validates its result with
+    pure_distributions, _ = run_walk(schedule)
+    mixed_distributions, _ = evolution._density_walk(schedule)
     assert pure_distributions.probabilities.shape == mixed_distributions.probabilities.shape
     match_gap = float(
         np.max(np.abs(pure_distributions.probabilities - mixed_distributions.probabilities))
@@ -163,7 +158,7 @@ def test_criterion_6_dephasing_model():
     visibilities = [1.0, 0.996, 0.99, 0.95, 0.9]
     p0_values = []
     for visibility in visibilities:
-        _, final = run_walk(rho0, schedule.with_visibility(visibility))
+        _, final = run_walk(schedule.with_visibility(visibility))
         p0_values.append(position_distribution(final).at_site(0))
     monotone = all(a >= b - 1e-12 for a, b in zip(p0_values, p0_values[1:]))
 
@@ -210,9 +205,8 @@ def test_criterion_7_module_invariants_on_random_cases():
         steps = int(rng.integers(1, 7))
         schedule = WalkSchedule(theta, omega, steps)
         lattice = Lattice.for_steps(steps)
-        start = initial_state(lattice, CoinVector.symmetric())
         # the state after step k is the final state of the k-step walk
-        trajectory = [run_walk(start, replace(schedule, steps=k))[1] for k in range(1, steps + 1)]
+        trajectory = [run_walk(replace(schedule, steps=k))[1] for k in range(1, steps + 1)]
         for state in trajectory:
             if abs(float(np.sum(np.abs(state.amplitudes) ** 2)) - 1.0) > 1e-12:
                 evolution_ok = False

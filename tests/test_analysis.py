@@ -56,7 +56,7 @@ def test_tv_distance_of_a_stack_equals_its_per_row_distances(visibility):
     sched = WalkSchedule(0.3, 0.2, 9, visibility=visibility)
     start = initial_state(Lattice.for_steps(9), CoinVector.symmetric())
     reference = position_distribution(start)
-    distributions, _ = run_walk(start, sched)
+    distributions, _ = run_walk(sched)
     per_row = [
         tv_distance(PositionDistribution(start.lattice, row), reference)
         for row in distributions.probabilities
@@ -74,7 +74,7 @@ def test_tv_against_point_mass_equals_one_minus_p0(theta, omega, steps):
     lattice = Lattice.for_steps(steps)
     start = initial_state(lattice, CoinVector.symmetric())
     reference = position_distribution(start)
-    distributions, _ = run_walk(start, sched)
+    distributions, _ = run_walk(sched)
     direct = tv_distance(distributions, reference)
     shortcut = 1.0 - distributions.at_site(0)
     assert direct.shape == (steps,)
@@ -104,9 +104,7 @@ def test_polya_number_validation():
 
 def test_polya_at_flagship_revival():
     sched = WalkSchedule(0.0, math.pi / 8, 16)
-    lattice = Lattice.for_steps(16)
-    start = initial_state(lattice, CoinVector.symmetric())
-    p0 = run_walk(start, sched)[0].at_site(0)
+    p0 = run_walk(sched)[0].at_site(0)
     assert polya_number(p0, horizon=7) == pytest.approx(1.0, abs=1e-12)
     assert polya_number(p0) == pytest.approx(1.0, abs=1e-12)
 
@@ -273,8 +271,7 @@ def test_classify_predicted_coin_state_matches_effective_map():
     sched = WalkSchedule(math.pi / 4, math.pi / 10, 8)
     report = classify(sched)
     lattice = Lattice.for_steps(8)
-    start = initial_state(lattice, CoinVector.symmetric())
-    _, final = run_walk(start, sched)
+    _, final = run_walk(sched)
     coin_amps = final.amplitudes[lattice.index(0)]
     predicted = report.effective_coin @ CoinVector.symmetric().as_array()
     predicted = predicted / np.linalg.norm(predicted)

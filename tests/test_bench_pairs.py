@@ -98,3 +98,14 @@ def test_pairs_option_takes_workload_and_count():
     for bad in ("deep_classify", "=3", "deep_classify=0", "deep_classify=x"):
         with pytest.raises(argparse.ArgumentTypeError):
             bench_pairs.workload_count(bad)
+
+
+def test_trees_at_paths_of_unequal_length_are_refused_before_any_run(monkeypatch, tmp_path, capsys):
+    runs = []
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: runs.append(args))
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change2"), "--label", "check", "--seconds", "1",
+            "--pairs", "deep_classify=1"]
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(argv)
+    assert exit_info.value.code == 2 and runs == []
+    assert "paths of equal length" in capsys.readouterr().err

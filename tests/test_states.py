@@ -12,7 +12,6 @@ from rampwalk.states import (
     WalkerCoinDensityMatrix,
     WalkerCoinPureState,
     coin_overlap,
-    density_from_pure,
     initial_state,
     position_distribution,
     reduced_coin_state,
@@ -23,6 +22,12 @@ def random_pure_state(lattice: Lattice, seed: int) -> WalkerCoinPureState:
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(lattice.size, 2)) + 1j * rng.normal(size=(lattice.size, 2))
     return WalkerCoinPureState(lattice, raw / np.linalg.norm(raw))
+
+
+def density_from_pure(state: WalkerCoinPureState) -> WalkerCoinDensityMatrix:
+    """The rank-one density matrix |psi><psi| of a pure state."""
+    vec = state.amplitudes.reshape(-1)
+    return WalkerCoinDensityMatrix(state.lattice, np.outer(vec, vec.conj()))
 
 
 def test_lattice_basics():
@@ -128,15 +133,6 @@ def test_at_site_of_a_stack_is_the_column_of_its_rows():
         column = stack.at_site(site)
         assert column.shape == (6,)
         assert np.array_equal(column, per_row)
-
-
-def test_density_from_pure_is_projector():
-    lat = Lattice(-2, 2)
-    state = random_pure_state(lat, seed=7)
-    rho = density_from_pure(state)
-    m = rho.matrix
-    assert abs(np.trace(m) - 1.0) < 1e-12
-    assert np.max(np.abs(m @ m - m)) < 1e-12
 
 
 def test_density_matrix_validation():
