@@ -175,6 +175,23 @@ def test_guard_sites_stay_empty_over_long_walk(visibility):
         assert float(probabilities.sum()) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_translation_covariance():
+    # the coin is the same on every site: a start 3 sites off the origin walks
+    # to run_walk's final state moved by 3 sites
+    steps, offset = 4, 3
+    sched = WalkSchedule(0.4, 0.2, steps)
+    lattice = Lattice.for_steps(steps)
+    wide = Lattice.for_steps(steps + offset)
+    amps = np.zeros((2, wide.size, 1), dtype=np.complex128)
+    amps[:, wide.index(offset), 0] = symmetric_start(steps).amplitudes[lattice.index(0)]
+    for coin in sched.coins():
+        amps = evolution._coin_and_shift(coin, amps)
+    _, final = run_walk(sched)
+    moved = np.zeros((wide.size, 2), dtype=np.complex128)
+    moved[wide.index(lattice.min_site + offset) : wide.index(lattice.max_site + offset) + 1] = final.amplitudes
+    assert np.array_equal(amps[..., 0].T, moved)
+
+
 def test_propagator_blocks_zero_steps_is_identity():
     blocks = propagator_blocks(WalkSchedule(0.3, 0.1, 0))
     assert np.array_equal(blocks, np.eye(2)[None])
@@ -394,6 +411,73 @@ def test_light_cone_density_walk_matches_full_lattice(convention, visibility):
         rows = 2 * start.lattice.index(state.lattice.min_site) + np.arange(2 * state.lattice.size)
         assert np.array_equal(state.matrix, matrix[np.ix_(rows, rows)])
         assert np.sum(matrix != 0) == np.sum(state.matrix != 0)
+
+
+CIRCULAR = (1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0))
+
+# starts at the origin other than the symmetric coin, whose block is real and
+# unchanged by swapping its coin axes, as (weight, coin) mixtures: they check
+# `_class_steps` and the probe as steps of any origin coin block
+ORIGIN_COINS = {
+    "plus": [(1.0, (1.0, 0.0))],
+    "minus": [(1.0, (0.0, 1.0))],
+    "circular": [(1.0, CIRCULAR)],
+    "real": [(1.0, (0.6, 0.8))],
+    "mixed": [(0.7, CIRCULAR), (0.3, (0.6, -0.8j))],
+}
+
+
+def origin_block(name):
+    """The (2, 2) coin block sum_i w_i c_i c_i^dagger of the mixture `name`."""
+    return sum(weight * np.outer(coin, np.conj(coin)) for weight, coin in ORIGIN_COINS[name]).astype(np.complex128)
+
+
+@pytest.mark.parametrize("name", list(ORIGIN_COINS))
+@pytest.mark.parametrize("convention", list(StepConvention))
+@pytest.mark.parametrize("visibility", [0.0, 0.5, 1.0])
+def test_class_steps_of_any_origin_block_match_full_lattice(name, convention, visibility):
+    steps = 6
+    block = origin_block(name)
+    lattice = Lattice.for_steps(steps)
+    n, origin = lattice.size, lattice.index(0)
+    rho = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    rho[2 * origin : 2 * origin + 2, 2 * origin : 2 * origin + 2] = block
+    sched = WalkSchedule(0.3, 0.2, steps, convention, visibility)
+    expected = list(full_lattice_density_walk(WalkerCoinDensityMatrix(lattice, rho), sched))
+    stepped = list(evolution._class_steps(block[:, :, None, None], sched))
+    assert len(stepped) == len(expected) == steps
+    for k, (w, matrix) in enumerate(zip(stepped, expected, strict=True), start=1):
+        # step k's block holds the cone's sites -k, -k + 2, ..., k; the full walk nothing else
+        assert w.shape == (2, 2, k + 1, k + 1)
+        scattered = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+        cone = slice(origin - k, origin + k + 1, 2)
+        scattered.reshape(n, 2, n, 2)[cone, :, cone, :] = w.transpose(2, 0, 3, 1)
+        assert np.array_equal(scattered, matrix)
+    assert np.array_equal(block, origin_block(name))
+
+
+@pytest.mark.parametrize("name", list(ORIGIN_COINS))
+@pytest.mark.parametrize("convention", list(StepConvention))
+def test_origin_probe_of_any_origin_block_equals_the_light_cone_p0(name, convention):
+    rng = np.random.default_rng(31)
+    block = origin_block(name)
+    for steps in range(2, 25, 2):
+        theta, omega = rng.uniform(-3.0, 3.0, 2)
+        visibility = float(rng.uniform(0.0, 1.0))
+        sched = WalkSchedule(theta, omega, steps, convention, visibility)
+        for w in evolution._class_steps(block[:, :, None, None], sched):
+            pass
+        # the origin is the middle of the cone's T + 1 sites
+        middle = steps // 2
+        walked = w[0, 0, middle, middle].real + w[1, 1, middle, middle].real
+        probe = evolution._probe_origin_probability(sched, block)
+        assert np.array_equal(probe, walked), steps
+        one_based = convention is StepConvention.ONE_BASED
+        reference = sum(
+            weight * oracles.density_p0_series(theta, omega, steps, visibility, coin, one_based)[-1]
+            for weight, coin in ORIGIN_COINS[name]
+        )
+        assert probe == pytest.approx(reference, abs=1e-10), steps
 
 
 def record_classes(monkeypatch):
