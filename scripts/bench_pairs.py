@@ -14,7 +14,9 @@ runs once per tree with ``--trace 1``. The record written to
 ``BENCH_<label>.json`` next to ``scripts/`` holds every run (its
 provenance, summary and result) and, per workload and metric, each
 side's median and quartiles and the pairs the change wins, in the
-direction BENCHMARK.json gives for the metric.
+direction BENCHMARK.json gives for the metric. The exit status is 1,
+after the record is written, when any run's result was not correct
+(one stderr line names each), and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -176,7 +178,11 @@ def main(argv: list[str] | None = None) -> int:
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
     print(out)
-    return 0
+    wrong = [r for r in runs if not r["result"]["correct"]]
+    for r in wrong:
+        print(f"not correct: {r['side']} {r['workload']} seed {r['seed']} trace {r['trace']}",
+              file=sys.stderr)
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":

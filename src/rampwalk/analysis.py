@@ -11,7 +11,6 @@ identity up to a global phase, making the full initial state recur.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +29,6 @@ from .states import (
 )
 
 REVIVAL_TOL = 1e-10
-MAX_STRING_STEPS = 20
 PREDICTED_STATE_NORM_TOL = 1e-12
 
 
@@ -69,34 +67,24 @@ def effective_coin_balanced_strings(schedule: WalkSchedule) -> NDArray[np.comple
     exactly T/2 times, so summing the ordered projected products over
     all balanced strings gives the effective coin after T steps.
 
-    T must be even and at most ``MAX_STRING_STEPS``; the number of
-    strings grows as C(T, T/2).
+    The strings are summed grouped by plus-branch count: ``paths[u]``
+    holds the summed products of every prefix with u plus branches, so
+    any even T costs O(T^2) 2x2 products and O(T) memory.
     """
     total_steps = schedule.steps
     if total_steps % 2 != 0:
         raise ValueError(
             f"walker returns to the origin only after an even number of steps, got {total_steps}"
         )
-    if total_steps > MAX_STRING_STEPS:
-        raise ValueError(
-            f"string enumeration supports at most {MAX_STRING_STEPS} steps, got {total_steps}"
-        )
     coins = schedule.coins()
     plus_branch = np.where([[True], [False]], coins, 0)
     minus_branch = np.where([[False], [True]], coins, 0)
-    half = total_steps // 2
-    strings = list(itertools.combinations(range(total_steps), half))
-    n_strings = len(strings)
-    up_mask = np.zeros((n_strings, total_steps), dtype=bool)
-    for row, positions in enumerate(strings):
-        up_mask[row, list(positions)] = True
-    products = np.broadcast_to(
-        np.eye(2, dtype=np.complex128), (n_strings, 2, 2)
-    ).copy()
-    for k in range(total_steps):
-        chosen = np.where(up_mask[:, k][:, None, None], plus_branch[k], minus_branch[k])
-        products = chosen @ products
-    return products.sum(axis=0)
+    paths = np.zeros((total_steps // 2 + 1, 2, 2), dtype=np.complex128)
+    paths[0] = np.eye(2)
+    for plus, minus in zip(plus_branch, minus_branch):
+        paths[1:] = plus @ paths[:-1] + minus @ paths[1:]
+        paths[0] = minus @ paths[0]
+    return paths[-1]
 
 
 def _verdict(blocks: NDArray[np.complex128]) -> tuple[bool, bool]:

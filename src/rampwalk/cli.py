@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import MAX_STRING_STEPS, classify, effective_coin_balanced_strings, tv_distance
+from .analysis import classify, effective_coin_balanced_strings, tv_distance
 from .coins import StepConvention
 from .evolution import WalkSchedule, bisect_visibility, symmetric_start
 from .search import (
@@ -208,21 +208,17 @@ def cmd_noise_sweep(
 def cmd_effective_coin(schedule: WalkSchedule, json_out: str | None = "-") -> int:
     """Compute the effective coin by both constructions and compare them.
 
-    Beyond ``MAX_STRING_STEPS`` steps only the operator block is built, and
-    ``balanced_strings`` and ``max_abs_difference`` are null.
+    ``classify`` runs first, so a walk too large for memory fails before
+    the string sum; an odd step count then fails in the sum, since the
+    walker cannot return to the origin.
     """
-    from_strings = difference = None
-    # an odd step count fails here at any length: the walker cannot return
-    if schedule.steps <= MAX_STRING_STEPS or schedule.steps % 2:
-        from_strings = effective_coin_balanced_strings(schedule)
     report = classify(schedule)
-    if from_strings is not None:
-        difference = float(np.max(np.abs(from_strings - report.effective_coin)))
+    from_strings = effective_coin_balanced_strings(schedule)
     doc = {
         **_schedule_doc(schedule),
-        "balanced_strings": None if from_strings is None else _matrix_doc(from_strings),
+        "balanced_strings": _matrix_doc(from_strings),
         "operator_block": _matrix_doc(report.effective_coin),
-        "max_abs_difference": difference,
+        "max_abs_difference": float(np.max(np.abs(from_strings - report.effective_coin))),
         "complete": report.is_complete,
     }
     _write_text(json_out, _dump_json(doc))

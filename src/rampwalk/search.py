@@ -63,11 +63,13 @@ class SearchConfig:
                 raise ValueError(f"step counts must be integers, got {steps!r}")
             if steps < 2 or steps % 2 != 0:
                 raise ValueError(f"step counts must be even and positive, got {steps}")
-        # as ints: a numpy integer would reach Fractions, which cannot hash it
-        object.__setattr__(self, "step_counts", tuple(int(steps) for steps in self.step_counts))
+        # as ints: a numpy integer would reach Fractions, which cannot hash it;
+        # a repeated step count or theta keeps its first place and is walked once
+        object.__setattr__(self, "step_counts", tuple(dict.fromkeys(map(int, self.step_counts))))
         for theta in self.theta_values:
             if not math.isfinite(theta):
                 raise ValueError(f"theta must be finite, got {theta!r}")
+        object.__setattr__(self, "theta_values", tuple(dict.fromkeys(self.theta_values)))
         lo, hi = self.omega_grid
         if not (0.0 <= lo and hi <= math.pi / 2 + 1e-12):
             raise ValueError(f"omega range [{lo}, {hi}] must lie inside [0, pi/2]")

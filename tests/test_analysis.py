@@ -11,7 +11,7 @@ from rampwalk.analysis import (
     polya_number,
     tv_distance,
 )
-from rampwalk.coins import equal_up_to_global_phase
+from rampwalk.coins import StepConvention, equal_up_to_global_phase
 from rampwalk.evolution import WalkSchedule, propagator_blocks, run_walk
 from rampwalk.states import (
     CoinVector,
@@ -121,11 +121,9 @@ def test_effective_coin_strings_hand_value():
     assert np.max(np.abs(effective_coin_balanced_strings(sched) - expected)) < 1e-12
 
 
-def test_effective_coin_rejects_odd_and_oversized():
+def test_effective_coin_rejects_odd_steps():
     with pytest.raises(ValueError):
         effective_coin_balanced_strings(WalkSchedule(0.0, 0.1, 3))
-    with pytest.raises(ValueError):
-        effective_coin_balanced_strings(WalkSchedule(0.0, 0.1, 22))
 
 
 def test_effective_coin_zero_steps_is_identity():
@@ -134,22 +132,27 @@ def test_effective_coin_zero_steps_is_identity():
     assert np.max(np.abs(propagator_blocks(sched)[0] - np.eye(2))) < 1e-15
 
 
-@given(angle, angle, st.sampled_from([2, 4, 6]))
-@settings(max_examples=60)
-def test_effective_coin_matches_string_oracle(theta, omega, steps):
-    sched = WalkSchedule(theta, omega, steps)
-    ours = effective_coin_balanced_strings(sched)
-    reference = np.array(oracles.effective_coin_strings(theta, omega, steps))
-    assert np.max(np.abs(ours - reference)) < 1e-12
+@given(angle, angle)
+@settings(max_examples=20)
+def test_effective_coin_matches_string_oracle(theta, omega):
+    for convention in StepConvention:
+        for steps in range(2, 13, 2):
+            ours = effective_coin_balanced_strings(WalkSchedule(theta, omega, steps, convention))
+            reference = np.array(oracles.effective_coin_strings(
+                theta, omega, steps, one_based=convention is StepConvention.ONE_BASED
+            ))
+            assert np.max(np.abs(ours - reference)) < 1e-12
 
 
-@given(angle, angle, st.sampled_from([2, 4, 6, 8, 10, 12]))
-@settings(max_examples=80)
-def test_effective_coin_constructions_agree(theta, omega, steps):
-    sched = WalkSchedule(theta, omega, steps)
-    from_strings = effective_coin_balanced_strings(sched)
-    from_operator = propagator_blocks(sched)[steps]
-    assert np.max(np.abs(from_strings - from_operator)) <= 1e-10
+@given(angle, angle)
+@settings(max_examples=20)
+def test_effective_coin_constructions_agree(theta, omega):
+    for convention in StepConvention:
+        for steps in [*range(2, 13, 2), *range(22, 65, 2)]:
+            sched = WalkSchedule(theta, omega, steps, convention)
+            from_strings = effective_coin_balanced_strings(sched)
+            from_operator = propagator_blocks(sched)[steps]
+            assert np.max(np.abs(from_strings - from_operator)) <= 1e-10
 
 
 def unitarity_defect(m):

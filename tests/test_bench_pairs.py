@@ -109,3 +109,26 @@ def test_trees_at_paths_of_unequal_length_are_refused_before_any_run(monkeypatch
         bench_pairs.main(argv)
     assert exit_info.value.code == 2 and runs == []
     assert "paths of equal length" in capsys.readouterr().err
+
+
+def test_runs_that_are_not_correct_are_named_and_fail_the_command(monkeypatch, tmp_path, capsys):
+    def canned_runs(wrong):
+        def run_once(tree, workload, seed, seconds, trace):
+            metrics = {"wall_rel": (1.0, "yardstick")}
+            correct = (tree.name, seed) not in wrong
+            return bench_pairs.parse_output(canned_stdout(workload, seed, trace, tree.name, metrics, correct))
+        return run_once
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    (tmp_path / "change").mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--label", "check", "--seconds", "1",
+            "--pairs", "deep_classify=2"]
+    monkeypatch.setattr(bench_pairs, "run_once", canned_runs({("change", 2)}))
+    assert bench_pairs.main(argv) == 1
+    record = json.loads((tmp_path / "BENCH_check.json").read_text(encoding="utf-8"))
+    assert record["summary"]["deep_classify"]["runs_not_correct"] == {"parent": 0, "change": 1}
+    wrong = [line for line in capsys.readouterr().err.splitlines() if line.startswith("not correct")]
+    assert wrong == ["not correct: change deep_classify seed 2 trace 0"]
+    monkeypatch.setattr(bench_pairs, "run_once", canned_runs(set()))
+    assert bench_pairs.main(argv) == 0

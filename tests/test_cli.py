@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rampwalk import cli
-from rampwalk.analysis import MAX_STRING_STEPS, classify
+from rampwalk.analysis import classify
 from rampwalk.evolution import WalkSchedule, propagator_blocks
 from rampwalk.search import load_reference_catalog
 
@@ -186,6 +186,18 @@ def test_search_and_verify_table_pipeline(tmp_path):
     assert verify.returncode == 0, verify.stderr
     diff = json.loads(verify.stdout)
     assert diff == {"ok": True, "missing": [], "extra": [], "misclassified": []}
+
+
+def test_repeated_search_values_are_walked_once(tmp_path):
+    candidates_path = tmp_path / "candidates.json"
+    for steps, theta in (("2,4,6,8", "0,1/4,0"), ("2,2,4,6,8", "0,1/4")):
+        argv = ["search", "--steps", steps, "--theta", theta, "--json-out", str(candidates_path)]
+        assert cli.main(argv) == 0
+        doc = read_json(candidates_path)
+        assert len(doc["candidates"]) == 40
+        assert doc["config"]["step_counts"] == [2, 4, 6, 8]
+        assert [entry["of_pi"] for entry in doc["config"]["theta"]] == ["0", "1/4"]
+        assert cli.main(["verify-table", str(candidates_path)]) == 0
 
 
 def test_verify_table_detects_tampering(tmp_path):
@@ -396,15 +408,19 @@ def test_effective_coin_command(tmp_path):
     assert np.max(np.abs(gram - np.eye(2))) <= 1e-10
 
 
-def test_effective_coin_beyond_the_string_limit_reports_the_operator_block(capsys):
-    steps = MAX_STRING_STEPS + 4
+def test_effective_coin_at_24_steps_reports_both_constructions(capsys):
+    steps = 24
     argv = ["effective-coin", "--theta", "1/4", "--omega", "1/13", "--steps", str(steps)]
     assert cli.main(argv) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["balanced_strings"] is None and doc["max_abs_difference"] is None
+    strings = np.array(
+        [[cell["re"] + 1j * cell["im"] for cell in row] for row in doc["balanced_strings"]]
+    )
     operator = np.array(
         [[cell["re"] + 1j * cell["im"] for cell in row] for row in doc["operator_block"]]
     )
+    assert np.max(np.abs(strings - operator)) <= 1e-10
+    assert doc["max_abs_difference"] <= 1e-10
     schedule = WalkSchedule(cli._parse_angle("1/4", False), cli._parse_angle("1/13", False), steps)
     assert np.array_equal(operator, propagator_blocks(schedule)[steps])
     assert doc["complete"] is classify(schedule).is_complete

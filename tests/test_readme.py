@@ -1,6 +1,8 @@
-"""The README's library quick start runs as written and gives the values its comments state."""
+"""The README's library quick start and CLI examples run as written and give what they state."""
 
+import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -8,10 +10,14 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def quick_start_blocks():
+def readme_blocks(heading, language):
     text = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = text.split("## Library quick start\n", 1)[1].split("\n## ", 1)[0]
-    return re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)
+    section = text.split(f"## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(rf"```{language}\n(.*?)```", section, flags=re.DOTALL)
+
+
+def quick_start_blocks():
+    return readme_blocks("Library quick start", "python")
 
 
 def test_library_quick_start_states_what_it_computes():
@@ -35,3 +41,21 @@ def test_library_quick_start_states_what_it_computes():
     for number, (block, check) in enumerate(zip(blocks, checks), start=1):
         exec(compile(block, f"README quick start block {number}", "exec"), namespace)
         assert check(namespace), f"block {number}"
+
+
+def test_cli_examples_run_as_written(monkeypatch, tmp_path, capsys):
+    from rampwalk import cli
+
+    block = readme_blocks("CLI", "sh")[0].replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("rampwalk ")]
+    assert [argv[0] for argv in commands] == [
+        "walk", "search", "verify-table", "noise-sweep", "effective-coin"
+    ]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+        stdout = capsys.readouterr().out
+    # the last example prints both constructions of the effective coin
+    doc = json.loads(stdout)
+    assert len(doc["balanced_strings"]) == len(doc["operator_block"]) == 2
+    assert doc["max_abs_difference"] <= 1e-10

@@ -191,6 +191,10 @@ def test_scan_finds_endpoint_revivals():
 
 def test_scan_is_sorted_and_deduplicated():
     candidates = scan(SearchConfig(step_counts=(2, 4), theta_values=(0.0,)))
+    # a repeated step count or theta is walked once
+    repeated = SearchConfig(step_counts=(4, 2, 4, 2), theta_values=(0.0, 0.0))
+    assert repeated.step_counts == (4, 2) and repeated.theta_values == (0.0,)
+    assert scan(repeated) == candidates
     keys = [(c.steps, c.theta, c.omega) for c in candidates]
     assert keys == sorted(keys)
     for first, second in zip(candidates, candidates[1:]):
