@@ -14,9 +14,11 @@ runs once per tree with ``--trace 1``. The record written to
 ``BENCH_<label>.json`` next to ``scripts/`` holds every run (its
 provenance, summary and result) and, per workload and metric, each
 side's median and quartiles and the pairs the change wins, in the
-direction BENCHMARK.json gives for the metric. The exit status is 1,
-after the record is written, when any run's result was not correct
-(one stderr line names each), and 0 otherwise.
+direction BENCHMARK.json gives for the metric. After the record is
+written, one stderr line per workload and end-to-end metric gives the
+parent's median, the change's median and the pairs the change won. The
+exit status is 1 when any run's result was not correct (one stderr
+line names each), and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -117,6 +119,18 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
     return summary
 
 
+def verdict_lines(summary: dict, config: dict) -> list[str]:
+    """Per workload and end-to-end metric of ``config``: each side's median and the change's wins."""
+    return [
+        f"{workload} {name}: parent median {stats['parent_median']:.6g}, "
+        f"change median {stats['change_median']:.6g}, "
+        f"change better in {stats['pairs_change_better']} of {stats['pairs']} pairs"
+        for workload, entry in summary.items()
+        for name in (metric["name"] for metric in config["end_to_end"])
+        if (stats := entry.get(name)) is not None
+    ]
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", str(trace)]
@@ -178,6 +192,8 @@ def main(argv: list[str] | None = None) -> int:
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
     print(out)
+    for line in verdict_lines(document["summary"], config):
+        print(line, file=sys.stderr)
     wrong = [r for r in runs if not r["result"]["correct"]]
     for r in wrong:
         print(f"not correct: {r['side']} {r['workload']} seed {r['seed']} trace {r['trace']}",

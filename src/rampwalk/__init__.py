@@ -10,7 +10,6 @@ from .coins import (
     CoinOperator,
     StepConvention,
     coin_at_step,
-    equal_up_to_global_phase,
     ry,
 )
 from .states import (
@@ -66,7 +65,6 @@ __all__ = [
     "coin_at_step",
     "coin_overlap",
     "effective_coin_balanced_strings",
-    "equal_up_to_global_phase",
     "initial_state",
     "load_reference_catalog",
     "polya_number",

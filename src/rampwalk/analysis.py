@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .coins import equal_up_to_global_phase
 from .evolution import WalkSchedule, propagator_blocks, run_walk, symmetric_start
 from .states import (
     CoinVector,
@@ -29,6 +28,7 @@ from .states import (
 )
 
 REVIVAL_TOL = 1e-10
+PHASE_EQUAL_TOL = 1e-8
 PREDICTED_STATE_NORM_TOL = 1e-12
 
 
@@ -87,17 +87,25 @@ def effective_coin_balanced_strings(schedule: WalkSchedule) -> NDArray[np.comple
     return paths[-1]
 
 
-def _verdict(blocks: NDArray[np.complex128]) -> tuple[bool, bool]:
-    """(revival, complete) for the propagator blocks ``W_T[-T..T]`` of a T-step walk.
+def _verdict(blocks: NDArray[np.complex128]) -> tuple[NDArray[np.bool_], NDArray[np.bool_]]:
+    """(revival, complete) boolean arrays for blocks ``W_T[-T..T]`` of shape (..., 2T + 1, 2, 2).
 
+    Both have the leading shape: one call judges a scan row's whole batch.
     A revival: no entry of any block off the origin exceeds ``REVIVAL_TOL``
-    in magnitude. Complete: a revival with T even and ``W_T[0]`` the
-    identity up to a global phase.
+    in magnitude. Complete: a revival with T even and ``W_T[0]`` within
+    ``PHASE_EQUAL_TOL`` of ``lam I``, lam the phase of ``W_T[0][0, 0]``; a
+    zero ``W_T[0][0, 0]`` is never complete.
     """
-    steps = blocks.shape[0] // 2
-    off_origin = np.delete(blocks, steps, axis=0)
-    revival = float(np.abs(off_origin).max(initial=0.0)) <= REVIVAL_TOL
-    complete = revival and steps % 2 == 0 and equal_up_to_global_phase(blocks[steps], np.eye(2))
+    steps = blocks.shape[-3] // 2
+    magnitudes = np.abs(blocks)
+    magnitudes[..., steps, :, :] = 0.0
+    revival = magnitudes.max(axis=(-3, -2, -1)) <= REVIVAL_TOL
+    pivot = blocks[..., steps, 0, 0]
+    # hypot: abs() of one complex, which np.abs of an array can miss by an ulp
+    with np.errstate(all="ignore"):  # a zero or subnormal pivot: a NaN residual, never complete
+        phase = (pivot / np.hypot(pivot.real, pivot.imag))[..., None, None]
+        residual = np.abs(blocks[..., steps, :, :] - phase * np.eye(2)).max(axis=(-2, -1))
+        complete = revival & (steps % 2 == 0) & (residual <= PHASE_EQUAL_TOL)
     return revival, complete
 
 
@@ -160,8 +168,8 @@ def classify(schedule: WalkSchedule) -> RevivalReport:
         tv_distance=tv_distance(final_distribution, start_distribution),
         polya_truncated=polya_number(distributions.at_site(0)),
         effective_coin=effective,
-        is_revival=revival,
-        is_complete=complete,
+        is_revival=bool(revival),
+        is_complete=bool(complete),
         overlap_initial=overlap_initial,
         overlap_predicted=overlap_predicted,
         distributions=distributions,

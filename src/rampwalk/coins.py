@@ -23,7 +23,6 @@ from numpy.typing import NDArray
 
 CoinOperator = NDArray[np.complex128]
 
-PHASE_EQUAL_TOL = 1e-8
 _MAX_HALF_ANGLE = float(np.finfo(np.float64).max) / 2
 
 
@@ -100,27 +99,3 @@ def coin_at_step(
     im[..., 1, 1] = s * minus_sy
     return out
 
-
-def equal_up_to_global_phase(
-    a: NDArray[np.complex128],
-    b: NDArray[np.complex128],
-    tol: float = PHASE_EQUAL_TOL,
-) -> bool:
-    """True when ``a == lam * b`` entrywise within tol for some unit-modulus lam.
-
-    The phase is fixed by aligning at the largest-modulus entry of b, then
-    the comparison uses the max-abs norm of the residual.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    idx = np.unravel_index(int(np.argmax(np.abs(b))), b.shape)
-    pivot = b[idx]
-    if abs(pivot) == 0.0:
-        return float(np.max(np.abs(a))) <= tol
-    lam = a[idx] / pivot
-    if abs(lam) == 0.0:
-        return False
-    lam = lam / abs(lam)
-    return float(np.max(np.abs(a - lam * b))) <= tol

@@ -224,9 +224,9 @@ def _class_steps(
         yield w
 
 
-def _origin_block(start: WalkerCoinPureState) -> NDArray[np.complex128]:
-    """The (2, 2) coin block ``c c^dagger`` of a start at the origin, its one parity class."""
-    c = start.amplitudes[start.lattice.index(0)]
+def _origin_block() -> NDArray[np.complex128]:
+    """The (2, 2) coin block ``c c^dagger`` of :func:`symmetric_start` at the origin, its one parity class."""
+    c = CoinVector.symmetric().as_array()
     return np.outer(c, c.conj())
 
 
@@ -259,18 +259,17 @@ def symmetric_start(steps: int) -> WalkerCoinPureState:
 def _density_walk(schedule: WalkSchedule) -> tuple[PositionDistribution, WalkerCoinDensityMatrix]:
     """The dephased walk of :func:`run_walk` at any visibility, 1 included: its stack and final state.
 
-    The walk steps the coin block of :func:`symmetric_start` at the
-    origin with :func:`_class_steps`. Step k's row is the two coin
-    diagonals of the block, written at stride 2 on the light cone's
+    The walk steps :func:`_origin_block` with :func:`_class_steps` on
+    ``Lattice.for_steps(T)``, building no start. Step k's row is the two
+    coin diagonals of the block, written at stride 2 on the light cone's
     sites -k, ..., k, and the final block is scattered into the (2n, 2n)
     matrix at stride 2, rows and columns alike. Only the returned
     objects are built and validated.
     """
-    start = symmetric_start(schedule.steps)
-    lattice = start.lattice
+    lattice = Lattice.for_steps(schedule.steps)
     n, origin, steps = lattice.size, lattice.index(0), schedule.steps
     probs = np.zeros((steps, n))
-    w = _origin_block(start)[:, :, None, None]
+    w = _origin_block()[:, :, None, None]
     for k, (row, w) in enumerate(zip(probs, _class_steps(w, schedule)), start=1):
         row[origin - k : origin + k + 1 : 2] = w[0, 0].diagonal().real + w[1, 1].diagonal().real
     matrix = np.zeros((2 * n, 2 * n), dtype=np.complex128)
@@ -321,21 +320,23 @@ def bisect_visibility(
     width inside either end. A probe after two that have not halved the
     bracket (those at 0 and 1 leave width 1) takes its midpoint, unscaled,
     which bounds the probes where p0 is flat over most of [0, 1]. The
-    start is built before any probe, so a walk too large for memory
-    fails at once; no density matrix of it is built. Each probe
-    reads p0 from :func:`_probe_origin_probability` on the start's coin
-    block ``c c^dagger`` at the origin and validates nothing. The chosen
-    visibility, an end point included, is then walked once by
-    :func:`_density_walk`, the dephased walk of :func:`run_walk`, which
-    validates the final state; its final p0 must equal the probe's (else
-    RuntimeError) and is the one returned. At visibility 1 it stays on
-    that density walk: the pure walk's p0 can differ from the probe's in
-    the last bits. Returns (visibility, origin probability). Raises
-    ValueError for a walk of no steps.
+    start is built before any probe, only as a memory guard: a walk too
+    large for memory fails at once, and no density matrix of it is
+    built. Each probe reads p0 from :func:`_probe_origin_probability` on
+    :func:`_origin_block`, the start's coin block ``c c^dagger`` at the
+    origin, and validates nothing. The chosen visibility, an end point
+    included, is then walked once by :func:`_density_walk`, the dephased
+    walk of :func:`run_walk`, which validates the final state; its final
+    p0 must equal the probe's (else RuntimeError) and is the one
+    returned. At visibility 1 it stays on that density walk: the pure
+    walk's p0 can differ from the probe's in the last bits. Returns
+    (visibility, origin probability). Raises ValueError for a walk of no
+    steps.
     """
     if schedule.steps < 1:
         raise ValueError(f"calibration needs at least one step, got {schedule.steps}")
-    block = _origin_block(symmetric_start(schedule.steps))
+    symmetric_start(schedule.steps)  # the memory guard: a walk too large fails here, before any probe
+    block = _origin_block()
     target = target_origin_probability
 
     def p0_at(v: float) -> float:

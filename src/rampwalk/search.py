@@ -3,9 +3,9 @@
 For each (steps, theta) pair the scan walks only the row's exact
 rational family (see ``_family``), where every revival sits: each point
 from the two basis coins at the origin, all in one batch, which gives
-its propagator blocks. ``analysis._verdict`` judges them, as in
-``classify``. A walk from coin c ends at the origin as ``W_T[0] c``, so
-the residual ``1 - p0`` of the symmetric coin is read from ``W_T[0]``.
+its propagator blocks, all of which one ``analysis._verdict`` call judges
+by ``classify``'s rule. A walk from coin c ends at the origin as ``W_T[0] c``,
+so the residual ``1 - p0`` of the symmetric coin is read from ``W_T[0]``.
 """
 
 from __future__ import annotations
@@ -153,13 +153,13 @@ def _scan_row(config: SearchConfig, steps: int, theta: float) -> list[RevivalCan
     # a walk from coin c ends at the origin as W_T[0] c
     origin = blocks[:, steps] @ CoinVector.symmetric().as_array()
     residuals = 1.0 - (np.abs(origin[:, 0]) ** 2 + np.abs(origin[:, 1]) ** 2)
-    found = []
-    for point, omega, walked, residual in zip(family, omegas.tolist(), blocks, residuals.tolist()):
-        revival, complete = _verdict(walked)
-        if revival:
-            rational = point.as_integer_ratio()
-            found.append(RevivalCandidate(steps, theta, omega, rational, complete, residual))
-    return found
+    revivals, completes = _verdict(blocks)
+    rows = zip(family, omegas.tolist(), revivals.tolist(), completes.tolist(), residuals.tolist())
+    return [
+        RevivalCandidate(steps, theta, omega, point.as_integer_ratio(), complete, residual)
+        for point, omega, revival, complete, residual in rows
+        if revival
+    ]
 
 
 def scan(config: SearchConfig) -> list[RevivalCandidate]:

@@ -11,7 +11,7 @@ from rampwalk.analysis import (
     polya_number,
     tv_distance,
 )
-from rampwalk.coins import StepConvention, equal_up_to_global_phase
+from rampwalk.coins import StepConvention
 from rampwalk.evolution import WalkSchedule, propagator_blocks, run_walk
 from rampwalk.states import (
     CoinVector,
@@ -203,6 +203,16 @@ def _blocks(steps, off_origin, origin_block):
     return blocks
 
 
+def _oracle_verdict(blocks):
+    """(revival, complete) of one walk's blocks: the off-origin maximum and ``oracles.phase_equal``."""
+    steps = len(blocks) // 2
+    off_origin = max((abs(x) for d, block in enumerate(blocks.tolist()) if d != steps
+                      for row in block for x in row), default=0.0)
+    revival = off_origin <= 1e-10
+    phase_equal = oracles.phase_equal(blocks[steps].tolist(), np.eye(2).tolist())
+    return revival, revival and steps % 2 == 0 and phase_equal
+
+
 def test_verdict_decides_revival_and_completeness_at_one_tolerance():
     phase = np.exp(0.7j) * np.eye(2)
     assert _verdict(_blocks(4, 5e-11, phase)) == (True, True)
@@ -211,6 +221,49 @@ def test_verdict_decides_revival_and_completeness_at_one_tolerance():
     assert _verdict(_blocks(4, 0.0, np.diag([1.0, 1j]))) == (True, False)
     # an odd step count is never complete
     assert _verdict(_blocks(3, 0.0, np.eye(2))) == (True, False)
+    # a batch: each point gets its own answer, that of its own call and of the oracle
+    nudge = np.zeros((2, 2))
+    nudge[1, 1] = 1.0
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for steps, origins, expected in [
+        (4, [phase + 0.9e-8 * phase * nudge, phase + 1.1e-8 * phase * nudge,  # the phase bound, both ways
+             phase + 0.9e-8 * swap, phase + 1.1e-8 * swap,
+             swap, np.zeros((2, 2))],  # a zero first entry, a zero block
+         [True, False, True, False, False, False]),
+        (3, [np.eye(2), phase, swap], [False, False, False]),  # odd T
+        (0, [np.eye(2), phase, swap, np.zeros((2, 2))], [True, True, False, False]),
+    ]:
+        batch = np.array([_blocks(steps, 0.0, origin) for origin in origins])
+        revival, complete = _verdict(batch)
+        assert revival.shape == complete.shape == (len(origins),)
+        assert revival.all() and complete.tolist() == expected
+        for k, walked in enumerate(batch):
+            assert (revival[k], complete[k]) == _verdict(walked) == _oracle_verdict(walked)
+        # more leading axes are batch too
+        revival, complete = _verdict(np.stack([batch, batch]))
+        assert complete.tolist() == [expected, expected]
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 3, 6, 11])
+def test_verdict_of_random_stacks_matches_the_oracle(steps):
+    rng = np.random.default_rng(steps)
+    count = 400
+
+    def scaled(shape, lo, hi):
+        entries = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return entries * 10 ** rng.uniform(lo, hi, (count,) + (1,) * (len(shape) - 1))
+
+    # off-origin entries around REVIVAL_TOL, origin noise around PHASE_EQUAL_TOL
+    blocks = scaled((count, 2 * steps + 1, 2, 2), -11.5, -9.5)
+    phases = np.exp(2j * np.pi * rng.uniform(size=(count, 1, 1)))
+    blocks[:, steps] = phases * np.eye(2) + scaled((count, 2, 2), -9.5, -7.5)
+    revival, complete = _verdict(blocks)
+    expected = [_oracle_verdict(walked) for walked in blocks]
+    assert list(zip(revival.tolist(), complete.tolist())) == expected
+    # both answers take each value somewhere, so the bounds were crossed (T = 0 has no
+    # off-origin block, so it is always a revival)
+    assert {r for r, _ in expected} == ({True} if steps == 0 else {True, False})
+    assert steps % 2 or {c for _, c in expected} == {True, False}
 
 
 def test_classify_complete_revivals():
@@ -224,7 +277,7 @@ def test_classify_complete_revivals():
         assert report.is_revival
         assert report.is_complete
         assert report.origin_probability == pytest.approx(1.0, abs=1e-10)
-        assert equal_up_to_global_phase(report.effective_coin, np.eye(2), 1e-8)
+        assert oracles.phase_equal(report.effective_coin.tolist(), np.eye(2).tolist())
 
 
 def test_classify_incomplete_revival():
@@ -278,9 +331,10 @@ def test_classify_predicted_coin_state_matches_effective_map():
     coin_amps = final.amplitudes[lattice.index(0)]
     predicted = report.effective_coin @ CoinVector.symmetric().as_array()
     predicted = predicted / np.linalg.norm(predicted)
-    assert equal_up_to_global_phase(coin_amps, predicted, tol=1e-10)
+    # two coin vectors on the diagonals: equal up to one phase exactly when the vectors are
+    assert oracles.phase_equal(np.diag(coin_amps).tolist(), np.diag(predicted).tolist(), tol=1e-10)
     expected = np.array([math.cos(math.pi / 20), 1j * math.sin(math.pi / 20)])
-    assert equal_up_to_global_phase(coin_amps, expected, tol=1e-12)
+    assert oracles.phase_equal(np.diag(coin_amps).tolist(), np.diag(expected).tolist(), tol=1e-12)
 
 
 def test_classify_with_noise_keeps_operator_verdicts():

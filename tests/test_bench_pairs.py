@@ -132,3 +132,35 @@ def test_runs_that_are_not_correct_are_named_and_fail_the_command(monkeypatch, t
     assert wrong == ["not correct: change deep_classify seed 2 trace 0"]
     monkeypatch.setattr(bench_pairs, "run_once", canned_runs(set()))
     assert bench_pairs.main(argv) == 0
+
+
+def test_the_verdict_gives_each_end_to_end_metric_its_medians_and_wins(monkeypatch, tmp_path, capsys):
+    scan = {"scan_recall": (1.0, 1.0), "search.self_s": (0.2, 0.1)}
+    values = {  # (workload, seed): {metric: (parent, change)}
+        ("revival_scan", 1): {"wall_rel": (0.30, 0.24), **scan},
+        ("revival_scan", 2): {"wall_rel": (0.29, 0.25), **scan},
+        ("revival_scan", 3): {"wall_rel": (0.28, 0.29), **scan},
+        ("deep_classify", 1): {"wall_rel": (1.00, 1.09)},
+    }
+    units = {"wall_rel": "yardstick", "scan_recall": "ratio", "search.self_s": "s"}
+
+    def run_once(tree, workload, seed, seconds, trace):
+        side = 0 if tree.name == "parent" else 1
+        metrics = {name: (pair[side], units[name]) for name, pair in values[workload, seed].items()}
+        return bench_pairs.parse_output(canned_stdout(workload, seed, trace, tree.name, metrics))
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    (tmp_path / "change").mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--label", "check", "--seconds", "1",
+            "--pairs", "revival_scan=3", "--pairs", "deep_classify=1"]
+    assert bench_pairs.main(argv) == 0
+    assert (tmp_path / "BENCH_check.json").exists()
+    err = capsys.readouterr().err.splitlines()
+    # one line per workload and end-to-end metric it reports, none for a per-layer metric
+    assert [line for line in err if "median" in line] == [
+        "deep_classify wall_rel: parent median 1, change median 1.09, change better in 0 of 1 pairs",
+        "revival_scan wall_rel: parent median 0.29, change median 0.25, change better in 2 of 3 pairs",
+        "revival_scan scan_recall: parent median 1, change median 1, change better in 0 of 3 pairs",
+    ]

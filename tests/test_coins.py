@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from rampwalk.coins import (
     StepConvention,
     coin_at_step,
-    equal_up_to_global_phase,
     ry,
 )
 from rampwalk.evolution import WalkSchedule
@@ -111,33 +110,6 @@ def test_products_of_step_coins_are_unitary(theta, omega, steps):
     coins = WalkSchedule(theta, omega, steps).coins()
     product = np.linalg.multi_dot([*coins, rx(theta), ry(omega)])
     assert unitarity_defect(product) <= 1e-12
-
-
-@given(angles, angles, st.floats(min_value=0.0, max_value=2.0 * math.pi))
-def test_equal_up_to_global_phase_accepts_phased_copies(theta, omega, alpha):
-    coin = coin_at_step(theta, omega, 3)
-    assert equal_up_to_global_phase(coin, np.exp(1j * alpha) * coin, tol=1e-10)
-
-
-def test_equal_up_to_global_phase_rejects_distinct():
-    assert not equal_up_to_global_phase(rx(0.3), ry(0.3), tol=1e-8)
-    assert not equal_up_to_global_phase(np.eye(2), np.zeros((2, 2)), tol=1e-8)
-    assert not equal_up_to_global_phase(np.zeros((2, 2)), np.eye(2), tol=1e-8)
-
-
-def test_equal_up_to_global_phase_handles_zero_pair_and_vectors():
-    assert equal_up_to_global_phase(np.zeros((2, 2)), np.zeros((2, 2)), tol=1e-12)
-    a = np.array([1.0, 1j]) / math.sqrt(2.0)
-    assert equal_up_to_global_phase(a, -a, tol=1e-12)
-    with pytest.raises(ValueError):
-        equal_up_to_global_phase(np.eye(2), np.zeros(3))
-
-
-def test_equal_up_to_global_phase_respects_tolerance():
-    base = np.eye(2, dtype=np.complex128)
-    nudged = base + np.array([[5e-9, 0.0], [0.0, 0.0]])
-    assert equal_up_to_global_phase(base, nudged, tol=1e-8)
-    assert not equal_up_to_global_phase(base, nudged, tol=1e-10)
 
 
 def assert_bitwise_equal(a, b):

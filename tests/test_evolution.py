@@ -536,7 +536,7 @@ def test_density_walk_leaves_the_start_unchanged():
     sched = WalkSchedule(0.3, 0.2, 4, visibility=0.6)
     distributions, final = evolution._density_walk(sched)
     assert np.array_equal(final.matrix, evolution._density_walk(sched)[1].matrix)
-    block = evolution._origin_block(symmetric_start(4))
+    block = evolution._origin_block()
     kept = block.copy()
     p0 = evolution._probe_origin_probability(sched, block)
     assert np.array_equal(block, kept)

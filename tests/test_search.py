@@ -82,7 +82,9 @@ def test_angle_fraction():
 def scan_residuals(monkeypatch, steps, theta, convention, points):
     """The scan row's residual at each of `points`, each taken as a candidate, at any T."""
     monkeypatch.setattr(search, "_family", lambda *args: points)
-    monkeypatch.setattr(search, "_verdict", lambda blocks: (True, False))
+    monkeypatch.setattr(
+        search, "_verdict", lambda blocks: (np.ones(len(blocks), bool), np.zeros(len(blocks), bool))
+    )
     found = search._scan_row(SearchConfig(convention=convention), steps, theta)
     assert [Fraction(*c.omega_rational) for c in found] == points
     return [c.residual for c in found]
@@ -101,10 +103,13 @@ def test_origin_walk_does_not_depend_on_the_batch(monkeypatch, steps, theta, con
     omegas = np.array([math.pi * p.numerator / p.denominator for p in points])
     t = np.array(convention.step_indices(steps))
     blocks = evolution._origin_walk(coin_at_step(theta, omegas, t[:, None], convention))
+    revival, complete = _verdict(blocks)
     residuals = scan_residuals(monkeypatch, steps, theta, convention, points)
     for k, (point, omega) in enumerate(zip(points, omegas)):
         (alone,) = evolution._origin_walk(coin_at_step(theta, omega, t, convention))
         assert np.array_equal(blocks[k], alone)
+        # the row's one verdict call gives each point its own call's answer
+        assert (revival[k], complete[k]) == _verdict(alone)
         assert residuals[k] == scan_residuals(monkeypatch, steps, theta, convention, [point])[0]
 
 
