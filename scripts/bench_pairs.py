@@ -16,9 +16,11 @@ provenance, summary and result) and, per workload and metric, each
 side's median and quartiles and the pairs the change wins, in the
 direction BENCHMARK.json gives for the metric. After the record is
 written, one stderr line per workload and end-to-end metric gives the
-parent's median, the change's median and the pairs the change won. The
-exit status is 1 when any run's result was not correct (one stderr
-line names each), and 0 otherwise.
+parent's median, the change's median and the pairs the change won. A
+run that exits non-zero or times out is recorded as failed, with its
+exit code and the tail of its stderr, and the plan goes on. The exit
+status is 1 when any run failed or its result was not correct (one
+stderr line names each), and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
     runs of one workload, seed and trace; the change wins a pair when
     its value is strictly better in the metric's direction. Each
     workload also lists the config and source hashes of each side and
-    its count of runs whose result was not correct.
+    its count of runs whose result was not correct, failed runs included.
     """
     summary: dict[str, dict] = {}
     by_key = {(r["side"], r["workload"], r["seed"], r["trace"]): r for r in runs}
@@ -76,10 +78,8 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
         entry: dict[str, dict] = {
             "hashes": {
                 side: {
-                    "config_sha256": sorted({r["provenance"]["config_sha256"] for r in mine if r["side"] == side}),
-                    "rampwalk_source_sha256": sorted(
-                        {r["provenance"]["rampwalk_source_sha256"] for r in mine if r["side"] == side}
-                    ),
+                    key: sorted({r["provenance"][key] for r in mine if r["side"] == side and r["provenance"]})
+                    for key in ("config_sha256", "rampwalk_source_sha256")
                 }
                 for side in SIDES
             },
@@ -132,12 +132,26 @@ def verdict_lines(summary: dict, config: dict) -> list[str]:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """The record of one run of ``bench/run.py``; a run that exits non-zero or times out is failed.
+
+    A failed run's record has no provenance or summary, a result that is
+    not correct and has no metrics, and a ``failure`` that gives its exit
+    code (None after a timeout) and the last 2000 characters of its stderr.
+    """
     command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(command, cwd=tree, capture_output=True, text=True, timeout=max(600.0, 20 * seconds))
-    if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(command)} in {tree} exited {proc.returncode}: {proc.stderr[-2000:]}")
-    return parse_output(proc.stdout)
+    try:
+        proc = subprocess.run(command, cwd=tree, capture_output=True, text=True, timeout=max(600.0, 20 * seconds))
+    except subprocess.TimeoutExpired as exc:
+        code, stderr = None, exc.stderr or ""
+    else:
+        if proc.returncode == 0:
+            return parse_output(proc.stdout)
+        code, stderr = proc.returncode, proc.stderr
+    if isinstance(stderr, bytes):  # a timeout can leave the captured stderr undecoded
+        stderr = stderr.decode(errors="replace")
+    return {"provenance": None, "summary": None, "result": {"correct": False, "metrics": {}},
+            "failure": {"exit_code": code, "stderr_tail": stderr[-2000:]}}
 
 
 def workload_count(text: str) -> tuple[str, int]:
@@ -173,11 +187,13 @@ def main(argv: list[str] | None = None) -> int:
         for side in order:
             record = run_once(trees[side], workload, seed, args.seconds, trace)
             runs.append({"side": side, "workload": workload, "seed": seed, "trace": trace, **record})
-            print(f"{workload} seed {seed} trace {trace} {side}: correct {record['result']['correct']}",
-                  file=sys.stderr, flush=True)
+            status = (f"failed, exit code {record['failure']['exit_code']}" if "failure" in record
+                      else f"correct {record['result']['correct']}")
+            print(f"{workload} seed {seed} trace {trace} {side}: {status}", file=sys.stderr, flush=True)
 
-    host = {key: runs[0]["provenance"][key]
-            for key in ("machine", "nproc", "python", "numpy", "blas", "blas_threads")}
+    provenance = next((r["provenance"] for r in runs if r["provenance"]), None)
+    host = provenance and {key: provenance[key]
+                           for key in ("machine", "nproc", "python", "numpy", "blas", "blas_threads")}
     document = {
         "label": args.label,
         "command": f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g} --trace T",
@@ -196,8 +212,8 @@ def main(argv: list[str] | None = None) -> int:
         print(line, file=sys.stderr)
     wrong = [r for r in runs if not r["result"]["correct"]]
     for r in wrong:
-        print(f"not correct: {r['side']} {r['workload']} seed {r['seed']} trace {r['trace']}",
-              file=sys.stderr)
+        what = "failed" if "failure" in r else "not correct"
+        print(f"{what}: {r['side']} {r['workload']} seed {r['seed']} trace {r['trace']}", file=sys.stderr)
     return 1 if wrong else 0
 
 

@@ -27,7 +27,6 @@ from .evolution import (
     WalkSchedule,
     bisect_visibility,
     propagator_blocks,
-    run_walk,
 )
 from .analysis import (
     RevivalReport,
@@ -72,7 +71,6 @@ __all__ = [
     "propagator_blocks",
     "reduced_coin_state",
     "ry",
-    "run_walk",
     "scan",
     "tv_distance",
     "verify_table",

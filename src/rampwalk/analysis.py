@@ -17,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .evolution import WalkSchedule, propagator_blocks, run_walk, symmetric_start
+from .evolution import WalkSchedule, _blocks, _density_walk, _origin_walk, propagator_blocks, symmetric_start
 from .states import (
     CoinVector,
     PositionDistribution,
+    WalkerCoinPureState,
     WalkerState,
     coin_overlap,
     position_distribution,
@@ -40,22 +41,18 @@ def tv_distance(p: PositionDistribution, q: PositionDistribution) -> float | NDA
     return float(distance) if distance.ndim == 0 else distance
 
 
-def polya_number(p0_series, horizon: int | None = None) -> float:
-    """Probability of at least one return to the origin within the horizon.
+def polya_number(p0_series) -> float:
+    """Probability of at least one return to the origin within the series.
 
-    Computed as ``1 - prod(1 - p0(t))`` over the first `horizon` entries
-    of the per-step origin probability series.
+    Computed as ``1 - prod(1 - p0(t))`` over the per-step origin
+    probability series; a shorter horizon is a slice of it.
     """
     probs = np.asarray(p0_series, dtype=np.float64)
     if probs.ndim != 1:
         raise ValueError(f"expected a 1d series, got shape {probs.shape}")
-    if horizon is None:
-        horizon = probs.size
-    if not 0 <= horizon <= probs.size:
-        raise ValueError(f"horizon {horizon} outside [0, {probs.size}]")
     if probs.size and not (float(probs.min()) >= -1e-9 and float(probs.max()) <= 1.0 + 1e-9):
         raise ValueError("series contains values outside [0, 1]")
-    clipped = np.clip(probs[:horizon], 0.0, 1.0)
+    clipped = np.clip(probs, 0.0, 1.0)
     return float(1.0 - np.prod(1.0 - clipped))
 
 
@@ -139,15 +136,27 @@ def classify(schedule: WalkSchedule) -> RevivalReport:
     State-dependent quantities follow the schedule visibility (pure
     evolution at visibility 1, dephased otherwise); the revival and
     completeness verdicts always refer to the noiseless operator, as
-    :func:`_verdict` gives them. The CLI and the demo script format this
-    report rather than walk themselves.
+    :func:`_verdict` gives them. At visibility 1 one walk gives both: the
+    blocks from its basis columns, the rows and the final state from its
+    start column on the inner 2T + 3 sites of ``Lattice.for_steps(T)``.
+    The CLI and the demo script format this report rather than walk.
     """
     initial_coin = CoinVector.symmetric()
     start_distribution = position_distribution(symmetric_start(schedule.steps))
-    distributions, final = run_walk(schedule)
+    lattice = start_distribution.lattice
+    if schedule.visibility == 1.0:
+        probs = np.zeros((schedule.steps, lattice.size))
+        walk = _origin_walk(schedule.coins(), initial_coin.as_array()[:, None])
+        amps = next(walk)
+        for row, amps in zip(probs, walk):
+            row[1:-1] = np.abs(amps[0, :, 2]) ** 2 + np.abs(amps[1, :, 2]) ** 2
+        distributions = PositionDistribution(lattice, probs)
+        final = WalkerCoinPureState(lattice, np.pad(amps[:, :, 2].T, ((1, 1), (0, 0))))
+        blocks = _blocks(amps[:, :, :2])[0]
+    else:
+        distributions, final = _density_walk(schedule)
+        blocks = propagator_blocks(schedule)
     final_distribution = position_distribution(final)
-
-    blocks = propagator_blocks(schedule)
     effective = blocks[schedule.steps].copy() if schedule.steps % 2 == 0 else None
     revival, complete = _verdict(blocks)
 

@@ -8,16 +8,16 @@ invariant: one column of 2x2 blocks ``W_T[d]``, the map from the coin
 at any site x to the coin at x + d, describes it completely (see
 :func:`propagator_blocks`).
 
-Every pure walk in the package runs through one batched step routine,
-:func:`_coin_and_shift`, on coin-major amplitudes of shape
-(..., 2, n, G) (coin, site, then a batch of G walks) under the coin
-stack of :meth:`WalkSchedule.coins`, built once per walk. The dephased
-walk runs through one density step, :func:`_class_steps`, which
-applies the coin pair to one parity class of rho in one pass and then
-shifts it, with the same products as :func:`_coin_and_shift` on the
-rows and then the columns. Every walk of a state goes through
-:func:`run_walk`, from its one start, :func:`symmetric_start`: the
-symmetric coin at the origin of ``Lattice.for_steps(T)``. Below
+Every pure walk in the package is one :func:`_origin_walk`, the one
+loop over the batched step :func:`_coin_and_shift`, on coin-major
+amplitudes (..., 2, n, G) (coin, site, then a batch of G walks) under
+the coin stack of :meth:`WalkSchedule.coins`, built once per walk. The
+dephased walk runs through one density step, :func:`_class_steps`,
+which applies the coin pair to one parity class of rho in one pass and
+then shifts it, with the same products as :func:`_coin_and_shift` on
+the rows and then the columns. Every walk of a state, the one
+``analysis.classify`` summarises, starts from :func:`symmetric_start`:
+the symmetric coin at the origin of ``Lattice.for_steps(T)``. Below
 visibility 1 the walk is dephased: each unitary step is followed by a
 coin dephasing channel of strength set by the schedule visibility:
 
@@ -34,7 +34,7 @@ them, a quarter of its light cone. The dephased walk steps that class
 as one compact block and builds the public (2n, 2n) matrix only for
 the final state. The light cone and the guard band of
 ``Lattice.for_steps(T)`` always fit the lattice, so no walk checks its
-reach. :func:`run_walk` returns only the (T, n) stack of
+reach. :func:`_density_walk` returns only the (T, n) stack of
 distributions and the final state, so it keeps no trajectory; the
 state after step k is the final state of the k-step walk.
 :func:`bisect_visibility`, a bracketing regula falsi on the visibility,
@@ -61,7 +61,6 @@ from .states import (
     PositionDistribution,
     WalkerCoinDensityMatrix,
     WalkerCoinPureState,
-    WalkerState,
     initial_state,
 )
 
@@ -95,12 +94,10 @@ class WalkSchedule:
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError(f"visibility must lie in [0, 1], got {self.visibility}")
 
-    def step_indices(self) -> range:
-        return self.convention.step_indices(self.steps)
-
     def coins(self) -> NDArray[np.complex128]:
         """The coins of all steps in step order, shape (steps, 2, 2)."""
-        return coin_at_step(self.theta, self.omega, np.array(self.step_indices()), self.convention)
+        indices = np.array(self.convention.step_indices(self.steps))
+        return coin_at_step(self.theta, self.omega, indices, self.convention)
 
     def with_visibility(self, visibility: float) -> "WalkSchedule":
         return replace(self, visibility=visibility)
@@ -139,22 +136,31 @@ def _coin_and_shift(
     return out
 
 
-def _origin_walk(coins: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """The blocks (G, 2T + 1, 2, 2) of G T-step walks from the origin, each from both basis coins.
+def _origin_walk(
+    coins: NDArray[np.complex128], starts: NDArray[np.complex128] = np.zeros((2, 0))
+) -> Iterator[NDArray[np.complex128]]:
+    """The amplitudes of G walks from the origin, each from both basis coins: the start, then each step's.
 
     ``coins`` is a (T, 2, 2) stack for one walk (G = 1), kept as one
     (2, 2) coin per step, or a (T, G, 2, 2) stack with one coin per walk,
     which each step applies to both of its starts. The amplitudes are
-    coin-major, (2, 2T + 3, 2G) over the full lattice, which the walks
-    never leave; column ``jG + g`` walks g from basis coin j, and block
-    ``[g, d + T, i, j]`` is its final amplitude of coin i at site d.
+    coin-major, (2, 2T + 3, 2G + K) over the full lattice, which the walks
+    never leave; column ``jG + g`` walks g from basis coin j, and K start
+    columns ``starts`` (2, K), which need one walk's stack, follow them.
     """
     steps, count = coins.shape[0], coins.shape[1] if coins.ndim == 4 else 1
-    amps = np.zeros((2, 2 * steps + 3, 2 * count), dtype=np.complex128)
-    amps[0, steps + 1, :count] = amps[1, steps + 1, count:] = 1.0
+    amps = np.zeros((2, 2 * steps + 3, 2 * count + starts.shape[1]), dtype=np.complex128)
+    amps[0, steps + 1, :count] = amps[1, steps + 1, count : 2 * count] = 1.0
+    amps[:, steps + 1, 2 * count :] = starts
+    yield amps
     for coin in coins:
         amps = _coin_and_shift(coin if coin.ndim == 2 else np.concatenate((coin, coin)), amps)
-    return amps[:, 1:-1].reshape(2, 2 * steps + 1, 2, count).transpose(3, 1, 0, 2)
+        yield amps
+
+
+def _blocks(amps: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """The blocks (G, 2T + 1, 2, 2) of basis columns (2, 2T + 3, 2G); ``[g, d + T, i, j]``: coin j to i at d."""
+    return amps[:, 1:-1].reshape(2, amps.shape[1] - 2, 2, amps.shape[2] // 2).transpose(3, 1, 0, 2)
 
 
 def propagator_blocks(schedule: WalkSchedule) -> NDArray[np.complex128]:
@@ -164,10 +170,12 @@ def propagator_blocks(schedule: WalkSchedule) -> NDArray[np.complex128]:
     coin at site x + d after all T steps, for d in [-T, T]. The walk is
     a revival when every block but ``W_T[0]`` vanishes, and ``W_T[0]``
     is then its effective coin. With zero steps the single block is the
-    identity. The schedule visibility is ignored. This is one
-    :func:`_origin_walk`, the walk the scan batches over its ramp rates.
+    identity. The schedule visibility is ignored. This is the last step
+    of :func:`_origin_walk`, the walk the scan batches over its rates.
     """
-    return _origin_walk(schedule.coins())[0]
+    for amps in _origin_walk(schedule.coins()):
+        pass
+    return _blocks(amps)[0]
 
 
 def _class_steps(
@@ -250,21 +258,22 @@ def _probe_origin_probability(schedule: WalkSchedule, block: NDArray[np.complex1
 def symmetric_start(steps: int) -> WalkerCoinPureState:
     """The symmetric coin at the origin of ``Lattice.for_steps(steps)``.
 
-    The one start of :func:`run_walk`, so of ``analysis.classify``, and
-    of :func:`bisect_visibility`.
+    The start of ``analysis.classify``'s walk, whose pure walk steps its
+    coin as a start column, and of :func:`bisect_visibility`'s.
     """
     return initial_state(Lattice.for_steps(steps), CoinVector.symmetric())
 
 
 def _density_walk(schedule: WalkSchedule) -> tuple[PositionDistribution, WalkerCoinDensityMatrix]:
-    """The dephased walk of :func:`run_walk` at any visibility, 1 included: its stack and final state.
+    """The dephased walk at any visibility, 1 included: its stack and final state.
 
     The walk steps :func:`_origin_block` with :func:`_class_steps` on
     ``Lattice.for_steps(T)``, building no start. Step k's row is the two
     coin diagonals of the block, written at stride 2 on the light cone's
     sites -k, ..., k, and the final block is scattered into the (2n, 2n)
     matrix at stride 2, rows and columns alike. Only the returned
-    objects are built and validated.
+    objects are built and validated. ``analysis.classify`` takes it below
+    visibility 1, and :func:`bisect_visibility` at every visibility.
     """
     lattice = Lattice.for_steps(schedule.steps)
     n, origin, steps = lattice.size, lattice.index(0), schedule.steps
@@ -276,30 +285,6 @@ def _density_walk(schedule: WalkSchedule) -> tuple[PositionDistribution, WalkerC
     cone = slice(origin - steps, origin + steps + 1, 2)
     matrix.reshape(n, 2, n, 2)[cone, :, cone, :] = w.transpose(2, 0, 3, 1)
     return PositionDistribution(lattice, probs), WalkerCoinDensityMatrix(lattice, matrix)
-
-
-def run_walk(schedule: WalkSchedule) -> tuple[PositionDistribution, WalkerState]:
-    """The (T, n) stack of position distributions, one row per step, and the final state.
-
-    The walk starts from :func:`symmetric_start` on
-    ``Lattice.for_steps(T)``. At visibility 1 it steps coin-major
-    amplitudes ``a[i, x]`` of shape (2, n), a row being
-    ``|a+|^2 + |a-|^2``, and the final state is pure; below 1 it is the
-    dephased walk of :func:`_density_walk`, and the final state a
-    density matrix. Only the returned objects are built and validated.
-    With zero steps the stack has no rows and the final state is the
-    start, as its density matrix below visibility 1.
-    """
-    if schedule.visibility != 1.0:
-        return _density_walk(schedule)
-    start = symmetric_start(schedule.steps)
-    probs = np.zeros((schedule.steps, start.lattice.size))
-    amps = np.ascontiguousarray(start.amplitudes.T)[..., None]
-    for row, coin in zip(probs, schedule.coins()):
-        amps = _coin_and_shift(coin, amps)
-        row[:] = np.abs(amps[0, :, 0]) ** 2 + np.abs(amps[1, :, 0]) ** 2
-    final = WalkerCoinPureState(start.lattice, np.ascontiguousarray(amps[..., 0].T))
-    return PositionDistribution(start.lattice, probs), final
 
 
 def bisect_visibility(
@@ -326,7 +311,7 @@ def bisect_visibility(
     :func:`_origin_block`, the start's coin block ``c c^dagger`` at the
     origin, and validates nothing. The chosen visibility, an end point
     included, is then walked once by :func:`_density_walk`, the dephased
-    walk of :func:`run_walk`, which validates the final state; its final
+    walk ``analysis.classify`` takes, which validates the final state; its final
     p0 must equal the probe's (else RuntimeError) and is the one
     returned. At visibility 1 it stays on that density walk: the pure
     walk's p0 can differ from the probe's in the last bits. Returns

@@ -22,7 +22,7 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from .coins import StepConvention, coin_at_step
-from .evolution import _origin_walk
+from .evolution import _blocks, _origin_walk
 from .analysis import _verdict
 from .states import CoinVector
 
@@ -149,7 +149,9 @@ def _scan_row(config: SearchConfig, steps: int, theta: float) -> list[RevivalCan
     family = _family(steps, config.convention, lo, hi)
     omegas = np.array([math.pi * p.numerator / p.denominator for p in family])
     t = np.array(config.convention.step_indices(steps))
-    blocks = _origin_walk(coin_at_step(theta, omegas, t[:, None], config.convention))
+    for amps in _origin_walk(coin_at_step(theta, omegas, t[:, None], config.convention)):
+        pass
+    blocks = _blocks(amps)
     # a walk from coin c ends at the origin as W_T[0] c
     origin = blocks[:, steps] @ CoinVector.symmetric().as_array()
     residuals = 1.0 - (np.abs(origin[:, 0]) ** 2 + np.abs(origin[:, 1]) ** 2)

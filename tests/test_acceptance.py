@@ -14,7 +14,7 @@ import numpy as np
 from rampwalk.analysis import classify, effective_coin_balanced_strings, tv_distance
 from rampwalk.coins import coin_at_step
 from rampwalk import evolution
-from rampwalk.evolution import WalkSchedule, bisect_visibility, propagator_blocks, run_walk
+from rampwalk.evolution import WalkSchedule, bisect_visibility, propagator_blocks
 from rampwalk.search import SearchConfig, load_reference_catalog, scan, verify_table
 from rampwalk.states import (
     CoinVector,
@@ -24,6 +24,7 @@ from rampwalk.states import (
 )
 
 import oracles
+from walks import walk
 
 
 def _report(number: int, label: str, ok: bool, detail: str) -> bool:
@@ -63,7 +64,7 @@ def test_criterion_1_revival_table_reproduced():
 
 def test_criterion_2_certain_return_at_flagship_point():
     schedule = WalkSchedule(0.0, math.pi / 8, 16)
-    p0 = run_walk(schedule)[0].at_site(0)
+    p0 = walk(schedule)[0].at_site(0)
     ok = abs(p0[7] - 1.0) <= 1e-10 and abs(p0[15] - 1.0) <= 1e-10
     detail = f"p0(8) = {p0[7]:.12f}, p0(16) = {p0[15]:.12f}"
     assert _report(2, "certain return", ok, detail)
@@ -72,7 +73,7 @@ def test_criterion_2_certain_return_at_flagship_point():
 def test_criterion_3_predicted_coin_state():
     schedule = WalkSchedule(math.pi / 4, math.pi / 10, 8)
     lattice = Lattice.for_steps(8)
-    _, final = run_walk(schedule)
+    _, final = walk(schedule)
     coin_amps = final.amplitudes[lattice.index(0)]
     target = np.array([0.988, 0.156j])
     pivot = int(np.argmax(np.abs(target)))
@@ -100,7 +101,7 @@ def test_criterion_4_tv_identity_over_random_walks():
         lattice = Lattice.for_steps(steps)
         start = initial_state(lattice, CoinVector.symmetric())
         reference = position_distribution(start)
-        distributions, _ = run_walk(schedule)
+        distributions, _ = walk(schedule)
         gaps = np.abs(tv_distance(distributions, reference) - (1.0 - distributions.at_site(0)))
         worst = max(worst, float(gaps.max()))
     ok = worst <= 1e-12
@@ -148,7 +149,7 @@ def test_criterion_6_dephasing_model():
     schedule = WalkSchedule(0.0, math.pi / 8, 8)
 
     # the dephased walk at visibility 1, which the calibration validates its result with
-    pure_distributions, _ = run_walk(schedule)
+    pure_distributions, _ = walk(schedule)
     mixed_distributions, _ = evolution._density_walk(schedule)
     assert pure_distributions.probabilities.shape == mixed_distributions.probabilities.shape
     match_gap = float(
@@ -158,7 +159,7 @@ def test_criterion_6_dephasing_model():
     visibilities = [1.0, 0.996, 0.99, 0.95, 0.9]
     p0_values = []
     for visibility in visibilities:
-        _, final = run_walk(schedule.with_visibility(visibility))
+        _, final = walk(schedule.with_visibility(visibility))
         p0_values.append(position_distribution(final).at_site(0))
     monotone = all(a >= b - 1e-12 for a, b in zip(p0_values, p0_values[1:]))
 
@@ -202,7 +203,7 @@ def test_criterion_7_module_invariants_on_random_cases():
         schedule = WalkSchedule(theta, omega, steps)
         lattice = Lattice.for_steps(steps)
         # the state after step k is the final state of the k-step walk
-        trajectory = [run_walk(replace(schedule, steps=k))[1] for k in range(1, steps + 1)]
+        trajectory = [walk(replace(schedule, steps=k))[1] for k in range(1, steps + 1)]
         for state in trajectory:
             if abs(float(np.sum(np.abs(state.amplitudes) ** 2)) - 1.0) > 1e-12:
                 evolution_ok = False

@@ -11,8 +11,9 @@ from rampwalk.analysis import (
     polya_number,
     tv_distance,
 )
+from rampwalk import evolution
 from rampwalk.coins import StepConvention
-from rampwalk.evolution import WalkSchedule, propagator_blocks, run_walk
+from rampwalk.evolution import WalkSchedule, propagator_blocks
 from rampwalk.states import (
     CoinVector,
     Lattice,
@@ -22,6 +23,7 @@ from rampwalk.states import (
 )
 
 import oracles
+from walks import walk
 
 angle = st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False)
 
@@ -56,7 +58,7 @@ def test_tv_distance_of_a_stack_equals_its_per_row_distances(visibility):
     sched = WalkSchedule(0.3, 0.2, 9, visibility=visibility)
     start = initial_state(Lattice.for_steps(9), CoinVector.symmetric())
     reference = position_distribution(start)
-    distributions, _ = run_walk(sched)
+    distributions, _ = walk(sched)
     per_row = [
         tv_distance(PositionDistribution(start.lattice, row), reference)
         for row in distributions.probabilities
@@ -74,7 +76,7 @@ def test_tv_against_point_mass_equals_one_minus_p0(theta, omega, steps):
     lattice = Lattice.for_steps(steps)
     start = initial_state(lattice, CoinVector.symmetric())
     reference = position_distribution(start)
-    distributions, _ = run_walk(sched)
+    distributions, _ = walk(sched)
     direct = tv_distance(distributions, reference)
     shortcut = 1.0 - distributions.at_site(0)
     assert direct.shape == (steps,)
@@ -82,20 +84,15 @@ def test_tv_against_point_mass_equals_one_minus_p0(theta, omega, steps):
 
 
 def test_polya_number_values():
-    assert polya_number([0.0, 1.0, 0.0], horizon=3) == pytest.approx(1.0, abs=1e-15)
+    assert polya_number([0.0, 1.0, 0.0]) == pytest.approx(1.0, abs=1e-15)
     assert polya_number([0.5, 0.5]) == pytest.approx(0.75, abs=1e-15)
-    assert polya_number([0.2, 0.3], horizon=0) == 0.0
-    assert polya_number([], horizon=0) == 0.0
+    assert polya_number([]) == 0.0
     assert polya_number([0.25]) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_polya_number_validation():
     with pytest.raises(ValueError):
         polya_number([0.5, math.nan])
-    with pytest.raises(ValueError):
-        polya_number([0.5], horizon=2)
-    with pytest.raises(ValueError):
-        polya_number([0.5], horizon=-1)
     with pytest.raises(ValueError):
         polya_number([1.5])
     with pytest.raises(ValueError):
@@ -104,8 +101,8 @@ def test_polya_number_validation():
 
 def test_polya_at_flagship_revival():
     sched = WalkSchedule(0.0, math.pi / 8, 16)
-    p0 = run_walk(sched)[0].at_site(0)
-    assert polya_number(p0, horizon=7) == pytest.approx(1.0, abs=1e-12)
+    p0 = walk(sched)[0].at_site(0)
+    assert polya_number(p0[:7]) == pytest.approx(1.0, abs=1e-12)
     assert polya_number(p0) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -327,7 +324,7 @@ def test_classify_predicted_coin_state_matches_effective_map():
     sched = WalkSchedule(math.pi / 4, math.pi / 10, 8)
     report = classify(sched)
     lattice = Lattice.for_steps(8)
-    _, final = run_walk(sched)
+    _, final = walk(sched)
     coin_amps = final.amplitudes[lattice.index(0)]
     predicted = report.effective_coin @ CoinVector.symmetric().as_array()
     predicted = predicted / np.linalg.norm(predicted)
@@ -335,6 +332,24 @@ def test_classify_predicted_coin_state_matches_effective_map():
     assert oracles.phase_equal(np.diag(coin_amps).tolist(), np.diag(predicted).tolist(), tol=1e-10)
     expected = np.array([math.cos(math.pi / 20), 1j * math.sin(math.pi / 20)])
     assert oracles.phase_equal(np.diag(coin_amps).tolist(), np.diag(expected).tolist(), tol=1e-12)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 48])
+def test_classify_walks_the_noiseless_walk_once(monkeypatch, steps):
+    # at visibility 1 one walk of three columns, both basis coins and the start coin,
+    # gives the blocks, the rows and the final state; below it only the blocks are pure
+    shapes = []
+    coin_and_shift = evolution._coin_and_shift
+
+    def recording(coins, amps):
+        shapes.append(amps.shape)
+        return coin_and_shift(coins, amps)
+
+    monkeypatch.setattr(evolution, "_coin_and_shift", recording)
+    for visibility, columns in ((1.0, 3), (0.9, 2)):
+        shapes.clear()
+        classify(WalkSchedule(math.pi / 4, math.pi / 48, steps, visibility=visibility))
+        assert shapes == [(2, 2 * steps + 3, columns)] * steps
 
 
 def test_classify_with_noise_keeps_operator_verdicts():

@@ -1,6 +1,7 @@
 import argparse
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -164,3 +165,44 @@ def test_the_verdict_gives_each_end_to_end_metric_its_medians_and_wins(monkeypat
         "revival_scan wall_rel: parent median 0.29, change median 0.25, change better in 2 of 3 pairs",
         "revival_scan scan_recall: parent median 1, change median 1, change better in 0 of 3 pairs",
     ]
+
+
+def test_a_failed_run_is_recorded_and_the_plan_finishes(monkeypatch, tmp_path, capsys):
+    # the change's seed 2 exits 3 and its seed 3 times out; every other run prints its record
+    calls = []
+
+    def fake_run(command, cwd, capture_output, text, timeout):
+        seed, trace = int(command[command.index("--seed") + 1]), int(command[command.index("--trace") + 1])
+        calls.append((Path(cwd).name, seed))
+        if (Path(cwd).name, seed) == ("change", 2):
+            return subprocess.CompletedProcess(command, 3, stdout="", stderr="x" * 3000 + "Traceback: boom\n")
+        if (Path(cwd).name, seed) == ("change", 3):
+            raise subprocess.TimeoutExpired(command, timeout, stderr=b"still walking\n")
+        stdout = canned_stdout("deep_classify", seed, trace, Path(cwd).name, {"wall_rel": (1.0 + seed, "yardstick")})
+        return subprocess.CompletedProcess(command, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    (tmp_path / "change").mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--label", "check", "--seconds", "1",
+            "--pairs", "deep_classify=4"]
+    assert bench_pairs.main(argv) == 1
+    assert sorted(calls) == [(side, seed) for side in ("change", "parent") for seed in (1, 2, 3, 4)]
+    record = json.loads((tmp_path / "BENCH_check.json").read_text(encoding="utf-8"))
+    assert len(record["runs"]) == 8
+    failed = {r["seed"]: r for r in record["runs"] if "failure" in r}
+    assert sorted(failed) == [2, 3] and all(r["side"] == "change" for r in failed.values())
+    assert failed[2]["failure"] == {"exit_code": 3, "stderr_tail": ("x" * 3000 + "Traceback: boom\n")[-2000:]}
+    assert failed[3]["failure"] == {"exit_code": None, "stderr_tail": "still walking\n"}
+    assert not failed[2]["result"]["correct"] and failed[2]["provenance"] is None
+    summary = record["summary"]["deep_classify"]
+    assert summary["runs_not_correct"] == {"parent": 0, "change": 2}
+    # the two whole pairs still give the verdict
+    assert summary["wall_rel"]["pairs"] == 2 and summary["wall_rel"]["parent_runs"] == [2.0, 5.0]
+    assert record["host"]["machine"] == "x86_64"
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("failed")] == [
+        "failed: change deep_classify seed 2 trace 0", "failed: change deep_classify seed 3 trace 0"
+    ]
+    assert "deep_classify wall_rel: parent median 3.5, change median 3.5, change better in 0 of 2 pairs" in err

@@ -23,6 +23,7 @@ from rampwalk.states import (
 )
 
 import oracles
+import walks
 
 angle = st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False)
 
@@ -35,16 +36,16 @@ def psd_checked(walk):
     return distributions, final
 
 
-def run_walk(schedule):
-    return psd_checked(evolution.run_walk(schedule))
+def walk(schedule):
+    return psd_checked(walks.walk(schedule))
 
 
 def density_walk(schedule):
-    """The dephased walk of `run_walk` at every visibility, 1 included, as the calibration walks it."""
+    """The dephased walk of `walk` at every visibility, 1 included, as the calibration walks it."""
     return psd_checked(evolution._density_walk(schedule))
 
 
-def states_after_each_step(schedule, walk=run_walk):
+def states_after_each_step(schedule, walk=walk):
     """The state after each step: the final state of each prefix walk, on its own lattice."""
     return [walk(replace(schedule, steps=k))[1] for k in range(1, schedule.steps + 1)]
 
@@ -93,25 +94,18 @@ def test_schedule_takes_numpy_step_counts():
     numpy_steps = WalkSchedule(0.0, math.pi / 8, np.int64(8))
     int_steps = WalkSchedule(0.0, math.pi / 8, 8)
     assert np.array_equal(propagator_blocks(numpy_steps), propagator_blocks(int_steps))
-    _, final = run_walk(numpy_steps)
-    assert np.array_equal(final.amplitudes, run_walk(int_steps)[1].amplitudes)
-
-
-def test_schedule_step_indices_by_convention():
-    one = WalkSchedule(0.0, 0.1, 3)
-    zero = WalkSchedule(0.0, 0.1, 3, convention=StepConvention.ZERO_BASED)
-    assert list(one.step_indices()) == [1, 2, 3]
-    assert list(zero.step_indices()) == [0, 1, 2]
+    _, final = walk(numpy_steps)
+    assert np.array_equal(final.amplitudes, walk(int_steps)[1].amplitudes)
 
 
 def test_pure_start_below_unit_visibility_walks_its_density_matrix():
     # the revival at (theta 0, omega pi/8, T 8) is lost once the coin dephases
     sched = WalkSchedule(0.0, math.pi / 8, 8, visibility=0.9)
-    distributions, final = run_walk(sched)
+    distributions, final = walk(sched)
     assert isinstance(final, WalkerCoinDensityMatrix)
     assert np.array_equal(final.matrix, density_walk(sched)[1].matrix)
     assert distributions.at_site(0)[-1] < 1.0 - 1e-3
-    pure_distributions, pure_final = run_walk(sched.with_visibility(1.0))
+    pure_distributions, pure_final = walk(sched.with_visibility(1.0))
     assert isinstance(pure_final, WalkerCoinPureState)
     assert pure_distributions.at_site(0)[-1] == pytest.approx(1.0, abs=1e-12)
 
@@ -119,7 +113,7 @@ def test_pure_start_below_unit_visibility_walks_its_density_matrix():
 def test_one_step_moves_symmetric_coin_down_at_ramp_eighth_pi():
     # rx(pi/8) sends the symmetric coin onto the minus branch exactly
     sched = WalkSchedule(0.0, math.pi / 8, 1)
-    _, final = run_walk(sched)
+    _, final = walk(sched)
     dist = position_distribution(final)
     assert dist.at_site(-1) == pytest.approx(1.0, abs=1e-12)
 
@@ -146,7 +140,7 @@ def test_pure_walk_preserves_norm(theta, omega, steps):
 
 def test_sixteen_step_walk_matches_oracle_end_to_end():
     sched = WalkSchedule(0.0, math.pi / 8, 16)
-    _, final = run_walk(sched)
+    _, final = walk(sched)
     expected = oracle_amplitudes_to_array(
         oracles.walk_states(0.0, math.pi / 8, 16)[-1], final.lattice
     )
@@ -157,8 +151,8 @@ def test_zero_based_convention_changes_the_walk():
     # one-based ramping revives at (theta 0, omega pi/8, T 2); zero-based does not
     one = WalkSchedule(0.0, math.pi / 8, 2)
     zero = WalkSchedule(0.0, math.pi / 8, 2, convention=StepConvention.ZERO_BASED)
-    p_one = run_walk(one)[0].at_site(0)[-1]
-    p_zero = run_walk(zero)[0].at_site(0)[-1]
+    p_one = walk(one)[0].at_site(0)[-1]
+    p_zero = walk(zero)[0].at_site(0)[-1]
     assert p_one == pytest.approx(1.0, abs=1e-12)
     assert p_zero == pytest.approx(0.5, abs=1e-12)
 
@@ -177,7 +171,7 @@ def test_guard_sites_stay_empty_over_long_walk(visibility):
 
 def test_translation_covariance():
     # the coin is the same on every site: a start 3 sites off the origin walks
-    # to run_walk's final state moved by 3 sites
+    # to the final state of classify's walk moved by 3 sites
     steps, offset = 4, 3
     sched = WalkSchedule(0.4, 0.2, steps)
     lattice = Lattice.for_steps(steps)
@@ -186,7 +180,7 @@ def test_translation_covariance():
     amps[:, wide.index(offset), 0] = symmetric_start(steps).amplitudes[lattice.index(0)]
     for coin in sched.coins():
         amps = evolution._coin_and_shift(coin, amps)
-    _, final = run_walk(sched)
+    _, final = walk(sched)
     moved = np.zeros((wide.size, 2), dtype=np.complex128)
     moved[wide.index(lattice.min_site + offset) : wide.index(lattice.max_site + offset) + 1] = final.amplitudes
     assert np.array_equal(amps[..., 0].T, moved)
@@ -285,7 +279,7 @@ def test_full_dephasing_return_probability_formula():
     # with theta 0 and visibility 0 the two-step return probability is sin(4 omega)^2
     for omega in (math.pi / 8, math.pi / 10, 3.0 * math.pi / 16):
         sched = WalkSchedule(0.0, omega, 2, visibility=0.0)
-        p0 = run_walk(sched)[0].at_site(0)[-1]
+        p0 = walk(sched)[0].at_site(0)[-1]
         assert p0 == pytest.approx(math.sin(4.0 * omega) ** 2, abs=1e-12)
 
 
@@ -304,14 +298,14 @@ def test_reduced_coin_purity_series_at_flagship_point():
 
 def test_reduced_coin_purity_strictly_between_half_and_one():
     sched = WalkSchedule(0.0, math.pi / 10, 4)
-    _, final = run_walk(sched)
+    _, final = walk(sched)
     value = coin_purity(final)
     assert 0.5 + 1e-3 < value < 1.0 - 1e-3
 
 
 def test_bisect_visibility_recovers_known_value():
     sched = WalkSchedule(0.0, math.pi / 8, 8)
-    target = run_walk(sched.with_visibility(0.93))[0].at_site(0)[-1]
+    target = walk(sched.with_visibility(0.93))[0].at_site(0)[-1]
     visibility, achieved = bisect_visibility(sched, target, tol=1e-6)
     assert abs(achieved - target) <= 1e-6
     assert abs(visibility - 0.93) < 1e-3
@@ -348,35 +342,35 @@ def assert_same_walk(distributions, final, states):
         WalkSchedule(0.3, 0.2, 5, StepConvention.ZERO_BASED),
     ],
 )
-def test_run_walk_matches_its_prefix_walks(sched):
-    # at visibility 1 run_walk takes the pure walk, below it the dephased walk
+def test_walk_matches_its_prefix_walks(sched):
+    # at visibility 1 classify takes the pure walk, below it the dephased walk
     for visibility in (1.0, 0.9):
-        walk = sched.with_visibility(visibility)
-        assert_same_walk(*run_walk(walk), states_after_each_step(walk))
+        noisy = sched.with_visibility(visibility)
+        assert_same_walk(*walk(noisy), states_after_each_step(noisy))
     # the dephased walk at visibility 1, where the calibration takes it too
     assert_same_walk(*density_walk(sched), states_after_each_step(sched, density_walk))
 
 
-def test_run_walk_without_steps_returns_start():
+def test_walk_without_steps_returns_start():
     start = symmetric_start(0)
     sched = WalkSchedule(0.3, 0.2, 0)
     no_rows = (0, start.lattice.size)
-    distributions, final = run_walk(sched)
+    distributions, final = walk(sched)
     assert distributions.probabilities.shape == no_rows
     assert isinstance(final, WalkerCoinPureState)
     assert np.array_equal(final.amplitudes, start.amplitudes)
-    for distributions, final in (run_walk(sched.with_visibility(0.9)), density_walk(sched)):
+    for distributions, final in (walk(sched.with_visibility(0.9)), density_walk(sched)):
         assert distributions.probabilities.shape == no_rows
         assert isinstance(final, WalkerCoinDensityMatrix)
         assert np.array_equal(final.matrix, density_from_pure(start).matrix)
 
 
-def test_run_walk_memory_does_not_grow_with_trajectory():
+def test_walk_memory_does_not_grow_with_trajectory():
     # keeping all 64 density matrices of this walk takes about 73 MB
     sched = WalkSchedule(0.0, math.pi / 8, 64, visibility=0.95)
     tracemalloc.start()
     try:
-        series, _ = evolution.run_walk(sched)
+        series, _ = walks.walk(sched)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -507,13 +501,13 @@ def diamond_classes(steps):
 def test_density_walk_steps_only_the_light_cone(monkeypatch):
     classes = record_classes(monkeypatch)
     steps = 12
-    run_walk(WalkSchedule(0.3, 0.2, steps, visibility=0.9))
+    walk(WalkSchedule(0.3, 0.2, steps, visibility=0.9))
     assert classes == cone_classes(steps)
 
 
 def test_final_dephased_state_at_48_steps_passes_the_psd_check():
     steps = 48
-    _, final = run_walk(WalkSchedule(0.0, math.pi / 8, steps, visibility=0.9))
+    _, final = walk(WalkSchedule(0.0, math.pi / 8, steps, visibility=0.9))
     eigenvalues = np.linalg.eigvalsh(final.matrix)
     # rank-deficient: sites of the wrong parity and the guard sites stay empty
     assert np.sum(np.abs(eigenvalues) < 1e-12) >= final.lattice.size
@@ -526,7 +520,7 @@ def test_dephased_prefix_walks_keep_a_separate_matrix_each():
     for i, earlier in enumerate(states):
         for later in states[i + 1 :]:
             assert not np.shares_memory(earlier.matrix, later.matrix)
-    distributions, final = run_walk(sched)
+    distributions, final = walk(sched)
     for state, row in zip(states, distributions.probabilities, strict=True):
         assert np.array_equal(position_distribution(state).probabilities, shared(row, final.lattice, state.lattice))
 
@@ -629,7 +623,7 @@ def test_bisect_visibility_validates_one_walk(monkeypatch, visibility):
 def test_bisect_visibility_refuses_a_probe_the_walk_does_not_confirm(monkeypatch):
     steps = 8
     sched = WalkSchedule(0.0, math.pi / 8, steps)
-    target = run_walk(sched)[0].at_site(0)[-1]
+    target = walk(sched)[0].at_site(0)[-1]
     probe = evolution._probe_origin_probability
 
     def off_by_one_ulp(schedule, block):
@@ -664,7 +658,7 @@ def record_probes(monkeypatch):
     ],
 )
 def test_calibration_probes_stay_inside_a_sign_changing_bracket(monkeypatch, sched, fraction):
-    ends = [run_walk(sched.with_visibility(v))[0].at_site(0)[-1] for v in (0.0, 1.0)]
+    ends = [walk(sched.with_visibility(v))[0].at_site(0)[-1] for v in (0.0, 1.0)]
     target = ends[0] + fraction * (ends[1] - ends[0])
     probes = record_probes(monkeypatch)
     bisect_visibility(sched, target, tol=1e-9)
@@ -691,7 +685,7 @@ def test_bench_style_calibrations_take_at_most_ten_probes(
     # revivals whose p0 dephasing moves, at an odd multiple of 1/1024 in [0.9, 0.99],
     # on which bisection of [0, 1] makes 12 probes
     sched = WalkSchedule(math.pi * theta_pi, math.pi * omega_pi[0] / omega_pi[1], steps)
-    target = run_walk(sched.with_visibility(visibility_1024 / 1024))[0].at_site(0)[-1]
+    target = walk(sched.with_visibility(visibility_1024 / 1024))[0].at_site(0)[-1]
     probes = record_probes(monkeypatch)
     _, achieved = bisect_visibility(sched, target)
     assert abs(achieved - target) <= 1e-4
@@ -702,7 +696,7 @@ def test_calibration_where_p0_is_flat_then_steep_takes_at_most_twelve_probes(mon
     # p0 barely moves over most of [0, 1] and then rises steeply; regula falsi
     # alone, its Anderson-Bjorck factor near 0, took 22 probes here
     sched = WalkSchedule(0.122, 1.493, 20)
-    ends = [run_walk(sched.with_visibility(v))[0].at_site(0)[-1] for v in (0.0, 1.0)]
+    ends = [walk(sched.with_visibility(v))[0].at_site(0)[-1] for v in (0.0, 1.0)]
     target = ends[0] + 0.017 * (ends[1] - ends[0])
     probes = record_probes(monkeypatch)
     _, achieved = bisect_visibility(sched, target)
@@ -713,7 +707,7 @@ def test_calibration_where_p0_is_flat_then_steep_takes_at_most_twelve_probes(mon
 @pytest.mark.parametrize("fraction", [1e-3, 1.0 - 1e-3])
 def test_calibration_converges_on_a_target_near_an_end(monkeypatch, fraction):
     sched = WalkSchedule(0.0, math.pi / 8, 16)
-    ends = [run_walk(sched.with_visibility(v))[0].at_site(0)[-1] for v in (0.0, 1.0)]
+    ends = [walk(sched.with_visibility(v))[0].at_site(0)[-1] for v in (0.0, 1.0)]
     target = ends[0] + fraction * (ends[1] - ends[0])
     tol = 1e-6
     assert min(abs(end - target) for end in ends) > tol

@@ -7,10 +7,12 @@ import pytest
 
 import exact
 import oracles
+from walks import origin_blocks
 from rampwalk import evolution, search
 from rampwalk.analysis import _verdict
 from rampwalk.coins import StepConvention, coin_at_step
 from rampwalk.evolution import WalkSchedule, propagator_blocks
+from rampwalk.states import CoinVector, Lattice, initial_state
 from rampwalk.search import (
     CatalogEntry,
     RevivalCandidate,
@@ -94,23 +96,41 @@ def scan_residuals(monkeypatch, steps, theta, convention, points):
 OFF_FAMILY = [Fraction(3, 77), Fraction(1, 3000), Fraction(5, 11)]
 
 
+def one_column_walk(coins, start):
+    """Each step's amplitudes (n, 2) of one start coin on ``Lattice.for_steps(T)``, stepped alone."""
+    amps = np.ascontiguousarray(initial_state(Lattice.for_steps(len(coins)), start).amplitudes.T)[..., None]
+    for coin in coins:
+        amps = evolution._coin_and_shift(coin, amps)
+        yield amps[..., 0].T
+
+
+@pytest.mark.parametrize("start", [CoinVector.symmetric(), CoinVector(0.6, -0.8j)])
 @pytest.mark.parametrize("convention", list(StepConvention))
 @pytest.mark.parametrize("theta", [0.0, math.pi / 4, 0.37])
 @pytest.mark.parametrize("steps", [2, 8, 16, 24])
-def test_origin_walk_does_not_depend_on_the_batch(monkeypatch, steps, theta, convention):
-    # the scan walks all family points of a row, two starts each, as one batch
+def test_origin_walk_does_not_depend_on_the_batch(monkeypatch, steps, theta, convention, start):
+    # the scan walks all family points of a row, two starts each, as one batch;
+    # classify walks one point from both basis coins and one start column
     points = [Fraction(k, 32) for k in range(17)] + OFF_FAMILY
     omegas = np.array([math.pi * p.numerator / p.denominator for p in points])
     t = np.array(convention.step_indices(steps))
-    blocks = evolution._origin_walk(coin_at_step(theta, omegas, t[:, None], convention))
+    blocks = origin_blocks(coin_at_step(theta, omegas, t[:, None], convention))
     revival, complete = _verdict(blocks)
     residuals = scan_residuals(monkeypatch, steps, theta, convention, points)
     for k, (point, omega) in enumerate(zip(points, omegas)):
-        (alone,) = evolution._origin_walk(coin_at_step(theta, omega, t, convention))
+        coins = coin_at_step(theta, omega, t, convention)
+        (alone,) = origin_blocks(coins)
         assert np.array_equal(blocks[k], alone)
         # the row's one verdict call gives each point its own call's answer
         assert (revival[k], complete[k]) == _verdict(alone)
         assert residuals[k] == scan_residuals(monkeypatch, steps, theta, convention, [point])[0]
+        # a start column leaves the basis blocks as they were, and walks as a walk of its own
+        walked = list(evolution._origin_walk(coins, start.as_array()[:, None]))
+        assert len(walked) == steps + 1
+        assert np.array_equal(evolution._blocks(walked[-1][..., :2]), blocks[k : k + 1])
+        for amps, expected in zip(walked[1:], one_column_walk(coins, start), strict=True):
+            # the walk's 2T + 3 sites are the inner sites of Lattice.for_steps(T)
+            assert np.array_equal(amps[..., 2].T, expected[1:-1]) and not expected[[0, -1]].any()
 
 
 def test_scan_of_one_revival_equals_its_row():
@@ -406,8 +426,8 @@ def test_scan_verdicts_equal_propagator_blocks_verdicts(monkeypatch, steps, thet
     walks = []
 
     def recording(coins):
-        walks.append(evolution._origin_walk(coins))
-        return walks[-1]
+        walks.append(origin_blocks(coins))
+        return evolution._origin_walk(coins)
 
     monkeypatch.setattr(search, "_origin_walk", recording)
     config = SearchConfig(step_counts=(steps,), theta_values=(theta,), convention=convention)
