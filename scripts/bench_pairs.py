@@ -16,7 +16,10 @@ provenance, summary and result) and, per workload and metric, each
 side's median and quartiles and the pairs the change wins, in the
 direction BENCHMARK.json gives for the metric. After the record is
 written, one stderr line per workload and end-to-end metric gives the
-parent's median, the change's median and the pairs the change won. A
+parent's median, the change's median and the pairs the change won, and
+ends in ``beyond bound B`` when the change's median is worse than the
+parent's by more than the metric's bound B in BENCHMARK.json, read as
+a fraction of the parent median. A
 run that exits non-zero or times out is recorded as failed, with its
 exit code and the tail of its stderr, and the plan goes on. The exit
 status is 1 when any run failed or its result was not correct (one
@@ -120,15 +123,26 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
 
 
 def verdict_lines(summary: dict, config: dict) -> list[str]:
-    """Per workload and end-to-end metric of ``config``: each side's median and the change's wins."""
-    return [
-        f"{workload} {name}: parent median {stats['parent_median']:.6g}, "
-        f"change median {stats['change_median']:.6g}, "
-        f"change better in {stats['pairs_change_better']} of {stats['pairs']} pairs"
-        for workload, entry in summary.items()
-        for name in (metric["name"] for metric in config["end_to_end"])
-        if (stats := entry.get(name)) is not None
-    ]
+    """Per workload and end-to-end metric of ``config``: each side's median and the change's wins.
+
+    A line ends in ``beyond bound B`` when the change's median is worse
+    than the parent's, in the metric's direction, by more than B times
+    the parent median, B being the metric's ``bound``.
+    """
+    lines = []
+    for workload, entry in summary.items():
+        for metric in config["end_to_end"]:
+            stats = entry.get(metric["name"])
+            if stats is None:
+                continue
+            parent, change = stats["parent_median"], stats["change_median"]
+            worse = change - parent if metric["better"] == "lower" else parent - change
+            line = (f"{workload} {metric['name']}: parent median {parent:.6g}, change median {change:.6g}, "
+                    f"change better in {stats['pairs_change_better']} of {stats['pairs']} pairs")
+            if worse > metric["bound"] * abs(parent):
+                line += f", beyond bound {metric['bound']:g}"
+            lines.append(line)
+    return lines
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:

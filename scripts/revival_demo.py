@@ -16,7 +16,7 @@ from rampwalk.evolution import WalkSchedule, bisect_visibility
 def main() -> int:
     print("unbiased walk, ramp pi/8, 16 steps")
     report = classify(WalkSchedule(0.0, math.pi / 8, 16))
-    for t, p0 in enumerate(report.distributions.at_site(0).tolist(), start=1):
+    for t, p0 in enumerate(report.distributions.at_site(0)[1:].tolist(), start=1):
         bar = "#" * round(40 * p0)
         print(f"  t = {t:2d}  p0 = {p0:8.6f}  {bar}")
 

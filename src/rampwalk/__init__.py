@@ -19,8 +19,6 @@ from .states import (
     WalkerCoinDensityMatrix,
     WalkerCoinPureState,
     coin_overlap,
-    initial_state,
-    position_distribution,
     reduced_coin_state,
 )
 from .evolution import (
@@ -64,10 +62,8 @@ __all__ = [
     "coin_at_step",
     "coin_overlap",
     "effective_coin_balanced_strings",
-    "initial_state",
     "load_reference_catalog",
     "polya_number",
-    "position_distribution",
     "propagator_blocks",
     "reduced_coin_state",
     "ry",

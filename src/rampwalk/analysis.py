@@ -17,14 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .evolution import WalkSchedule, _blocks, _density_walk, _origin_walk, propagator_blocks, symmetric_start
+from .evolution import WalkSchedule, _blocks, _density_walk, _origin_walk, propagator_blocks
 from .states import (
     CoinVector,
+    Lattice,
     PositionDistribution,
     WalkerCoinPureState,
     WalkerState,
     coin_overlap,
-    position_distribution,
     reduced_coin_state,
 )
 
@@ -110,12 +110,13 @@ def _verdict(blocks: NDArray[np.complex128]) -> tuple[NDArray[np.bool_], NDArray
 class RevivalReport:
     """Diagnostics for one schedule started from the symmetric coin at the origin.
 
-    ``distributions`` stacks the position distributions, one row per step,
-    and ``final`` is the last state. ``overlap_initial`` is the overlap of
-    the final reduced coin state with the start coin; ``overlap_predicted``
-    uses the coin predicted by the effective coin map and is NaN when that
-    prediction has vanishing norm. Operator-level fields describe the noiseless walk
-    even when the schedule carries a visibility below 1.
+    ``distributions`` stacks the position distributions in T + 1 rows,
+    row t the walk after t steps and row 0 the start, and ``final`` is
+    the last state. ``overlap_initial`` is the overlap of the final
+    reduced coin state with the start coin; ``overlap_predicted`` uses
+    the coin predicted by the effective coin map and is NaN when that
+    prediction has vanishing norm. Operator-level fields describe the
+    noiseless walk even when the schedule carries a visibility below 1.
     """
 
     origin_probability: float
@@ -139,15 +140,17 @@ def classify(schedule: WalkSchedule) -> RevivalReport:
     :func:`_verdict` gives them. At visibility 1 one walk gives both: the
     blocks from its basis columns, the rows and the final state from its
     start column on the inner 2T + 3 sites of ``Lattice.for_steps(T)``.
-    The CLI and the demo script format this report rather than walk.
+    Every walk writes each state it yields, the start first, as one row
+    of the (T + 1, n) stack: p0 and the distance come from its last row,
+    the distance measured from row 0, and the Polya number from the p0
+    of rows 1..T. The CLI and the demo script format this report rather
+    than walk.
     """
     initial_coin = CoinVector.symmetric()
-    start_distribution = position_distribution(symmetric_start(schedule.steps))
-    lattice = start_distribution.lattice
+    lattice = Lattice.for_steps(schedule.steps)
     if schedule.visibility == 1.0:
-        probs = np.zeros((schedule.steps, lattice.size))
+        probs = np.zeros((schedule.steps + 1, lattice.size))
         walk = _origin_walk(schedule.coins(), initial_coin.as_array()[:, None])
-        amps = next(walk)
         for row, amps in zip(probs, walk):
             row[1:-1] = np.abs(amps[0, :, 2]) ** 2 + np.abs(amps[1, :, 2]) ** 2
         distributions = PositionDistribution(lattice, probs)
@@ -156,7 +159,8 @@ def classify(schedule: WalkSchedule) -> RevivalReport:
     else:
         distributions, final = _density_walk(schedule)
         blocks = propagator_blocks(schedule)
-    final_distribution = position_distribution(final)
+    rows = distributions.probabilities
+    final_distribution = PositionDistribution(lattice, rows[-1])
     effective = blocks[schedule.steps].copy() if schedule.steps % 2 == 0 else None
     revival, complete = _verdict(blocks)
 
@@ -174,8 +178,8 @@ def classify(schedule: WalkSchedule) -> RevivalReport:
 
     return RevivalReport(
         origin_probability=final_distribution.at_site(0),
-        tv_distance=tv_distance(final_distribution, start_distribution),
-        polya_truncated=polya_number(distributions.at_site(0)),
+        tv_distance=tv_distance(final_distribution, PositionDistribution(lattice, rows[0])),
+        polya_truncated=polya_number(distributions.at_site(0)[1:]),
         effective_coin=effective,
         is_revival=bool(revival),
         is_complete=bool(complete),

@@ -23,7 +23,7 @@ import numpy as np
 
 from .analysis import classify, effective_coin_balanced_strings, tv_distance
 from .coins import StepConvention
-from .evolution import WalkSchedule, bisect_visibility, symmetric_start
+from .evolution import WalkSchedule, bisect_visibility
 from .search import (
     RevivalCandidate,
     SearchConfig,
@@ -36,7 +36,7 @@ from .search import (
     typed_field,
     verify_table,
 )
-from .states import position_distribution, reduced_coin_state
+from .states import PositionDistribution, reduced_coin_state
 
 
 def _parse_angle(text: str, radians: bool) -> float:
@@ -85,18 +85,19 @@ def _dump_json(doc: dict) -> str:
 def cmd_walk(
     schedule: WalkSchedule, csv_out: str | None = None, json_out: str | None = None
 ) -> int:
-    """Run one walk and emit per-step distributions and summaries."""
+    """Run one walk and emit the distributions and summaries of steps 1..T."""
     report = classify(schedule)
     lattice = report.final.lattice
     distributions = report.distributions
-    start_distribution = position_distribution(symmetric_start(schedule.steps))
+    rows = distributions.probabilities[1:]
+    start_distribution = PositionDistribution(lattice, distributions.probabilities[0])
 
     if csv_out is not None:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["step", "site", "probability"])
         sites = lattice.sites().tolist()
-        for step_number, row in enumerate(distributions.probabilities.tolist(), start=1):
+        for step_number, row in enumerate(rows.tolist(), start=1):
             writer.writerows([step_number, site, p] for site, p in zip(sites, row))
         _write_text(csv_out, buffer.getvalue())
 
@@ -104,9 +105,9 @@ def cmd_walk(
         doc = {
             "schedule": {**_schedule_doc(schedule), "visibility": float(schedule.visibility)},
             "sites": lattice.sites().tolist(),
-            "probabilities": distributions.probabilities.tolist(),
-            "origin_probability": distributions.at_site(0).tolist(),
-            "tv_distance": tv_distance(distributions, start_distribution).tolist(),
+            "probabilities": rows.tolist(),
+            "origin_probability": distributions.at_site(0)[1:].tolist(),
+            "tv_distance": tv_distance(distributions, start_distribution)[1:].tolist(),
             "polya_truncated": float(report.polya_truncated),
             "reduced_coin": _matrix_doc(reduced_coin_state(report.final)),
         }

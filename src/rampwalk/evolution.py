@@ -16,9 +16,10 @@ dephased walk runs through one density step, :func:`_class_steps`,
 which applies the coin pair to one parity class of rho in one pass and
 then shifts it, with the same products as :func:`_coin_and_shift` on
 the rows and then the columns. Every walk of a state, the one
-``analysis.classify`` summarises, starts from :func:`symmetric_start`:
-the symmetric coin at the origin of ``Lattice.for_steps(T)``. Below
-visibility 1 the walk is dephased: each unitary step is followed by a
+``analysis.classify`` summarises, starts from the symmetric coin at the
+origin of ``Lattice.for_steps(T)``, and both loops yield that start
+first, so the walk after t steps is row t of its (T + 1, n) stack of
+distributions. Below visibility 1 the walk is dephased: each unitary step is followed by a
 coin dephasing channel of strength set by the schedule visibility:
 
     rho -> (1 + v)/2 * rho + (1 - v)/2 * (I x Z) rho (I x Z)
@@ -34,7 +35,7 @@ them, a quarter of its light cone. The dephased walk steps that class
 as one compact block and builds the public (2n, 2n) matrix only for
 the final state. The light cone and the guard band of
 ``Lattice.for_steps(T)`` always fit the lattice, so no walk checks its
-reach. :func:`_density_walk` returns only the (T, n) stack of
+reach. :func:`_density_walk` returns only the (T + 1, n) stack of
 distributions and the final state, so it keeps no trajectory; the
 state after step k is the final state of the k-step walk.
 :func:`bisect_visibility`, a bracketing regula falsi on the visibility,
@@ -60,8 +61,6 @@ from .states import (
     Lattice,
     PositionDistribution,
     WalkerCoinDensityMatrix,
-    WalkerCoinPureState,
-    initial_state,
 )
 
 BISECT_MAX_ROUNDS = 200
@@ -179,26 +178,31 @@ def propagator_blocks(schedule: WalkSchedule) -> NDArray[np.complex128]:
 
 
 def _class_steps(
-    w: NDArray[np.complex128], schedule: WalkSchedule, diamond: bool = False
+    w: NDArray[np.complex128],
+    coins: NDArray[np.complex128],
+    visibility: float,
+    diamond: bool = False,
 ) -> Iterator[NDArray[np.complex128]]:
-    """The dephased walk of one parity class of rho from the origin, one block per step.
+    """The dephased walk of one parity class of rho from the origin: the start, then each step's block.
 
-    ``w[i, j, u, v]`` is rho[(b + 2u, i), (b + 2v, j)], on the sites of
-    the class from b upwards, rows and columns alike; one step maps class
-    (p, q) to (1 - p, 1 - q), so the class walks alone. One class step
-    applies the coin pair to the whole block, with no shift yet: the
-    right product ``h[i, j, u, v]`` takes the conjugate coin on the
-    column coin j (the shift is real, so that is ``rho U^dagger``), and
-    the left product ``p[i, j, u, v]`` the coin on the row coin i.
+    ``coins`` is the (T, 2, 2) stack of the walk and ``visibility`` its
+    dephasing. ``w[i, j, u, v]`` is rho[(b + 2u, i), (b + 2v, j)], on the
+    sites of the class from b upwards, rows and columns alike; one step
+    maps class (p, q) to (1 - p, 1 - q), so the class walks alone. One
+    class step applies the coin pair to the whole block, with no shift
+    yet: the right product ``h[i, j, u, v]`` takes the conjugate coin on
+    the column coin j (the shift is real, so that is ``rho U^dagger``),
+    and the left product ``p[i, j, u, v]`` the coin on the row coin i.
     Dephasing multiplies ``p`` by ``[[1, v], [v, 1]]`` over the coins,
     the channel's exact action (``x * 1.0 == x``). The shift then writes
     the four coin blocks of ``p`` into a new zeroed block one row and
     one column longer, whose base sits one site lower: plus rows move up
     one compact index and minus rows stay, and columns alike. From the
-    origin's (2, 2, 1, 1) block, step k yields the light cone's sites
-    -k, -k + 2, ..., k. With ``diamond``, step k of T keeps only the
-    sites within T - k of the origin, those that can still reach it:
-    once the block is wider than that, one site goes from each end.
+    origin's (2, 2, 1, 1) block, the k-th block yielded after the start
+    holds the light cone's sites -k, -k + 2, ..., k. With ``diamond``,
+    step k of T keeps only the sites within T - k of the origin, those
+    that can still reach it: once the block is wider than that, one site
+    goes from each end.
 
     Every entry goes through the products of :func:`_coin_and_shift`
     applied to the rows and then the columns: the coin entry as the
@@ -209,11 +213,11 @@ def _class_steps(
     order, and probe and walk, whose crops differ, then round
     differently.
     """
-    steps, v = schedule.steps, schedule.visibility
-    dephasing = np.array([[1.0, v], [v, 1.0]])[:, :, None, None]
-    coins = schedule.coins()
+    steps = len(coins)
+    dephasing = np.array([[1.0, visibility], [visibility, 1.0]])[:, :, None, None]
     rc = coins.conj()[:, None, :, :, None, None]  # rc[t, 0, j', j] = conj(coin[j', j])
     lc = coins[:, :, None, :, None, None]  # lc[t, i', 0, i] = coin[i', i]
+    yield w
     for k, (right, left) in enumerate(zip(rc, lc), start=1):
         f = w[:, None]  # f[i, 0, j, u, v]
         h = right[:, :, 0] * f[:, :, 0]
@@ -233,53 +237,47 @@ def _class_steps(
 
 
 def _origin_block() -> NDArray[np.complex128]:
-    """The (2, 2) coin block ``c c^dagger`` of :func:`symmetric_start` at the origin, its one parity class."""
+    """The (2, 2) coin block ``c c^dagger`` of the symmetric coin c at the origin, its one parity class."""
     c = CoinVector.symmetric().as_array()
     return np.outer(c, c.conj())
 
 
-def _probe_origin_probability(schedule: WalkSchedule, block: NDArray[np.complex128]) -> float:
+def _probe_origin_probability(
+    coins: NDArray[np.complex128], visibility: float, block: NDArray[np.complex128]
+) -> float:
     """Final origin probability of the dephased walk from a start at the origin alone, unvalidated.
 
-    ``block`` is the start's (2, 2) coin block at the origin. A walk of
+    ``coins`` is the walk's (T, 2, 2) stack, ``visibility`` its dephasing
+    and ``block`` the start's (2, 2) coin block at the origin. A walk of
     odd T cannot return and has p0 0. The probe steps the block on the
     diamond of :func:`_class_steps`, so the last step leaves only the
     origin's entry. That entry is the light-cone walk's bit for bit, so
     the result equals the final p0 of :func:`_density_walk`.
     """
-    if schedule.steps % 2:
+    if len(coins) % 2:
         return 0.0
-    w = block[:, :, None, None]
-    for w in _class_steps(w, schedule, diamond=True):
+    for w in _class_steps(block[:, :, None, None], coins, visibility, diamond=True):
         pass
     return float(w[0, 0, 0, 0].real + w[1, 1, 0, 0].real)
 
 
-def symmetric_start(steps: int) -> WalkerCoinPureState:
-    """The symmetric coin at the origin of ``Lattice.for_steps(steps)``.
-
-    The start of ``analysis.classify``'s walk, whose pure walk steps its
-    coin as a start column, and of :func:`bisect_visibility`'s.
-    """
-    return initial_state(Lattice.for_steps(steps), CoinVector.symmetric())
-
-
 def _density_walk(schedule: WalkSchedule) -> tuple[PositionDistribution, WalkerCoinDensityMatrix]:
-    """The dephased walk at any visibility, 1 included: its stack and final state.
+    """The dephased walk at any visibility, 1 included: its (T + 1, n) stack and final state.
 
     The walk steps :func:`_origin_block` with :func:`_class_steps` on
-    ``Lattice.for_steps(T)``, building no start. Step k's row is the two
-    coin diagonals of the block, written at stride 2 on the light cone's
-    sites -k, ..., k, and the final block is scattered into the (2n, 2n)
-    matrix at stride 2, rows and columns alike. Only the returned
-    objects are built and validated. ``analysis.classify`` takes it below
-    visibility 1, and :func:`bisect_visibility` at every visibility.
+    ``Lattice.for_steps(T)``, building no start. Row k of the stack, the
+    walk after k steps (row 0 the start), is the two coin diagonals of
+    the k-th block, written at stride 2 on the light cone's sites -k,
+    ..., k, and the final block is scattered into the (2n, 2n) matrix at
+    stride 2, rows and columns alike. Only the returned objects are
+    built and validated. ``analysis.classify`` takes it below visibility
+    1, and :func:`bisect_visibility` at every visibility.
     """
     lattice = Lattice.for_steps(schedule.steps)
     n, origin, steps = lattice.size, lattice.index(0), schedule.steps
-    probs = np.zeros((steps, n))
-    w = _origin_block()[:, :, None, None]
-    for k, (row, w) in enumerate(zip(probs, _class_steps(w, schedule)), start=1):
+    probs = np.zeros((steps + 1, n))
+    blocks = _class_steps(_origin_block()[:, :, None, None], schedule.coins(), schedule.visibility)
+    for k, (row, w) in enumerate(zip(probs, blocks)):
         row[origin - k : origin + k + 1 : 2] = w[0, 0].diagonal().real + w[1, 1].diagonal().real
     matrix = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     cone = slice(origin - steps, origin + steps + 1, 2)
@@ -292,11 +290,12 @@ def bisect_visibility(
     target_origin_probability: float,
     tol: float = 1e-4,
 ) -> tuple[float, float]:
-    """Visibility at which the walk from :func:`symmetric_start` returns with the target p0, within tol.
+    """Visibility at which the walk ``analysis.classify`` summarises returns with the target p0, within tol.
 
-    The final origin probability p0, a polynomial in the visibility,
-    must straddle the target between visibilities 0 and 1. The search
-    keeps a bracket across which p0 - target changes sign, for at most
+    That walk starts from the symmetric coin at the origin. The final
+    origin probability p0, a polynomial in the visibility, must straddle
+    the target between visibilities 0 and 1. The search keeps a bracket
+    across which p0 - target changes sign, for at most
     ``BISECT_MAX_ROUNDS`` probes, each at the regula falsi point of the
     bracket with the Anderson-Bjorck correction (BIT 13, 253, 1973):
     when a probe lands on the side of the previous one, the value kept
@@ -305,9 +304,10 @@ def bisect_visibility(
     width inside either end. A probe after two that have not halved the
     bracket (those at 0 and 1 leave width 1) takes its midpoint, unscaled,
     which bounds the probes where p0 is flat over most of [0, 1]. The
-    start is built before any probe, only as a memory guard: a walk too
-    large for memory fails at once, and no density matrix of it is
-    built. Each probe reads p0 from :func:`_probe_origin_probability` on
+    start's (2T + 5, 2) amplitudes are allocated before any probe, only
+    as a memory guard: a walk too large for memory fails at once, and no
+    state of the start is built. The coin stack is built once, and each
+    probe reads p0 from :func:`_probe_origin_probability` on it and on
     :func:`_origin_block`, the start's coin block ``c c^dagger`` at the
     origin, and validates nothing. The chosen visibility, an end point
     included, is then walked once by :func:`_density_walk`, the dephased
@@ -320,12 +320,13 @@ def bisect_visibility(
     """
     if schedule.steps < 1:
         raise ValueError(f"calibration needs at least one step, got {schedule.steps}")
-    symmetric_start(schedule.steps)  # the memory guard: a walk too large fails here, before any probe
-    block = _origin_block()
+    # the memory guard: a walk too large fails here, before any probe
+    np.empty((2 * schedule.steps + 5, 2), dtype=np.complex128)
+    coins, block = schedule.coins(), _origin_block()
     target = target_origin_probability
 
     def p0_at(v: float) -> float:
-        return _probe_origin_probability(schedule.with_visibility(v), block)
+        return _probe_origin_probability(coins, v, block)
 
     def validated(v: float, probed: float) -> tuple[float, float]:
         distributions, _ = _density_walk(schedule.with_visibility(v))

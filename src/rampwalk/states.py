@@ -146,24 +146,6 @@ class PositionDistribution:
         return float(column) if column.ndim == 0 else column
 
 
-def initial_state(lattice: Lattice, coin: CoinVector) -> WalkerCoinPureState:
-    """Walker localized at the origin with the given coin state."""
-    amps = np.zeros((lattice.size, 2), dtype=np.complex128)
-    amps[lattice.index(0), 0] = coin.plus
-    amps[lattice.index(0), 1] = coin.minus
-    return WalkerCoinPureState(lattice, amps)
-
-
-def position_distribution(state: WalkerState) -> PositionDistribution:
-    """Marginal distribution over sites, tracing out the coin."""
-    if isinstance(state, WalkerCoinPureState):
-        probs = np.sum(np.abs(state.amplitudes) ** 2, axis=1)
-    else:
-        diag = np.real(np.diag(state.matrix))
-        probs = diag.reshape(-1, 2).sum(axis=1)
-    return PositionDistribution(state.lattice, probs)
-
-
 def reduced_coin_state(state: WalkerState) -> NDArray[np.complex128]:
     """2x2 coin density matrix after tracing out the walker position."""
     if isinstance(state, WalkerCoinPureState):

@@ -16,15 +16,10 @@ from rampwalk.coins import coin_at_step
 from rampwalk import evolution
 from rampwalk.evolution import WalkSchedule, bisect_visibility, propagator_blocks
 from rampwalk.search import SearchConfig, load_reference_catalog, scan, verify_table
-from rampwalk.states import (
-    CoinVector,
-    Lattice,
-    initial_state,
-    position_distribution,
-)
+from rampwalk.states import CoinVector, Lattice
 
 import oracles
-from walks import walk
+from walks import distribution, start_state, walk
 
 
 def _report(number: int, label: str, ok: bool, detail: str) -> bool:
@@ -65,8 +60,8 @@ def test_criterion_1_revival_table_reproduced():
 def test_criterion_2_certain_return_at_flagship_point():
     schedule = WalkSchedule(0.0, math.pi / 8, 16)
     p0 = walk(schedule)[0].at_site(0)
-    ok = abs(p0[7] - 1.0) <= 1e-10 and abs(p0[15] - 1.0) <= 1e-10
-    detail = f"p0(8) = {p0[7]:.12f}, p0(16) = {p0[15]:.12f}"
+    ok = abs(p0[8] - 1.0) <= 1e-10 and abs(p0[16] - 1.0) <= 1e-10
+    detail = f"p0(8) = {p0[8]:.12f}, p0(16) = {p0[16]:.12f}"
     assert _report(2, "certain return", ok, detail)
 
 
@@ -98,9 +93,7 @@ def test_criterion_4_tv_identity_over_random_walks():
         omega = _random_angle(rng)
         steps = int(rng.integers(1, 13))
         schedule = WalkSchedule(theta, omega, steps)
-        lattice = Lattice.for_steps(steps)
-        start = initial_state(lattice, CoinVector.symmetric())
-        reference = position_distribution(start)
+        reference = distribution(start_state(steps))
         distributions, _ = walk(schedule)
         gaps = np.abs(tv_distance(distributions, reference) - (1.0 - distributions.at_site(0)))
         worst = max(worst, float(gaps.max()))
@@ -160,7 +153,7 @@ def test_criterion_6_dephasing_model():
     p0_values = []
     for visibility in visibilities:
         _, final = walk(schedule.with_visibility(visibility))
-        p0_values.append(position_distribution(final).at_site(0))
+        p0_values.append(distribution(final).at_site(0))
     monotone = all(a >= b - 1e-12 for a, b in zip(p0_values, p0_values[1:]))
 
     target = 0.918

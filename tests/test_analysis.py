@@ -18,12 +18,10 @@ from rampwalk.states import (
     CoinVector,
     Lattice,
     PositionDistribution,
-    initial_state,
-    position_distribution,
 )
 
 import oracles
-from walks import walk
+from walks import distribution, start_state, walk
 
 angle = st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False)
 
@@ -56,16 +54,15 @@ def test_tv_distance_requires_same_lattice():
 @pytest.mark.parametrize("visibility", [1.0, 0.8])
 def test_tv_distance_of_a_stack_equals_its_per_row_distances(visibility):
     sched = WalkSchedule(0.3, 0.2, 9, visibility=visibility)
-    start = initial_state(Lattice.for_steps(9), CoinVector.symmetric())
-    reference = position_distribution(start)
+    reference = distribution(start_state(9))
     distributions, _ = walk(sched)
     per_row = [
-        tv_distance(PositionDistribution(start.lattice, row), reference)
+        tv_distance(PositionDistribution(reference.lattice, row), reference)
         for row in distributions.probabilities
     ]
     assert all(type(value) is float for value in per_row)
     distances = tv_distance(distributions, reference)
-    assert distances.shape == (9,)
+    assert distances.shape == (10,) and distances[0] == 0.0
     assert np.array_equal(distances, per_row)
 
 
@@ -73,13 +70,11 @@ def test_tv_distance_of_a_stack_equals_its_per_row_distances(visibility):
 @settings(max_examples=60)
 def test_tv_against_point_mass_equals_one_minus_p0(theta, omega, steps):
     sched = WalkSchedule(theta, omega, steps)
-    lattice = Lattice.for_steps(steps)
-    start = initial_state(lattice, CoinVector.symmetric())
-    reference = position_distribution(start)
+    reference = distribution(start_state(steps))
     distributions, _ = walk(sched)
     direct = tv_distance(distributions, reference)
     shortcut = 1.0 - distributions.at_site(0)
-    assert direct.shape == (steps,)
+    assert direct.shape == (steps + 1,)
     assert np.all(np.abs(direct - shortcut) <= 1e-12)
 
 
@@ -102,8 +97,10 @@ def test_polya_number_validation():
 def test_polya_at_flagship_revival():
     sched = WalkSchedule(0.0, math.pi / 8, 16)
     p0 = walk(sched)[0].at_site(0)
-    assert polya_number(p0[:7]) == pytest.approx(1.0, abs=1e-12)
-    assert polya_number(p0) == pytest.approx(1.0, abs=1e-12)
+    # row t is the walk after t steps: the first return is at t = 2
+    assert polya_number(p0[1:2]) == pytest.approx(0.0, abs=1e-12)
+    assert polya_number(p0[1:8]) == pytest.approx(1.0, abs=1e-12)
+    assert polya_number(p0[1:]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_effective_coin_strings_hand_value():
@@ -305,7 +302,8 @@ def test_classify_report_internal_consistency():
             report.tv_distance - (1.0 - report.origin_probability)
         ) <= 1e-12
         assert report.is_revival or not report.is_complete
-        assert 0.0 <= report.polya_truncated <= 1.0 + 1e-12
+        # the Polya number of the returns after steps 1..T, not of the start
+        assert report.polya_truncated == pytest.approx(polya_number(oracles.p0_series(theta, omega, steps)), abs=1e-12)
         if steps % 2 == 1:
             assert report.effective_coin is None
             assert math.isnan(report.overlap_predicted)

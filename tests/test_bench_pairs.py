@@ -167,6 +167,45 @@ def test_the_verdict_gives_each_end_to_end_metric_its_medians_and_wins(monkeypat
     ]
 
 
+def test_the_verdict_names_a_median_worse_than_the_bound_allows(monkeypatch, tmp_path, capsys):
+    # bounds from BENCHMARK.json, as fractions of the parent median: wall_rel 0.25,
+    # peak_rss_mb 0.05, scan_recall 0.01 (higher is better), setup_s 0.25
+    values = {  # (workload, seed): {metric: (parent, change)}
+        ("revival_scan", 1): {"wall_rel": (1.0, 1.3), "peak_rss_mb": (56.1, 58.7), "scan_recall": (1.0, 0.98)},
+        ("dephasing_calibration", 1): {"wall_rel": (2.0, 2.5), "peak_rss_mb": (56.0, 58.9),
+                                       "scan_recall": (0.5, 0.9), "setup_s": (0.2, 0.1)},
+    }
+    units = {"wall_rel": "yardstick", "peak_rss_mb": "MB", "scan_recall": "ratio", "setup_s": "s"}
+
+    def run_once(tree, workload, seed, seconds, trace):
+        side = 0 if tree.name == "parent" else 1
+        metrics = {name: (pair[side], units[name]) for name, pair in values[workload, seed].items()}
+        return bench_pairs.parse_output(canned_stdout(workload, seed, trace, tree.name, metrics))
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    (tmp_path / "change").mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--label", "check", "--seconds", "1",
+            "--pairs", "revival_scan=1", "--pairs", "dephasing_calibration=1"]
+    # a metric beyond its bound does not change the exit status
+    assert bench_pairs.main(argv) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if "median" in line] == [
+        "dephasing_calibration setup_s: parent median 0.2, change median 0.1, change better in 1 of 1 pairs",
+        # +25% exactly is inside a bound of 0.25
+        "dephasing_calibration wall_rel: parent median 2, change median 2.5, change better in 0 of 1 pairs",
+        "dephasing_calibration peak_rss_mb: parent median 56, change median 58.9, change better in 0 of 1 pairs, "
+        "beyond bound 0.05",
+        "dephasing_calibration scan_recall: parent median 0.5, change median 0.9, change better in 1 of 1 pairs",
+        "revival_scan wall_rel: parent median 1, change median 1.3, change better in 0 of 1 pairs, beyond bound 0.25",
+        # +4.6%, inside a bound of 0.05
+        "revival_scan peak_rss_mb: parent median 56.1, change median 58.7, change better in 0 of 1 pairs",
+        "revival_scan scan_recall: parent median 1, change median 0.98, change better in 0 of 1 pairs, "
+        "beyond bound 0.01",
+    ]
+
+
 def test_a_failed_run_is_recorded_and_the_plan_finishes(monkeypatch, tmp_path, capsys):
     # the change's seed 2 exits 3 and its seed 3 times out; every other run prints its record
     calls = []

@@ -7,23 +7,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rampwalk import evolution, states
+from rampwalk.analysis import classify
 from rampwalk.coins import StepConvention
 from rampwalk.evolution import (
     WalkSchedule,
     bisect_visibility,
     propagator_blocks,
-    symmetric_start,
 )
 from rampwalk.states import (
+    CoinVector,
     Lattice,
     WalkerCoinDensityMatrix,
     WalkerCoinPureState,
-    position_distribution,
     reduced_coin_state,
 )
 
 import oracles
 import walks
+from walks import distribution, start_state
 
 angle = st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False)
 
@@ -114,7 +115,7 @@ def test_one_step_moves_symmetric_coin_down_at_ramp_eighth_pi():
     # rx(pi/8) sends the symmetric coin onto the minus branch exactly
     sched = WalkSchedule(0.0, math.pi / 8, 1)
     _, final = walk(sched)
-    dist = position_distribution(final)
+    dist = distribution(final)
     assert dist.at_site(-1) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -163,7 +164,7 @@ def test_guard_sites_stay_empty_over_long_walk(visibility):
     # lies within k of the origin, and the guard band holds nothing
     sched = WalkSchedule(0.0, math.pi / 8, 16, visibility=visibility)
     for k, state in enumerate(states_after_each_step(sched), start=1):
-        probabilities = position_distribution(state).probabilities
+        probabilities = distribution(state).probabilities
         outside = np.abs(state.lattice.sites()) > k
         assert outside.sum() == 4 and not np.any(probabilities[outside])
         assert float(probabilities.sum()) == pytest.approx(1.0, abs=1e-12)
@@ -177,7 +178,7 @@ def test_translation_covariance():
     lattice = Lattice.for_steps(steps)
     wide = Lattice.for_steps(steps + offset)
     amps = np.zeros((2, wide.size, 1), dtype=np.complex128)
-    amps[:, wide.index(offset), 0] = symmetric_start(steps).amplitudes[lattice.index(0)]
+    amps[:, wide.index(offset), 0] = CoinVector.symmetric().as_array()
     for coin in sched.coins():
         amps = evolution._coin_and_shift(coin, amps)
     _, final = walk(sched)
@@ -222,8 +223,8 @@ def test_density_at_unit_visibility_matches_pure():
     pure_states = states_after_each_step(sched)
     mixed_states = states_after_each_step(sched, density_walk)
     for pure, mixed in zip(pure_states, mixed_states, strict=True):
-        p = position_distribution(pure).probabilities
-        q = position_distribution(mixed).probabilities
+        p = distribution(pure).probabilities
+        q = distribution(mixed).probabilities
         assert np.max(np.abs(p - q)) < 1e-10
         assert np.max(
             np.abs(reduced_coin_state(pure) - reduced_coin_state(mixed))
@@ -245,8 +246,8 @@ def test_density_walk_matches_dict_oracle(convention, theta, omega, visibility, 
     reference = oracles.density_walk(
         theta, omega, steps, visibility, one_based=convention is StepConvention.ONE_BASED
     )
-    # every row of the stack, on every site of the lattice
-    for row, rho in zip(distributions.probabilities, reference, strict=True):
+    # every row of the stack after the start, on every site of the lattice
+    for row, rho in zip(distributions.probabilities[1:], reference, strict=True):
         expected = np.zeros(lattice.size)
         for site, p in oracles.density_position_probabilities(rho).items():
             expected[lattice.index(site)] = p
@@ -320,13 +321,37 @@ def test_bisect_visibility_rejects_unbracketed_target():
         bisect_visibility(replace(sched, steps=0), 1.0)
 
 
-def assert_same_walk(distributions, final, states):
-    # the prefix walk of k steps lives on Lattice.for_steps(k): compare on its sites,
-    # and nothing lies outside them
-    assert distributions.probabilities.shape == (len(states), final.lattice.size)
-    for row, state in zip(distributions.probabilities, states):
+def oracle_rows(schedule, lattice):
+    """The oracle's distributions on `lattice` after 0, 1, ..., T steps of `schedule`, as a (T + 1, n) stack."""
+    one_based = schedule.convention is StepConvention.ONE_BASED
+    walked = (schedule.theta, schedule.omega, schedule.steps)
+    if schedule.visibility == 1.0:
+        pure = oracles.walk_states(*walked, one_based=one_based)
+        after = [{x: abs(plus) ** 2 + abs(minus) ** 2 for x, (plus, minus) in state.items()} for state in pure]
+    else:
+        mixed = oracles.density_walk(*walked, schedule.visibility, one_based=one_based)
+        after = [oracles.density_position_probabilities(rho) for rho in mixed]
+    plus, minus = oracles.SYMMETRIC
+    rows = np.zeros((schedule.steps + 1, lattice.size))
+    for row, probabilities in zip(rows, [{0: abs(plus) ** 2 + abs(minus) ** 2}, *after], strict=True):
+        for site, p in probabilities.items():
+            row[lattice.index(site)] = p
+    return rows
+
+
+def assert_same_walk(schedule, distributions, final, states):
+    # row t is the walk after t steps: row 0 the oracle's start, row t within 1e-12
+    # of the oracle after t steps, and bit for bit the final state of the t-step
+    # prefix walk, which lives on Lattice.for_steps(t): compare on its sites, and
+    # nothing lies outside them
+    rows = distributions.probabilities
+    assert rows.shape == (schedule.steps + 1, final.lattice.size) and len(states) == schedule.steps
+    expected = oracle_rows(schedule, final.lattice)
+    assert np.array_equal(rows[0], expected[0])
+    assert np.max(np.abs(rows - expected)) < 1e-12
+    for row, state in zip(rows[1:], states, strict=True):
         inside = shared(row, final.lattice, state.lattice)
-        assert np.array_equal(inside, position_distribution(state).probabilities)
+        assert np.array_equal(inside, distribution(state).probabilities)
         assert np.count_nonzero(row) == np.count_nonzero(inside)
     assert type(final) is type(states[-1]) and final.lattice == states[-1].lattice
     if isinstance(final, WalkerCoinPureState):
@@ -335,32 +360,45 @@ def assert_same_walk(distributions, final, states):
         assert np.array_equal(final.matrix, states[-1].matrix)
 
 
+@pytest.mark.parametrize("convention", list(StepConvention))
 @pytest.mark.parametrize(
-    "sched",
+    "theta, omega, steps",
     [
-        WalkSchedule(math.pi / 4, math.pi / 10, 8),
-        WalkSchedule(0.3, 0.2, 5, StepConvention.ZERO_BASED),
+        (0.3, 0.2, 1),
+        (0.3, 0.2, 2),
+        (0.3, 0.2, 5),
+        (math.pi / 4, math.pi / 10, 8),
+        (1.1, 0.7, 17),
+        (0.0, math.pi / 8, 48),
     ],
 )
-def test_walk_matches_its_prefix_walks(sched):
+def test_walk_matches_its_prefix_walks(theta, omega, steps, convention):
+    sched = WalkSchedule(theta, omega, steps, convention)
     # at visibility 1 classify takes the pure walk, below it the dephased walk
     for visibility in (1.0, 0.9):
         noisy = sched.with_visibility(visibility)
-        assert_same_walk(*walk(noisy), states_after_each_step(noisy))
+        assert_same_walk(noisy, *walk(noisy), states_after_each_step(noisy))
     # the dephased walk at visibility 1, where the calibration takes it too
-    assert_same_walk(*density_walk(sched), states_after_each_step(sched, density_walk))
+    assert_same_walk(sched, *density_walk(sched), states_after_each_step(sched, density_walk))
 
 
-def test_walk_without_steps_returns_start():
-    start = symmetric_start(0)
-    sched = WalkSchedule(0.3, 0.2, 0)
-    no_rows = (0, start.lattice.size)
+@pytest.mark.parametrize("convention", list(StepConvention))
+def test_walk_without_steps_returns_start(convention):
+    start = start_state(0)
+    sched = WalkSchedule(0.3, 0.2, 0, convention)
+    # the stack of a walk of no steps is its one row, the start
+    one_row = oracle_rows(sched, start.lattice)
+    assert one_row.shape == (1, start.lattice.size)
+    for visibility in (1.0, 0.9):
+        report = classify(sched.with_visibility(visibility))
+        assert np.array_equal(report.distributions.probabilities, one_row)
+        assert report.tv_distance == 0.0 and report.polya_truncated == 0.0
+        assert report.origin_probability == one_row[0, start.lattice.index(0)]
     distributions, final = walk(sched)
-    assert distributions.probabilities.shape == no_rows
     assert isinstance(final, WalkerCoinPureState)
     assert np.array_equal(final.amplitudes, start.amplitudes)
     for distributions, final in (walk(sched.with_visibility(0.9)), density_walk(sched)):
-        assert distributions.probabilities.shape == no_rows
+        assert np.array_equal(distributions.probabilities, one_row)
         assert isinstance(final, WalkerCoinDensityMatrix)
         assert np.array_equal(final.matrix, density_from_pure(start).matrix)
 
@@ -374,7 +412,7 @@ def test_walk_memory_does_not_grow_with_trajectory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert series.probabilities.shape == (64, Lattice.for_steps(64).size)
+    assert series.probabilities.shape == (65, Lattice.for_steps(64).size)
     assert peak < 16e6
 
 
@@ -395,7 +433,7 @@ def full_lattice_density_walk(rho, schedule):
 @pytest.mark.parametrize("visibility", [0.0, 0.5, 1.0])
 def test_light_cone_density_walk_matches_full_lattice(convention, visibility):
     steps = 6
-    start = density_from_pure(symmetric_start(steps))
+    start = density_from_pure(start_state(steps))
     sched = WalkSchedule(0.3, 0.2, steps, convention, visibility)
     expected = list(full_lattice_density_walk(start, sched))
     states = states_after_each_step(sched, density_walk)
@@ -437,11 +475,12 @@ def test_class_steps_of_any_origin_block_match_full_lattice(name, convention, vi
     rho = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     rho[2 * origin : 2 * origin + 2, 2 * origin : 2 * origin + 2] = block
     sched = WalkSchedule(0.3, 0.2, steps, convention, visibility)
-    expected = list(full_lattice_density_walk(WalkerCoinDensityMatrix(lattice, rho), sched))
-    stepped = list(evolution._class_steps(block[:, :, None, None], sched))
-    assert len(stepped) == len(expected) == steps
-    for k, (w, matrix) in enumerate(zip(stepped, expected, strict=True), start=1):
-        # step k's block holds the cone's sites -k, -k + 2, ..., k; the full walk nothing else
+    expected = [rho, *full_lattice_density_walk(WalkerCoinDensityMatrix(lattice, rho), sched)]
+    stepped = list(evolution._class_steps(block[:, :, None, None], sched.coins(), visibility))
+    assert len(stepped) == len(expected) == steps + 1
+    for k, (w, matrix) in enumerate(zip(stepped, expected, strict=True)):
+        # the start first, then step k's block holds the cone's sites -k, -k + 2, ..., k;
+        # the full walk nothing else
         assert w.shape == (2, 2, k + 1, k + 1)
         scattered = np.zeros((2 * n, 2 * n), dtype=np.complex128)
         cone = slice(origin - k, origin + k + 1, 2)
@@ -459,12 +498,12 @@ def test_origin_probe_of_any_origin_block_equals_the_light_cone_p0(name, convent
         theta, omega = rng.uniform(-3.0, 3.0, 2)
         visibility = float(rng.uniform(0.0, 1.0))
         sched = WalkSchedule(theta, omega, steps, convention, visibility)
-        for w in evolution._class_steps(block[:, :, None, None], sched):
+        for w in evolution._class_steps(block[:, :, None, None], sched.coins(), visibility):
             pass
         # the origin is the middle of the cone's T + 1 sites
         middle = steps // 2
         walked = w[0, 0, middle, middle].real + w[1, 1, middle, middle].real
-        probe = evolution._probe_origin_probability(sched, block)
+        probe = evolution._probe_origin_probability(sched.coins(), visibility, block)
         assert np.array_equal(probe, walked), steps
         one_based = convention is StepConvention.ONE_BASED
         reference = sum(
@@ -479,8 +518,8 @@ def record_classes(monkeypatch):
     taken = []
     class_steps = evolution._class_steps
 
-    def recording(w, schedule, diamond=False):
-        for stepped in class_steps(w, schedule, diamond):
+    def recording(w, coins, visibility, diamond=False):
+        for stepped in class_steps(w, coins, visibility, diamond):
             taken.append(stepped.shape[2:])
             yield stepped
 
@@ -489,13 +528,13 @@ def record_classes(monkeypatch):
 
 
 def cone_classes(steps):
-    """The block of a walk from the origin: step k holds the k + 1 sites -k, -k + 2, ..., k."""
-    return [(k + 1, k + 1) for k in range(1, steps + 1)]
+    """The blocks of a walk from the origin: the start, then step k holds the k + 1 sites -k, -k + 2, ..., k."""
+    return [(k + 1, k + 1) for k in range(steps + 1)]
 
 
 def diamond_classes(steps):
     """What a probe of an even number of steps holds: the sites of the cone within T - k of the origin."""
-    return [(min(k, steps - k) + 1,) * 2 for k in range(1, steps + 1)]
+    return [(min(k, steps - k) + 1,) * 2 for k in range(steps + 1)]
 
 
 def test_density_walk_steps_only_the_light_cone(monkeypatch):
@@ -521,8 +560,8 @@ def test_dephased_prefix_walks_keep_a_separate_matrix_each():
         for later in states[i + 1 :]:
             assert not np.shares_memory(earlier.matrix, later.matrix)
     distributions, final = walk(sched)
-    for state, row in zip(states, distributions.probabilities, strict=True):
-        assert np.array_equal(position_distribution(state).probabilities, shared(row, final.lattice, state.lattice))
+    for state, row in zip(states, distributions.probabilities[1:], strict=True):
+        assert np.array_equal(distribution(state).probabilities, shared(row, final.lattice, state.lattice))
 
 
 def test_density_walk_leaves_the_start_unchanged():
@@ -532,9 +571,10 @@ def test_density_walk_leaves_the_start_unchanged():
     assert np.array_equal(final.matrix, evolution._density_walk(sched)[1].matrix)
     block = evolution._origin_block()
     kept = block.copy()
-    p0 = evolution._probe_origin_probability(sched, block)
+    coins = sched.coins()
+    p0 = evolution._probe_origin_probability(coins, sched.visibility, block)
     assert np.array_equal(block, kept)
-    assert p0 == evolution._probe_origin_probability(sched, block) == distributions.at_site(0)[-1]
+    assert p0 == evolution._probe_origin_probability(coins, sched.visibility, block) == distributions.at_site(0)[-1]
 
 
 def test_coin_and_shift_matches_the_per_walk_oracle():
@@ -577,9 +617,11 @@ def test_origin_probe_equals_the_final_walk_p0(convention, visibility):
     for steps in range(1, 49):
         theta, omega = rng.uniform(-3.0, 3.0, 2)
         sched = WalkSchedule(theta, omega, steps, convention, visibility)
-        start = density_from_pure(symmetric_start(steps))
+        start = density_from_pure(start_state(steps))
         origin = 2 * start.lattice.index(0)
-        probe = evolution._probe_origin_probability(sched, start.matrix[origin : origin + 2, origin : origin + 2])
+        probe = evolution._probe_origin_probability(
+            sched.coins(), visibility, start.matrix[origin : origin + 2, origin : origin + 2]
+        )
         walked = density_walk(sched)[0].at_site(0)[-1]
         assert np.array_equal(probe, walked), steps
         if steps % 2:
@@ -626,8 +668,8 @@ def test_bisect_visibility_refuses_a_probe_the_walk_does_not_confirm(monkeypatch
     target = walk(sched)[0].at_site(0)[-1]
     probe = evolution._probe_origin_probability
 
-    def off_by_one_ulp(schedule, block):
-        return float(np.nextafter(probe(schedule, block), 2.0))
+    def off_by_one_ulp(coins, visibility, block):
+        return float(np.nextafter(probe(coins, visibility, block), 2.0))
 
     monkeypatch.setattr(evolution, "_probe_origin_probability", off_by_one_ulp)
     with pytest.raises(RuntimeError, match="differs from the walk"):
@@ -639,9 +681,9 @@ def record_probes(monkeypatch):
     probes = []
     probe = evolution._probe_origin_probability
 
-    def recording(schedule, block):
-        p0 = probe(schedule, block)
-        probes.append((schedule.visibility, p0))
+    def recording(coins, visibility, block):
+        p0 = probe(coins, visibility, block)
+        probes.append((visibility, p0))
         return p0
 
     monkeypatch.setattr(evolution, "_probe_origin_probability", recording)
@@ -690,6 +732,23 @@ def test_bench_style_calibrations_take_at_most_ten_probes(
     _, achieved = bisect_visibility(sched, target)
     assert abs(achieved - target) <= 1e-4
     assert len(probes) <= 10
+
+
+def test_calibration_builds_the_coin_stack_once_for_its_probes(monkeypatch):
+    sched = WalkSchedule(0.0, math.pi / 36, 16)
+    target = walk(sched.with_visibility(925 / 1024))[0].at_site(0)[-1]
+    built = []
+    coin_at_step = evolution.coin_at_step
+
+    def counting(*args):
+        built.append(args)
+        return coin_at_step(*args)
+
+    monkeypatch.setattr(evolution, "coin_at_step", counting)
+    probes = record_probes(monkeypatch)
+    bisect_visibility(sched, target)
+    # one stack for all the probes and one for the validated walk
+    assert len(probes) >= 5 and len(built) == 2
 
 
 def test_calibration_where_p0_is_flat_then_steep_takes_at_most_twelve_probes(monkeypatch):

@@ -28,7 +28,7 @@ def test_library_quick_start_states_what_it_computes():
             ns["report"].origin_probability == pytest.approx(1.0, abs=1e-12)
             and ns["report"].is_revival
             and ns["report"].is_complete
-            and ns["report"].distributions.at_site(0)[7] == pytest.approx(1.0, abs=1e-12)
+            and ns["report"].distributions.at_site(0)[8] == pytest.approx(1.0, abs=1e-12)
         ),
         lambda ns: ns["schedule"].coins().shape == (16, 2, 2),
         lambda ns: ns["distributions"].at_site(0)[-1] == pytest.approx(0.95125, abs=1e-12),

@@ -7,12 +7,12 @@ import pytest
 
 import exact
 import oracles
-from walks import origin_blocks
+from walks import origin_blocks, start_state
 from rampwalk import evolution, search
 from rampwalk.analysis import _verdict
 from rampwalk.coins import StepConvention, coin_at_step
 from rampwalk.evolution import WalkSchedule, propagator_blocks
-from rampwalk.states import CoinVector, Lattice, initial_state
+from rampwalk.states import CoinVector
 from rampwalk.search import (
     CatalogEntry,
     RevivalCandidate,
@@ -98,7 +98,7 @@ OFF_FAMILY = [Fraction(3, 77), Fraction(1, 3000), Fraction(5, 11)]
 
 def one_column_walk(coins, start):
     """Each step's amplitudes (n, 2) of one start coin on ``Lattice.for_steps(T)``, stepped alone."""
-    amps = np.ascontiguousarray(initial_state(Lattice.for_steps(len(coins)), start).amplitudes.T)[..., None]
+    amps = np.ascontiguousarray(start_state(len(coins), start).amplitudes.T)[..., None]
     for coin in coins:
         amps = evolution._coin_and_shift(coin, amps)
         yield amps[..., 0].T

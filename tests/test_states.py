@@ -12,8 +12,6 @@ from rampwalk.states import (
     WalkerCoinDensityMatrix,
     WalkerCoinPureState,
     coin_overlap,
-    initial_state,
-    position_distribution,
     reduced_coin_state,
 )
 
@@ -85,14 +83,6 @@ def test_pure_state_validation():
         WalkerCoinPureState(lat, 2.0 * good)
     with pytest.raises(ValueError):
         WalkerCoinPureState(lat, np.zeros((4, 2), dtype=complex))
-
-
-def test_initial_state_is_point_mass():
-    lat = Lattice.for_steps(3)
-    state = initial_state(lat, CoinVector.symmetric())
-    dist = position_distribution(state)
-    assert dist.at_site(0) == pytest.approx(1.0, abs=1e-12)
-    assert float(np.sum(dist.probabilities)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_position_distribution_validation():
@@ -197,7 +187,9 @@ def test_coin_purity_range(seed):
 def test_reduced_coin_state_of_product_and_entangled_states():
     lat = Lattice(-1, 1)
     coin = CoinVector.symmetric().as_array()
-    product = initial_state(lat, CoinVector.symmetric())
+    product_amps = np.zeros((lat.size, 2), dtype=complex)
+    product_amps[lat.index(0)] = coin
+    product = WalkerCoinPureState(lat, product_amps)
     entangled_amps = np.zeros((lat.size, 2), dtype=complex)
     entangled_amps[lat.index(-1), 0] = entangled_amps[lat.index(1), 1] = 1 / math.sqrt(2)
     entangled = WalkerCoinPureState(lat, entangled_amps)
@@ -231,14 +223,6 @@ def test_coin_overlap_pure_case():
 def test_coin_overlap_rejects_bad_shape():
     with pytest.raises(ValueError):
         coin_overlap(np.eye(4) / 4.0, CoinVector.symmetric())
-
-
-def test_position_distribution_from_density_matches_pure():
-    lat = Lattice(-4, 4)
-    state = random_pure_state(lat, seed=123)
-    p_pure = position_distribution(state).probabilities
-    p_density = position_distribution(density_from_pure(state)).probabilities
-    assert np.max(np.abs(p_pure - p_density)) < 1e-12
 
 
 def psd_check_accepts(rho):

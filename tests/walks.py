@@ -1,7 +1,10 @@
-"""Two readers of the library's walks shared by the tests; unlike `oracles`, they call the library."""
+"""Helpers the tests share for the library's walks and states; unlike `oracles`, they call the library."""
+
+import numpy as np
 
 from rampwalk import evolution
 from rampwalk.analysis import classify
+from rampwalk.states import CoinVector, Lattice, PositionDistribution, WalkerCoinPureState
 
 
 def walk(schedule):
@@ -15,3 +18,20 @@ def origin_blocks(coins):
     for amps in evolution._origin_walk(coins):
         pass
     return evolution._blocks(amps)
+
+
+def start_state(steps, coin=CoinVector.symmetric()):
+    """The pure state of `coin` at the origin of `Lattice.for_steps(steps)`."""
+    lattice = Lattice.for_steps(steps)
+    amps = np.zeros((lattice.size, 2), dtype=np.complex128)
+    amps[lattice.index(0)] = coin.as_array()
+    return WalkerCoinPureState(lattice, amps)
+
+
+def distribution(state):
+    """The position distribution of a pure state or a density matrix, the coin traced out."""
+    if isinstance(state, WalkerCoinPureState):
+        probs = np.sum(np.abs(state.amplitudes) ** 2, axis=1)
+    else:
+        probs = np.real(np.diag(state.matrix)).reshape(-1, 2).sum(axis=1)
+    return PositionDistribution(state.lattice, probs)
