@@ -16,10 +16,12 @@ provenance, summary and result) and, per workload and metric, each
 side's median and quartiles and the pairs the change wins, in the
 direction BENCHMARK.json gives for the metric. After the record is
 written, one stderr line per workload and end-to-end metric gives the
-parent's median, the change's median and the pairs the change won, and
+parent's median, the change's median and the pairs the change won. It
 ends in ``beyond bound B`` when the change's median is worse than the
 parent's by more than the metric's bound B in BENCHMARK.json, read as
-a fraction of the parent median. A
+a fraction of the parent median, and in ``unresolved`` when the
+parent's quartile spread is wider than that bound and not every run of
+the change is better than every run of the parent. A
 run that exits non-zero or times out is recorded as failed, with its
 exit code and the tail of its stderr, and the plan goes on. The exit
 status is 1 when any run failed or its result was not correct (one
@@ -127,7 +129,11 @@ def verdict_lines(summary: dict, config: dict) -> list[str]:
 
     A line ends in ``beyond bound B`` when the change's median is worse
     than the parent's, in the metric's direction, by more than B times
-    the parent median, B being the metric's ``bound``.
+    the parent median, B being the metric's ``bound``. It ends in
+    ``unresolved`` when the parent's quartile spread exceeds B times the
+    parent median, so the runs spread too widely to tell a change within
+    the bound, unless every run of the change is better than every run
+    of the parent.
     """
     lines = []
     for workload, entry in summary.items():
@@ -136,11 +142,16 @@ def verdict_lines(summary: dict, config: dict) -> list[str]:
             if stats is None:
                 continue
             parent, change = stats["parent_median"], stats["change_median"]
-            worse = change - parent if metric["better"] == "lower" else parent - change
+            sign = 1.0 if metric["better"] == "lower" else -1.0
+            worse = sign * (change - parent)
+            # every run of the change better than every run of the parent
+            clear = max(sign * v for v in stats["change_runs"]) < min(sign * v for v in stats["parent_runs"])
             line = (f"{workload} {metric['name']}: parent median {parent:.6g}, change median {change:.6g}, "
                     f"change better in {stats['pairs_change_better']} of {stats['pairs']} pairs")
             if worse > metric["bound"] * abs(parent):
                 line += f", beyond bound {metric['bound']:g}"
+            if stats["parent_quartile_spread"] > metric["bound"] * abs(parent) and not clear:
+                line += ", unresolved"
             lines.append(line)
     return lines
 

@@ -24,7 +24,6 @@ from .states import (
 from .evolution import (
     WalkSchedule,
     bisect_visibility,
-    propagator_blocks,
 )
 from .analysis import (
     RevivalReport,
@@ -64,7 +63,6 @@ __all__ = [
     "effective_coin_balanced_strings",
     "load_reference_catalog",
     "polya_number",
-    "propagator_blocks",
     "reduced_coin_state",
     "ry",
     "scan",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .evolution import WalkSchedule, _blocks, _density_walk, _origin_walk, propagator_blocks
+from .evolution import WalkSchedule, _blocks, _density_walk, _origin_walk
 from .states import (
     CoinVector,
     Lattice,
@@ -137,30 +137,34 @@ def classify(schedule: WalkSchedule) -> RevivalReport:
     State-dependent quantities follow the schedule visibility (pure
     evolution at visibility 1, dephased otherwise); the revival and
     completeness verdicts always refer to the noiseless operator, as
-    :func:`_verdict` gives them. At visibility 1 one walk gives both: the
-    blocks from its basis columns, the rows and the final state from its
-    start column on the inner 2T + 3 sites of ``Lattice.for_steps(T)``.
-    Every walk writes each state it yields, the start first, as one row
-    of the (T + 1, n) stack: p0 and the distance come from its last row,
-    the distance measured from row 0, and the Polya number from the p0
-    of rows 1..T. The CLI and the demo script format this report rather
-    than walk.
+    :func:`_verdict` gives them. It builds the coin stack once and hands
+    it to every walk. At visibility 1 one walk gives both: the blocks
+    from its basis columns, the rows and the final state from its start
+    column on the inner 2T + 3 sites of ``Lattice.for_steps(T)``; below
+    it the dephased walk gives the rows and the final state, and the
+    basis columns alone the blocks. Every walk writes each state it
+    yields, the start first, as one row of the (T + 1, n) stack: p0 is
+    its last row's, the distance the last of its distances from row 0
+    (the series ``walk --json-out`` writes), and the Polya number comes
+    from the p0 of rows 1..T. The CLI and the demo script format this
+    report rather than walk.
     """
     initial_coin = CoinVector.symmetric()
     lattice = Lattice.for_steps(schedule.steps)
+    coins = schedule.coins()
     if schedule.visibility == 1.0:
         probs = np.zeros((schedule.steps + 1, lattice.size))
-        walk = _origin_walk(schedule.coins(), initial_coin.as_array()[:, None])
+        walk = _origin_walk(coins, initial_coin.as_array()[:, None])
         for row, amps in zip(probs, walk):
             row[1:-1] = np.abs(amps[0, :, 2]) ** 2 + np.abs(amps[1, :, 2]) ** 2
         distributions = PositionDistribution(lattice, probs)
         final = WalkerCoinPureState(lattice, np.pad(amps[:, :, 2].T, ((1, 1), (0, 0))))
-        blocks = _blocks(amps[:, :, :2])[0]
     else:
-        distributions, final = _density_walk(schedule)
-        blocks = propagator_blocks(schedule)
-    rows = distributions.probabilities
-    final_distribution = PositionDistribution(lattice, rows[-1])
+        distributions, final = _density_walk(coins, schedule.visibility)
+        for amps in _origin_walk(coins):
+            pass
+    blocks = _blocks(amps[:, :, :2])[0]
+    start = PositionDistribution(lattice, distributions.probabilities[0])
     effective = blocks[schedule.steps].copy() if schedule.steps % 2 == 0 else None
     revival, complete = _verdict(blocks)
 
@@ -177,8 +181,8 @@ def classify(schedule: WalkSchedule) -> RevivalReport:
             )
 
     return RevivalReport(
-        origin_probability=final_distribution.at_site(0),
-        tv_distance=tv_distance(final_distribution, PositionDistribution(lattice, rows[0])),
+        origin_probability=float(distributions.at_site(0)[-1]),
+        tv_distance=float(tv_distance(distributions, start)[-1]),
         polya_truncated=polya_number(distributions.at_site(0)[1:]),
         effective_coin=effective,
         is_revival=bool(revival),

@@ -32,8 +32,8 @@ class StepConvention(Enum):
     ONE_BASED = "one-based"  # t = 1..T; reproduces the revival catalog
     ZERO_BASED = "zero-based"  # t = 0..T-1; first coin has no ramp
 
-    def step_indices(self, steps: int) -> range:
-        return range(self.first_step, self.first_step + steps)
+    def step_indices(self, steps: int) -> NDArray[np.int64]:
+        return np.arange(self.first_step, self.first_step + steps)
 
     @property
     def first_step(self) -> int:

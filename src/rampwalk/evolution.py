@@ -6,16 +6,16 @@ site down. A walk of T steps applies steps in increasing index order.
 The coin is the same on every site, so the T-step walk is translation
 invariant: one column of 2x2 blocks ``W_T[d]``, the map from the coin
 at any site x to the coin at x + d, describes it completely (see
-:func:`propagator_blocks`).
+:func:`_blocks`).
 
 Every pure walk in the package is one :func:`_origin_walk`, the one
 loop over the batched step :func:`_coin_and_shift`, on coin-major
 amplitudes (..., 2, n, G) (coin, site, then a batch of G walks) under
-the coin stack of :meth:`WalkSchedule.coins`, built once per walk. The
-dephased walk runs through one density step, :func:`_class_steps`,
-which applies the coin pair to one parity class of rho in one pass and
-then shifts it, with the same products as :func:`_coin_and_shift` on
-the rows and then the columns. Every walk of a state, the one
+the coin stack of :meth:`WalkSchedule.coins`, which the caller builds
+once and hands to every walk it runs. The dephased walk runs through
+one density step, :func:`_class_steps`, which applies the coin pair to
+one parity class of rho in one pass and then shifts it, with the same
+products as :func:`_coin_and_shift` on the rows and then the columns. Every walk of a state, the one
 ``analysis.classify`` summarises, starts from the symmetric coin at the
 origin of ``Lattice.for_steps(T)``, and both loops yield that start
 first, so the walk after t steps is row t of its (T + 1, n) stack of
@@ -95,7 +95,7 @@ class WalkSchedule:
 
     def coins(self) -> NDArray[np.complex128]:
         """The coins of all steps in step order, shape (steps, 2, 2)."""
-        indices = np.array(self.convention.step_indices(self.steps))
+        indices = self.convention.step_indices(self.steps)
         return coin_at_step(self.theta, self.omega, indices, self.convention)
 
     def with_visibility(self, visibility: float) -> "WalkSchedule":
@@ -158,23 +158,13 @@ def _origin_walk(
 
 
 def _blocks(amps: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """The blocks (G, 2T + 1, 2, 2) of basis columns (2, 2T + 3, 2G); ``[g, d + T, i, j]``: coin j to i at d."""
-    return amps[:, 1:-1].reshape(2, amps.shape[1] - 2, 2, amps.shape[2] // 2).transpose(3, 1, 0, 2)
+    """The blocks ``W_T[d]`` (G, 2T + 1, 2, 2) of basis columns (2, 2T + 3, 2G) after T steps.
 
-
-def propagator_blocks(schedule: WalkSchedule) -> NDArray[np.complex128]:
-    """The blocks ``W_T[d]`` of the noiseless T-step walk, shape (2T + 1, 2, 2).
-
-    Entry ``d + T`` is the 2x2 map from the coin at any site x to the
-    coin at site x + d after all T steps, for d in [-T, T]. The walk is
-    a revival when every block but ``W_T[0]`` vanishes, and ``W_T[0]``
-    is then its effective coin. With zero steps the single block is the
-    identity. The schedule visibility is ignored. This is the last step
-    of :func:`_origin_walk`, the walk the scan batches over its rates.
+    ``[g, d + T, i, j]`` maps coin j at any site x to coin i at x + d in
+    walk g, for d in [-T, T]. A walk is a revival when every block but
+    ``W_T[0]``, then its effective coin, vanishes; zero steps give the identity.
     """
-    for amps in _origin_walk(schedule.coins()):
-        pass
-    return _blocks(amps)[0]
+    return amps[:, 1:-1].reshape(2, amps.shape[1] - 2, 2, amps.shape[2] // 2).transpose(3, 1, 0, 2)
 
 
 def _class_steps(
@@ -261,22 +251,26 @@ def _probe_origin_probability(
     return float(w[0, 0, 0, 0].real + w[1, 1, 0, 0].real)
 
 
-def _density_walk(schedule: WalkSchedule) -> tuple[PositionDistribution, WalkerCoinDensityMatrix]:
+def _density_walk(
+    coins: NDArray[np.complex128], visibility: float
+) -> tuple[PositionDistribution, WalkerCoinDensityMatrix]:
     """The dephased walk at any visibility, 1 included: its (T + 1, n) stack and final state.
 
-    The walk steps :func:`_origin_block` with :func:`_class_steps` on
-    ``Lattice.for_steps(T)``, building no start. Row k of the stack, the
-    walk after k steps (row 0 the start), is the two coin diagonals of
-    the k-th block, written at stride 2 on the light cone's sites -k,
-    ..., k, and the final block is scattered into the (2n, 2n) matrix at
-    stride 2, rows and columns alike. Only the returned objects are
-    built and validated. ``analysis.classify`` takes it below visibility
-    1, and :func:`bisect_visibility` at every visibility.
+    ``coins`` is the walk's (T, 2, 2) stack, built by the caller, and
+    ``visibility`` its dephasing. The walk steps :func:`_origin_block`
+    with :func:`_class_steps` on ``Lattice.for_steps(T)``, building no
+    start. Row k of the stack, the walk after k steps (row 0 the start),
+    is the two coin diagonals of the k-th block, written at stride 2 on
+    the light cone's sites -k, ..., k, and the final block is scattered
+    into the (2n, 2n) matrix at stride 2, rows and columns alike. Only
+    the returned objects are built and validated. ``analysis.classify``
+    takes it below visibility 1, and :func:`bisect_visibility` at every
+    visibility, each on the stack it has already built.
     """
-    lattice = Lattice.for_steps(schedule.steps)
-    n, origin, steps = lattice.size, lattice.index(0), schedule.steps
+    lattice = Lattice.for_steps(len(coins))
+    n, origin, steps = lattice.size, lattice.index(0), len(coins)
     probs = np.zeros((steps + 1, n))
-    blocks = _class_steps(_origin_block()[:, :, None, None], schedule.coins(), schedule.visibility)
+    blocks = _class_steps(_origin_block()[:, :, None, None], coins, visibility)
     for k, (row, w) in enumerate(zip(probs, blocks)):
         row[origin - k : origin + k + 1 : 2] = w[0, 0].diagonal().real + w[1, 1].diagonal().real
     matrix = np.zeros((2 * n, 2 * n), dtype=np.complex128)
@@ -310,13 +304,13 @@ def bisect_visibility(
     probe reads p0 from :func:`_probe_origin_probability` on it and on
     :func:`_origin_block`, the start's coin block ``c c^dagger`` at the
     origin, and validates nothing. The chosen visibility, an end point
-    included, is then walked once by :func:`_density_walk`, the dephased
-    walk ``analysis.classify`` takes, which validates the final state; its final
-    p0 must equal the probe's (else RuntimeError) and is the one
-    returned. At visibility 1 it stays on that density walk: the pure
-    walk's p0 can differ from the probe's in the last bits. Returns
-    (visibility, origin probability). Raises ValueError for a walk of no
-    steps.
+    included, is then walked once on the same stack by
+    :func:`_density_walk`, the dephased walk ``analysis.classify`` takes,
+    which validates the final state; its final p0 must equal the probe's
+    (else RuntimeError) and is the one returned. At visibility 1 it
+    stays on that density walk: the pure walk's p0 can differ from the
+    probe's in the last bits. Returns (visibility, origin probability).
+    Raises ValueError for a walk of no steps.
     """
     if schedule.steps < 1:
         raise ValueError(f"calibration needs at least one step, got {schedule.steps}")
@@ -329,7 +323,7 @@ def bisect_visibility(
         return _probe_origin_probability(coins, v, block)
 
     def validated(v: float, probed: float) -> tuple[float, float]:
-        distributions, _ = _density_walk(schedule.with_visibility(v))
+        distributions, _ = _density_walk(coins, v)
         p0 = float(distributions.at_site(0)[-1])
         if p0 != probed:
             raise RuntimeError(f"probe p0 {probed!r} differs from the walk's {p0!r} at visibility {v!r}")

@@ -148,7 +148,7 @@ def _scan_row(config: SearchConfig, steps: int, theta: float) -> list[RevivalCan
     np.empty((2, 2 * steps + 3, 2 * (2 * steps + 4)), dtype=np.complex128)
     family = _family(steps, config.convention, lo, hi)
     omegas = np.array([math.pi * p.numerator / p.denominator for p in family])
-    t = np.array(config.convention.step_indices(steps))
+    t = config.convention.step_indices(steps)
     for amps in _origin_walk(coin_at_step(theta, omegas, t[:, None], config.convention)):
         pass
     blocks = _blocks(amps)

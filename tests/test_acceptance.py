@@ -14,12 +14,12 @@ import numpy as np
 from rampwalk.analysis import classify, effective_coin_balanced_strings, tv_distance
 from rampwalk.coins import coin_at_step
 from rampwalk import evolution
-from rampwalk.evolution import WalkSchedule, bisect_visibility, propagator_blocks
+from rampwalk.evolution import WalkSchedule, bisect_visibility
 from rampwalk.search import SearchConfig, load_reference_catalog, scan, verify_table
 from rampwalk.states import CoinVector, Lattice
 
 import oracles
-from walks import distribution, start_state, walk
+from walks import distribution, origin_blocks, start_state, walk
 
 
 def _report(number: int, label: str, ok: bool, detail: str) -> bool:
@@ -114,7 +114,7 @@ def test_criterion_5_dual_effective_coin_constructions():
             np.max(
                 np.abs(
                     effective_coin_balanced_strings(schedule)
-                    - propagator_blocks(schedule)[schedule.steps]
+                    - origin_blocks(schedule.coins())[0][schedule.steps]
                 )
             )
         )
@@ -126,7 +126,7 @@ def test_criterion_5_dual_effective_coin_constructions():
         schedule = WalkSchedule(
             float(entry.theta_pi) * math.pi, float(entry.omega_pi) * math.pi, entry.steps
         )
-        effective = propagator_blocks(schedule)[schedule.steps]
+        effective = origin_blocks(schedule.coins())[0][schedule.steps]
         expectation = float(np.real(psi.conj() @ effective.conj().T @ effective @ psi))
         worst_norm = max(worst_norm, abs(expectation - 1.0))
 
@@ -143,7 +143,7 @@ def test_criterion_6_dephasing_model():
 
     # the dephased walk at visibility 1, which the calibration validates its result with
     pure_distributions, _ = walk(schedule)
-    mixed_distributions, _ = evolution._density_walk(schedule)
+    mixed_distributions, _ = evolution._density_walk(schedule.coins(), schedule.visibility)
     assert pure_distributions.probabilities.shape == mixed_distributions.probabilities.shape
     match_gap = float(
         np.max(np.abs(pure_distributions.probabilities - mixed_distributions.probabilities))
@@ -209,7 +209,7 @@ def test_criterion_7_module_invariants_on_random_cases():
             if abs(final.amplitudes[index, 1] - minus) > 1e-10:
                 evolution_ok = False
         # the T-step operator on the line, sum_d W_T[d] exp(-i k d), is unitary at every k
-        blocks = propagator_blocks(schedule)
+        blocks = origin_blocks(schedule.coins())[0]
         displacements = np.arange(-steps, steps + 1)
         for k in np.linspace(-math.pi, math.pi, 7):
             symbol = np.tensordot(np.exp(-1j * k * displacements), blocks, axes=1)

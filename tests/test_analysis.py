@@ -13,7 +13,7 @@ from rampwalk.analysis import (
 )
 from rampwalk import evolution
 from rampwalk.coins import StepConvention
-from rampwalk.evolution import WalkSchedule, propagator_blocks
+from rampwalk.evolution import WalkSchedule
 from rampwalk.states import (
     CoinVector,
     Lattice,
@@ -21,7 +21,7 @@ from rampwalk.states import (
 )
 
 import oracles
-from walks import distribution, start_state, walk
+from walks import distribution, origin_blocks, start_state, walk
 
 angle = st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False)
 
@@ -123,7 +123,7 @@ def test_effective_coin_rejects_odd_steps():
 def test_effective_coin_zero_steps_is_identity():
     sched = WalkSchedule(0.3, 0.2, 0)
     assert np.array_equal(effective_coin_balanced_strings(sched), np.eye(2))
-    assert np.max(np.abs(propagator_blocks(sched)[0] - np.eye(2))) < 1e-15
+    assert np.max(np.abs(origin_blocks(sched.coins())[0][0] - np.eye(2))) < 1e-15
 
 
 @given(angle, angle)
@@ -145,7 +145,7 @@ def test_effective_coin_constructions_agree(theta, omega):
         for steps in [*range(2, 13, 2), *range(22, 65, 2)]:
             sched = WalkSchedule(theta, omega, steps, convention)
             from_strings = effective_coin_balanced_strings(sched)
-            from_operator = propagator_blocks(sched)[steps]
+            from_operator = origin_blocks(sched.coins())[0][steps]
             assert np.max(np.abs(from_strings - from_operator)) <= 1e-10
 
 
@@ -176,7 +176,7 @@ def test_is_revival_operator_known_points():
         (0.0, math.pi / 36, 16, True),  # incomplete, (2k + 1) pi / (2 (T + 2))
         (0.0, math.pi / 36 + 1e-3, 16, False),
     ]:
-        blocks = propagator_blocks(WalkSchedule(theta, omega, steps))
+        blocks = origin_blocks(WalkSchedule(theta, omega, steps).coins())[0]
         ours = _verdict(blocks)[0]
         reference = oracles.is_revival_state_route(theta, omega, steps)
         assert ours == reference == expected
@@ -185,7 +185,7 @@ def test_is_revival_operator_known_points():
 @given(angle, angle, st.sampled_from([2, 4, 6]))
 @settings(max_examples=40)
 def test_is_revival_operator_matches_state_route(theta, omega, steps):
-    blocks = propagator_blocks(WalkSchedule(theta, omega, steps))
+    blocks = origin_blocks(WalkSchedule(theta, omega, steps).coins())[0]
     ours = _verdict(blocks)[0]
     reference = oracles.is_revival_state_route(theta, omega, steps)
     assert ours == reference

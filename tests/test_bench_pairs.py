@@ -244,4 +244,35 @@ def test_a_failed_run_is_recorded_and_the_plan_finishes(monkeypatch, tmp_path, c
     assert [line for line in err if line.startswith("failed")] == [
         "failed: change deep_classify seed 2 trace 0", "failed: change deep_classify seed 3 trace 0"
     ]
-    assert "deep_classify wall_rel: parent median 3.5, change median 3.5, change better in 0 of 2 pairs" in err
+    # parent runs 2 and 5 spread wider than the bound allows, and no change run beats them all
+    assert ("deep_classify wall_rel: parent median 3.5, change median 3.5, change better in 0 of 2 pairs, "
+            "unresolved") in err
+
+
+def test_the_verdict_marks_a_metric_whose_parent_runs_spread_wider_than_its_bound():
+    config = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    values = {  # metric: (parent runs, change runs), seeds 1 to 4
+        # spread 1 > 0.25 x median 1.5, and the change does not beat every parent run
+        "wall_rel": ([1.0, 2.0, 1.0, 2.0], [1.4, 1.6, 1.5, 1.5]),
+        # as wide, but every change run beats every parent run
+        "setup_s": ([0.1, 0.3, 0.1, 0.3], [0.05, 0.08, 0.06, 0.09]),
+        # spread 2.6 <= 0.05 x median 57.4: the 56.1 / 58.7 MB flip stays inside the bound
+        "peak_rss_mb": ([56.1, 58.7, 56.1, 58.7], [58.7, 58.7, 58.7, 58.7]),
+        # higher is better: a tie with the best parent run is not a win
+        "scan_recall": ([0.5, 1.0, 0.5, 1.0], [1.0, 1.0, 1.0, 1.0]),
+    }
+    units = {"wall_rel": "yardstick", "setup_s": "s", "peak_rss_mb": "MB", "scan_recall": "ratio"}
+    runs = [
+        run(side, "dephasing_calibration", seed, 0,
+            {name: (pair[i][seed - 1], units[name]) for name, pair in values.items()})
+        for seed in range(1, 5) for i, side in enumerate(("parent", "change"))
+    ]
+    summary = bench_pairs.summarise(runs, bench_pairs.directions(config))
+    assert bench_pairs.verdict_lines(summary, config) == [
+        "dephasing_calibration setup_s: parent median 0.2, change median 0.07, change better in 4 of 4 pairs",
+        "dephasing_calibration wall_rel: parent median 1.5, change median 1.5, change better in 2 of 4 pairs, "
+        "unresolved",
+        "dephasing_calibration peak_rss_mb: parent median 57.4, change median 58.7, change better in 0 of 4 pairs",
+        "dephasing_calibration scan_recall: parent median 0.75, change median 1, change better in 2 of 4 pairs, "
+        "unresolved",
+    ]

@@ -12,8 +12,10 @@ import pytest
 
 from rampwalk import cli
 from rampwalk.analysis import classify
-from rampwalk.evolution import WalkSchedule, propagator_blocks
+from rampwalk.evolution import WalkSchedule
 from rampwalk.search import load_reference_catalog
+
+from walks import origin_blocks
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -140,15 +142,21 @@ def test_walk_usage_errors(tmp_path):
     # no output requested
     assert run_cli("walk", "--theta", "0", "--omega", "1/8",
                    "--steps", "2").returncode == 2
-    # an angle too large for a float, and a walk too large for memory
+    # an angle too large for a float, and a walk too large for memory, pure,
+    # dephased and under effective-coin: one line that says what went wrong
+    huge = ("--theta", "0", "--omega", "1/8", "--steps", "1000000000000000")
     for args in (
-        ("--theta", "1e400", "--omega", "1/8", "--steps", "2"),
-        ("--theta", "0", "--omega", "1/8", "--steps", "1000000000000000"),
+        ("walk", "--theta", "1e400", "--omega", "1/8", "--steps", "2", "--json-out", "-"),
+        ("walk", *huge, "--json-out", "-"),
+        ("walk", *huge, "--visibility", "0.5", "--json-out", "-"),
+        ("effective-coin", *huge),
     ):
-        result = run_cli("walk", *args, "--json-out", "-")
+        result = run_cli(*args)
         assert result.returncode == 2
         assert result.stderr.startswith("rampwalk: error:")
         assert len(result.stderr.splitlines()) == 1
+        detail = result.stderr.removeprefix("rampwalk: error:").removeprefix(" out of memory:")
+        assert detail.strip(), args
     # a bias angle whose double overflows names the angle
     result = run_cli("walk", "--theta", "1e308", "--radians", "--omega", "0", "--steps", "2",
                      "--json-out", "-")
@@ -422,7 +430,7 @@ def test_effective_coin_at_24_steps_reports_both_constructions(capsys):
     assert np.max(np.abs(strings - operator)) <= 1e-10
     assert doc["max_abs_difference"] <= 1e-10
     schedule = WalkSchedule(cli._parse_angle("1/4", False), cli._parse_angle("1/13", False), steps)
-    assert np.array_equal(operator, propagator_blocks(schedule)[steps])
+    assert np.array_equal(operator, origin_blocks(schedule.coins())[0][steps])
     assert doc["complete"] is classify(schedule).is_complete
     # an odd step count still has no origin block
     assert cli.main(argv[:-1] + [str(steps + 1)]) == 2

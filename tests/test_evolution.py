@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rampwalk import evolution, states
+from rampwalk import cli, evolution, states
 from rampwalk.analysis import classify
 from rampwalk.coins import StepConvention
 from rampwalk.evolution import (
     WalkSchedule,
     bisect_visibility,
-    propagator_blocks,
 )
 from rampwalk.states import (
     CoinVector,
@@ -24,7 +23,7 @@ from rampwalk.states import (
 
 import oracles
 import walks
-from walks import distribution, start_state
+from walks import distribution, origin_blocks, start_state
 
 angle = st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False)
 
@@ -43,7 +42,7 @@ def walk(schedule):
 
 def density_walk(schedule):
     """The dephased walk of `walk` at every visibility, 1 included, as the calibration walks it."""
-    return psd_checked(evolution._density_walk(schedule))
+    return psd_checked(evolution._density_walk(schedule.coins(), schedule.visibility))
 
 
 def states_after_each_step(schedule, walk=walk):
@@ -91,10 +90,15 @@ def test_schedule_rejects_non_integer_step_counts(steps):
         WalkSchedule(0.0, 0.1, steps)
 
 
+def test_a_coin_stack_too_large_for_memory_names_its_shape():
+    with pytest.raises(MemoryError, match=r"shape \(1000000000000000,\)"):
+        WalkSchedule(0.0, 0.1, 10**15).coins()
+
+
 def test_schedule_takes_numpy_step_counts():
     numpy_steps = WalkSchedule(0.0, math.pi / 8, np.int64(8))
     int_steps = WalkSchedule(0.0, math.pi / 8, 8)
-    assert np.array_equal(propagator_blocks(numpy_steps), propagator_blocks(int_steps))
+    assert np.array_equal(origin_blocks(numpy_steps.coins())[0], origin_blocks(int_steps.coins())[0])
     _, final = walk(numpy_steps)
     assert np.array_equal(final.amplitudes, walk(int_steps)[1].amplitudes)
 
@@ -187,16 +191,16 @@ def test_translation_covariance():
     assert np.array_equal(amps[..., 0].T, moved)
 
 
-def test_propagator_blocks_zero_steps_is_identity():
-    blocks = propagator_blocks(WalkSchedule(0.3, 0.1, 0))
+def test_origin_blocks_zero_steps_is_identity():
+    blocks = origin_blocks(WalkSchedule(0.3, 0.1, 0).coins())[0]
     assert np.array_equal(blocks, np.eye(2)[None])
 
 
 @given(angle, angle, st.integers(min_value=1, max_value=5))
 @settings(max_examples=60)
-def test_propagator_blocks_match_the_dict_oracle(theta, omega, steps):
+def test_origin_blocks_match_the_dict_oracle(theta, omega, steps):
     # column j of the block at displacement d is the walk of basis coin j from the origin
-    blocks = propagator_blocks(WalkSchedule(theta, omega, steps))
+    blocks = origin_blocks(WalkSchedule(theta, omega, steps).coins())[0]
     assert blocks.shape == (2 * steps + 1, 2, 2)
     for column, basis in enumerate(((1.0, 0.0), (0.0, 1.0))):
         final = oracles.walk_states(theta, omega, steps, basis)[-1]
@@ -208,10 +212,10 @@ def test_propagator_blocks_match_the_dict_oracle(theta, omega, steps):
 
 @given(angle, angle, st.integers(min_value=1, max_value=8))
 @settings(max_examples=60)
-def test_propagator_blocks_vanish_off_the_walk_parity(theta, omega, steps):
+def test_origin_blocks_vanish_off_the_walk_parity(theta, omega, steps):
     # after T steps the walker sits only at displacements d with d = T mod 2,
     # so the origin block of an odd-length walk is zero
-    blocks = propagator_blocks(WalkSchedule(theta, omega, steps))
+    blocks = origin_blocks(WalkSchedule(theta, omega, steps).coins())[0]
     assert not np.any(blocks[1::2])
     assert np.any(blocks[::2])
     if steps % 2:
@@ -565,15 +569,16 @@ def test_dephased_prefix_walks_keep_a_separate_matrix_each():
 
 
 def test_density_walk_leaves_the_start_unchanged():
-    # the calibration hands one block to every probe
+    # the calibration hands one block to every probe, and one coin stack to every walk
     sched = WalkSchedule(0.3, 0.2, 4, visibility=0.6)
-    distributions, final = evolution._density_walk(sched)
-    assert np.array_equal(final.matrix, evolution._density_walk(sched)[1].matrix)
+    coins = sched.coins()
+    distributions, final = evolution._density_walk(coins, sched.visibility)
+    assert np.array_equal(final.matrix, evolution._density_walk(coins, sched.visibility)[1].matrix)
     block = evolution._origin_block()
     kept = block.copy()
-    coins = sched.coins()
     p0 = evolution._probe_origin_probability(coins, sched.visibility, block)
     assert np.array_equal(block, kept)
+    assert np.array_equal(coins, sched.coins())
     assert p0 == evolution._probe_origin_probability(coins, sched.visibility, block) == distributions.at_site(0)[-1]
 
 
@@ -734,7 +739,24 @@ def test_bench_style_calibrations_take_at_most_ten_probes(
     assert len(probes) <= 10
 
 
-def test_calibration_builds_the_coin_stack_once_for_its_probes(monkeypatch):
+README_SWEEP = ["noise-sweep", "--theta", "0", "--omega", "1/8", "--steps", "8",
+                "--visibilities", "1,0.996,0.99,0.95,0.9"]
+
+
+@pytest.mark.parametrize(
+    "run, builds, min_probes",
+    [
+        # one stack for all the probes and the validated walk
+        (lambda sched, target: bisect_visibility(sched, target), 1, 5),
+        # one stack for the dephased walk and the noiseless blocks
+        (lambda sched, target: classify(sched.with_visibility(0.9)), 1, 0),
+        # the README's noise-sweep: one stack per visibility, and one for the calibration
+        (lambda sched, target: cli.main(README_SWEEP), 5, 0),
+        (lambda sched, target: cli.main([*README_SWEEP, "--target-p0", "0.918"]), 6, 2),
+    ],
+    ids=["calibration", "classify", "noise-sweep", "noise-sweep-target"],
+)
+def test_calibration_builds_the_coin_stack_once_for_its_probes(monkeypatch, run, builds, min_probes):
     sched = WalkSchedule(0.0, math.pi / 36, 16)
     target = walk(sched.with_visibility(925 / 1024))[0].at_site(0)[-1]
     built = []
@@ -746,9 +768,8 @@ def test_calibration_builds_the_coin_stack_once_for_its_probes(monkeypatch):
 
     monkeypatch.setattr(evolution, "coin_at_step", counting)
     probes = record_probes(monkeypatch)
-    bisect_visibility(sched, target)
-    # one stack for all the probes and one for the validated walk
-    assert len(probes) >= 5 and len(built) == 2
+    assert run(sched, target) is not None
+    assert len(built) == builds and len(probes) >= min_probes
 
 
 def test_calibration_where_p0_is_flat_then_steep_takes_at_most_twelve_probes(monkeypatch):

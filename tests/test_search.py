@@ -11,7 +11,7 @@ from walks import origin_blocks, start_state
 from rampwalk import evolution, search
 from rampwalk.analysis import _verdict
 from rampwalk.coins import StepConvention, coin_at_step
-from rampwalk.evolution import WalkSchedule, propagator_blocks
+from rampwalk.evolution import WalkSchedule
 from rampwalk.states import CoinVector
 from rampwalk.search import (
     CatalogEntry,
@@ -420,9 +420,9 @@ def test_family_explains_every_grid_minimum(steps, theta, convention):
 @pytest.mark.parametrize("convention", list(StepConvention))
 @pytest.mark.parametrize("theta", [0.0, math.pi / 4, math.pi / 8])
 @pytest.mark.parametrize("steps", [8, 16, 24])
-def test_scan_verdicts_equal_propagator_blocks_verdicts(monkeypatch, steps, theta, convention):
-    # the scan judges the blocks of its one batched walk; they are those of
-    # propagator_blocks bit for bit, so every verdict is classify's
+def test_scan_verdicts_equal_single_walk_verdicts(monkeypatch, steps, theta, convention):
+    # the scan judges the blocks of its one batched walk; they are those of each
+    # schedule's own walk bit for bit, the walk classify judges, so every verdict is classify's
     walks = []
 
     def recording(coins):
@@ -439,7 +439,7 @@ def test_scan_verdicts_equal_propagator_blocks_verdicts(monkeypatch, steps, thet
     revivals = []
     for point, walked in zip(family, batched):
         omega = math.pi * point.numerator / point.denominator
-        blocks = propagator_blocks(WalkSchedule(theta, omega, steps, convention))
+        blocks = origin_blocks(WalkSchedule(theta, omega, steps, convention).coins())[0]
         assert np.array_equal(walked, blocks)
         revival, complete = _verdict(blocks)
         if revival:
