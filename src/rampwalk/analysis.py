@@ -12,6 +12,7 @@ identity up to a global phase, making the full initial state recur.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,48 +148,73 @@ def classify(schedule: WalkSchedule) -> RevivalReport:
     its last row's, the distance the last of its distances from row 0
     (the series ``walk --json-out`` writes), and the Polya number comes
     from the p0 of rows 1..T. The CLI and the demo script format this
-    report rather than walk.
+    report rather than walk; ``noise-sweep`` takes the reports of
+    :func:`_classify_each`, which gives this one for one visibility.
     """
+    [report] = _classify_each(schedule, [schedule.visibility])
+    return report
+
+
+def _classify_each(schedule: WalkSchedule, visibilities: Sequence[float]) -> Iterator[RevivalReport]:
+    """The :func:`classify` report of ``schedule.with_visibility(v)`` for each v, in order, one at a time.
+
+    Each v must be a visibility ``WalkSchedule`` accepts, in [0, 1]: the
+    caller checks it (``classify`` passes the schedule's own, and
+    ``noise-sweep`` checks its input first). An empty sequence walks
+    nothing. The pure walk's (T + 1, n) rows, the shape of every
+    report's rows, are allocated first, so a sweep too large for memory
+    fails at once, before the coin stack. The coin stack is built once
+    and the noiseless walk runs once, before the first report: with 1
+    among the visibilities as the three-column walk, otherwise on the
+    basis columns alone, for the blocks and the verdicts the reports
+    share. Each visibility below 1 then takes its own dephased walk
+    when its report is asked for, so a caller that keeps only numbers
+    from each report holds one dephased state at a time, as one
+    ``classify`` call per visibility would.
+    """
+    if not visibilities:
+        return
     initial_coin = CoinVector.symmetric()
     lattice = Lattice.for_steps(schedule.steps)
+    # the pure walk's rows, the shape of every report's: a sweep too large for
+    # memory fails here, before the coin stack is built or the noiseless walk steps
+    probs = np.zeros((schedule.steps + 1, lattice.size))
     coins = schedule.coins()
-    if schedule.visibility == 1.0:
-        probs = np.zeros((schedule.steps + 1, lattice.size))
+    if 1.0 in visibilities:
         walk = _origin_walk(coins, initial_coin.as_array()[:, None])
         for row, amps in zip(probs, walk):
             row[1:-1] = np.abs(amps[0, :, 2]) ** 2 + np.abs(amps[1, :, 2]) ** 2
-        distributions = PositionDistribution(lattice, probs)
-        final = WalkerCoinPureState(lattice, np.pad(amps[:, :, 2].T, ((1, 1), (0, 0))))
+        pure = (
+            PositionDistribution(lattice, probs),
+            WalkerCoinPureState(lattice, np.pad(amps[:, :, 2].T, ((1, 1), (0, 0)))),
+        )
     else:
-        distributions, final = _density_walk(coins, schedule.visibility)
         for amps in _origin_walk(coins):
             pass
     blocks = _blocks(amps[:, :, :2])[0]
-    start = PositionDistribution(lattice, distributions.probabilities[0])
     effective = blocks[schedule.steps].copy() if schedule.steps % 2 == 0 else None
     revival, complete = _verdict(blocks)
-
-    coin_rho = reduced_coin_state(final)
-    overlap_initial = coin_overlap(coin_rho, initial_coin)
-    overlap_predicted = math.nan
+    predicted_coin = None
     if effective is not None:
         predicted = effective @ initial_coin.as_array()
         norm = float(np.linalg.norm(predicted))
         if norm > PREDICTED_STATE_NORM_TOL:
             predicted = predicted / norm
-            overlap_predicted = coin_overlap(
-                coin_rho, CoinVector(complex(predicted[0]), complex(predicted[1]))
-            )
+            predicted_coin = CoinVector(complex(predicted[0]), complex(predicted[1]))
 
-    return RevivalReport(
-        origin_probability=float(distributions.at_site(0)[-1]),
-        tv_distance=float(tv_distance(distributions, start)[-1]),
-        polya_truncated=polya_number(distributions.at_site(0)[1:]),
-        effective_coin=effective,
-        is_revival=bool(revival),
-        is_complete=bool(complete),
-        overlap_initial=overlap_initial,
-        overlap_predicted=overlap_predicted,
-        distributions=distributions,
-        final=final,
-    )
+    for visibility in visibilities:
+        distributions, final = pure if visibility == 1.0 else _density_walk(coins, visibility)
+        start = PositionDistribution(lattice, distributions.probabilities[0])
+        coin_rho = reduced_coin_state(final)
+        yield RevivalReport(
+            origin_probability=float(distributions.at_site(0)[-1]),
+            tv_distance=float(tv_distance(distributions, start)[-1]),
+            polya_truncated=polya_number(distributions.at_site(0)[1:]),
+            effective_coin=effective,
+            is_revival=bool(revival),
+            is_complete=bool(complete),
+            overlap_initial=coin_overlap(coin_rho, initial_coin),
+            overlap_predicted=math.nan if predicted_coin is None else coin_overlap(coin_rho, predicted_coin),
+            distributions=distributions,
+            final=final,
+        )

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import classify, effective_coin_balanced_strings, tv_distance
+from .analysis import _classify_each, classify, effective_coin_balanced_strings, tv_distance
 from .coins import StepConvention
 from .evolution import WalkSchedule, bisect_visibility
 from .search import (
@@ -182,18 +182,22 @@ def cmd_noise_sweep(
     target_p0: float | None = None,
     json_out: str | None = "-",
 ) -> int:
-    """Evaluate the walk under coin dephasing at several visibilities."""
-    rows = []
-    for visibility in visibilities:
-        report = classify(schedule.with_visibility(visibility))
-        rows.append(
-            {
-                "visibility": float(visibility),
-                "origin_probability": float(report.origin_probability),
-                "tv_distance": float(report.tv_distance),
-                "overlap_initial": report.overlap_initial,
-            }
-        )
+    """Evaluate the walk under coin dephasing at several visibilities.
+
+    The rows come from one coin stack and one noiseless walk, and each
+    report is reduced to its row before the next visibility is walked.
+    """
+    for visibility in visibilities:  # a visibility outside [0, 1] fails here, before any walk
+        schedule.with_visibility(visibility)
+    rows = [
+        {
+            "visibility": float(visibility),
+            "origin_probability": float(report.origin_probability),
+            "tv_distance": float(report.tv_distance),
+            "overlap_initial": report.overlap_initial,
+        }
+        for visibility, report in zip(visibilities, _classify_each(schedule, visibilities))
+    ]
     doc = {**_schedule_doc(schedule), "rows": rows}
     if target_p0 is not None:
         visibility, achieved = bisect_visibility(schedule, target_p0)

@@ -12,10 +12,11 @@ Every pure walk in the package is one :func:`_origin_walk`, the one
 loop over the batched step :func:`_coin_and_shift`, on coin-major
 amplitudes (..., 2, n, G) (coin, site, then a batch of G walks) under
 the coin stack of :meth:`WalkSchedule.coins`, which the caller builds
-once and hands to every walk it runs. The dephased walk runs through
-one density step, :func:`_class_steps`, which applies the coin pair to
+once and hands to every walk it runs. Every dephased walk runs through
+one density loop, :func:`_class_steps`, which applies the coin pair to
 one parity class of rho in one pass and then shifts it, with the same
-products as :func:`_coin_and_shift` on the rows and then the columns. Every walk of a state, the one
+products as :func:`_coin_and_shift` on the rows and then the columns,
+for a batch of K visibilities at once. Every walk of a state, the one
 ``analysis.classify`` summarises, starts from the symmetric coin at the
 origin of ``Lattice.for_steps(T)``, and both loops yield that start
 first, so the walk after t steps is row t of its (T + 1, n) stack of
@@ -32,24 +33,25 @@ exactly one site, so entry rho[(x, i), (y, j)] of parity class
 (x mod 2, y mod 2) moves to class (1 - x mod 2, 1 - y mod 2): the
 classes never mix, and the walk from the origin lights only one of
 them, a quarter of its light cone. The dephased walk steps that class
-as one compact block and builds the public (2n, 2n) matrix only for
-the final state. The light cone and the guard band of
-``Lattice.for_steps(T)`` always fit the lattice, so no walk checks its
-reach. :func:`_density_walk` returns only the (T + 1, n) stack of
-distributions and the final state, so it keeps no trajectory; the
-state after step k is the final state of the k-step walk.
-:func:`bisect_visibility`, a bracketing regula falsi on the visibility,
-calibrates the same walk. Its probes need only the final origin
-probability, so they step the same density step on the start's coin
-block at the origin, cropped after every step to the sites that can
-still reach it.
+as one compact block, with a trailing axis for a batch of
+visibilities, and builds the public (2n, 2n) matrix only for the final
+state. The light cone and the guard band of ``Lattice.for_steps(T)``
+always fit the lattice, so no walk checks its reach.
+:func:`_density_walk` returns only the (T + 1, n) stack of
+distributions and the final state of one visibility, so it keeps no
+trajectory; the state after step k is the final state of the k-step
+walk. :func:`bisect_visibility` calibrates the same walk by rounds of
+``PROBES_PER_WALK`` visibilities inside a sign-changing bracket. Its
+probes need only the final origin probability, so each round steps
+the same density loop on the start's coin block at the origin,
+cropped after every step to the sites that can still reach it.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,6 +67,10 @@ from .states import (
 
 BISECT_MAX_ROUNDS = 200
 PROBE_MARGIN = 0.02
+# visibilities per calibration probe walk: on the benchmark's 50 calibrations
+# (seeds 1-10) 3, 4, 5, 6 and 7 took 4.3, 3.9, 3.0, 3.0 and 3.0 walks per
+# calibration, and 5 the least time: a wider walk costs more per step
+PROBES_PER_WALK = 5
 
 
 @dataclass(frozen=True)
@@ -168,55 +174,60 @@ def _blocks(amps: NDArray[np.complex128]) -> NDArray[np.complex128]:
 
 
 def _class_steps(
-    w: NDArray[np.complex128],
+    block: NDArray[np.complex128],
     coins: NDArray[np.complex128],
-    visibility: float,
+    visibilities: Sequence[float],
     diamond: bool = False,
 ) -> Iterator[NDArray[np.complex128]]:
-    """The dephased walk of one parity class of rho from the origin: the start, then each step's block.
+    """K dephased walks of one parity class of rho from the origin: the start, then each step's block.
 
-    ``coins`` is the (T, 2, 2) stack of the walk and ``visibility`` its
-    dephasing. ``w[i, j, u, v]`` is rho[(b + 2u, i), (b + 2v, j)], on the
-    sites of the class from b upwards, rows and columns alike; one step
-    maps class (p, q) to (1 - p, 1 - q), so the class walks alone. One
-    class step applies the coin pair to the whole block, with no shift
-    yet: the right product ``h[i, j, u, v]`` takes the conjugate coin on
-    the column coin j (the shift is real, so that is ``rho U^dagger``),
-    and the left product ``p[i, j, u, v]`` the coin on the row coin i.
-    Dephasing multiplies ``p`` by ``[[1, v], [v, 1]]`` over the coins,
-    the channel's exact action (``x * 1.0 == x``). The shift then writes
-    the four coin blocks of ``p`` into a new zeroed block one row and
-    one column longer, whose base sits one site lower: plus rows move up
-    one compact index and minus rows stay, and columns alike. From the
-    origin's (2, 2, 1, 1) block, the k-th block yielded after the start
-    holds the light cone's sites -k, -k + 2, ..., k. With ``diamond``,
-    step k of T keeps only the sites within T - k of the origin, those
-    that can still reach it: once the block is wider than that, one site
-    goes from each end.
+    ``block`` is the start's (2, 2) coin block at the origin, ``coins``
+    the (T, 2, 2) stack of the walk and ``visibilities`` the K
+    dephasings, one walk each. ``w[i, j, u, v, k]`` is
+    rho[(b + 2u, i), (b + 2v, j)] of walk k, on the sites of the class
+    from b upwards, rows and columns alike; one step maps class (p, q)
+    to (1 - p, 1 - q), so the class walks alone. One class step applies
+    the coin pair to the whole block, with no shift yet: the right
+    product ``h[i, j, u, v, k]`` takes the conjugate coin on the column
+    coin j (the shift is real, so that is ``rho U^dagger``), and the
+    left product ``p[i, j, u, v, k]`` the coin on the row coin i.
+    Dephasing multiplies ``p`` by a (2, 2, 1, 1, K) factor, ``[[1, v],
+    [v, 1]]`` over the coins for each walk's v, the channel's exact
+    action (``x * 1.0 == x``). The shift then writes the four coin
+    blocks of ``p`` into a new zeroed block one row and one column
+    longer, whose base sits one site lower: plus rows move up one
+    compact index and minus rows stay, and columns alike. From the
+    origin, the k-th block yielded after the start holds the light
+    cone's sites -k, -k + 2, ..., k. With ``diamond``, step k of T keeps
+    only the sites within T - k of the origin, those that can still
+    reach it: once the block is wider than that, one site goes from
+    each end.
 
     Every entry goes through the products of :func:`_coin_and_shift`
     applied to the rows and then the columns: the coin entry as the
     first operand, term 0 added before term 1. So every entry is
-    bit-identical to that two-pass step on the full lattice. The
-    products are plain broadcast multiplies, not ``matmul``, ``einsum``
-    or ``tensordot``: a BLAS ``(4, 4) @ (4, m^2)`` step sums in its own
-    order, and probe and walk, whose crops differ, then round
-    differently.
+    bit-identical to that two-pass step on the full lattice, and each
+    column k to the walk of visibility k alone. The products are plain
+    broadcast multiplies, not ``matmul``, ``einsum`` or ``tensordot``: a
+    BLAS ``(4, 4) @ (4, m^2)`` step sums in its own order, and probe and
+    walk, whose crops differ, then round differently.
     """
-    steps = len(coins)
-    dephasing = np.array([[1.0, visibility], [visibility, 1.0]])[:, :, None, None]
-    rc = coins.conj()[:, None, :, :, None, None]  # rc[t, 0, j', j] = conj(coin[j', j])
-    lc = coins[:, :, None, :, None, None]  # lc[t, i', 0, i] = coin[i', i]
+    steps, count = len(coins), len(visibilities)
+    dephasing = np.ones((2, 2, 1, 1, count))
+    dephasing[0, 1, 0, 0] = dephasing[1, 0, 0, 0] = visibilities
+    rc = coins.conj()[:, None, :, :, None, None, None]  # rc[t, 0, j', j] = conj(coin[j', j])
+    lc = coins[:, :, None, :, None, None, None]  # lc[t, i', 0, i] = coin[i', i]
+    w = np.repeat(block[:, :, None, None, None], count, axis=4)
     yield w
     for k, (right, left) in enumerate(zip(rc, lc), start=1):
-        f = w[:, None]  # f[i, 0, j, u, v]
+        f = w[:, None]  # f[i, 0, j, u, v, k]
         h = right[:, :, 0] * f[:, :, 0]
         h += right[:, :, 1] * f[:, :, 1]
         p = left[:, :, 0] * h[None, 0]
         p += left[:, :, 1] * h[None, 1]
         p *= dephasing
         m = w.shape[2] + 1
-        w = np.zeros((2, 2, m, m), dtype=np.complex128)
+        w = np.zeros((2, 2, m, m, count), dtype=np.complex128)
         w[0, 0, 1:, 1:] = p[0, 0]
         w[0, 1, 1:, :-1] = p[0, 1]
         w[1, 0, :-1, 1:] = p[1, 0]
@@ -233,22 +244,23 @@ def _origin_block() -> NDArray[np.complex128]:
 
 
 def _probe_origin_probability(
-    coins: NDArray[np.complex128], visibility: float, block: NDArray[np.complex128]
-) -> float:
-    """Final origin probability of the dephased walk from a start at the origin alone, unvalidated.
+    coins: NDArray[np.complex128], visibilities: Sequence[float], block: NDArray[np.complex128]
+) -> NDArray[np.float64]:
+    """Final origin probabilities (K,) of K dephased walks from a start at the origin alone, unvalidated.
 
-    ``coins`` is the walk's (T, 2, 2) stack, ``visibility`` its dephasing
-    and ``block`` the start's (2, 2) coin block at the origin. A walk of
-    odd T cannot return and has p0 0. The probe steps the block on the
-    diamond of :func:`_class_steps`, so the last step leaves only the
-    origin's entry. That entry is the light-cone walk's bit for bit, so
-    the result equals the final p0 of :func:`_density_walk`.
+    ``coins`` is the walks' (T, 2, 2) stack, ``visibilities`` their K
+    dephasings and ``block`` the start's (2, 2) coin block at the
+    origin. A walk of odd T cannot return and has p0 0. The probe steps
+    the block on the diamond of :func:`_class_steps`, all K walks as one
+    batch, so the last step leaves only the origin's entry of each. That
+    entry is the light-cone walk's bit for bit, so each p0 equals the
+    final p0 of :func:`_density_walk` at its visibility.
     """
     if len(coins) % 2:
-        return 0.0
-    for w in _class_steps(block[:, :, None, None], coins, visibility, diamond=True):
+        return np.zeros(len(visibilities))
+    for w in _class_steps(block, coins, visibilities, diamond=True):
         pass
-    return float(w[0, 0, 0, 0].real + w[1, 1, 0, 0].real)
+    return w[0, 0, 0, 0].real + w[1, 1, 0, 0].real
 
 
 def _density_walk(
@@ -258,25 +270,64 @@ def _density_walk(
 
     ``coins`` is the walk's (T, 2, 2) stack, built by the caller, and
     ``visibility`` its dephasing. The walk steps :func:`_origin_block`
-    with :func:`_class_steps` on ``Lattice.for_steps(T)``, building no
-    start. Row k of the stack, the walk after k steps (row 0 the start),
-    is the two coin diagonals of the k-th block, written at stride 2 on
-    the light cone's sites -k, ..., k, and the final block is scattered
-    into the (2n, 2n) matrix at stride 2, rows and columns alike. Only
-    the returned objects are built and validated. ``analysis.classify``
-    takes it below visibility 1, and :func:`bisect_visibility` at every
-    visibility, each on the stack it has already built.
+    with :func:`_class_steps`, as a batch of one visibility, on
+    ``Lattice.for_steps(T)``, building no start. Row k of the stack, the
+    walk after k steps (row 0 the start), is the two coin diagonals of
+    the k-th block, written at stride 2 on the light cone's sites -k,
+    ..., k, and the final block is scattered into the (2n, 2n) matrix at
+    stride 2, rows and columns alike. The stack and the matrix are
+    allocated before the first step, so a walk too large for memory
+    fails there. Only the returned objects are built and validated.
+    ``analysis.classify`` takes it for each visibility below 1, one walk
+    at a time, and :func:`bisect_visibility` at its chosen visibility,
+    each on the stack it has already built.
     """
     lattice = Lattice.for_steps(len(coins))
     n, origin, steps = lattice.size, lattice.index(0), len(coins)
-    probs = np.zeros((steps + 1, n))
-    blocks = _class_steps(_origin_block()[:, :, None, None], coins, visibility)
-    for k, (row, w) in enumerate(zip(probs, blocks)):
-        row[origin - k : origin + k + 1 : 2] = w[0, 0].diagonal().real + w[1, 1].diagonal().real
     matrix = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    probs = np.zeros((steps + 1, n))
+    blocks = _class_steps(_origin_block(), coins, [visibility])
+    for k, (row, w) in enumerate(zip(probs, blocks)):
+        row[origin - k : origin + k + 1 : 2] = w[0, 0, :, :, 0].diagonal().real + w[1, 1, :, :, 0].diagonal().real
     cone = slice(origin - steps, origin + steps + 1, 2)
-    matrix.reshape(n, 2, n, 2)[cone, :, cone, :] = w.transpose(2, 0, 3, 1)
+    matrix.reshape(n, 2, n, 2)[cone, :, cone, :] = w[..., 0].transpose(2, 0, 3, 1)
     return PositionDistribution(lattice, probs), WalkerCoinDensityMatrix(lattice, matrix)
+
+
+def _round_around_root(probes: dict[float, float], target: float, lo: float, hi: float) -> list[float]:
+    """The visibilities of a probe round around the root of p0 - target in the bracket (lo, hi).
+
+    ``probes`` maps every visibility probed so far to its p0. The root
+    estimate r inverts the interpolating polynomial (v as a polynomial
+    in p0, evaluated at the target) through the ``PROBES_PER_WALK``
+    probes nearest the regula falsi point of the bracket, and r' through
+    all but the farthest of them. The round is r and points
+    ``r + s * (-1, 1, -2, 2, ...)`` with s = |r - r'| / 2, kept between
+    1e-6 and ``1 / PROBES_PER_WALK`` of the bracket width. When r falls
+    outside the bracket, or two of those probes share a p0, the regula
+    falsi point stands in for it. Every point stays ``PROBE_MARGIN`` of
+    the width inside the bracket.
+    """
+    width = hi - lo
+    secant = lo - (probes[lo] - target) * width / (probes[hi] - probes[lo])
+    near = sorted(probes, key=lambda v: abs(v - secant))[:PROBES_PER_WALK]
+
+    def inverse(points: list[float]) -> float:
+        f = [probes[v] - target for v in points]
+        if len(set(f)) < len(f):
+            return secant
+        return sum(
+            v * math.prod(-f[j] / (f[i] - f[j]) for j in range(len(f)) if j != i)
+            for i, v in enumerate(points)
+        )
+
+    root, coarser = inverse(near), inverse(near[:-1])
+    margin = PROBE_MARGIN * width
+    if not lo + margin < root < hi - margin:
+        root = min(max(secant, lo + margin), hi - margin)
+    spread = min(max(0.5 * abs(root - coarser), 1e-6 * width), width / PROBES_PER_WALK)
+    offsets = [(-1) ** j * ((j + 1) // 2) for j in range(PROBES_PER_WALK)]  # 0, -1, 1, -2, 2, ...
+    return sorted({min(max(root + spread * c, lo + margin), hi - margin) for c in offsets})
 
 
 def bisect_visibility(
@@ -288,20 +339,23 @@ def bisect_visibility(
 
     That walk starts from the symmetric coin at the origin. The final
     origin probability p0, a polynomial in the visibility, must straddle
-    the target between visibilities 0 and 1. The search keeps a bracket
-    across which p0 - target changes sign, for at most
-    ``BISECT_MAX_ROUNDS`` probes, each at the regula falsi point of the
-    bracket with the Anderson-Bjorck correction (BIT 13, 253, 1973):
-    when a probe lands on the side of the previous one, the value kept
-    at the far end is scaled by ``1 - f_new / f_previous`` (by 1/2 if
-    that is not positive). A probe stays ``PROBE_MARGIN`` of the bracket
-    width inside either end. A probe after two that have not halved the
-    bracket (those at 0 and 1 leave width 1) takes its midpoint, unscaled,
-    which bounds the probes where p0 is flat over most of [0, 1]. The
-    start's (2T + 5, 2) amplitudes are allocated before any probe, only
-    as a memory guard: a walk too large for memory fails at once, and no
-    state of the start is built. The coin stack is built once, and each
-    probe reads p0 from :func:`_probe_origin_probability` on it and on
+    the target between visibilities 0 and 1. The search probes
+    ``PROBES_PER_WALK`` (K) visibilities per walk, in rounds, and keeps
+    a bracket across which p0 - target changes sign: two neighbouring
+    probes, the lowest such pair. The first round holds 0, 1 and the
+    K - 2 interior Chebyshev-Lobatto nodes of [0, 1]. Each later round
+    lies strictly inside the bracket the earlier rounds left: K points
+    around the interpolated root (see :func:`_round_around_root`), or,
+    after a round that has not halved the bracket, K equispaced interior
+    points, which bounds the worst case. At most ``BISECT_MAX_ROUNDS``
+    rounds follow the first. The probe nearest the target in a round
+    ends the search when it is within tol, the ends of [0, 1] first.
+    Two memory guards are allocated before anything else: the start's
+    (2T + 5, 2) amplitudes, which name the walk's size, and the probe
+    batch's widest block, (2, 2, T/2 + 2, T/2 + 2, K). So a calibration
+    too large for memory fails at once, and no state is built. The coin
+    stack is built once, and each round reads its p0s from one
+    :func:`_probe_origin_probability` walk on it and on
     :func:`_origin_block`, the start's coin block ``c c^dagger`` at the
     origin, and validates nothing. The chosen visibility, an end point
     included, is then walked once on the same stack by
@@ -314,50 +368,49 @@ def bisect_visibility(
     """
     if schedule.steps < 1:
         raise ValueError(f"calibration needs at least one step, got {schedule.steps}")
-    # the memory guard: a walk too large fails here, before any probe
+    # the memory guards: a calibration too large fails here, before any probe; the
+    # start's amplitudes name the walk's size, and the probe batch's widest block
+    # holds the batch
     np.empty((2 * schedule.steps + 5, 2), dtype=np.complex128)
+    widest = schedule.steps // 2 + 2
+    np.empty((2, 2, widest, widest, PROBES_PER_WALK), dtype=np.complex128)
     coins, block = schedule.coins(), _origin_block()
     target = target_origin_probability
+    probes: dict[float, float] = {}  # every visibility probed so far, and its p0
 
-    def p0_at(v: float) -> float:
-        return _probe_origin_probability(coins, v, block)
+    def probe(visibilities: list[float]) -> list[float]:
+        probes.update(zip(visibilities, _probe_origin_probability(coins, visibilities, block).tolist()))
+        return visibilities
 
-    def validated(v: float, probed: float) -> tuple[float, float]:
+    def validated(v: float) -> tuple[float, float]:
         distributions, _ = _density_walk(coins, v)
         p0 = float(distributions.at_site(0)[-1])
-        if p0 != probed:
-            raise RuntimeError(f"probe p0 {probed!r} differs from the walk's {p0!r} at visibility {v!r}")
+        if p0 != probes[v]:
+            raise RuntimeError(f"probe p0 {probes[v]!r} differs from the walk's {p0!r} at visibility {v!r}")
         return v, p0
 
-    p_lo = p0_at(0.0)
-    p_hi = p0_at(1.0)
+    nodes = [0.5 - 0.5 * math.cos(math.pi * j / (PROBES_PER_WALK - 1)) for j in range(1, PROBES_PER_WALK - 1)]
+    latest = probe([0.0, 1.0, *nodes])
+    p_lo, p_hi = probes[0.0], probes[1.0]
     if abs(p_lo - target) <= tol:
-        return validated(0.0, p_lo)
+        return validated(0.0)
     if abs(p_hi - target) <= tol:
-        return validated(1.0, p_hi)
+        return validated(1.0)
     if not min(p_lo, p_hi) < target < max(p_lo, p_hi):
         raise ValueError(
             f"target {target} not bracketed: p0(0.0) = {p_lo:.6f}, p0(1.0) = {p_hi:.6f}"
         )
-    # the bracket's ends: `far` kept from before, `near` the latest probe
-    far, f_far = 0.0, p_lo - target
-    near, f_near = 1.0, p_hi - target
-    widths = [1.0]  # the bracket's width after each probe, v = 0 counting as 1
+    width = 1.0  # the bracket's width before the latest round
     for _ in range(BISECT_MAX_ROUNDS):
-        lo, hi = min(far, near), max(far, near)
-        widths.append(hi - lo)
-        midpoint = len(widths) > 2 and widths[-1] > 0.5 * widths[-3]
-        margin = PROBE_MARGIN * (hi - lo)
-        v = near - f_near * (near - far) / (f_near - f_far)
-        v = 0.5 * (lo + hi) if midpoint else min(max(v, lo + margin), hi - margin)
-        p = p0_at(v)
-        f = p - target
-        if abs(f) <= tol:
-            return validated(v, p)
-        if (f > 0.0) != (f_near > 0.0):
-            far, f_far = near, f_near
-        elif not midpoint:
-            scale = 1.0 - f / f_near
-            f_far *= scale if scale > 0.0 else 0.5
-        near, f_near = v, f
-    raise RuntimeError(f"calibration did not converge within {BISECT_MAX_ROUNDS} probes")
+        best = min(latest, key=lambda v: abs(probes[v] - target))
+        if abs(probes[best] - target) <= tol:
+            return validated(best)
+        known = sorted(probes)
+        lo, hi = next((a, b) for a, b in zip(known, known[1:]) if (probes[a] > target) != (probes[b] > target))
+        if hi - lo > 0.5 * width:
+            points = [lo + (hi - lo) * j / (PROBES_PER_WALK + 1) for j in range(1, PROBES_PER_WALK + 1)]
+        else:
+            points = _round_around_root(probes, target, lo, hi)
+        width = hi - lo
+        latest = probe(points)
+    raise RuntimeError(f"calibration did not converge within {BISECT_MAX_ROUNDS} probe rounds")

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -11,17 +12,18 @@ from rampwalk.analysis import (
     polya_number,
     tv_distance,
 )
-from rampwalk import evolution
+from rampwalk import analysis, cli, evolution
 from rampwalk.coins import StepConvention
 from rampwalk.evolution import WalkSchedule
 from rampwalk.states import (
     CoinVector,
     Lattice,
     PositionDistribution,
+    WalkerCoinPureState,
 )
 
 import oracles
-from walks import distribution, origin_blocks, start_state, walk
+from walks import distribution, origin_blocks, same_bits, start_state, walk
 
 angle = st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False)
 
@@ -332,22 +334,33 @@ def test_classify_predicted_coin_state_matches_effective_map():
     assert oracles.phase_equal(np.diag(coin_amps).tolist(), np.diag(expected).tolist(), tol=1e-12)
 
 
+def recording(monkeypatch, module, name, note):
+    """Wrap ``module.name`` so each call appends ``note(*args)`` to the returned list first."""
+    calls = []
+    wrapped = getattr(module, name)
+
+    def record(*args):
+        calls.append(note(*args))
+        return wrapped(*args)
+
+    monkeypatch.setattr(module, name, record)
+    return calls
+
+
 @pytest.mark.parametrize("steps", [0, 1, 48])
 def test_classify_walks_the_noiseless_walk_once(monkeypatch, steps):
     # at visibility 1 one walk of three columns, both basis coins and the start coin,
-    # gives the blocks, the rows and the final state; below it only the blocks are pure
-    shapes = []
-    coin_and_shift = evolution._coin_and_shift
-
-    def recording(coins, amps):
-        shapes.append(amps.shape)
-        return coin_and_shift(coins, amps)
-
-    monkeypatch.setattr(evolution, "_coin_and_shift", recording)
-    for visibility, columns in ((1.0, 3), (0.9, 2)):
-        shapes.clear()
+    # gives the blocks, the rows and the final state, from one coin stack and with no
+    # class step; below it only the blocks are pure
+    built = recording(monkeypatch, evolution, "coin_at_step", lambda *args: args)
+    shapes = recording(monkeypatch, evolution, "_coin_and_shift", lambda coins, amps: amps.shape)
+    classes = recording(monkeypatch, evolution, "_class_steps", lambda *args: args)
+    for visibility, columns, dephased in ((1.0, 3, 0), (0.9, 2, 1)):
+        for calls in (built, shapes, classes):
+            calls.clear()
         classify(WalkSchedule(math.pi / 4, math.pi / 48, steps, visibility=visibility))
         assert shapes == [(2, 2 * steps + 3, columns)] * steps
+        assert len(built) == 1 and len(classes) == dephased
 
 
 def test_classify_with_noise_keeps_operator_verdicts():
@@ -358,3 +371,87 @@ def test_classify_with_noise_keeps_operator_verdicts():
     assert abs(
         noisy.tv_distance - (1.0 - noisy.origin_probability)
     ) <= 1e-12
+
+
+def same_report(a, b):
+    """Every field of two reports equal bit for bit, NaN and signed zeros included."""
+    for name in ("origin_probability", "tv_distance", "polya_truncated", "overlap_initial", "overlap_predicted"):
+        assert same_bits(np.float64(getattr(a, name)), np.float64(getattr(b, name))), name
+    assert (a.is_revival, a.is_complete) == (b.is_revival, b.is_complete)
+    assert (a.effective_coin is None) == (b.effective_coin is None)
+    if a.effective_coin is not None:
+        assert same_bits(a.effective_coin, b.effective_coin)
+    assert a.distributions.lattice == b.distributions.lattice
+    assert same_bits(a.distributions.probabilities, b.distributions.probabilities)
+    assert type(a.final) is type(b.final) and a.final.lattice == b.final.lattice
+    state = "amplitudes" if isinstance(a.final, WalkerCoinPureState) else "matrix"
+    assert same_bits(getattr(a.final, state), getattr(b.final, state))
+
+
+def test_each_sweep_report_is_the_one_visibility_report(monkeypatch):
+    rng = np.random.default_rng(53)
+    for i in range(24):
+        steps = int(rng.integers(0, 33))
+        theta, omega = rng.uniform(-3.0, 3.0, 2)
+        if i % 3 == 0:  # a family point, which revives
+            theta, omega = math.pi / 4 * (i % 2), math.pi / max(2 * steps, 2)
+        sched = WalkSchedule(theta, omega, steps, list(StepConvention)[i % 2], visibility=0.3)
+        visibilities = [1.0, float(rng.uniform()), 0.0, 1.0, 0.93, 0.93]
+        reports = list(analysis._classify_each(sched, visibilities))
+        assert len(reports) == len(visibilities)
+        for report, v in zip(reports, visibilities):
+            same_report(report, classify(sched.with_visibility(v)))
+    # no visibilities, no walk
+    built = recording(monkeypatch, evolution, "coin_at_step", lambda *args: args)
+    assert list(analysis._classify_each(sched, [])) == []
+    assert built == []
+
+
+def test_a_sweep_too_large_for_memory_fails_before_any_step(monkeypatch):
+    # numpy refuses the rows without allocating, before the coin stack is built and
+    # before the noiseless walk, whose steps would each take a 2T + 3-site array; the
+    # coin stack, if built, is a (T, 2, 2) view of one coin
+    stepped = recording(monkeypatch, evolution, "_coin_and_shift", lambda coins, amps: amps.shape)
+    coin = WalkSchedule(0.0, math.pi / 8, 1).coins()[0]
+    built = []
+
+    def view(schedule):
+        built.append(schedule.steps)
+        return np.broadcast_to(coin, (schedule.steps, 2, 2))
+
+    monkeypatch.setattr(WalkSchedule, "coins", view)
+    for visibilities in ([1.0], [0.5], [0.5, 1.0]):
+        with pytest.raises(MemoryError, match=r"shape \(10000001, 20000005\)"):
+            list(analysis._classify_each(WalkSchedule(0.0, math.pi / 8, 10**7), visibilities))
+    assert built == [] and stepped == []
+
+
+def test_a_noise_sweep_walks_the_noiseless_walk_once(monkeypatch, tmp_path):
+    # the README's sweep: T steps of one three-column walk, and one dephased walk
+    # for each of the four visibilities below 1
+    shapes = recording(monkeypatch, evolution, "_coin_and_shift", lambda coins, amps: amps.shape)
+    dephased = recording(monkeypatch, analysis, "_density_walk", lambda coins, visibility: visibility)
+    argv = ["noise-sweep", "--theta", "0", "--omega", "1/8", "--steps", "8",
+            "--visibilities", "1,0.996,0.99,0.95,0.9", "--json-out", str(tmp_path / "sweep.json")]
+    assert cli.main(argv) == 0
+    assert shapes == [(2, 19, 3)] * 8
+    assert dephased == [0.996, 0.99, 0.95, 0.9]
+
+
+def test_a_noise_sweep_holds_one_dephased_state_at_a_time(monkeypatch, tmp_path):
+    # each report is reduced to its row before the next visibility is walked, so at
+    # every dephased walk at most the previous walk's final state is still alive
+    finals, alive = [], []
+    density_walk = analysis._density_walk
+
+    def tracked(coins, visibility):
+        alive.append(sum(ref() is not None for ref in finals))
+        distributions, final = density_walk(coins, visibility)
+        finals.append(weakref.ref(final))
+        return distributions, final
+
+    monkeypatch.setattr(analysis, "_density_walk", tracked)
+    argv = ["noise-sweep", "--theta", "0", "--omega", "1/8", "--steps", "8",
+            "--visibilities", "0.99,0.95,0.9,0.5,0", "--json-out", str(tmp_path / "sweep.json")]
+    assert cli.main(argv) == 0
+    assert len(alive) == 5 and max(alive) <= 1

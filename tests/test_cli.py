@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rampwalk import cli
+from rampwalk import cli, evolution
 from rampwalk.analysis import classify
 from rampwalk.evolution import WalkSchedule
 from rampwalk.search import load_reference_catalog
@@ -353,24 +353,42 @@ def test_noise_sweep_usage_error():
         "--visibilities", "1.2",
     )
     assert result.returncode == 2
-    # a walk too large for memory
-    result = run_cli(
-        "noise-sweep", "--theta", "0", "--omega", "1/8", "--steps", "1000000000000000",
-        "--visibilities", "1",
-    )
-    assert result.returncode == 2
-    assert result.stderr.startswith("rampwalk: error:")
-    assert len(result.stderr.splitlines()) == 1
+    # walks too large for memory, at one visibility or several, each refused by numpy
+    # without allocating
+    huge = ("--theta", "0", "--omega", "1/8", "--steps", "1000000000000000")
+    for args in (("--visibilities", "1"), ("--visibilities", "0.5,0.6")):
+        result = run_cli("noise-sweep", *huge, *args, timeout=60)
+        assert result.returncode == 2
+        assert result.stderr.startswith("rampwalk: error:")
+        assert len(result.stderr.splitlines()) == 1
     # a calibration alone fails at once too: its start, the amplitudes of 2T + 5
     # sites, is built before any probe builds the coins
-    result = run_cli(
-        "noise-sweep", "--theta", "0", "--omega", "1/8", "--steps", "1000000000000000",
-        "--visibilities", "", "--target-p0", "0.5", timeout=60,
-    )
+    result = run_cli("noise-sweep", *huge, "--visibilities", "", "--target-p0", "0.5", timeout=60)
     assert result.returncode == 2
     assert result.stderr.startswith("rampwalk: error:")
     assert len(result.stderr.splitlines()) == 1
     assert "(2000000000000005, 2)" in result.stderr
+    # where the start fits, the probe batch's widest block is the guard, also before
+    # the coin stack
+    result = run_cli(
+        "noise-sweep", "--theta", "0", "--omega", "1/8", "--steps", "10000000",
+        "--visibilities", "", "--target-p0", "0.5", timeout=60,
+    )
+    assert result.returncode == 2
+    assert len(result.stderr.splitlines()) == 1
+    assert f"(2, 2, 5000002, 5000002, {evolution.PROBES_PER_WALK})" in result.stderr
+
+
+def test_noise_sweep_of_no_visibilities_writes_no_rows(tmp_path):
+    out = tmp_path / "noise.json"
+    result = run_cli(
+        "noise-sweep", "--theta", "0", "--omega", "1/8", "--steps", "8",
+        "--visibilities", "", "--target-p0", "0.918", "--json-out", str(out),
+    )
+    assert result.returncode == 0, result.stderr
+    doc = read_json(out)
+    assert doc["rows"] == []
+    assert abs(doc["calibration"]["origin_probability"] - 0.918) <= 1e-4
 
 
 def test_main_gives_each_call_of_a_process_the_output_it_gives_alone(capsys):

@@ -23,7 +23,7 @@ from rampwalk.states import (
 
 import oracles
 import walks
-from walks import distribution, origin_blocks, start_state
+from walks import distribution, origin_blocks, same_bits, start_state
 
 angle = st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False)
 
@@ -480,7 +480,7 @@ def test_class_steps_of_any_origin_block_match_full_lattice(name, convention, vi
     rho[2 * origin : 2 * origin + 2, 2 * origin : 2 * origin + 2] = block
     sched = WalkSchedule(0.3, 0.2, steps, convention, visibility)
     expected = [rho, *full_lattice_density_walk(WalkerCoinDensityMatrix(lattice, rho), sched)]
-    stepped = list(evolution._class_steps(block[:, :, None, None], sched.coins(), visibility))
+    stepped = [w[..., 0] for w in evolution._class_steps(block, sched.coins(), [visibility])]
     assert len(stepped) == len(expected) == steps + 1
     for k, (w, matrix) in enumerate(zip(stepped, expected, strict=True)):
         # the start first, then step k's block holds the cone's sites -k, -k + 2, ..., k;
@@ -502,12 +502,13 @@ def test_origin_probe_of_any_origin_block_equals_the_light_cone_p0(name, convent
         theta, omega = rng.uniform(-3.0, 3.0, 2)
         visibility = float(rng.uniform(0.0, 1.0))
         sched = WalkSchedule(theta, omega, steps, convention, visibility)
-        for w in evolution._class_steps(block[:, :, None, None], sched.coins(), visibility):
+        for w in evolution._class_steps(block, sched.coins(), [visibility]):
             pass
+        w = w[..., 0]
         # the origin is the middle of the cone's T + 1 sites
         middle = steps // 2
         walked = w[0, 0, middle, middle].real + w[1, 1, middle, middle].real
-        probe = evolution._probe_origin_probability(sched.coins(), visibility, block)
+        [probe] = evolution._probe_origin_probability(sched.coins(), [visibility], block)
         assert np.array_equal(probe, walked), steps
         one_based = convention is StepConvention.ONE_BASED
         reference = sum(
@@ -522,9 +523,9 @@ def record_classes(monkeypatch):
     taken = []
     class_steps = evolution._class_steps
 
-    def recording(w, coins, visibility, diamond=False):
-        for stepped in class_steps(w, coins, visibility, diamond):
-            taken.append(stepped.shape[2:])
+    def recording(block, coins, visibilities, diamond=False):
+        for stepped in class_steps(block, coins, visibilities, diamond):
+            taken.append(stepped.shape[2:4])
             yield stepped
 
     monkeypatch.setattr(evolution, "_class_steps", recording)
@@ -576,10 +577,11 @@ def test_density_walk_leaves_the_start_unchanged():
     assert np.array_equal(final.matrix, evolution._density_walk(coins, sched.visibility)[1].matrix)
     block = evolution._origin_block()
     kept = block.copy()
-    p0 = evolution._probe_origin_probability(coins, sched.visibility, block)
+    [p0] = evolution._probe_origin_probability(coins, [sched.visibility], block)
     assert np.array_equal(block, kept)
     assert np.array_equal(coins, sched.coins())
-    assert p0 == evolution._probe_origin_probability(coins, sched.visibility, block) == distributions.at_site(0)[-1]
+    [again] = evolution._probe_origin_probability(coins, [sched.visibility], block)
+    assert p0 == again == distributions.at_site(0)[-1]
 
 
 def test_coin_and_shift_matches_the_per_walk_oracle():
@@ -624,13 +626,57 @@ def test_origin_probe_equals_the_final_walk_p0(convention, visibility):
         sched = WalkSchedule(theta, omega, steps, convention, visibility)
         start = density_from_pure(start_state(steps))
         origin = 2 * start.lattice.index(0)
-        probe = evolution._probe_origin_probability(
-            sched.coins(), visibility, start.matrix[origin : origin + 2, origin : origin + 2]
+        [probe] = evolution._probe_origin_probability(
+            sched.coins(), [visibility], start.matrix[origin : origin + 2, origin : origin + 2]
         )
         walked = density_walk(sched)[0].at_site(0)[-1]
         assert np.array_equal(probe, walked), steps
         if steps % 2:
             assert probe == walked == 0.0
+
+
+def random_batches(count, seed):
+    """(schedule, visibilities) pairs: T = 0..48, both conventions, batches holding 0, 1 and repeats."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        steps = int(rng.integers(0, 49))
+        theta, omega = rng.uniform(-3.0, 3.0, 2)
+        sched = WalkSchedule(theta, omega, steps, list(StepConvention)[i % 2])
+        drawn = rng.uniform(0.0, 1.0, int(rng.integers(1, 3))).tolist()
+        visibilities = [*drawn, 0.0, 1.0, drawn[0]]
+        rng.shuffle(visibilities)
+        yield sched, visibilities
+
+
+def test_each_column_of_a_batched_class_walk_is_the_one_visibility_walk():
+    block = evolution._origin_block()
+    for sched, visibilities in random_batches(400, seed=41):
+        coins = sched.coins()
+        # the diamond only for the even walks a probe steps: an odd walk never returns
+        for diamond in (False, True) if sched.steps % 2 == 0 else (False,):
+            batch = list(evolution._class_steps(block, coins, visibilities, diamond))
+            assert len(batch) == sched.steps + 1
+            for k, v in enumerate(visibilities):
+                alone = evolution._class_steps(block, coins, [v], diamond)
+                for w, single in zip(batch, alone, strict=True):
+                    assert same_bits(w[..., k], single[..., 0]), (sched, v, diamond)
+
+
+def test_a_batched_probe_gives_each_visibility_the_p0_of_its_walk():
+    for sched, visibilities in random_batches(40, seed=43):
+        coins = sched.coins()
+        probes = evolution._probe_origin_probability(coins, visibilities, evolution._origin_block())
+        walked = [evolution._density_walk(coins, v)[0].at_site(0)[-1] for v in visibilities]
+        assert same_bits(probes, np.array(walked)), sched
+
+
+def test_a_density_walk_too_large_for_memory_fails_before_its_first_step(monkeypatch):
+    classes = record_classes(monkeypatch)
+    # a (T, 2, 2) view of one coin: numpy refuses the final matrix without allocating
+    coins = np.broadcast_to(WalkSchedule(0.0, math.pi / 8, 1).coins()[0], (10**7, 2, 2))
+    with pytest.raises(MemoryError, match=r"shape \(40000010, 40000010\)"):
+        evolution._density_walk(coins, 0.5)
+    assert classes == []
 
 
 def record_calibration(monkeypatch):
@@ -657,11 +703,11 @@ def test_bisect_visibility_validates_one_walk(monkeypatch, visibility):
     assert checked == [(2 * Lattice.for_steps(steps).size,) * 2]
     if visibility in (0.0, 1.0):
         assert found == visibility
-    # every probe steps the diamond and only the last walk the whole light cone
+    # every probe round steps the diamond, its first both ends, and only the last walk the whole light cone
     walk, diamond = cone_classes(steps), diamond_classes(steps)
-    probes, rest = divmod(len(classes) - len(walk), len(diamond))
-    assert rest == 0 and probes >= 2
-    assert classes == diamond * probes + walk
+    rounds, rest = divmod(len(classes) - len(walk), len(diamond))
+    assert rest == 0 and rounds >= 1
+    assert classes == diamond * rounds + walk
     fresh = density_walk(sched.with_visibility(found))[0].at_site(0)[-1]
     assert achieved == fresh
     assert abs(achieved - target) <= 1e-6
@@ -673,8 +719,8 @@ def test_bisect_visibility_refuses_a_probe_the_walk_does_not_confirm(monkeypatch
     target = walk(sched)[0].at_site(0)[-1]
     probe = evolution._probe_origin_probability
 
-    def off_by_one_ulp(coins, visibility, block):
-        return float(np.nextafter(probe(coins, visibility, block), 2.0))
+    def off_by_one_ulp(coins, visibilities, block):
+        return np.nextafter(probe(coins, visibilities, block), 2.0)
 
     monkeypatch.setattr(evolution, "_probe_origin_probability", off_by_one_ulp)
     with pytest.raises(RuntimeError, match="differs from the walk"):
@@ -682,17 +728,17 @@ def test_bisect_visibility_refuses_a_probe_the_walk_does_not_confirm(monkeypatch
 
 
 def record_probes(monkeypatch):
-    """The (visibility, p0) pairs of every calibration probe, in order."""
-    probes = []
+    """The rounds of calibration probes, in order: each the (visibility, p0) pairs of one probe walk."""
+    rounds = []
     probe = evolution._probe_origin_probability
 
-    def recording(coins, visibility, block):
-        p0 = probe(coins, visibility, block)
-        probes.append((visibility, p0))
+    def recording(coins, visibilities, block):
+        p0 = probe(coins, visibilities, block)
+        rounds.append(list(zip(visibilities, p0.tolist())))
         return p0
 
     monkeypatch.setattr(evolution, "_probe_origin_probability", recording)
-    return probes
+    return rounds
 
 
 @pytest.mark.parametrize(
@@ -707,36 +753,40 @@ def record_probes(monkeypatch):
 def test_calibration_probes_stay_inside_a_sign_changing_bracket(monkeypatch, sched, fraction):
     ends = [walk(sched.with_visibility(v))[0].at_site(0)[-1] for v in (0.0, 1.0)]
     target = ends[0] + fraction * (ends[1] - ends[0])
-    probes = record_probes(monkeypatch)
+    rounds = record_probes(monkeypatch)
     bisect_visibility(sched, target, tol=1e-9)
-    assert [v for v, _ in probes[:2]] == [0.0, 1.0]
-    below = (probes[0][1] < target, probes[1][1] < target)
-    assert below[0] != below[1]
-    for i, (v, p0) in enumerate(probes[2:], start=2):
-        # p0 is monotone, so the bracket is the closest probe on either side of the target
-        lo = max(u for u, q in probes[:i] if (q < target) == below[0])
-        hi = min(u for u, q in probes[:i] if (q < target) == below[1])
-        assert lo < v < hi
-        # and p0 - target changes sign across it
-        assert (dict(probes[:i])[lo] < target) != (dict(probes[:i])[hi] < target)
+    assert len(rounds) >= 3
+    first = dict(rounds[0])
+    assert {0.0, 1.0} <= set(first) and len(first) == evolution.PROBES_PER_WALK
+    assert (first[0.0] < target) != (first[1.0] < target)
+    for i, points in enumerate(rounds[1:], start=1):
+        earlier = dict(pair for done in rounds[:i] for pair in done)
+        known = sorted(earlier)
+        # the round lies strictly between two neighbouring earlier probes ...
+        lo = max(u for u in known if u < points[0][0])
+        hi = min(u for u in known if u > points[0][0])
+        assert all(lo < v < hi for v, _ in points)
+        # ... across which p0 - target changes sign
+        assert (earlier[lo] < target) != (earlier[hi] < target)
 
 
 @pytest.mark.parametrize(
-    "steps, theta_pi, omega_pi, visibility_1024",
-    [(16, 0, (1, 36), 925), (16, 1 / 4, (1, 9), 963), (24, 0, (1, 52), 951),
-     (24, 0, (1, 12), 987), (24, 0, (5, 24), 1003)],
+    "steps, theta_pi, omega_pi, visibility_1024, walks",
+    [(16, 0, (1, 36), 925, 3), (16, 1 / 4, (1, 9), 963, 3), (24, 0, (1, 52), 951, 3),
+     (24, 0, (1, 12), 987, 3), (24, 0, (5, 24), 1003, 3)],
 )
 def test_bench_style_calibrations_take_at_most_ten_probes(
-    monkeypatch, steps, theta_pi, omega_pi, visibility_1024
+    monkeypatch, steps, theta_pi, omega_pi, visibility_1024, walks
 ):
     # revivals whose p0 dephasing moves, at an odd multiple of 1/1024 in [0.9, 0.99],
-    # on which bisection of [0, 1] makes 12 probes
+    # on which bisection of [0, 1] makes 12 probes and the one-probe regula falsi
+    # at most 10: the batched rounds take `walks` probe walks
     sched = WalkSchedule(math.pi * theta_pi, math.pi * omega_pi[0] / omega_pi[1], steps)
     target = walk(sched.with_visibility(visibility_1024 / 1024))[0].at_site(0)[-1]
-    probes = record_probes(monkeypatch)
+    rounds = record_probes(monkeypatch)
     _, achieved = bisect_visibility(sched, target)
     assert abs(achieved - target) <= 1e-4
-    assert len(probes) <= 10
+    assert len(rounds) == walks
 
 
 README_SWEEP = ["noise-sweep", "--theta", "0", "--omega", "1/8", "--steps", "8",
@@ -744,19 +794,19 @@ README_SWEEP = ["noise-sweep", "--theta", "0", "--omega", "1/8", "--steps", "8",
 
 
 @pytest.mark.parametrize(
-    "run, builds, min_probes",
+    "run, builds, min_rounds",
     [
-        # one stack for all the probes and the validated walk
-        (lambda sched, target: bisect_visibility(sched, target), 1, 5),
+        # one stack for all the probe rounds and the validated walk
+        (lambda sched, target: bisect_visibility(sched, target), 1, 2),
         # one stack for the dephased walk and the noiseless blocks
         (lambda sched, target: classify(sched.with_visibility(0.9)), 1, 0),
-        # the README's noise-sweep: one stack per visibility, and one for the calibration
-        (lambda sched, target: cli.main(README_SWEEP), 5, 0),
-        (lambda sched, target: cli.main([*README_SWEEP, "--target-p0", "0.918"]), 6, 2),
+        # the README's noise-sweep: one stack for the sweep's batch, and one for the calibration
+        (lambda sched, target: cli.main(README_SWEEP), 1, 0),
+        (lambda sched, target: cli.main([*README_SWEEP, "--target-p0", "0.918"]), 2, 2),
     ],
     ids=["calibration", "classify", "noise-sweep", "noise-sweep-target"],
 )
-def test_calibration_builds_the_coin_stack_once_for_its_probes(monkeypatch, run, builds, min_probes):
+def test_calibration_builds_the_coin_stack_once_for_its_probes(monkeypatch, run, builds, min_rounds):
     sched = WalkSchedule(0.0, math.pi / 36, 16)
     target = walk(sched.with_visibility(925 / 1024))[0].at_site(0)[-1]
     built = []
@@ -767,21 +817,22 @@ def test_calibration_builds_the_coin_stack_once_for_its_probes(monkeypatch, run,
         return coin_at_step(*args)
 
     monkeypatch.setattr(evolution, "coin_at_step", counting)
-    probes = record_probes(monkeypatch)
+    rounds = record_probes(monkeypatch)
     assert run(sched, target) is not None
-    assert len(built) == builds and len(probes) >= min_probes
+    assert len(built) == builds and len(rounds) >= min_rounds
 
 
 def test_calibration_where_p0_is_flat_then_steep_takes_at_most_twelve_probes(monkeypatch):
     # p0 barely moves over most of [0, 1] and then rises steeply; regula falsi
-    # alone, its Anderson-Bjorck factor near 0, took 22 probes here
+    # alone, its Anderson-Bjorck factor near 0, took 22 probes here, and with
+    # its midpoint fallback 11
     sched = WalkSchedule(0.122, 1.493, 20)
     ends = [walk(sched.with_visibility(v))[0].at_site(0)[-1] for v in (0.0, 1.0)]
     target = ends[0] + 0.017 * (ends[1] - ends[0])
-    probes = record_probes(monkeypatch)
+    rounds = record_probes(monkeypatch)
     _, achieved = bisect_visibility(sched, target)
     assert abs(achieved - target) <= 1e-4
-    assert len(probes) <= 12
+    assert len(rounds) == 3
 
 
 @pytest.mark.parametrize("fraction", [1e-3, 1.0 - 1e-3])
@@ -791,7 +842,28 @@ def test_calibration_converges_on_a_target_near_an_end(monkeypatch, fraction):
     target = ends[0] + fraction * (ends[1] - ends[0])
     tol = 1e-6
     assert min(abs(end - target) for end in ends) > tol
-    probes = record_probes(monkeypatch)
+    rounds = record_probes(monkeypatch)
     _, achieved = bisect_visibility(sched, target, tol=tol)
     assert abs(achieved - target) <= tol
-    assert len(probes) <= evolution.BISECT_MAX_ROUNDS + 2
+    assert len(rounds) <= evolution.BISECT_MAX_ROUNDS + 1
+
+
+def test_calibration_splits_the_bracket_evenly_after_a_round_that_does_not_halve_it(monkeypatch):
+    # an interpolated round that never halves the bracket, one point just inside its
+    # lower end: each round after it splits the bracket into PROBES_PER_WALK + 1 parts,
+    # which bounds the walks
+    sched = WalkSchedule(0.0, math.pi / 36, 16)
+    target = walk(sched.with_visibility(925 / 1024))[0].at_site(0)[-1]
+
+    def hugging_the_lower_end(probes, target, lo, hi):
+        return [lo + evolution.PROBE_MARGIN * (hi - lo)]
+
+    monkeypatch.setattr(evolution, "_round_around_root", hugging_the_lower_end)
+    rounds = record_probes(monkeypatch)
+    _, achieved = bisect_visibility(sched, target)
+    assert abs(achieved - target) <= 1e-4
+    sizes = [len(points) for points in rounds]
+    later = sizes[1:]
+    assert later[0::2] == [1] * len(later[0::2])
+    assert later[1::2] == [evolution.PROBES_PER_WALK] * len(later[1::2])
+    assert len(rounds) <= 12

@@ -35,3 +35,9 @@ def distribution(state):
     else:
         probs = np.real(np.diag(state.matrix)).reshape(-1, 2).sum(axis=1)
     return PositionDistribution(state.lattice, probs)
+
+
+def same_bits(a, b):
+    """Equal shapes, dtypes and bits in every entry, so signed zeros and NaN count."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
