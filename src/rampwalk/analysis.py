@@ -25,17 +25,18 @@ from .states import (
     PositionDistribution,
     WalkerCoinPureState,
     WalkerState,
-    coin_overlap,
+    _overlap,
     reduced_coin_state,
 )
 
 REVIVAL_TOL = 1e-10
 PHASE_EQUAL_TOL = 1e-8
 PREDICTED_STATE_NORM_TOL = 1e-12
+ROW_BLOCK = 32  # steps of classify's pure walk squared and summed into rows at once
 
 
 def tv_distance(p: PositionDistribution, q: PositionDistribution) -> float | NDArray[np.float64]:
-    """Total variation distance on one lattice: a float, or (T,) distances when `p` is a stack."""
+    """Total variation distance on one lattice: a float, or one distance per row when `p` is a stack."""
     if p.lattice != q.lattice:
         raise ValueError(f"lattice mismatch: {p.lattice} vs {q.lattice}")
     distance = 0.5 * np.sum(np.abs(p.probabilities - q.probabilities), axis=-1)
@@ -145,11 +146,12 @@ def classify(schedule: WalkSchedule) -> RevivalReport:
     it the dephased walk gives the rows and the final state, and the
     basis columns alone the blocks. Every walk writes each state it
     yields, the start first, as one row of the (T + 1, n) stack: p0 is
-    its last row's, the distance the last of its distances from row 0
-    (the series ``walk --json-out`` writes), and the Polya number comes
-    from the p0 of rows 1..T. The CLI and the demo script format this
-    report rather than walk; ``noise-sweep`` takes the reports of
-    :func:`_classify_each`, which gives this one for one visibility.
+    its last row's, the distance that of its last row from row 0 (the
+    last entry of the series ``walk --json-out`` writes), and the Polya
+    number comes from the p0 of rows 1..T. The CLI and the demo script
+    format this report rather than walk; ``noise-sweep`` takes the
+    reports of :func:`_classify_each`, which gives this one for one
+    visibility.
     """
     [report] = _classify_each(schedule, [schedule.visibility])
     return report
@@ -167,10 +169,16 @@ def _classify_each(schedule: WalkSchedule, visibilities: Sequence[float]) -> Ite
     and the noiseless walk runs once, before the first report: with 1
     among the visibilities as the three-column walk, otherwise on the
     basis columns alone, for the blocks and the verdicts the reports
-    share. Each visibility below 1 then takes its own dephased walk
-    when its report is asked for, so a caller that keeps only numbers
-    from each report holds one dephased state at a time, as one
-    ``classify`` call per visibility would.
+    share. The walk writes the magnitudes of its start column, step by
+    step, into a block of ``ROW_BLOCK`` steps, and squares and sums each
+    block into its rows at once: the per-step ``|a+|^2 + |a-|^2`` bit
+    for bit, with no more than a block held beside the rows. The final
+    state is the start column written into zeroed amplitudes. Each
+    visibility below 1 then takes its own dephased walk when its report
+    is asked for, so a caller that keeps only numbers from each report
+    holds one dephased state at a time, as one ``classify`` call per
+    visibility would. Each report checks its reduced coin state once,
+    and both overlaps read it unchecked.
     """
     if not visibilities:
         return
@@ -181,13 +189,16 @@ def _classify_each(schedule: WalkSchedule, visibilities: Sequence[float]) -> Ite
     probs = np.zeros((schedule.steps + 1, lattice.size))
     coins = schedule.coins()
     if 1.0 in visibilities:
-        walk = _origin_walk(coins, initial_coin.as_array()[:, None])
-        for row, amps in zip(probs, walk):
-            row[1:-1] = np.abs(amps[0, :, 2]) ** 2 + np.abs(amps[1, :, 2]) ** 2
-        pure = (
-            PositionDistribution(lattice, probs),
-            WalkerCoinPureState(lattice, np.pad(amps[:, :, 2].T, ((1, 1), (0, 0)))),
-        )
+        magnitudes = np.empty((ROW_BLOCK, 2, lattice.size - 2))
+        for t, amps in enumerate(_origin_walk(coins, initial_coin.as_array()[:, None])):
+            slot = t % ROW_BLOCK
+            np.abs(amps[:, :, 2], out=magnitudes[slot])
+            if slot == ROW_BLOCK - 1 or t == schedule.steps:
+                block = np.square(magnitudes[: slot + 1], out=magnitudes[: slot + 1])
+                np.add(block[:, 0], block[:, 1], out=probs[t - slot : t + 1, 1:-1])
+        amplitudes = np.zeros((lattice.size, 2), dtype=np.complex128)
+        amplitudes[1:-1] = amps[:, :, 2].T
+        pure = PositionDistribution(lattice, probs), WalkerCoinPureState(lattice, amplitudes)
     else:
         for amps in _origin_walk(coins):
             pass
@@ -204,17 +215,18 @@ def _classify_each(schedule: WalkSchedule, visibilities: Sequence[float]) -> Ite
 
     for visibility in visibilities:
         distributions, final = pure if visibility == 1.0 else _density_walk(coins, visibility)
-        start = PositionDistribution(lattice, distributions.probabilities[0])
+        rows = distributions.probabilities
+        start, last = PositionDistribution(lattice, rows[0]), PositionDistribution(lattice, rows[-1])
         coin_rho = reduced_coin_state(final)
         yield RevivalReport(
-            origin_probability=float(distributions.at_site(0)[-1]),
-            tv_distance=float(tv_distance(distributions, start)[-1]),
+            origin_probability=last.at_site(0),
+            tv_distance=tv_distance(last, start),
             polya_truncated=polya_number(distributions.at_site(0)[1:]),
             effective_coin=effective,
             is_revival=bool(revival),
             is_complete=bool(complete),
-            overlap_initial=coin_overlap(coin_rho, initial_coin),
-            overlap_predicted=math.nan if predicted_coin is None else coin_overlap(coin_rho, predicted_coin),
+            overlap_initial=_overlap(coin_rho, initial_coin),
+            overlap_predicted=math.nan if predicted_coin is None else _overlap(coin_rho, predicted_coin),
             distributions=distributions,
             final=final,
         )

@@ -108,15 +108,14 @@ class WalkSchedule:
         return replace(self, visibility=visibility)
 
 
-def _coin_and_shift(
-    coins: NDArray[np.complex128], amps: NDArray[np.complex128]
-) -> NDArray[np.complex128]:
+def _coin_and_shift(entries: Sequence, amps: NDArray[np.complex128]) -> NDArray[np.complex128]:
     """One walk step on a batch of coin-major amplitudes: the coin, then the shift.
 
     ``amps`` has shape (..., 2, n, G): coin, site, then a batch of G
-    walks; leading axes are batch too. ``coins`` is a (G, 2, 2) stack,
-    coin ``coins[g]`` for walk g, or a single (2, 2) coin for the whole
-    batch. Coin and shift are fused: the plus component of site x is
+    walks; leading axes are batch too. ``entries`` are the coin's four
+    entries ``(c00, c01, c10, c11)``: Python complex numbers for one coin
+    shared by the whole batch, or (G,) arrays, entry ``[g]`` for walk g,
+    for a stack. Coin and shift are fused: the plus component of site x is
     written straight from the coined amplitudes of site x - 1, and the
     minus component from those of site x + 1, each as
     ``c0 * plus + c1 * minus`` with ``c0, c1`` one row of the coin. Every
@@ -126,8 +125,7 @@ def _coin_and_shift(
     last) are zero, so callers keep the support one site inside the
     lattice, as the guard band of ``Lattice.for_steps(T)`` does.
     """
-    # (G,) per entry for a stack, a scalar for one coin: broadcasts over (..., n, G)
-    c00, c01, c10, c11 = coins.reshape(*coins.shape[:-2], 4).T
+    c00, c01, c10, c11 = entries  # (G,) or scalars: each broadcasts over (..., n, G)
     plus, minus = amps[..., 0, :, :], amps[..., 1, :, :]
     out = np.empty_like(amps)
     up, down = out[..., 0, 1:, :], out[..., 1, :-1, :]
@@ -146,9 +144,10 @@ def _origin_walk(
 ) -> Iterator[NDArray[np.complex128]]:
     """The amplitudes of G walks from the origin, each from both basis coins: the start, then each step's.
 
-    ``coins`` is a (T, 2, 2) stack for one walk (G = 1), kept as one
-    (2, 2) coin per step, or a (T, G, 2, 2) stack with one coin per walk,
-    which each step applies to both of its starts. The amplitudes are
+    ``coins`` is a (T, 2, 2) stack for one walk (G = 1), whose entries
+    are unpacked once, as Python complex numbers for every step, or a
+    (T, G, 2, 2) stack with one coin per walk, which each step unpacks
+    into (2G,) entries for both of its starts. The amplitudes are
     coin-major, (2, 2T + 3, 2G + K) over the full lattice, which the walks
     never leave; column ``jG + g`` walks g from basis coin j, and K start
     columns ``starts`` (2, K), which need one walk's stack, follow them.
@@ -158,8 +157,12 @@ def _origin_walk(
     amps[0, steps + 1, :count] = amps[1, steps + 1, count : 2 * count] = 1.0
     amps[:, steps + 1, 2 * count :] = starts
     yield amps
-    for coin in coins:
-        amps = _coin_and_shift(coin if coin.ndim == 2 else np.concatenate((coin, coin)), amps)
+    if coins.ndim == 3:
+        entries = coins.reshape(steps, 4).tolist()
+    else:
+        entries = (np.concatenate((coin, coin)).reshape(2 * count, 4).T for coin in coins)
+    for step in entries:
+        amps = _coin_and_shift(step, amps)
         yield amps
 
 

@@ -123,7 +123,7 @@ WalkerState = WalkerCoinPureState | WalkerCoinDensityMatrix
 
 @dataclass(frozen=True)
 class PositionDistribution:
-    """Walker probability at each lattice site: shape (n,), or (T, n) with one row per step."""
+    """Walker probability at each lattice site: shape (n,), or (T + 1, n), row t a walk after t steps."""
 
     lattice: Lattice
     probabilities: NDArray[np.float64]
@@ -160,11 +160,16 @@ def reduced_coin_state(state: WalkerState) -> NDArray[np.complex128]:
 
 
 def coin_overlap(rho: NDArray[np.complex128], psi: CoinVector) -> float:
-    """Expectation <psi| rho |psi> of a 2x2 coin density matrix."""
+    """Expectation <psi| rho |psi> of a 2x2 coin density matrix, which it checks first."""
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 coin density matrix, got shape {rho.shape}")
     _check_density(rho, "coin overlap input")
+    return _overlap(rho, psi)
+
+
+def _overlap(rho: NDArray[np.complex128], psi: CoinVector) -> float:
+    """:func:`coin_overlap` without its check, for a rho ``reduced_coin_state`` has checked."""
     vec = psi.as_array()
     return float(np.real(vec.conj() @ rho @ vec))
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,7 +13,7 @@ from rampwalk.analysis import (
     polya_number,
     tv_distance,
 )
-from rampwalk import analysis, cli, evolution
+from rampwalk import analysis, cli, evolution, states
 from rampwalk.coins import StepConvention
 from rampwalk.evolution import WalkSchedule
 from rampwalk.states import (
@@ -455,3 +456,68 @@ def test_a_noise_sweep_holds_one_dephased_state_at_a_time(monkeypatch, tmp_path)
             "--visibilities", "0.99,0.95,0.9,0.5,0", "--json-out", str(tmp_path / "sweep.json")]
     assert cli.main(argv) == 0
     assert len(alive) == 5 and max(alive) <= 1
+
+
+def seeded_schedules(rng, count, max_steps, visibility=lambda i: 1.0):
+    """`count` random schedules with T in [0, max_steps], both conventions, every third on a family point."""
+    for i in range(count):
+        steps = int(rng.integers(0, max_steps + 1))
+        theta, omega = rng.uniform(-3.0, 3.0, 2)
+        if i % 3 == 0:  # a family point, which revives
+            theta, omega = math.pi / 4 * (i % 4), math.pi / max(2 * steps, 2)
+        yield WalkSchedule(theta, omega, steps, list(StepConvention)[i % 2], visibility(i))
+
+
+def test_classify_rows_and_final_state_are_the_per_step_formula_bit_for_bit():
+    # the pure walk squares and sums its start column's magnitudes a block of steps at a
+    # time; every row must be the per-step |a+|^2 + |a-|^2, and the final state the
+    # start column zero-padded to the lattice, signed zeros included
+    block = analysis.ROW_BLOCK
+    boundaries = [block - 1, block, block + 1, 2 * block]
+    schedules = list(seeded_schedules(np.random.default_rng(61), 200, 64))
+    schedules += [WalkSchedule(0.3, 0.2, steps, convention) for steps in boundaries for convention in StepConvention]
+    for sched in schedules:
+        report = classify(sched)
+        walked = list(evolution._origin_walk(sched.coins(), CoinVector.symmetric().as_array()[:, None]))
+        rows = [np.abs(a[0, :, 2]) ** 2 + np.abs(a[1, :, 2]) ** 2 for a in walked]
+        assert same_bits(report.distributions.probabilities, np.pad(np.array(rows), ((0, 0), (1, 1))))
+        assert same_bits(report.final.amplitudes, np.pad(walked[-1][:, :, 2].T, ((1, 1), (0, 0))))
+
+
+def test_each_report_checks_its_reduced_coin_state_once(monkeypatch):
+    # the dephased final state (74 x 74) and one 2 x 2 reduced coin state per report;
+    # the overlaps read that checked state without a check of their own
+    checked = recording(monkeypatch, states, "_check_density", lambda rho, label: rho.shape)
+    reports = list(analysis._classify_each(WalkSchedule(0.0, math.pi / 8, 16), [1.0, 0.9]))
+    assert len(reports) == 2
+    assert sorted(checked) == [(2, 2), (2, 2), (74, 74)]
+    # a library caller's coin_overlap still checks its input
+    checked.clear()
+    rho = states.reduced_coin_state(reports[0].final)
+    assert states.coin_overlap(rho, CoinVector.symmetric()) == reports[0].overlap_initial
+    assert checked == [(2, 2), (2, 2)]
+
+
+def test_classify_distance_is_the_last_entry_of_the_stack_series():
+    # the report's distance comes from the last row alone
+    rng = np.random.default_rng(67)
+    for sched in seeded_schedules(rng, 400, 48, lambda i: 1.0 if i % 3 else float(rng.uniform())):
+        report = classify(sched)
+        rows = report.distributions
+        series = tv_distance(rows, PositionDistribution(rows.lattice, rows.probabilities[0]))
+        assert same_bits(np.float64(report.tv_distance), series[-1])
+
+
+def test_classify_memory_peaks_near_its_rows():
+    # beside its (T + 1, n) rows the pure walk holds a block of magnitudes and a few
+    # amplitude arrays; a (T + 1, n) difference or a whole-walk magnitude stack would not fit
+    sched = WalkSchedule(math.pi / 4, math.pi / 800, 400)
+    classify(WalkSchedule(0.1, 0.2, 4))  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        report = classify(sched)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.distributions.probabilities.shape == (401, Lattice.for_steps(400).size)
+    assert peak <= 1.6 * report.distributions.probabilities.nbytes

@@ -184,7 +184,7 @@ def test_translation_covariance():
     amps = np.zeros((2, wide.size, 1), dtype=np.complex128)
     amps[:, wide.index(offset), 0] = CoinVector.symmetric().as_array()
     for coin in sched.coins():
-        amps = evolution._coin_and_shift(coin, amps)
+        amps = evolution._coin_and_shift(coin.reshape(4).tolist(), amps)
     _, final = walk(sched)
     moved = np.zeros((wide.size, 2), dtype=np.complex128)
     moved[wide.index(lattice.min_site + offset) : wide.index(lattice.max_site + offset) + 1] = final.amplitudes
@@ -428,8 +428,8 @@ def full_lattice_density_walk(rho, schedule):
     r = rho.matrix.reshape(n, 2, n, 2).transpose(1, 0, 3, 2)  # r[i, x, j, y]
     for coin in schedule.coins():
         # the rows of rho U^dagger are the rows of rho stepped under the conjugate coin
-        half = evolution._coin_and_shift(coin.conj(), r[..., None]).reshape(2, n, 2 * n)
-        r = evolution._coin_and_shift(coin, half).reshape(2, n, 2, n) * dephasing
+        half = evolution._coin_and_shift(coin.conj().reshape(4).tolist(), r[..., None]).reshape(2, n, 2 * n)
+        r = evolution._coin_and_shift(coin.reshape(4).tolist(), half).reshape(2, n, 2, n) * dephasing
         yield r.transpose(1, 0, 3, 2).reshape(2 * n, 2 * n)
 
 
@@ -594,8 +594,9 @@ def test_coin_and_shift_matches_the_per_walk_oracle():
     # of the first are shifted past the edges
     shape = (lead, 2, n, walks)
     amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    stepped = evolution._coin_and_shift(coins, amps)
-    shared = evolution._coin_and_shift(coins[0], amps)
+    # a stack's entries are (G,) arrays, one coin's four Python complex numbers
+    stepped = evolution._coin_and_shift(coins.reshape(walks, 4).T, amps)
+    shared = evolution._coin_and_shift(coins[0].reshape(4).tolist(), amps)
     for b in range(lead):
         for g in range(walks):
             pairs = [tuple(pair) for pair in amps[b, :, :, g].T]
@@ -603,7 +604,8 @@ def test_coin_and_shift_matches_the_per_walk_oracle():
                 expected = np.array(oracles.window_step(coin, pairs))
                 assert np.max(np.abs(out[b, :, :, g].T - expected)) < 1e-14
     # a single coin steps the batch exactly as its stack does
-    assert np.array_equal(shared, evolution._coin_and_shift(np.broadcast_to(coins[0], coins.shape), amps))
+    repeated = np.broadcast_to(coins[0], coins.shape).reshape(walks, 4).T
+    assert np.array_equal(shared, evolution._coin_and_shift(repeated, amps))
     for out in (stepped, shared):
         # nothing shifts into the plus entry of the first site or the minus entry of the last
         assert np.all(out[:, 0, 0, :] == 0.0) and np.all(out[:, 1, -1, :] == 0.0)

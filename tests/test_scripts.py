@@ -43,3 +43,22 @@ def test_demo_shows_the_two_periodic_revivals():
         report = classify(WalkSchedule(0.0, math.pi / 8, t))
         assert report.is_revival
         assert report.is_complete is (t in (8, 16))
+
+
+def test_report_digest_is_the_same_on_two_runs():
+    # one digest line each for the classify reports, the scan and the README's CLI outputs
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    runs = [
+        subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "report_digest.py"), "--schedules", str(count)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        for count in (24, 24, 23)
+    ]
+    assert all(run.returncode == 0 for run in runs), [run.stderr for run in runs]
+    first, again, fewer = (run.stdout.splitlines() for run in runs)
+    assert [line.split()[0] for line in first] == ["reports", "scan", "cli"]
+    assert all(len(line.split()[1]) == 64 for line in first)
+    assert first == again
+    # one report fewer changes the reports digest alone
+    assert fewer[0] != first[0] and fewer[1:] == first[1:]

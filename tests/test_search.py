@@ -100,7 +100,7 @@ def one_column_walk(coins, start):
     """Each step's amplitudes (n, 2) of one start coin on ``Lattice.for_steps(T)``, stepped alone."""
     amps = np.ascontiguousarray(start_state(len(coins), start).amplitudes.T)[..., None]
     for coin in coins:
-        amps = evolution._coin_and_shift(coin, amps)
+        amps = evolution._coin_and_shift(coin.reshape(4).tolist(), amps)
         yield amps[..., 0].T
 
 
