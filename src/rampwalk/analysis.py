@@ -30,7 +30,6 @@ from .states import (
 )
 
 REVIVAL_TOL = 1e-10
-PHASE_EQUAL_TOL = 1e-8
 PREDICTED_STATE_NORM_TOL = 1e-12
 ROW_BLOCK = 32  # steps of classify's pure walk squared and summed into rows at once
 
@@ -90,22 +89,22 @@ def _verdict(blocks: NDArray[np.complex128]) -> tuple[NDArray[np.bool_], NDArray
     """(revival, complete) boolean arrays for blocks ``W_T[-T..T]`` of shape (..., 2T + 1, 2, 2).
 
     Both have the leading shape: one call judges a scan row's whole batch.
-    A revival: no entry of any block off the origin exceeds ``REVIVAL_TOL``
-    in magnitude. Complete: a revival with T even and ``W_T[0]`` within
-    ``PHASE_EQUAL_TOL`` of ``lam I``, lam the phase of ``W_T[0][0, 0]``; a
-    zero ``W_T[0][0, 0]`` is never complete.
+    One tolerance ``tol = max(REVIVAL_TOL, T^2 eps)`` (eps of float64, so
+    ``REVIVAL_TOL`` below T = 671) decides both. A revival: no off-origin
+    block entry exceeds ``tol``. Complete: a revival with T even whose
+    |W01|, |W10| and |W00 - W11| of ``W_T[0]`` are at most ``tol``.
+    Rounding grows like T^2 eps; an incomplete revival's ``W_T[0] = lam
+    rx(s T omega / 2)`` keeps a defect |sin T omega| of about 2 pi / T or
+    more, so the rule holds up to T of about 3e5.
     """
     steps = blocks.shape[-3] // 2
+    tol = max(REVIVAL_TOL, steps * steps * np.finfo(np.float64).eps)
     magnitudes = np.abs(blocks)
     magnitudes[..., steps, :, :] = 0.0
-    revival = magnitudes.max(axis=(-3, -2, -1)) <= REVIVAL_TOL
-    pivot = blocks[..., steps, 0, 0]
-    # hypot: abs() of one complex, which np.abs of an array can miss by an ulp
-    with np.errstate(all="ignore"):  # a zero or subnormal pivot: a NaN residual, never complete
-        phase = (pivot / np.hypot(pivot.real, pivot.imag))[..., None, None]
-        residual = np.abs(blocks[..., steps, :, :] - phase * np.eye(2)).max(axis=(-2, -1))
-        complete = revival & (steps % 2 == 0) & (residual <= PHASE_EQUAL_TOL)
-    return revival, complete
+    revival = magnitudes.max(axis=(-3, -2, -1)) <= tol
+    origin = blocks[..., steps, :, :]
+    defect = np.abs(origin - origin[..., :1, :1] * np.eye(2)).max(axis=(-2, -1))
+    return revival, revival & (steps % 2 == 0) & (defect <= tol)
 
 
 @dataclass(frozen=True)
@@ -139,19 +138,21 @@ def classify(schedule: WalkSchedule) -> RevivalReport:
     State-dependent quantities follow the schedule visibility (pure
     evolution at visibility 1, dephased otherwise); the revival and
     completeness verdicts always refer to the noiseless operator, as
-    :func:`_verdict` gives them. It builds the coin stack once and hands
-    it to every walk. At visibility 1 one walk gives both: the blocks
-    from its basis columns, the rows and the final state from its start
-    column on the inner 2T + 3 sites of ``Lattice.for_steps(T)``; below
-    it the dephased walk gives the rows and the final state, and the
-    basis columns alone the blocks. Every walk writes each state it
-    yields, the start first, as one row of the (T + 1, n) stack: p0 is
-    its last row's, the distance that of its last row from row 0 (the
-    last entry of the series ``walk --json-out`` writes), and the Polya
-    number comes from the p0 of rows 1..T. The CLI and the demo script
-    format this report rather than walk; ``noise-sweep`` takes the
-    reports of :func:`_classify_each`, which gives this one for one
-    visibility.
+    :func:`_verdict` gives them. At each revival of the closed-form law (see
+    the README) the effective coin is ``lam rx(s T omega / 2)``: complete
+    exactly when q | T, for omega / pi = k/q, with ``overlap_initial``
+    cos^2(T omega). It builds the coin stack once and hands it to every
+    walk. At visibility 1 one walk gives both: the blocks from its basis
+    columns, the rows and the final state from its start column on the inner
+    2T + 3 sites of ``Lattice.for_steps(T)``; below it the dephased walk
+    gives the rows and the final state, and the basis columns alone the
+    blocks. Every walk writes each state it yields, the start first, as one
+    row of the (T + 1, n) stack: p0 is its last row's, the distance that of
+    its last row from row 0 (the last entry of the series ``walk
+    --json-out`` writes), and the Polya number comes from the p0 of rows
+    1..T. The CLI and the demo script format this report rather than walk;
+    ``noise-sweep`` takes the reports of :func:`_classify_each`, which gives
+    this one for one visibility.
     """
     [report] = _classify_each(schedule, [schedule.visibility])
     return report

@@ -4,8 +4,8 @@ For each (steps, theta) pair the scan walks only the row's exact
 rational family (see ``_family``), where every revival sits: each point
 from the two basis coins at the origin, all in one batch, which gives
 its propagator blocks, all of which one ``analysis._verdict`` call judges
-by ``classify``'s rule. A walk from coin c ends at the origin as ``W_T[0] c``,
-so the residual ``1 - p0`` of the symmetric coin is read from ``W_T[0]``.
+by ``classify``'s rule, at a tolerance worked out from T. A walk from coin
+c ends at the origin as ``W_T[0] c``, so the residual is read from it.
 """
 
 from __future__ import annotations
@@ -119,33 +119,31 @@ def parse_fraction(value) -> Fraction:
 
 
 def _family(steps: int, convention: StepConvention, lo: float, hi: float) -> list[Fraction]:
-    """Sorted fractions p/q = omega / pi in [0, 1/2] of the row's revival family.
+    """Sorted fractions p/q = omega / pi of the row's revival family whose ``pi * p / q`` lies in [lo, hi].
 
-    Every revival found so far has q | T or q | 2(T + 2) in the one-based
-    convention and q | 2T in the zero-based one, so the family is k/m
-    for those m. For theta / pi in Z/4 and T <= 32 the revivals of the
-    family are the row's whole revival set on [0, pi/2], as the integer
-    polynomial certificate in ``tests/exact.py`` proves. Which family
-    points revive there follows the closed-form law
-    ``tests/exact.revival_law``, to which tier-1 pins the scan, candidates
-    and completeness flags, for every even T up to 48, theta in
-    (pi/4)Z and both conventions. The family stays the superset the scan
-    verifies, so a theta outside (pi/4)Z still gets a verdict. A point
-    is kept when its ramp rate ``pi * p / q`` lies in [lo, hi].
+    Every revival found so far has q | T or q | 2(T + 2) one-based and
+    q | 2T zero-based, so the family is k/m for those m, tried at the k of
+    :func:`_numerators`. For theta / pi in Z/4 it is the row's whole
+    revival set at T <= 32, as the integer certificate in ``tests/exact.py``
+    proves, and tier-1 pins the scan to the law ``tests/exact.revival_law``
+    for even T up to 48; any other theta still gets a verdict on it.
     """
-    if convention is StepConvention.ONE_BASED:
-        moduli = (steps, 2 * (steps + 2))
-    else:
-        moduli = (2 * steps,)
-    points = {Fraction(k, m) for m in moduli for k in range(m // 2 + 1)}
+    points = {Fraction(k, m) for m, ks in _numerators(steps, convention, lo, hi) for k in ks}
     return sorted(p for p in points if lo <= math.pi * p.numerator / p.denominator <= hi)
+
+
+def _numerators(steps: int, convention: StepConvention, lo: float, hi: float) -> list[tuple[int, range]]:
+    """Each family modulus m and the k in [0, m/2] that can put ``pi k / m`` in [lo, hi], one spare each end."""
+    moduli = (steps, 2 * (steps + 2)) if convention is StepConvention.ONE_BASED else (2 * steps,)
+    bounds = ((m, math.ceil(lo * m / math.pi) - 1, math.floor(hi * m / math.pi) + 1) for m in moduli)
+    return [(m, range(max(0, first), min(m // 2, last) + 1)) for m, first, last in bounds]
 
 
 def _scan_row(config: SearchConfig, steps: int, theta: float) -> list[RevivalCandidate]:
     lo, hi = config.omega_grid
-    # The batched walk (two starts for each of at most 2T + 4 family points) is
-    # allocated first: a row too large to walk fails at once, before its O(T) fractions.
-    np.empty((2, 2 * steps + 3, 2 * (2 * steps + 4)), dtype=np.complex128)
+    # the walk of every point the range can hold, allocated first: too large fails before its fractions
+    count = sum(len(ks) for _, ks in _numerators(steps, config.convention, lo, hi))
+    np.empty((2, 2 * steps + 3, 2 * count), dtype=np.complex128)
     family = _family(steps, config.convention, lo, hi)
     omegas = np.array([math.pi * p.numerator / p.denominator for p in family])
     t = config.convention.step_indices(steps)

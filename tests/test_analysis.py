@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from rampwalk.states import (
     WalkerCoinPureState,
 )
 
+import exact
 import oracles
 from walks import distribution, origin_blocks, same_bits, start_state, walk
 
@@ -201,13 +203,15 @@ def _blocks(steps, off_origin, origin_block):
 
 
 def _oracle_verdict(blocks):
-    """(revival, complete) of one walk's blocks: the off-origin maximum and ``oracles.phase_equal``."""
+    """(revival, complete) of one walk's blocks: every entry against max(1e-10, T^2 eps), in plain Python."""
     steps = len(blocks) // 2
-    off_origin = max((abs(x) for d, block in enumerate(blocks.tolist()) if d != steps
+    tol = max(1e-10, steps * steps * 2.220446049250313e-16)
+    rows = blocks.tolist()
+    off_origin = max((abs(x) for d, block in enumerate(rows) if d != steps
                       for row in block for x in row), default=0.0)
-    revival = off_origin <= 1e-10
-    phase_equal = oracles.phase_equal(blocks[steps].tolist(), np.eye(2).tolist())
-    return revival, revival and steps % 2 == 0 and phase_equal
+    (w00, w01), (w10, w11) = rows[steps]
+    revival = off_origin <= tol
+    return revival, revival and steps % 2 == 0 and max(abs(w01), abs(w10), abs(w00 - w11)) <= tol
 
 
 def test_verdict_decides_revival_and_completeness_at_one_tolerance():
@@ -219,16 +223,20 @@ def test_verdict_decides_revival_and_completeness_at_one_tolerance():
     # an odd step count is never complete
     assert _verdict(_blocks(3, 0.0, np.eye(2))) == (True, False)
     # a batch: each point gets its own answer, that of its own call and of the oracle
+    tol = 1e-10  # max(1e-10, T^2 eps) below T = 671
     nudge = np.zeros((2, 2))
     nudge[1, 1] = 1.0
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    upper, lower = np.triu(np.ones((2, 2)), 1), np.tril(np.ones((2, 2)), -1)
+    swap = upper + lower
     for steps, origins, expected in [
-        (4, [phase + 0.9e-8 * phase * nudge, phase + 1.1e-8 * phase * nudge,  # the phase bound, both ways
-             phase + 0.9e-8 * swap, phase + 1.1e-8 * swap,
-             swap, np.zeros((2, 2))],  # a zero first entry, a zero block
-         [True, False, True, False, False, False]),
+        (4, [phase + 0.9 * tol * phase * nudge, phase + 1.1 * tol * phase * nudge,  # |W00 - W11|, both ways
+             phase + 0.9 * tol * upper, phase + 1.1 * tol * upper,  # |W01|
+             phase + 0.9 * tol * lower, phase + 1.1 * tol * lower,  # |W10|
+             phase + 0.9 * tol * swap, phase + 1.1 * tol * swap,
+             swap, np.zeros((2, 2))],  # a zero first entry; a zero block, which no walk yields
+         [True, False, True, False, True, False, True, False, False, True]),
         (3, [np.eye(2), phase, swap], [False, False, False]),  # odd T
-        (0, [np.eye(2), phase, swap, np.zeros((2, 2))], [True, True, False, False]),
+        (0, [np.eye(2), phase, swap, np.zeros((2, 2))], [True, True, False, True]),
     ]:
         batch = np.array([_blocks(steps, 0.0, origin) for origin in origins])
         revival, complete = _verdict(batch)
@@ -241,6 +249,25 @@ def test_verdict_decides_revival_and_completeness_at_one_tolerance():
         assert complete.tolist() == [expected, expected]
 
 
+def test_verdict_tolerance_grows_as_the_square_of_the_step_count():
+    # at T = 2000 the bound is T^2 eps = 8.9e-10, for the off-origin blocks and W_T[0] alike
+    steps = 2000
+    tol = steps * steps * 2.220446049250313e-16
+    phase = np.exp(0.7j) * np.eye(2)
+    upper = np.triu(np.ones((2, 2)), 1)
+    batch = np.array([
+        _blocks(steps, 0.9 * tol, phase),
+        _blocks(steps, 1.1 * tol, phase),
+        _blocks(steps, 0.0, phase + 0.9 * tol * upper),
+        _blocks(steps, 0.0, phase + 1.1 * tol * upper),
+    ])
+    revival, complete = _verdict(batch)
+    assert revival.tolist() == [True, False, True, True]
+    assert complete.tolist() == [True, False, True, False]
+    for k, walked in enumerate(batch):
+        assert (revival[k], complete[k]) == _oracle_verdict(walked)
+
+
 @pytest.mark.parametrize("steps", [0, 1, 2, 3, 6, 11])
 def test_verdict_of_random_stacks_matches_the_oracle(steps):
     rng = np.random.default_rng(steps)
@@ -250,10 +277,10 @@ def test_verdict_of_random_stacks_matches_the_oracle(steps):
         entries = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         return entries * 10 ** rng.uniform(lo, hi, (count,) + (1,) * (len(shape) - 1))
 
-    # off-origin entries around REVIVAL_TOL, origin noise around PHASE_EQUAL_TOL
+    # off-origin entries and origin noise, both around the tolerance 1e-10
     blocks = scaled((count, 2 * steps + 1, 2, 2), -11.5, -9.5)
     phases = np.exp(2j * np.pi * rng.uniform(size=(count, 1, 1)))
-    blocks[:, steps] = phases * np.eye(2) + scaled((count, 2, 2), -9.5, -7.5)
+    blocks[:, steps] = phases * np.eye(2) + scaled((count, 2, 2), -11.5, -9.5)
     revival, complete = _verdict(blocks)
     expected = [_oracle_verdict(walked) for walked in blocks]
     assert list(zip(revival.tolist(), complete.tolist())) == expected
@@ -261,6 +288,40 @@ def test_verdict_of_random_stacks_matches_the_oracle(steps):
     # off-origin block, so it is always a revival)
     assert {r for r, _ in expected} == ({True} if steps == 0 else {True, False})
     assert steps % 2 or {c for _, c in expected} == {True, False}
+
+
+def test_classify_revives_past_the_fixed_tolerance():
+    # T = 3200: rounding leaves off-origin entries above 1e-10 at this complete revival of
+    # the law, which T^2 eps (2.3e-9) covers
+    steps, point = 3200, Fraction(1599, 3200)
+    assert exact.revival_law(steps, 0)[point] is True
+    report = classify(WalkSchedule(0.0, math.pi * point.numerator / point.denominator, steps))
+    assert report.is_revival and report.is_complete
+    assert report.origin_probability == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("convention", list(StepConvention))
+@pytest.mark.parametrize("theta_quarters", [0, 1])
+def test_every_revival_of_the_law_has_the_closed_form_effective_coin(theta_quarters, convention):
+    # W_T[0] = lam rx(s T omega / 2) = lam (cos(T omega) I + i s sin(T omega) X), lam a phase,
+    # one-based s = -1 at theta = 0 and +1 at pi/4; so a revival is complete exactly when
+    # q | T, and overlap_initial is cos^2(T omega), since <c|X|c> = 0 for the symmetric start c
+    one_based = convention is StepConvention.ONE_BASED
+    theta, sign = theta_quarters * math.pi / 4, 1 if theta_quarters else -1
+    pauli_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for steps in range(2, 49, 2):
+        for point, complete in exact.revival_law(steps, theta_quarters, one_based).items():
+            omega = math.pi * point.numerator / point.denominator
+            report = classify(WalkSchedule(theta, omega, steps, convention))
+            angle = steps * omega
+            assert report.is_revival
+            assert report.is_complete == complete == (steps % point.denominator == 0)
+            assert abs(report.overlap_initial - math.cos(angle) ** 2) <= 1e-12
+            if one_based:
+                rotation = math.cos(angle) * np.eye(2) + 1j * sign * math.sin(angle) * pauli_x
+                lam = np.trace(rotation.conj().T @ report.effective_coin) / 2
+                assert abs(abs(lam) - 1.0) <= 1e-9
+                assert np.abs(report.effective_coin - lam * rotation).max() <= 1e-9
 
 
 def test_classify_complete_revivals():

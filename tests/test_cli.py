@@ -300,6 +300,19 @@ def test_search_rejects_odd_step_counts():
         assert len(result.stderr.splitlines()) == 1
 
 
+def test_narrow_search_at_large_step_count_walks_only_its_range(tmp_path):
+    # the memory guard counts the family points the range can hold, not 2T + 4 of them
+    # (9.77 GiB at T = 6400); the one point here is the law's incomplete revival
+    out = tmp_path / "candidates.json"
+    result = run_cli(
+        "search", "--steps", "6400", "--theta", "0", "--omega-min", "0.4999",
+        "--omega-max", "0.49995", "--json-out", str(out), timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    found = [(c["omega_pi"], c["complete"]) for c in read_json(out)["candidates"]]
+    assert found == [("6401/12804", False)]
+
+
 def test_search_radians_keeps_the_default_domain(tmp_path):
     by_fraction = tmp_path / "fraction.json"
     by_radians = tmp_path / "radians.json"

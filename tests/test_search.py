@@ -496,6 +496,35 @@ def test_scan_follows_the_revival_law(theta_quarters, convention):
         assert found == exact.revival_law(steps, theta_quarters, one_based), steps
 
 
+def test_narrow_scan_at_large_step_count_follows_the_revival_law():
+    # T = 1600: rounding leaves the incomplete revival 1601/3204 an off-origin entry of
+    # 1.3e-10, above 1e-10 and below T^2 eps; the range holds four family points, and
+    # only those are walked
+    steps, lo, hi = 1600, Fraction(4993, 10000), Fraction(1, 2)
+    config = SearchConfig(
+        step_counts=(steps,), theta_values=(0.0,), omega_grid=(math.pi * lo, math.pi * hi)
+    )
+    assert len(search._family(steps, config.convention, *config.omega_grid)) == 4
+    found = {Fraction(*c.omega_rational): c.complete for c in scan(config)}
+    law = {p: c for p, c in exact.revival_law(steps, 0).items() if lo <= p <= hi}
+    assert found == law == {Fraction(799, 1600): True, Fraction(1601, 3204): False}
+
+
+def test_scan_row_memory_guard_counts_only_the_numerators_in_range():
+    # per modulus m, floor(hi m / pi) - ceil(lo m / pi) + 3 numerators, at most 2T + 4 in all
+    for steps in (2, 8, 24, 6400):
+        for convention in StepConvention:
+            for lo, hi in ((0.0, math.pi / 2), (0.3, 0.31), (1.5705, math.pi / 2 + 1e-12)):
+                ranges = search._numerators(steps, convention, lo, hi)
+                assert sum(len(ks) for _, ks in ranges) <= 2 * steps + 4
+                family = search._family(steps, convention, lo, hi)
+                points = {Fraction(k, m) for m, _ in ranges for k in range(m // 2 + 1)}
+                every = {p for p in points if lo <= math.pi * p.numerator / p.denominator <= hi}
+                assert family == sorted(every)
+                for m, ks in ranges:
+                    assert len(ks) <= math.floor(hi * m / math.pi) - math.ceil(lo * m / math.pi) + 3
+
+
 def test_scan_row_memory_is_bounded_by_the_two_start_walk():
     # the row's walk holds a coin stack no larger than the two-start (T, 2G, 2, 2)
     # and, while it steps, at most three amplitude arrays of shape (2, 2T + 3, 2G):
