@@ -11,7 +11,9 @@ Three lines, each a name and a SHA-256 digest:
   which revive. Floats and arrays enter as their bytes, so NaN and
   signed zeros count.
 - ``scan``: the candidates of ``scan`` at T = 8 to 32, theta 0, pi/4
-  and 0.37, both conventions, each as its ``repr`` (round-trip floats).
+  and 0.37, and at T = 96, theta pi/4 and 0.37, whose rows are walked in
+  more than one chunk of ``search.SCAN_CHUNK`` points, both conventions,
+  each as its ``repr`` (round-trip floats).
 - ``cli``: the bytes the README's ``walk`` (JSON and CSV), ``search``,
   ``noise-sweep`` and ``effective-coin`` commands write.
 
@@ -84,8 +86,10 @@ def report_digest(count: int) -> str:
 def scan_digest() -> str:
     digest = hashlib.sha256()
     for convention in StepConvention:
-        config = SearchConfig(tuple(range(8, 33, 2)), (0.0, math.pi / 4, 0.37), convention=convention)
-        for candidate in scan(config):
+        short = SearchConfig(tuple(range(8, 33, 2)), (0.0, math.pi / 4, 0.37), convention=convention)
+        # 145 (one-based) and 97 (zero-based) family points a row: past one chunk
+        long = SearchConfig((96,), (math.pi / 4, 0.37), convention=convention)
+        for candidate in scan(short) + scan(long):
             digest.update(repr(candidate).encode())
     return digest.hexdigest()
 

@@ -143,16 +143,15 @@ def classify(schedule: WalkSchedule) -> RevivalReport:
     exactly when q | T, for omega / pi = k/q, with ``overlap_initial``
     cos^2(T omega). It builds the coin stack once and hands it to every
     walk. At visibility 1 one walk gives both: the blocks from its basis
-    columns, the rows and the final state from its start column on the inner
-    2T + 3 sites of ``Lattice.for_steps(T)``; below it the dephased walk
-    gives the rows and the final state, and the basis columns alone the
-    blocks. Every walk writes each state it yields, the start first, as one
-    row of the (T + 1, n) stack: p0 is its last row's, the distance that of
-    its last row from row 0 (the last entry of the series ``walk
-    --json-out`` writes), and the Polya number comes from the p0 of rows
-    1..T. The CLI and the demo script format this report rather than walk;
-    ``noise-sweep`` takes the reports of :func:`_classify_each`, which gives
-    this one for one visibility.
+    columns, the rows and the final state from its start column, sites -t..t
+    after step t; below it the dephased walk gives the rows and the final
+    state, and the basis columns alone the blocks. Every walk writes each
+    state it yields, the start first, as one row of the (T + 1, n) stack: p0
+    is its last row's, the distance that of its last row from row 0 (the
+    last entry of the series ``walk --json-out`` writes), and the Polya
+    number comes from the p0 of rows 1..T. The CLI and the demo script
+    format this report rather than walk; ``noise-sweep`` takes the reports
+    of :func:`_classify_each`, which gives this one for one visibility.
     """
     [report] = _classify_each(schedule, [schedule.visibility])
     return report
@@ -171,9 +170,9 @@ def _classify_each(schedule: WalkSchedule, visibilities: Sequence[float]) -> Ite
     among the visibilities as the three-column walk, otherwise on the
     basis columns alone, for the blocks and the verdicts the reports
     share. The walk writes the magnitudes of its start column, step by
-    step, into a block of ``ROW_BLOCK`` steps, and squares and sums each
-    block into its rows at once: the per-step ``|a+|^2 + |a-|^2`` bit
-    for bit, with no more than a block held beside the rows. The final
+    step, into a zeroed block of ``ROW_BLOCK`` steps, and squares and sums
+    each block into its rows at once: the per-step ``|a+|^2 + |a-|^2``
+    bit for bit, with no more than a block held beside the rows. The final
     state is the start column written into zeroed amplitudes. Each
     visibility below 1 then takes its own dephased walk when its report
     is asked for, so a caller that keeps only numbers from each report
@@ -190,15 +189,16 @@ def _classify_each(schedule: WalkSchedule, visibilities: Sequence[float]) -> Ite
     probs = np.zeros((schedule.steps + 1, lattice.size))
     coins = schedule.coins()
     if 1.0 in visibilities:
-        magnitudes = np.empty((ROW_BLOCK, 2, lattice.size - 2))
+        # sites -T..T: step t writes its light cone [T - t, T + t + 1), which only grows per slot
+        magnitudes = np.zeros((ROW_BLOCK, 2, 2 * schedule.steps + 1))
         for t, amps in enumerate(_origin_walk(coins, initial_coin.as_array()[:, None])):
             slot = t % ROW_BLOCK
-            np.abs(amps[:, :, 2], out=magnitudes[slot])
+            np.abs(amps[:, :, 2], out=magnitudes[slot, :, schedule.steps - t : schedule.steps + t + 1])
             if slot == ROW_BLOCK - 1 or t == schedule.steps:
                 block = np.square(magnitudes[: slot + 1], out=magnitudes[: slot + 1])
-                np.add(block[:, 0], block[:, 1], out=probs[t - slot : t + 1, 1:-1])
+                np.add(block[:, 0], block[:, 1], out=probs[t - slot : t + 1, 2:-2])
         amplitudes = np.zeros((lattice.size, 2), dtype=np.complex128)
-        amplitudes[1:-1] = amps[:, :, 2].T
+        amplitudes[2:-2] = amps[:, :, 2].T
         pure = PositionDistribution(lattice, probs), WalkerCoinPureState(lattice, amplitudes)
     else:
         for amps in _origin_walk(coins):

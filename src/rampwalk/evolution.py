@@ -10,8 +10,9 @@ at any site x to the coin at x + d, describes it completely (see
 
 Every pure walk in the package is one :func:`_origin_walk`, the one
 loop over the batched step :func:`_coin_and_shift`, on coin-major
-amplitudes (..., 2, n, G) (coin, site, then a batch of G walks) under
-the coin stack of :meth:`WalkSchedule.coins`, which the caller builds
+amplitudes (..., 2, m, G) (coin, site, then a batch of G walks) on
+the light cone, a window one site wider each way per step, under the
+coin stack of :meth:`WalkSchedule.coins`, which the caller builds
 once and hands to every walk it runs. Every dephased walk runs through
 one density loop, :func:`_class_steps`, which applies the coin pair to
 one parity class of rho in one pass and then shifts it, with the same
@@ -35,8 +36,8 @@ classes never mix, and the walk from the origin lights only one of
 them, a quarter of its light cone. The dephased walk steps that class
 as one compact block, with a trailing axis for a batch of
 visibilities, and builds the public (2n, 2n) matrix only for the final
-state. The light cone and the guard band of ``Lattice.for_steps(T)``
-always fit the lattice, so no walk checks its reach.
+state. Every walk holds only its light cone, which always fits
+``Lattice.for_steps(T)``, so no walk checks its reach.
 :func:`_density_walk` returns only the (T + 1, n) stack of
 distributions and the final state of one visibility, so it keeps no
 trajectory; the state after step k is the final state of the k-step
@@ -109,33 +110,30 @@ class WalkSchedule:
 
 
 def _coin_and_shift(entries: Sequence, amps: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """One walk step on a batch of coin-major amplitudes: the coin, then the shift.
+    """One walk step on a batch of coin-major amplitudes: the coin, then the shift, one site wider each way.
 
-    ``amps`` has shape (..., 2, n, G): coin, site, then a batch of G
-    walks; leading axes are batch too. ``entries`` are the coin's four
-    entries ``(c00, c01, c10, c11)``: Python complex numbers for one coin
-    shared by the whole batch, or (G,) arrays, entry ``[g]`` for walk g,
-    for a stack. Coin and shift are fused: the plus component of site x is
-    written straight from the coined amplitudes of site x - 1, and the
-    minus component from those of site x + 1, each as
-    ``c0 * plus + c1 * minus`` with ``c0, c1`` one row of the coin. Every
-    operand is a run of whole site rows, so no multiply reads a strided
-    coin axis. Amplitude shifted past either edge is dropped, and the
-    two rows nothing shifts into (plus at the first site, minus at the
-    last) are zero, so callers keep the support one site inside the
-    lattice, as the guard band of ``Lattice.for_steps(T)`` does.
+    ``amps`` has shape (..., 2, m, G): coin, a window of m sites, then a
+    batch of G walks; leading axes are batch too. ``entries`` are the
+    coin's four entries ``(c00, c01, c10, c11)``: Python complex numbers
+    for one coin shared by the whole batch, or (G,) arrays, entry ``[g]``
+    for walk g, for a stack. Coin and shift are fused into a zeroed
+    (..., 2, m + 2, G): input site i writes its plus component to index
+    i + 2 and its minus component to index i, each as ``c0 * plus + c1 *
+    minus`` with ``c0, c1`` one row of the coin, so nothing is dropped.
+    Every operand is a run of whole site rows, so no multiply reads a
+    strided coin axis. The output's ``[..., 1:-1, :]`` is the step on a
+    fixed lattice of m sites, which drops what it shifts past an edge.
     """
-    c00, c01, c10, c11 = entries  # (G,) or scalars: each broadcasts over (..., n, G)
+    c00, c01, c10, c11 = entries  # (G,) or scalars: each broadcasts over (..., m, G)
     plus, minus = amps[..., 0, :, :], amps[..., 1, :, :]
-    out = np.empty_like(amps)
-    up, down = out[..., 0, 1:, :], out[..., 1, :-1, :]
+    out = np.zeros((*amps.shape[:-2], amps.shape[-2] + 2, amps.shape[-1]), dtype=np.complex128)
+    up, down = out[..., 0, 2:, :], out[..., 1, :-2, :]
     # the coin entry goes first: numpy's vectorised complex product can
     # round the last bit differently when its operands are swapped
-    np.multiply(c00, plus[..., :-1, :], out=up)
-    up += c01 * minus[..., :-1, :]
-    np.multiply(c10, plus[..., 1:, :], out=down)
-    down += c11 * minus[..., 1:, :]
-    out[..., 0, 0, :] = out[..., 1, -1, :] = 0.0
+    np.multiply(c00, plus, out=up)
+    up += c01 * minus
+    np.multiply(c10, plus, out=down)
+    down += c11 * minus
     return out
 
 
@@ -148,14 +146,14 @@ def _origin_walk(
     are unpacked once, as Python complex numbers for every step, or a
     (T, G, 2, 2) stack with one coin per walk, which each step unpacks
     into (2G,) entries for both of its starts. The amplitudes are
-    coin-major, (2, 2T + 3, 2G + K) over the full lattice, which the walks
-    never leave; column ``jG + g`` walks g from basis coin j, and K start
-    columns ``starts`` (2, K), which need one walk's stack, follow them.
+    coin-major, (2, 2k + 1, 2G + K) on the light cone -k..k after step k;
+    column ``jG + g`` walks g from basis coin j, and K start columns
+    ``starts`` (2, K), which need one walk's stack, follow them.
     """
     steps, count = coins.shape[0], coins.shape[1] if coins.ndim == 4 else 1
-    amps = np.zeros((2, 2 * steps + 3, 2 * count + starts.shape[1]), dtype=np.complex128)
-    amps[0, steps + 1, :count] = amps[1, steps + 1, count : 2 * count] = 1.0
-    amps[:, steps + 1, 2 * count :] = starts
+    amps = np.zeros((2, 1, 2 * count + starts.shape[1]), dtype=np.complex128)
+    amps[0, 0, :count] = amps[1, 0, count : 2 * count] = 1.0
+    amps[:, 0, 2 * count :] = starts
     yield amps
     if coins.ndim == 3:
         entries = coins.reshape(steps, 4).tolist()
@@ -167,13 +165,13 @@ def _origin_walk(
 
 
 def _blocks(amps: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """The blocks ``W_T[d]`` (G, 2T + 1, 2, 2) of basis columns (2, 2T + 3, 2G) after T steps.
+    """The blocks ``W_T[d]`` (G, 2T + 1, 2, 2) of basis columns (2, 2T + 1, 2G) after T steps.
 
     ``[g, d + T, i, j]`` maps coin j at any site x to coin i at x + d in
     walk g, for d in [-T, T]. A walk is a revival when every block but
     ``W_T[0]``, then its effective coin, vanishes; zero steps give the identity.
     """
-    return amps[:, 1:-1].reshape(2, amps.shape[1] - 2, 2, amps.shape[2] // 2).transpose(3, 1, 0, 2)
+    return amps.reshape(2, amps.shape[1], 2, amps.shape[2] // 2).transpose(3, 1, 0, 2)
 
 
 def _class_steps(
@@ -206,14 +204,14 @@ def _class_steps(
     reach it: once the block is wider than that, one site goes from
     each end.
 
-    Every entry goes through the products of :func:`_coin_and_shift`
-    applied to the rows and then the columns: the coin entry as the
-    first operand, term 0 added before term 1. So every entry is
-    bit-identical to that two-pass step on the full lattice, and each
-    column k to the walk of visibility k alone. The products are plain
-    broadcast multiplies, not ``matmul``, ``einsum`` or ``tensordot``: a
-    BLAS ``(4, 4) @ (4, m^2)`` step sums in its own order, and probe and
-    walk, whose crops differ, then round differently.
+    Every entry goes through the products of :func:`_coin_and_shift` applied
+    to the rows and then the columns: the coin entry as the first operand,
+    term 0 added before term 1. So every entry is bit-identical to that
+    two-pass step on all of rho, cropped to the lattice, and each column k
+    to the walk of visibility k alone. The products are plain broadcast
+    multiplies, not ``matmul``, ``einsum`` or ``tensordot``: a BLAS
+    ``(4, 4) @ (4, m^2)`` step sums in its own order, and probe and walk,
+    whose crops differ, then round differently.
     """
     steps, count = len(coins), len(visibilities)
     dephasing = np.ones((2, 2, 1, 1, count))

@@ -2,10 +2,10 @@
 
 For each (steps, theta) pair the scan walks only the row's exact
 rational family (see ``_family``), where every revival sits: each point
-from the two basis coins at the origin, all in one batch, which gives
-its propagator blocks, all of which one ``analysis._verdict`` call judges
-by ``classify``'s rule, at a tolerance worked out from T. A walk from coin
-c ends at the origin as ``W_T[0] c``, so the residual is read from it.
+from the two basis coins at the origin, ``SCAN_CHUNK`` points a batch,
+which gives its propagator blocks, judged a batch per ``analysis._verdict``
+call by ``classify``'s rule, at a tolerance worked out from T. A walk from
+coin c ends at the origin as ``W_T[0] c``, so the residual is read from it.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .states import CoinVector
 ANGLE_MAX_DENOMINATOR = 360
 ANGLE_TOL = 1e-9
 MAX_FRACTION_EXPONENT = 1000
+SCAN_CHUNK = 64  # family points a scan row walks as one batch
 
 _CATALOG_RESOURCE = "data/revival_catalog.json"
 _EXPONENT = re.compile(r"e([-+]?\d[\d_]*)\s*\Z", re.IGNORECASE)
@@ -141,25 +142,31 @@ def _numerators(steps: int, convention: StepConvention, lo: float, hi: float) ->
 
 def _scan_row(config: SearchConfig, steps: int, theta: float) -> list[RevivalCandidate]:
     lo, hi = config.omega_grid
-    # the walk of every point the range can hold, allocated first: too large fails before its fractions
-    count = sum(len(ks) for _, ks in _numerators(steps, config.convention, lo, hi))
-    np.empty((2, 2 * steps + 3, 2 * count), dtype=np.complex128)
+    # one chunk's last step (amplitudes, successor, temporary) for at most SCAN_CHUNK of the
+    # points the range can hold, allocated first: too large fails before the row's fractions
+    count = min(SCAN_CHUNK, sum(len(ks) for _, ks in _numerators(steps, config.convention, lo, hi)))
+    np.empty((3, 2, 2 * steps + 1, 2 * count), dtype=np.complex128)
     family = _family(steps, config.convention, lo, hi)
-    omegas = np.array([math.pi * p.numerator / p.denominator for p in family])
     t = config.convention.step_indices(steps)
-    for amps in _origin_walk(coin_at_step(theta, omegas, t[:, None], config.convention)):
-        pass
-    blocks = _blocks(amps)
-    # a walk from coin c ends at the origin as W_T[0] c
-    origin = blocks[:, steps] @ CoinVector.symmetric().as_array()
-    residuals = 1.0 - (np.abs(origin[:, 0]) ** 2 + np.abs(origin[:, 1]) ** 2)
-    revivals, completes = _verdict(blocks)
-    rows = zip(family, omegas.tolist(), revivals.tolist(), completes.tolist(), residuals.tolist())
-    return [
-        RevivalCandidate(steps, theta, omega, point.as_integer_ratio(), complete, residual)
-        for point, omega, revival, complete, residual in rows
-        if revival
-    ]
+    found = []
+    for first in range(0, len(family), SCAN_CHUNK):
+        points = family[first : first + SCAN_CHUNK]
+        omegas = np.array([math.pi * p.numerator / p.denominator for p in points])
+        for amps in _origin_walk(coin_at_step(theta, omegas, t[:, None], config.convention)):
+            pass
+        blocks = _blocks(amps)
+        # a walk from coin c ends at the origin as W_T[0] c
+        origin = blocks[:, steps] @ CoinVector.symmetric().as_array()
+        residuals = 1.0 - (np.abs(origin[:, 0]) ** 2 + np.abs(origin[:, 1]) ** 2)
+        revivals, completes = _verdict(blocks)
+        rows = zip(points, omegas.tolist(), revivals.tolist(), completes.tolist(), residuals.tolist())
+        found += [
+            RevivalCandidate(steps, theta, omega, point.as_integer_ratio(), complete, residual)
+            for point, omega, revival, complete, residual in rows
+            if revival
+        ]
+        del amps, blocks  # so the next chunk's walk holds none of this one's arrays
+    return found
 
 
 def scan(config: SearchConfig) -> list[RevivalCandidate]:

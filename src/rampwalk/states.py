@@ -38,8 +38,8 @@ class Lattice:
     def for_steps(cls, steps: int) -> "Lattice":
         """Symmetric lattice [-(steps + 2), steps + 2] for `steps` steps from the origin.
 
-        The ``GUARD_BAND`` of 2 extra sites on each side stays empty; a
-        walk step drops what it shifts past an edge, so it needs at least one.
+        The ``GUARD_BAND`` of 2 extra sites on each side stays empty: walks
+        hold only their light cone, so it only lays out the public states.
         """
         if steps < 0:
             raise ValueError(f"steps must be non-negative, got {steps}")

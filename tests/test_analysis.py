@@ -421,7 +421,8 @@ def test_classify_walks_the_noiseless_walk_once(monkeypatch, steps):
         for calls in (built, shapes, classes):
             calls.clear()
         classify(WalkSchedule(math.pi / 4, math.pi / 48, steps, visibility=visibility))
-        assert shapes == [(2, 2 * steps + 3, columns)] * steps
+        # step k + 1 grows the light cone's 2k + 1 sites one site each way
+        assert shapes == [(2, 2 * k + 1, columns) for k in range(steps)]
         assert len(built) == 1 and len(classes) == dephased
 
 
@@ -471,7 +472,7 @@ def test_each_sweep_report_is_the_one_visibility_report(monkeypatch):
 
 def test_a_sweep_too_large_for_memory_fails_before_any_step(monkeypatch):
     # numpy refuses the rows without allocating, before the coin stack is built and
-    # before the noiseless walk, whose steps would each take a 2T + 3-site array; the
+    # before the noiseless walk, whose steps would grow to a 2T + 1-site array; the
     # coin stack, if built, is a (T, 2, 2) view of one coin
     stepped = recording(monkeypatch, evolution, "_coin_and_shift", lambda coins, amps: amps.shape)
     coin = WalkSchedule(0.0, math.pi / 8, 1).coins()[0]
@@ -496,7 +497,7 @@ def test_a_noise_sweep_walks_the_noiseless_walk_once(monkeypatch, tmp_path):
     argv = ["noise-sweep", "--theta", "0", "--omega", "1/8", "--steps", "8",
             "--visibilities", "1,0.996,0.99,0.95,0.9", "--json-out", str(tmp_path / "sweep.json")]
     assert cli.main(argv) == 0
-    assert shapes == [(2, 19, 3)] * 8
+    assert shapes == [(2, 2 * k + 1, 3) for k in range(8)]
     assert dephased == [0.996, 0.99, 0.95, 0.9]
 
 
@@ -531,8 +532,8 @@ def seeded_schedules(rng, count, max_steps, visibility=lambda i: 1.0):
 
 def test_classify_rows_and_final_state_are_the_per_step_formula_bit_for_bit():
     # the pure walk squares and sums its start column's magnitudes a block of steps at a
-    # time; every row must be the per-step |a+|^2 + |a-|^2, and the final state the
-    # start column zero-padded to the lattice, signed zeros included
+    # time; every row must be the per-step |a+|^2 + |a-|^2 on the light cone, zero off it,
+    # and the final state the start column zero-padded to the lattice, signed zeros included
     block = analysis.ROW_BLOCK
     boundaries = [block - 1, block, block + 1, 2 * block]
     schedules = list(seeded_schedules(np.random.default_rng(61), 200, 64))
@@ -540,9 +541,11 @@ def test_classify_rows_and_final_state_are_the_per_step_formula_bit_for_bit():
     for sched in schedules:
         report = classify(sched)
         walked = list(evolution._origin_walk(sched.coins(), CoinVector.symmetric().as_array()[:, None]))
-        rows = [np.abs(a[0, :, 2]) ** 2 + np.abs(a[1, :, 2]) ** 2 for a in walked]
-        assert same_bits(report.distributions.probabilities, np.pad(np.array(rows), ((0, 0), (1, 1))))
-        assert same_bits(report.final.amplitudes, np.pad(walked[-1][:, :, 2].T, ((1, 1), (0, 0))))
+        # step t's 2t + 1 sites -t..t, padded to the 2T + 5 sites of the lattice
+        pads = [sched.steps - t + 2 for t in range(sched.steps + 1)]
+        rows = [np.pad(np.abs(a[0, :, 2]) ** 2 + np.abs(a[1, :, 2]) ** 2, pad) for a, pad in zip(walked, pads)]
+        assert same_bits(report.distributions.probabilities, np.array(rows))
+        assert same_bits(report.final.amplitudes, np.pad(walked[-1][:, :, 2].T, ((2, 2), (0, 0))))
 
 
 def test_each_report_checks_its_reduced_coin_state_once(monkeypatch):

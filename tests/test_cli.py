@@ -301,8 +301,9 @@ def test_search_rejects_odd_step_counts():
 
 
 def test_narrow_search_at_large_step_count_walks_only_its_range(tmp_path):
-    # the memory guard counts the family points the range can hold, not 2T + 4 of them
-    # (9.77 GiB at T = 6400); the one point here is the law's incomplete revival
+    # the memory guard counts the family points the range can hold, at most one chunk,
+    # not 2T + 4 of them (9.77 GiB at T = 6400); the one point here is the law's
+    # incomplete revival
     out = tmp_path / "candidates.json"
     result = run_cli(
         "search", "--steps", "6400", "--theta", "0", "--omega-min", "0.4999",

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from rampwalk import cli, evolution, states
 from rampwalk.analysis import classify
-from rampwalk.coins import StepConvention
+from rampwalk.coins import StepConvention, coin_at_step
 from rampwalk.evolution import (
     WalkSchedule,
     bisect_visibility,
@@ -23,7 +23,7 @@ from rampwalk.states import (
 
 import oracles
 import walks
-from walks import distribution, origin_blocks, same_bits, start_state
+from walks import distribution, full_lattice_step, origin_blocks, same_bits, start_state
 
 angle = st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False)
 
@@ -184,7 +184,8 @@ def test_translation_covariance():
     amps = np.zeros((2, wide.size, 1), dtype=np.complex128)
     amps[:, wide.index(offset), 0] = CoinVector.symmetric().as_array()
     for coin in sched.coins():
-        amps = evolution._coin_and_shift(coin.reshape(4).tolist(), amps)
+        # the growing window cropped to the fixed lattice
+        amps = evolution._coin_and_shift(coin.reshape(4).tolist(), amps)[..., 1:-1, :]
     _, final = walk(sched)
     moved = np.zeros((wide.size, 2), dtype=np.complex128)
     moved[wide.index(lattice.min_site + offset) : wide.index(lattice.max_site + offset) + 1] = final.amplitudes
@@ -427,9 +428,11 @@ def full_lattice_density_walk(rho, schedule):
     dephasing = np.array([[1.0, schedule.visibility], [schedule.visibility, 1.0]])[:, None, :, None]
     r = rho.matrix.reshape(n, 2, n, 2).transpose(1, 0, 3, 2)  # r[i, x, j, y]
     for coin in schedule.coins():
-        # the rows of rho U^dagger are the rows of rho stepped under the conjugate coin
-        half = evolution._coin_and_shift(coin.conj().reshape(4).tolist(), r[..., None]).reshape(2, n, 2 * n)
-        r = evolution._coin_and_shift(coin.reshape(4).tolist(), half).reshape(2, n, 2, n) * dephasing
+        # the rows of rho U^dagger are the rows of rho stepped under the conjugate coin;
+        # each growing-window step cropped to the fixed lattice is the full-lattice step
+        half = evolution._coin_and_shift(coin.conj().reshape(4).tolist(), r[..., None])[..., 1:-1, :]
+        half = half.reshape(2, n, 2 * n)
+        r = evolution._coin_and_shift(coin.reshape(4).tolist(), half)[..., 1:-1, :].reshape(2, n, 2, n) * dephasing
         yield r.transpose(1, 0, 3, 2).reshape(2 * n, 2 * n)
 
 
@@ -591,32 +594,67 @@ def test_coin_and_shift_matches_the_per_walk_oracle():
     coins = np.array(oracle_coins)
     # amps[b, i, x, g]: a leading batch axis, then coin, site and walk; every site
     # occupied, so the plus component of the last site and the minus component
-    # of the first are shifted past the edges
+    # of the first are shifted past the input's window
     shape = (lead, 2, n, walks)
     amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     # a stack's entries are (G,) arrays, one coin's four Python complex numbers
-    stepped = evolution._coin_and_shift(coins.reshape(walks, 4).T, amps)
-    shared = evolution._coin_and_shift(coins[0].reshape(4).tolist(), amps)
+    stack, one = coins.reshape(walks, 4).T, coins[0].reshape(4).tolist()
+    stepped, shared = evolution._coin_and_shift(stack, amps), evolution._coin_and_shift(one, amps)
+    for out, entries in ((stepped, stack), (shared, one)):
+        # the window grows one site each way; cropped back it is the fixed-lattice step
+        assert out.shape == (lead, 2, n + 2, walks)
+        assert same_bits(out[..., 1:-1, :], full_lattice_step(entries, amps))
     for b in range(lead):
         for g in range(walks):
             pairs = [tuple(pair) for pair in amps[b, :, :, g].T]
             for out, coin in ((stepped, oracle_coins[g]), (shared, oracle_coins[0])):
                 expected = np.array(oracles.window_step(coin, pairs))
-                assert np.max(np.abs(out[b, :, :, g].T - expected)) < 1e-14
+                assert np.max(np.abs(out[b, :, 1:-1, g].T - expected)) < 1e-14
     # a single coin steps the batch exactly as its stack does
     repeated = np.broadcast_to(coins[0], coins.shape).reshape(walks, 4).T
     assert np.array_equal(shared, evolution._coin_and_shift(repeated, amps))
     for out in (stepped, shared):
-        # nothing shifts into the plus entry of the first site or the minus entry of the last
-        assert np.all(out[:, 0, 0, :] == 0.0) and np.all(out[:, 1, -1, :] == 0.0)
-    # the coins are unitary, so the norm lost is exactly what left past the edges
+        # nothing shifts into the plus entries of the first two sites or the minus entries of the last two
+        assert np.all(out[:, 0, :2, :] == 0.0) and np.all(out[:, 1, -2:, :] == 0.0)
+    # the coins are unitary: the grown window keeps the norm, and the crop loses
+    # exactly what left past the input's window
     for b in range(lead):
         for g in range(walks):
             coined = coins[g] @ amps[b, :, :, g]
             dropped = abs(coined[0, -1]) ** 2 + abs(coined[1, 0]) ** 2
-            lost = np.sum(np.abs(amps[b, ..., g]) ** 2) - np.sum(np.abs(stepped[b, ..., g]) ** 2)
+            before = np.sum(np.abs(amps[b, ..., g]) ** 2)
+            assert np.sum(np.abs(stepped[b, ..., g]) ** 2) == pytest.approx(before, abs=1e-12)
+            lost = before - np.sum(np.abs(stepped[b, :, 1:-1, g]) ** 2)
             assert lost == pytest.approx(dropped, abs=1e-12)
             assert dropped > 1e-3
+
+
+@pytest.mark.parametrize("convention", list(StepConvention))
+@pytest.mark.parametrize("steps", [0, 1, 7, 64, 200])
+def test_origin_walk_steps_the_light_cone_of_the_full_lattice_walk(steps, convention):
+    # step k yields the 2k + 1 sites -k..k; zero-padded to the 2T + 3 sites of the
+    # fixed lattice they are the frozen full-lattice walk bit for bit, signed zeros
+    # included, for one walk with a start column and for a stack of walks
+    t = convention.step_indices(steps)
+    one = WalkSchedule(0.37, math.pi / 7, steps, convention).coins()
+    stack = coin_at_step(math.pi / 4, np.array([0.0, math.pi / 7, 1.3]), t[:, None], convention)
+    start = CoinVector(0.6, -0.8j).as_array()[:, None]
+    for coins, starts in ((one, start), (stack, np.zeros((2, 0)))):
+        count = coins.shape[1] if coins.ndim == 4 else 1
+        full = np.zeros((2, 2 * steps + 3, 2 * count + starts.shape[1]), dtype=np.complex128)
+        full[0, steps + 1, :count] = full[1, steps + 1, count : 2 * count] = 1.0
+        full[:, steps + 1, 2 * count :] = starts
+        walked = list(evolution._origin_walk(coins, starts))
+        assert len(walked) == steps + 1
+        for k, amps in enumerate(walked):
+            if k:
+                coin = coins[k - 1]
+                entries = coin.reshape(4).tolist() if coins.ndim == 3 else np.concatenate((coin, coin)).reshape(-1, 4).T
+                full = full_lattice_step(entries, full)
+            assert amps.shape == (2, 2 * k + 1, full.shape[2])
+            padded = np.zeros_like(full)
+            padded[:, steps + 1 - k : steps + 2 + k] = amps
+            assert same_bits(padded, full), k
 
 
 @pytest.mark.parametrize("convention", list(StepConvention))

@@ -100,7 +100,8 @@ def one_column_walk(coins, start):
     """Each step's amplitudes (n, 2) of one start coin on ``Lattice.for_steps(T)``, stepped alone."""
     amps = np.ascontiguousarray(start_state(len(coins), start).amplitudes.T)[..., None]
     for coin in coins:
-        amps = evolution._coin_and_shift(coin.reshape(4).tolist(), amps)
+        # the growing window cropped to the fixed lattice
+        amps = evolution._coin_and_shift(coin.reshape(4).tolist(), amps)[..., 1:-1, :]
         yield amps[..., 0].T
 
 
@@ -128,9 +129,11 @@ def test_origin_walk_does_not_depend_on_the_batch(monkeypatch, steps, theta, con
         walked = list(evolution._origin_walk(coins, start.as_array()[:, None]))
         assert len(walked) == steps + 1
         assert np.array_equal(evolution._blocks(walked[-1][..., :2]), blocks[k : k + 1])
-        for amps, expected in zip(walked[1:], one_column_walk(coins, start), strict=True):
-            # the walk's 2T + 3 sites are the inner sites of Lattice.for_steps(T)
-            assert np.array_equal(amps[..., 2].T, expected[1:-1]) and not expected[[0, -1]].any()
+        for k, (amps, expected) in enumerate(zip(walked[1:], one_column_walk(coins, start), strict=True), 1):
+            # step k's 2k + 1 sites are the sites -k..k of Lattice.for_steps(T), and nothing lies outside them
+            cone = slice(steps + 2 - k, steps + 3 + k)
+            assert np.array_equal(amps[..., 2].T, expected[cone])
+            assert not np.delete(expected, np.arange(expected.shape[0])[cone], axis=0).any()
 
 
 def test_scan_of_one_revival_equals_its_row():
@@ -486,9 +489,10 @@ def test_scan_equals_the_certified_revival_set(steps, theta_quarters, convention
 @pytest.mark.parametrize("convention", list(StepConvention))
 @pytest.mark.parametrize("theta_quarters", [0, 1, 2, 3])
 def test_scan_follows_the_revival_law(theta_quarters, convention):
-    # the candidate set and its completeness flags, not the residual digits
+    # the candidate set and its completeness flags, not the residual digits; from
+    # T = 64 on, whole rows of 65 to 301 family points, two to five chunks of SCAN_CHUNK
     one_based = convention is StepConvention.ONE_BASED
-    for steps in range(2, 49, 2):
+    for steps in [*range(2, 49, 2), 64, 96, 128, 200]:
         config = SearchConfig(
             step_counts=(steps,), theta_values=(theta_quarters * math.pi / 4,), convention=convention
         )
@@ -526,19 +530,29 @@ def test_scan_row_memory_guard_counts_only_the_numerators_in_range():
 
 
 def test_scan_row_memory_is_bounded_by_the_two_start_walk():
-    # the row's walk holds a coin stack no larger than the two-start (T, 2G, 2, 2)
-    # and, while it steps, at most three amplitude arrays of shape (2, 2T + 3, 2G):
-    # the current ones, the next step's and its product temporaries
-    steps, theta = 96, math.pi / 4
-    config = SearchConfig(step_counts=(steps,), theta_values=(theta,))
-    count = len(search._family(steps, config.convention, *config.omega_grid))
-    amplitudes = 2 * (2 * steps + 3) * 2 * count * 16
-    coin_stack = steps * 2 * count * 4 * 16
-    tracemalloc.start()
-    try:
-        found = scan(config)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert found
-    assert peak < 3 * amplitudes + coin_stack
+    # the row walks its family SCAN_CHUNK points at a time and keeps no chunk's arrays
+    # into the next walk, so a whole T = 200 row (301 points, five chunks) peaks near a
+    # narrow scan of the same row whose range holds one chunk, and below one chunk's
+    # two-start (T, 2 SCAN_CHUNK, 2, 2) coin stack plus three of its amplitude arrays
+    # (2, 2T + 1, 2 SCAN_CHUNK): the current ones, the next step's and its product temporaries
+    steps, theta = 200, math.pi / 4
+    amplitudes = 2 * (2 * steps + 1) * 2 * search.SCAN_CHUNK * 16
+    coin_stack = steps * 2 * search.SCAN_CHUNK * 4 * 16
+    row = SearchConfig(step_counts=(steps,), theta_values=(theta,))
+    family = search._family(steps, row.convention, *row.omega_grid)
+    lo, hi = family[100], family[100 + search.SCAN_CHUNK - 1]
+    narrow = SearchConfig(step_counts=(steps,), theta_values=(theta,), omega_grid=(math.pi * lo, math.pi * hi))
+    assert len(family) == 301 and len(search._family(steps, narrow.convention, *narrow.omega_grid)) == 64
+    scan(SearchConfig(step_counts=(4,), theta_values=(theta,)))  # imports and caches outside the measurement
+    peaks = []
+    for config in (row, narrow):
+        tracemalloc.start()
+        try:
+            found = scan(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert found
+        peaks.append(peak)
+    assert peaks[0] <= 1.25 * peaks[1]
+    assert peaks[0] < 3 * amplitudes + coin_stack

@@ -41,3 +41,22 @@ def same_bits(a, b):
     """Equal shapes, dtypes and bits in every entry, so signed zeros and NaN count."""
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+def full_lattice_step(entries, amps):
+    """A frozen copy of the fixed-lattice coin-and-shift step: (..., 2, n, G) in, (..., 2, n, G) out.
+
+    What it shifts past either edge is dropped, and the two rows nothing shifts
+    into (plus at the first site, minus at the last) are zero. It is the growing
+    window's step cropped by one site at each end, bit for bit.
+    """
+    c00, c01, c10, c11 = entries
+    plus, minus = amps[..., 0, :, :], amps[..., 1, :, :]
+    out = np.empty_like(amps)
+    up, down = out[..., 0, 1:, :], out[..., 1, :-1, :]
+    np.multiply(c00, plus[..., :-1, :], out=up)
+    up += c01 * minus[..., :-1, :]
+    np.multiply(c10, plus[..., 1:, :], out=down)
+    down += c11 * minus[..., 1:, :]
+    out[..., 0, 0, :] = out[..., 1, -1, :] = 0.0
+    return out
