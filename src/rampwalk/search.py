@@ -30,6 +30,7 @@ ANGLE_MAX_DENOMINATOR = 360
 ANGLE_TOL = 1e-9
 MAX_FRACTION_EXPONENT = 1000
 SCAN_CHUNK = 64  # family points a scan row walks as one batch
+MAX_ROW_SITE_STEPS = 10**13  # family points times T^2 sites one row may step: days of walking
 
 _CATALOG_RESOURCE = "data/revival_catalog.json"
 _EXPONENT = re.compile(r"e([-+]?\d[\d_]*)\s*\Z", re.IGNORECASE)
@@ -142,9 +143,13 @@ def _numerators(steps: int, convention: StepConvention, lo: float, hi: float) ->
 
 def _scan_row(config: SearchConfig, steps: int, theta: float) -> list[RevivalCandidate]:
     lo, hi = config.omega_grid
-    # one chunk's last step (amplitudes, successor, temporary) for at most SCAN_CHUNK of the
-    # points the range can hold, allocated first: too large fails before the row's fractions
-    count = min(SCAN_CHUNK, sum(len(ks) for _, ks in _numerators(steps, config.convention, lo, hi)))
+    count = sum(len(ks) for _, ks in _numerators(steps, config.convention, lo, hi))
+    if count * steps**2 > MAX_ROW_SITE_STEPS:  # worked out from the input alone, so refused on any host
+        raise ValueError(f"a scan row at T = {steps} holds {count} family points, past {MAX_ROW_SITE_STEPS:.0e}"
+                         " site steps at T^2 each; narrow the omega range")
+    # one chunk's last step, allocated first: two amplitude arrays (2, 2T + 1, 2 count), a product
+    # temporary and the (T, count, 2, 2) coin stack, each half of one; too large fails before the fractions
+    count = min(SCAN_CHUNK, count)
     np.empty((3, 2, 2 * steps + 1, 2 * count), dtype=np.complex128)
     family = _family(steps, config.convention, lo, hi)
     t = config.convention.step_indices(steps)
@@ -173,7 +178,8 @@ def scan(config: SearchConfig) -> list[RevivalCandidate]:
     """All accepted revival candidates over the configured domain.
 
     Each (steps, theta) row is scanned on its own, one after another;
-    the result is sorted by (steps, theta, omega).
+    the result is sorted by (steps, theta, omega). A row whose family
+    points times T^2 pass ``MAX_ROW_SITE_STEPS`` raises ValueError.
     """
     found = [
         candidate

@@ -286,8 +286,8 @@ def test_search_rejects_odd_step_counts():
     result = run_cli("search", "--steps", "3")
     assert result.returncode == 2
     assert "even" in result.stderr
-    # an angle too large for a float, and scans too large for memory, which
-    # fail before the family's fractions are built
+    # an angle too large for a float, and whole rows past the site-step bound,
+    # which fail on any host before the family's fractions are built
     for args in (
         ("--theta", "1e400", "--steps", "2"),
         ("--steps", "1000000", "--theta", "0"),

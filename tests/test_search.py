@@ -529,6 +529,22 @@ def test_scan_row_memory_guard_counts_only_the_numerators_in_range():
                     assert len(ks) <= math.floor(hi * m / math.pi) - math.ceil(lo * m / math.pi) + 3
 
 
+def test_a_row_past_the_site_step_bound_is_refused_on_any_host(monkeypatch):
+    # the bound is worked out from T and the range alone, before any allocation or fraction,
+    # so a whole row at T = 10^6 (1.5e6 points) is refused wherever it runs
+    with pytest.raises(ValueError, match="narrow the omega range"):
+        scan(SearchConfig(step_counts=(10**6,), theta_values=(0.0,)))
+    config = SearchConfig(step_counts=(8,), theta_values=(math.pi / 4,))
+    count = sum(len(ks) for _, ks in search._numerators(8, config.convention, *config.omega_grid))
+    found = scan(config)
+    assert found
+    monkeypatch.setattr(search, "MAX_ROW_SITE_STEPS", count * 8**2)
+    assert scan(config) == found
+    monkeypatch.setattr(search, "MAX_ROW_SITE_STEPS", count * 8**2 - 1)
+    with pytest.raises(ValueError, match="T = 8"):
+        scan(config)
+
+
 def test_scan_row_memory_is_bounded_by_the_two_start_walk():
     # the row walks its family SCAN_CHUNK points at a time and keeps no chunk's arrays
     # into the next walk, so a whole T = 200 row (301 points, five chunks) peaks near a
