@@ -12,8 +12,8 @@ Three lines, each a name and a SHA-256 digest:
   signed zeros count.
 - ``scan``: the candidates of ``scan`` at T = 8 to 32, theta 0, pi/4
   and 0.37, and at T = 96, theta pi/4 and 0.37, whose rows are walked in
-  more than one chunk of ``search.SCAN_CHUNK`` points, both conventions,
-  each as its ``repr`` (round-trip floats).
+  more than one chunk of ``search.SCAN_CHUNK_SITES // (2T + 1)`` (66)
+  points, both conventions, each as its ``repr`` (round-trip floats).
 - ``cli``: the bytes the README's ``walk`` (JSON and CSV), ``search``,
   ``noise-sweep`` and ``effective-coin`` commands write.
 

@@ -31,7 +31,7 @@ from .states import (
 
 REVIVAL_TOL = 1e-10
 PREDICTED_STATE_NORM_TOL = 1e-12
-ROW_BLOCK = 32  # steps of classify's pure walk squared and summed into rows at once
+ROW_BLOCK = 8  # ring slots of classify's pure walk, squared and summed into rows at once
 
 
 def tv_distance(p: PositionDistribution, q: PositionDistribution) -> float | NDArray[np.float64]:
@@ -169,10 +169,10 @@ def _classify_each(schedule: WalkSchedule, visibilities: Sequence[float]) -> Ite
     and the noiseless walk runs once, before the first report: with 1
     among the visibilities as the three-column walk, otherwise on the
     basis columns alone, for the blocks and the verdicts the reports
-    share. The walk writes the magnitudes of its start column, step by
-    step, into a zeroed block of ``ROW_BLOCK`` steps, and squares and sums
-    each block into its rows at once: the per-step ``|a+|^2 + |a-|^2``
-    bit for bit, with no more than a block held beside the rows. The final
+    share, into a ring of two slots, or of ``ROW_BLOCK`` at visibility 1,
+    whose start column it squares and sums into a block of rows at once:
+    the per-step ``|a+|^2 + |a-|^2`` bit for bit, with no more than the
+    ring and a block of magnitudes held beside the rows. The final
     state is the start column written into zeroed amplitudes. Each
     visibility below 1 then takes its own dephased walk when its report
     is asked for, so a caller that keeps only numbers from each report
@@ -189,19 +189,19 @@ def _classify_each(schedule: WalkSchedule, visibilities: Sequence[float]) -> Ite
     probs = np.zeros((schedule.steps + 1, lattice.size))
     coins = schedule.coins()
     if 1.0 in visibilities:
-        # sites -T..T: step t writes its light cone [T - t, T + t + 1), which only grows per slot
-        magnitudes = np.zeros((ROW_BLOCK, 2, 2 * schedule.steps + 1))
-        for t, amps in enumerate(_origin_walk(coins, initial_coin.as_array()[:, None])):
+        # each slot holds its step on the sites -T..T, zero off the light cone, so a row is a whole slot
+        ring = np.zeros((ROW_BLOCK, 2, 2 * schedule.steps + 1, 3), dtype=np.complex128)
+        for t, amps in enumerate(_origin_walk(coins, ring, initial_coin.as_array()[:, None])):
             slot = t % ROW_BLOCK
-            np.abs(amps[:, :, 2], out=magnitudes[slot, :, schedule.steps - t : schedule.steps + t + 1])
             if slot == ROW_BLOCK - 1 or t == schedule.steps:
-                block = np.square(magnitudes[: slot + 1], out=magnitudes[: slot + 1])
+                block = np.abs(ring[: slot + 1, :, :, 2])
+                np.square(block, out=block)
                 np.add(block[:, 0], block[:, 1], out=probs[t - slot : t + 1, 2:-2])
         amplitudes = np.zeros((lattice.size, 2), dtype=np.complex128)
         amplitudes[2:-2] = amps[:, :, 2].T
         pure = PositionDistribution(lattice, probs), WalkerCoinPureState(lattice, amplitudes)
     else:
-        for amps in _origin_walk(coins):
+        for amps in _origin_walk(coins, np.zeros((2, 2, 2 * schedule.steps + 1, 2), dtype=np.complex128)):
             pass
     blocks = _blocks(amps[:, :, :2])[0]
     effective = blocks[schedule.steps].copy() if schedule.steps % 2 == 0 else None

@@ -8,21 +8,23 @@ invariant: one column of 2x2 blocks ``W_T[d]``, the map from the coin
 at any site x to the coin at x + d, describes it completely (see
 :func:`_blocks`).
 
-Every pure walk in the package is one :func:`_origin_walk`, the one
-loop over the batched step :func:`_coin_and_shift`, on coin-major
-amplitudes (..., 2, m, G) (coin, site, then a batch of G walks) on
-the light cone, a window one site wider each way per step, under the
-coin stack of :meth:`WalkSchedule.coins`, which the caller builds
-once and hands to every walk it runs. Every dephased walk runs through
-one density loop, :func:`_class_steps`, which applies the coin pair to
-one parity class of rho in one pass and then shifts it, with the same
-products as :func:`_coin_and_shift` on the rows and then the columns,
-for a batch of K visibilities at once. Every walk of a state, the one
-``analysis.classify`` summarises, starts from the symmetric coin at the
-origin of ``Lattice.for_steps(T)``, and both loops yield that start
-first, so the walk after t steps is row t of its (T + 1, n) stack of
-distributions. Below visibility 1 the walk is dephased: each unitary step is followed by a
-coin dephasing channel of strength set by the schedule visibility:
+Every pure walk in the package is one :func:`_origin_walk`, the one loop
+over the batched step :func:`_coin_and_shift`, on coin-major amplitudes
+(..., 2, m, G) (coin, site, then a batch of G walks) on the light cone,
+a window one site wider each way per step, under the coin stack of
+:meth:`WalkSchedule.coins`, which the caller builds once and hands to
+every walk it runs. Each step writes into a ring of slots its caller
+allocates once, and yields a view valid until the ring wraps. Every
+dephased walk runs through one density loop, :func:`_class_steps`, which
+applies the coin pair to one parity class of rho in one pass and then
+shifts it, with the same products as :func:`_coin_and_shift` on the rows
+and then the columns, for a batch of K visibilities at once. Every walk
+of a state, the one ``analysis.classify`` summarises, starts from the
+symmetric coin at the origin of ``Lattice.for_steps(T)``, and both loops
+yield that start first, so the walk after t steps is row t of its
+(T + 1, n) stack of distributions. Below visibility 1 the walk is
+dephased: each unitary step is followed by a coin dephasing channel of
+strength set by the schedule visibility:
 
     rho -> (1 + v)/2 * rho + (1 - v)/2 * (I x Z) rho (I x Z)
 
@@ -109,24 +111,25 @@ class WalkSchedule:
         return replace(self, visibility=visibility)
 
 
-def _coin_and_shift(entries: Sequence, amps: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """One walk step on a batch of coin-major amplitudes: the coin, then the shift, one site wider each way.
+def _coin_and_shift(entries: Sequence, amps: NDArray[np.complex128], out: NDArray[np.complex128]) -> None:
+    """One walk step on a batch of coin-major amplitudes, written into ``out``, one site wider each way.
 
     ``amps`` has shape (..., 2, m, G): coin, a window of m sites, then a
     batch of G walks; leading axes are batch too. ``entries`` are the
     coin's four entries ``(c00, c01, c10, c11)``: Python complex numbers
     for one coin shared by the whole batch, or (G,) arrays, entry ``[g]``
-    for walk g, for a stack. Coin and shift are fused into a zeroed
-    (..., 2, m + 2, G): input site i writes its plus component to index
-    i + 2 and its minus component to index i, each as ``c0 * plus + c1 *
-    minus`` with ``c0, c1`` one row of the coin, so nothing is dropped.
+    for walk g, for a stack. Coin and shift are fused into the caller's
+    (..., 2, m + 2, G) ``out``, allocating only a product temporary: site
+    i writes its plus component to index i + 2 and its minus component to
+    index i, each as ``c0 * plus + c1 * minus`` with ``c0, c1`` one row of
+    the coin, so nothing is dropped; the plus entries of the first two
+    sites and the minus entries of the last two stay the caller's zeros.
     Every operand is a run of whole site rows, so no multiply reads a
-    strided coin axis. The output's ``[..., 1:-1, :]`` is the step on a
-    fixed lattice of m sites, which drops what it shifts past an edge.
+    strided coin axis. ``out[..., 1:-1, :]`` is the fixed-lattice step on
+    m sites, which drops what it shifts past an edge.
     """
     c00, c01, c10, c11 = entries  # (G,) or scalars: each broadcasts over (..., m, G)
     plus, minus = amps[..., 0, :, :], amps[..., 1, :, :]
-    out = np.zeros((*amps.shape[:-2], amps.shape[-2] + 2, amps.shape[-1]), dtype=np.complex128)
     up, down = out[..., 0, 2:, :], out[..., 1, :-2, :]
     # the coin entry goes first: numpy's vectorised complex product can
     # round the last bit differently when its operands are swapped
@@ -134,33 +137,37 @@ def _coin_and_shift(entries: Sequence, amps: NDArray[np.complex128]) -> NDArray[
     up += c01 * minus
     np.multiply(c10, plus, out=down)
     down += c11 * minus
-    return out
 
 
 def _origin_walk(
-    coins: NDArray[np.complex128], starts: NDArray[np.complex128] = np.zeros((2, 0))
+    coins: NDArray[np.complex128], ring: NDArray[np.complex128], starts: NDArray[np.complex128] = np.zeros((2, 0))
 ) -> Iterator[NDArray[np.complex128]]:
-    """The amplitudes of G walks from the origin, each from both basis coins: the start, then each step's.
+    """The amplitudes of G walks from the origin, each from both basis coins, stepped into ``ring``.
 
-    ``coins`` is a (T, 2, 2) stack for one walk (G = 1), whose entries
-    are unpacked once, as Python complex numbers for every step, or a
-    (T, G, 2, 2) stack with one coin per walk, which each step unpacks
-    into (2G,) entries for both of its starts. The amplitudes are
-    coin-major, (2, 2k + 1, 2G + K) on the light cone -k..k after step k;
-    column ``jG + g`` walks g from basis coin j, and K start columns
-    ``starts`` (2, K), which need one walk's stack, follow them.
+    ``coins`` is a (T, 2, 2) stack for one walk (G = 1), or a (T, G, 2,
+    2) stack with one coin per walk; its entries are unpacked once, as
+    Python complex numbers or a (T, 4, 2G) array for both starts, and the
+    stack is dropped. ``ring`` is a zeroed (S, 2, 2T + 1, 2G + K) array of
+    S >= 2 slots on the sites -T..T: step t (the start is step 0) writes
+    slot ``t % S`` on its light cone, the window [T - t, T + t + 1), and
+    yields that view, valid until the ring wraps, S - 1 steps later. A
+    slot's window only grows, so what a step leaves unwritten is still the
+    ring's zeros. Column ``jG + g`` walks g from basis coin j, and K start
+    columns ``starts`` (2, K), which need one walk's stack, follow them.
     """
     steps, count = coins.shape[0], coins.shape[1] if coins.ndim == 4 else 1
-    amps = np.zeros((2, 1, 2 * count + starts.shape[1]), dtype=np.complex128)
-    amps[0, 0, :count] = amps[1, 0, count : 2 * count] = 1.0
-    amps[:, 0, 2 * count :] = starts
-    yield amps
     if coins.ndim == 3:
         entries = coins.reshape(steps, 4).tolist()
     else:
-        entries = (np.concatenate((coin, coin)).reshape(2 * count, 4).T for coin in coins)
-    for step in entries:
-        amps = _coin_and_shift(step, amps)
+        entries = np.concatenate((coins, coins), axis=1).reshape(steps, 2 * count, 4).transpose(0, 2, 1)
+    del coins
+    amps = ring[0, :, steps : steps + 1]
+    amps[0, 0, :count] = amps[1, 0, count : 2 * count] = 1.0
+    amps[:, 0, 2 * count :] = starts
+    yield amps
+    for t, step in enumerate(entries, start=1):
+        amps, previous = ring[t % len(ring), :, steps - t : steps + t + 1], amps
+        _coin_and_shift(step, previous, amps)
         yield amps
 
 
@@ -365,10 +372,13 @@ def bisect_visibility(
     (else RuntimeError) and is the one returned. At visibility 1 it
     stays on that density walk: the pure walk's p0 can differ from the
     probe's in the last bits. Returns (visibility, origin probability).
-    Raises ValueError for a walk of no steps.
+    Raises ValueError for a walk of no steps or a target outside [0, 1].
     """
     if schedule.steps < 1:
         raise ValueError(f"calibration needs at least one step, got {schedule.steps}")
+    target = target_origin_probability
+    if not 0.0 <= target <= 1.0:  # NaN too: refused before the guards, the coin stack and any probe
+        raise ValueError(f"target origin probability {target} lies outside [0, 1]")
     # the memory guards: a calibration too large fails here, before any probe; the
     # start's amplitudes name the walk's size, and the probe batch's widest block
     # holds the batch
@@ -376,7 +386,6 @@ def bisect_visibility(
     widest = schedule.steps // 2 + 2
     np.empty((2, 2, widest, widest, PROBES_PER_WALK), dtype=np.complex128)
     coins, block = schedule.coins(), _origin_block()
-    target = target_origin_probability
     probes: dict[float, float] = {}  # every visibility probed so far, and its p0
 
     def probe(visibilities: list[float]) -> list[float]:

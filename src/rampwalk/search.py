@@ -2,10 +2,10 @@
 
 For each (steps, theta) pair the scan walks only the row's exact
 rational family (see ``_family``), where every revival sits: each point
-from the two basis coins at the origin, ``SCAN_CHUNK`` points a batch,
-which gives its propagator blocks, judged a batch per ``analysis._verdict``
-call by ``classify``'s rule, at a tolerance worked out from T. A walk from
-coin c ends at the origin as ``W_T[0] c``, so the residual is read from it.
+from the two basis coins at the origin, ``SCAN_CHUNK_SITES // (2T + 1)``
+points a batch in a two-slot ring, for its propagator blocks, judged a
+batch per ``analysis._verdict`` call by ``classify``'s rule at a tolerance
+from T; the residual is read from ``W_T[0] c``, a walk from coin c at the origin.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .states import CoinVector
 ANGLE_MAX_DENOMINATOR = 360
 ANGLE_TOL = 1e-9
 MAX_FRACTION_EXPONENT = 1000
-SCAN_CHUNK = 64  # family points a scan row walks as one batch
+SCAN_CHUNK_SITES = 12_800  # family points times 2T + 1 sites a scan row walks as one batch, at least one point
 MAX_ROW_SITE_STEPS = 10**13  # family points times T^2 sites one row may step: days of walking
 
 _CATALOG_RESOURCE = "data/revival_catalog.json"
@@ -147,17 +147,18 @@ def _scan_row(config: SearchConfig, steps: int, theta: float) -> list[RevivalCan
     if count * steps**2 > MAX_ROW_SITE_STEPS:  # worked out from the input alone, so refused on any host
         raise ValueError(f"a scan row at T = {steps} holds {count} family points, past {MAX_ROW_SITE_STEPS:.0e}"
                          " site steps at T^2 each; narrow the omega range")
-    # one chunk's last step, allocated first: two amplitude arrays (2, 2T + 1, 2 count), a product
-    # temporary and the (T, count, 2, 2) coin stack, each half of one; too large fails before the fractions
-    count = min(SCAN_CHUNK, count)
-    np.empty((3, 2, 2 * steps + 1, 2 * count), dtype=np.complex128)
+    # one chunk's walk, allocated first: a two-slot ring (2, 2, 2T + 1, 2 points), a product temporary or the
+    # coin stack, each half a slot, and the (T, 4, 2 points) entries, under one; too large fails before _family
+    chunk = max(1, SCAN_CHUNK_SITES // (2 * steps + 1))
+    np.empty((7, 2 * steps + 1, 2 * min(chunk, count)), dtype=np.complex128)
     family = _family(steps, config.convention, lo, hi)
     t = config.convention.step_indices(steps)
     found = []
-    for first in range(0, len(family), SCAN_CHUNK):
-        points = family[first : first + SCAN_CHUNK]
+    for first in range(0, len(family), chunk):
+        points = family[first : first + chunk]
         omegas = np.array([math.pi * p.numerator / p.denominator for p in points])
-        for amps in _origin_walk(coin_at_step(theta, omegas, t[:, None], config.convention)):
+        ring = np.zeros((2, 2, 2 * steps + 1, 2 * len(points)), dtype=np.complex128)
+        for amps in _origin_walk(coin_at_step(theta, omegas, t[:, None], config.convention), ring):
             pass
         blocks = _blocks(amps)
         # a walk from coin c ends at the origin as W_T[0] c
@@ -170,7 +171,7 @@ def _scan_row(config: SearchConfig, steps: int, theta: float) -> list[RevivalCan
             for point, omega, revival, complete, residual in rows
             if revival
         ]
-        del amps, blocks  # so the next chunk's walk holds none of this one's arrays
+        del ring, amps, blocks  # so the next chunk's walk holds none of this one's arrays
     return found
 
 

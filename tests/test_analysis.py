@@ -26,7 +26,7 @@ from rampwalk.states import (
 
 import exact
 import oracles
-from walks import distribution, origin_blocks, same_bits, start_state, walk
+from walks import distribution, origin_blocks, origin_walk, same_bits, start_state, walk
 
 angle = st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False)
 
@@ -415,7 +415,7 @@ def test_classify_walks_the_noiseless_walk_once(monkeypatch, steps):
     # gives the blocks, the rows and the final state, from one coin stack and with no
     # class step; below it only the blocks are pure
     built = recording(monkeypatch, evolution, "coin_at_step", lambda *args: args)
-    shapes = recording(monkeypatch, evolution, "_coin_and_shift", lambda coins, amps: amps.shape)
+    shapes = recording(monkeypatch, evolution, "_coin_and_shift", lambda coins, amps, out: amps.shape)
     classes = recording(monkeypatch, evolution, "_class_steps", lambda *args: args)
     for visibility, columns, dephased in ((1.0, 3, 0), (0.9, 2, 1)):
         for calls in (built, shapes, classes):
@@ -474,7 +474,7 @@ def test_a_sweep_too_large_for_memory_fails_before_any_step(monkeypatch):
     # numpy refuses the rows without allocating, before the coin stack is built and
     # before the noiseless walk, whose steps would grow to a 2T + 1-site array; the
     # coin stack, if built, is a (T, 2, 2) view of one coin
-    stepped = recording(monkeypatch, evolution, "_coin_and_shift", lambda coins, amps: amps.shape)
+    stepped = recording(monkeypatch, evolution, "_coin_and_shift", lambda coins, amps, out: amps.shape)
     coin = WalkSchedule(0.0, math.pi / 8, 1).coins()[0]
     built = []
 
@@ -492,7 +492,7 @@ def test_a_sweep_too_large_for_memory_fails_before_any_step(monkeypatch):
 def test_a_noise_sweep_walks_the_noiseless_walk_once(monkeypatch, tmp_path):
     # the README's sweep: T steps of one three-column walk, and one dephased walk
     # for each of the four visibilities below 1
-    shapes = recording(monkeypatch, evolution, "_coin_and_shift", lambda coins, amps: amps.shape)
+    shapes = recording(monkeypatch, evolution, "_coin_and_shift", lambda coins, amps, out: amps.shape)
     dephased = recording(monkeypatch, analysis, "_density_walk", lambda coins, visibility: visibility)
     argv = ["noise-sweep", "--theta", "0", "--omega", "1/8", "--steps", "8",
             "--visibilities", "1,0.996,0.99,0.95,0.9", "--json-out", str(tmp_path / "sweep.json")]
@@ -540,7 +540,7 @@ def test_classify_rows_and_final_state_are_the_per_step_formula_bit_for_bit():
     schedules += [WalkSchedule(0.3, 0.2, steps, convention) for steps in boundaries for convention in StepConvention]
     for sched in schedules:
         report = classify(sched)
-        walked = list(evolution._origin_walk(sched.coins(), CoinVector.symmetric().as_array()[:, None]))
+        walked = origin_walk(sched.coins(), CoinVector.symmetric().as_array()[:, None])
         # step t's 2t + 1 sites -t..t, padded to the 2T + 5 sites of the lattice
         pads = [sched.steps - t + 2 for t in range(sched.steps + 1)]
         rows = [np.pad(np.abs(a[0, :, 2]) ** 2 + np.abs(a[1, :, 2]) ** 2, pad) for a, pad in zip(walked, pads)]
@@ -573,8 +573,8 @@ def test_classify_distance_is_the_last_entry_of_the_stack_series():
 
 
 def test_classify_memory_peaks_near_its_rows():
-    # beside its (T + 1, n) rows the pure walk holds a block of magnitudes and a few
-    # amplitude arrays; a (T + 1, n) difference or a whole-walk magnitude stack would not fit
+    # beside its (T + 1, n) rows the pure walk holds its ring of ROW_BLOCK slots and a block
+    # of magnitudes; a (T + 1, n) difference or a whole-walk magnitude stack would not fit
     sched = WalkSchedule(math.pi / 4, math.pi / 800, 400)
     classify(WalkSchedule(0.1, 0.2, 4))  # imports and caches outside the measurement
     tracemalloc.start()

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rampwalk import cli, evolution, states
+from rampwalk import analysis, cli, evolution, states
 from rampwalk.analysis import classify
 from rampwalk.coins import StepConvention, coin_at_step
 from rampwalk.evolution import (
@@ -23,7 +24,16 @@ from rampwalk.states import (
 
 import oracles
 import walks
-from walks import distribution, full_lattice_step, origin_blocks, same_bits, start_state
+from walks import (
+    distribution,
+    fresh_step,
+    full_lattice_step,
+    grown_step,
+    origin_blocks,
+    origin_walk,
+    same_bits,
+    start_state,
+)
 
 angle = st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False)
 
@@ -185,7 +195,7 @@ def test_translation_covariance():
     amps[:, wide.index(offset), 0] = CoinVector.symmetric().as_array()
     for coin in sched.coins():
         # the growing window cropped to the fixed lattice
-        amps = evolution._coin_and_shift(coin.reshape(4).tolist(), amps)[..., 1:-1, :]
+        amps = grown_step(coin.reshape(4).tolist(), amps)[..., 1:-1, :]
     _, final = walk(sched)
     moved = np.zeros((wide.size, 2), dtype=np.complex128)
     moved[wide.index(lattice.min_site + offset) : wide.index(lattice.max_site + offset) + 1] = final.amplitudes
@@ -326,6 +336,27 @@ def test_bisect_visibility_rejects_unbracketed_target():
         bisect_visibility(replace(sched, steps=0), 1.0)
 
 
+def test_bisect_visibility_refuses_an_impossible_target_before_any_walk(monkeypatch, capsys):
+    # targets of exactly 0 and 1 stay valid: an odd walk never returns, a complete revival always does
+    assert bisect_visibility(WalkSchedule(0.3, 0.2, 7), 0.0) == (0.0, 0.0)
+    visibility, p0 = bisect_visibility(WalkSchedule(0.0, math.pi / 8, 8), 1.0)
+    assert visibility == 1.0 and abs(p0 - 1.0) <= 1e-4
+    # a NaN, infinite or out-of-range target is refused by name before the memory guards,
+    # the coin stack and any probe, so a T = 800 calibration fails at once
+    def walked(*args):
+        raise AssertionError("a walk was started")
+
+    monkeypatch.setattr(evolution, "_probe_origin_probability", walked)
+    monkeypatch.setattr(WalkSchedule, "coins", walked)
+    sched = WalkSchedule(0.0, math.pi / 8, 800)
+    for target in (math.nan, math.inf, -math.inf, -1e-12, 1.0 + 1e-12, 2.0):
+        with pytest.raises(ValueError, match=f"target origin probability {re.escape(str(target))} "):
+            bisect_visibility(sched, target)
+    argv = ["noise-sweep", "--theta", "0", "--omega", "1/8", "--steps", "800", "--visibilities", "", "--target-p0", "nan"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "rampwalk: error: target origin probability nan lies outside [0, 1]\n"
+
+
 def oracle_rows(schedule, lattice):
     """The oracle's distributions on `lattice` after 0, 1, ..., T steps of `schedule`, as a (T + 1, n) stack."""
     one_based = schedule.convention is StepConvention.ONE_BASED
@@ -430,9 +461,9 @@ def full_lattice_density_walk(rho, schedule):
     for coin in schedule.coins():
         # the rows of rho U^dagger are the rows of rho stepped under the conjugate coin;
         # each growing-window step cropped to the fixed lattice is the full-lattice step
-        half = evolution._coin_and_shift(coin.conj().reshape(4).tolist(), r[..., None])[..., 1:-1, :]
+        half = grown_step(coin.conj().reshape(4).tolist(), r[..., None])[..., 1:-1, :]
         half = half.reshape(2, n, 2 * n)
-        r = evolution._coin_and_shift(coin.reshape(4).tolist(), half)[..., 1:-1, :].reshape(2, n, 2, n) * dephasing
+        r = grown_step(coin.reshape(4).tolist(), half)[..., 1:-1, :].reshape(2, n, 2, n) * dephasing
         yield r.transpose(1, 0, 3, 2).reshape(2 * n, 2 * n)
 
 
@@ -599,7 +630,10 @@ def test_coin_and_shift_matches_the_per_walk_oracle():
     amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     # a stack's entries are (G,) arrays, one coin's four Python complex numbers
     stack, one = coins.reshape(walks, 4).T, coins[0].reshape(4).tolist()
-    stepped, shared = evolution._coin_and_shift(stack, amps), evolution._coin_and_shift(one, amps)
+    # the kernel writes into the caller's zeroed window and returns nothing
+    stepped, shared = (np.zeros((lead, 2, n + 2, walks), dtype=np.complex128) for _ in range(2))
+    assert evolution._coin_and_shift(stack, amps, stepped) is None
+    evolution._coin_and_shift(one, amps, shared)
     for out, entries in ((stepped, stack), (shared, one)):
         # the window grows one site each way; cropped back it is the fixed-lattice step
         assert out.shape == (lead, 2, n + 2, walks)
@@ -612,7 +646,7 @@ def test_coin_and_shift_matches_the_per_walk_oracle():
                 assert np.max(np.abs(out[b, :, 1:-1, g].T - expected)) < 1e-14
     # a single coin steps the batch exactly as its stack does
     repeated = np.broadcast_to(coins[0], coins.shape).reshape(walks, 4).T
-    assert np.array_equal(shared, evolution._coin_and_shift(repeated, amps))
+    assert np.array_equal(shared, grown_step(repeated, amps))
     for out in (stepped, shared):
         # nothing shifts into the plus entries of the first two sites or the minus entries of the last two
         assert np.all(out[:, 0, :2, :] == 0.0) and np.all(out[:, 1, -2:, :] == 0.0)
@@ -644,7 +678,7 @@ def test_origin_walk_steps_the_light_cone_of_the_full_lattice_walk(steps, conven
         full = np.zeros((2, 2 * steps + 3, 2 * count + starts.shape[1]), dtype=np.complex128)
         full[0, steps + 1, :count] = full[1, steps + 1, count : 2 * count] = 1.0
         full[:, steps + 1, 2 * count :] = starts
-        walked = list(evolution._origin_walk(coins, starts))
+        walked = origin_walk(coins, starts)
         assert len(walked) == steps + 1
         for k, amps in enumerate(walked):
             if k:
@@ -655,6 +689,45 @@ def test_origin_walk_steps_the_light_cone_of_the_full_lattice_walk(steps, conven
             padded = np.zeros_like(full)
             padded[:, steps + 1 - k : steps + 2 + k] = amps
             assert same_bits(padded, full), k
+
+
+@pytest.mark.parametrize("convention", list(StepConvention))
+def test_origin_walk_wraps_its_ring_without_zeroing_it(convention):
+    # step k goes into slot k % S on the window [T - k, T + k + 1), and no slot is zeroed
+    # again: each yielded window is the frozen fresh-allocation step bit for bit, signed
+    # zeros included, every slot entry off its latest step's window is still zero, and a
+    # yielded view keeps its bits for S - 1 more steps; classify's one-coin walk with a
+    # start column wraps its ROW_BLOCK slots about three times, a scan stack its two slots
+    block = analysis.ROW_BLOCK
+    start = CoinVector(0.6, -0.8j).as_array()[:, None]
+    cases = [(WalkSchedule(0.37, math.pi / 7, steps, convention).coins(), start, block)
+             for steps in (3 * block - 1, 3 * block, 3 * block + 1)]
+    t = convention.step_indices(3 * block + 1)
+    stack = coin_at_step(math.pi / 4, np.array([0.0, math.pi / 7, 1.3]), t[:, None], convention)
+    cases.append((stack, np.zeros((2, 0)), 2))
+    for coins, starts, slots in cases:
+        steps, count = len(coins), coins.shape[1] if coins.ndim == 4 else 1
+        ring = walks.ring(coins, starts, slots)
+        expected = np.zeros((2, 1, ring.shape[3]), dtype=np.complex128)
+        expected[0, 0, :count] = expected[1, 0, count : 2 * count] = 1.0
+        expected[:, 0, 2 * count :] = starts
+        kept = []  # (view, copy) of the steps whose slots have not been written since
+        for k, amps in enumerate(evolution._origin_walk(coins, ring, starts)):
+            if k:
+                coin = coins[k - 1]
+                entries = coin.reshape(4).tolist() if coins.ndim == 3 else np.concatenate((coin, coin)).reshape(-1, 4).T
+                expected = fresh_step(entries, expected)
+            assert np.shares_memory(amps, ring[k % slots])
+            assert same_bits(amps, ring[k % slots, :, steps - k : steps + k + 1])
+            assert same_bits(amps, expected), (steps, k)
+            kept = [*kept[-(slots - 1) :], (amps, amps.copy())]
+            assert all(same_bits(view, copy) for view, copy in kept)
+            for slot in range(slots):
+                latest = k - (k - slot) % slots  # negative for a slot not yet written
+                off = np.ones(2 * steps + 1, dtype=bool)
+                off[max(steps - latest, 0) : max(steps + latest + 1, 0)] = False
+                assert same_bits(ring[slot][:, off], np.zeros((2, off.sum(), ring.shape[3]), dtype=np.complex128))
+        assert k == steps
 
 
 @pytest.mark.parametrize("convention", list(StepConvention))

@@ -7,7 +7,7 @@ import pytest
 
 import exact
 import oracles
-from walks import origin_blocks, start_state
+from walks import grown_step, origin_blocks, origin_walk, start_state
 from rampwalk import evolution, search
 from rampwalk.analysis import _verdict
 from rampwalk.coins import StepConvention, coin_at_step
@@ -101,7 +101,7 @@ def one_column_walk(coins, start):
     amps = np.ascontiguousarray(start_state(len(coins), start).amplitudes.T)[..., None]
     for coin in coins:
         # the growing window cropped to the fixed lattice
-        amps = evolution._coin_and_shift(coin.reshape(4).tolist(), amps)[..., 1:-1, :]
+        amps = grown_step(coin.reshape(4).tolist(), amps)[..., 1:-1, :]
         yield amps[..., 0].T
 
 
@@ -126,7 +126,7 @@ def test_origin_walk_does_not_depend_on_the_batch(monkeypatch, steps, theta, con
         assert (revival[k], complete[k]) == _verdict(alone)
         assert residuals[k] == scan_residuals(monkeypatch, steps, theta, convention, [point])[0]
         # a start column leaves the basis blocks as they were, and walks as a walk of its own
-        walked = list(evolution._origin_walk(coins, start.as_array()[:, None]))
+        walked = origin_walk(coins, start.as_array()[:, None])
         assert len(walked) == steps + 1
         assert np.array_equal(evolution._blocks(walked[-1][..., :2]), blocks[k : k + 1])
         for k, (amps, expected) in enumerate(zip(walked[1:], one_column_walk(coins, start), strict=True), 1):
@@ -428,9 +428,9 @@ def test_scan_verdicts_equal_single_walk_verdicts(monkeypatch, steps, theta, con
     # schedule's own walk bit for bit, the walk classify judges, so every verdict is classify's
     walks = []
 
-    def recording(coins):
+    def recording(coins, ring):
         walks.append(origin_blocks(coins))
-        return evolution._origin_walk(coins)
+        return evolution._origin_walk(coins, ring)
 
     monkeypatch.setattr(search, "_origin_walk", recording)
     config = SearchConfig(step_counts=(steps,), theta_values=(theta,), convention=convention)
@@ -490,7 +490,8 @@ def test_scan_equals_the_certified_revival_set(steps, theta_quarters, convention
 @pytest.mark.parametrize("theta_quarters", [0, 1, 2, 3])
 def test_scan_follows_the_revival_law(theta_quarters, convention):
     # the candidate set and its completeness flags, not the residual digits; from
-    # T = 64 on, whole rows of 65 to 301 family points, two to five chunks of SCAN_CHUNK
+    # T = 96 on, whole rows of 97 to 301 family points, two to ten chunks of
+    # SCAN_CHUNK_SITES // (2T + 1) points
     one_based = convention is StepConvention.ONE_BASED
     for steps in [*range(2, 49, 2), 64, 96, 128, 200]:
         config = SearchConfig(
@@ -546,19 +547,22 @@ def test_a_row_past_the_site_step_bound_is_refused_on_any_host(monkeypatch):
 
 
 def test_scan_row_memory_is_bounded_by_the_two_start_walk():
-    # the row walks its family SCAN_CHUNK points at a time and keeps no chunk's arrays
-    # into the next walk, so a whole T = 200 row (301 points, five chunks) peaks near a
-    # narrow scan of the same row whose range holds one chunk, and below one chunk's
-    # two-start (T, 2 SCAN_CHUNK, 2, 2) coin stack plus three of its amplitude arrays
-    # (2, 2T + 1, 2 SCAN_CHUNK): the current ones, the next step's and its product temporaries
+    # the row walks its family a chunk of SCAN_CHUNK_SITES // (2T + 1) points at a time and
+    # keeps no chunk's arrays into the next walk, so a whole T = 200 row (301 points, ten
+    # chunks of 31) peaks near a narrow scan of the same row whose range holds one chunk, and
+    # below what one chunk's walk holds: its two-slot ring of amplitude arrays (2, 2T + 1,
+    # 2 chunk), a product temporary and the (T, chunk, 2, 2) coin stack, each half of one,
+    # and the (T, 4, 2 chunk) unpacked entries
     steps, theta = 200, math.pi / 4
-    amplitudes = 2 * (2 * steps + 1) * 2 * search.SCAN_CHUNK * 16
-    coin_stack = steps * 2 * search.SCAN_CHUNK * 4 * 16
+    chunk = search.SCAN_CHUNK_SITES // (2 * steps + 1)
+    amplitudes = 2 * (2 * steps + 1) * 2 * chunk * 16
+    coin_stack = steps * chunk * 4 * 16
+    entries = steps * 4 * 2 * chunk * 16
     row = SearchConfig(step_counts=(steps,), theta_values=(theta,))
     family = search._family(steps, row.convention, *row.omega_grid)
-    lo, hi = family[100], family[100 + search.SCAN_CHUNK - 1]
+    lo, hi = family[100], family[100 + chunk - 1]
     narrow = SearchConfig(step_counts=(steps,), theta_values=(theta,), omega_grid=(math.pi * lo, math.pi * hi))
-    assert len(family) == 301 and len(search._family(steps, narrow.convention, *narrow.omega_grid)) == 64
+    assert len(family) == 301 and chunk == 31 and len(search._family(steps, narrow.convention, *narrow.omega_grid)) == 31
     scan(SearchConfig(step_counts=(4,), theta_values=(theta,)))  # imports and caches outside the measurement
     peaks = []
     for config in (row, narrow):
@@ -571,4 +575,4 @@ def test_scan_row_memory_is_bounded_by_the_two_start_walk():
         assert found
         peaks.append(peak)
     assert peaks[0] <= 1.25 * peaks[1]
-    assert peaks[0] < 3 * amplitudes + coin_stack
+    assert peaks[0] < 2 * amplitudes + amplitudes // 2 + coin_stack + entries

@@ -13,11 +13,45 @@ def walk(schedule):
     return report.distributions, report.final
 
 
+def ring(coins, starts=np.zeros((2, 0)), slots=2):
+    """A zeroed ring of `slots` for `evolution._origin_walk(coins, ring, starts)`: (S, 2, 2T + 1, 2G + K)."""
+    count = coins.shape[1] if coins.ndim == 4 else 1
+    return np.zeros((slots, 2, 2 * len(coins) + 1, 2 * count + starts.shape[1]), dtype=np.complex128)
+
+
+def origin_walk(coins, starts=np.zeros((2, 0)), slots=2):
+    """Every amplitude array `evolution._origin_walk` yields, the start first, each copied out of its ring."""
+    return [amps.copy() for amps in evolution._origin_walk(coins, ring(coins, starts, slots), starts)]
+
+
 def origin_blocks(coins):
-    """The blocks (G, 2T + 1, 2, 2) of `evolution._origin_walk(coins)` after its last step."""
-    for amps in evolution._origin_walk(coins):
+    """The blocks (G, 2T + 1, 2, 2) of `evolution._origin_walk(coins, ring)` after its last step."""
+    for amps in evolution._origin_walk(coins, ring(coins)):
         pass
     return evolution._blocks(amps)
+
+
+def grown_step(entries, amps):
+    """`evolution._coin_and_shift` into a fresh zeroed window one site wider each way: (..., 2, m + 2, G)."""
+    out = np.zeros((*amps.shape[:-2], amps.shape[-2] + 2, amps.shape[-1]), dtype=np.complex128)
+    evolution._coin_and_shift(entries, amps, out)
+    return out
+
+
+def fresh_step(entries, amps):
+    """A frozen copy of the growing-window step that allocated its own zeroed output, (..., 2, m + 2, G).
+
+    The ring walk must yield its windows bit for bit, signed zeros included.
+    """
+    c00, c01, c10, c11 = entries
+    plus, minus = amps[..., 0, :, :], amps[..., 1, :, :]
+    out = np.zeros((*amps.shape[:-2], amps.shape[-2] + 2, amps.shape[-1]), dtype=np.complex128)
+    up, down = out[..., 0, 2:, :], out[..., 1, :-2, :]
+    np.multiply(c00, plus, out=up)
+    up += c01 * minus
+    np.multiply(c10, plus, out=down)
+    down += c11 * minus
+    return out
 
 
 def start_state(steps, coin=CoinVector.symmetric()):
