@@ -188,10 +188,12 @@ def _classify_each(schedule: WalkSchedule, visibilities: Sequence[float]) -> Ite
     # memory fails here, before the coin stack is built or the noiseless walk steps
     probs = np.zeros((schedule.steps + 1, lattice.size))
     coins = schedule.coins()
+    # basis coin 1 walks as a start column, not as the mirror of basis coin 0, so the blocks keep their signed zeros
+    basis1 = np.eye(2)[:, 1:]
     if 1.0 in visibilities:
         # each slot holds its step on the sites -T..T, zero off the light cone, so a row is a whole slot
         ring = np.zeros((ROW_BLOCK, 2, 2 * schedule.steps + 1, 3), dtype=np.complex128)
-        for t, amps in enumerate(_origin_walk(coins, ring, initial_coin.as_array()[:, None])):
+        for t, amps in enumerate(_origin_walk(coins, ring, np.hstack((basis1, initial_coin.as_array()[:, None])))):
             slot = t % ROW_BLOCK
             if slot == ROW_BLOCK - 1 or t == schedule.steps:
                 block = np.abs(ring[: slot + 1, :, :, 2])
@@ -201,9 +203,9 @@ def _classify_each(schedule: WalkSchedule, visibilities: Sequence[float]) -> Ite
         amplitudes[2:-2] = amps[:, :, 2].T
         pure = PositionDistribution(lattice, probs), WalkerCoinPureState(lattice, amplitudes)
     else:
-        for amps in _origin_walk(coins, np.zeros((2, 2, 2 * schedule.steps + 1, 2), dtype=np.complex128)):
+        for amps in _origin_walk(coins, np.zeros((2, 2, 2 * schedule.steps + 1, 2), dtype=np.complex128), basis1):
             pass
-    blocks = _blocks(amps[:, :, :2])[0]
+    blocks = _blocks(amps[:, :, :2].transpose(2, 0, 1)[..., None])[0]
     effective = blocks[schedule.steps].copy() if schedule.steps % 2 == 0 else None
     revival, complete = _verdict(blocks)
     predicted_coin = None

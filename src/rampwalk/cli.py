@@ -16,7 +16,6 @@ import io
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -119,27 +118,30 @@ def cmd_search(config: SearchConfig, json_out: str | None = "-") -> int:
     """Scan for revivals and emit the candidate list as JSON."""
     candidates = scan(config)
     lo, hi = config.omega_grid
+    # each theta is rationalised once, and its candidates share the fraction
+    thetas = {theta: _angle_doc(theta) for theta in config.theta_values}
     doc = {
         "config": {
             "step_counts": list(config.step_counts),
-            "theta": [_angle_doc(theta) for theta in config.theta_values],
+            "theta": list(thetas.values()),
             "omega_grid": {"min": float(lo), "max": float(hi)},
             "convention": config.convention.value,
         },
-        "candidates": [_candidate_doc(candidate) for candidate in candidates],
+        "candidates": [_candidate_doc(candidate, thetas[candidate.theta]["of_pi"]) for candidate in candidates],
     }
     _write_text(json_out, _dump_json(doc))
     return 0
 
 
-def _candidate_doc(candidate: RevivalCandidate) -> dict:
-    theta_frac = angle_fraction(candidate.theta)
+def _candidate_doc(candidate: RevivalCandidate, theta_pi: str | None) -> dict:
+    """The candidate's JSON object; ``theta_pi`` is its theta's ``of_pi`` text."""
+    k, m = candidate.omega_rational  # reduced, so this is str(Fraction(k, m))
     return {
         "steps": int(candidate.steps),
         "theta": float(candidate.theta),
-        "theta_pi": str(theta_frac) if theta_frac is not None else None,
+        "theta_pi": theta_pi,
         "omega": float(candidate.omega),
-        "omega_pi": str(Fraction(*candidate.omega_rational)),
+        "omega_pi": f"{k}/{m}" if m != 1 else str(k),
         "complete": bool(candidate.complete),
         "residual": float(candidate.residual),
     }
@@ -186,10 +188,20 @@ def cmd_noise_sweep(
 
     The rows come from one coin stack and one noiseless walk, and each
     report is reduced to its row before the next visibility is walked.
+    The calibration to ``target_p0`` runs first, so an impossible target
+    is refused before any row is walked; the keys are sorted on output.
     """
     for visibility in visibilities:  # a visibility outside [0, 1] fails here, before any walk
         schedule.with_visibility(visibility)
-    rows = [
+    doc = _schedule_doc(schedule)
+    if target_p0 is not None:
+        visibility, achieved = bisect_visibility(schedule, target_p0)
+        doc["calibration"] = {
+            "target_origin_probability": float(target_p0),
+            "visibility": float(visibility),
+            "origin_probability": float(achieved),
+        }
+    doc["rows"] = [
         {
             "visibility": float(visibility),
             "origin_probability": float(report.origin_probability),
@@ -198,14 +210,6 @@ def cmd_noise_sweep(
         }
         for visibility, report in zip(visibilities, _classify_each(schedule, visibilities))
     ]
-    doc = {**_schedule_doc(schedule), "rows": rows}
-    if target_p0 is not None:
-        visibility, achieved = bisect_visibility(schedule, target_p0)
-        doc["calibration"] = {
-            "target_origin_probability": float(target_p0),
-            "visibility": float(visibility),
-            "origin_probability": float(achieved),
-        }
     _write_text(json_out, _dump_json(doc))
     return 0
 

@@ -142,28 +142,30 @@ def _coin_and_shift(entries: Sequence, amps: NDArray[np.complex128], out: NDArra
 def _origin_walk(
     coins: NDArray[np.complex128], ring: NDArray[np.complex128], starts: NDArray[np.complex128] = np.zeros((2, 0))
 ) -> Iterator[NDArray[np.complex128]]:
-    """The amplitudes of G walks from the origin, each from both basis coins, stepped into ``ring``.
+    """The amplitudes of G walks from the origin, each from basis coin 0, stepped into ``ring``.
 
-    ``coins`` is a (T, 2, 2) stack for one walk (G = 1), or a (T, G, 2,
-    2) stack with one coin per walk; its entries are unpacked once, as
-    Python complex numbers or a (T, 4, 2G) array for both starts, and the
-    stack is dropped. ``ring`` is a zeroed (S, 2, 2T + 1, 2G + K) array of
-    S >= 2 slots on the sites -T..T: step t (the start is step 0) writes
-    slot ``t % S`` on its light cone, the window [T - t, T + t + 1), and
-    yields that view, valid until the ring wraps, S - 1 steps later. A
-    slot's window only grows, so what a step leaves unwritten is still the
-    ring's zeros. Column ``jG + g`` walks g from basis coin j, and K start
-    columns ``starts`` (2, K), which need one walk's stack, follow them.
+    ``coins`` is a (T, 2, 2) stack for one walk (G = 1), whose entries
+    are unpacked once as Python complex numbers and the stack dropped, or
+    a (T, G, 2, 2) stack with one coin per walk, read as a (T, 4, G) view.
+    ``ring`` is a zeroed (S, 2, 2T + 1, G + K) array of S >= 2 slots on
+    the sites -T..T: step t (the start is step 0) writes slot ``t % S`` on
+    its light cone, the window [T - t, T + t + 1), and yields that view,
+    valid until the ring wraps, S - 1 steps later. A slot's window only
+    grows, so what a step leaves unwritten is still the ring's zeros.
+    Column g walks g from basis coin 0, and K start columns ``starts``
+    (2, K), which need one walk's stack, follow them. The walks from basis
+    coin 1 are a start column, or the mirror of columns 0..G-1 (see
+    :func:`_blocks`).
     """
     steps, count = coins.shape[0], coins.shape[1] if coins.ndim == 4 else 1
     if coins.ndim == 3:
         entries = coins.reshape(steps, 4).tolist()
     else:
-        entries = np.concatenate((coins, coins), axis=1).reshape(steps, 2 * count, 4).transpose(0, 2, 1)
+        entries = coins.reshape(steps, count, 4).transpose(0, 2, 1)
     del coins
     amps = ring[0, :, steps : steps + 1]
-    amps[0, 0, :count] = amps[1, 0, count : 2 * count] = 1.0
-    amps[:, 0, 2 * count :] = starts
+    amps[0, 0, :count] = 1.0
+    amps[:, 0, count:] = starts
     yield amps
     for t, step in enumerate(entries, start=1):
         amps, previous = ring[t % len(ring), :, steps - t : steps + t + 1], amps
@@ -171,14 +173,28 @@ def _origin_walk(
         yield amps
 
 
-def _blocks(amps: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """The blocks ``W_T[d]`` (G, 2T + 1, 2, 2) of basis columns (2, 2T + 1, 2G) after T steps.
+def _blocks(walks: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """The blocks ``W_T[d]`` (G, 2T + 1, 2, 2) of G walks (2, 2, 2T + 1, G) after T steps, a view.
 
-    ``[g, d + T, i, j]`` maps coin j at any site x to coin i at x + d in
-    walk g, for d in [-T, T]. A walk is a revival when every block but
-    ``W_T[0]``, then its effective coin, vanishes; zero steps give the identity.
+    ``walks[j]`` holds the amplitudes (2, 2T + 1, G) of the G walks from
+    basis coin j. ``[g, d + T, i, j]`` of the blocks maps coin j at any
+    site x to coin i at x + d in walk g, for d in [-T, T]. A walk is a
+    revival when every block but ``W_T[0]``, then its effective coin,
+    vanishes; zero steps give the identity.
+
+    Every coin has the form ``[[a, b], [-b*, a*]]``, and
+    :func:`coins.coin_at_step` writes ``c11 == conj(c00)`` and ``c10 ==
+    -conj(c01)`` bit for bit. So the walk from basis coin 1 is the mirror
+    of the walk from basis coin 0, ``e1[0, x] = -conj(e0[1, -x])`` and
+    ``e1[1, x] = conj(e0[0, -x])``, that is ``W_T[d] = sigma_y
+    conj(W_T[-d]) sigma_y``. The rule is exact in every value: conjugation
+    passes exactly through complex products, and each mirrored step adds
+    the same two products in swapped order, which IEEE addition does not
+    change. Only the signs of zeros can differ. In code: ``m = e0[::-1,
+    ::-1].conj(); m[0] *= -1``. The scan reads its walks from basis coin 1
+    so; ``classify`` walks its own, which keeps its signed zeros.
     """
-    return amps.reshape(2, amps.shape[1], 2, amps.shape[2] // 2).transpose(3, 1, 0, 2)
+    return walks.transpose(3, 2, 1, 0)
 
 
 def _class_steps(

@@ -2,10 +2,11 @@
 
 For each (steps, theta) pair the scan walks only the row's exact
 rational family (see ``_family``), where every revival sits: each point
-from the two basis coins at the origin, ``SCAN_CHUNK_SITES // (2T + 1)``
-points a batch in a two-slot ring, for its propagator blocks, judged a
-batch per ``analysis._verdict`` call by ``classify``'s rule at a tolerance
-from T; the residual is read from ``W_T[0] c``, a walk from coin c at the origin.
+from basis coin 0 at the origin, ``SCAN_CHUNK_SITES // (2T + 1)`` points a
+batch in a two-slot ring, whose exact mirror is the walk from basis coin 1
+(see ``evolution._blocks``), for its propagator blocks, judged a batch per
+``analysis._verdict`` call by ``classify``'s rule at a tolerance from T;
+the residual is read from ``W_T[0] c``, a walk from coin c at the origin.
 """
 
 from __future__ import annotations
@@ -120,18 +121,22 @@ def parse_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-def _family(steps: int, convention: StepConvention, lo: float, hi: float) -> list[Fraction]:
-    """Sorted fractions p/q = omega / pi of the row's revival family whose ``pi * p / q`` lies in [lo, hi].
+def _family(steps: int, convention: StepConvention, lo: float, hi: float) -> list[tuple[int, int]]:
+    """Reduced pairs (k, m), omega / pi = k / m, of the row's revival family whose ``pi * k / m`` lies in [lo, hi].
 
-    Every revival found so far has q | T or q | 2(T + 2) one-based and
-    q | 2T zero-based, so the family is k/m for those m, tried at the k of
-    :func:`_numerators`. For theta / pi in Z/4 it is the row's whole
-    revival set at T <= 32, as the integer certificate in ``tests/exact.py``
-    proves, and tier-1 pins the scan to the law ``tests/exact.revival_law``
-    for even T up to 48; any other theta still gets a verdict on it.
+    Sorted by the float k / m: pairs k/m and k'/m' that differ differ by
+    at least 1 / (m m'), far above the float spacing at any T a row may
+    have under ``MAX_ROW_SITE_STEPS``. Every revival found so far has
+    m | T or m | 2(T + 2) one-based and m | 2T zero-based, so the family
+    is k/m for those m, tried at the k of :func:`_numerators`. For
+    theta / pi in Z/4 it is the row's whole revival set at T <= 32, as the
+    integer certificate in ``tests/exact.py`` proves, and tier-1 pins the
+    scan to the law ``tests/exact.revival_law`` for even T up to 48; any
+    other theta still gets a verdict on it.
     """
-    points = {Fraction(k, m) for m, ks in _numerators(steps, convention, lo, hi) for k in ks}
-    return sorted(p for p in points if lo <= math.pi * p.numerator / p.denominator <= hi)
+    numerators = _numerators(steps, convention, lo, hi)
+    points = {(k // math.gcd(k, m), m // math.gcd(k, m)) for m, ks in numerators for k in ks}
+    return sorted((p for p in points if lo <= math.pi * p[0] / p[1] <= hi), key=lambda p: p[0] / p[1])
 
 
 def _numerators(steps: int, convention: StepConvention, lo: float, hi: float) -> list[tuple[int, range]]:
@@ -147,31 +152,36 @@ def _scan_row(config: SearchConfig, steps: int, theta: float) -> list[RevivalCan
     if count * steps**2 > MAX_ROW_SITE_STEPS:  # worked out from the input alone, so refused on any host
         raise ValueError(f"a scan row at T = {steps} holds {count} family points, past {MAX_ROW_SITE_STEPS:.0e}"
                          " site steps at T^2 each; narrow the omega range")
-    # one chunk's walk, allocated first: a two-slot ring (2, 2, 2T + 1, 2 points), a product temporary or the
-    # coin stack, each half a slot, and the (T, 4, 2 points) entries, under one; too large fails before _family
+    # one chunk's walk, allocated first: its two-slot ring (2, 2, 2T + 1, points), the (T, points, 2, 2) coin
+    # stack, half the ring, and a product temporary, a quarter; too large fails before _family
     chunk = max(1, SCAN_CHUNK_SITES // (2 * steps + 1))
-    np.empty((7, 2 * steps + 1, 2 * min(chunk, count)), dtype=np.complex128)
+    np.empty((7, 2 * steps + 1, min(chunk, count)), dtype=np.complex128)
     family = _family(steps, config.convention, lo, hi)
     t = config.convention.step_indices(steps)
     found = []
     for first in range(0, len(family), chunk):
         points = family[first : first + chunk]
-        omegas = np.array([math.pi * p.numerator / p.denominator for p in points])
-        ring = np.zeros((2, 2, 2 * steps + 1, 2 * len(points)), dtype=np.complex128)
+        omegas = np.array([math.pi * k / m for k, m in points])
+        ring = np.zeros((2, 2, 2 * steps + 1, len(points)), dtype=np.complex128)
         for amps in _origin_walk(coin_at_step(theta, omegas, t[:, None], config.convention), ring):
             pass
-        blocks = _blocks(amps)
+        # step T, the walks from basis coin 0, ends in slot T % 2; the other slot takes the walks from basis
+        # coin 1, their exact mirror (see _blocks)
+        basis = ring if steps % 2 == 0 else ring[::-1]
+        np.conjugate(amps[::-1, ::-1], out=basis[1])
+        basis[1, 0] *= -1
+        blocks = _blocks(basis)
         # a walk from coin c ends at the origin as W_T[0] c
         origin = blocks[:, steps] @ CoinVector.symmetric().as_array()
         residuals = 1.0 - (np.abs(origin[:, 0]) ** 2 + np.abs(origin[:, 1]) ** 2)
         revivals, completes = _verdict(blocks)
         rows = zip(points, omegas.tolist(), revivals.tolist(), completes.tolist(), residuals.tolist())
         found += [
-            RevivalCandidate(steps, theta, omega, point.as_integer_ratio(), complete, residual)
+            RevivalCandidate(steps, theta, omega, point, complete, residual)
             for point, omega, revival, complete, residual in rows
             if revival
         ]
-        del ring, amps, blocks  # so the next chunk's walk holds none of this one's arrays
+        del ring, amps, basis, blocks  # so the next chunk's walk holds none of this one's arrays
     return found
 
 

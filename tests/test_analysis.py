@@ -26,7 +26,7 @@ from rampwalk.states import (
 
 import exact
 import oracles
-from walks import distribution, origin_blocks, origin_walk, same_bits, start_state, walk
+from walks import BASIS_1, distribution, origin_blocks, origin_walk, same_bits, start_state, walk
 
 angle = st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False)
 
@@ -540,7 +540,7 @@ def test_classify_rows_and_final_state_are_the_per_step_formula_bit_for_bit():
     schedules += [WalkSchedule(0.3, 0.2, steps, convention) for steps in boundaries for convention in StepConvention]
     for sched in schedules:
         report = classify(sched)
-        walked = origin_walk(sched.coins(), CoinVector.symmetric().as_array()[:, None])
+        walked = origin_walk(sched.coins(), np.hstack((BASIS_1, CoinVector.symmetric().as_array()[:, None])))
         # step t's 2t + 1 sites -t..t, padded to the 2T + 5 sites of the lattice
         pads = [sched.steps - t + 2 for t in range(sched.steps + 1)]
         rows = [np.pad(np.abs(a[0, :, 2]) ** 2 + np.abs(a[1, :, 2]) ** 2, pad) for a, pad in zip(walked, pads)]

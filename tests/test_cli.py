@@ -393,6 +393,28 @@ def test_noise_sweep_usage_error():
     assert f"(2, 2, 5000002, 5000002, {evolution.PROBES_PER_WALK})" in result.stderr
 
 
+def test_noise_sweep_refuses_an_impossible_target_before_any_row_walk(monkeypatch, capsys):
+    # the calibration runs before the rows, so NaN, a target outside [0, 1] and one that
+    # p0 does not bracket (p0 > 0 at visibility 0 here) exit 2 with no row walked
+    walked = []
+    each = cli._classify_each
+
+    def counting(*args):
+        for report in each(*args):
+            walked.append(report)
+            yield report
+
+    monkeypatch.setattr(cli, "_classify_each", counting)
+    argv = ["noise-sweep", "--theta", "0", "--omega", "1/8", "--steps", "200", "--visibilities", "0.9,0.5"]
+    for target in ("nan", "1.5", "0"):
+        assert cli.main([*argv, "--target-p0", target]) == 2
+        assert capsys.readouterr().err.startswith("rampwalk: error: target")
+    assert walked == []
+    # a possible target walks its rows after the calibration
+    assert cli.main([*argv[:6], "8", "--visibilities", "1,0.9", "--target-p0", "0.918"]) == 0
+    assert len(walked) == 2 and '"calibration"' in capsys.readouterr().out
+
+
 def test_noise_sweep_of_no_visibilities_writes_no_rows(tmp_path):
     out = tmp_path / "noise.json"
     result = run_cli(

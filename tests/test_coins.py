@@ -9,6 +9,7 @@ from rampwalk.coins import (
     coin_at_step,
     ry,
 )
+from rampwalk import coins as coin_module
 from rampwalk.evolution import WalkSchedule
 
 from oracles import coin_matrix
@@ -158,3 +159,28 @@ def test_coin_stack_shape_and_validation():
     with pytest.raises(ValueError) as info:
         coin_at_step(1e308, 0.1, 1)
     assert str(info.value) == "rotation angle must be finite, got 1e+308"
+
+
+def assert_mirror_form(stack):
+    """``c11 == conj(c00)`` and ``c10 == -conj(c01)`` in every bit, signed zeros included, for each coin of a stack."""
+    c00, c01, c10, c11 = (np.ascontiguousarray(stack[..., i, j]) for i in (0, 1) for j in (0, 1))
+    assert_bitwise_equal(c11, np.conj(c00))
+    assert_bitwise_equal(c10, -np.conj(c01))
+
+
+@pytest.mark.parametrize("convention", list(StepConvention))
+@pytest.mark.parametrize("theta", [0.0, math.pi / 4, *np.random.default_rng(11).uniform(-2.0 * math.pi, 2.0 * math.pi, 3)])
+def test_coin_stacks_have_the_exact_form_the_scan_mirror_needs(theta, convention):
+    # the scan reads the walk from basis coin 1 as the mirror of the walk from basis
+    # coin 0, which is exact only if every coin is [[a, b], [-b*, a*]] in every bit
+    rng = np.random.default_rng(13)
+    first = convention.first_step
+    steps = np.arange(first, first + 200)
+    rates = np.concatenate(([0.0, math.pi / 8, math.pi / 4, math.pi / 2], rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 60)))
+    assert_mirror_form(coin_at_step(theta, rates[5], steps, convention))
+    assert_mirror_form(coin_at_step(theta, rates, 17, convention))
+    assert_mirror_form(coin_at_step(theta, rates, steps[:, None], convention))
+    # omega * t up to the largest angle whose double is finite: sin and cos of huge arguments
+    huge = coin_module._MAX_HALF_ANGLE * np.array([1.0, 1.0 - 2**-52, 0.5, 1e-3, -1.0])
+    assert_mirror_form(coin_at_step(theta, huge, max(first, 1), convention))
+    assert_mirror_form(coin_at_step(theta, huge[0] / 8.0, np.array([max(first, 1), 3, 8]), convention))

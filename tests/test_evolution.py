@@ -668,22 +668,23 @@ def test_coin_and_shift_matches_the_per_walk_oracle():
 def test_origin_walk_steps_the_light_cone_of_the_full_lattice_walk(steps, convention):
     # step k yields the 2k + 1 sites -k..k; zero-padded to the 2T + 3 sites of the
     # fixed lattice they are the frozen full-lattice walk bit for bit, signed zeros
-    # included, for one walk with a start column and for a stack of walks
+    # included, for one walk with start columns (basis coin 1 and another coin, as
+    # classify walks them) and for a stack of walks from basis coin 0
     t = convention.step_indices(steps)
     one = WalkSchedule(0.37, math.pi / 7, steps, convention).coins()
     stack = coin_at_step(math.pi / 4, np.array([0.0, math.pi / 7, 1.3]), t[:, None], convention)
-    start = CoinVector(0.6, -0.8j).as_array()[:, None]
+    start = np.hstack((walks.BASIS_1, CoinVector(0.6, -0.8j).as_array()[:, None]))
     for coins, starts in ((one, start), (stack, np.zeros((2, 0)))):
         count = coins.shape[1] if coins.ndim == 4 else 1
-        full = np.zeros((2, 2 * steps + 3, 2 * count + starts.shape[1]), dtype=np.complex128)
-        full[0, steps + 1, :count] = full[1, steps + 1, count : 2 * count] = 1.0
-        full[:, steps + 1, 2 * count :] = starts
+        full = np.zeros((2, 2 * steps + 3, count + starts.shape[1]), dtype=np.complex128)
+        full[0, steps + 1, :count] = 1.0
+        full[:, steps + 1, count:] = starts
         walked = origin_walk(coins, starts)
         assert len(walked) == steps + 1
         for k, amps in enumerate(walked):
             if k:
                 coin = coins[k - 1]
-                entries = coin.reshape(4).tolist() if coins.ndim == 3 else np.concatenate((coin, coin)).reshape(-1, 4).T
+                entries = coin.reshape(4).tolist() if coins.ndim == 3 else coin.reshape(-1, 4).T
                 full = full_lattice_step(entries, full)
             assert amps.shape == (2, 2 * k + 1, full.shape[2])
             padded = np.zeros_like(full)
@@ -699,7 +700,7 @@ def test_origin_walk_wraps_its_ring_without_zeroing_it(convention):
     # yielded view keeps its bits for S - 1 more steps; classify's one-coin walk with a
     # start column wraps its ROW_BLOCK slots about three times, a scan stack its two slots
     block = analysis.ROW_BLOCK
-    start = CoinVector(0.6, -0.8j).as_array()[:, None]
+    start = np.hstack((walks.BASIS_1, CoinVector(0.6, -0.8j).as_array()[:, None]))
     cases = [(WalkSchedule(0.37, math.pi / 7, steps, convention).coins(), start, block)
              for steps in (3 * block - 1, 3 * block, 3 * block + 1)]
     t = convention.step_indices(3 * block + 1)
@@ -709,13 +710,13 @@ def test_origin_walk_wraps_its_ring_without_zeroing_it(convention):
         steps, count = len(coins), coins.shape[1] if coins.ndim == 4 else 1
         ring = walks.ring(coins, starts, slots)
         expected = np.zeros((2, 1, ring.shape[3]), dtype=np.complex128)
-        expected[0, 0, :count] = expected[1, 0, count : 2 * count] = 1.0
-        expected[:, 0, 2 * count :] = starts
+        expected[0, 0, :count] = 1.0
+        expected[:, 0, count:] = starts
         kept = []  # (view, copy) of the steps whose slots have not been written since
         for k, amps in enumerate(evolution._origin_walk(coins, ring, starts)):
             if k:
                 coin = coins[k - 1]
-                entries = coin.reshape(4).tolist() if coins.ndim == 3 else np.concatenate((coin, coin)).reshape(-1, 4).T
+                entries = coin.reshape(4).tolist() if coins.ndim == 3 else coin.reshape(-1, 4).T
                 expected = fresh_step(entries, expected)
             assert np.shares_memory(amps, ring[k % slots])
             assert same_bits(amps, ring[k % slots, :, steps - k : steps + k + 1])
@@ -728,6 +729,27 @@ def test_origin_walk_wraps_its_ring_without_zeroing_it(convention):
                 off[max(steps - latest, 0) : max(steps + latest + 1, 0)] = False
                 assert same_bits(ring[slot][:, off], np.zeros((2, off.sum(), ring.shape[3]), dtype=np.complex128))
         assert k == steps
+
+
+@pytest.mark.parametrize("convention", list(StepConvention))
+@pytest.mark.parametrize("steps", [0, 1, 7, 64, 200])
+def test_the_mirror_of_a_walk_from_basis_coin_0_is_the_walk_from_basis_coin_1(steps, convention):
+    # at every step the mirror of each walk from basis coin 0 equals, in value (only the signs
+    # of zeros may differ), the walk that carries basis coin 1 as a start column: for one walk,
+    # and for each walk of a (T, G) stack, which the scan walks from basis coin 0 alone
+    t = convention.step_indices(steps)
+    omegas = np.array([0.0, math.pi / 7, math.pi / 4, 1.3, *np.random.default_rng(steps).uniform(-3.0, 3.0, 3)])
+    for theta in (0.0, math.pi / 4, 0.37):
+        walked = origin_walk(WalkSchedule(theta, math.pi / 7, steps, convention).coins(), walks.BASIS_1)
+        assert len(walked) == steps + 1
+        for amps in walked:
+            assert np.array_equal(walks.mirror(amps[..., :1]), amps[..., 1:])
+        stacked = origin_walk(coin_at_step(theta, omegas, t[:, None], convention))
+        for g, omega in enumerate(omegas):
+            alone = origin_walk(coin_at_step(theta, omega, t, convention), walks.BASIS_1)
+            for amps, expected in zip(stacked, alone, strict=True):
+                assert np.array_equal(amps[..., g : g + 1], expected[..., :1])
+                assert np.array_equal(walks.mirror(amps[..., g : g + 1]), expected[..., 1:])
 
 
 @pytest.mark.parametrize("convention", list(StepConvention))

@@ -7,7 +7,7 @@ import pytest
 
 import exact
 import oracles
-from walks import grown_step, origin_blocks, origin_walk, start_state
+from walks import BASIS_1, grown_step, origin_blocks, origin_walk, start_state
 from rampwalk import evolution, search
 from rampwalk.analysis import _verdict
 from rampwalk.coins import StepConvention, coin_at_step
@@ -83,12 +83,13 @@ def test_angle_fraction():
 
 def scan_residuals(monkeypatch, steps, theta, convention, points):
     """The scan row's residual at each of `points`, each taken as a candidate, at any T."""
-    monkeypatch.setattr(search, "_family", lambda *args: points)
+    pairs = [point.as_integer_ratio() for point in points]
+    monkeypatch.setattr(search, "_family", lambda *args: pairs)
     monkeypatch.setattr(
         search, "_verdict", lambda blocks: (np.ones(len(blocks), bool), np.zeros(len(blocks), bool))
     )
     found = search._scan_row(SearchConfig(convention=convention), steps, theta)
-    assert [Fraction(*c.omega_rational) for c in found] == points
+    assert [c.omega_rational for c in found] == pairs
     return [c.residual for c in found]
 
 
@@ -110,8 +111,8 @@ def one_column_walk(coins, start):
 @pytest.mark.parametrize("theta", [0.0, math.pi / 4, 0.37])
 @pytest.mark.parametrize("steps", [2, 8, 16, 24])
 def test_origin_walk_does_not_depend_on_the_batch(monkeypatch, steps, theta, convention, start):
-    # the scan walks all family points of a row, two starts each, as one batch;
-    # classify walks one point from both basis coins and one start column
+    # the scan walks all family points of a row from basis coin 0 as one batch and mirrors
+    # them; classify walks one point from basis coin 0 and two start columns, basis coin 1 and c
     points = [Fraction(k, 32) for k in range(17)] + OFF_FAMILY
     omegas = np.array([math.pi * p.numerator / p.denominator for p in points])
     t = np.array(convention.step_indices(steps))
@@ -126,9 +127,10 @@ def test_origin_walk_does_not_depend_on_the_batch(monkeypatch, steps, theta, con
         assert (revival[k], complete[k]) == _verdict(alone)
         assert residuals[k] == scan_residuals(monkeypatch, steps, theta, convention, [point])[0]
         # a start column leaves the basis blocks as they were, and walks as a walk of its own
-        walked = origin_walk(coins, start.as_array()[:, None])
+        walked = origin_walk(coins, np.hstack((BASIS_1, start.as_array()[:, None])))
         assert len(walked) == steps + 1
-        assert np.array_equal(evolution._blocks(walked[-1][..., :2]), blocks[k : k + 1])
+        basis = np.stack((walked[-1][..., :1], walked[-1][..., 1:2]))
+        assert np.array_equal(evolution._blocks(basis), blocks[k : k + 1])
         for k, (amps, expected) in enumerate(zip(walked[1:], one_column_walk(coins, start), strict=True), 1):
             # step k's 2k + 1 sites are the sites -k..k of Lattice.for_steps(T), and nothing lies outside them
             cone = slice(steps + 2 - k, steps + 3 + k)
@@ -409,7 +411,7 @@ def test_family_explains_every_grid_minimum(steps, theta, convention):
     residuals = _grid_residuals(steps, theta, GRID, one_based)
     family = search._family(steps, convention, 0.0, math.pi / 2)
     found = scan(SearchConfig(step_counts=(steps,), theta_values=(theta,), convention=convention))
-    family_omegas = [math.pi * p.numerator / p.denominator for p in family]
+    family_omegas = [math.pi * k / m for k, m in family]
     candidate_omegas = [c.omega for c in found]
     assert _brackets(residuals, 1e-3, family_omegas).any(axis=1).all()
     assert _brackets(residuals, 1e-9, candidate_omegas).any(axis=1).all()
@@ -424,29 +426,29 @@ def test_family_explains_every_grid_minimum(steps, theta, convention):
 @pytest.mark.parametrize("theta", [0.0, math.pi / 4, math.pi / 8])
 @pytest.mark.parametrize("steps", [8, 16, 24])
 def test_scan_verdicts_equal_single_walk_verdicts(monkeypatch, steps, theta, convention):
-    # the scan judges the blocks of its one batched walk; they are those of each
-    # schedule's own walk bit for bit, the walk classify judges, so every verdict is classify's
-    walks = []
+    # the scan judges the blocks of its one batched walk from basis coin 0 and their mirror;
+    # they equal those of each schedule's own walk from both basis coins, the walk classify
+    # judges, in value (only the signs of zeros may differ), so every verdict is classify's
+    judged = []
 
-    def recording(coins, ring):
-        walks.append(origin_blocks(coins))
-        return evolution._origin_walk(coins, ring)
+    def recording(blocks):
+        judged.append(blocks.copy())
+        return _verdict(blocks)
 
-    monkeypatch.setattr(search, "_origin_walk", recording)
+    monkeypatch.setattr(search, "_verdict", recording)
     config = SearchConfig(step_counts=(steps,), theta_values=(theta,), convention=convention)
     found = scan(config)
     lo, hi = config.omega_grid
     family = search._family(steps, convention, lo, hi)
-    (batched,) = walks
+    (batched,) = judged
     assert len(batched) == len(family)
     revivals = []
-    for point, walked in zip(family, batched):
-        omega = math.pi * point.numerator / point.denominator
-        blocks = origin_blocks(WalkSchedule(theta, omega, steps, convention).coins())[0]
+    for (k, m), walked in zip(family, batched):
+        blocks = origin_blocks(WalkSchedule(theta, math.pi * k / m, steps, convention).coins())[0]
         assert np.array_equal(walked, blocks)
         revival, complete = _verdict(blocks)
         if revival:
-            revivals.append((point.as_integer_ratio(), complete))
+            revivals.append(((k, m), complete))
     assert [(c.omega_rational, c.complete) for c in found] == revivals
     assert all(c.residual <= 1e-14 for c in found)
 
@@ -515,6 +517,23 @@ def test_narrow_scan_at_large_step_count_follows_the_revival_law():
     assert found == law == {Fraction(799, 1600): True, Fraction(1601, 3204): False}
 
 
+@pytest.mark.parametrize("convention", list(StepConvention))
+def test_family_pairs_equal_the_fraction_construction(convention):
+    # the scan's reduced integer pairs (k, m), sorted by k / m, are the family built with
+    # Fractions: k/m for m | T or m | 2(T + 2) one-based, m | 2T zero-based, k in [0, m/2],
+    # kept when pi k / m lies in [lo, hi]; whole rows and random sub-ranges, even T up to 200
+    moduli = (lambda T: (T, 2 * (T + 2))) if convention is StepConvention.ONE_BASED else (lambda T: (2 * T,))
+    rng = np.random.default_rng(17)
+    for steps in range(2, 201, 2):
+        points = {Fraction(k, m) for m in moduli(steps) for k in range(m // 2 + 1)}
+        ranges = [(0.0, math.pi / 2), *(sorted(rng.uniform(0.0, math.pi / 2, 2)) for _ in range(3))]
+        for lo, hi in ranges:
+            family = search._family(steps, convention, lo, hi)
+            expected = sorted(p for p in points if lo <= math.pi * p.numerator / p.denominator <= hi)
+            assert family == [(p.numerator, p.denominator) for p in expected], (steps, lo, hi)
+            assert all(type(k) is int and type(m) is int for k, m in family)
+
+
 def test_scan_row_memory_guard_counts_only_the_numerators_in_range():
     # per modulus m, floor(hi m / pi) - ceil(lo m / pi) + 3 numerators, at most 2T + 4 in all
     for steps in (2, 8, 24, 6400):
@@ -525,7 +544,7 @@ def test_scan_row_memory_guard_counts_only_the_numerators_in_range():
                 family = search._family(steps, convention, lo, hi)
                 points = {Fraction(k, m) for m, _ in ranges for k in range(m // 2 + 1)}
                 every = {p for p in points if lo <= math.pi * p.numerator / p.denominator <= hi}
-                assert family == sorted(every)
+                assert family == [p.as_integer_ratio() for p in sorted(every)]
                 for m, ks in ranges:
                     assert len(ks) <= math.floor(hi * m / math.pi) - math.ceil(lo * m / math.pi) + 3
 
@@ -546,22 +565,24 @@ def test_a_row_past_the_site_step_bound_is_refused_on_any_host(monkeypatch):
         scan(config)
 
 
-def test_scan_row_memory_is_bounded_by_the_two_start_walk():
+def test_scan_row_memory_is_bounded_by_one_chunk_walk():
     # the row walks its family a chunk of SCAN_CHUNK_SITES // (2T + 1) points at a time and
     # keeps no chunk's arrays into the next walk, so a whole T = 200 row (301 points, ten
     # chunks of 31) peaks near a narrow scan of the same row whose range holds one chunk, and
-    # below what one chunk's walk holds: its two-slot ring of amplitude arrays (2, 2T + 1,
-    # 2 chunk), a product temporary and the (T, chunk, 2, 2) coin stack, each half of one,
-    # and the (T, 4, 2 chunk) unpacked entries
+    # below twice one chunk's two-slot ring (2, 2, 2T + 1, chunk) plus its (T, chunk, 2, 2)
+    # coin stack: besides those the walk holds a product temporary and numpy's ufunc buffer,
+    # each a quarter of the ring or less at this size, and the row's Python objects
     steps, theta = 200, math.pi / 4
     chunk = search.SCAN_CHUNK_SITES // (2 * steps + 1)
-    amplitudes = 2 * (2 * steps + 1) * 2 * chunk * 16
+    ring = 2 * 2 * (2 * steps + 1) * chunk * 16
     coin_stack = steps * chunk * 4 * 16
-    entries = steps * 4 * 2 * chunk * 16
+    assert (2 * steps - 1) * chunk * 16 <= ring // 4 and np.getbufsize() * 16 <= ring // 4
     row = SearchConfig(step_counts=(steps,), theta_values=(theta,))
     family = search._family(steps, row.convention, *row.omega_grid)
-    lo, hi = family[100], family[100 + chunk - 1]
-    narrow = SearchConfig(step_counts=(steps,), theta_values=(theta,), omega_grid=(math.pi * lo, math.pi * hi))
+    (k, m), (k_last, m_last) = family[100], family[100 + chunk - 1]
+    narrow = SearchConfig(
+        step_counts=(steps,), theta_values=(theta,), omega_grid=(math.pi * k / m, math.pi * k_last / m_last)
+    )
     assert len(family) == 301 and chunk == 31 and len(search._family(steps, narrow.convention, *narrow.omega_grid)) == 31
     scan(SearchConfig(step_counts=(4,), theta_values=(theta,)))  # imports and caches outside the measurement
     peaks = []
@@ -575,4 +596,4 @@ def test_scan_row_memory_is_bounded_by_the_two_start_walk():
         assert found
         peaks.append(peak)
     assert peaks[0] <= 1.25 * peaks[1]
-    assert peaks[0] < 2 * amplitudes + amplitudes // 2 + coin_stack + entries
+    assert peaks[0] < 2 * ring + coin_stack

@@ -14,9 +14,9 @@ def walk(schedule):
 
 
 def ring(coins, starts=np.zeros((2, 0)), slots=2):
-    """A zeroed ring of `slots` for `evolution._origin_walk(coins, ring, starts)`: (S, 2, 2T + 1, 2G + K)."""
+    """A zeroed ring of `slots` for `evolution._origin_walk(coins, ring, starts)`: (S, 2, 2T + 1, G + K)."""
     count = coins.shape[1] if coins.ndim == 4 else 1
-    return np.zeros((slots, 2, 2 * len(coins) + 1, 2 * count + starts.shape[1]), dtype=np.complex128)
+    return np.zeros((slots, 2, 2 * len(coins) + 1, count + starts.shape[1]), dtype=np.complex128)
 
 
 def origin_walk(coins, starts=np.zeros((2, 0)), slots=2):
@@ -24,11 +24,30 @@ def origin_walk(coins, starts=np.zeros((2, 0)), slots=2):
     return [amps.copy() for amps in evolution._origin_walk(coins, ring(coins, starts, slots), starts)]
 
 
+BASIS_1 = np.eye(2)[:, 1:]  # basis coin 1 as a start column (2, 1)
+
+
+def mirror(amps):
+    """The walks from basis coin 1 that mirror walks `amps` (2, m, G) from basis coin 0, each on the sites -k..k.
+
+    e1[0, x] = -conj(e0[1, -x]) and e1[1, x] = conj(e0[0, -x]).
+    """
+    return np.stack((-np.conj(amps[1, ::-1]), np.conj(amps[0, ::-1])))
+
+
 def origin_blocks(coins):
-    """The blocks (G, 2T + 1, 2, 2) of `evolution._origin_walk(coins, ring)` after its last step."""
+    """The blocks (G, 2T + 1, 2, 2) after the last step of `evolution._origin_walk`, read as its callers read them.
+
+    One walk's (T, 2, 2) stack walks basis coin 1 as a start column, as `classify` does; a (T, G, 2, 2)
+    stack's walks from basis coin 1 are the mirror of its walks from basis coin 0, as the scan reads them.
+    """
+    if coins.ndim == 3:
+        for amps in evolution._origin_walk(coins, ring(coins, BASIS_1), BASIS_1):
+            pass
+        return evolution._blocks(np.stack((amps[..., :1], amps[..., 1:])))
     for amps in evolution._origin_walk(coins, ring(coins)):
         pass
-    return evolution._blocks(amps)
+    return evolution._blocks(np.stack((amps, mirror(amps))))
 
 
 def grown_step(entries, amps):
