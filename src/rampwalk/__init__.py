@@ -18,7 +18,6 @@ from .states import (
     PositionDistribution,
     WalkerCoinDensityMatrix,
     WalkerCoinPureState,
-    coin_overlap,
     reduced_coin_state,
 )
 from .evolution import (
@@ -59,7 +58,6 @@ __all__ = [
     "bisect_visibility",
     "classify",
     "coin_at_step",
-    "coin_overlap",
     "effective_coin_balanced_strings",
     "load_reference_catalog",
     "polya_number",

@@ -37,9 +37,9 @@ exactly one site, so entry rho[(x, i), (y, j)] of parity class
 classes never mix, and the walk from the origin lights only one of
 them, a quarter of its light cone. The dephased walk steps that class
 as one compact block, with a trailing axis for a batch of
-visibilities, and builds the public (2n, 2n) matrix only for the final
-state. Every walk holds only its light cone, which always fits
-``Lattice.for_steps(T)``, so no walk checks its reach.
+visibilities, and its last block is the final state as it is. Every walk
+holds only its light cone, which always fits ``Lattice.for_steps(T)``, so
+no walk checks its reach.
 :func:`_density_walk` returns only the (T + 1, n) stack of
 distributions and the final state of one visibility, so it keeps no
 trajectory; the state after step k is the final state of the k-step
@@ -298,24 +298,21 @@ def _density_walk(
     ``Lattice.for_steps(T)``, building no start. Row k of the stack, the
     walk after k steps (row 0 the start), is the two coin diagonals of
     the k-th block, written at stride 2 on the light cone's sites -k,
-    ..., k, and the final block is scattered into the (2n, 2n) matrix at
-    stride 2, rows and columns alike. The stack and the matrix are
-    allocated before the first step, so a walk too large for memory
-    fails there. Only the returned objects are built and validated.
-    ``analysis.classify`` takes it for each visibility below 1, one walk
-    at a time, and :func:`bisect_visibility` at its chosen visibility,
-    each on the stack it has already built.
+    ..., k, and the final state is the last block, on the sites -T, ...,
+    T. A block of its shape and the stack are allocated before the first
+    step, so a walk too large for memory fails there, and the class walk
+    runs to its end, which frees its temporaries before the final state
+    is validated. ``analysis.classify`` takes it for each visibility
+    below 1, one walk at a time, and :func:`bisect_visibility` at its
+    chosen visibility, each on the stack it has already built.
     """
     lattice = Lattice.for_steps(len(coins))
     n, origin, steps = lattice.size, lattice.index(0), len(coins)
-    matrix = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    np.empty((2, 2, steps + 1, steps + 1), dtype=np.complex128)  # the memory guard
     probs = np.zeros((steps + 1, n))
-    blocks = _class_steps(_origin_block(), coins, [visibility])
-    for k, (row, w) in enumerate(zip(probs, blocks)):
-        row[origin - k : origin + k + 1 : 2] = w[0, 0, :, :, 0].diagonal().real + w[1, 1, :, :, 0].diagonal().real
-    cone = slice(origin - steps, origin + steps + 1, 2)
-    matrix.reshape(n, 2, n, 2)[cone, :, cone, :] = w[..., 0].transpose(2, 0, 3, 1)
-    return PositionDistribution(lattice, probs), WalkerCoinDensityMatrix(lattice, matrix)
+    for k, w in enumerate(_class_steps(_origin_block(), coins, [visibility])):
+        probs[k, origin - k : origin + k + 1 : 2] = w[0, 0, :, :, 0].diagonal().real + w[1, 1, :, :, 0].diagonal().real
+    return PositionDistribution(lattice, probs), WalkerCoinDensityMatrix(lattice, w[..., 0], -steps)
 
 
 def _round_around_root(probes: dict[float, float], target: float, lo: float, hi: float) -> list[float]:

@@ -1,14 +1,15 @@
 """Walker-coin states on a finite integer lattice.
 
 A pure state stores one complex amplitude per (site, coin) pair in an
-array of shape ``(n_sites, 2)``. A density matrix stores the full
-``(2n, 2n)`` operator with flattened index ``2 * site_index + coin``.
-Coin basis ordering is ``[plus, minus]`` throughout.
+array of shape ``(n_sites, 2)``. A density matrix stores the one parity
+class it lights, a ``(2, 2, m, m)`` block, and builds the dense ``(2n, 2n)``
+operator only when asked. Coin basis ordering is ``[plus, minus]`` throughout.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,18 +105,33 @@ class WalkerCoinPureState:
 
 @dataclass(frozen=True)
 class WalkerCoinDensityMatrix:
-    """Mixed state on (site x coin); flattened index is 2 * site_index + coin."""
+    """Mixed state zero off one parity class: ``block[i, j, u, v]`` is rho[(base + 2u, i), (base + 2v, j)].
+
+    Its m sites base, ..., base + 2(m - 1) lie on the lattice; it is checked as one (2m, 2m) matrix.
+    """
 
     lattice: Lattice
-    matrix: NDArray[np.complex128]
+    block: NDArray[np.complex128]
+    base: int
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        object.__setattr__(self, "matrix", m)
-        dim = 2 * self.lattice.size
-        if m.shape != (dim, dim):
-            raise ValueError(f"matrix shape {m.shape} != {(dim, dim)}")
-        _check_density(m, "matrix")
+        block = np.asarray(self.block, dtype=np.complex128)
+        object.__setattr__(self, "block", block)
+        m = block.shape[-1] if block.ndim == 4 else 0
+        if m == 0 or block.shape != (2, 2, m, m):
+            raise ValueError(f"block shape {block.shape} is not (2, 2, m, m) with m >= 1")
+        self.lattice.index(operator.index(self.base))
+        self.lattice.index(self.base + 2 * (m - 1))
+        _check_density(block.transpose(2, 0, 3, 1).reshape(2 * m, 2 * m), "density block")
+
+    @property
+    def matrix(self) -> NDArray[np.complex128]:
+        """The dense (2n, 2n) operator, flattened index ``2 * site_index + coin``, built on each call."""
+        n, m, start = self.lattice.size, self.block.shape[2], self.lattice.index(self.base)
+        sites = slice(start, start + 2 * m - 1, 2)
+        dense = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+        dense.reshape(n, 2, n, 2)[sites, :, sites, :] = self.block.transpose(2, 0, 3, 1)
+        return dense
 
 
 WalkerState = WalkerCoinPureState | WalkerCoinDensityMatrix
@@ -148,52 +164,39 @@ class PositionDistribution:
 
 def reduced_coin_state(state: WalkerState) -> NDArray[np.complex128]:
     """2x2 coin density matrix after tracing out the walker position."""
-    if isinstance(state, WalkerCoinPureState):
-        amps = state.amplitudes
-        rho = amps.T @ amps.conj()
+    if isinstance(state, WalkerCoinDensityMatrix):
+        rho = np.einsum("ijxx->ij", state.block)  # the class block's site diagonal
     else:
-        n = state.lattice.size
-        blocks = state.matrix.reshape(n, 2, n, 2)
-        rho = np.einsum("xixj->ij", blocks)
+        rho = state.amplitudes.T @ state.amplitudes.conj()
     _check_density(rho, "reduced coin state")
     return rho
 
 
-def coin_overlap(rho: NDArray[np.complex128], psi: CoinVector) -> float:
-    """Expectation <psi| rho |psi> of a 2x2 coin density matrix, which it checks first."""
-    rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 coin density matrix, got shape {rho.shape}")
-    _check_density(rho, "coin overlap input")
-    return _overlap(rho, psi)
-
-
 def _overlap(rho: NDArray[np.complex128], psi: CoinVector) -> float:
-    """:func:`coin_overlap` without its check, for a rho ``reduced_coin_state`` has checked."""
+    """Expectation <psi| rho |psi> of a 2x2 coin density matrix ``reduced_coin_state`` has checked."""
     vec = psi.as_array()
     return float(np.real(vec.conj() @ rho @ vec))
 
 
 def _check_density(rho: NDArray[np.complex128], label: str) -> None:
-    # rho and rho^dagger both vanish off the rows and columns where rho holds a
-    # non-zero entry, so every check decides on that support block alone.
-    # H is PSD down to -PSD_TOL when H + PSD_TOL * I has a Cholesky factor, up to
-    # rounding of order n * eps; eigvalsh, about 3x the cost, runs only to decide
-    # and name the eigenvalue when the factorisation fails
-    support = np.flatnonzero(rho.any(axis=0) | rho.any(axis=1))
-    if support.size < len(rho):
-        rho = rho[np.ix_(support, support)]
-    dagger = rho.conj().T
-    herm = float(np.max(np.abs(rho - dagger), initial=0.0))
+    # A class block or a 2x2 coin state: its own support but for a few zero rows. One temporary
+    # holds rho - rho^dagger, then H = (rho + rho^dagger) / 2 plus PSD_TOL * I, PSD down to
+    # -PSD_TOL when it has a Cholesky factor, up to rounding of order n * eps; eigvalsh,
+    # about 3x the cost, runs only to decide and name the eigenvalue when that fails
+    buf = np.conjugate(rho.T, order="C")
+    np.subtract(rho, buf, out=buf)
+    herm = float(np.max(np.abs(buf), initial=0.0))
     if not herm <= DENSITY_TOL:
         raise ValueError(f"{label} not Hermitian (defect {herm:.3e})")
     trace = complex(np.trace(rho))
     if not abs(trace - 1.0) <= DENSITY_TOL:
         raise ValueError(f"{label} trace deviates from 1 by {abs(trace - 1.0):.3e}")
-    herm_part = 0.5 * (rho + dagger)
+    np.add(rho, np.conjugate(rho.T, out=buf), out=buf)
+    buf *= 0.5
+    buf.flat[:: len(buf) + 1] += PSD_TOL
     try:
-        np.linalg.cholesky(herm_part + PSD_TOL * np.eye(len(herm_part)))
+        np.linalg.cholesky(buf)
     except np.linalg.LinAlgError:
-        lowest = float(np.min(np.linalg.eigvalsh(herm_part)))
+        lowest = float(np.min(np.linalg.eigvalsh(buf))) - PSD_TOL
         if not lowest >= -PSD_TOL:
             raise ValueError(f"{label} has negative eigenvalue {lowest:.3e}") from None

@@ -549,16 +549,17 @@ def test_classify_rows_and_final_state_are_the_per_step_formula_bit_for_bit():
 
 
 def test_each_report_checks_its_reduced_coin_state_once(monkeypatch):
-    # the dephased final state (74 x 74) and one 2 x 2 reduced coin state per report;
-    # the overlaps read that checked state without a check of their own
+    # the dephased final state, its class block on 17 sites (34 x 34), and one 2 x 2 reduced
+    # coin state per report; the overlaps read that checked state without a check of their own
     checked = recording(monkeypatch, states, "_check_density", lambda rho, label: rho.shape)
     reports = list(analysis._classify_each(WalkSchedule(0.0, math.pi / 8, 16), [1.0, 0.9]))
     assert len(reports) == 2
-    assert sorted(checked) == [(2, 2), (2, 2), (74, 74)]
-    # a library caller's coin_overlap still checks its input
+    assert sorted(checked) == [(2, 2), (2, 2), (34, 34)]
+    # a library caller's reduced coin state is checked once, and the overlap reads it as is
     checked.clear()
-    rho = states.reduced_coin_state(reports[0].final)
-    assert states.coin_overlap(rho, CoinVector.symmetric()) == reports[0].overlap_initial
+    for report in reports:
+        rho = states.reduced_coin_state(report.final)
+        assert states._overlap(rho, CoinVector.symmetric()) == report.overlap_initial
     assert checked == [(2, 2), (2, 2)]
 
 

@@ -61,9 +61,9 @@ def states_after_each_step(schedule, walk=walk):
 
 
 def density_from_pure(state):
-    """The rank-one density matrix |psi><psi| of a pure state."""
+    """The rank-one density matrix |psi><psi| (2n, 2n) of a pure state, flattened index 2 * site_index + coin."""
     vec = state.amplitudes.reshape(-1)
-    return WalkerCoinDensityMatrix(state.lattice, np.outer(vec, vec.conj()))
+    return np.outer(vec, vec.conj())
 
 
 def shared(values, lattice, on):
@@ -274,6 +274,25 @@ def test_density_walk_matches_dict_oracle(convention, theta, omega, visibility, 
     assert np.max(np.abs(final.matrix - expected)) < 1e-10
 
 
+@pytest.mark.parametrize("convention", list(StepConvention))
+@pytest.mark.parametrize("visibility", [0.0, 0.5, 0.93, 1.0])
+def test_dephased_state_is_its_class_block_bit_for_bit(convention, visibility):
+    # the final state holds the walk's last class block on the sites -T, -T + 2, ..., T; its
+    # dense matrix is the scatter the walk once built, and its reduced coin state the trace of
+    # that whole matrix, bit for bit, signed zeros included
+    rng = np.random.default_rng(71)
+    for steps in range(65):
+        theta, omega = rng.uniform(-3.0, 3.0, 2)
+        sched = WalkSchedule(theta, omega, steps, convention, visibility)
+        _, final = evolution._density_walk(sched.coins(), visibility)
+        for w in evolution._class_steps(evolution._origin_block(), sched.coins(), [visibility]):
+            pass
+        assert final.base == -steps and same_bits(final.block, w[..., 0])
+        dense = walks.scatter(final.lattice, w[..., 0])
+        assert same_bits(final.matrix, dense), steps
+        assert same_bits(reduced_coin_state(final), walks.dense_reduced_coin(dense)), steps
+
+
 @given(
     angle,
     angle,
@@ -436,7 +455,7 @@ def test_walk_without_steps_returns_start(convention):
     for distributions, final in (walk(sched.with_visibility(0.9)), density_walk(sched)):
         assert np.array_equal(distributions.probabilities, one_row)
         assert isinstance(final, WalkerCoinDensityMatrix)
-        assert np.array_equal(final.matrix, density_from_pure(start).matrix)
+        assert np.array_equal(final.matrix, density_from_pure(start))
 
 
 def test_walk_memory_does_not_grow_with_trajectory():
@@ -453,11 +472,11 @@ def test_walk_memory_does_not_grow_with_trajectory():
 
 
 def full_lattice_density_walk(rho, schedule):
-    """The dephased walk stepped on all of rho, which the light cone must match bit for bit."""
-    n = rho.lattice.size
+    """The dephased walk stepped on all of the (2n, 2n) matrix rho, which the light cone must match bit for bit."""
+    n = len(rho) // 2
     # the channel keeps the coin-diagonal blocks and scales the others by v
     dephasing = np.array([[1.0, schedule.visibility], [schedule.visibility, 1.0]])[:, None, :, None]
-    r = rho.matrix.reshape(n, 2, n, 2).transpose(1, 0, 3, 2)  # r[i, x, j, y]
+    r = rho.reshape(n, 2, n, 2).transpose(1, 0, 3, 2)  # r[i, x, j, y]
     for coin in schedule.coins():
         # the rows of rho U^dagger are the rows of rho stepped under the conjugate coin;
         # each growing-window step cropped to the fixed lattice is the full-lattice step
@@ -478,7 +497,7 @@ def test_light_cone_density_walk_matches_full_lattice(convention, visibility):
     assert len(states) == len(expected) == steps
     for state, matrix in zip(states, expected):
         # the k-step walk on Lattice.for_steps(k) against the full walk on its sites
-        rows = 2 * start.lattice.index(state.lattice.min_site) + np.arange(2 * state.lattice.size)
+        rows = 2 * Lattice.for_steps(steps).index(state.lattice.min_site) + np.arange(2 * state.lattice.size)
         assert np.array_equal(state.matrix, matrix[np.ix_(rows, rows)])
         assert np.sum(matrix != 0) == np.sum(state.matrix != 0)
 
@@ -513,17 +532,14 @@ def test_class_steps_of_any_origin_block_match_full_lattice(name, convention, vi
     rho = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     rho[2 * origin : 2 * origin + 2, 2 * origin : 2 * origin + 2] = block
     sched = WalkSchedule(0.3, 0.2, steps, convention, visibility)
-    expected = [rho, *full_lattice_density_walk(WalkerCoinDensityMatrix(lattice, rho), sched)]
+    expected = [rho, *full_lattice_density_walk(rho, sched)]
     stepped = [w[..., 0] for w in evolution._class_steps(block, sched.coins(), [visibility])]
     assert len(stepped) == len(expected) == steps + 1
     for k, (w, matrix) in enumerate(zip(stepped, expected, strict=True)):
         # the start first, then step k's block holds the cone's sites -k, -k + 2, ..., k;
         # the full walk nothing else
         assert w.shape == (2, 2, k + 1, k + 1)
-        scattered = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-        cone = slice(origin - k, origin + k + 1, 2)
-        scattered.reshape(n, 2, n, 2)[cone, :, cone, :] = w.transpose(2, 0, 3, 1)
-        assert np.array_equal(scattered, matrix)
+        assert np.array_equal(walks.scatter(lattice, w), matrix)
     assert np.array_equal(block, origin_block(name))
 
 
@@ -597,7 +613,7 @@ def test_dephased_prefix_walks_keep_a_separate_matrix_each():
     states = states_after_each_step(sched)
     for i, earlier in enumerate(states):
         for later in states[i + 1 :]:
-            assert not np.shares_memory(earlier.matrix, later.matrix)
+            assert not np.shares_memory(earlier.block, later.block)
     distributions, final = walk(sched)
     for state, row in zip(states, distributions.probabilities[1:], strict=True):
         assert np.array_equal(distribution(state).probabilities, shared(row, final.lattice, state.lattice))
@@ -760,9 +776,9 @@ def test_origin_probe_equals_the_final_walk_p0(convention, visibility):
         theta, omega = rng.uniform(-3.0, 3.0, 2)
         sched = WalkSchedule(theta, omega, steps, convention, visibility)
         start = density_from_pure(start_state(steps))
-        origin = 2 * start.lattice.index(0)
+        origin = 2 * Lattice.for_steps(steps).index(0)
         [probe] = evolution._probe_origin_probability(
-            sched.coins(), [visibility], start.matrix[origin : origin + 2, origin : origin + 2]
+            sched.coins(), [visibility], start[origin : origin + 2, origin : origin + 2]
         )
         walked = density_walk(sched)[0].at_site(0)[-1]
         assert np.array_equal(probe, walked), steps
@@ -807,9 +823,9 @@ def test_a_batched_probe_gives_each_visibility_the_p0_of_its_walk():
 
 def test_a_density_walk_too_large_for_memory_fails_before_its_first_step(monkeypatch):
     classes = record_classes(monkeypatch)
-    # a (T, 2, 2) view of one coin: numpy refuses the final matrix without allocating
+    # a (T, 2, 2) view of one coin: numpy refuses the final block without allocating
     coins = np.broadcast_to(WalkSchedule(0.0, math.pi / 8, 1).coins()[0], (10**7, 2, 2))
-    with pytest.raises(MemoryError, match=r"shape \(40000010, 40000010\)"):
+    with pytest.raises(MemoryError, match=r"shape \(2, 2, 10000001, 10000001\)"):
         evolution._density_walk(coins, 0.5)
     assert classes == []
 
@@ -834,8 +850,9 @@ def test_bisect_visibility_validates_one_walk(monkeypatch, visibility):
     target = density_walk(sched.with_visibility(visibility))[0].at_site(0)[-1]
     checked, classes = record_calibration(monkeypatch)
     found, achieved = bisect_visibility(sched, target, tol=1e-6)
-    # only the validated walk's final state: no density matrix of the start
-    assert checked == [(2 * Lattice.for_steps(steps).size,) * 2]
+    # only the validated walk's final state, its class block on the T + 1 sites -T, ..., T:
+    # no density matrix of the start
+    assert checked == [(2 * (steps + 1),) * 2]
     if visibility in (0.0, 1.0):
         assert found == visibility
     # every probe round steps the diamond, its first both ends, and only the last walk the whole light cone

@@ -90,6 +90,25 @@ def distribution(state):
     return PositionDistribution(state.lattice, probs)
 
 
+def scatter(lattice, block):
+    """A frozen copy of the dense (2n, 2n) matrix the dephased walk once built from its class block.
+
+    Step k's block (2, 2, k + 1, k + 1) holds the light cone's sites -k, -k + 2, ..., k, written at
+    stride 2, rows and columns alike, flattened index 2 * site_index + coin; zero elsewhere.
+    """
+    n, origin, k = lattice.size, lattice.index(0), block.shape[2] - 1
+    matrix = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    cone = slice(origin - k, origin + k + 1, 2)
+    matrix.reshape(n, 2, n, 2)[cone, :, cone, :] = block.transpose(2, 0, 3, 1)
+    return matrix
+
+
+def dense_reduced_coin(matrix):
+    """A frozen copy of the reduced coin state once traced from the whole (2n, 2n) matrix."""
+    n = len(matrix) // 2
+    return np.einsum("xixj->ij", matrix.reshape(n, 2, n, 2))
+
+
 def same_bits(a, b):
     """Equal shapes, dtypes and bits in every entry, so signed zeros and NaN count."""
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
