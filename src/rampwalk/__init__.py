@@ -7,10 +7,8 @@ with certainty, and quantifies how coin dephasing degrades the return.
 """
 
 from .coins import (
-    CoinOperator,
     StepConvention,
     coin_at_step,
-    ry,
 )
 from .states import (
     CoinVector,
@@ -29,7 +27,6 @@ from .analysis import (
     classify,
     effective_coin_balanced_strings,
     polya_number,
-    tv_distance,
 )
 from .search import (
     CatalogEntry,
@@ -43,7 +40,6 @@ from .search import (
 
 __all__ = [
     "CatalogEntry",
-    "CoinOperator",
     "CoinVector",
     "Lattice",
     "PositionDistribution",
@@ -62,9 +58,7 @@ __all__ = [
     "load_reference_catalog",
     "polya_number",
     "reduced_coin_state",
-    "ry",
     "scan",
-    "tv_distance",
     "verify_table",
 ]
 

@@ -1,4 +1,4 @@
-"""Revival diagnostics: distances, return probabilities, effective coins.
+"""Revival diagnostics: return probabilities, distances from the start, effective coins.
 
 A schedule exhibits a revival after T steps when the T-step walk acts
 as identity on position times a fixed coin rotation, so any state that
@@ -7,6 +7,8 @@ translation invariant, so this holds exactly when every propagator
 block ``W_T[d]`` with d != 0 vanishes; ``W_T[0]`` is then the effective
 coin. The revival is complete when that residual coin rotation is the
 identity up to a global phase, making the full initial state recur.
+A report reads its origin probability, its distance from the start and
+its Polya number from the walk's one (T + 1, n) distribution stack.
 """
 
 from __future__ import annotations
@@ -32,14 +34,6 @@ from .states import (
 REVIVAL_TOL = 1e-10
 PREDICTED_STATE_NORM_TOL = 1e-12
 ROW_BLOCK = 8  # ring slots of classify's pure walk, squared and summed into rows at once
-
-
-def tv_distance(p: PositionDistribution, q: PositionDistribution) -> float | NDArray[np.float64]:
-    """Total variation distance on one lattice: a float, or one distance per row when `p` is a stack."""
-    if p.lattice != q.lattice:
-        raise ValueError(f"lattice mismatch: {p.lattice} vs {q.lattice}")
-    distance = 0.5 * np.sum(np.abs(p.probabilities - q.probabilities), axis=-1)
-    return float(distance) if distance.ndim == 0 else distance
 
 
 def polya_number(p0_series) -> float:
@@ -113,11 +107,15 @@ class RevivalReport:
 
     ``distributions`` stacks the position distributions in T + 1 rows,
     row t the walk after t steps and row 0 the start, and ``final`` is
-    the last state. ``overlap_initial`` is the overlap of the final
-    reduced coin state with the start coin; ``overlap_predicted`` uses
-    the coin predicted by the effective coin map and is NaN when that
-    prediction has vanishing norm. Operator-level fields describe the
-    noiseless walk even when the schedule carries a visibility below 1.
+    the last state. ``origin_probability`` is the last entry of
+    ``distributions.at_site(0)``, ``tv_distance`` that of
+    ``distributions.tv_from_start()``, and ``polya_truncated`` the Polya
+    number of the origin probabilities of rows 1..T. ``overlap_initial``
+    is the overlap of the final reduced coin state with the start coin;
+    ``overlap_predicted`` uses the coin predicted by the effective coin
+    map and is NaN when that prediction has vanishing norm.
+    Operator-level fields describe the noiseless walk even when the
+    schedule carries a visibility below 1.
     """
 
     origin_probability: float
@@ -146,12 +144,12 @@ def classify(schedule: WalkSchedule) -> RevivalReport:
     columns, the rows and the final state from its start column, sites -t..t
     after step t; below it the dephased walk gives the rows and the final
     state, and the basis columns alone the blocks. Every walk writes each
-    state it yields, the start first, as one row of the (T + 1, n) stack: p0
-    is its last row's, the distance that of its last row from row 0 (the
-    last entry of the series ``walk --json-out`` writes), and the Polya
-    number comes from the p0 of rows 1..T. The CLI and the demo script
-    format this report rather than walk; ``noise-sweep`` takes the reports
-    of :func:`_classify_each`, which gives this one for one visibility.
+    state it yields, the start first, as one row of the (T + 1, n) stack,
+    and the report reads p0, the distance and the Polya number from it
+    (see :class:`RevivalReport`), as ``walk --json-out`` reads its two
+    series. The CLI and the demo script format this report rather than
+    walk; ``noise-sweep`` takes the reports of :func:`_classify_each`,
+    which gives this one for one visibility.
     """
     [report] = _classify_each(schedule, [schedule.visibility])
     return report
@@ -218,13 +216,12 @@ def _classify_each(schedule: WalkSchedule, visibilities: Sequence[float]) -> Ite
 
     for visibility in visibilities:
         distributions, final = pure if visibility == 1.0 else _density_walk(coins, visibility)
-        rows = distributions.probabilities
-        start, last = PositionDistribution(lattice, rows[0]), PositionDistribution(lattice, rows[-1])
+        p0 = distributions.at_site(0)
         coin_rho = reduced_coin_state(final)
         yield RevivalReport(
-            origin_probability=last.at_site(0),
-            tv_distance=tv_distance(last, start),
-            polya_truncated=polya_number(distributions.at_site(0)[1:]),
+            origin_probability=float(p0[-1]),
+            tv_distance=float(distributions.tv_from_start()[-1]),
+            polya_truncated=polya_number(p0[1:]),
             effective_coin=effective,
             is_revival=bool(revival),
             is_complete=bool(complete),

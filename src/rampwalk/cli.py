@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import _classify_each, classify, effective_coin_balanced_strings, tv_distance
+from .analysis import _classify_each, classify, effective_coin_balanced_strings
 from .coins import StepConvention
 from .evolution import WalkSchedule, bisect_visibility
 from .search import (
@@ -35,7 +35,7 @@ from .search import (
     typed_field,
     verify_table,
 )
-from .states import PositionDistribution, reduced_coin_state
+from .states import reduced_coin_state
 
 
 def _parse_angle(text: str, radians: bool) -> float:
@@ -86,10 +86,9 @@ def cmd_walk(
 ) -> int:
     """Run one walk and emit the distributions and summaries of steps 1..T."""
     report = classify(schedule)
-    lattice = report.final.lattice
     distributions = report.distributions
+    lattice = distributions.lattice
     rows = distributions.probabilities[1:]
-    start_distribution = PositionDistribution(lattice, distributions.probabilities[0])
 
     if csv_out is not None:
         buffer = io.StringIO()
@@ -106,7 +105,7 @@ def cmd_walk(
             "sites": lattice.sites().tolist(),
             "probabilities": rows.tolist(),
             "origin_probability": distributions.at_site(0)[1:].tolist(),
-            "tv_distance": tv_distance(distributions, start_distribution)[1:].tolist(),
+            "tv_distance": distributions.tv_from_start()[1:].tolist(),
             "polya_truncated": float(report.polya_truncated),
             "reduced_coin": _matrix_doc(reduced_coin_state(report.final)),
         }

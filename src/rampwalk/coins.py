@@ -21,8 +21,6 @@ from enum import Enum
 import numpy as np
 from numpy.typing import NDArray
 
-CoinOperator = NDArray[np.complex128]
-
 _MAX_HALF_ANGLE = float(np.finfo(np.float64).max) / 2
 
 
@@ -40,31 +38,21 @@ class StepConvention(Enum):
         return 1 if self is StepConvention.ONE_BASED else 0
 
 
-def ry(theta: float) -> CoinOperator:
-    """Rotation about y by nominal angle theta.
-
-    Returns ``[[cos 2theta, -sin 2theta], [sin 2theta, cos 2theta]]``.
-    """
-    if not abs(theta) <= _MAX_HALF_ANGLE:  # false for NaN, infinities and overflow of 2 theta
-        raise ValueError(f"rotation angle must be finite, got {float(theta)!r}")
-    c = math.cos(2.0 * theta)
-    s = math.sin(2.0 * theta)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
-
-
 def coin_at_step(
     theta: float,
     omega,
     t,
     convention: StepConvention = StepConvention.ONE_BASED,
-) -> CoinOperator:
+) -> NDArray[np.complex128]:
     """Coin ``rx(omega * t) @ ry(theta)``; arrays of steps or ramp rates give their stack.
 
     ``rx(phi)`` is the rotation about x by nominal angle phi,
-    ``[[cos 2phi, i sin 2phi], [i sin 2phi, cos 2phi]]``. The
-    ``(..., 2, 2)`` stack is written entry by entry from ``c, s = cos,
-    sin(2 omega t)`` and ``cy, sy = cos, sin(2 theta)``, the latter as
-    :func:`ry` computes them:
+    ``[[cos 2phi, i sin 2phi], [i sin 2phi, cos 2phi]]``, and
+    ``ry(theta)`` the rotation about y, ``[[cos 2theta, -sin 2theta],
+    [sin 2theta, cos 2theta]]``. The ``(..., 2, 2)`` stack is written
+    entry by entry from ``c, s = cos, sin(2 omega t)`` and ``cy, sy =
+    cos, sin(2 theta)``, the latter computed once per call with
+    :mod:`math`:
 
         [[c cy + i s sy,  -c sy + i s cy],
          [c sy + i s cy,   c cy - i s sy]]
@@ -88,14 +76,16 @@ def coin_at_step(
         raise ValueError(f"rotation angle must be finite, got {float(phi[~finite][0])!r}")
     angle = 2.0 * phi
     c, s = np.cos(angle), np.sin(angle)
-    (cy, minus_sy), (sy, _) = ry(theta).real
+    if not abs(theta) <= _MAX_HALF_ANGLE:  # false for NaN, infinities and overflow of 2 theta
+        raise ValueError(f"rotation angle must be finite, got {float(theta)!r}")
+    cy, sy = math.cos(2.0 * theta), math.sin(2.0 * theta)
     out = np.empty(c.shape + (2, 2), dtype=np.complex128)
     re, im = out.real, out.imag
     re[..., 0, 0] = re[..., 1, 1] = c * cy
-    re[..., 0, 1] = c * minus_sy
+    re[..., 0, 1] = c * -sy
     re[..., 1, 0] = c * sy
     im[..., 0, 0] = s * sy
     im[..., 0, 1] = im[..., 1, 0] = s * cy
-    im[..., 1, 1] = s * minus_sy
+    im[..., 1, 1] = s * -sy
     return out
 

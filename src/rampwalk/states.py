@@ -3,7 +3,10 @@
 A pure state stores one complex amplitude per (site, coin) pair in an
 array of shape ``(n_sites, 2)``. A density matrix stores the one parity
 class it lights, a ``(2, 2, m, m)`` block, and builds the dense ``(2n, 2n)``
-operator only when asked. Coin basis ordering is ``[plus, minus]`` throughout.
+operator only when asked. A walk's position distributions are one
+``(T + 1, n)`` stack, row t the walk after t steps, from which the
+origin probability and the distance from the start are read per row.
+Coin basis ordering is ``[plus, minus]`` throughout.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ COIN_NORM_TOL = 1e-12
 DENSITY_TOL = 1e-10
 PSD_TOL = 1e-8
 GUARD_BAND = 2
+DISTANCE_BLOCK_SITES = 12_800  # rows times sites of the one temporary of a distance series, at least one row
 
 
 @dataclass(frozen=True)
@@ -139,7 +143,7 @@ WalkerState = WalkerCoinPureState | WalkerCoinDensityMatrix
 
 @dataclass(frozen=True)
 class PositionDistribution:
-    """Walker probability at each lattice site: shape (n,), or (T + 1, n), row t a walk after t steps."""
+    """Walker probability at each lattice site after each step: shape (T + 1, n), row t the walk after t steps."""
 
     lattice: Lattice
     probabilities: NDArray[np.float64]
@@ -148,18 +152,32 @@ class PositionDistribution:
         probs = np.asarray(self.probabilities, dtype=np.float64)
         object.__setattr__(self, "probabilities", probs)
         n = self.lattice.size
-        if probs.ndim not in (1, 2) or probs.shape[-1] != n:
-            raise ValueError(f"shape {probs.shape} is neither {(n,)} nor (T, {n})")
+        if probs.ndim != 2 or probs.shape[1] != n:
+            raise ValueError(f"shape {probs.shape} is not (T + 1, {n})")
         if not np.all((probs >= -1e-12) & (probs <= 1.0 + 1e-12)):
             raise ValueError("probabilities outside [0, 1]")
         worst = float(np.max(np.abs(np.sum(probs, axis=-1) - 1.0), initial=0.0))
         if not worst <= STATE_NORM_TOL:
             raise ValueError(f"probabilities sum deviates from 1 by {worst:.3e}")
 
-    def at_site(self, site: int) -> float | NDArray[np.float64]:
-        """The probability at `site`: a float, or the (T,) column of a stack."""
-        column = self.probabilities[..., self.lattice.index(site)]
-        return float(column) if column.ndim == 0 else column
+    def at_site(self, site: int) -> NDArray[np.float64]:
+        """The (T + 1,) probabilities at `site`, one per row."""
+        return self.probabilities[:, self.lattice.index(site)]
+
+    def tv_from_start(self) -> NDArray[np.float64]:
+        """The (T + 1,) total variation distance ``0.5 * sum |row - row 0|`` of each row from the start.
+
+        Blocks of ``DISTANCE_BLOCK_SITES // n`` rows share one temporary, so
+        a long walk holds no second stack; each row's sum is the broadcast's.
+        """
+        rows = self.probabilities
+        distance = np.empty(len(rows))
+        block = max(1, DISTANCE_BLOCK_SITES // rows.shape[1])
+        for i in range(0, len(rows), block):
+            diff = rows[i : i + block] - rows[:1]
+            np.sum(np.abs(diff, out=diff), axis=-1, out=distance[i : i + block])
+        distance *= 0.5
+        return distance
 
 
 def reduced_coin_state(state: WalkerState) -> NDArray[np.complex128]:

@@ -12,7 +12,6 @@ from rampwalk.analysis import (
     classify,
     effective_coin_balanced_strings,
     polya_number,
-    tv_distance,
 )
 from rampwalk import analysis, cli, evolution, states
 from rampwalk.coins import StepConvention
@@ -33,40 +32,25 @@ angle = st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False)
 
 def test_tv_distance_extremes():
     lat = Lattice(-1, 1)
-    p = PositionDistribution(lat, np.array([1.0, 0.0, 0.0]))
-    q = PositionDistribution(lat, np.array([0.0, 0.0, 1.0]))
-    assert tv_distance(p, q) == pytest.approx(1.0, abs=1e-15)
-    assert tv_distance(p, p) == 0.0
+    rows = PositionDistribution(lat, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
+    assert rows.tv_from_start()[1] == pytest.approx(1.0, abs=1e-15)
+    assert rows.tv_from_start()[0] == rows.tv_from_start()[2] == 0.0
 
 
 def test_tv_distance_manual_value():
     lat = Lattice(-1, 1)
-    p = PositionDistribution(lat, np.array([0.5, 0.3, 0.2]))
-    q = PositionDistribution(lat, np.array([0.2, 0.3, 0.5]))
-    assert tv_distance(p, q) == pytest.approx(0.3, abs=1e-15)
-
-
-def test_tv_distance_requires_same_lattice():
-    p = PositionDistribution(Lattice(-1, 1), np.array([1.0, 0.0, 0.0]))
-    q = PositionDistribution(Lattice(-2, 2), np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        tv_distance(p, q)
-    stack = PositionDistribution(Lattice(-1, 1), np.array([[1.0, 0.0, 0.0]] * 2))
-    with pytest.raises(ValueError):
-        tv_distance(stack, q)
+    rows = PositionDistribution(lat, np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]))
+    assert rows.tv_from_start()[1] == pytest.approx(0.3, abs=1e-15)
 
 
 @pytest.mark.parametrize("visibility", [1.0, 0.8])
 def test_tv_distance_of_a_stack_equals_its_per_row_distances(visibility):
+    # each row's distance from the start is its own: the same as in the two-row stack of the start and that row
     sched = WalkSchedule(0.3, 0.2, 9, visibility=visibility)
-    reference = distribution(start_state(9))
     distributions, _ = walk(sched)
-    per_row = [
-        tv_distance(PositionDistribution(reference.lattice, row), reference)
-        for row in distributions.probabilities
-    ]
-    assert all(type(value) is float for value in per_row)
-    distances = tv_distance(distributions, reference)
+    rows = distributions.probabilities
+    per_row = [PositionDistribution(distributions.lattice, rows[[0, t]]).tv_from_start()[1] for t in range(len(rows))]
+    distances = distributions.tv_from_start()
     assert distances.shape == (10,) and distances[0] == 0.0
     assert np.array_equal(distances, per_row)
 
@@ -75,9 +59,10 @@ def test_tv_distance_of_a_stack_equals_its_per_row_distances(visibility):
 @settings(max_examples=60)
 def test_tv_against_point_mass_equals_one_minus_p0(theta, omega, steps):
     sched = WalkSchedule(theta, omega, steps)
-    reference = distribution(start_state(steps))
     distributions, _ = walk(sched)
-    direct = tv_distance(distributions, reference)
+    # row 0 is the point mass at the origin, so every row's distance from it is 1 - p0
+    assert np.array_equal(distributions.probabilities[:1], distribution(start_state(steps)).probabilities)
+    direct = distributions.tv_from_start()
     shortcut = 1.0 - distributions.at_site(0)
     assert direct.shape == (steps + 1,)
     assert np.all(np.abs(direct - shortcut) <= 1e-12)
@@ -568,8 +553,7 @@ def test_classify_distance_is_the_last_entry_of_the_stack_series():
     rng = np.random.default_rng(67)
     for sched in seeded_schedules(rng, 400, 48, lambda i: 1.0 if i % 3 else float(rng.uniform())):
         report = classify(sched)
-        rows = report.distributions
-        series = tv_distance(rows, PositionDistribution(rows.lattice, rows.probabilities[0]))
+        series = report.distributions.tv_from_start()
         assert same_bits(np.float64(report.tv_distance), series[-1])
 
 

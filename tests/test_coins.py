@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from rampwalk.coins import (
     StepConvention,
     coin_at_step,
-    ry,
 )
 from rampwalk import coins as coin_module
 from rampwalk.evolution import WalkSchedule
@@ -30,6 +29,11 @@ def unitarity_defect(m):
 def rx(phi):
     """The rotation about x by nominal angle phi: the coin of step 1 with no bias."""
     return coin_at_step(0.0, phi, 1)
+
+
+def ry(theta):
+    """The rotation about y by nominal angle theta: the coin of step 1 with no ramp."""
+    return coin_at_step(theta, 0.0, 1)
 
 
 def test_rx_known_values():

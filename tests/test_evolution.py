@@ -130,7 +130,7 @@ def test_one_step_moves_symmetric_coin_down_at_ramp_eighth_pi():
     sched = WalkSchedule(0.0, math.pi / 8, 1)
     _, final = walk(sched)
     dist = distribution(final)
-    assert dist.at_site(-1) == pytest.approx(1.0, abs=1e-12)
+    assert dist.at_site(-1)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 @given(angle, angle, st.integers(min_value=1, max_value=6))
@@ -178,7 +178,7 @@ def test_guard_sites_stay_empty_over_long_walk(visibility):
     # lies within k of the origin, and the guard band holds nothing
     sched = WalkSchedule(0.0, math.pi / 8, 16, visibility=visibility)
     for k, state in enumerate(states_after_each_step(sched), start=1):
-        probabilities = distribution(state).probabilities
+        probabilities = distribution(state).probabilities[0]
         outside = np.abs(state.lattice.sites()) > k
         assert outside.sum() == 4 and not np.any(probabilities[outside])
         assert float(probabilities.sum()) == pytest.approx(1.0, abs=1e-12)
@@ -406,7 +406,7 @@ def assert_same_walk(schedule, distributions, final, states):
     assert np.max(np.abs(rows - expected)) < 1e-12
     for row, state in zip(rows[1:], states, strict=True):
         inside = shared(row, final.lattice, state.lattice)
-        assert np.array_equal(inside, distribution(state).probabilities)
+        assert np.array_equal(inside, distribution(state).probabilities[0])
         assert np.count_nonzero(row) == np.count_nonzero(inside)
     assert type(final) is type(states[-1]) and final.lattice == states[-1].lattice
     if isinstance(final, WalkerCoinPureState):
@@ -616,7 +616,7 @@ def test_dephased_prefix_walks_keep_a_separate_matrix_each():
             assert not np.shares_memory(earlier.block, later.block)
     distributions, final = walk(sched)
     for state, row in zip(states, distributions.probabilities[1:], strict=True):
-        assert np.array_equal(distribution(state).probabilities, shared(row, final.lattice, state.lattice))
+        assert np.array_equal(distribution(state).probabilities[0], shared(row, final.lattice, state.lattice))
 
 
 def test_density_walk_leaves_the_start_unchanged():

@@ -29,6 +29,8 @@ def test_library_quick_start_states_what_it_computes():
             and ns["report"].is_revival
             and ns["report"].is_complete
             and ns["report"].distributions.at_site(0)[8] == pytest.approx(1.0, abs=1e-12)
+            and ns["report"].distributions.tv_from_start().shape == (17,)
+            and ns["report"].distributions.tv_from_start()[16] == pytest.approx(0.0, abs=1e-12)
         ),
         lambda ns: ns["schedule"].coins().shape == (16, 2, 2),
         lambda ns: ns["distributions"].at_site(0)[-1] == pytest.approx(0.95125, abs=1e-12),

@@ -597,3 +597,76 @@ def test_scan_row_memory_is_bounded_by_one_chunk_walk():
         peaks.append(peak)
     assert peaks[0] <= 1.25 * peaks[1]
     assert peaks[0] < 2 * ring + coin_stack
+
+
+def _mirror(point):
+    """omega / pi = k/m -> 1/2 - k/m = (m - 2k)/2m, reduced: the ramp rate pi/2 - omega."""
+    k, m = point
+    g = math.gcd(m - 2 * k, 2 * m)
+    return (m - 2 * k) // g, 2 * m // g
+
+
+@pytest.mark.parametrize("convention", list(StepConvention))
+def test_conjugate_ramp_rate_mirrors_the_blocks(convention):
+    # the coin at pi/2 - omega is (-1)^t conj of the coin at omega and the shift is real, so
+    # W_T(pi/2 - omega)[d] = (-1)^(sum of the step indices) conj W_T(omega)[d], up to the
+    # rounding of pi/2 - omega and of T steps: within 2 T^2 eps
+    rng = np.random.default_rng(37)
+    eps = np.finfo(np.float64).eps
+    for steps in range(1, 49):
+        sign = (-1) ** int(convention.step_indices(steps).sum())
+        for theta in (0.0, math.pi / 4, 0.37):
+            for omega in (*rng.uniform(0.0, math.pi / 2, 2), math.pi / 8, 3 * math.pi / (2 * steps)):
+                blocks = origin_blocks(WalkSchedule(theta, omega, steps, convention).coins())[0]
+                mirrored = origin_blocks(WalkSchedule(theta, math.pi / 2 - omega, steps, convention).coins())[0]
+                assert np.abs(mirrored - sign * np.conj(blocks)).max() <= 2 * steps**2 * eps, (steps, theta, omega)
+
+
+@pytest.mark.parametrize("convention", list(StepConvention))
+def test_conjugate_ramp_rate_mirrors_the_dict_oracle(convention):
+    # the oracle's own walk at pi/2 - omega, from each basis coin, is the mirror of the library's at omega
+    one_based = convention is StepConvention.ONE_BASED
+    eps = np.finfo(np.float64).eps
+    for steps in range(1, 7):
+        sign = (-1) ** int(convention.step_indices(steps).sum())
+        for theta in (0.0, math.pi / 4, 0.37):
+            for omega in (0.3, math.pi / 8, 1.1):
+                blocks = origin_blocks(WalkSchedule(theta, omega, steps, convention).coins())[0]
+                for column, basis in enumerate(((1.0, 0.0), (0.0, 1.0))):
+                    final = oracles.walk_states(theta, math.pi / 2 - omega, steps, basis, one_based)[-1]
+                    for d in range(-steps, steps + 1):
+                        expected = sign * np.conj(blocks[d + steps, :, column])
+                        assert np.abs(np.array(final.get(d, (0.0, 0.0))) - expected).max() <= 2 * steps**2 * eps
+
+
+@pytest.mark.parametrize("convention", list(StepConvention))
+def test_scan_rows_are_closed_under_the_conjugate_ramp_rate(convention):
+    # each row's family maps onto itself under k/m -> (m - 2k)/2m, and so do its revivals,
+    # with the same completeness: the mirror a scan may read instead of walking half its row
+    steps_range = tuple(range(2, 49, 2))
+    for steps in steps_range:
+        family = search._family(steps, convention, 0.0, math.pi / 2)
+        assert {_mirror(point) for point in family} == set(family)
+    rows = {}
+    config = SearchConfig(step_counts=steps_range, theta_values=(0.0, math.pi / 4, 0.37), convention=convention)
+    for candidate in scan(config):
+        rows.setdefault((candidate.steps, candidate.theta), {})[candidate.omega_rational] = candidate.complete
+    assert len(rows) == 2 * len(steps_range)  # theta 0.37 revives nowhere on these rows, nor does its mirror
+    for found in rows.values():
+        assert {_mirror(point): complete for point, complete in found.items()} == found
+
+
+@pytest.mark.parametrize("convention", list(StepConvention))
+@pytest.mark.parametrize("theta", [0.0, math.pi / 4, 0.37])
+@pytest.mark.parametrize("steps", [2, 4, 6, 8])
+def test_oracle_revivals_are_closed_under_the_conjugate_ramp_rate(steps, theta, convention):
+    # exactly, as Fractions: the oracles' own revival set p -> 1/2 - p, each point complete
+    # when its balanced-string effective coin is a phase times the identity
+    one_based = convention is StepConvention.ONE_BASED
+    truth = {
+        point: oracles.phase_equal(
+            oracles.effective_coin_strings(theta, math.pi * point, steps, one_based), ((1.0, 0.0), (0.0, 1.0))
+        )
+        for point in _oracle_truth_set(steps, theta, one_based)
+    }
+    assert {Fraction(1, 2) - point: complete for point, complete in truth.items()} == truth

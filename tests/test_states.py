@@ -107,15 +107,15 @@ def test_pure_state_validation():
 
 def test_position_distribution_validation():
     lat = Lattice(-1, 1)
-    with pytest.raises(ValueError):
-        PositionDistribution(lat, np.array([0.5, 0.6, 0.2]))
-    with pytest.raises(ValueError):
-        PositionDistribution(lat, np.array([-0.1, 0.6, 0.5]))
-    with pytest.raises(ValueError):
-        PositionDistribution(lat, np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        PositionDistribution(lat, np.array([math.nan, 1.0, 0.0]))
-    # a (T, n) stack: every row is checked as one distribution is
+    with pytest.raises(ValueError, match="deviates from 1"):
+        PositionDistribution(lat, np.array([[0.5, 0.6, 0.2]]))
+    with pytest.raises(ValueError, match="outside"):
+        PositionDistribution(lat, np.array([[-0.1, 0.6, 0.5]]))
+    with pytest.raises(ValueError, match="shape"):
+        PositionDistribution(lat, np.array([[0.5, 0.5]]))
+    with pytest.raises(ValueError, match="outside"):
+        PositionDistribution(lat, np.array([[math.nan, 1.0, 0.0]]))
+    # a (T + 1, n) stack: every row is checked
     good = [0.25, 0.5, 0.25]
     assert PositionDistribution(lat, np.array([good, [0.0, 1.0, 0.0]])).probabilities.shape == (2, 3)
     assert PositionDistribution(lat, np.empty((0, 3))).probabilities.shape == (0, 3)
@@ -126,7 +126,8 @@ def test_position_distribution_validation():
     ):
         with pytest.raises(ValueError, match=message):
             PositionDistribution(lat, np.array([good, bad_row, good]))
-    for shape in ((2, 2), (2, 4), (1, 2, 3), ()):
+    # one distribution is a one-row stack: a 1-D row is refused
+    for shape in ((2, 2), (2, 4), (1, 2, 3), (), (3,)):
         with pytest.raises(ValueError, match="shape"):
             PositionDistribution(lat, np.full(shape, 0.5))
 
@@ -138,11 +139,11 @@ def test_at_site_of_a_stack_is_the_column_of_its_rows():
     rows /= rows.sum(axis=1, keepdims=True)
     stack = PositionDistribution(lat, rows)
     for site in lat.sites().tolist():
-        per_row = [PositionDistribution(lat, row).at_site(site) for row in rows]
-        assert all(type(value) is float for value in per_row)
+        per_row = [PositionDistribution(lat, row[None]).at_site(site) for row in rows]
+        assert all(value.shape == (1,) for value in per_row)
         column = stack.at_site(site)
         assert column.shape == (6,)
-        assert np.array_equal(column, per_row)
+        assert np.array_equal(column, np.concatenate(per_row))
 
 
 def test_density_matrix_validation():

@@ -82,12 +82,12 @@ def start_state(steps, coin=CoinVector.symmetric()):
 
 
 def distribution(state):
-    """The position distribution of a pure state or a density matrix, the coin traced out."""
+    """The position distribution of a pure state or a density matrix, the coin traced out, as a one-row stack."""
     if isinstance(state, WalkerCoinPureState):
         probs = np.sum(np.abs(state.amplitudes) ** 2, axis=1)
     else:
         probs = np.real(np.diag(state.matrix)).reshape(-1, 2).sum(axis=1)
-    return PositionDistribution(state.lattice, probs)
+    return PositionDistribution(state.lattice, probs[None])
 
 
 def scatter(lattice, block):
