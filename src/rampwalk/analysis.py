@@ -140,10 +140,10 @@ def classify(schedule: WalkSchedule) -> RevivalReport:
     the README) the effective coin is ``lam rx(s T omega / 2)``: complete
     exactly when q | T, for omega / pi = k/q, with ``overlap_initial``
     cos^2(T omega). It builds the coin stack once and hands it to every
-    walk. At visibility 1 one walk gives both: the blocks from its basis
-    columns, the rows and the final state from its start column, sites -t..t
-    after step t; below it the dephased walk gives the rows and the final
-    state, and the basis columns alone the blocks. Every walk writes each
+    walk. One noiseless walk gives the blocks from its basis columns and,
+    at visibility 1, the rows and the final state from its start column,
+    sites -t..t after step t; below it the dephased walk gives the rows
+    and the final state. Every walk writes each
     state it yields, the start first, as one row of the (T + 1, n) stack,
     and the report reads p0, the distance and the Polya number from it
     (see :class:`RevivalReport`), as ``walk --json-out`` reads its two
@@ -164,14 +164,13 @@ def _classify_each(schedule: WalkSchedule, visibilities: Sequence[float]) -> Ite
     nothing. The pure walk's (T + 1, n) rows, the shape of every
     report's rows, are allocated first, so a sweep too large for memory
     fails at once, before the coin stack. The coin stack is built once
-    and the noiseless walk runs once, before the first report: with 1
-    among the visibilities as the three-column walk, otherwise on the
-    basis columns alone, for the blocks and the verdicts the reports
-    share, into a ring of two slots, or of ``ROW_BLOCK`` at visibility 1,
-    whose start column it squares and sums into a block of rows at once:
-    the per-step ``|a+|^2 + |a-|^2`` bit for bit, with no more than the
-    ring and a block of magnitudes held beside the rows. The final
-    state is the start column written into zeroed amplitudes. Each
+    and the noiseless walk runs once, before the first report, as one
+    three-column walk into a ring of ``ROW_BLOCK`` slots: its basis
+    columns give the blocks and the verdicts the reports share. With 1
+    among the visibilities it squares the start column and sums it into
+    a block of rows at once: the per-step ``|a+|^2 + |a-|^2`` bit for
+    bit, with no more than the ring and a block of magnitudes held beside
+    the rows. The final state is the start column copied. Each
     visibility below 1 then takes its own dephased walk when its report
     is asked for, so a caller that keeps only numbers from each report
     holds one dephased state at a time, as one ``classify`` call per
@@ -186,23 +185,20 @@ def _classify_each(schedule: WalkSchedule, visibilities: Sequence[float]) -> Ite
     # memory fails here, before the coin stack is built or the noiseless walk steps
     probs = np.zeros((schedule.steps + 1, lattice.size))
     coins = schedule.coins()
-    # basis coin 1 walks as a start column, not as the mirror of basis coin 0, so the blocks keep their signed zeros
-    basis1 = np.eye(2)[:, 1:]
-    if 1.0 in visibilities:
+    # one three-column walk [e0, e1, c] at every visibility: basis coin 1 walks as a start
+    # column, not as the mirror of basis coin 0, so the blocks keep their signed zeros
+    ring = np.zeros((ROW_BLOCK, 2, 2 * schedule.steps + 1, 3), dtype=np.complex128)
+    ring[0, :, schedule.steps] = np.hstack((np.eye(2), initial_coin.as_array()[:, None]))
+    square = 1.0 in visibilities  # only the pure report reads the start column's rows
+    for t, amps in enumerate(_origin_walk(coins, ring)):
+        slot = t % ROW_BLOCK
         # each slot holds its step on the sites -T..T, zero off the light cone, so a row is a whole slot
-        ring = np.zeros((ROW_BLOCK, 2, 2 * schedule.steps + 1, 3), dtype=np.complex128)
-        for t, amps in enumerate(_origin_walk(coins, ring, np.hstack((basis1, initial_coin.as_array()[:, None])))):
-            slot = t % ROW_BLOCK
-            if slot == ROW_BLOCK - 1 or t == schedule.steps:
-                block = np.abs(ring[: slot + 1, :, :, 2])
-                np.square(block, out=block)
-                np.add(block[:, 0], block[:, 1], out=probs[t - slot : t + 1, 2:-2])
-        amplitudes = np.zeros((lattice.size, 2), dtype=np.complex128)
-        amplitudes[2:-2] = amps[:, :, 2].T
-        pure = PositionDistribution(lattice, probs), WalkerCoinPureState(lattice, amplitudes)
-    else:
-        for amps in _origin_walk(coins, np.zeros((2, 2, 2 * schedule.steps + 1, 2), dtype=np.complex128), basis1):
-            pass
+        if square and (slot == ROW_BLOCK - 1 or t == schedule.steps):
+            block = np.abs(ring[: slot + 1, :, :, 2])
+            np.square(block, out=block)
+            np.add(block[:, 0], block[:, 1], out=probs[t - slot : t + 1])
+    if square:
+        pure = PositionDistribution(lattice, probs), WalkerCoinPureState(lattice, amps[:, :, 2].T.copy())
     blocks = _blocks(amps[:, :, :2].transpose(2, 0, 1)[..., None])[0]
     effective = blocks[schedule.steps].copy() if schedule.steps % 2 == 0 else None
     revival, complete = _verdict(blocks)

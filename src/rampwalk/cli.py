@@ -28,8 +28,6 @@ from .search import (
     SearchConfig,
     angle_fraction,
     json_records,
-    load_reference_catalog,
-    parse_catalog,
     parse_fraction,
     scan,
     typed_field,
@@ -160,19 +158,10 @@ def _candidate_from_doc(raw: dict) -> RevivalCandidate:
     )
 
 
-def cmd_verify_table(
-    candidates_path: str,
-    catalog_path: str | None = None,
-    json_out: str | None = "-",
-) -> int:
-    """Diff a candidates file against the reference catalog."""
+def cmd_verify_table(candidates_path: str, json_out: str | None = "-") -> int:
+    """Diff a candidates file against the bundled reference catalog."""
     text = Path(candidates_path).read_text(encoding="utf-8")
-    candidates = json_records(text, "candidates", _candidate_from_doc)
-    if catalog_path is not None:
-        reference = parse_catalog(Path(catalog_path).read_text(encoding="utf-8"))
-    else:
-        reference = load_reference_catalog()
-    diff = verify_table(candidates, reference)
+    diff = verify_table(json_records(text, "candidates", _candidate_from_doc))
     _write_text(json_out, _dump_json(diff.to_dict()))
     return 0 if diff.ok else 1
 
@@ -269,7 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify-table", help="diff candidates against the catalog")
     verify.add_argument("candidates", help="candidates JSON from the search command")
-    verify.add_argument("--catalog", default=None, help="override the bundled catalog")
     verify.add_argument("--json-out", default="-")
 
     noise = sub.add_parser("noise-sweep", parents=[schedule], help="walk under coin dephasing")
@@ -331,7 +319,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return cmd_search(config, json_out=args.json_out)
 
     if args.command == "verify-table":
-        return cmd_verify_table(args.candidates, args.catalog, args.json_out)
+        return cmd_verify_table(args.candidates, args.json_out)
 
     if args.command == "noise-sweep":
         visibilities = [float(part) for part in args.visibilities.split(",") if part]

@@ -38,7 +38,7 @@ classes never mix, and the walk from the origin lights only one of
 them, a quarter of its light cone. The dephased walk steps that class
 as one compact block, with a trailing axis for a batch of
 visibilities, and its last block is the final state as it is. Every walk
-holds only its light cone, which always fits ``Lattice.for_steps(T)``, so
+holds only its light cone, which is ``Lattice.for_steps(T)`` itself, so
 no walk checks its reach.
 :func:`_density_walk` returns only the (T + 1, n) stack of
 distributions and the final state of one visibility, so it keeps no
@@ -139,33 +139,28 @@ def _coin_and_shift(entries: Sequence, amps: NDArray[np.complex128], out: NDArra
     down += c11 * minus
 
 
-def _origin_walk(
-    coins: NDArray[np.complex128], ring: NDArray[np.complex128], starts: NDArray[np.complex128] = np.zeros((2, 0))
-) -> Iterator[NDArray[np.complex128]]:
-    """The amplitudes of G walks from the origin, each from basis coin 0, stepped into ``ring``.
+def _origin_walk(coins: NDArray[np.complex128], ring: NDArray[np.complex128]) -> Iterator[NDArray[np.complex128]]:
+    """The amplitudes of G walks from the origin, stepped into ``ring`` from the starts its caller wrote.
 
-    ``coins`` is a (T, 2, 2) stack for one walk (G = 1), whose entries
+    ``coins`` is a (T, 2, 2) stack shared by all G walks, whose entries
     are unpacked once as Python complex numbers and the stack dropped, or
     a (T, G, 2, 2) stack with one coin per walk, read as a (T, 4, G) view.
-    ``ring`` is a zeroed (S, 2, 2T + 1, G + K) array of S >= 2 slots on
-    the sites -T..T: step t (the start is step 0) writes slot ``t % S`` on
-    its light cone, the window [T - t, T + t + 1), and yields that view,
-    valid until the ring wraps, S - 1 steps later. A slot's window only
-    grows, so what a step leaves unwritten is still the ring's zeros.
-    Column g walks g from basis coin 0, and K start columns ``starts``
-    (2, K), which need one walk's stack, follow them. The walks from basis
-    coin 1 are a start column, or the mirror of columns 0..G-1 (see
-    :func:`_blocks`).
+    ``ring`` is a (S, 2, 2T + 1, G) array of S >= 2 slots on the sites
+    -T..T, zero but for the (2, G) start coins the caller writes at the
+    origin, ``ring[0, :, T]``: step t (the start is step 0) writes slot
+    ``t % S`` on its light cone, the window [T - t, T + t + 1), and yields
+    that view, valid until the ring wraps, S - 1 steps later. A slot's
+    window only grows, so what a step leaves unwritten is still the
+    ring's zeros. The walks from basis coin 1 are start columns, or the
+    mirror of the walks from basis coin 0 (see :func:`_blocks`).
     """
-    steps, count = coins.shape[0], coins.shape[1] if coins.ndim == 4 else 1
+    steps = coins.shape[0]
     if coins.ndim == 3:
         entries = coins.reshape(steps, 4).tolist()
     else:
-        entries = coins.reshape(steps, count, 4).transpose(0, 2, 1)
+        entries = coins.reshape(steps, coins.shape[1], 4).transpose(0, 2, 1)
     del coins
     amps = ring[0, :, steps : steps + 1]
-    amps[0, 0, :count] = 1.0
-    amps[:, 0, count:] = starts
     yield amps
     for t, step in enumerate(entries, start=1):
         amps, previous = ring[t % len(ring), :, steps - t : steps + t + 1], amps
@@ -306,13 +301,13 @@ def _density_walk(
     below 1, one walk at a time, and :func:`bisect_visibility` at its
     chosen visibility, each on the stack it has already built.
     """
-    lattice = Lattice.for_steps(len(coins))
-    n, origin, steps = lattice.size, lattice.index(0), len(coins)
+    steps = len(coins)
+    lattice = Lattice.for_steps(steps)
     np.empty((2, 2, steps + 1, steps + 1), dtype=np.complex128)  # the memory guard
-    probs = np.zeros((steps + 1, n))
-    for k, w in enumerate(_class_steps(_origin_block(), coins, [visibility])):
-        probs[k, origin - k : origin + k + 1 : 2] = w[0, 0, :, :, 0].diagonal().real + w[1, 1, :, :, 0].diagonal().real
-    return PositionDistribution(lattice, probs), WalkerCoinDensityMatrix(lattice, w[..., 0], -steps)
+    probs = np.zeros((steps + 1, lattice.size))
+    for k, w in enumerate(_class_steps(_origin_block(), coins, [visibility])):  # the origin is index T
+        probs[k, steps - k : steps + k + 1 : 2] = w[0, 0, :, :, 0].diagonal().real + w[1, 1, :, :, 0].diagonal().real
+    return PositionDistribution(lattice, probs), WalkerCoinDensityMatrix(lattice, w[..., 0])
 
 
 def _round_around_root(probes: dict[float, float], target: float, lo: float, hi: float) -> list[float]:
@@ -372,7 +367,7 @@ def bisect_visibility(
     rounds follow the first. The probe nearest the target in a round
     ends the search when it is within tol, the ends of [0, 1] first.
     Two memory guards are allocated before anything else: the start's
-    (2T + 5, 2) amplitudes, which name the walk's size, and the probe
+    (2T + 1, 2) amplitudes, which name the walk's size, and the probe
     batch's widest block, (2, 2, T/2 + 2, T/2 + 2, K). So a calibration
     too large for memory fails at once, and no state is built. The coin
     stack is built once, and each round reads its p0s from one
@@ -385,17 +380,20 @@ def bisect_visibility(
     (else RuntimeError) and is the one returned. At visibility 1 it
     stays on that density walk: the pure walk's p0 can differ from the
     probe's in the last bits. Returns (visibility, origin probability).
-    Raises ValueError for a walk of no steps or a target outside [0, 1].
+    Raises ValueError for a walk of no steps, a target outside [0, 1] or
+    a tol that is negative or NaN.
     """
     if schedule.steps < 1:
         raise ValueError(f"calibration needs at least one step, got {schedule.steps}")
     target = target_origin_probability
     if not 0.0 <= target <= 1.0:  # NaN too: refused before the guards, the coin stack and any probe
         raise ValueError(f"target origin probability {target} lies outside [0, 1]")
+    if not tol >= 0.0:  # NaN too, which no probe would ever meet
+        raise ValueError(f"tolerance {tol} is not a non-negative number")
     # the memory guards: a calibration too large fails here, before any probe; the
     # start's amplitudes name the walk's size, and the probe batch's widest block
     # holds the batch
-    np.empty((2 * schedule.steps + 5, 2), dtype=np.complex128)
+    np.empty((2 * schedule.steps + 1, 2), dtype=np.complex128)
     widest = schedule.steps // 2 + 2
     np.empty((2, 2, widest, widest, PROBES_PER_WALK), dtype=np.complex128)
     coins, block = schedule.coins(), _origin_block()

@@ -163,6 +163,7 @@ def _scan_row(config: SearchConfig, steps: int, theta: float) -> list[RevivalCan
         points = family[first : first + chunk]
         omegas = np.array([math.pi * k / m for k, m in points])
         ring = np.zeros((2, 2, 2 * steps + 1, len(points)), dtype=np.complex128)
+        ring[0, 0, steps] = 1.0  # every point starts from basis coin 0 at the origin
         for amps in _origin_walk(coin_at_step(theta, omegas, t[:, None], config.convention), ring):
             pass
         # step T, the walks from basis coin 0, ends in slot T % 2; the other slot takes the walks from basis
@@ -246,11 +247,15 @@ def parse_catalog(text: str) -> tuple[CatalogEntry, ...]:
 def json_records(text: str, field: str, parse: Callable[[dict], _Record]) -> list[_Record]:
     """Parse each object of the list under `field` in a JSON object document.
 
-    Every malformed document or record raises ValueError: a top level
-    that is not an object, a field that is not a list of objects, or a
-    record whose values have the wrong type or are out of range.
+    Every malformed document or record raises ValueError: one nested
+    past the interpreter's recursion limit, a top level that is not an
+    object, a field that is not a list of objects, or a record whose
+    values have the wrong type or are out of range.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("JSON document nested too deeply to parse") from exc
     records = doc.get(field) if isinstance(doc, dict) else None
     if not isinstance(records, list) or not all(isinstance(raw, dict) for raw in records):
         raise ValueError(f"expected a JSON object whose {field!r} field is a list of objects")

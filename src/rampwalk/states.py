@@ -12,7 +12,6 @@ Coin basis ordering is ``[plus, minus]`` throughout.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,6 @@ STATE_NORM_TOL = 1e-10
 COIN_NORM_TOL = 1e-12
 DENSITY_TOL = 1e-10
 PSD_TOL = 1e-8
-GUARD_BAND = 2
 DISTANCE_BLOCK_SITES = 12_800  # rows times sites of the one temporary of a distance series, at least one row
 
 
@@ -41,15 +39,10 @@ class Lattice:
 
     @classmethod
     def for_steps(cls, steps: int) -> "Lattice":
-        """Symmetric lattice [-(steps + 2), steps + 2] for `steps` steps from the origin.
-
-        The ``GUARD_BAND`` of 2 extra sites on each side stays empty: walks
-        hold only their light cone, so it only lays out the public states.
-        """
+        """The light cone [-steps, steps] of `steps` steps from the origin, one site per step."""
         if steps < 0:
             raise ValueError(f"steps must be non-negative, got {steps}")
-        reach = steps + GUARD_BAND
-        return cls(-reach, reach)
+        return cls(-steps, steps)
 
     @property
     def size(self) -> int:
@@ -109,32 +102,30 @@ class WalkerCoinPureState:
 
 @dataclass(frozen=True)
 class WalkerCoinDensityMatrix:
-    """Mixed state zero off one parity class: ``block[i, j, u, v]`` is rho[(base + 2u, i), (base + 2v, j)].
+    """Mixed state zero off one parity class: ``block[i, j, u, v]`` is rho[(min_site + 2u, i), (min_site + 2v, j)].
 
-    Its m sites base, ..., base + 2(m - 1) lie on the lattice; it is checked as one (2m, 2m) matrix.
+    Its m = (n + 1) // 2 sites are min_site, min_site + 2, ... of the n-site
+    lattice, the class every dephased walk from the origin lights; it is
+    checked as one (2m, 2m) matrix.
     """
 
     lattice: Lattice
     block: NDArray[np.complex128]
-    base: int
 
     def __post_init__(self) -> None:
         block = np.asarray(self.block, dtype=np.complex128)
         object.__setattr__(self, "block", block)
-        m = block.shape[-1] if block.ndim == 4 else 0
-        if m == 0 or block.shape != (2, 2, m, m):
-            raise ValueError(f"block shape {block.shape} is not (2, 2, m, m) with m >= 1")
-        self.lattice.index(operator.index(self.base))
-        self.lattice.index(self.base + 2 * (m - 1))
+        m = (self.lattice.size + 1) // 2
+        if block.shape != (2, 2, m, m):
+            raise ValueError(f"block shape {block.shape} is not (2, 2, {m}, {m})")
         _check_density(block.transpose(2, 0, 3, 1).reshape(2 * m, 2 * m), "density block")
 
     @property
     def matrix(self) -> NDArray[np.complex128]:
         """The dense (2n, 2n) operator, flattened index ``2 * site_index + coin``, built on each call."""
-        n, m, start = self.lattice.size, self.block.shape[2], self.lattice.index(self.base)
-        sites = slice(start, start + 2 * m - 1, 2)
+        n = self.lattice.size
         dense = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-        dense.reshape(n, 2, n, 2)[sites, :, sites, :] = self.block.transpose(2, 0, 3, 1)
+        dense.reshape(n, 2, n, 2)[::2, :, ::2, :] = self.block.transpose(2, 0, 3, 1)
         return dense
 
 

@@ -396,18 +396,18 @@ def recording(monkeypatch, module, name, note):
 
 @pytest.mark.parametrize("steps", [0, 1, 48])
 def test_classify_walks_the_noiseless_walk_once(monkeypatch, steps):
-    # at visibility 1 one walk of three columns, both basis coins and the start coin,
-    # gives the blocks, the rows and the final state, from one coin stack and with no
-    # class step; below it only the blocks are pure
+    # one walk of three columns, both basis coins and the start coin, at every visibility:
+    # it gives the blocks, and at visibility 1 the rows and the final state too, from one
+    # coin stack and with no class step; below it one dephased walk gives the rows
     built = recording(monkeypatch, evolution, "coin_at_step", lambda *args: args)
     shapes = recording(monkeypatch, evolution, "_coin_and_shift", lambda coins, amps, out: amps.shape)
     classes = recording(monkeypatch, evolution, "_class_steps", lambda *args: args)
-    for visibility, columns, dephased in ((1.0, 3, 0), (0.9, 2, 1)):
+    for visibility, dephased in ((1.0, 0), (0.9, 1)):
         for calls in (built, shapes, classes):
             calls.clear()
         classify(WalkSchedule(math.pi / 4, math.pi / 48, steps, visibility=visibility))
         # step k + 1 grows the light cone's 2k + 1 sites one site each way
-        assert shapes == [(2, 2 * k + 1, columns) for k in range(steps)]
+        assert shapes == [(2, 2 * k + 1, 3) for k in range(steps)]
         assert len(built) == 1 and len(classes) == dephased
 
 
@@ -469,7 +469,7 @@ def test_a_sweep_too_large_for_memory_fails_before_any_step(monkeypatch):
 
     monkeypatch.setattr(WalkSchedule, "coins", view)
     for visibilities in ([1.0], [0.5], [0.5, 1.0]):
-        with pytest.raises(MemoryError, match=r"shape \(10000001, 20000005\)"):
+        with pytest.raises(MemoryError, match=r"shape \(10000001, 20000001\)"):
             list(analysis._classify_each(WalkSchedule(0.0, math.pi / 8, 10**7), visibilities))
     assert built == [] and stepped == []
 
@@ -518,7 +518,7 @@ def seeded_schedules(rng, count, max_steps, visibility=lambda i: 1.0):
 def test_classify_rows_and_final_state_are_the_per_step_formula_bit_for_bit():
     # the pure walk squares and sums its start column's magnitudes a block of steps at a
     # time; every row must be the per-step |a+|^2 + |a-|^2 on the light cone, zero off it,
-    # and the final state the start column zero-padded to the lattice, signed zeros included
+    # and the final state the start column as it is, signed zeros included
     block = analysis.ROW_BLOCK
     boundaries = [block - 1, block, block + 1, 2 * block]
     schedules = list(seeded_schedules(np.random.default_rng(61), 200, 64))
@@ -526,11 +526,22 @@ def test_classify_rows_and_final_state_are_the_per_step_formula_bit_for_bit():
     for sched in schedules:
         report = classify(sched)
         walked = origin_walk(sched.coins(), np.hstack((BASIS_1, CoinVector.symmetric().as_array()[:, None])))
-        # step t's 2t + 1 sites -t..t, padded to the 2T + 5 sites of the lattice
-        pads = [sched.steps - t + 2 for t in range(sched.steps + 1)]
+        # step t's 2t + 1 sites -t..t, padded to the 2T + 1 sites of the lattice
+        pads = [sched.steps - t for t in range(sched.steps + 1)]
         rows = [np.pad(np.abs(a[0, :, 2]) ** 2 + np.abs(a[1, :, 2]) ** 2, pad) for a, pad in zip(walked, pads)]
         assert same_bits(report.distributions.probabilities, np.array(rows))
-        assert same_bits(report.final.amplitudes, np.pad(walked[-1][:, :, 2].T, ((2, 2), (0, 0))))
+        assert same_bits(report.final.amplitudes, walked[-1][:, :, 2].T)
+
+
+@pytest.mark.parametrize("visibility", [1.0, 0.9])
+def test_the_report_lattice_is_the_light_cone(visibility):
+    # a T-step walk from the origin lights the sites -T..T, and the report holds no other:
+    # for a generic schedule the last row reaches both ends
+    for steps in range(65):
+        report = classify(WalkSchedule(0.37, 0.21, steps, visibility=visibility))
+        assert report.distributions.lattice == report.final.lattice == Lattice(-steps, steps)
+        last = report.distributions.probabilities[steps]
+        assert last[0] > 0.0 and last[-1] > 0.0, steps
 
 
 def test_each_report_checks_its_reduced_coin_state_once(monkeypatch):

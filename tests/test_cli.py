@@ -253,33 +253,36 @@ def test_verify_table_io_and_parse_errors(tmp_path):
     # residual JSON floats, and theta_pi and omega_pi fraction texts
     candidate = {"steps": 2, "theta": 0.0, "omega": 0.39269908169872414, "omega_pi": "1/8",
                  "complete": False, "residual": 0.0}
-    entry = {"steps": 2, "theta_pi": "0", "omega_pi": "1/8", "complete": False}
     mistyped = []
+    # the catalog documents' cases are parse_catalog's, in test_search
     wrong_types = (
         {"complete": "false"}, {"complete": 0}, {"steps": 2.9}, {"steps": True}, {"omega_pi": None},
-        {"omega_pi": True}, {"omega_pi": 0.125},
+        {"omega_pi": True}, {"omega_pi": 0.125}, {"theta": "0"}, {"theta": 0}, {"omega": True},
+        {"residual": "0.0"},
     )
-    # fields that only one of the two documents reads
-    candidate_only = ({"theta": "0"}, {"theta": 0}, {"omega": True}, {"residual": "0.0"})
-    entry_only = ({"theta_pi": True}, {"theta_pi": 0})
-    for i, changes in enumerate(wrong_types + candidate_only):
+    for i, changes in enumerate(wrong_types):
         candidates = tmp_path / f"candidates{i}.json"
         candidates.write_text(json.dumps({"candidates": [{**candidate, **changes}]}))
         mistyped.append((str(candidates),))
-    for i, changes in enumerate(wrong_types + entry_only):
-        catalog = tmp_path / f"catalog{i}.json"
-        catalog.write_text(json.dumps({"entries": [{**entry, **changes}]}))
-        mistyped.append((str(good), "--catalog", str(catalog)))
-    for args in (
-        (str(listed),),
-        (str(good), "--catalog", str(listed)),
-        (str(huge),),
-        *mistyped,
-    ):
+    for args in ((str(listed),), (str(huge),), *mistyped):
         result = run_cli("verify-table", *args)
         assert result.returncode == 2, result.stderr
         assert result.stderr.startswith("rampwalk: error:")
         assert len(result.stderr.splitlines()) == 1
+    # the bundled catalog is the only reference: a catalog option is a usage error
+    result = run_cli("verify-table", str(good), "--catalog", str(good))
+    assert result.returncode == 2
+    assert result.stderr.splitlines()[-1].startswith("rampwalk: error: unrecognized arguments: --catalog")
+
+
+def test_verify_table_refuses_a_deeply_nested_document(tmp_path):
+    # nesting past the interpreter's recursion limit is a malformed document, exit 2,
+    # not a traceback with exit 1, which means only a verification mismatch
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    result = run_cli("verify-table", str(nested), timeout=60)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == "rampwalk: error: JSON document nested too deeply to parse\n"
 
 
 def test_search_rejects_odd_step_counts():
@@ -375,13 +378,13 @@ def test_noise_sweep_usage_error():
         assert result.returncode == 2
         assert result.stderr.startswith("rampwalk: error:")
         assert len(result.stderr.splitlines()) == 1
-    # a calibration alone fails at once too: its start, the amplitudes of 2T + 5
+    # a calibration alone fails at once too: its start, the amplitudes of 2T + 1
     # sites, is built before any probe builds the coins
     result = run_cli("noise-sweep", *huge, "--visibilities", "", "--target-p0", "0.5", timeout=60)
     assert result.returncode == 2
     assert result.stderr.startswith("rampwalk: error:")
     assert len(result.stderr.splitlines()) == 1
-    assert "(2000000000000005, 2)" in result.stderr
+    assert "(2000000000000001, 2)" in result.stderr
     # where the start fits, the probe batch's widest block is the guard, also before
     # the coin stack
     result = run_cli(
@@ -507,18 +510,10 @@ def test_huge_decimal_exponents_are_refused_quickly(tmp_path, capsys):
         ' "omega_pi": "1e10000000", "complete": false, "residual": 0.0}]}',
         encoding="utf-8",
     )
-    empty = tmp_path / "empty.json"
-    empty.write_text('{"candidates": []}', encoding="utf-8")
-    catalog = tmp_path / "catalog.json"
-    catalog.write_text(
-        '{"entries": [{"steps": 2, "theta_pi": "1e-10000000", "omega_pi": "1/8",'
-        ' "complete": true}]}',
-        encoding="utf-8",
-    )
+    # a catalog entry's huge exponent is parse_catalog's case, in test_search
     for argv in (
         ["walk", "--theta", "0", "--omega", "1e10000000", "--steps", "2", "--json-out", "-"],
         ["verify-table", str(candidates)],
-        ["verify-table", str(empty), "--catalog", str(catalog)],
     ):
         start = time.perf_counter()
         code = cli.main(argv)

@@ -19,6 +19,7 @@ ANGLES = ("0", "1/8", "-3/7", "1/4", "0.3", "1/0", "1e400", "-1e400", "nan", "in
 NUMBERS = ("0", "0.5", "0.918", "1", "1.2", "-1", "nan", "inf", "1e400", "x", "")
 OUTPUTS = ("-", f"{TMP}/out.json", f"{TMP}/missing/out.json")
 REMOVED_OPTIONS = ("--workers", "--max-denominator", "--refine-tol", "--omega-count")
+REMOVED_VERIFY_OPTIONS = ("--catalog",)
 
 angle_text = st.sampled_from(ANGLES) | st.builds(
     "{}/{}".format, st.integers(-9, 9), st.integers(0, 8)
@@ -80,13 +81,9 @@ def cli_cases(draw):
         files["candidates.json"] = draw(documents("candidates", candidate_fields))
         missing = draw(st.integers(0, 4)) == 4
         argv = [command, f"{TMP}/none.json" if missing else f"{TMP}/candidates.json"]
-        if draw(st.booleans()):
-            catalog_fields = dict(
-                steps=step_count, theta_pi=angle_text, omega_pi=angle_text, complete=st.booleans()
-            )
-            files["catalog.json"] = draw(documents("entries", catalog_fields))
-            argv.append(f"--catalog={TMP}/catalog.json")
         argv += draw(options(json_out=st.sampled_from(OUTPUTS)))
+        if draw(st.integers(0, 9)) == 9:
+            argv.append(f"{draw(st.sampled_from(REMOVED_VERIFY_OPTIONS))}={TMP}/candidates.json")
         return argv, files
     if command == "search":
         argv = [command] + draw(
@@ -140,6 +137,7 @@ def exit_code(argv):
 @example(case=(["search", "--max-denominator", "64", "--steps", "2"], {}))
 @example(case=(["search", "--refine-tol", "1e-12", "--steps", "2"], {}))
 @example(case=(["search", "--omega-count", "5", "--steps", "2"], {}))
+@example(case=(["verify-table", f"{TMP}/c.json", f"--catalog={TMP}/c.json"], {"c.json": {"candidates": []}}))
 @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_every_argv_ends_in_a_documented_exit_code(tmp_path, case):
     argv, files = case
@@ -151,6 +149,6 @@ def test_every_argv_ends_in_a_documented_exit_code(tmp_path, case):
     # exit 1 means only "verification mismatch"
     assert code != 1 or argv[0] == "verify-table"
     # search takes no worker count, cap on the fraction denominators, residual
-    # tolerance or grid size
-    if any(arg.partition("=")[0] in REMOVED_OPTIONS for arg in argv):
+    # tolerance or grid size, and verify-table no catalog of its own
+    if any(arg.partition("=")[0] in REMOVED_OPTIONS + REMOVED_VERIFY_OPTIONS for arg in argv):
         assert code == 2

@@ -173,15 +173,17 @@ def test_zero_based_convention_changes_the_walk():
 
 
 @pytest.mark.parametrize("visibility", [1.0, 0.9])
-def test_guard_sites_stay_empty_over_long_walk(visibility):
-    # no walk checks its reach: after k steps on Lattice.for_steps(k) everything
-    # lies within k of the origin, and the guard band holds nothing
+def test_sites_off_the_light_cone_stay_empty_over_long_walk(visibility):
+    # no walk checks its reach: after k steps everything lies within k of the origin,
+    # on Lattice.for_steps(k) with no site to spare, and row j of the stack within j
     sched = WalkSchedule(0.0, math.pi / 8, 16, visibility=visibility)
     for k, state in enumerate(states_after_each_step(sched), start=1):
+        assert state.lattice == Lattice(-k, k)
         probabilities = distribution(state).probabilities[0]
-        outside = np.abs(state.lattice.sites()) > k
-        assert outside.sum() == 4 and not np.any(probabilities[outside])
         assert float(probabilities.sum()) == pytest.approx(1.0, abs=1e-12)
+    rows, _ = walk(sched)
+    for j, row in enumerate(rows.probabilities):
+        assert not np.any(row[np.abs(rows.lattice.sites()) > j])
 
 
 def test_translation_covariance():
@@ -287,7 +289,7 @@ def test_dephased_state_is_its_class_block_bit_for_bit(convention, visibility):
         _, final = evolution._density_walk(sched.coins(), visibility)
         for w in evolution._class_steps(evolution._origin_block(), sched.coins(), [visibility]):
             pass
-        assert final.base == -steps and same_bits(final.block, w[..., 0])
+        assert final.lattice == Lattice(-steps, steps) and same_bits(final.block, w[..., 0])
         dense = walks.scatter(final.lattice, w[..., 0])
         assert same_bits(final.matrix, dense), steps
         assert same_bits(reduced_coin_state(final), walks.dense_reduced_coin(dense)), steps
@@ -374,6 +376,26 @@ def test_bisect_visibility_refuses_an_impossible_target_before_any_walk(monkeypa
     argv = ["noise-sweep", "--theta", "0", "--omega", "1/8", "--steps", "800", "--visibilities", "", "--target-p0", "nan"]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == "rampwalk: error: target origin probability nan lies outside [0, 1]\n"
+
+
+def test_bisect_visibility_refuses_a_negative_or_nan_tolerance(monkeypatch):
+    # no probe could meet such a tolerance: refused by name before the memory guards, the
+    # coin stack and any probe, so even a walk far too large for memory fails with it
+    def walked(*args):
+        raise AssertionError("a walk was started")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(evolution, "_probe_origin_probability", walked)
+        patched.setattr(WalkSchedule, "coins", walked)
+        for steps in (16, 10**15):
+            for tol in (math.nan, -1e-300, -1.0, -math.inf):
+                with pytest.raises(ValueError, match="tolerance"):
+                    bisect_visibility(WalkSchedule(0.0, math.pi / 8, steps), 0.5, tol)
+    # tol = 0 still stands: a target an end of [0, 1] meets exactly is found
+    sched = WalkSchedule(0.37, math.pi / 9, 16)
+    for visibility in (0.0, 1.0):
+        p0 = evolution._density_walk(sched.coins(), visibility)[0].at_site(0)[-1]
+        assert bisect_visibility(sched, p0, 0.0) == (visibility, p0)
 
 
 def oracle_rows(schedule, lattice):
@@ -603,7 +625,7 @@ def test_final_dephased_state_at_48_steps_passes_the_psd_check():
     steps = 48
     _, final = walk(WalkSchedule(0.0, math.pi / 8, steps, visibility=0.9))
     eigenvalues = np.linalg.eigvalsh(final.matrix)
-    # rank-deficient: sites of the wrong parity and the guard sites stay empty
+    # rank-deficient: the sites of the wrong parity stay empty, and the class block is not full rank
     assert np.sum(np.abs(eigenvalues) < 1e-12) >= final.lattice.size
     states._check_density(final.matrix, "final state")
 
@@ -729,7 +751,7 @@ def test_origin_walk_wraps_its_ring_without_zeroing_it(convention):
         expected[0, 0, :count] = 1.0
         expected[:, 0, count:] = starts
         kept = []  # (view, copy) of the steps whose slots have not been written since
-        for k, amps in enumerate(evolution._origin_walk(coins, ring, starts)):
+        for k, amps in enumerate(evolution._origin_walk(coins, ring)):
             if k:
                 coin = coins[k - 1]
                 entries = coin.reshape(4).tolist() if coins.ndim == 3 else coin.reshape(-1, 4).T

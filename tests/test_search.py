@@ -1,9 +1,12 @@
+import json
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import exact
 import oracles
@@ -133,7 +136,7 @@ def test_origin_walk_does_not_depend_on_the_batch(monkeypatch, steps, theta, con
         assert np.array_equal(evolution._blocks(basis), blocks[k : k + 1])
         for k, (amps, expected) in enumerate(zip(walked[1:], one_column_walk(coins, start), strict=True), 1):
             # step k's 2k + 1 sites are the sites -k..k of Lattice.for_steps(T), and nothing lies outside them
-            cone = slice(steps + 2 - k, steps + 3 + k)
+            cone = slice(steps - k, steps + k + 1)
             assert np.array_equal(amps[..., 2].T, expected[cone])
             assert not np.delete(expected, np.arange(expected.shape[0])[cone], axis=0).any()
 
@@ -271,6 +274,50 @@ def test_parse_catalog_roundtrip():
         "omega_pi": "1/2",
         "complete": True,
     }
+
+
+def test_parse_catalog_refuses_malformed_documents():
+    # a top level or field that is no list of objects, a mistyped field, and a huge
+    # decimal exponent, refused before Fraction expands it
+    entry = {"steps": 2, "theta_pi": "0", "omega_pi": "1/8", "complete": False}
+    wrong_types = (
+        {"complete": "false"}, {"complete": 0}, {"steps": 2.9}, {"steps": True}, {"omega_pi": None},
+        {"omega_pi": True}, {"omega_pi": 0.125}, {"theta_pi": True}, {"theta_pi": 0},
+    )
+    documents = ["[]", '{"entries": {}}', '{"entries": [1]}']
+    documents += [json.dumps({"entries": [{**entry, **changes}]}) for changes in wrong_types]
+    for text in documents:
+        with pytest.raises(ValueError):
+            parse_catalog(text)
+    huge = '{"entries": [{"steps": 2, "theta_pi": "1e-10000000", "omega_pi": "1/8", "complete": true}]}'
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="decimal exponent"):
+        parse_catalog(huge)
+    assert time.perf_counter() - start < 1.0
+    assert parse_catalog(json.dumps({"entries": [entry]})) == (CatalogEntry(2, Fraction(0), Fraction(1, 8), False),)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(("0", "1/8", "1/0", "x", "1e10000000", "-1e-10000000")),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=8,
+)
+catalog_fields = ("steps", "theta_pi", "omega_pi", "complete")
+
+
+@given(
+    st.fixed_dictionaries({"entries": st.lists(st.dictionaries(st.sampled_from(catalog_fields), json_values,
+                                                               max_size=5), max_size=4)})
+    | json_values
+)
+@settings(max_examples=200)
+def test_parse_catalog_raises_only_what_the_cli_reports(doc):
+    # a KeyError (a missing field), ValueError or ZeroDivisionError is one "rampwalk: error:" line
+    try:
+        parse_catalog(json.dumps(doc))
+    except (ValueError, KeyError, ZeroDivisionError):
+        pass
 
 
 def test_typed_field_requires_the_exact_json_type():

@@ -28,18 +28,18 @@ def density_from_pure(state: WalkerCoinPureState) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
-def random_class_state(lattice: Lattice, seed: int) -> tuple[WalkerCoinPureState, int]:
-    """A random pure state zero off the sites base, base + 2, ..., and that base."""
+def random_class_state(lattice: Lattice, seed: int) -> WalkerCoinPureState:
+    """A random pure state zero off the sites min_site, min_site + 2, ... of the lattice."""
     amps = random_pure_state(lattice, seed).amplitudes.copy()
-    amps[1 - seed % 2 :: 2] = 0.0
-    return WalkerCoinPureState(lattice, amps / np.linalg.norm(amps)), lattice.min_site + seed % 2
+    amps[1::2] = 0.0
+    return WalkerCoinPureState(lattice, amps / np.linalg.norm(amps))
 
 
-def block_from_pure(state: WalkerCoinPureState, base: int) -> WalkerCoinDensityMatrix:
-    """|psi><psi| of a pure state zero off the sites base, base + 2, ..., as its class block."""
-    amps = state.amplitudes[state.lattice.index(base) :: 2]  # (m, 2)
+def block_from_pure(state: WalkerCoinPureState) -> WalkerCoinDensityMatrix:
+    """|psi><psi| of a pure state zero off the sites min_site, min_site + 2, ..., as its class block."""
+    amps = state.amplitudes[::2]  # (m, 2)
     block = amps.T[:, None, :, None] * amps.conj().T[None, :, None, :]  # block[i, j, u, v]
-    return WalkerCoinDensityMatrix(state.lattice, block, base)
+    return WalkerCoinDensityMatrix(state.lattice, block)
 
 
 def block_of(rho: np.ndarray) -> np.ndarray:
@@ -72,9 +72,10 @@ def test_lattice_index_out_of_range():
         lat.index(-3)
 
 
-def test_lattice_for_steps_leaves_guard_band():
-    lat = Lattice.for_steps(4)
-    assert (lat.min_site, lat.max_site) == (-6, 6)
+def test_lattice_for_steps_is_the_light_cone():
+    for steps in range(5):
+        lat = Lattice.for_steps(steps)
+        assert (lat.min_site, lat.max_site) == (-steps, steps) and lat.size == 2 * steps + 1
     with pytest.raises(ValueError):
         Lattice.for_steps(-1)
 
@@ -147,55 +148,56 @@ def test_at_site_of_a_stack_is_the_column_of_its_rows():
 
 
 def test_density_matrix_validation():
-    # blocks on the sites -1 and 1 of [-2, 2]; index 2 * u + coin below
-    lat = Lattice(-2, 2)
+    # blocks on the sites -1 and 1 of [-1, 1]; index 2 * u + coin below
+    lat = Lattice(-1, 1)
     good = np.zeros((4, 4), dtype=complex)
     good[0, 0] = good[3, 3] = 0.5
-    state = WalkerCoinDensityMatrix(lat, block_of(good), -1)
+    state = WalkerCoinDensityMatrix(lat, block_of(good))
     assert state.block.shape == (2, 2, 2, 2)
-    assert state.matrix[2, 2] == state.matrix[7, 7] == 0.5 and np.count_nonzero(state.matrix) == 2
+    assert state.matrix[0, 0] == state.matrix[5, 5] == 0.5 and np.count_nonzero(state.matrix) == 2
+    # on [-1, 2] too the block holds the sites -1 and 1: the class from min_site, (n + 1) // 2 sites
+    wider = WalkerCoinDensityMatrix(Lattice(-1, 2), block_of(good)).matrix
+    assert wider.shape == (8, 8) and wider[0, 0] == wider[5, 5] == 0.5 and np.count_nonzero(wider) == 2
     with pytest.raises(ValueError, match="trace"):
-        WalkerCoinDensityMatrix(lat, block_of(np.eye(4)), -1)  # trace 4, not 1
+        WalkerCoinDensityMatrix(lat, block_of(np.eye(4)))  # trace 4, not 1
     skew = np.zeros((4, 4), dtype=complex)
     skew[0, 0] = 1.0
     skew[0, 1] = 1.0
     with pytest.raises(ValueError, match="not Hermitian"):
-        WalkerCoinDensityMatrix(lat, block_of(skew), -1)
+        WalkerCoinDensityMatrix(lat, block_of(skew))
     # rho[3, 1] != 0 = rho[1, 3], and rows and columns 1 and 3 hold nothing else:
     # every entry counts, a lone one below the diagonal too
     one_sided = np.zeros((4, 4), dtype=complex)
     one_sided[0, 0] = one_sided[2, 2] = 0.5
     one_sided[3, 1] = 1e-3
     with pytest.raises(ValueError, match=r"not Hermitian \(defect 1.000e-03\)"):
-        WalkerCoinDensityMatrix(lat, block_of(one_sided), -1)
+        WalkerCoinDensityMatrix(lat, block_of(one_sided))
     negative = np.zeros((4, 4), dtype=complex)
     negative[0, 0] = 1.5
     negative[1, 1] = -0.5
     with pytest.raises(ValueError, match="negative eigenvalue"):
-        WalkerCoinDensityMatrix(lat, block_of(negative), -1)
+        WalkerCoinDensityMatrix(lat, block_of(negative))
     # NaN fails every bound, on the diagonal and off it
     for entry in ((3, 3), (0, 1)):
         poisoned = good.copy()
         poisoned[entry] = math.nan
         with pytest.raises(ValueError):
-            WalkerCoinDensityMatrix(lat, block_of(poisoned), -1)
-    for shape in ((2, 2, 2, 3), (2, 2, 4), (4, 4), (1, 1, 2, 2), (2, 2, 0, 0), (2, 3, 2, 2)):
+            WalkerCoinDensityMatrix(lat, block_of(poisoned))
+    for shape in ((2, 2, 2, 3), (2, 2, 4), (4, 4), (1, 1, 2, 2), (2, 2, 0, 0), (2, 3, 2, 2), (2, 2, 1, 1)):
         with pytest.raises(ValueError, match="block shape"):
-            WalkerCoinDensityMatrix(lat, np.zeros(shape, dtype=complex), -1)
-    # the block's sites base, base + 2, ... must lie on the lattice
-    for base in (-3, 1, 3):
-        with pytest.raises(ValueError, match="outside lattice"):
-            WalkerCoinDensityMatrix(lat, block_of(good), base)
-    with pytest.raises(TypeError):
-        WalkerCoinDensityMatrix(lat, block_of(good), -1.0)  # sites are integers
+            WalkerCoinDensityMatrix(lat, np.zeros(shape, dtype=complex))
+    # the block holds exactly the lattice's class sites: two on [-1, 1], three on [-2, 2]
+    for lattice in (Lattice(-2, 2), Lattice(0, 0), Lattice(-3, 1)):
+        with pytest.raises(ValueError, match="block shape"):
+            WalkerCoinDensityMatrix(lattice, block_of(good))
 
 
 @given(st.integers(min_value=0, max_value=10_000))
 def test_reduced_coin_routes_agree(seed):
-    lat = Lattice(-3, 3)
-    state, base = random_class_state(lat, seed)
+    lat = Lattice(-3 + seed % 2, 3)  # the class of the odd sites of [-3, 3], or of the even ones
+    state = random_class_state(lat, seed)
     from_pure = reduced_coin_state(state)
-    from_density = reduced_coin_state(block_from_pure(state, base))
+    from_density = reduced_coin_state(block_from_pure(state))
     assert np.max(np.abs(from_pure - from_density)) < 1e-12
 
 
@@ -219,19 +221,20 @@ def test_coin_purity_range(seed):
 
 
 def test_reduced_coin_state_of_product_and_entangled_states():
-    lat = Lattice(-1, 1)
+    # the product on the sites -2, 0, 2 of [-2, 2], the entangled state on -1, 1 of [-1, 1]
     coin = CoinVector.symmetric().as_array()
-    product_amps = np.zeros((lat.size, 2), dtype=complex)
-    product_amps[lat.index(0)] = coin
-    product = WalkerCoinPureState(lat, product_amps)
+    product_amps = np.zeros((5, 2), dtype=complex)
+    product_amps[2] = coin
+    product = WalkerCoinPureState(Lattice(-2, 2), product_amps)
+    lat = Lattice(-1, 1)
     entangled_amps = np.zeros((lat.size, 2), dtype=complex)
     entangled_amps[lat.index(-1), 0] = entangled_amps[lat.index(1), 1] = 1 / math.sqrt(2)
     entangled = WalkerCoinPureState(lat, entangled_amps)
-    for state, base, expected, purity in (
-        (product, 0, np.outer(coin, coin.conj()), 1.0),
-        (entangled, -1, 0.5 * np.eye(2), 0.5),
+    for state, expected, purity in (
+        (product, np.outer(coin, coin.conj()), 1.0),
+        (entangled, 0.5 * np.eye(2), 0.5),
     ):
-        for route in (state, block_from_pure(state, base)):
+        for route in (state, block_from_pure(state)):
             rho = reduced_coin_state(route)
             assert np.max(np.abs(rho - expected)) < 1e-12
             assert float(np.real(np.trace(rho @ rho))) == pytest.approx(purity, abs=1e-12)

@@ -14,14 +14,22 @@ def walk(schedule):
 
 
 def ring(coins, starts=np.zeros((2, 0)), slots=2):
-    """A zeroed ring of `slots` for `evolution._origin_walk(coins, ring, starts)`: (S, 2, 2T + 1, G + K)."""
+    """A ring of `slots` for `evolution._origin_walk(coins, ring)`: (S, 2, 2T + 1, G + K), zero off the starts.
+
+    Slot 0 holds, at the origin (site index T), basis coin 0 in each of the G columns of the
+    coin stack's walks and then the K start columns `starts` (2, K), as `classify` writes
+    [e0, e1, c] and the scan basis coin 0 alone.
+    """
     count = coins.shape[1] if coins.ndim == 4 else 1
-    return np.zeros((slots, 2, 2 * len(coins) + 1, count + starts.shape[1]), dtype=np.complex128)
+    ring = np.zeros((slots, 2, 2 * len(coins) + 1, count + starts.shape[1]), dtype=np.complex128)
+    ring[0, 0, len(coins), :count] = 1.0
+    ring[0, :, len(coins), count:] = starts
+    return ring
 
 
 def origin_walk(coins, starts=np.zeros((2, 0)), slots=2):
     """Every amplitude array `evolution._origin_walk` yields, the start first, each copied out of its ring."""
-    return [amps.copy() for amps in evolution._origin_walk(coins, ring(coins, starts, slots), starts)]
+    return [amps.copy() for amps in evolution._origin_walk(coins, ring(coins, starts, slots))]
 
 
 BASIS_1 = np.eye(2)[:, 1:]  # basis coin 1 as a start column (2, 1)
@@ -42,7 +50,7 @@ def origin_blocks(coins):
     stack's walks from basis coin 1 are the mirror of its walks from basis coin 0, as the scan reads them.
     """
     if coins.ndim == 3:
-        for amps in evolution._origin_walk(coins, ring(coins, BASIS_1), BASIS_1):
+        for amps in evolution._origin_walk(coins, ring(coins, BASIS_1)):
             pass
         return evolution._blocks(np.stack((amps[..., :1], amps[..., 1:])))
     for amps in evolution._origin_walk(coins, ring(coins)):
