@@ -22,7 +22,8 @@ def main() -> int:
 
     print("\nbiased walk (theta pi/4), ramp pi/10, 8 steps")
     report = classify(WalkSchedule(math.pi / 4, math.pi / 10, 8))
-    plus, minus = report.final.amplitudes[report.final.lattice.index(0)]
+    amplitudes = report.final.amplitudes  # on the sites -8..8, the origin in the middle
+    plus, minus = amplitudes[len(amplitudes) // 2]
     print(f"  revival: {report.is_revival}, complete: {report.is_complete}")
     print(f"  final coin state: ({plus:.6f}) |plus> + ({minus:.6f}) |minus>")
     print(f"  overlap with initial coin:   {report.overlap_initial:.6f}")

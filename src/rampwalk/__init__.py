@@ -12,7 +12,6 @@ from .coins import (
 )
 from .states import (
     CoinVector,
-    Lattice,
     PositionDistribution,
     WalkerCoinDensityMatrix,
     WalkerCoinPureState,
@@ -41,7 +40,6 @@ from .search import (
 __all__ = [
     "CatalogEntry",
     "CoinVector",
-    "Lattice",
     "PositionDistribution",
     "RevivalCandidate",
     "RevivalReport",

@@ -8,7 +8,7 @@ block ``W_T[d]`` with d != 0 vanishes; ``W_T[0]`` is then the effective
 coin. The revival is complete when that residual coin rotation is the
 identity up to a global phase, making the full initial state recur.
 A report reads its origin probability, its distance from the start and
-its Polya number from the walk's one (T + 1, n) distribution stack.
+its Polya number from the walk's one (T + 1, 2T + 1) distribution stack.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from numpy.typing import NDArray
 from .evolution import WalkSchedule, _blocks, _density_walk, _origin_walk
 from .states import (
     CoinVector,
-    Lattice,
     PositionDistribution,
     WalkerCoinPureState,
     WalkerState,
@@ -144,7 +143,7 @@ def classify(schedule: WalkSchedule) -> RevivalReport:
     at visibility 1, the rows and the final state from its start column,
     sites -t..t after step t; below it the dephased walk gives the rows
     and the final state. Every walk writes each
-    state it yields, the start first, as one row of the (T + 1, n) stack,
+    state it yields, the start first, as one row of the (T + 1, 2T + 1) stack,
     and the report reads p0, the distance and the Polya number from it
     (see :class:`RevivalReport`), as ``walk --json-out`` reads its two
     series. The CLI and the demo script format this report rather than
@@ -161,7 +160,7 @@ def _classify_each(schedule: WalkSchedule, visibilities: Sequence[float]) -> Ite
     Each v must be a visibility ``WalkSchedule`` accepts, in [0, 1]: the
     caller checks it (``classify`` passes the schedule's own, and
     ``noise-sweep`` checks its input first). An empty sequence walks
-    nothing. The pure walk's (T + 1, n) rows, the shape of every
+    nothing. The pure walk's (T + 1, 2T + 1) rows, the shape of every
     report's rows, are allocated first, so a sweep too large for memory
     fails at once, before the coin stack. The coin stack is built once
     and the noiseless walk runs once, before the first report, as one
@@ -180,10 +179,9 @@ def _classify_each(schedule: WalkSchedule, visibilities: Sequence[float]) -> Ite
     if not visibilities:
         return
     initial_coin = CoinVector.symmetric()
-    lattice = Lattice.for_steps(schedule.steps)
     # the pure walk's rows, the shape of every report's: a sweep too large for
     # memory fails here, before the coin stack is built or the noiseless walk steps
-    probs = np.zeros((schedule.steps + 1, lattice.size))
+    probs = np.zeros((schedule.steps + 1, 2 * schedule.steps + 1))
     coins = schedule.coins()
     # one three-column walk [e0, e1, c] at every visibility: basis coin 1 walks as a start
     # column, not as the mirror of basis coin 0, so the blocks keep their signed zeros
@@ -198,7 +196,7 @@ def _classify_each(schedule: WalkSchedule, visibilities: Sequence[float]) -> Ite
             np.square(block, out=block)
             np.add(block[:, 0], block[:, 1], out=probs[t - slot : t + 1])
     if square:
-        pure = PositionDistribution(lattice, probs), WalkerCoinPureState(lattice, amps[:, :, 2].T.copy())
+        pure = PositionDistribution(probs), WalkerCoinPureState(amps[:, :, 2].T.copy())
     blocks = _blocks(amps[:, :, :2].transpose(2, 0, 1)[..., None])[0]
     effective = blocks[schedule.steps].copy() if schedule.steps % 2 == 0 else None
     revival, complete = _verdict(blocks)

@@ -85,14 +85,13 @@ def cmd_walk(
     """Run one walk and emit the distributions and summaries of steps 1..T."""
     report = classify(schedule)
     distributions = report.distributions
-    lattice = distributions.lattice
     rows = distributions.probabilities[1:]
+    sites = list(range(-len(rows), len(rows) + 1))  # the light cone -T..T of the T rows after the start
 
     if csv_out is not None:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["step", "site", "probability"])
-        sites = lattice.sites().tolist()
         for step_number, row in enumerate(rows.tolist(), start=1):
             writer.writerows([step_number, site, p] for site, p in zip(sites, row))
         _write_text(csv_out, buffer.getvalue())
@@ -100,7 +99,7 @@ def cmd_walk(
     if json_out is not None:
         doc = {
             "schedule": {**_schedule_doc(schedule), "visibility": float(schedule.visibility)},
-            "sites": lattice.sites().tolist(),
+            "sites": sites,
             "probabilities": rows.tolist(),
             "origin_probability": distributions.at_site(0)[1:].tolist(),
             "tv_distance": distributions.tv_from_start()[1:].tolist(),

@@ -20,9 +20,9 @@ applies the coin pair to one parity class of rho in one pass and then
 shifts it, with the same products as :func:`_coin_and_shift` on the rows
 and then the columns, for a batch of K visibilities at once. Every walk
 of a state, the one ``analysis.classify`` summarises, starts from the
-symmetric coin at the origin of ``Lattice.for_steps(T)``, and both loops
+symmetric coin at the origin of the light cone -T..T, and both loops
 yield that start first, so the walk after t steps is row t of its
-(T + 1, n) stack of distributions. Below visibility 1 the walk is
+(T + 1, 2T + 1) stack of distributions. Below visibility 1 the walk is
 dephased: each unitary step is followed by a coin dephasing channel of
 strength set by the schedule visibility:
 
@@ -38,9 +38,9 @@ classes never mix, and the walk from the origin lights only one of
 them, a quarter of its light cone. The dephased walk steps that class
 as one compact block, with a trailing axis for a batch of
 visibilities, and its last block is the final state as it is. Every walk
-holds only its light cone, which is ``Lattice.for_steps(T)`` itself, so
-no walk checks its reach.
-:func:`_density_walk` returns only the (T + 1, n) stack of
+holds only its light cone, the 2T + 1 sites -T..T that every state reads
+from its own shape, so no walk checks its reach.
+:func:`_density_walk` returns only the (T + 1, 2T + 1) stack of
 distributions and the final state of one visibility, so it keeps no
 trajectory; the state after step k is the final state of the k-step
 walk. :func:`bisect_visibility` calibrates the same walk by rounds of
@@ -63,7 +63,6 @@ from numpy.typing import NDArray
 from .coins import StepConvention, coin_at_step
 from .states import (
     CoinVector,
-    Lattice,
     PositionDistribution,
     WalkerCoinDensityMatrix,
 )
@@ -285,12 +284,12 @@ def _probe_origin_probability(
 def _density_walk(
     coins: NDArray[np.complex128], visibility: float
 ) -> tuple[PositionDistribution, WalkerCoinDensityMatrix]:
-    """The dephased walk at any visibility, 1 included: its (T + 1, n) stack and final state.
+    """The dephased walk at any visibility, 1 included: its (T + 1, 2T + 1) stack and final state.
 
     ``coins`` is the walk's (T, 2, 2) stack, built by the caller, and
     ``visibility`` its dephasing. The walk steps :func:`_origin_block`
     with :func:`_class_steps`, as a batch of one visibility, on
-    ``Lattice.for_steps(T)``, building no start. Row k of the stack, the
+    the light cone -T..T, building no start. Row k of the stack, the
     walk after k steps (row 0 the start), is the two coin diagonals of
     the k-th block, written at stride 2 on the light cone's sites -k,
     ..., k, and the final state is the last block, on the sites -T, ...,
@@ -302,12 +301,11 @@ def _density_walk(
     chosen visibility, each on the stack it has already built.
     """
     steps = len(coins)
-    lattice = Lattice.for_steps(steps)
     np.empty((2, 2, steps + 1, steps + 1), dtype=np.complex128)  # the memory guard
-    probs = np.zeros((steps + 1, lattice.size))
+    probs = np.zeros((steps + 1, 2 * steps + 1))
     for k, w in enumerate(_class_steps(_origin_block(), coins, [visibility])):  # the origin is index T
         probs[k, steps - k : steps + k + 1 : 2] = w[0, 0, :, :, 0].diagonal().real + w[1, 1, :, :, 0].diagonal().real
-    return PositionDistribution(lattice, probs), WalkerCoinDensityMatrix(lattice, w[..., 0])
+    return PositionDistribution(probs), WalkerCoinDensityMatrix(w[..., 0])
 
 
 def _round_around_root(probes: dict[float, float], target: float, lo: float, hi: float) -> list[float]:

@@ -1,17 +1,22 @@
-"""Walker-coin states on a finite integer lattice.
+"""Walker-coin states of a T-step walk from the origin, on its light cone.
 
-A pure state stores one complex amplitude per (site, coin) pair in an
-array of shape ``(n_sites, 2)``. A density matrix stores the one parity
-class it lights, a ``(2, 2, m, m)`` block, and builds the dense ``(2n, 2n)``
-operator only when asked. A walk's position distributions are one
-``(T + 1, n)`` stack, row t the walk after t steps, from which the
-origin probability and the distance from the start are read per row.
-Coin basis ordering is ``[plus, minus]`` throughout.
+Every step moves the walker one site, so a T-step walk lives on the
+n = 2T + 1 sites -T..T, and each state reads T from its array's shape,
+refusing any shape that is not a light cone. A pure state stores one
+complex amplitude per (site, coin) pair in an array of shape
+``(2T + 1, 2)``. A density matrix stores the one parity class it lights,
+a ``(2, 2, T + 1, T + 1)`` block on the sites -T, -T + 2, ..., T, and
+builds the dense ``(2n, 2n)`` operator only when asked. A walk's
+position distributions are one ``(T + 1, 2T + 1)`` stack, row t the
+walk after t steps, from which the origin probability and the distance
+from the start are read per row. Coin basis ordering is ``[plus, minus]``
+throughout.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,42 +27,6 @@ COIN_NORM_TOL = 1e-12
 DENSITY_TOL = 1e-10
 PSD_TOL = 1e-8
 DISTANCE_BLOCK_SITES = 12_800  # rows times sites of the one temporary of a distance series, at least one row
-
-
-@dataclass(frozen=True)
-class Lattice:
-    """Closed range of sites [min_site, max_site] containing the origin."""
-
-    min_site: int
-    max_site: int
-
-    def __post_init__(self) -> None:
-        if not (self.min_site <= 0 <= self.max_site):
-            raise ValueError(
-                f"lattice [{self.min_site}, {self.max_site}] must contain the origin"
-            )
-
-    @classmethod
-    def for_steps(cls, steps: int) -> "Lattice":
-        """The light cone [-steps, steps] of `steps` steps from the origin, one site per step."""
-        if steps < 0:
-            raise ValueError(f"steps must be non-negative, got {steps}")
-        return cls(-steps, steps)
-
-    @property
-    def size(self) -> int:
-        return self.max_site - self.min_site + 1
-
-    def index(self, site: int) -> int:
-        """Array index of a site; raises if the site is outside the lattice."""
-        if not (self.min_site <= site <= self.max_site):
-            raise ValueError(
-                f"site {site} outside lattice [{self.min_site}, {self.max_site}]"
-            )
-        return site - self.min_site
-
-    def sites(self) -> NDArray[np.int64]:
-        return np.arange(self.min_site, self.max_site + 1, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -84,17 +53,15 @@ class CoinVector:
 
 @dataclass(frozen=True)
 class WalkerCoinPureState:
-    """Pure state: amplitude array of shape (lattice.size, 2), unit norm."""
+    """Pure state: amplitude array of shape (2T + 1, 2) on the sites -T..T, unit norm."""
 
-    lattice: Lattice
     amplitudes: NDArray[np.complex128]
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         object.__setattr__(self, "amplitudes", amps)
-        expected = (self.lattice.size, 2)
-        if amps.shape != expected:
-            raise ValueError(f"amplitude shape {amps.shape} != {expected}")
+        if amps.ndim != 2 or amps.shape[1] != 2 or amps.shape[0] % 2 != 1:
+            raise ValueError(f"amplitude shape {amps.shape} is not (2T + 1, 2)")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if not math.isfinite(norm_sq) or abs(norm_sq - 1.0) > STATE_NORM_TOL:
             raise ValueError(f"state norm^2 deviates from 1 by {abs(norm_sq - 1.0):.3e}")
@@ -102,28 +69,27 @@ class WalkerCoinPureState:
 
 @dataclass(frozen=True)
 class WalkerCoinDensityMatrix:
-    """Mixed state zero off one parity class: ``block[i, j, u, v]`` is rho[(min_site + 2u, i), (min_site + 2v, j)].
+    """Mixed state zero off one parity class: ``block[i, j, u, v]`` is rho[(2u - T, i), (2v - T, j)].
 
-    Its m = (n + 1) // 2 sites are min_site, min_site + 2, ... of the n-site
-    lattice, the class every dephased walk from the origin lights; it is
-    checked as one (2m, 2m) matrix.
+    Its (2, 2, T + 1, T + 1) block holds the sites -T, -T + 2, ..., T, the
+    class every dephased T-step walk from the origin lights; it is checked
+    as one (2(T + 1), 2(T + 1)) matrix.
     """
 
-    lattice: Lattice
     block: NDArray[np.complex128]
 
     def __post_init__(self) -> None:
         block = np.asarray(self.block, dtype=np.complex128)
         object.__setattr__(self, "block", block)
-        m = (self.lattice.size + 1) // 2
-        if block.shape != (2, 2, m, m):
-            raise ValueError(f"block shape {block.shape} is not (2, 2, {m}, {m})")
+        if block.ndim != 4 or block.shape[:2] != (2, 2) or block.shape[2] != block.shape[3] or block.shape[2] < 1:
+            raise ValueError(f"block shape {block.shape} is not (2, 2, T + 1, T + 1)")
+        m = block.shape[2]
         _check_density(block.transpose(2, 0, 3, 1).reshape(2 * m, 2 * m), "density block")
 
     @property
     def matrix(self) -> NDArray[np.complex128]:
-        """The dense (2n, 2n) operator, flattened index ``2 * site_index + coin``, built on each call."""
-        n = self.lattice.size
+        """The dense (2n, 2n) operator on the n = 2T + 1 sites -T..T, index ``2 * (site + T) + coin``, built on each call."""
+        n = 2 * self.block.shape[2] - 1
         dense = np.zeros((2 * n, 2 * n), dtype=np.complex128)
         dense.reshape(n, 2, n, 2)[::2, :, ::2, :] = self.block.transpose(2, 0, 3, 1)
         return dense
@@ -134,17 +100,15 @@ WalkerState = WalkerCoinPureState | WalkerCoinDensityMatrix
 
 @dataclass(frozen=True)
 class PositionDistribution:
-    """Walker probability at each lattice site after each step: shape (T + 1, n), row t the walk after t steps."""
+    """Walker probability at each site -T..T after each step: shape (T + 1, 2T + 1), row t the walk after t steps."""
 
-    lattice: Lattice
     probabilities: NDArray[np.float64]
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probabilities, dtype=np.float64)
         object.__setattr__(self, "probabilities", probs)
-        n = self.lattice.size
-        if probs.ndim != 2 or probs.shape[1] != n:
-            raise ValueError(f"shape {probs.shape} is not (T + 1, {n})")
+        if probs.ndim != 2 or probs.shape[1] != 2 * len(probs) - 1:
+            raise ValueError(f"shape {probs.shape} is not (T + 1, 2T + 1)")
         if not np.all((probs >= -1e-12) & (probs <= 1.0 + 1e-12)):
             raise ValueError("probabilities outside [0, 1]")
         worst = float(np.max(np.abs(np.sum(probs, axis=-1) - 1.0), initial=0.0))
@@ -152,8 +116,15 @@ class PositionDistribution:
             raise ValueError(f"probabilities sum deviates from 1 by {worst:.3e}")
 
     def at_site(self, site: int) -> NDArray[np.float64]:
-        """The (T + 1,) probabilities at `site`, one per row."""
-        return self.probabilities[:, self.lattice.index(site)]
+        """The (T + 1,) probabilities at the integer `site` of -T..T, one per row."""
+        try:
+            site = operator.index(site)
+        except TypeError:
+            raise ValueError(f"site {site!r} is not an integer") from None
+        steps = len(self.probabilities) - 1
+        if not abs(site) <= steps:
+            raise ValueError(f"site {site} outside the light cone [{-steps}, {steps}]")
+        return self.probabilities[:, site + steps]
 
     def tv_from_start(self) -> NDArray[np.float64]:
         """The (T + 1,) total variation distance ``0.5 * sum |row - row 0|`` of each row from the start.

@@ -16,7 +16,7 @@ from rampwalk.coins import coin_at_step
 from rampwalk import evolution
 from rampwalk.evolution import WalkSchedule, bisect_visibility
 from rampwalk.search import SearchConfig, load_reference_catalog, scan, verify_table
-from rampwalk.states import CoinVector, Lattice
+from rampwalk.states import CoinVector
 
 import oracles
 from walks import distribution, origin_blocks, start_state, walk
@@ -67,9 +67,8 @@ def test_criterion_2_certain_return_at_flagship_point():
 
 def test_criterion_3_predicted_coin_state():
     schedule = WalkSchedule(math.pi / 4, math.pi / 10, 8)
-    lattice = Lattice.for_steps(8)
     _, final = walk(schedule)
-    coin_amps = final.amplitudes[lattice.index(0)]
+    coin_amps = final.amplitudes[8]  # the origin of -8..8
     target = np.array([0.988, 0.156j])
     pivot = int(np.argmax(np.abs(target)))
     lam = coin_amps[pivot] / target[pivot]
@@ -97,7 +96,7 @@ def test_criterion_4_tv_identity_over_random_walks():
         distributions, _ = walk(schedule)
         # row 0, which every distance is taken from, is the point mass at the origin
         starts_at_origin = starts_at_origin and np.array_equal(
-            distributions.probabilities[:1], distribution(start_state(steps)).probabilities
+            distributions.probabilities[0], distribution(start_state(steps))
         )
         gaps = np.abs(distributions.tv_from_start() - (1.0 - distributions.at_site(0)))
         worst = max(worst, float(gaps.max()))
@@ -157,7 +156,7 @@ def test_criterion_6_dephasing_model():
     p0_values = []
     for visibility in visibilities:
         _, final = walk(schedule.with_visibility(visibility))
-        p0_values.append(float(distribution(final).at_site(0)[0]))
+        p0_values.append(float(distribution(final)[schedule.steps]))  # the origin of -T..T
     monotone = all(a >= b - 1e-12 for a, b in zip(p0_values, p0_values[1:]))
 
     target = 0.918
@@ -198,7 +197,6 @@ def test_criterion_7_module_invariants_on_random_cases():
         omega = _random_angle(rng)
         steps = int(rng.integers(1, 7))
         schedule = WalkSchedule(theta, omega, steps)
-        lattice = Lattice.for_steps(steps)
         # the state after step k is the final state of the k-step walk
         trajectory = [walk(replace(schedule, steps=k))[1] for k in range(1, steps + 1)]
         for state in trajectory:
@@ -207,7 +205,7 @@ def test_criterion_7_module_invariants_on_random_cases():
         reference = oracles.walk_states(theta, omega, steps)[-1]
         final = trajectory[-1]
         for site, (plus, minus) in reference.items():
-            index = lattice.index(site)
+            index = site + steps  # site x of -T..T
             if abs(final.amplitudes[index, 0] - plus) > 1e-10:
                 evolution_ok = False
             if abs(final.amplitudes[index, 1] - minus) > 1e-10:

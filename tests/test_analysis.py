@@ -18,7 +18,6 @@ from rampwalk.coins import StepConvention
 from rampwalk.evolution import WalkSchedule
 from rampwalk.states import (
     CoinVector,
-    Lattice,
     PositionDistribution,
     WalkerCoinPureState,
 )
@@ -31,25 +30,23 @@ angle = st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False)
 
 
 def test_tv_distance_extremes():
-    lat = Lattice(-1, 1)
-    rows = PositionDistribution(lat, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
+    rows = PositionDistribution(np.array([[0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0, 0.0]]))
     assert rows.tv_from_start()[1] == pytest.approx(1.0, abs=1e-15)
     assert rows.tv_from_start()[0] == rows.tv_from_start()[2] == 0.0
 
 
 def test_tv_distance_manual_value():
-    lat = Lattice(-1, 1)
-    rows = PositionDistribution(lat, np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]))
+    rows = PositionDistribution(np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]))
     assert rows.tv_from_start()[1] == pytest.approx(0.3, abs=1e-15)
 
 
 @pytest.mark.parametrize("visibility", [1.0, 0.8])
 def test_tv_distance_of_a_stack_equals_its_per_row_distances(visibility):
-    # each row's distance from the start is its own: the same as in the two-row stack of the start and that row
+    # each row's distance from the start is its own: the same as in a stack of the start and copies of that row
     sched = WalkSchedule(0.3, 0.2, 9, visibility=visibility)
     distributions, _ = walk(sched)
     rows = distributions.probabilities
-    per_row = [PositionDistribution(distributions.lattice, rows[[0, t]]).tv_from_start()[1] for t in range(len(rows))]
+    per_row = [PositionDistribution(rows[[0] + [t] * 9]).tv_from_start()[1] for t in range(len(rows))]
     distances = distributions.tv_from_start()
     assert distances.shape == (10,) and distances[0] == 0.0
     assert np.array_equal(distances, per_row)
@@ -61,7 +58,7 @@ def test_tv_against_point_mass_equals_one_minus_p0(theta, omega, steps):
     sched = WalkSchedule(theta, omega, steps)
     distributions, _ = walk(sched)
     # row 0 is the point mass at the origin, so every row's distance from it is 1 - p0
-    assert np.array_equal(distributions.probabilities[:1], distribution(start_state(steps)).probabilities)
+    assert np.array_equal(distributions.probabilities[0], distribution(start_state(steps)))
     direct = distributions.tv_from_start()
     shortcut = 1.0 - distributions.at_site(0)
     assert direct.shape == (steps + 1,)
@@ -370,9 +367,8 @@ def test_classify_overlap_values_at_experiment_points():
 def test_classify_predicted_coin_state_matches_effective_map():
     sched = WalkSchedule(math.pi / 4, math.pi / 10, 8)
     report = classify(sched)
-    lattice = Lattice.for_steps(8)
     _, final = walk(sched)
-    coin_amps = final.amplitudes[lattice.index(0)]
+    coin_amps = final.amplitudes[8]  # the origin of -8..8
     predicted = report.effective_coin @ CoinVector.symmetric().as_array()
     predicted = predicted / np.linalg.norm(predicted)
     # two coin vectors on the diagonals: equal up to one phase exactly when the vectors are
@@ -429,9 +425,8 @@ def same_report(a, b):
     assert (a.effective_coin is None) == (b.effective_coin is None)
     if a.effective_coin is not None:
         assert same_bits(a.effective_coin, b.effective_coin)
-    assert a.distributions.lattice == b.distributions.lattice
     assert same_bits(a.distributions.probabilities, b.distributions.probabilities)
-    assert type(a.final) is type(b.final) and a.final.lattice == b.final.lattice
+    assert type(a.final) is type(b.final)
     state = "amplitudes" if isinstance(a.final, WalkerCoinPureState) else "matrix"
     assert same_bits(getattr(a.final, state), getattr(b.final, state))
 
@@ -526,7 +521,7 @@ def test_classify_rows_and_final_state_are_the_per_step_formula_bit_for_bit():
     for sched in schedules:
         report = classify(sched)
         walked = origin_walk(sched.coins(), np.hstack((BASIS_1, CoinVector.symmetric().as_array()[:, None])))
-        # step t's 2t + 1 sites -t..t, padded to the 2T + 1 sites of the lattice
+        # step t's 2t + 1 sites -t..t, padded to the 2T + 1 sites -T..T
         pads = [sched.steps - t for t in range(sched.steps + 1)]
         rows = [np.pad(np.abs(a[0, :, 2]) ** 2 + np.abs(a[1, :, 2]) ** 2, pad) for a, pad in zip(walked, pads)]
         assert same_bits(report.distributions.probabilities, np.array(rows))
@@ -539,7 +534,8 @@ def test_the_report_lattice_is_the_light_cone(visibility):
     # for a generic schedule the last row reaches both ends
     for steps in range(65):
         report = classify(WalkSchedule(0.37, 0.21, steps, visibility=visibility))
-        assert report.distributions.lattice == report.final.lattice == Lattice(-steps, steps)
+        assert report.distributions.probabilities.shape == (steps + 1, 2 * steps + 1)
+        assert distribution(report.final).shape == (2 * steps + 1,)
         last = report.distributions.probabilities[steps]
         assert last[0] > 0.0 and last[-1] > 0.0, steps
 
@@ -579,5 +575,5 @@ def test_classify_memory_peaks_near_its_rows():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert report.distributions.probabilities.shape == (401, Lattice.for_steps(400).size)
+    assert report.distributions.probabilities.shape == (401, 2 * 400 + 1)
     assert peak <= 1.6 * report.distributions.probabilities.nbytes

@@ -16,7 +16,6 @@ from rampwalk.evolution import (
 )
 from rampwalk.states import (
     CoinVector,
-    Lattice,
     WalkerCoinDensityMatrix,
     WalkerCoinPureState,
     reduced_coin_state,
@@ -56,7 +55,7 @@ def density_walk(schedule):
 
 
 def states_after_each_step(schedule, walk=walk):
-    """The state after each step: the final state of each prefix walk, on its own lattice."""
+    """The state after each step: the final state of each prefix walk, on its own light cone."""
     return [walk(replace(schedule, steps=k))[1] for k in range(1, schedule.steps + 1)]
 
 
@@ -66,16 +65,18 @@ def density_from_pure(state):
     return np.outer(vec, vec.conj())
 
 
-def shared(values, lattice, on):
-    """The entries of per-site `values` on `lattice` at the sites of the smaller lattice `on`."""
-    return values[..., lattice.index(on.min_site) : lattice.index(on.max_site) + 1]
+def shared(values, steps):
+    """The entries of per-site `values` on a light cone at the sites -steps..steps of the smaller cone."""
+    middle = values.shape[-1] // 2
+    return values[..., middle - steps : middle + steps + 1]
 
 
-def oracle_amplitudes_to_array(state_dict: dict, lattice: Lattice) -> np.ndarray:
-    amps = np.zeros((lattice.size, 2), dtype=np.complex128)
+def oracle_amplitudes_to_array(state_dict: dict, steps: int) -> np.ndarray:
+    """The oracle's amplitudes on the sites -steps..steps, site x at index x + steps."""
+    amps = np.zeros((2 * steps + 1, 2), dtype=np.complex128)
     for site, (plus, minus) in state_dict.items():
-        amps[lattice.index(site), 0] = plus
-        amps[lattice.index(site), 1] = minus
+        amps[site + steps, 0] = plus
+        amps[site + steps, 1] = minus
     return amps
 
 
@@ -129,8 +130,7 @@ def test_one_step_moves_symmetric_coin_down_at_ramp_eighth_pi():
     # rx(pi/8) sends the symmetric coin onto the minus branch exactly
     sched = WalkSchedule(0.0, math.pi / 8, 1)
     _, final = walk(sched)
-    dist = distribution(final)
-    assert dist.at_site(-1)[0] == pytest.approx(1.0, abs=1e-12)
+    assert distribution(final)[0] == pytest.approx(1.0, abs=1e-12)  # site -1 of -1..1
 
 
 @given(angle, angle, st.integers(min_value=1, max_value=6))
@@ -139,8 +139,8 @@ def test_pure_walk_matches_dict_oracle(theta, omega, steps):
     sched = WalkSchedule(theta, omega, steps)
     trajectory = states_after_each_step(sched)
     oracle_trajectory = oracles.walk_states(theta, omega, steps)
-    for ours, reference in zip(trajectory, oracle_trajectory, strict=True):
-        expected = oracle_amplitudes_to_array(reference, ours.lattice)
+    for k, (ours, reference) in enumerate(zip(trajectory, oracle_trajectory, strict=True), start=1):
+        expected = oracle_amplitudes_to_array(reference, k)
         assert np.max(np.abs(ours.amplitudes - expected)) < 1e-10
 
 
@@ -157,7 +157,7 @@ def test_sixteen_step_walk_matches_oracle_end_to_end():
     sched = WalkSchedule(0.0, math.pi / 8, 16)
     _, final = walk(sched)
     expected = oracle_amplitudes_to_array(
-        oracles.walk_states(0.0, math.pi / 8, 16)[-1], final.lattice
+        oracles.walk_states(0.0, math.pi / 8, 16)[-1], 16
     )
     assert np.max(np.abs(final.amplitudes - expected)) < 1e-10
 
@@ -175,15 +175,16 @@ def test_zero_based_convention_changes_the_walk():
 @pytest.mark.parametrize("visibility", [1.0, 0.9])
 def test_sites_off_the_light_cone_stay_empty_over_long_walk(visibility):
     # no walk checks its reach: after k steps everything lies within k of the origin,
-    # on Lattice.for_steps(k) with no site to spare, and row j of the stack within j
+    # on its light cone -k..k with no site to spare, and row j of the stack within j
     sched = WalkSchedule(0.0, math.pi / 8, 16, visibility=visibility)
     for k, state in enumerate(states_after_each_step(sched), start=1):
-        assert state.lattice == Lattice(-k, k)
-        probabilities = distribution(state).probabilities[0]
+        probabilities = distribution(state)
+        assert probabilities.shape == (2 * k + 1,)
         assert float(probabilities.sum()) == pytest.approx(1.0, abs=1e-12)
     rows, _ = walk(sched)
+    sites = np.arange(-16, 17)
     for j, row in enumerate(rows.probabilities):
-        assert not np.any(row[np.abs(rows.lattice.sites()) > j])
+        assert not np.any(row[np.abs(sites) > j])
 
 
 def test_translation_covariance():
@@ -191,16 +192,15 @@ def test_translation_covariance():
     # to the final state of classify's walk moved by 3 sites
     steps, offset = 4, 3
     sched = WalkSchedule(0.4, 0.2, steps)
-    lattice = Lattice.for_steps(steps)
-    wide = Lattice.for_steps(steps + offset)
-    amps = np.zeros((2, wide.size, 1), dtype=np.complex128)
-    amps[:, wide.index(offset), 0] = CoinVector.symmetric().as_array()
+    wide = steps + offset  # the sites -wide..wide, site x at index x + wide
+    amps = np.zeros((2, 2 * wide + 1, 1), dtype=np.complex128)
+    amps[:, offset + wide, 0] = CoinVector.symmetric().as_array()
     for coin in sched.coins():
         # the growing window cropped to the fixed lattice
         amps = grown_step(coin.reshape(4).tolist(), amps)[..., 1:-1, :]
     _, final = walk(sched)
-    moved = np.zeros((wide.size, 2), dtype=np.complex128)
-    moved[wide.index(lattice.min_site + offset) : wide.index(lattice.max_site + offset) + 1] = final.amplitudes
+    moved = np.zeros((2 * wide + 1, 2), dtype=np.complex128)
+    moved[-steps + offset + wide : steps + offset + wide + 1] = final.amplitudes
     assert np.array_equal(amps[..., 0].T, moved)
 
 
@@ -240,8 +240,8 @@ def test_density_at_unit_visibility_matches_pure():
     pure_states = states_after_each_step(sched)
     mixed_states = states_after_each_step(sched, density_walk)
     for pure, mixed in zip(pure_states, mixed_states, strict=True):
-        p = distribution(pure).probabilities
-        q = distribution(mixed).probabilities
+        p = distribution(pure)
+        q = distribution(mixed)
         assert np.max(np.abs(p - q)) < 1e-10
         assert np.max(
             np.abs(reduced_coin_state(pure) - reduced_coin_state(mixed))
@@ -259,20 +259,19 @@ def test_density_at_unit_visibility_matches_pure():
 def test_density_walk_matches_dict_oracle(convention, theta, omega, visibility, steps):
     sched = WalkSchedule(theta, omega, steps, convention, visibility)
     distributions, final = density_walk(sched)
-    lattice = final.lattice
     reference = oracles.density_walk(
         theta, omega, steps, visibility, one_based=convention is StepConvention.ONE_BASED
     )
-    # every row of the stack after the start, on every site of the lattice
+    # every row of the stack after the start, on every site -T..T, site x at index x + T
     for row, rho in zip(distributions.probabilities[1:], reference, strict=True):
-        expected = np.zeros(lattice.size)
+        expected = np.zeros(2 * steps + 1)
         for site, p in oracles.density_position_probabilities(rho).items():
-            expected[lattice.index(site)] = p
+            expected[site + steps] = p
         assert np.max(np.abs(row - expected)) < 1e-10
     # and every entry of the final (2n, 2n) matrix
     expected = np.zeros_like(final.matrix)
     for ((x, i), (y, j)), value in reference[-1].items():
-        expected[2 * lattice.index(x) + i, 2 * lattice.index(y) + j] = value
+        expected[2 * (x + steps) + i, 2 * (y + steps) + j] = value
     assert np.max(np.abs(final.matrix - expected)) < 1e-10
 
 
@@ -289,8 +288,8 @@ def test_dephased_state_is_its_class_block_bit_for_bit(convention, visibility):
         _, final = evolution._density_walk(sched.coins(), visibility)
         for w in evolution._class_steps(evolution._origin_block(), sched.coins(), [visibility]):
             pass
-        assert final.lattice == Lattice(-steps, steps) and same_bits(final.block, w[..., 0])
-        dense = walks.scatter(final.lattice, w[..., 0])
+        assert same_bits(final.block, w[..., 0])
+        dense = walks.scatter(steps, w[..., 0])
         assert same_bits(final.matrix, dense), steps
         assert same_bits(reduced_coin_state(final), walks.dense_reduced_coin(dense)), steps
 
@@ -398,8 +397,8 @@ def test_bisect_visibility_refuses_a_negative_or_nan_tolerance(monkeypatch):
         assert bisect_visibility(sched, p0, 0.0) == (visibility, p0)
 
 
-def oracle_rows(schedule, lattice):
-    """The oracle's distributions on `lattice` after 0, 1, ..., T steps of `schedule`, as a (T + 1, n) stack."""
+def oracle_rows(schedule):
+    """The oracle's distributions on -T..T after 0, 1, ..., T steps of `schedule`, as a (T + 1, 2T + 1) stack."""
     one_based = schedule.convention is StepConvention.ONE_BASED
     walked = (schedule.theta, schedule.omega, schedule.steps)
     if schedule.visibility == 1.0:
@@ -409,28 +408,28 @@ def oracle_rows(schedule, lattice):
         mixed = oracles.density_walk(*walked, schedule.visibility, one_based=one_based)
         after = [oracles.density_position_probabilities(rho) for rho in mixed]
     plus, minus = oracles.SYMMETRIC
-    rows = np.zeros((schedule.steps + 1, lattice.size))
+    rows = np.zeros((schedule.steps + 1, 2 * schedule.steps + 1))
     for row, probabilities in zip(rows, [{0: abs(plus) ** 2 + abs(minus) ** 2}, *after], strict=True):
         for site, p in probabilities.items():
-            row[lattice.index(site)] = p
+            row[site + schedule.steps] = p
     return rows
 
 
 def assert_same_walk(schedule, distributions, final, states):
     # row t is the walk after t steps: row 0 the oracle's start, row t within 1e-12
     # of the oracle after t steps, and bit for bit the final state of the t-step
-    # prefix walk, which lives on Lattice.for_steps(t): compare on its sites, and
+    # prefix walk, which lives on its light cone -t..t: compare on its sites, and
     # nothing lies outside them
     rows = distributions.probabilities
-    assert rows.shape == (schedule.steps + 1, final.lattice.size) and len(states) == schedule.steps
-    expected = oracle_rows(schedule, final.lattice)
+    assert rows.shape == (schedule.steps + 1, 2 * schedule.steps + 1) and len(states) == schedule.steps
+    expected = oracle_rows(schedule)
     assert np.array_equal(rows[0], expected[0])
     assert np.max(np.abs(rows - expected)) < 1e-12
-    for row, state in zip(rows[1:], states, strict=True):
-        inside = shared(row, final.lattice, state.lattice)
-        assert np.array_equal(inside, distribution(state).probabilities[0])
+    for t, (row, state) in enumerate(zip(rows[1:], states, strict=True), start=1):
+        inside = shared(row, t)
+        assert np.array_equal(inside, distribution(state))
         assert np.count_nonzero(row) == np.count_nonzero(inside)
-    assert type(final) is type(states[-1]) and final.lattice == states[-1].lattice
+    assert type(final) is type(states[-1])
     if isinstance(final, WalkerCoinPureState):
         assert np.array_equal(final.amplitudes, states[-1].amplitudes)
     else:
@@ -464,13 +463,13 @@ def test_walk_without_steps_returns_start(convention):
     start = start_state(0)
     sched = WalkSchedule(0.3, 0.2, 0, convention)
     # the stack of a walk of no steps is its one row, the start
-    one_row = oracle_rows(sched, start.lattice)
-    assert one_row.shape == (1, start.lattice.size)
+    one_row = oracle_rows(sched)
+    assert one_row.shape == (1, 1)
     for visibility in (1.0, 0.9):
         report = classify(sched.with_visibility(visibility))
         assert np.array_equal(report.distributions.probabilities, one_row)
         assert report.tv_distance == 0.0 and report.polya_truncated == 0.0
-        assert report.origin_probability == one_row[0, start.lattice.index(0)]
+        assert report.origin_probability == one_row[0, 0]
     distributions, final = walk(sched)
     assert isinstance(final, WalkerCoinPureState)
     assert np.array_equal(final.amplitudes, start.amplitudes)
@@ -489,7 +488,7 @@ def test_walk_memory_does_not_grow_with_trajectory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert series.probabilities.shape == (65, Lattice.for_steps(64).size)
+    assert series.probabilities.shape == (65, 2 * 64 + 1)
     assert peak < 16e6
 
 
@@ -517,9 +516,9 @@ def test_light_cone_density_walk_matches_full_lattice(convention, visibility):
     expected = list(full_lattice_density_walk(start, sched))
     states = states_after_each_step(sched, density_walk)
     assert len(states) == len(expected) == steps
-    for state, matrix in zip(states, expected):
-        # the k-step walk on Lattice.for_steps(k) against the full walk on its sites
-        rows = 2 * Lattice.for_steps(steps).index(state.lattice.min_site) + np.arange(2 * state.lattice.size)
+    for k, (state, matrix) in enumerate(zip(states, expected), start=1):
+        # the k-step walk on its light cone -k..k against the full walk on those sites
+        rows = 2 * (steps - k) + np.arange(2 * (2 * k + 1))
         assert np.array_equal(state.matrix, matrix[np.ix_(rows, rows)])
         assert np.sum(matrix != 0) == np.sum(state.matrix != 0)
 
@@ -549,8 +548,7 @@ def origin_block(name):
 def test_class_steps_of_any_origin_block_match_full_lattice(name, convention, visibility):
     steps = 6
     block = origin_block(name)
-    lattice = Lattice.for_steps(steps)
-    n, origin = lattice.size, lattice.index(0)
+    n, origin = 2 * steps + 1, steps
     rho = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     rho[2 * origin : 2 * origin + 2, 2 * origin : 2 * origin + 2] = block
     sched = WalkSchedule(0.3, 0.2, steps, convention, visibility)
@@ -561,7 +559,7 @@ def test_class_steps_of_any_origin_block_match_full_lattice(name, convention, vi
         # the start first, then step k's block holds the cone's sites -k, -k + 2, ..., k;
         # the full walk nothing else
         assert w.shape == (2, 2, k + 1, k + 1)
-        assert np.array_equal(walks.scatter(lattice, w), matrix)
+        assert np.array_equal(walks.scatter(steps, w), matrix)
     assert np.array_equal(block, origin_block(name))
 
 
@@ -626,7 +624,7 @@ def test_final_dephased_state_at_48_steps_passes_the_psd_check():
     _, final = walk(WalkSchedule(0.0, math.pi / 8, steps, visibility=0.9))
     eigenvalues = np.linalg.eigvalsh(final.matrix)
     # rank-deficient: the sites of the wrong parity stay empty, and the class block is not full rank
-    assert np.sum(np.abs(eigenvalues) < 1e-12) >= final.lattice.size
+    assert np.sum(np.abs(eigenvalues) < 1e-12) >= 2 * steps + 1
     states._check_density(final.matrix, "final state")
 
 
@@ -637,8 +635,8 @@ def test_dephased_prefix_walks_keep_a_separate_matrix_each():
         for later in states[i + 1 :]:
             assert not np.shares_memory(earlier.block, later.block)
     distributions, final = walk(sched)
-    for state, row in zip(states, distributions.probabilities[1:], strict=True):
-        assert np.array_equal(distribution(state).probabilities[0], shared(row, final.lattice, state.lattice))
+    for t, (state, row) in enumerate(zip(states, distributions.probabilities[1:], strict=True), start=1):
+        assert np.array_equal(distribution(state), shared(row, t))
 
 
 def test_density_walk_leaves_the_start_unchanged():
@@ -798,7 +796,7 @@ def test_origin_probe_equals_the_final_walk_p0(convention, visibility):
         theta, omega = rng.uniform(-3.0, 3.0, 2)
         sched = WalkSchedule(theta, omega, steps, convention, visibility)
         start = density_from_pure(start_state(steps))
-        origin = 2 * Lattice.for_steps(steps).index(0)
+        origin = 2 * steps  # the origin is site index T
         [probe] = evolution._probe_origin_probability(
             sched.coins(), [visibility], start[origin : origin + 2, origin : origin + 2]
         )

@@ -101,7 +101,7 @@ OFF_FAMILY = [Fraction(3, 77), Fraction(1, 3000), Fraction(5, 11)]
 
 
 def one_column_walk(coins, start):
-    """Each step's amplitudes (n, 2) of one start coin on ``Lattice.for_steps(T)``, stepped alone."""
+    """Each step's amplitudes (2T + 1, 2) of one start coin on the light cone -T..T, stepped alone."""
     amps = np.ascontiguousarray(start_state(len(coins), start).amplitudes.T)[..., None]
     for coin in coins:
         # the growing window cropped to the fixed lattice
@@ -135,7 +135,7 @@ def test_origin_walk_does_not_depend_on_the_batch(monkeypatch, steps, theta, con
         basis = np.stack((walked[-1][..., :1], walked[-1][..., 1:2]))
         assert np.array_equal(evolution._blocks(basis), blocks[k : k + 1])
         for k, (amps, expected) in enumerate(zip(walked[1:], one_column_walk(coins, start), strict=True), 1):
-            # step k's 2k + 1 sites are the sites -k..k of Lattice.for_steps(T), and nothing lies outside them
+            # step k's 2k + 1 sites are the sites -k..k of -T..T, and nothing lies outside them
             cone = slice(steps - k, steps + k + 1)
             assert np.array_equal(amps[..., 2].T, expected[cone])
             assert not np.delete(expected, np.arange(expected.shape[0])[cone], axis=0).any()

@@ -4,7 +4,7 @@ import numpy as np
 
 from rampwalk import evolution
 from rampwalk.analysis import classify
-from rampwalk.states import CoinVector, Lattice, PositionDistribution, WalkerCoinPureState
+from rampwalk.states import CoinVector, WalkerCoinPureState
 
 
 def walk(schedule):
@@ -82,29 +82,26 @@ def fresh_step(entries, amps):
 
 
 def start_state(steps, coin=CoinVector.symmetric()):
-    """The pure state of `coin` at the origin of `Lattice.for_steps(steps)`."""
-    lattice = Lattice.for_steps(steps)
-    amps = np.zeros((lattice.size, 2), dtype=np.complex128)
-    amps[lattice.index(0)] = coin.as_array()
-    return WalkerCoinPureState(lattice, amps)
+    """The pure state of `coin` at the origin, site index `steps`, of the light cone -steps..steps."""
+    amps = np.zeros((2 * steps + 1, 2), dtype=np.complex128)
+    amps[steps] = coin.as_array()
+    return WalkerCoinPureState(amps)
 
 
 def distribution(state):
-    """The position distribution of a pure state or a density matrix, the coin traced out, as a one-row stack."""
+    """The (2T + 1,) position distribution of a pure state or a density matrix on -T..T, the coin traced out."""
     if isinstance(state, WalkerCoinPureState):
-        probs = np.sum(np.abs(state.amplitudes) ** 2, axis=1)
-    else:
-        probs = np.real(np.diag(state.matrix)).reshape(-1, 2).sum(axis=1)
-    return PositionDistribution(state.lattice, probs[None])
+        return np.sum(np.abs(state.amplitudes) ** 2, axis=1)
+    return np.real(np.diag(state.matrix)).reshape(-1, 2).sum(axis=1)
 
 
-def scatter(lattice, block):
-    """A frozen copy of the dense (2n, 2n) matrix the dephased walk once built from its class block.
+def scatter(steps, block):
+    """A frozen copy of the dense (2n, 2n) matrix the dephased walk once built from its class block, on -steps..steps.
 
     Step k's block (2, 2, k + 1, k + 1) holds the light cone's sites -k, -k + 2, ..., k, written at
-    stride 2, rows and columns alike, flattened index 2 * site_index + coin; zero elsewhere.
+    stride 2, rows and columns alike, flattened index 2 * (site + steps) + coin; zero elsewhere.
     """
-    n, origin, k = lattice.size, lattice.index(0), block.shape[2] - 1
+    n, origin, k = 2 * steps + 1, steps, block.shape[2] - 1
     matrix = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     cone = slice(origin - k, origin + k + 1, 2)
     matrix.reshape(n, 2, n, 2)[cone, :, cone, :] = block.transpose(2, 0, 3, 1)
