@@ -11,7 +11,6 @@ from .coins import (
     coin_at_step,
 )
 from .states import (
-    CoinVector,
     PositionDistribution,
     WalkerCoinDensityMatrix,
     WalkerCoinPureState,
@@ -39,7 +38,6 @@ from .search import (
 
 __all__ = [
     "CatalogEntry",
-    "CoinVector",
     "PositionDistribution",
     "RevivalCandidate",
     "RevivalReport",

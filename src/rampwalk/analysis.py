@@ -22,7 +22,7 @@ from numpy.typing import NDArray
 
 from .evolution import WalkSchedule, _blocks, _density_walk, _origin_walk
 from .states import (
-    CoinVector,
+    START_COIN,
     PositionDistribution,
     WalkerCoinPureState,
     WalkerState,
@@ -178,7 +178,6 @@ def _classify_each(schedule: WalkSchedule, visibilities: Sequence[float]) -> Ite
     """
     if not visibilities:
         return
-    initial_coin = CoinVector.symmetric()
     # the pure walk's rows, the shape of every report's: a sweep too large for
     # memory fails here, before the coin stack is built or the noiseless walk steps
     probs = np.zeros((schedule.steps + 1, 2 * schedule.steps + 1))
@@ -186,7 +185,7 @@ def _classify_each(schedule: WalkSchedule, visibilities: Sequence[float]) -> Ite
     # one three-column walk [e0, e1, c] at every visibility: basis coin 1 walks as a start
     # column, not as the mirror of basis coin 0, so the blocks keep their signed zeros
     ring = np.zeros((ROW_BLOCK, 2, 2 * schedule.steps + 1, 3), dtype=np.complex128)
-    ring[0, :, schedule.steps] = np.hstack((np.eye(2), initial_coin.as_array()[:, None]))
+    ring[0, :, schedule.steps] = np.hstack((np.eye(2), START_COIN[:, None]))
     square = 1.0 in visibilities  # only the pure report reads the start column's rows
     for t, amps in enumerate(_origin_walk(coins, ring)):
         slot = t % ROW_BLOCK
@@ -202,11 +201,10 @@ def _classify_each(schedule: WalkSchedule, visibilities: Sequence[float]) -> Ite
     revival, complete = _verdict(blocks)
     predicted_coin = None
     if effective is not None:
-        predicted = effective @ initial_coin.as_array()
+        predicted = effective @ START_COIN
         norm = float(np.linalg.norm(predicted))
         if norm > PREDICTED_STATE_NORM_TOL:
-            predicted = predicted / norm
-            predicted_coin = CoinVector(complex(predicted[0]), complex(predicted[1]))
+            predicted_coin = predicted / norm
 
     for visibility in visibilities:
         distributions, final = pure if visibility == 1.0 else _density_walk(coins, visibility)
@@ -219,7 +217,7 @@ def _classify_each(schedule: WalkSchedule, visibilities: Sequence[float]) -> Ite
             effective_coin=effective,
             is_revival=bool(revival),
             is_complete=bool(complete),
-            overlap_initial=_overlap(coin_rho, initial_coin),
+            overlap_initial=_overlap(coin_rho, START_COIN),
             overlap_predicted=math.nan if predicted_coin is None else _overlap(coin_rho, predicted_coin),
             distributions=distributions,
             final=final,

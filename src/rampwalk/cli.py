@@ -15,6 +15,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -296,6 +297,14 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "walk":
         if args.csv_out is None and args.json_out is None:
             raise ValueError("nothing to do: pass --csv-out and/or --json-out")
+        if args.csv_out is not None and args.json_out is not None:
+            # realpath, not Path.resolve, which raises RuntimeError on a symlink loop on Python 3.11:
+            # the write then refuses the loop as an i/o error
+            csv_target, json_target = (
+                "-" if out == "-" else os.path.realpath(out) for out in (args.csv_out, args.json_out)
+            )
+            if csv_target == json_target:
+                raise ValueError(f"--csv-out and --json-out name one target {args.json_out!r}: pass two")
         return cmd_walk(_schedule(args, args.visibility), args.csv_out, args.json_out)
 
     if args.command == "search":

@@ -20,9 +20,9 @@ applies the coin pair to one parity class of rho in one pass and then
 shifts it, with the same products as :func:`_coin_and_shift` on the rows
 and then the columns, for a batch of K visibilities at once. Every walk
 of a state, the one ``analysis.classify`` summarises, starts from the
-symmetric coin at the origin of the light cone -T..T, and both loops
-yield that start first, so the walk after t steps is row t of its
-(T + 1, 2T + 1) stack of distributions. Below visibility 1 the walk is
+symmetric coin ``states.START_COIN`` at the origin of the light cone
+-T..T, and both loops yield that start first, so the walk after t steps
+is row t of its (T + 1, 2T + 1) stack of distributions. Below visibility 1 the walk is
 dephased: each unitary step is followed by a coin dephasing channel of
 strength set by the schedule visibility:
 
@@ -62,7 +62,7 @@ from numpy.typing import NDArray
 
 from .coins import StepConvention, coin_at_step
 from .states import (
-    CoinVector,
+    START_COIN,
     PositionDistribution,
     WalkerCoinDensityMatrix,
 )
@@ -256,9 +256,8 @@ def _class_steps(
 
 
 def _origin_block() -> NDArray[np.complex128]:
-    """The (2, 2) coin block ``c c^dagger`` of the symmetric coin c at the origin, its one parity class."""
-    c = CoinVector.symmetric().as_array()
-    return np.outer(c, c.conj())
+    """The (2, 2) coin block ``c c^dagger`` of the start coin c at the origin, its one parity class."""
+    return np.outer(START_COIN, START_COIN.conj())
 
 
 def _probe_origin_probability(

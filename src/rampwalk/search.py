@@ -25,7 +25,7 @@ import numpy as np
 from .coins import StepConvention, coin_at_step
 from .evolution import _blocks, _origin_walk
 from .analysis import _verdict
-from .states import CoinVector
+from .states import START_COIN
 
 ANGLE_MAX_DENOMINATOR = 360
 ANGLE_TOL = 1e-9
@@ -173,7 +173,7 @@ def _scan_row(config: SearchConfig, steps: int, theta: float) -> list[RevivalCan
         basis[1, 0] *= -1
         blocks = _blocks(basis)
         # a walk from coin c ends at the origin as W_T[0] c
-        origin = blocks[:, steps] @ CoinVector.symmetric().as_array()
+        origin = blocks[:, steps] @ START_COIN
         residuals = 1.0 - (np.abs(origin[:, 0]) ** 2 + np.abs(origin[:, 1]) ** 2)
         revivals, completes = _verdict(blocks)
         rows = zip(points, omegas.tolist(), revivals.tolist(), completes.tolist(), residuals.tolist())

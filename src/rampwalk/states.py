@@ -1,8 +1,10 @@
 """Walker-coin states of a T-step walk from the origin, on its light cone.
 
-Every step moves the walker one site, so a T-step walk lives on the
-n = 2T + 1 sites -T..T, and each state reads T from its array's shape,
-refusing any shape that is not a light cone. A pure state stores one
+Every walk starts from ``START_COIN``, the read-only symmetric coin
+(|plus> + i|minus>) / sqrt(2), at the origin. Every step moves the
+walker one site, so a T-step walk lives on the n = 2T + 1 sites -T..T,
+and each state reads T from its array's shape, refusing any shape that
+is not a light cone. A pure state stores one
 complex amplitude per (site, coin) pair in an array of shape
 ``(2T + 1, 2)``. A density matrix stores the one parity class it lights,
 a ``(2, 2, T + 1, T + 1)`` block on the sites -T, -T + 2, ..., T, and
@@ -23,32 +25,11 @@ import numpy as np
 from numpy.typing import NDArray
 
 STATE_NORM_TOL = 1e-10
-COIN_NORM_TOL = 1e-12
 DENSITY_TOL = 1e-10
 PSD_TOL = 1e-8
 DISTANCE_BLOCK_SITES = 12_800  # rows times sites of the one temporary of a distance series, at least one row
-
-
-@dataclass(frozen=True)
-class CoinVector:
-    """Unit-norm coin state with amplitudes on the (plus, minus) basis."""
-
-    plus: complex
-    minus: complex
-
-    def __post_init__(self) -> None:
-        norm_sq = abs(self.plus) ** 2 + abs(self.minus) ** 2
-        if not math.isfinite(norm_sq) or abs(norm_sq - 1.0) > COIN_NORM_TOL:
-            raise ValueError(f"coin amplitudes must have unit norm, got |.|^2 = {norm_sq!r}")
-
-    @classmethod
-    def symmetric(cls) -> "CoinVector":
-        """The balanced coin (|plus> + i|minus>) / sqrt(2)."""
-        inv = 1.0 / math.sqrt(2.0)
-        return cls(inv, 1j * inv)
-
-    def as_array(self) -> NDArray[np.complex128]:
-        return np.array([self.plus, self.minus], dtype=np.complex128)
+START_COIN = np.array([1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0)])
+START_COIN.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -152,10 +133,12 @@ def reduced_coin_state(state: WalkerState) -> NDArray[np.complex128]:
     return rho
 
 
-def _overlap(rho: NDArray[np.complex128], psi: CoinVector) -> float:
-    """Expectation <psi| rho |psi> of a 2x2 coin density matrix ``reduced_coin_state`` has checked."""
-    vec = psi.as_array()
-    return float(np.real(vec.conj() @ rho @ vec))
+def _overlap(rho: NDArray[np.complex128], psi: NDArray[np.complex128]) -> float:
+    """Expectation <psi| rho |psi> of a 2x2 coin density matrix ``reduced_coin_state`` has checked.
+
+    ``psi`` is a unit (2,) coin: ``START_COIN`` or ``classify``'s normalised predicted coin.
+    """
+    return float(np.real(psi.conj() @ rho @ psi))
 
 
 def _check_density(rho: NDArray[np.complex128], label: str) -> None:

@@ -16,7 +16,7 @@ from rampwalk.coins import coin_at_step
 from rampwalk import evolution
 from rampwalk.evolution import WalkSchedule, bisect_visibility
 from rampwalk.search import SearchConfig, load_reference_catalog, scan, verify_table
-from rampwalk.states import CoinVector
+from rampwalk.states import START_COIN
 
 import oracles
 from walks import distribution, origin_blocks, start_state, walk
@@ -123,7 +123,7 @@ def test_criterion_5_dual_effective_coin_constructions():
         )
         worst = max(worst, gap)
 
-    psi = CoinVector.symmetric().as_array()
+    psi = START_COIN
     worst_norm = 0.0
     for entry in load_reference_catalog():
         schedule = WalkSchedule(

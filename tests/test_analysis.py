@@ -17,7 +17,7 @@ from rampwalk import analysis, cli, evolution, states
 from rampwalk.coins import StepConvention
 from rampwalk.evolution import WalkSchedule
 from rampwalk.states import (
-    CoinVector,
+    START_COIN,
     PositionDistribution,
     WalkerCoinPureState,
 )
@@ -369,7 +369,7 @@ def test_classify_predicted_coin_state_matches_effective_map():
     report = classify(sched)
     _, final = walk(sched)
     coin_amps = final.amplitudes[8]  # the origin of -8..8
-    predicted = report.effective_coin @ CoinVector.symmetric().as_array()
+    predicted = report.effective_coin @ START_COIN
     predicted = predicted / np.linalg.norm(predicted)
     # two coin vectors on the diagonals: equal up to one phase exactly when the vectors are
     assert oracles.phase_equal(np.diag(coin_amps).tolist(), np.diag(predicted).tolist(), tol=1e-10)
@@ -520,7 +520,7 @@ def test_classify_rows_and_final_state_are_the_per_step_formula_bit_for_bit():
     schedules += [WalkSchedule(0.3, 0.2, steps, convention) for steps in boundaries for convention in StepConvention]
     for sched in schedules:
         report = classify(sched)
-        walked = origin_walk(sched.coins(), np.hstack((BASIS_1, CoinVector.symmetric().as_array()[:, None])))
+        walked = origin_walk(sched.coins(), np.hstack((BASIS_1, START_COIN[:, None])))
         # step t's 2t + 1 sites -t..t, padded to the 2T + 1 sites -T..T
         pads = [sched.steps - t for t in range(sched.steps + 1)]
         rows = [np.pad(np.abs(a[0, :, 2]) ** 2 + np.abs(a[1, :, 2]) ** 2, pad) for a, pad in zip(walked, pads)]
@@ -551,7 +551,7 @@ def test_each_report_checks_its_reduced_coin_state_once(monkeypatch):
     checked.clear()
     for report in reports:
         rho = states.reduced_coin_state(report.final)
-        assert states._overlap(rho, CoinVector.symmetric()) == report.overlap_initial
+        assert states._overlap(rho, START_COIN) == report.overlap_initial
     assert checked == [(2, 2), (2, 2)]
 
 

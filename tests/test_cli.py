@@ -20,13 +20,14 @@ from walks import origin_blocks
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_cli(*args, timeout=None):
+def run_cli(*args, timeout=None, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "rampwalk", *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         timeout=timeout,
+        cwd=cwd,
     )
 
 
@@ -168,6 +169,18 @@ def test_walk_usage_errors(tmp_path):
     assert result.stderr == "rampwalk: error: angle '1/0' is not a finite number\n"
 
 
+def test_walk_refuses_one_target_for_both_outputs(tmp_path):
+    # stdout twice, or one file by two spellings: the JSON would follow or overwrite the CSV
+    for csv_out, json_out in (("-", "-"), ("a.csv", "a.csv"), ("a.csv", "./a.csv")):
+        result = run_cli("walk", "--theta", "0", "--omega", "1/8", "--steps", "2",
+                         "--csv-out", csv_out, "--json-out", json_out, cwd=tmp_path)
+        assert result.returncode == 2, (csv_out, json_out)
+        assert result.stdout == ""
+        assert result.stderr.startswith("rampwalk: error:")
+        assert len(result.stderr.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_walk_io_error_exit_code(tmp_path):
     result = run_cli(
         "walk", "--theta", "0", "--omega", "1/8", "--steps", "2",
@@ -175,6 +188,12 @@ def test_walk_io_error_exit_code(tmp_path):
     )
     assert result.returncode == 3
     assert "i/o error" in result.stderr
+    # a symlink loop, beside a second output, is refused by the write, not by the shared-target check
+    (tmp_path / "loop").symlink_to("loop")
+    result = run_cli("walk", "--theta", "0", "--omega", "1/8", "--steps", "2",
+                     "--csv-out", "loop", "--json-out", "walk.json", cwd=tmp_path)
+    assert result.returncode == 3
+    assert result.stderr.startswith("rampwalk: i/o error:")
 
 
 def test_unknown_command_is_usage_error():

@@ -15,7 +15,7 @@ from rampwalk.evolution import (
     bisect_visibility,
 )
 from rampwalk.states import (
-    CoinVector,
+    START_COIN,
     WalkerCoinDensityMatrix,
     WalkerCoinPureState,
     reduced_coin_state,
@@ -194,7 +194,7 @@ def test_translation_covariance():
     sched = WalkSchedule(0.4, 0.2, steps)
     wide = steps + offset  # the sites -wide..wide, site x at index x + wide
     amps = np.zeros((2, 2 * wide + 1, 1), dtype=np.complex128)
-    amps[:, offset + wide, 0] = CoinVector.symmetric().as_array()
+    amps[:, offset + wide, 0] = START_COIN
     for coin in sched.coins():
         # the growing window cropped to the fixed lattice
         amps = grown_step(coin.reshape(4).tolist(), amps)[..., 1:-1, :]
@@ -709,7 +709,7 @@ def test_origin_walk_steps_the_light_cone_of_the_full_lattice_walk(steps, conven
     t = convention.step_indices(steps)
     one = WalkSchedule(0.37, math.pi / 7, steps, convention).coins()
     stack = coin_at_step(math.pi / 4, np.array([0.0, math.pi / 7, 1.3]), t[:, None], convention)
-    start = np.hstack((walks.BASIS_1, CoinVector(0.6, -0.8j).as_array()[:, None]))
+    start = np.hstack((walks.BASIS_1, np.array([0.6, -0.8j])[:, None]))
     for coins, starts in ((one, start), (stack, np.zeros((2, 0)))):
         count = coins.shape[1] if coins.ndim == 4 else 1
         full = np.zeros((2, 2 * steps + 3, count + starts.shape[1]), dtype=np.complex128)
@@ -736,7 +736,7 @@ def test_origin_walk_wraps_its_ring_without_zeroing_it(convention):
     # yielded view keeps its bits for S - 1 more steps; classify's one-coin walk with a
     # start column wraps its ROW_BLOCK slots about three times, a scan stack its two slots
     block = analysis.ROW_BLOCK
-    start = np.hstack((walks.BASIS_1, CoinVector(0.6, -0.8j).as_array()[:, None]))
+    start = np.hstack((walks.BASIS_1, np.array([0.6, -0.8j])[:, None]))
     cases = [(WalkSchedule(0.37, math.pi / 7, steps, convention).coins(), start, block)
              for steps in (3 * block - 1, 3 * block, 3 * block + 1)]
     t = convention.step_indices(3 * block + 1)

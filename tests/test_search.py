@@ -15,7 +15,7 @@ from rampwalk import evolution, search
 from rampwalk.analysis import _verdict
 from rampwalk.coins import StepConvention, coin_at_step
 from rampwalk.evolution import WalkSchedule
-from rampwalk.states import CoinVector
+from rampwalk.states import START_COIN
 from rampwalk.search import (
     CatalogEntry,
     RevivalCandidate,
@@ -109,7 +109,7 @@ def one_column_walk(coins, start):
         yield amps[..., 0].T
 
 
-@pytest.mark.parametrize("start", [CoinVector.symmetric(), CoinVector(0.6, -0.8j)])
+@pytest.mark.parametrize("start", [START_COIN, np.array([0.6, -0.8j])])
 @pytest.mark.parametrize("convention", list(StepConvention))
 @pytest.mark.parametrize("theta", [0.0, math.pi / 4, 0.37])
 @pytest.mark.parametrize("steps", [2, 8, 16, 24])
@@ -130,7 +130,7 @@ def test_origin_walk_does_not_depend_on_the_batch(monkeypatch, steps, theta, con
         assert (revival[k], complete[k]) == _verdict(alone)
         assert residuals[k] == scan_residuals(monkeypatch, steps, theta, convention, [point])[0]
         # a start column leaves the basis blocks as they were, and walks as a walk of its own
-        walked = origin_walk(coins, np.hstack((BASIS_1, start.as_array()[:, None])))
+        walked = origin_walk(coins, np.hstack((BASIS_1, start[:, None])))
         assert len(walked) == steps + 1
         basis = np.stack((walked[-1][..., :1], walked[-1][..., 1:2]))
         assert np.array_equal(evolution._blocks(basis), blocks[k : k + 1])

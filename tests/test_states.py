@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from rampwalk import states
 from rampwalk.states import (
-    CoinVector,
+    START_COIN,
     PositionDistribution,
     WalkerCoinDensityMatrix,
     WalkerCoinPureState,
@@ -85,19 +85,10 @@ def test_at_site_refuses_a_non_integer_site():
     assert np.array_equal(stack.at_site(np.int64(-1)), [0.0, 0.5])
 
 
-def test_coin_vector_norm_enforced():
-    CoinVector(1.0, 0.0)
-    CoinVector.symmetric()
+def test_start_coin_is_the_read_only_symmetric_coin():
+    assert START_COIN.tolist() == [1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0)]
     with pytest.raises(ValueError):
-        CoinVector(1.0, 1.0)
-    with pytest.raises(ValueError):
-        CoinVector(0.0, 0.0)
-
-
-def test_symmetric_coin_components():
-    coin = CoinVector.symmetric()
-    assert abs(coin.plus - 1.0 / math.sqrt(2.0)) < 1e-15
-    assert abs(coin.minus - 1j / math.sqrt(2.0)) < 1e-15
+        START_COIN[1] = 0.0
 
 
 def test_pure_state_validation():
@@ -224,7 +215,7 @@ def test_coin_purity_range(seed):
 
 def test_reduced_coin_state_of_product_and_entangled_states():
     # the product on the sites -2, 0, 2 of -2..2, the entangled state on -1, 1 of -1..1
-    coin = CoinVector.symmetric().as_array()
+    coin = START_COIN
     product_amps = np.zeros((5, 2), dtype=complex)
     product_amps[2] = coin
     product = WalkerCoinPureState(product_amps)
@@ -245,17 +236,16 @@ def test_reduced_coin_state_of_product_and_entangled_states():
 def test_coin_overlap_bounds(seed):
     state = random_pure_state(3, seed)
     rho = reduced_coin_state(state)
-    value = _overlap(rho, CoinVector.symmetric())
+    value = _overlap(rho, START_COIN)
     assert -1e-10 <= value <= 1.0 + 1e-10
 
 
 def test_coin_overlap_pure_case():
-    coin = CoinVector.symmetric()
     amps = np.zeros((3, 2), dtype=complex)
-    amps[1] = coin.as_array()  # the origin of -1..1
+    amps[1] = START_COIN  # the origin of -1..1
     rho = reduced_coin_state(WalkerCoinPureState(amps))
-    assert _overlap(rho, coin) == pytest.approx(1.0, abs=1e-12)
-    orthogonal = CoinVector(1.0 / math.sqrt(2.0), -1j / math.sqrt(2.0))
+    assert _overlap(rho, START_COIN) == pytest.approx(1.0, abs=1e-12)
+    orthogonal = np.array([1.0 / math.sqrt(2.0), -1j / math.sqrt(2.0)])
     assert _overlap(rho, orthogonal) == pytest.approx(0.0, abs=1e-12)
 
 

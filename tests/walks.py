@@ -4,7 +4,7 @@ import numpy as np
 
 from rampwalk import evolution
 from rampwalk.analysis import classify
-from rampwalk.states import CoinVector, WalkerCoinPureState
+from rampwalk.states import START_COIN, WalkerCoinPureState
 
 
 def walk(schedule):
@@ -81,10 +81,10 @@ def fresh_step(entries, amps):
     return out
 
 
-def start_state(steps, coin=CoinVector.symmetric()):
-    """The pure state of `coin` at the origin, site index `steps`, of the light cone -steps..steps."""
+def start_state(steps, coin=START_COIN):
+    """The pure state of the unit (2,) `coin` at the origin, site index `steps`, of the light cone -steps..steps."""
     amps = np.zeros((2 * steps + 1, 2), dtype=np.complex128)
-    amps[steps] = coin.as_array()
+    amps[steps] = coin
     return WalkerCoinPureState(amps)
 
 
